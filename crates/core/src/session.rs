@@ -192,8 +192,8 @@ pub struct SessionConfig {
     /// bit-for-bit.
     pub failover: Option<FailoverConfig>,
     /// Fair-share engine the simulated transport runs sessions on.
-    /// Every mode is bit-identical (enforced by the cross-engine
-    /// differential suite); this knob trades wall-clock, not results.
+    /// Both modes are bit-identical (enforced by the cross-engine
+    /// differential suite); `Reference` is the slow oracle, for tests.
     pub engine: EngineMode,
     /// Remainder strategy. [`SessionMode::Racing`] (the paper's
     /// protocol) is what this module's runners execute; striped

@@ -138,14 +138,6 @@ mod tests {
         let mut engine = base;
         engine.engine = crate::session::EngineMode::Reference;
         assert_ne!(fingerprint_of(&base), fingerprint_of(&engine));
-        // Sharded at any thread count shares one fingerprint: results
-        // are bit-identical, so threads is not a semantic input.
-        let mut s2 = base;
-        s2.engine = crate::session::EngineMode::Sharded { threads: 2 };
-        let mut s8 = base;
-        s8.engine = crate::session::EngineMode::Sharded { threads: 8 };
-        assert_eq!(fingerprint_of(&s2), fingerprint_of(&s8));
-        assert_ne!(fingerprint_of(&base), fingerprint_of(&s2));
         let striped = |chunks, k, rebalance| {
             let mut c = base;
             c.mode = SessionMode::Striped {

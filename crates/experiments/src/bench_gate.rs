@@ -37,13 +37,10 @@
 //! pass executes *exactly* the added policy's study, the guarantee
 //! that growing the roster never re-runs existing policies.
 //!
-//! Finally the gate times the partition-sharded engine on the megaflow
-//! gate geometry (32,768 flows, 32 rack components) and writes
-//! `BENCH_PR7.json`: median ns/boundary for the single-threaded
-//! incremental engine vs `Sharded` at every available core, the speedup
-//! ratio, the decomposition stats, and the pinned mini-megaflow
-//! boundary canary. It fails when the canary moves, or when the sharded
-//! engine is *slower* than incremental on a machine with ≥ 4 cores.
+//! Finally the gate times the engine on the megaflow gate geometry
+//! (32,768 flows, 32 rack components) and writes `BENCH_PR7.json`:
+//! median ns/boundary, the decomposition stats, and the pinned
+//! mini-megaflow boundary canary. It fails when the canary moves.
 //!
 //! Next, the gate soaks the event-driven relay daemon against its
 //! thread-per-connection baseline on the soak gate geometry (64
@@ -450,9 +447,9 @@ fn render_policy_json(s: &PolicyStats) -> String {
 /// deliberate engine-semantics change.
 pub const PINNED_MEGAFLOW_MINI_BOUNDARIES: u64 = 18;
 
-/// Megaflow gate numbers: the sharded engine's ns/boundary at 1 vs N
-/// threads on the gate geometry, the decomposition stats, and the
-/// pinned mini canary observation.
+/// Megaflow gate numbers: the engine's ns/boundary on the gate
+/// geometry, the decomposition stats, and the pinned mini canary
+/// observation.
 #[derive(Debug, Clone, Copy)]
 pub struct MegaflowStats {
     /// Concurrent transfers in the gate geometry.
@@ -467,23 +464,12 @@ pub struct MegaflowStats {
     pub completion_batches: u64,
     /// Boundary count of the pinned mini geometry (the canary).
     pub mini_boundaries: u64,
-    /// Worker threads the sharded timing used.
-    pub threads: u64,
-    /// Median ns per boundary, single-threaded incremental engine.
-    pub incremental_ns_per_boundary: u64,
-    /// Median ns per boundary, `Sharded { threads }`.
-    pub sharded_ns_per_boundary: u64,
+    /// Median ns per boundary of the gate run.
+    pub ns_per_boundary: u64,
 }
 
-impl MegaflowStats {
-    /// Incremental-over-sharded wall-clock ratio (> 1 ⇒ sharding pays).
-    pub fn speedup(&self) -> f64 {
-        self.incremental_ns_per_boundary as f64 / self.sharded_ns_per_boundary.max(1) as f64
-    }
-}
-
-/// Runs the mini canary, then times the gate geometry under the
-/// incremental and sharded engines (`samples` timed runs each).
+/// Runs the mini canary, then times the gate geometry (`samples` timed
+/// runs).
 fn megaflow_stats(samples: usize) -> MegaflowStats {
     use crate::megaflow::{self, MegaflowConfig};
     use ir_simnet::sim::EngineMode;
@@ -491,15 +477,9 @@ fn megaflow_stats(samples: usize) -> MegaflowStats {
     let mini = megaflow::run(2007, &MegaflowConfig::mini(), EngineMode::Incremental, None);
     let cfg = MegaflowConfig::gate();
     let base = megaflow::run(2007, &cfg, EngineMode::Incremental, None);
-    let threads = crate::runner::effective_worker_threads(usize::MAX);
-    let time_ns = |engine: EngineMode| {
-        median_ns(samples, 1, || {
-            black_box(megaflow::run(2007, &cfg, engine, None));
-        })
-    };
-    let inc_ns = time_ns(EngineMode::Incremental);
-    let sh_ns = time_ns(EngineMode::Sharded { threads });
-    let per_boundary = |total: u64| total / base.boundaries.max(1);
+    let run_ns = median_ns(samples, 1, || {
+        black_box(megaflow::run(2007, &cfg, EngineMode::Incremental, None));
+    });
     MegaflowStats {
         flows: base.flows_started,
         nodes: base.nodes,
@@ -507,9 +487,7 @@ fn megaflow_stats(samples: usize) -> MegaflowStats {
         component_solves: base.component_solves,
         completion_batches: base.completion_batches,
         mini_boundaries: mini.boundaries,
-        threads: threads as u64,
-        incremental_ns_per_boundary: per_boundary(inc_ns),
-        sharded_ns_per_boundary: per_boundary(sh_ns),
+        ns_per_boundary: run_ns / base.boundaries.max(1),
     }
 }
 
@@ -517,9 +495,8 @@ fn render_megaflow_json(s: &MegaflowStats) -> String {
     format!(
         "{{\n  \"bench\": \"BENCH_PR7\",\n  \"megaflow\": {{\n    \"flows\": {},\n    \
          \"nodes\": {},\n    \"boundaries\": {},\n    \"component_solves\": {},\n    \
-         \"completion_batches\": {},\n    \"threads\": {},\n    \
-         \"incremental_ns_per_boundary\": {},\n    \"sharded_ns_per_boundary\": {},\n    \
-         \"speedup\": {:.3}\n  }},\n  \"units\": \"median_ns_per_boundary\",\n  \
+         \"completion_batches\": {},\n    \"ns_per_boundary\": {}\n  }},\n  \
+         \"units\": \"median_ns_per_boundary\",\n  \
          \"canary\": {{\n    \"pinned_megaflow_mini_boundaries\": \
          {PINNED_MEGAFLOW_MINI_BOUNDARIES},\n    \"observed_mini_boundaries\": {}\n  }}\n}}\n",
         s.flows,
@@ -527,10 +504,7 @@ fn render_megaflow_json(s: &MegaflowStats) -> String {
         s.boundaries,
         s.component_solves,
         s.completion_batches,
-        s.threads,
-        s.incremental_ns_per_boundary,
-        s.sharded_ns_per_boundary,
-        s.speedup(),
+        s.ns_per_boundary,
         s.mini_boundaries
     )
 }
@@ -778,20 +752,14 @@ pub fn run(out: &Path) -> Result<GateStats, String> {
     );
     eprintln!("bench-gate: wrote {}", out6.display());
 
-    eprintln!("bench-gate: timing the megaflow study, incremental vs sharded...");
+    eprintln!("bench-gate: timing the megaflow gate geometry...");
     let mega = megaflow_stats(5);
     let out7 = out.with_file_name("BENCH_PR7.json");
     std::fs::write(&out7, render_megaflow_json(&mega))
         .map_err(|e| format!("cannot write {}: {e}", out7.display()))?;
     eprintln!(
-        "bench-gate: megaflow {} flows / {} boundaries — {} ns/boundary incremental, \
-         {} ns/boundary sharded×{} (speedup {:.2}×)",
-        mega.flows,
-        mega.boundaries,
-        mega.incremental_ns_per_boundary,
-        mega.sharded_ns_per_boundary,
-        mega.threads,
-        mega.speedup(),
+        "bench-gate: megaflow {} flows / {} boundaries — {} ns/boundary",
+        mega.flows, mega.boundaries, mega.ns_per_boundary,
     );
     eprintln!("bench-gate: wrote {}", out7.display());
 
@@ -887,16 +855,6 @@ pub fn run(out: &Path) -> Result<GateStats, String> {
             "megaflow canary: mini geometry ran {} boundaries, expected {} — the engine's \
              boundary schedule moved; investigate before re-pinning",
             mega.mini_boundaries, PINNED_MEGAFLOW_MINI_BOUNDARIES
-        ));
-    }
-    if mega.threads >= 4 && mega.speedup() < 1.0 {
-        return Err(format!(
-            "sharded engine slower than incremental at {} threads: {} vs {} ns/boundary \
-             (speedup {:.2}×)",
-            mega.threads,
-            mega.sharded_ns_per_boundary,
-            mega.incremental_ns_per_boundary,
-            mega.speedup()
         ));
     }
     if soak.lost != 0 {
@@ -1018,8 +976,7 @@ mod tests {
     }
 
     /// The PR7 canary, as a test: the mini megaflow geometry's boundary
-    /// count matches the pinned constant (timing conditions are
-    /// release-only, so the test checks structure, not the ratio).
+    /// count matches the pinned constant.
     #[test]
     fn megaflow_gate_canary_holds() {
         use crate::megaflow::{self, MegaflowConfig};
@@ -1038,14 +995,11 @@ mod tests {
             component_solves: 4_000,
             completion_batches: 64,
             mini_boundaries: PINNED_MEGAFLOW_MINI_BOUNDARIES,
-            threads: 8,
-            incremental_ns_per_boundary: 2_000_000,
-            sharded_ns_per_boundary: 500_000,
+            ns_per_boundary: 500_000,
         };
-        assert!((s.speedup() - 4.0).abs() < 1e-9);
         let j = render_megaflow_json(&s);
         assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert!(j.contains("\"speedup\": 4.000"), "{j}");
+        assert!(j.contains("\"ns_per_boundary\": 500000"), "{j}");
         assert!(j.contains("\"pinned_megaflow_mini_boundaries\""), "{j}");
     }
 

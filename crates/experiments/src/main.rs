@@ -18,12 +18,10 @@
 //!                         including the stale-prediction penalty-tail
 //!                         cells; stripe sets drawn from the policy
 //!                         plane's best-k, extension)
-//!            megaflow    (partition-sharded engine at scale: the
-//!                         mini fan-in at --scale quick, 1.01M flows
-//!                         over 10,401 nodes at --scale paper;
-//!                         --threads N > 1 runs it on the sharded
-//!                         engine — results are bit-identical at any
-//!                         thread count)
+//!            megaflow    (fair-share engine at scale: the mini fan-in
+//!                         at --scale quick, 1.01M flows over 10,401
+//!                         nodes at --scale paper; single-threaded —
+//!                         --threads does not apply)
 //!            tournament  (policy × scenario table: every path-selection
 //!                         policy on every tournament scenario, with
 //!                         improvement, penalty rate, probe overhead and
@@ -53,8 +51,8 @@
 //!                         writes BENCH_PR4.json; --out FILE overrides;
 //!                         also times the pinned mini sweep cold vs
 //!                         warm (BENCH_PR5.json), the path plane
-//!                         (BENCH_PR6.json), the megaflow study
-//!                         incremental vs sharded (BENCH_PR7.json),
+//!                         (BENCH_PR6.json), the megaflow gate
+//!                         geometry's ns/boundary (BENCH_PR7.json),
 //!                         the relay soak, event reactor vs threaded
 //!                         baseline (BENCH_PR9.json), and the pinned
 //!                         striping sweep, striped vs raced
@@ -559,22 +557,14 @@ fn main() -> ExitCode {
 
     if needs_megaflow {
         let cfg = ir_experiments::sweep::megaflow_config(args.scale);
-        // The engine is an execution knob: any thread count produces
-        // bit-identical results (the differential suite's guarantee),
-        // so `--threads` only selects how the study is *run*.
-        let engine = match args.threads {
-            Some(t) if t > 1 => ir_simnet::sim::EngineMode::Sharded { threads: t },
-            _ => ir_simnet::sim::EngineMode::Incremental,
-        };
         eprintln!(
-            "running megaflow study (seed {}, {:?} scale, {} flows, {:?})...",
+            "running megaflow study (seed {}, {:?} scale, {} flows)...",
             args.seed,
             args.scale,
-            cfg.total_flows(),
-            engine
+            cfg.total_flows()
         );
         let t0 = std::time::Instant::now();
-        let r = ir_experiments::megaflow::report(args.seed, &cfg, engine);
+        let r = ir_experiments::megaflow::report(args.seed, &cfg, Default::default());
         eprintln!("megaflow study: done in {:.1}s", t0.elapsed().as_secs_f64());
         ok &= emit(&[r], &args.csv_dir);
     }

@@ -1,13 +1,14 @@
-//! Megaflow — the partition-sharded engine's scale artefact.
+//! Megaflow — the engine's scale artefact.
 //!
 //! A synthetic fan-in datacenter workload built to stress exactly the
-//! structure the sharded engine exploits: `racks` top-of-rack switches,
-//! each with `hosts_per_rack` hosts behind a per-flow access link and
-//! one shared `Capacity` uplink to a single origin. Every congestion
+//! structure the engine's component decomposition exploits: `racks`
+//! top-of-rack switches, each with `hosts_per_rack` hosts behind a
+//! per-flow access link and one shared `Capacity` uplink to a single
+//! origin. Every congestion
 //! component is one rack (the access links are `PerFlow` and fold into
-//! flow caps), so the engine's union–find decomposes the global
-//! allocation into `racks` independent solves of
-//! `hosts_per_rack × flows_per_host` flows each.
+//! flow caps), so the global allocation decomposes into `racks`
+//! independent problems of `hosts_per_rack × flows_per_host` flows
+//! each, and a boundary re-solves only the rack whose flows finished.
 //!
 //! At [`MegaflowConfig::paper`] scale this is **1.01M concurrent
 //! transfers over a 10,401-node roster** — far past anything the
@@ -86,9 +87,8 @@ impl MegaflowConfig {
         }
     }
 
-    /// The bench-gate geometry: big enough that the sharded engine's
-    /// parallel threshold engages and per-boundary solve work dwarfs
-    /// thread-spawn overhead (32,768 flows, 1,024-flow components),
+    /// The bench-gate geometry: big enough that per-boundary engine
+    /// work dwarfs timer noise (32,768 flows, 1,024-flow components),
     /// small enough to time repeatedly.
     pub fn gate() -> Self {
         MegaflowConfig {
@@ -115,8 +115,7 @@ impl MegaflowConfig {
 }
 
 /// Deterministic outcome of a megaflow run. Engine-mode invariant (the
-/// differential suite's guarantee), so the sweep caches one copy
-/// regardless of `--threads`.
+/// differential suite's guarantee).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MegaflowResult {
     /// The geometry that produced this result.
@@ -248,7 +247,7 @@ pub fn report(seed: u64, cfg: &MegaflowConfig, engine: EngineMode) -> Report {
 /// Renders the report from a (possibly cache-restored) result.
 pub fn report_of(r: &MegaflowResult) -> Report {
     let mut table = ir_stats::TextTable::new()
-        .title("megaflow: partition-sharded engine at scale")
+        .title("megaflow: component-decomposed engine at scale")
         .header(["metric", "value"]);
     let rows_src: Vec<(&str, String)> = vec![
         ("racks", r.cfg.racks.to_string()),
@@ -279,7 +278,7 @@ pub fn report_of(r: &MegaflowResult) -> Report {
     Report {
         id: "megaflow",
         title: format!(
-            "Megaflow: {} flows / {} nodes through the sharded engine",
+            "Megaflow: {} flows / {} nodes through the fair-share engine",
             r.flows_started, r.nodes
         ),
         body: table.render(),
@@ -343,9 +342,6 @@ mod tests {
         let mut refr_cmp = refr.clone();
         refr_cmp.component_solves = inc.component_solves;
         assert_eq!(refr_cmp, inc, "Reference diverged from incremental");
-
-        let sh = run(2007, &cfg, EngineMode::Sharded { threads: 4 }, None);
-        assert_eq!(sh, inc, "Sharded diverged from incremental");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! | sites (per destination site) | sites |
 //! | headroom (oracle replica) | headroom |
 //! | faults (overlay outages) | faults |
-//! | megaflow (sharded engine at scale) | megaflow |
+//! | megaflow (fair-share engine at scale) | megaflow |
 //! | striping (striped vs raced sessions) | striping |
 //! | tournament/`<policy>` (one study **per policy**) | tournament |
 //!
@@ -494,10 +494,9 @@ pub fn full_plan(seed: u64, scale: Scale, tel: Option<Arc<Telemetry>>) -> SweepP
         }),
     };
 
-    // Megaflow: the sharded engine's scale study. Engine-mode
-    // invariant (the differential suite's guarantee), so the engine is
-    // an execution knob here, not a fingerprint input — one cached
-    // result serves every `--threads` setting.
+    // Megaflow: the engine's scale study. Engine-mode invariant (the
+    // differential suite's guarantee), so the engine is not a
+    // fingerprint input.
     let mega_cfg = megaflow_config(scale);
     let mega_fp = {
         let mut h = StableHasher::new();

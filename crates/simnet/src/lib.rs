@@ -57,7 +57,7 @@ pub mod prelude {
     pub use crate::events::EventQueue;
     pub use crate::fairshare::{max_min_rates, reference_rates, AllocFlow};
     pub use crate::faults::{FaultEvent, FaultPlan, FaultSpec};
-    pub use crate::partition::{Components, FlowLinkPartition, UnionFind};
+    pub use crate::partition::{Components, LiveComponents, UnionFind};
     pub use crate::sim::{
         CompletedFlow, ConstCap, EngineMode, EngineStats, FlowId, Network, NoCap, RateCap,
     };

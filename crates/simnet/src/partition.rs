@@ -12,10 +12,13 @@
 //! treat every component as an independent sub-problem
 //! ([`crate::soa`] holds the component-wise kernels).
 //!
-//! Everything here is deterministic by construction: components are
-//! numbered by their smallest member flow (ascending), members are
-//! listed ascending, and none of it depends on hash iteration order or
-//! on how many worker threads later solve the components.
+//! [`Components`] decomposes one problem from scratch (the `fairshare`
+//! entry points and the test oracles); [`LiveComponents`] is what the
+//! engine keeps across boundaries, so that a boundary re-solves only
+//! the components whose inputs changed (DESIGN.md §10).
+//!
+//! Everything here is deterministic by construction: member lists are
+//! ascending and nothing depends on hash iteration order.
 
 /// Union–find (disjoint-set forest) over `u32` elements with
 /// path-halving finds. Unions attach the larger root under the smaller,
@@ -48,18 +51,9 @@ impl UnionFind {
         self.parent.is_empty()
     }
 
-    /// Grows to at least `n` elements (new elements are singletons).
-    pub fn ensure(&mut self, n: usize) {
-        let from = self.parent.len();
-        if n > from {
-            self.parent.extend(from as u32..n as u32);
-        }
-    }
-
-    /// Re-singletonises one element (used by lazy rebuilds that only
+    /// Re-singletonises one element (used by local splits that only
     /// reset the elements they are about to re-union).
     pub fn isolate(&mut self, x: u32) {
-        self.ensure(x as usize + 1);
         self.parent[x as usize] = x;
     }
 
@@ -98,7 +92,7 @@ impl UnionFind {
 /// member lists are each ascending. Indices are in *problem space*:
 /// flows `0..n_flows`, links `0..n_links` of whatever problem the
 /// builder was handed (the `fairshare` wrappers use their dense finite
-/// subset, the engine its in-use capacity slots).
+/// subset).
 #[derive(Debug, Clone, Default)]
 pub struct Components {
     /// Flow members grouped by component (ascending within each).
@@ -164,20 +158,6 @@ impl Components {
                 uf.union(fe, l);
             }
         }
-        self.extract(n_flows, n_links, uf, |k| (n_links + k) as u32, |s| s as u32);
-    }
-
-    /// Shared extraction: given a populated union–find, produce the
-    /// grouped member lists. `flow_elem`/`link_elem` map problem indices
-    /// to union–find elements.
-    fn extract(
-        &mut self,
-        n_flows: usize,
-        n_links: usize,
-        uf: &mut UnionFind,
-        flow_elem: impl Fn(usize) -> u32,
-        link_elem: impl Fn(usize) -> u32,
-    ) {
         self.map.clear();
         self.map.resize(uf.len(), 0);
         // Pass 1: number components in order of first (i.e. smallest)
@@ -185,7 +165,7 @@ impl Components {
         self.comp_of_flow.clear();
         let mut count = 0u32;
         for k in 0..n_flows {
-            let r = uf.find(flow_elem(k)) as usize;
+            let r = uf.find((n_links + k) as u32) as usize;
             if self.map[r] == 0 {
                 count += 1;
                 self.map[r] = count;
@@ -217,7 +197,7 @@ impl Components {
         self.link_starts.resize(count as usize + 1, 0);
         let mut kept = 0u32;
         for s in 0..n_links {
-            let r = uf.find(link_elem(s)) as usize;
+            let r = uf.find(s as u32) as usize;
             if self.map[r] != 0 {
                 self.link_starts[self.map[r] as usize] += 1;
                 kept += 1;
@@ -232,7 +212,7 @@ impl Components {
         self.links.clear();
         self.links.resize(kept as usize, 0);
         for s in 0..n_links {
-            let r = uf.find(link_elem(s)) as usize;
+            let r = uf.find(s as u32) as usize;
             let m = self.map[r];
             if m != 0 {
                 let c = (m - 1) as usize;
@@ -243,177 +223,306 @@ impl Components {
     }
 }
 
-/// Incrementally-maintained union–find over the engine's flow↔link
-/// membership (flow slots against **capacity-shared** link ids).
-///
-/// * Flow **arrival** is a pure union — O(α) per route link — so
-///   arrival-heavy phases (a megaflow study starting 10⁶ transfers)
-///   never rebuild.
-/// * Flow **departure** (completion or cancellation) cannot be expressed
-///   as a union; it marks the structure dirty, and the next query
-///   rebuilds from the live membership — lazily, so a burst of
-///   simultaneous completions costs one rebuild.
-///
-/// The canonical component numbering produced by
-/// [`FlowLinkPartition::components_into`] is a pure function of the live
-/// membership, so an incrementally-maintained structure and a rebuilt
-/// one yield identical components (the partitioner property suite pins
-/// this).
-#[derive(Debug, Clone)]
-pub struct FlowLinkPartition {
-    /// Links occupy elements `0..n_links`; flow slot `i` is element
-    /// `n_links + i`.
-    uf: UnionFind,
-    n_links: usize,
+/// Marker for "in no component" in [`LiveComponents`]' per-flow and
+/// per-link tables.
+pub const NO_COMP: u32 = u32::MAX;
+
+/// One persistent component: members by **stable id** (flow id, link
+/// id), each list ascending — the order [`crate::soa::solve_component`]
+/// requires.
+#[derive(Debug, Clone, Default)]
+struct LiveComp {
+    /// Member flows; may still list departed flows while `departed`.
+    flows: Vec<u32>,
+    links: Vec<u32>,
+    /// Some solver input of this component moved since its last solve.
     dirty: bool,
-    /// Rebuilds performed (telemetry).
-    pub rebuilds: u64,
-    /// Arrivals folded in incrementally (telemetry).
-    pub incremental_adds: u64,
+    /// A member flow left; membership is re-derived at the next solve.
+    departed: bool,
 }
 
-impl FlowLinkPartition {
-    /// A clean partition over a topology with `n_links` links and no
-    /// flows yet.
+/// The engine's congestion components, maintained **persistently**
+/// across boundaries over stable flow and link ids.
+///
+/// * Flow **arrival** is a union: the flow joins (and thereby merges)
+///   the components of its capacity-shared links.
+/// * Flow **departure** cannot be expressed as a union; it flags the
+///   flow's own component, and [`LiveComponents::begin_solve`]
+///   re-derives *that component only* from its surviving members (a
+///   local split) — lazily, so a burst of simultaneous completions
+///   costs one pass per touched component.
+/// * Every membership change, and every [`LiveComponents::mark_dirty_flow`]
+///   / [`LiveComponents::mark_dirty_link`], dirties exactly the owning
+///   component; the solver re-runs on dirty components and leaves the
+///   rest alone.
+///
+/// After `begin_solve` the live components are, as sets, exactly the
+/// connected components [`Components::build_csr`] computes from scratch
+/// over the live membership (the partitioner property suite pins this).
+#[derive(Debug, Clone)]
+pub struct LiveComponents {
+    comps: Vec<LiveComp>,
+    /// Recycled slots of `comps`.
+    free: Vec<u32>,
+    /// Flow id → component, [`NO_COMP`] before arrival / after departure.
+    comp_of_flow: Vec<u32>,
+    /// Link id → component, [`NO_COMP`] while no member flow crosses it.
+    comp_of_link: Vec<u32>,
+    /// Components flagged dirty since the last solve (may name a slot
+    /// twice or one since freed; `begin_solve` canonicalises).
+    dirty: Vec<u32>,
+    /// Split scratch: union–find over link ids, and list buffers.
+    uf: UnionFind,
+    tmp_flows: Vec<u32>,
+    tmp_links: Vec<u32>,
+}
+
+impl LiveComponents {
+    /// No flows yet, over a topology with `n_links` links.
     pub fn new(n_links: usize) -> Self {
         let mut uf = UnionFind::new();
         uf.reset(n_links);
-        FlowLinkPartition {
+        LiveComponents {
+            comps: Vec::new(),
+            free: Vec::new(),
+            comp_of_flow: Vec::new(),
+            comp_of_link: vec![NO_COMP; n_links],
+            dirty: Vec::new(),
             uf,
-            n_links,
-            dirty: false,
-            rebuilds: 0,
-            incremental_adds: 0,
+            tmp_flows: Vec::new(),
+            tmp_links: Vec::new(),
         }
     }
 
-    /// True when a departure has invalidated the structure and the next
-    /// query will rebuild.
-    pub fn is_dirty(&self) -> bool {
-        self.dirty
+    /// Live components. Exact once [`LiveComponents::begin_solve`] has
+    /// repaired pending departures.
+    pub fn count(&self) -> usize {
+        self.comps.len() - self.free.len()
     }
 
-    /// Folds an arriving flow in incrementally. `links` are the
-    /// capacity-shared link ids of its route. A no-op while dirty (the
-    /// pending rebuild will see the flow in the live membership).
-    pub fn on_flow_start(&mut self, slot: u32, links: impl Iterator<Item = u32>) {
-        if self.dirty {
-            return;
-        }
-        let fe = self.n_links as u32 + slot;
-        self.uf.isolate(fe);
-        for l in links {
-            debug_assert!((l as usize) < self.n_links);
-            self.uf.union(fe, l);
-        }
-        self.incremental_adds += 1;
+    /// Component of flow `f`, or [`NO_COMP`] if it is not a member.
+    pub fn comp_of_flow(&self, f: u32) -> u32 {
+        self.comp_of_flow[f as usize]
     }
 
-    /// Notes a departing flow; the structure is dirty until rebuilt.
-    pub fn on_flow_end(&mut self) {
-        self.dirty = true;
+    /// Flow members of component `c`, ascending.
+    pub fn flows(&self, c: u32) -> &[u32] {
+        &self.comps[c as usize].flows
     }
 
-    /// Starts a from-scratch rebuild: resets every link element (flow
-    /// elements are reset as [`FlowLinkPartition::rebuild_flow`] re-adds
-    /// them; stale elements of departed flows are never queried again).
-    pub fn begin_rebuild(&mut self) {
-        for l in 0..self.n_links as u32 {
-            self.uf.isolate(l);
-        }
-        self.dirty = false;
-        self.rebuilds += 1;
+    /// Link members of component `c`, ascending.
+    pub fn links(&self, c: u32) -> &[u32] {
+        &self.comps[c as usize].links
     }
 
-    /// Re-adds one live flow during a rebuild.
-    pub fn rebuild_flow(&mut self, slot: u32, links: impl Iterator<Item = u32>) {
-        let fe = self.n_links as u32 + slot;
-        self.uf.isolate(fe);
-        for l in links {
-            debug_assert!((l as usize) < self.n_links);
-            self.uf.union(fe, l);
+    fn mark_dirty(&mut self, c: u32) {
+        let comp = &mut self.comps[c as usize];
+        if !comp.dirty {
+            comp.dirty = true;
+            self.dirty.push(c);
         }
     }
 
-    /// Extracts the components of the current active set, in *dense
-    /// problem space*: flow `k` is `active_slots[k]`, link `s` is
-    /// `prob_links[s]`. Must not be called dirty (the engine rebuilds
-    /// first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called while dirty.
-    pub fn components_into(
-        &mut self,
-        active_slots: &[u32],
-        prob_links: &[u32],
-        out: &mut Components,
-    ) {
-        assert!(!self.dirty, "partition queried while dirty");
-        let n_links = self.n_links;
-        for &s in active_slots {
-            self.uf.ensure(n_links + s as usize + 1);
-        }
-        let uf = &mut self.uf;
-        out.extract(
-            active_slots.len(),
-            prob_links.len(),
-            uf,
-            |k| n_links as u32 + active_slots[k],
-            |s| prob_links[s],
-        );
+    /// A solver input of member flow `f` (its cap) moved.
+    pub fn mark_dirty_flow(&mut self, f: u32) {
+        self.mark_dirty(self.comp_of_flow[f as usize]);
     }
-}
 
-/// Splits components `0..comps.count()` into at most `nworkers`
-/// contiguous ranges of roughly equal total flows (`nf` is the
-/// problem's flow count). Ranges cover every component exactly once, in
-/// component order — the split is a pure function of the decomposition
-/// and the worker count, independent of which thread later solves
-/// which range.
-pub fn split_component_ranges(
-    comps: &Components,
-    nf: usize,
-    nworkers: usize,
-) -> Vec<(usize, usize)> {
-    let ncomp = comps.count();
-    let mut ranges: Vec<(usize, usize)> = Vec::new();
-    if ncomp == 0 {
-        return ranges;
-    }
-    let target = nf.div_ceil(nworkers.max(1));
-    let mut c0 = 0usize;
-    let mut acc = 0usize;
-    for c in 0..ncomp {
-        acc += comps.comp_flows(c).len();
-        if acc >= target || c + 1 == ncomp {
-            ranges.push((c0, c + 1));
-            c0 = c + 1;
-            acc = 0;
+    /// Link `l`'s capacity moved; a no-op while no member crosses it.
+    pub fn mark_dirty_link(&mut self, l: u32) {
+        let c = self.comp_of_link[l as usize];
+        if c != NO_COMP {
+            self.mark_dirty(c);
         }
     }
-    ranges
-}
 
-/// Deterministic scatter-merge of per-worker component solutions:
-/// worker `w` solved the components of `ranges[w]` into its own
-/// full-problem-size `worker_rates[w]` buffer; each component's flow
-/// rates are copied back in **stable component order**, so the merged
-/// `solution` is a pure function of the per-component results — not of
-/// the order in which workers finished. Component flow sets are
-/// disjoint, so every slot is written exactly once.
-pub fn merge_component_rates(
-    comps: &Components,
-    ranges: &[(usize, usize)],
-    worker_rates: &[&[f64]],
-    solution: &mut [f64],
-) {
-    for (rates, &(r0, r1)) in worker_rates.iter().zip(ranges) {
-        for c in r0..r1 {
-            for &f in comps.comp_flows(c) {
-                solution[f as usize] = rates[f as usize];
+    /// Dirties every live component (their rates came from elsewhere).
+    pub fn mark_all_dirty(&mut self) {
+        for c in 0..self.comps.len() as u32 {
+            if !self.comps[c as usize].flows.is_empty() {
+                self.mark_dirty(c);
             }
         }
+    }
+
+    fn alloc(&mut self) -> u32 {
+        self.free.pop().unwrap_or_else(|| {
+            self.comps.push(LiveComp::default());
+            // Room to free every slot: departures then never allocate.
+            self.free.reserve(self.comps.len());
+            self.comps.len() as u32 - 1
+        })
+    }
+
+    /// Folds arriving flow `f` in; `links` are the capacity-shared link
+    /// ids of its route. Flow ids must arrive in ascending order (the
+    /// engine's are allocation-ordered), which keeps member lists
+    /// sorted by appending.
+    pub fn arrive(&mut self, f: u32, links: &[u32]) {
+        let mut target = NO_COMP;
+        for &l in links {
+            let c = self.comp_of_link[l as usize];
+            if c != NO_COMP && c != target {
+                target = if target == NO_COMP {
+                    c
+                } else {
+                    self.merge(target, c)
+                };
+            }
+        }
+        if target == NO_COMP {
+            target = self.alloc();
+        }
+        let comp = &mut self.comps[target as usize];
+        for &l in links {
+            if self.comp_of_link[l as usize] == NO_COMP {
+                self.comp_of_link[l as usize] = target;
+                let at = comp.links.partition_point(|&m| m < l);
+                comp.links.insert(at, l);
+            }
+        }
+        debug_assert!(comp.flows.last().is_none_or(|&last| last < f));
+        comp.flows.push(f);
+        if self.comp_of_flow.len() <= f as usize {
+            self.comp_of_flow.resize(f as usize + 1, NO_COMP);
+        }
+        self.comp_of_flow[f as usize] = target;
+        self.mark_dirty(target);
+    }
+
+    /// Absorbs the smaller of `a`, `b` into the larger; returns the
+    /// survivor.
+    fn merge(&mut self, a: u32, b: u32) -> u32 {
+        let (keep, gone) = if self.flows(a).len() >= self.flows(b).len() {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        let g = std::mem::take(&mut self.comps[gone as usize]);
+        for &f in &g.flows {
+            // Departed members stay unowned; the repair drops them.
+            if self.comp_of_flow[f as usize] == gone {
+                self.comp_of_flow[f as usize] = keep;
+            }
+        }
+        for &l in &g.links {
+            self.comp_of_link[l as usize] = keep;
+        }
+        let k = &mut self.comps[keep as usize];
+        k.flows.extend_from_slice(&g.flows);
+        k.flows.sort_unstable();
+        k.links.extend_from_slice(&g.links);
+        k.links.sort_unstable();
+        k.departed |= g.departed;
+        self.free.push(gone);
+        keep
+    }
+
+    /// Notes that member flow `f` completed or was cancelled.
+    pub fn depart(&mut self, f: u32) {
+        let c = std::mem::replace(&mut self.comp_of_flow[f as usize], NO_COMP);
+        self.comps[c as usize].departed = true;
+        self.mark_dirty(c);
+    }
+
+    /// Repairs every component a flow departed from, then fixes the set
+    /// of components to re-solve: [`LiveComponents::dirty`] lists each
+    /// once until [`LiveComponents::end_solve`]. Flow `f`'s capacity
+    /// links are `flow_links[flow_off[f]..flow_off[f + 1]]`. Returns how
+    /// many components were repaired.
+    pub fn begin_solve(&mut self, flow_off: &[u32], flow_links: &[u32]) -> usize {
+        let mut repaired = 0;
+        let mut k = 0;
+        // Splits append their (clean-membership) products to `dirty`.
+        while k < self.dirty.len() {
+            let c = self.dirty[k];
+            if self.comps[c as usize].departed {
+                self.repair(c, flow_off, flow_links);
+                repaired += 1;
+            }
+            k += 1;
+        }
+        let comps = &mut self.comps;
+        self.dirty
+            .retain(|&c| std::mem::take(&mut comps[c as usize].dirty));
+        repaired
+    }
+
+    /// The components to re-solve, between `begin_solve` and `end_solve`.
+    pub fn dirty(&self) -> &[u32] {
+        &self.dirty
+    }
+
+    /// The dirty components have been solved.
+    pub fn end_solve(&mut self) {
+        self.dirty.clear();
+    }
+
+    /// Re-derives component `c` from its surviving members: drops the
+    /// departed flows and the links nobody crosses any more, and splits
+    /// what remains into its connected pieces (the piece holding the
+    /// smallest flow keeps id `c`; the others get new, dirty slots).
+    fn repair(&mut self, c: u32, flow_off: &[u32], flow_links: &[u32]) {
+        let comp_of_flow = &self.comp_of_flow;
+        let comp = &mut self.comps[c as usize];
+        comp.departed = false;
+        comp.flows.retain(|&f| comp_of_flow[f as usize] == c);
+        if comp.flows.is_empty() {
+            for l in comp.links.drain(..) {
+                self.comp_of_link[l as usize] = NO_COMP;
+            }
+            comp.dirty = false;
+            self.free.push(c);
+            return;
+        }
+        if comp.links.len() <= 1 {
+            return; // every survivor still crosses the one shared link
+        }
+        let links_of =
+            |f: u32| &flow_links[flow_off[f as usize] as usize..flow_off[f as usize + 1] as usize];
+        let mut flows = std::mem::take(&mut self.tmp_flows);
+        let mut links = std::mem::take(&mut self.tmp_links);
+        std::mem::swap(&mut flows, &mut comp.flows);
+        std::mem::swap(&mut links, &mut comp.links);
+        for &l in &links {
+            self.comp_of_link[l as usize] = NO_COMP;
+            self.uf.isolate(l);
+        }
+        for &f in &flows {
+            let ls = links_of(f);
+            for &l in ls {
+                self.uf.union(ls[0], l);
+            }
+        }
+        // Pieces are numbered at their root link; ascending scans keep
+        // every member list sorted.
+        for &f in &flows {
+            let r = self.uf.find(links_of(f)[0]) as usize;
+            if self.comp_of_link[r] == NO_COMP {
+                let piece = if self.comps[c as usize].flows.is_empty() {
+                    c
+                } else {
+                    self.alloc()
+                };
+                self.comp_of_link[r] = piece;
+                self.mark_dirty(piece);
+            }
+            let piece = self.comp_of_link[r];
+            self.comps[piece as usize].flows.push(f);
+            self.comp_of_flow[f as usize] = piece;
+        }
+        for &l in &links {
+            // A root no survivor reaches kept NO_COMP: the link is idle.
+            let piece = self.comp_of_link[self.uf.find(l) as usize];
+            self.comp_of_link[l as usize] = piece;
+            if piece != NO_COMP {
+                self.comps[piece as usize].links.push(l);
+            }
+        }
+        flows.clear();
+        links.clear();
+        self.tmp_flows = flows;
+        self.tmp_links = links;
     }
 }
 
@@ -481,38 +590,62 @@ mod tests {
         assert_eq!(c.comp_of_flow, vec![0, 1, 1]);
     }
 
-    #[test]
-    fn incremental_arrivals_match_rebuild() {
-        let mut inc = FlowLinkPartition::new(4);
-        inc.on_flow_start(0, [0u32, 1].into_iter());
-        inc.on_flow_start(1, [1u32].into_iter());
-        inc.on_flow_start(2, [3u32].into_iter());
-
-        let mut fresh = FlowLinkPartition::new(4);
-        fresh.on_flow_end();
-        fresh.begin_rebuild();
-        fresh.rebuild_flow(0, [0u32, 1].into_iter());
-        fresh.rebuild_flow(1, [1u32].into_iter());
-        fresh.rebuild_flow(2, [3u32].into_iter());
-
-        let active = [0u32, 1, 2];
-        let prob = [0u32, 1, 3];
-        let (mut a, mut b) = (Components::default(), Components::default());
-        inc.components_into(&active, &prob, &mut a);
-        fresh.components_into(&active, &prob, &mut b);
-        assert_eq!(a.flows, b.flows);
-        assert_eq!(a.flow_starts, b.flow_starts);
-        assert_eq!(a.links, b.links);
-        assert_eq!(a.link_starts, b.link_starts);
-        assert_eq!(a.comp_of_flow, b.comp_of_flow);
+    /// Members of every live component, as `(flows, links)` sorted by
+    /// smallest flow.
+    fn live_sets(lc: &LiveComponents, flows: u32) -> Vec<(Vec<u32>, Vec<u32>)> {
+        let mut ids: Vec<u32> = (0..flows)
+            .map(|f| lc.comp_of_flow(f))
+            .filter(|&c| c != NO_COMP)
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let mut out: Vec<_> = ids
+            .iter()
+            .map(|&c| (lc.flows(c).to_vec(), lc.links(c).to_vec()))
+            .collect();
+        out.sort();
+        out
     }
 
     #[test]
-    #[should_panic(expected = "dirty")]
-    fn dirty_query_panics() {
-        let mut p = FlowLinkPartition::new(1);
-        p.on_flow_end();
-        let mut c = Components::default();
-        p.components_into(&[], &[], &mut c);
+    fn arrival_merges_and_departure_splits_locally() {
+        // f0 on {0}, f1 on {2}, f2 bridges {0, 2}; link 3 is f3's alone.
+        let (off, links) = csr(&[&[0], &[2], &[0, 2], &[3]]);
+        let mut lc = LiveComponents::new(4);
+        for f in 0..4u32 {
+            lc.arrive(
+                f,
+                &links[off[f as usize] as usize..off[f as usize + 1] as usize],
+            );
+        }
+        assert_eq!(lc.begin_solve(&off, &links), 0, "arrivals need no repair");
+        assert_eq!(lc.count(), 2);
+        assert_eq!(
+            live_sets(&lc, 4),
+            vec![(vec![0, 1, 2], vec![0, 2]), (vec![3], vec![3])]
+        );
+        assert_eq!(lc.dirty().len(), 2);
+        lc.end_solve();
+
+        // The bridge leaves: its component (only) splits back in two.
+        lc.depart(2);
+        assert_eq!(lc.begin_solve(&off, &links), 1);
+        assert_eq!(lc.count(), 3);
+        assert_eq!(
+            live_sets(&lc, 4),
+            vec![(vec![0], vec![0]), (vec![1], vec![2]), (vec![3], vec![3])]
+        );
+        assert_eq!(lc.dirty().len(), 2, "f3's component stayed clean");
+        assert!(!lc.dirty().contains(&lc.comp_of_flow(3)));
+        lc.end_solve();
+
+        // Last member leaves: the component and its link are released.
+        lc.depart(3);
+        lc.begin_solve(&off, &links);
+        assert_eq!(lc.count(), 2);
+        assert!(lc.dirty().is_empty());
+        lc.mark_dirty_link(3); // idle link: nobody to dirty
+        assert_eq!(lc.begin_solve(&off, &links), 0);
+        assert!(lc.dirty().is_empty());
     }
 }

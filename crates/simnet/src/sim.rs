@@ -10,12 +10,14 @@
 //! constant, so progress integrates exactly.
 //!
 //! Two allocation engines share that boundary loop (see
-//! [`EngineMode`]): the default *incremental* engine maintains the
-//! in-use link set, a dense slot map, cached effective link rates (with
-//! a lazy-invalidation heap of upcoming rate changes) and the last
-//! solved fair-share problem, re-solving only when some solver input
-//! actually changed; the *reference* engine rebuilds the whole problem
-//! from scratch every boundary and solves it with the naive
+//! [`EngineMode`]): the default *incremental* engine keeps the solver
+//! problem in flat arrays indexed by flow id and link id, cached link
+//! rates and flow caps (each with a lazy-invalidation heap of upcoming
+//! changes) and the congestion components with their solved rates,
+//! re-solving only the components one of whose inputs actually changed
+//! — a boundary costs what changed plus a few streaming passes over the
+//! active flows; the *reference* engine rebuilds the whole problem from
+//! scratch every boundary and solves it with the naive
 //! [`crate::fairshare::reference_rates`] oracle. The two are held
 //! bit-identical by the differential suite in
 //! `tests/engine_equivalence.rs` (invalidation rules: DESIGN.md §10).
@@ -30,10 +32,11 @@ use crate::bandwidth::BandwidthProcess;
 use crate::events::EventQueue;
 use crate::fairshare::{max_min_rates, AllocFlow};
 use crate::faults::{FaultEvent, FaultPlan};
+use crate::partition::NO_COMP;
 use crate::time::{SimDuration, SimTime};
-use crate::topology::{LinkId, Route, Topology};
+use crate::topology::{LinkId, Route, Sharing, Topology};
 use ir_telemetry::trace::{Event, EventKind};
-use ir_telemetry::Telemetry;
+use ir_telemetry::{Counter, Histogram, Telemetry};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -43,15 +46,27 @@ use std::sync::Arc;
 pub struct FlowId(pub u64);
 
 /// A per-flow rate ceiling, e.g. a TCP model.
+///
+/// # Contract
+///
+/// A cap is a **pure, piecewise-constant function of flow age** whose
+/// change points it announces: `cap(age, _)` returns the same value for
+/// every `age` in `[a, next_cap_change(a))`, and every age inside that
+/// segment reports the same segment end. The incremental engine queries
+/// a cap once per segment and caches `(value, segment end)`; the
+/// reference engine queries every boundary. A cap that moves without
+/// announcing it makes the two disagree — debug builds assert the
+/// cached value against a fresh query at every boundary.
 pub trait RateCap: Send + Sync {
     /// The ceiling (bytes/sec) for a flow of age `age` that has
-    /// transferred `bytes_done` bytes.
+    /// transferred `bytes_done` bytes. Must not depend on anything but
+    /// `age` (see the contract above); `bytes_done` is informational.
     fn cap(&mut self, age: SimDuration, bytes_done: u64) -> f64;
 
-    /// The next flow age strictly after `age` at which the ceiling may
-    /// change, or `None` if it is constant from `age` on. Used to
-    /// schedule re-allocation boundaries; a conservative (too frequent)
-    /// answer is correct but slower.
+    /// The next flow age strictly after `age` at which the ceiling
+    /// changes, or `None` if it is constant from `age` on. The engine
+    /// schedules a re-allocation boundary there; announcing a point
+    /// where the value does not move is allowed (one wasted boundary).
     fn next_cap_change(&mut self, age: SimDuration) -> Option<SimDuration>;
 
     /// Clones into a box (object-safe `Clone`).
@@ -123,28 +138,15 @@ impl CompletedFlow {
     }
 }
 
+/// Per-flow state the boundary loop does not stream over; the hot
+/// fields (`bytes_total`, `bytes_done`, `started`) live in flat arrays
+/// on [`Network`], indexed by flow id like this table.
+#[derive(Clone)]
 struct FlowState {
     route: Route,
-    bytes_total: u64,
-    bytes_done: f64,
-    started: SimTime,
     cap: Box<dyn RateCap>,
     finished: Option<SimTime>,
     cancelled: bool,
-}
-
-impl Clone for FlowState {
-    fn clone(&self) -> Self {
-        FlowState {
-            route: self.route.clone(),
-            bytes_total: self.bytes_total,
-            bytes_done: self.bytes_done,
-            started: self.started,
-            cap: self.cap.clone_box(),
-            finished: self.finished,
-            cancelled: self.cancelled,
-        }
-    }
 }
 
 /// Engine counters, for performance diagnostics and tests.
@@ -153,9 +155,9 @@ pub struct EngineStats {
     /// Boundary steps processed (rate changes, cap changes,
     /// completions, horizons).
     pub boundaries: u64,
-    /// Boundary steps that assembled the fair-share problem and ran the
-    /// max–min solver. Always ≤ `boundaries`; the gap is the work the
-    /// incremental engine avoided.
+    /// Boundary steps at which some solver input had changed and the
+    /// allocation was brought up to date. Always ≤ `boundaries`; the
+    /// gap is the work the incremental engine avoided.
     pub full_solves: u64,
     /// Boundary steps that proved every solver input bitwise unchanged
     /// and reused the cached allocation instead of solving.
@@ -166,10 +168,14 @@ pub struct EngineStats {
     pub flows_completed: u64,
     /// Flows cancelled before completion.
     pub flows_cancelled: u64,
-    /// Congestion components solved across all full solves (the
-    /// incremental and sharded engines solve per component; the
-    /// reference engine does not track this — it stays 0 there).
+    /// Congestion components of the problem, summed over all full
+    /// solves — every component counts, re-solved or not (the
+    /// reference engine does not decompose; it stays 0 there).
     pub component_solves: u64,
+    /// Components the solver kernel actually ran on: the dirty ones.
+    /// `component_solves - components_resolved` is the work
+    /// component-local invalidation avoided.
+    pub components_resolved: u64,
 }
 
 /// Which allocation engine [`Network`] runs; see the module docs.
@@ -178,61 +184,50 @@ pub struct EngineStats {
 /// boundary times, completions, even `boundaries` counts) — the
 /// differential suite in `tests/engine_equivalence.rs` holds them to
 /// that. [`EngineMode::Reference`] rebuilds and re-solves the whole
-/// max–min problem every boundary with the naive oracle, so it is the
-/// slow-but-obviously-correct baseline; switching mid-run is allowed
-/// (the incremental caches are maintained in both modes).
+/// max–min problem every boundary with the naive oracle, and re-queries
+/// every [`RateCap`] every boundary, so it is the slow-but-obviously-
+/// correct baseline; switching mid-run is allowed (the incremental
+/// caches are maintained in both modes).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum EngineMode {
-    /// Dirty-tracked caches + solve skipping (the default).
+    /// Persistent components + dirty-only solves (the default).
     #[default]
     Incremental,
     /// Brute-force rebuild + [`crate::fairshare::reference_rates`]
     /// every boundary.
     Reference,
-    /// The incremental engine with its per-boundary flow loops and
-    /// per-component solves fanned out over up to `threads` workers.
-    /// Bit-identical to [`EngineMode::Incremental`] at **any** thread
-    /// count: congestion components are solved on disjoint state and
-    /// merged in stable component order, and the parallel reductions
-    /// (event-horizon minima) are order-insensitive integer/`f64::min`
-    /// folds. `threads == 0` or `1` degenerates to the sequential path.
-    Sharded {
-        /// Worker-thread budget for the parallel phases.
-        threads: usize,
-    },
 }
 
-/// Marker for "link not in the current fair-share problem" in
-/// [`EngineCache::slot_of`].
-const NO_SLOT: u32 = u32::MAX;
+type ChangeHeap = BinaryHeap<Reverse<(SimTime, u32)>>;
 
-/// Dirty-tracked state the incremental engine maintains across
-/// boundaries. Everything here is *derived* — it can be rebuilt from
-/// the network at any time — and is updated in both engine modes so
+/// State the incremental engine maintains across boundaries, indexed by
+/// **stable ids** — flow id and link id, in append-only flat arrays —
+/// so nothing is renumbered when flows come and go. Everything here is
+/// *derived* from the network and is kept up in both engine modes, so
 /// switching modes mid-run stays sound.
 ///
-/// Invalidation rules (DESIGN.md §10):
-/// * flow start / completion / cancellation → `flows_dirty`, and
-///   `links_dirty` when a link's crossing-flow count crosses zero;
-/// * a link's cached rate segment expiring (`rate_until` reached) →
-///   refresh via the `change_heap`;
-/// * fault application / plan change → `faults_fired` (effective rates
-///   recomputed wholesale — the factor is a few array loads);
-/// * any bitwise change to a solver input → full re-solve; otherwise
-///   the cached `solution` is provably still the answer, because the
-///   solver is a pure function of `(link caps, flow links, flow caps)`.
+/// Invalidation rules (DESIGN.md §10) — each dirties only the
+/// congestion component that owns the input:
+/// * flow start → the component(s) its capacity links join (a union);
+///   completion / cancellation → its own component, re-derived locally;
+/// * a link's cached rate segment expiring (`rate_until` reached, via
+///   `change_heap`) or a fault moving its factor → if the effective
+///   rate's *bits* moved: a Capacity link dirties its component, a
+///   PerFlow link re-folds the flow caps;
+/// * a flow's cap segment expiring (`cap_until` reached, via
+///   `cap_heap`) → re-query, re-fold; a folded cap whose bits moved
+///   dirties the flow's component.
+///
+/// Clean components keep their rates: the solver is a pure function of
+/// a component's `(link caps, flow links, flow caps)` in ascending
+/// order, so re-solving one would reproduce them bit for bit.
 #[derive(Clone)]
 struct EngineCache {
     /// Number of active flows crossing each link.
     link_refs: Vec<u32>,
-    /// Links with `link_refs > 0`, ascending — the dense problem slots.
-    in_use: Vec<u32>,
-    /// Link index → slot in `in_use`, or [`NO_SLOT`].
-    slot_of: Vec<u32>,
-    /// The in-use set changed (some `link_refs` crossed zero).
-    links_dirty: bool,
-    /// The active flow set changed.
-    flows_dirty: bool,
+    /// Links whose count left zero since the last boundary: their rate
+    /// segment may have expired, or been disarmed, while idle.
+    newly_used: Vec<u32>,
     /// Fault events applied (or the plan changed) since the last
     /// boundary; effective rates must be re-derived.
     faults_fired: bool,
@@ -242,262 +237,172 @@ struct EngineCache {
     /// (`SimTime::MAX` = constant from here on; `SimTime::ZERO` = never
     /// queried).
     rate_until: Vec<SimTime>,
-    /// `raw_rate × fault factor`, the capacity actually allocated.
-    eff_rate: Vec<f64>,
     /// Min-heap of `(rate_until, link)` for in-use links: the earliest
     /// upcoming link-rate change without querying every process each
     /// boundary. Entries are validated lazily on pop (stale ones —
     /// superseded refreshes or out-of-use links — are discarded), so
     /// duplicates are harmless.
-    change_heap: BinaryHeap<Reverse<(SimTime, u32)>>,
-    /// In-use links with [`Sharing::Capacity`], ascending — the links
-    /// that actually enter the max–min problem (PerFlow links fold into
-    /// flow caps and are arithmetically inert there). Rebuilt alongside
-    /// `in_use`.
-    cap_in_use: Vec<u32>,
-    /// Link index → slot in `cap_in_use`, or [`NO_SLOT`].
-    cap_slot_of: Vec<u32>,
-    /// The solver problem in struct-of-arrays form: `flow_off` /
-    /// `flow_links` (capacity-slot space) rebuilt when `flows_dirty`,
-    /// `flow_cap` re-folded every boundary, `link_cap` refilled from
-    /// `eff_rate` at each solve.
+    change_heap: ChangeHeap,
+    /// The solver problem. `link_cap[l]` is link `l`'s effective rate
+    /// (`raw_rate × fault factor`; the solver only reads Capacity
+    /// links), `flow_cap[i]` flow `i`'s folded cap, and
+    /// `flow_off`/`flow_links` the CSR arena of each flow's Capacity
+    /// link ids.
     prob: crate::soa::ProblemSlab,
-    /// Per-active-flow [`Sharing::PerFlow`] link ids (global), CSR —
-    /// the links whose rates fold into that flow's cap.
+    /// Per-flow [`Sharing::PerFlow`] link ids, CSR — the links whose
+    /// rates fold into that flow's cap.
     fold_off: Vec<u32>,
     /// CSR arena for `fold_off`.
     fold_links: Vec<u32>,
-    /// Active flow indices, ascending (mirrors the `active` list the
-    /// solve was handed; these are the partition's flow elements).
-    active_slots: Vec<u32>,
-    /// Incrementally-maintained flow↔capacity-link union–find.
-    partition: crate::partition::FlowLinkPartition,
-    /// Congestion components of the current problem (solve scratch).
-    comps: crate::partition::Components,
-    /// Per-worker solver scratch (index 0 serves the sequential path).
-    workers: Vec<WorkerScratch>,
-    /// The last solver output, reusable while inputs are unchanged.
-    solution: Vec<f64>,
-    /// `solution`/`prob` describe the current active set.
-    have_solution: bool,
-}
-
-/// Per-worker scratch for component solves: full-problem-size arrays the
-/// kernels initialise per component. Workers write rates into their own
-/// `rate` buffer; the solve scatters them back in component order.
-#[derive(Clone, Default)]
-struct WorkerScratch {
-    frozen: Vec<bool>,
-    residual: Vec<f64>,
-    active_on: Vec<u32>,
+    /// Some PerFlow link's effective rate moved: every fold is stale.
+    fold_dirty: bool,
+    /// Each flow's own [`RateCap`] value, valid until `cap_until`.
+    own_cap: Vec<f64>,
+    /// When the cached `own_cap` segment ends (`SimTime::MAX` = never).
+    cap_until: Vec<SimTime>,
+    /// Min-heap of `(cap_until, flow)`, lazily validated like
+    /// `change_heap`.
+    cap_heap: ChangeHeap,
+    /// Flows started since the last boundary: their caps are unqueried.
+    new_flows: Vec<u32>,
+    /// Current allocation of every flow (stale once it leaves).
     rate: Vec<f64>,
-}
-
-impl WorkerScratch {
-    fn resize(&mut self, flows: usize, links: usize) {
-        self.frozen.resize(flows, false);
-        self.residual.resize(links, 0.0);
-        self.active_on.resize(links, 0);
-        self.rate.resize(flows, 0.0);
-    }
+    /// The persistent congestion components.
+    comps: crate::partition::LiveComponents,
+    /// Solver kernel scratch.
+    scratch: crate::soa::SolveScratch,
+    /// Flows completing at the current boundary (integration scratch).
+    completed: Vec<u32>,
+    /// `rate` answers the current membership; cleared by anything that
+    /// must make the next boundary count as a full solve.
+    have_solution: bool,
 }
 
 impl EngineCache {
     fn new(links: usize) -> Self {
+        let mut prob = crate::soa::ProblemSlab::default();
+        prob.link_cap.resize(links, 0.0);
+        prob.flow_off.push(0);
         EngineCache {
             link_refs: vec![0; links],
-            in_use: Vec::new(),
-            slot_of: vec![NO_SLOT; links],
-            links_dirty: true,
-            flows_dirty: true,
+            newly_used: Vec::new(),
             faults_fired: false,
             raw_rate: vec![0.0; links],
             rate_until: vec![SimTime::ZERO; links],
-            eff_rate: vec![0.0; links],
             change_heap: BinaryHeap::new(),
-            cap_in_use: Vec::new(),
-            cap_slot_of: vec![NO_SLOT; links],
-            prob: crate::soa::ProblemSlab::default(),
-            fold_off: Vec::new(),
+            prob,
+            fold_off: vec![0],
             fold_links: Vec::new(),
-            active_slots: Vec::new(),
-            partition: crate::partition::FlowLinkPartition::new(links),
-            comps: crate::partition::Components::default(),
-            workers: Vec::new(),
-            solution: Vec::new(),
+            fold_dirty: false,
+            own_cap: Vec::new(),
+            cap_until: Vec::new(),
+            cap_heap: BinaryHeap::new(),
+            new_flows: Vec::new(),
+            rate: Vec::new(),
+            comps: crate::partition::LiveComponents::new(links),
+            scratch: crate::soa::SolveScratch::default(),
+            completed: Vec::new(),
             have_solution: false,
         }
     }
 
-    /// A flow on `route` became active.
-    fn acquire(&mut self, route: &Route) {
+    /// Appends the next flow id's rows to every per-flow array.
+    fn push_flow(&mut self, topo: &Topology, route: &Route) {
+        for l in &route.links {
+            match topo.link(*l).sharing {
+                Sharing::Capacity => self.prob.flow_links.push(l.0),
+                Sharing::PerFlow => self.fold_links.push(l.0),
+            }
+        }
+        self.prob.flow_off.push(self.prob.flow_links.len() as u32);
+        self.fold_off.push(self.fold_links.len() as u32);
+        self.prob.flow_cap.push(f64::NAN);
+        self.own_cap.push(f64::NAN);
+        self.cap_until.push(SimTime::MAX);
+        self.rate.push(0.0);
+    }
+
+    /// Flow `i` on `route` became active.
+    fn acquire(&mut self, i: u32, route: &Route) {
         for l in &route.links {
             let lu = l.0 as usize;
             self.link_refs[lu] += 1;
             if self.link_refs[lu] == 1 {
-                self.links_dirty = true;
+                self.newly_used.push(l.0);
             }
         }
-        self.flows_dirty = true;
+        self.comps.arrive(i, self.prob.links_of(i as usize));
+        self.new_flows.push(i);
         self.have_solution = false;
     }
 
-    /// A flow on `route` completed or was cancelled.
-    fn release(&mut self, route: &Route) {
+    /// Flow `i` on `route` completed or was cancelled.
+    fn release(&mut self, i: u32, route: &Route) {
         for l in &route.links {
-            let lu = l.0 as usize;
-            self.link_refs[lu] -= 1;
-            if self.link_refs[lu] == 0 {
-                self.links_dirty = true;
-            }
+            self.link_refs[l.0 as usize] -= 1;
         }
-        self.flows_dirty = true;
+        self.comps.depart(i);
         self.have_solution = false;
-        self.partition.on_flow_end();
     }
-}
 
-/// Minimum active flows per parallel chunk: below this, thread-spawn
-/// overhead dwarfs the loop body and the engine stays sequential.
-/// Purely a performance knob — chunking never changes any output bit.
-const PAR_MIN_FLOWS: usize = 1024;
+    /// Is `change_heap` entry `(at, l)` still link `l`'s segment end?
+    fn link_entry_live(&self, at: SimTime, l: u32) -> bool {
+        self.link_refs[l as usize] > 0 && self.rate_until[l as usize] == at
+    }
 
-/// How many chunks the engine mode wants for `n` flows' worth of
-/// per-flow work. 1 for the sequential engines and for problems too
-/// small to amortise thread spawns.
-fn par_chunk_count(mode: EngineMode, n: usize) -> usize {
-    match mode {
-        EngineMode::Sharded { threads } => {
-            let t = threads.max(1);
-            if t > 1 && n >= 2 * PAR_MIN_FLOWS {
-                t.min(n / PAR_MIN_FLOWS)
-            } else {
-                1
+    /// Is `cap_heap` entry `(at, i)` still flow `i`'s segment end?
+    fn cap_entry_live(&self, at: SimTime, i: u32) -> bool {
+        self.cap_until[i as usize] == at && self.comps.comp_of_flow(i) != NO_COMP
+    }
+
+    /// The earliest upcoming link-rate or flow-cap change: each heap's
+    /// first live entry (stale ones are discarded on the way).
+    fn next_change(&mut self) -> Option<SimTime> {
+        while let Some(&Reverse((at, l))) = self.change_heap.peek() {
+            if self.link_entry_live(at, l) {
+                break;
             }
+            self.change_heap.pop();
         }
-        _ => 1,
-    }
-}
-
-/// A contiguous k-range of the ascending active list paired with the
-/// matching disjoint window of the flow table — the unit of work for
-/// the sharded engine's parallel per-flow loops. Flow `i` (for `i ∈
-/// active`) lives at `flows[i - base]`; dense index `k` of the `j`-th
-/// entry is `k0 + j`.
-struct FlowChunk<'a> {
-    k0: usize,
-    base: usize,
-    active: &'a [usize],
-    flows: &'a mut [FlowState],
-}
-
-/// Splits `flows` into [`FlowChunk`]s of `per` active flows each.
-/// Windows are disjoint because `active` is ascending, so the chunks can
-/// be handed to worker threads directly.
-fn chunk_active<'a>(
-    mut flows: &'a mut [FlowState],
-    active: &'a [usize],
-    per: usize,
-) -> Vec<FlowChunk<'a>> {
-    let mut out = Vec::new();
-    let mut consumed = 0usize;
-    let mut k0 = 0usize;
-    while k0 < active.len() {
-        let k1 = (k0 + per).min(active.len());
-        let lo = active[k0];
-        let hi = active[k1 - 1] + 1;
-        let rest = std::mem::take(&mut flows);
-        let (_, rest) = rest.split_at_mut(lo - consumed);
-        let (win, rest) = rest.split_at_mut(hi - lo);
-        flows = rest;
-        consumed = hi;
-        out.push(FlowChunk {
-            k0,
-            base: lo,
-            active: &active[k0..k1],
-            flows: win,
-        });
-        k0 = k1;
-    }
-    out
-}
-
-/// One chunk of the folded-cap re-query: queries each flow's own cap,
-/// folds in its PerFlow link rates, and writes the chunk's slice of the
-/// slab flow caps. Returns whether any cap moved (bitwise).
-fn fold_caps_chunk(
-    ch: &mut FlowChunk<'_>,
-    caps: &mut [f64],
-    fold_off: &[u32],
-    fold_links: &[u32],
-    eff_rate: &[f64],
-    t: SimTime,
-) -> bool {
-    let mut changed = false;
-    for (j, &i) in ch.active.iter().enumerate() {
-        let k = ch.k0 + j;
-        let f = &mut ch.flows[i - ch.base];
-        let age = t - f.started;
-        let mut cap = f.cap.cap(age, f.bytes_done as u64);
-        for &l in &fold_links[fold_off[k] as usize..fold_off[k + 1] as usize] {
-            cap = cap.min(eff_rate[l as usize]);
+        while let Some(&Reverse((at, i))) = self.cap_heap.peek() {
+            if self.cap_entry_live(at, i) {
+                break;
+            }
+            self.cap_heap.pop();
         }
-        if cap.to_bits() != caps[j].to_bits() {
-            caps[j] = cap;
-            changed = true;
+        let next = |heap: &ChangeHeap| heap.peek().map(|&Reverse((at, _))| at);
+        match (next(&self.change_heap), next(&self.cap_heap)) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
         }
     }
-    changed
-}
 
-/// One chunk of the per-flow boundary scan: min over the chunk of each
-/// flow's next cap change and projected completion time.
-fn flow_boundary_chunk(
-    ch: &mut FlowChunk<'_>,
-    rates: &[f64],
-    t: SimTime,
-    until: SimTime,
-) -> SimTime {
-    let mut boundary = until;
-    for (j, &i) in ch.active.iter().enumerate() {
-        let k = ch.k0 + j;
-        let f = &mut ch.flows[i - ch.base];
-        let age = t - f.started;
-        if let Some(next_age) = f.cap.next_cap_change(age) {
-            debug_assert!(next_age > age, "cap change not in the future");
-            boundary = boundary.min(f.started + next_age);
+    /// Re-folds flow `i`'s cap (own cap ∧ its PerFlow link rates);
+    /// returns whether the folded value's bits moved.
+    fn refold(&mut self, i: u32) -> bool {
+        let iu = i as usize;
+        let mut cap = self.own_cap[iu];
+        for &l in &self.fold_links[self.fold_off[iu] as usize..self.fold_off[iu + 1] as usize] {
+            cap = cap.min(self.prob.link_cap[l as usize]);
         }
-        let remaining = f.bytes_total as f64 - f.bytes_done;
-        if rates[k] > 0.0 && remaining > 0.0 {
-            let dt = SimDuration::from_secs_f64_ceil(remaining / rates[k]);
-            let dt = if dt.is_zero() {
-                SimDuration::from_micros(1)
-            } else {
-                dt
-            };
-            boundary = boundary.min(t.saturating_add(dt));
+        if cap.to_bits() == self.prob.flow_cap[iu].to_bits() {
+            return false;
         }
+        self.prob.flow_cap[iu] = cap;
+        self.comps.mark_dirty_flow(i);
+        true
     }
-    boundary
-}
 
-/// One chunk of progress integration; returns the flow indices that
-/// completed, ascending — concatenating per-chunk results in chunk
-/// order preserves the global ascending completion order.
-fn integrate_chunk(ch: &mut FlowChunk<'_>, rates: &[f64], dt: f64) -> Vec<usize> {
-    let mut done = Vec::new();
-    for (j, &i) in ch.active.iter().enumerate() {
-        let k = ch.k0 + j;
-        let f = &mut ch.flows[i - ch.base];
-        f.bytes_done = (f.bytes_done + rates[k] * dt).min(f.bytes_total as f64);
-        // Half-byte tolerance absorbs fp residue from the ceil rounding
-        // of dt.
-        if f.bytes_total as f64 - f.bytes_done < 0.5 {
-            f.bytes_done = f.bytes_total as f64;
-            done.push(i);
+    /// Takes `active`'s rates from something other than the component
+    /// kernels (the reference engine, the degenerate fallback), and so
+    /// distrusts every component's until it is solved again.
+    fn adopt_rates(&mut self, active: &[u32], rates: Vec<f64>) {
+        for (&i, r) in active.iter().zip(rates) {
+            self.rate[i as usize] = r;
         }
+        self.comps.mark_all_dirty();
+        self.have_solution = false;
     }
-    done
 }
 
 /// Live state of an installed [`FaultPlan`]: the pending schedule plus
@@ -510,16 +415,60 @@ struct FaultState {
     brownout: Vec<f64>,
 }
 
+/// The attached telemetry handle with the engine's instruments resolved
+/// once, so emitting on the hot path is an atomic add — never the
+/// registry's lock and map lookup.
+#[derive(Clone)]
+struct EngineTelemetry {
+    tel: Arc<Telemetry>,
+    boundaries: Counter,
+    recomputes: Counter,
+    solve_skips: Counter,
+    partition_rebuilds: Counter,
+    component_solves: Counter,
+    flows_started: Counter,
+    flows_completed: Counter,
+    flows_cancelled: Counter,
+    faults_injected: Counter,
+    flow_duration_us: Histogram,
+}
+
+impl EngineTelemetry {
+    fn new(tel: Arc<Telemetry>) -> Self {
+        let m = &tel.metrics;
+        EngineTelemetry {
+            boundaries: m.counter("simnet_boundaries", vec![]),
+            recomputes: m.counter("simnet_recomputes", vec![]),
+            solve_skips: m.counter("simnet_solve_skips", vec![]),
+            partition_rebuilds: m.counter("simnet_partition_rebuilds", vec![]),
+            component_solves: m.counter("simnet_component_solves", vec![]),
+            flows_started: m.counter("simnet_flows_started", vec![]),
+            flows_completed: m.counter("simnet_flows_completed", vec![]),
+            flows_cancelled: m.counter("simnet_flows_cancelled", vec![]),
+            faults_injected: m.counter("simnet_faults_injected", vec![]),
+            flow_duration_us: m.histogram("simnet_flow_duration_us", vec![]),
+            tel,
+        }
+    }
+}
+
 /// The simulated network: topology + per-link bandwidth processes +
 /// active flows + the clock.
+#[derive(Clone)]
 pub struct Network {
     topo: Topology,
     procs: Vec<Box<dyn BandwidthProcess>>,
     flows: Vec<FlowState>,
-    /// Indices of flows that are neither finished nor cancelled. Kept
-    /// separately so long-running experiments (tens of thousands of
-    /// completed flows) do not rescan history every boundary.
-    active: std::collections::BTreeSet<usize>,
+    /// Size of each flow, by flow id.
+    bytes_total: Vec<u64>,
+    /// Progress of each flow, by flow id.
+    bytes_done: Vec<f64>,
+    /// Start time of each flow, by flow id.
+    started: Vec<SimTime>,
+    /// Ids of flows that are neither finished nor cancelled, ascending.
+    /// Kept separately so long-running experiments (tens of thousands
+    /// of completed flows) do not rescan history every boundary.
+    active: Vec<u32>,
     now: SimTime,
     stats: EngineStats,
     /// Fault plane; `None` (the default, and what an empty plan
@@ -529,31 +478,13 @@ pub struct Network {
     /// Observability handle; `None` (the default) costs nothing on any
     /// path. Strictly observational: never consumes randomness, never
     /// moves the clock, never changes control flow.
-    telemetry: Option<Arc<Telemetry>>,
+    telemetry: Option<EngineTelemetry>,
     /// Which allocation engine runs the boundary steps.
     mode: EngineMode,
     /// Incremental-engine state (maintained in both modes).
     cache: EngineCache,
     /// `(flow, rate)` pairs the most recent boundary step integrated.
     last_rates: Vec<(FlowId, f64)>,
-}
-
-impl Clone for Network {
-    fn clone(&self) -> Self {
-        Network {
-            topo: self.topo.clone(),
-            procs: self.procs.clone(),
-            flows: self.flows.clone(),
-            active: self.active.clone(),
-            now: self.now,
-            stats: self.stats,
-            faults: self.faults.clone(),
-            telemetry: self.telemetry.clone(),
-            mode: self.mode,
-            cache: self.cache.clone(),
-            last_rates: self.last_rates.clone(),
-        }
-    }
 }
 
 impl Network {
@@ -571,7 +502,10 @@ impl Network {
             topo,
             procs,
             flows: Vec::new(),
-            active: std::collections::BTreeSet::new(),
+            bytes_total: Vec::new(),
+            bytes_done: Vec::new(),
+            started: Vec::new(),
+            active: Vec::new(),
             now: SimTime::ZERO,
             stats: EngineStats::default(),
             faults: None,
@@ -597,16 +531,17 @@ impl Network {
         self.mode
     }
 
-    /// Attaches (or with `None`, detaches) a telemetry handle. Clones
+    /// Attaches (or with `None`, detaches) a telemetry handle,
+    /// registering the engine's instruments in its registry. Clones
     /// made after this call inherit the handle, so every replica of a
     /// scenario network reports into the same registry.
     pub fn set_telemetry(&mut self, telemetry: Option<Arc<Telemetry>>) {
-        self.telemetry = telemetry;
+        self.telemetry = telemetry.map(EngineTelemetry::new);
     }
 
     /// The currently attached telemetry handle, if any.
     pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
-        self.telemetry.as_ref()
+        self.telemetry.as_ref().map(|t| &t.tel)
     }
 
     /// Attaches a bandwidth process to a link, replacing the previous
@@ -737,9 +672,9 @@ impl Network {
                     ("node_up", n.0 as u64, 1.0)
                 }
             };
-            if let Some(tel) = &self.telemetry {
-                tel.metrics.counter("simnet_faults_injected", vec![]).inc();
-                tel.tracer.record(
+            if let Some(t) = &self.telemetry {
+                t.faults_injected.inc();
+                t.tel.tracer.record(
                     Event::new(EventKind::FaultInjected, at.as_micros(), id)
                         .with_str("fault", what)
                         .with_f64("factor", factor),
@@ -773,13 +708,16 @@ impl Network {
     /// timelines (which is query-stable).
     pub fn active_flow_allocation(&mut self) -> Vec<(FlowId, Vec<LinkId>, f64)> {
         self.apply_due_faults();
-        let active = self.active_indices();
+        let active = self.active.clone();
         let (caps, alloc_flows) = self.scratch_problem(&active);
         let rates = max_min_rates(&caps, &alloc_flows);
         active
             .iter()
             .zip(rates)
-            .map(|(&i, r)| (FlowId(i as u64), self.flows[i].route.links.clone(), r))
+            .map(|(&i, r)| {
+                let links = self.flows[i as usize].route.links.clone();
+                (FlowId(i as u64), links, r)
+            })
             .collect()
     }
 
@@ -787,39 +725,29 @@ impl Network {
     pub fn start_flow(&mut self, route: Route, bytes: u64, cap: Box<dyn RateCap>) -> FlowId {
         let id = FlowId(self.flows.len() as u64);
         let finished = if bytes == 0 { Some(self.now) } else { None };
+        self.cache.push_flow(&self.topo, &route);
         if finished.is_none() {
-            self.cache.acquire(&route);
-            let topo = &self.topo;
-            self.cache.partition.on_flow_start(
-                id.0 as u32,
-                route
-                    .links
-                    .iter()
-                    .filter(|l| topo.link(**l).sharing == crate::topology::Sharing::Capacity)
-                    .map(|l| l.0),
+            self.cache.acquire(id.0 as u32, &route);
+            self.active.push(id.0 as u32);
+        }
+        if let Some(t) = &self.telemetry {
+            t.flows_started.inc();
+            t.tel.tracer.record(
+                Event::new(EventKind::FlowStart, self.now.as_micros(), id.0)
+                    .with_u64("bytes", bytes)
+                    .with_u64("hops", route.links.len() as u64),
             );
         }
         self.flows.push(FlowState {
             route,
-            bytes_total: bytes,
-            bytes_done: 0.0,
-            started: self.now,
             cap,
             finished,
             cancelled: false,
         });
-        if finished.is_none() {
-            self.active.insert(id.0 as usize);
-        }
+        self.bytes_total.push(bytes);
+        self.bytes_done.push(0.0);
+        self.started.push(self.now);
         self.stats.flows_started += 1;
-        if let Some(tel) = &self.telemetry {
-            tel.metrics.counter("simnet_flows_started", vec![]).inc();
-            tel.tracer.record(
-                Event::new(EventKind::FlowStart, self.now.as_micros(), id.0)
-                    .with_u64("bytes", bytes)
-                    .with_u64("hops", self.flows[id.0 as usize].route.links.len() as u64),
-            );
-        }
         id
     }
 
@@ -829,15 +757,15 @@ impl Network {
         let f = &mut self.flows[id.0 as usize];
         if f.finished.is_none() && !f.cancelled {
             f.cancelled = true;
-            let done = f.bytes_done as u64;
-            self.cache.release(&f.route);
-            self.active.remove(&(id.0 as usize));
+            self.cache.release(id.0 as u32, &f.route);
+            let k = self.active.binary_search(&(id.0 as u32));
+            self.active.remove(k.expect("live flow is listed active"));
             self.stats.flows_cancelled += 1;
-            if let Some(tel) = &self.telemetry {
-                tel.metrics.counter("simnet_flows_cancelled", vec![]).inc();
-                tel.tracer.record(
+            if let Some(t) = &self.telemetry {
+                t.flows_cancelled.inc();
+                t.tel.tracer.record(
                     Event::new(EventKind::FlowCancel, self.now.as_micros(), id.0)
-                        .with_u64("bytes_done", done),
+                        .with_u64("bytes_done", self.bytes_done[id.0 as usize] as u64),
                 );
             }
         }
@@ -845,16 +773,16 @@ impl Network {
 
     /// Bytes transferred so far by a flow.
     pub fn flow_progress(&self, id: FlowId) -> u64 {
-        self.flows[id.0 as usize].bytes_done as u64
+        self.bytes_done[id.0 as usize] as u64
     }
 
     /// Completion record of a flow, if it has finished.
     pub fn completion(&self, id: FlowId) -> Option<CompletedFlow> {
-        let f = &self.flows[id.0 as usize];
-        f.finished.map(|finished| CompletedFlow {
+        let i = id.0 as usize;
+        self.flows[i].finished.map(|finished| CompletedFlow {
             id,
-            bytes: f.bytes_total,
-            started: f.started,
+            bytes: self.bytes_total[i],
+            started: self.started[i],
             finished,
         })
     }
@@ -863,10 +791,6 @@ impl Network {
     pub fn is_active(&self, id: FlowId) -> bool {
         let f = &self.flows[id.0 as usize];
         f.finished.is_none() && !f.cancelled
-    }
-
-    fn active_indices(&self) -> Vec<usize> {
-        self.active.iter().copied().collect()
     }
 
     /// Assembles the fair-share problem **from scratch**: the
@@ -880,14 +804,16 @@ impl Network {
     /// value folds into each crossing flow's own cap, and they enter the
     /// max–min problem with infinite capacity. [`Sharing::Capacity`]
     /// links are genuinely shared.
-    fn scratch_problem(&mut self, active: &[usize]) -> (Vec<f64>, Vec<AllocFlow>) {
-        use crate::topology::Sharing;
+    fn scratch_problem(&mut self, active: &[u32]) -> (Vec<f64>, Vec<AllocFlow>) {
         let t = self.now;
         // Snapshot rates only for links in use; large scenarios have
         // thousands of links but a handful carry active flows.
         let mut in_use: Vec<usize> = active
             .iter()
-            .flat_map(|&i| self.flows[i].route.links.iter().map(|l| l.0 as usize))
+            .flat_map(|&i| {
+                let links = &self.flows[i as usize].route.links;
+                links.iter().map(|l| l.0 as usize)
+            })
             .collect();
         in_use.sort_unstable();
         in_use.dedup();
@@ -917,9 +843,10 @@ impl Network {
         let alloc_flows: Vec<AllocFlow> = active
             .iter()
             .map(|&i| {
+                let i = i as usize;
                 let f = &mut self.flows[i];
-                let age = t - f.started;
-                let mut cap = f.cap.cap(age, f.bytes_done as u64);
+                let age = t - self.started[i];
+                let mut cap = f.cap.cap(age, self.bytes_done[i] as u64);
                 for l in &f.route.links {
                     if self.topo.link(*l).sharing == Sharing::PerFlow {
                         cap = cap.min(rates[slot_of(l.0 as usize)]);
@@ -954,233 +881,194 @@ impl Network {
         }
     }
 
+    /// Re-derives link `l`'s effective rate from the cached raw rate
+    /// and the fault plane. When its bits moved, a Capacity link
+    /// dirties its component (returning true: a solver input changed);
+    /// a PerFlow link reaches the solver only through the folded
+    /// per-flow caps, so it just flags those for re-folding.
+    fn update_effective_rate(&mut self, l: usize) -> bool {
+        let eff = self.cache.raw_rate[l] * self.fault_factor(l);
+        if eff.to_bits() == self.cache.prob.link_cap[l].to_bits() {
+            return false;
+        }
+        self.cache.prob.link_cap[l] = eff;
+        match self.topo.link(LinkId(l as u32)).sharing {
+            Sharing::Capacity => {
+                self.cache.comps.mark_dirty_link(l as u32);
+                true
+            }
+            Sharing::PerFlow => {
+                self.cache.fold_dirty = true;
+                false
+            }
+        }
+    }
+
+    /// Queries flow `i`'s cap for the segment starting now and arms the
+    /// cap heap with the segment's end.
+    fn refresh_cap(&mut self, i: u32) {
+        let iu = i as usize;
+        let age = self.now - self.started[iu];
+        let cap = &mut self.flows[iu].cap;
+        self.cache.own_cap[iu] = cap.cap(age, self.bytes_done[iu] as u64);
+        self.cache.cap_until[iu] = match cap.next_cap_change(age) {
+            Some(next_age) => {
+                debug_assert!(next_age > age, "cap change not in the future");
+                let until = self.started[iu] + next_age;
+                self.cache.cap_heap.push(Reverse((until, i)));
+                until
+            }
+            None => SimTime::MAX,
+        };
+    }
+
     /// Records a full max–min solve in stats and telemetry (both engine
     /// modes).
     fn note_full_solve(&mut self, active_flows: usize) {
         self.stats.full_solves += 1;
-        if let Some(tel) = &self.telemetry {
-            tel.metrics.counter("simnet_recomputes", vec![]).inc();
-            tel.tracer.record(
+        if let Some(t) = &self.telemetry {
+            t.recomputes.inc();
+            t.tel.tracer.record(
                 Event::new(EventKind::FairShareRecompute, self.now.as_micros(), 0)
                     .with_u64("active_flows", active_flows as u64),
             );
         }
     }
 
-    /// The incremental engine's allocation at the current instant.
+    /// Brings `cache.rate` up to date for the current instant — the
+    /// incremental engine's allocation.
     ///
     /// Bit-identical to solving [`Network::scratch_problem`] by
     /// construction: every cached quantity is refreshed the moment it
     /// can differ from the scratch value (see the [`EngineCache`]
     /// invalidation rules), cached values are compared **bitwise**
-    /// against fresh ones, and the solve is skipped only when every
-    /// solver input is bitwise unchanged from the cached solution's —
-    /// in which case re-solving (a pure function) would reproduce the
-    /// cached output exactly.
-    fn incremental_rates(&mut self, active: &[usize]) -> Vec<f64> {
-        use crate::topology::Sharing;
+    /// against fresh ones, and a component is left unsolved only when
+    /// every one of its solver inputs is bitwise unchanged — in which
+    /// case re-solving (a pure function) would reproduce its rates
+    /// exactly.
+    fn incremental_rates(&mut self, active: &[u32]) {
         let t = self.now;
         // Did any solver input change since the cached solution?
         let mut changed = false;
-        // Flow membership changes imply slot-map changes were flagged
-        // together (acquire/release set both).
-        debug_assert!(!self.cache.links_dirty || self.cache.flows_dirty);
 
-        let rebuilt = self.cache.links_dirty;
-        if rebuilt {
-            // Rebuild the dense slot map from the refcounts (ascending,
-            // matching the scratch path's sort+dedup).
-            self.cache.links_dirty = false;
-            self.cache.in_use.clear();
+        // Links that came into use: their segment may have expired, or
+        // its heap entry been discarded, while they were idle.
+        while let Some(l) = self.cache.newly_used.pop() {
+            let lu = l as usize;
+            if self.cache.link_refs[lu] == 0 {
+                continue;
+            }
+            if t >= self.cache.rate_until[lu] {
+                self.refresh_link_rate(lu);
+            } else if self.cache.rate_until[lu] != SimTime::MAX {
+                let until = self.cache.rate_until[lu];
+                self.cache.change_heap.push(Reverse((until, l)));
+            }
+            changed |= self.update_effective_rate(lu);
+        }
+        // Refresh exactly the links whose cached segment expired.
+        while let Some(&Reverse((at, l))) = self.cache.change_heap.peek() {
+            if at > t {
+                break;
+            }
+            self.cache.change_heap.pop();
+            if self.cache.link_entry_live(at, l) {
+                self.refresh_link_rate(l as usize);
+                changed |= self.update_effective_rate(l as usize);
+            }
+        }
+        if std::mem::take(&mut self.cache.faults_fired) {
+            // Fault factors may have moved under any in-use link; the
+            // factor is a few array loads, so re-derive wholesale.
             for l in 0..self.cache.link_refs.len() {
                 if self.cache.link_refs[l] > 0 {
-                    self.cache.in_use.push(l as u32);
-                }
-            }
-            for s in self.cache.slot_of.iter_mut() {
-                *s = NO_SLOT;
-            }
-            for k in 0..self.cache.in_use.len() {
-                self.cache.slot_of[self.cache.in_use[k] as usize] = k as u32;
-            }
-            // Capacity-shared subset: the links the solver slab holds
-            // (PerFlow links fold into flow caps and never enter it).
-            self.cache.cap_in_use.clear();
-            for s in self.cache.cap_slot_of.iter_mut() {
-                *s = NO_SLOT;
-            }
-            for k in 0..self.cache.in_use.len() {
-                let l = self.cache.in_use[k];
-                if self.topo.link(LinkId(l)).sharing == Sharing::Capacity {
-                    self.cache.cap_slot_of[l as usize] = self.cache.cap_in_use.len() as u32;
-                    self.cache.cap_in_use.push(l);
-                }
-            }
-            for k in 0..self.cache.in_use.len() {
-                let l = self.cache.in_use[k] as usize;
-                if t >= self.cache.rate_until[l] {
-                    self.refresh_link_rate(l);
-                } else if self.cache.rate_until[l] != SimTime::MAX {
-                    // The heap entry for this still-valid segment may
-                    // have been discarded while the link was out of
-                    // use; re-arm (duplicates are harmless).
-                    self.cache
-                        .change_heap
-                        .push(Reverse((self.cache.rate_until[l], l as u32)));
-                }
-            }
-        } else {
-            // Refresh exactly the links whose cached segment expired.
-            while let Some(&Reverse((at, l))) = self.cache.change_heap.peek() {
-                if at > t {
-                    break;
-                }
-                self.cache.change_heap.pop();
-                let lu = l as usize;
-                if self.cache.link_refs[lu] == 0 || self.cache.rate_until[lu] != at {
-                    continue; // stale entry
-                }
-                self.refresh_link_rate(lu);
-                let eff = self.cache.raw_rate[lu] * self.fault_factor(lu);
-                if eff.to_bits() != self.cache.eff_rate[lu].to_bits() {
-                    self.cache.eff_rate[lu] = eff;
-                    // A PerFlow link reaches the solver only through
-                    // the folded per-flow caps (compared below); its
-                    // own problem capacity is a constant ∞. Only a
-                    // Capacity link's rate is a solver input directly.
-                    if self.topo.link(LinkId(l)).sharing == Sharing::Capacity {
-                        changed = true;
-                    }
+                    changed |= self.update_effective_rate(l);
                 }
             }
         }
 
-        if rebuilt || self.cache.faults_fired {
-            // Fault factors may have moved under any in-use link (and a
-            // rebuilt slot map has no effective rates yet). The factor
-            // is a few array loads, so re-derive wholesale.
-            for k in 0..self.cache.in_use.len() {
-                let l = self.cache.in_use[k] as usize;
-                let eff = self.cache.raw_rate[l] * self.fault_factor(l);
-                if eff.to_bits() != self.cache.eff_rate[l].to_bits() {
-                    self.cache.eff_rate[l] = eff;
-                    if self.topo.link(LinkId(l as u32)).sharing == Sharing::Capacity {
-                        changed = true;
-                    }
-                }
+        // First cap query of new flows (unless already gone again), then
+        // the flows whose cached cap segment expired.
+        for k in 0..self.cache.new_flows.len() {
+            let i = self.cache.new_flows[k];
+            if self.cache.comps.comp_of_flow(i) != NO_COMP {
+                self.refresh_cap(i);
+                changed |= self.cache.refold(i);
             }
         }
-        self.cache.faults_fired = false;
-
-        if self.cache.flows_dirty {
-            self.cache.flows_dirty = false;
-            self.cache.have_solution = false;
-            self.cache.prob.flow_off.clear();
-            self.cache.prob.flow_off.push(0);
-            self.cache.prob.flow_links.clear();
-            self.cache.fold_off.clear();
-            self.cache.fold_off.push(0);
-            self.cache.fold_links.clear();
-            self.cache.active_slots.clear();
+        self.cache.new_flows.clear();
+        while let Some(&Reverse((at, i))) = self.cache.cap_heap.peek() {
+            if at > t {
+                break;
+            }
+            self.cache.cap_heap.pop();
+            if self.cache.cap_entry_live(at, i) {
+                self.refresh_cap(i);
+                changed |= self.cache.refold(i);
+            }
+        }
+        if std::mem::take(&mut self.cache.fold_dirty) {
             for &i in active {
-                self.cache.active_slots.push(i as u32);
-                for l in &self.flows[i].route.links {
-                    match self.topo.link(*l).sharing {
-                        Sharing::Capacity => self
-                            .cache
-                            .prob
-                            .flow_links
-                            .push(self.cache.cap_slot_of[l.0 as usize]),
-                        Sharing::PerFlow => self.cache.fold_links.push(l.0),
-                    }
-                }
-                self.cache
-                    .prob
-                    .flow_off
-                    .push(self.cache.prob.flow_links.len() as u32);
-                self.cache.fold_off.push(self.cache.fold_links.len() as u32);
+                changed |= self.cache.refold(i);
             }
-            self.cache.prob.flow_cap.clear();
-            self.cache.prob.flow_cap.resize(active.len(), f64::NAN);
         }
-
-        // Folded per-flow caps are re-queried every boundary: caps are
-        // allowed to depend on flow age and progress, both of which
-        // advance each step. (Each flow's own cap object sees the same
-        // per-flow query sequence as the scratch path regardless of how
-        // the work is chunked, so stateful cap implementations stay
-        // deterministic.)
-        let nchunks = par_chunk_count(self.mode, active.len());
-        let per = active.len().div_ceil(nchunks.max(1)).max(1);
-        {
-            let EngineCache {
-                fold_off,
-                fold_links,
-                eff_rate,
-                prob,
-                ..
-            } = &mut self.cache;
-            let fold_off = &fold_off[..];
-            let fold_links = &fold_links[..];
-            let eff_rate = &eff_rate[..];
-            let chunks = chunk_active(&mut self.flows, active, per);
-            let caps_chunks = prob.flow_cap.chunks_mut(per);
-            let results: Vec<bool> = if nchunks <= 1 {
-                chunks
-                    .into_iter()
-                    .zip(caps_chunks)
-                    .map(|(mut ch, caps)| {
-                        fold_caps_chunk(&mut ch, caps, fold_off, fold_links, eff_rate, t)
-                    })
-                    .collect()
-            } else {
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = chunks
-                        .into_iter()
-                        .zip(caps_chunks)
-                        .map(|(mut ch, caps)| {
-                            s.spawn(move || {
-                                fold_caps_chunk(&mut ch, caps, fold_off, fold_links, eff_rate, t)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("fold worker panicked"))
-                        .collect()
-                })
-            };
-            changed |= results.into_iter().any(|c| c);
+        // Debug builds hold every cap to the `RateCap` contract the
+        // segment cache rests on (the reference engine re-queries every
+        // boundary regardless, so lockstep checks it in release too).
+        #[cfg(debug_assertions)]
+        for &i in active {
+            let iu = i as usize;
+            let fresh = self.flows[iu]
+                .cap
+                .cap(t - self.started[iu], self.bytes_done[iu] as u64);
+            assert!(
+                fresh.to_bits() == self.cache.own_cap[iu].to_bits(),
+                "RateCap contract: flow {i}'s cap moved from {} to {fresh} \
+                 before its announced next_cap_change",
+                self.cache.own_cap[iu]
+            );
         }
 
         if self.cache.have_solution && !changed {
             // Provably nothing the solver sees moved (e.g. a PerFlow
             // link's process change that left every folded cap
-            // bitwise identical): reuse the allocation.
+            // bitwise identical): the allocation stands.
             self.stats.incremental_solves += 1;
-            if let Some(tel) = &self.telemetry {
-                tel.metrics.counter("simnet_solve_skips", vec![]).inc();
+            if let Some(t) = &self.telemetry {
+                t.solve_skips.inc();
             }
-            return self.cache.solution.clone();
+            return;
         }
 
         let nf = active.len();
+        // Departures are repaired here, one local re-derivation per
+        // component that lost a member.
+        let repaired = {
+            let EngineCache { comps, prob, .. } = &mut self.cache;
+            comps.begin_solve(&prob.flow_off, &prob.flow_links)
+        };
+        if let (Some(tel), true) = (&self.telemetry, repaired > 0) {
+            tel.partition_rebuilds.inc();
+            tel.tel.tracer.record(Event::new(
+                EventKind::PartitionRebuild,
+                t.as_micros(),
+                nf as u64,
+            ));
+        }
 
-        // Slab link capacities are the cached effective rates of the
-        // in-use Capacity links.
+        // The kernel bypasses `max_min_rates`' input validation; keep
+        // its contract (same panics on bad caps) for the inputs about
+        // to be read.
         let mut all_finite = true;
-        {
-            let EngineCache {
-                prob,
-                cap_in_use,
-                eff_rate,
-                ..
-            } = &mut self.cache;
-            prob.link_cap.clear();
-            for &l in cap_in_use.iter() {
-                let e = eff_rate[l as usize];
+        for &c in self.cache.comps.dirty() {
+            for &l in self.cache.comps.links(c) {
+                let e = self.cache.prob.link_cap[l as usize];
+                assert!(e >= 0.0, "bad link capacity {e}");
                 all_finite &= e.is_finite();
-                prob.link_cap.push(e);
+            }
+            for &f in self.cache.comps.flows(c) {
+                let cap = self.cache.prob.flow_cap[f as usize];
+                assert!(cap >= 0.0 && !cap.is_nan(), "bad flow cap {cap}");
             }
         }
         if !all_finite {
@@ -1188,165 +1076,68 @@ impl Network {
             // effective rate. The solver drops such links from the
             // problem entirely (they cannot saturate), which also
             // changes the component structure, so take the generic path
-            // — the exact arithmetic the reference engine runs.
-            let caps: Vec<f64> = self
-                .cache
-                .in_use
-                .iter()
-                .map(|&l| match self.topo.link(LinkId(l)).sharing {
-                    Sharing::Capacity => self.cache.eff_rate[l as usize],
-                    Sharing::PerFlow => f64::INFINITY,
+            // — the exact arithmetic the reference engine runs — and
+            // distrust every component's rates afterwards. (Such a link
+            // always sits in a dirty component: it got there by a rate
+            // change or an arrival, and stays dirty from then on.)
+            let caps: Vec<f64> = (0..self.cache.link_refs.len())
+                .map(|l| match self.topo.link(LinkId(l as u32)).sharing {
+                    Sharing::Capacity if self.cache.link_refs[l] > 0 => self.cache.prob.link_cap[l],
+                    _ => f64::INFINITY,
                 })
                 .collect();
             let alloc_flows: Vec<AllocFlow> = active
                 .iter()
-                .enumerate()
-                .map(|(k, &i)| AllocFlow {
-                    links: self.flows[i]
+                .map(|&i| AllocFlow {
+                    links: self.flows[i as usize]
                         .route
                         .links
                         .iter()
-                        .map(|l| self.cache.slot_of[l.0 as usize] as usize)
+                        .map(|l| l.0 as usize)
                         .collect(),
-                    cap: self.cache.prob.flow_cap[k],
+                    cap: self.cache.prob.flow_cap[i as usize],
                 })
                 .collect();
             let rates = max_min_rates(&caps, &alloc_flows);
             self.note_full_solve(nf);
-            self.cache.solution.clone_from(&rates);
+            self.cache.comps.end_solve();
+            self.cache.adopt_rates(active, rates);
             self.cache.have_solution = true;
-            return rates;
+            return;
         }
 
-        // Partition upkeep: arrivals were folded in incrementally;
-        // departures marked the union–find dirty and are repaired here
-        // with one rebuild over the live membership.
-        if self.cache.partition.is_dirty() {
-            let flows = &self.flows;
-            let topo = &self.topo;
-            let part = &mut self.cache.partition;
-            part.begin_rebuild();
-            for &i in active {
-                part.rebuild_flow(
-                    i as u32,
-                    flows[i]
-                        .route
-                        .links
-                        .iter()
-                        .filter(|l| topo.link(**l).sharing == Sharing::Capacity)
-                        .map(|l| l.0),
-                );
-            }
-            if let Some(tel) = &self.telemetry {
-                tel.metrics
-                    .counter("simnet_partition_rebuilds", vec![])
-                    .inc();
-                tel.tracer.record(Event::new(
-                    EventKind::PartitionRebuild,
-                    t.as_micros(),
-                    nf as u64,
-                ));
-            }
-        }
-        let ncomp;
-        {
-            let EngineCache {
-                partition,
-                active_slots,
-                cap_in_use,
-                comps,
-                ..
-            } = &mut self.cache;
-            partition.components_into(active_slots, cap_in_use, comps);
-            ncomp = comps.count();
-        }
-        self.stats.component_solves += ncomp as u64;
-
-        // The slab path bypasses `max_min_rates`' input validation; keep
-        // its contract (same panics on bad caps). Non-finite link rates
-        // took the fallback above, so only NaN/negative checks remain.
-        for &c in &self.cache.prob.flow_cap {
-            assert!(c >= 0.0 && !c.is_nan(), "bad flow cap {c}");
-        }
-        for &c in &self.cache.prob.link_cap {
-            assert!(c >= 0.0, "bad link capacity {c}");
-        }
-
-        let nworkers = par_chunk_count(self.mode, nf).min(ncomp.max(1));
-        {
+        let ncomp = self.cache.comps.count() as u64;
+        let resolved = {
             let EngineCache {
                 prob,
                 comps,
-                workers,
-                solution,
+                scratch,
+                rate,
                 ..
             } = &mut self.cache;
-            let nl = prob.link_cap.len();
-            solution.clear();
-            solution.resize(nf, 0.0);
-            if workers.len() < nworkers.max(1) {
-                workers.resize(nworkers.max(1), WorkerScratch::default());
+            scratch.resize(rate.len(), prob.link_cap.len());
+            for &c in comps.dirty() {
+                crate::soa::solve_component(
+                    prob,
+                    comps.flows(c),
+                    comps.links(c),
+                    &mut scratch.frozen,
+                    &mut scratch.residual,
+                    &mut scratch.active_on,
+                    rate,
+                );
             }
-            if nworkers <= 1 {
-                let w = &mut workers[0];
-                w.resize(nf, nl);
-                for c in 0..ncomp {
-                    crate::soa::solve_component(
-                        prob,
-                        comps.comp_flows(c),
-                        comps.comp_links(c),
-                        &mut w.frozen,
-                        &mut w.residual,
-                        &mut w.active_on,
-                        solution,
-                    );
-                }
-            } else {
-                // Split components into ≤ nworkers contiguous ranges of
-                // roughly equal total flows. Each worker solves its
-                // components on private scratch; component flow sets are
-                // disjoint, so the scatter below writes each slot once.
-                let ranges = crate::partition::split_component_ranges(comps, nf, nworkers);
-                let prob = &*prob;
-                let comps = &*comps;
-                std::thread::scope(|s| {
-                    let mut handles = Vec::new();
-                    for (w, &(r0, r1)) in workers.iter_mut().zip(&ranges) {
-                        w.resize(nf, nl);
-                        handles.push(s.spawn(move || {
-                            for c in r0..r1 {
-                                crate::soa::solve_component(
-                                    prob,
-                                    comps.comp_flows(c),
-                                    comps.comp_links(c),
-                                    &mut w.frozen,
-                                    &mut w.residual,
-                                    &mut w.active_on,
-                                    &mut w.rate,
-                                );
-                            }
-                        }));
-                    }
-                    for h in handles {
-                        h.join().expect("solve worker panicked");
-                    }
-                });
-                // Deterministic merge: scatter per-worker rates back in
-                // stable component order (the loom model test permutes
-                // worker completion order over this exact helper).
-                let rate_slices: Vec<&[f64]> = workers.iter().map(|w| w.rate.as_slice()).collect();
-                crate::partition::merge_component_rates(comps, &ranges, &rate_slices, solution);
-            }
-        }
-        let rates = self.cache.solution.clone();
+            let resolved = comps.dirty().len() as u64;
+            comps.end_solve();
+            resolved
+        };
+        self.stats.component_solves += ncomp;
+        self.stats.components_resolved += resolved;
         self.note_full_solve(nf);
         self.cache.have_solution = true;
-        if let Some(tel) = &self.telemetry {
-            tel.metrics
-                .counter("simnet_component_solves", vec![])
-                .add(ncomp as u64);
+        if let Some(t) = &self.telemetry {
+            t.component_solves.add(ncomp);
         }
-        rates
     }
 
     /// Advances simulated time by **one boundary** — to the earliest of
@@ -1356,12 +1147,11 @@ impl Network {
     fn advance_one_boundary(&mut self, until: SimTime) -> Vec<CompletedFlow> {
         debug_assert!(until >= self.now);
         self.stats.boundaries += 1;
-        if let Some(tel) = &self.telemetry {
-            tel.metrics.counter("simnet_boundaries", vec![]).inc();
+        if let Some(t) = &self.telemetry {
+            t.boundaries.inc();
         }
         self.apply_due_faults();
-        let active = self.active_indices();
-        if active.is_empty() {
+        if self.active.is_empty() {
             self.last_rates.clear();
             // Stop at the next fault event so its application time (and
             // telemetry timestamp) stays exact even while idle.
@@ -1371,48 +1161,30 @@ impl Network {
             };
             return Vec::new();
         }
-        let rates = match self.mode {
-            EngineMode::Incremental | EngineMode::Sharded { .. } => self.incremental_rates(&active),
+        // Lent out for the step (the list is compacted in place below).
+        let mut active = std::mem::take(&mut self.active);
+        let t = self.now;
+        let mut boundary = until;
+        // The allocation, then the earliest upcoming link-rate and
+        // flow-cap changes.
+        match self.mode {
+            EngineMode::Incremental => {
+                self.incremental_rates(&active);
+                // Entries at or before `now` were consumed by the
+                // allocation above.
+                if let Some(at) = self.cache.next_change() {
+                    debug_assert!(at > t, "unconsumed due change");
+                    boundary = boundary.min(at);
+                }
+            }
             EngineMode::Reference => {
                 let (caps, alloc_flows) = self.scratch_problem(&active);
                 let rates = crate::fairshare::reference_rates(&caps, &alloc_flows);
                 self.note_full_solve(active.len());
-                rates
-            }
-        };
-        self.last_rates.clear();
-        self.last_rates.extend(
-            active
-                .iter()
-                .zip(&rates)
-                .map(|(&i, &r)| (FlowId(i as u64), r)),
-        );
-
-        let t = self.now;
-        let mut boundary = until;
-        // Earliest upcoming link-rate change among in-use links.
-        match self.mode {
-            EngineMode::Incremental | EngineMode::Sharded { .. } => {
-                // The change heap's first *valid* entry is the earliest
-                // cached segment end; stale entries (superseded
-                // refreshes, out-of-use links) are discarded on the
-                // way. Entries at or before `now` were consumed by the
-                // allocation above.
-                while let Some(&Reverse((at, l))) = self.cache.change_heap.peek() {
-                    let lu = l as usize;
-                    if self.cache.link_refs[lu] == 0 || self.cache.rate_until[lu] != at {
-                        self.cache.change_heap.pop();
-                        continue;
-                    }
-                    debug_assert!(at > t, "unconsumed due rate change");
-                    boundary = boundary.min(at);
-                    break;
-                }
-            }
-            EngineMode::Reference => {
+                self.cache.adopt_rates(&active, rates);
                 let mut in_use = std::collections::BTreeSet::new();
                 for &i in &active {
-                    for l in &self.flows[i].route.links {
+                    for l in &self.flows[i as usize].route.links {
                         in_use.insert(l.0 as usize);
                     }
                 }
@@ -1421,38 +1193,30 @@ impl Network {
                         boundary = boundary.min(ch);
                     }
                 }
+                for &i in &active {
+                    let age = t - self.started[i as usize];
+                    if let Some(next_age) = self.flows[i as usize].cap.next_cap_change(age) {
+                        debug_assert!(next_age > age, "cap change not in the future");
+                        boundary = boundary.min(self.started[i as usize] + next_age);
+                    }
+                }
             }
         }
-        // Per-flow boundary candidates: each flow's next cap change and
-        // projected completion. Chunked for the sharded engine;
-        // `SimTime` minima are integer, so folding per-chunk results in
-        // chunk order is exact regardless of the split.
-        let nchunks = par_chunk_count(self.mode, active.len());
-        let per = active.len().div_ceil(nchunks.max(1)).max(1);
-        {
-            let rates = &rates[..];
-            let chunks = chunk_active(&mut self.flows, &active, per);
-            let mins: Vec<SimTime> = if nchunks <= 1 {
-                chunks
-                    .into_iter()
-                    .map(|mut ch| flow_boundary_chunk(&mut ch, rates, t, until))
-                    .collect()
-            } else {
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = chunks
-                        .into_iter()
-                        .map(|mut ch| {
-                            s.spawn(move || flow_boundary_chunk(&mut ch, rates, t, until))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("boundary worker panicked"))
-                        .collect()
-                })
-            };
-            for m in mins {
-                boundary = boundary.min(m);
+        // Each flow's projected completion.
+        self.last_rates.clear();
+        for &i in &active {
+            let iu = i as usize;
+            let rate = self.cache.rate[iu];
+            self.last_rates.push((FlowId(i as u64), rate));
+            let remaining = self.bytes_total[iu] as f64 - self.bytes_done[iu];
+            if rate > 0.0 && remaining > 0.0 {
+                let dt = SimDuration::from_secs_f64_ceil(remaining / rate);
+                let dt = if dt.is_zero() {
+                    SimDuration::from_micros(1)
+                } else {
+                    dt
+                };
+                boundary = boundary.min(t.saturating_add(dt));
             }
         }
         // A scheduled fault is a rate-change boundary like any other
@@ -1468,55 +1232,51 @@ impl Network {
         }
         let dt = (boundary - self.now).as_secs_f64();
 
-        // Integrate progress (chunked like the scan above) and collect
-        // completions at `boundary`. Completion side effects — release,
-        // active-set removal, stats — run sequentially afterwards in
-        // ascending flow order, identical to the sequential engines.
-        let completed: Vec<usize> = {
-            let rates = &rates[..];
-            let chunks = chunk_active(&mut self.flows, &active, per);
-            let parts: Vec<Vec<usize>> = if nchunks <= 1 {
-                chunks
-                    .into_iter()
-                    .map(|mut ch| integrate_chunk(&mut ch, rates, dt))
-                    .collect()
+        // Integrate progress, compacting the flows that complete at
+        // `boundary` out of the active list (ascending, like the list).
+        self.cache.completed.clear();
+        self.cache.completed.reserve(active.len());
+        let mut kept = 0;
+        for k in 0..active.len() {
+            let i = active[k];
+            let iu = i as usize;
+            let total = self.bytes_total[iu] as f64;
+            let done = (self.bytes_done[iu] + self.cache.rate[iu] * dt).min(total);
+            // Half-byte tolerance absorbs fp residue from the ceil
+            // rounding of dt.
+            if total - done < 0.5 {
+                self.bytes_done[iu] = total;
+                self.cache.completed.push(i);
             } else {
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = chunks
-                        .into_iter()
-                        .map(|mut ch| s.spawn(move || integrate_chunk(&mut ch, rates, dt)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("integrate worker panicked"))
-                        .collect()
-                })
-            };
-            parts.into_iter().flatten().collect()
-        };
-        let mut done = Vec::new();
-        for i in completed {
-            let f = &mut self.flows[i];
+                self.bytes_done[iu] = done;
+                active[kept] = i;
+                kept += 1;
+            }
+        }
+        active.truncate(kept);
+        self.active = active;
+        self.now = boundary;
+
+        let mut done = Vec::with_capacity(self.cache.completed.len());
+        for k in 0..self.cache.completed.len() {
+            let i = self.cache.completed[k];
+            let f = &mut self.flows[i as usize];
             f.finished = Some(boundary);
-            self.cache.release(&f.route);
-            self.active.remove(&i);
+            self.cache.release(i, &f.route);
             self.stats.flows_completed += 1;
             done.push(CompletedFlow {
                 id: FlowId(i as u64),
-                bytes: f.bytes_total,
-                started: f.started,
+                bytes: self.bytes_total[i as usize],
+                started: self.started[i as usize],
                 finished: boundary,
             });
         }
-        self.now = boundary;
-        if let Some(tel) = &self.telemetry {
+        if let Some(t) = &self.telemetry {
             for c in &done {
                 let dur = (c.finished - c.started).as_micros();
-                tel.metrics.counter("simnet_flows_completed", vec![]).inc();
-                tel.metrics
-                    .histogram("simnet_flow_duration_us", vec![])
-                    .record(dur);
-                tel.tracer.record(
+                t.flows_completed.inc();
+                t.flow_duration_us.record(dur);
+                t.tel.tracer.record(
                     Event::span(EventKind::FlowComplete, c.started.as_micros(), dur, c.id.0)
                         .with_u64("bytes", c.bytes),
                 );

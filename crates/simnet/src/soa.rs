@@ -22,7 +22,8 @@
 //!   goldens stable. Components are mathematically independent, so the
 //!   decomposition is exact; solving them separately additionally makes
 //!   each flow's rate a pure function of its own component — the
-//!   property the sharded engine's determinism rests on.
+//!   property that lets the engine re-solve only the components whose
+//!   inputs changed and leave the others' rates in place.
 
 use crate::fairshare::EPS;
 use crate::partition::{Components, UnionFind};
@@ -99,7 +100,7 @@ impl ProblemSlab {
 }
 
 /// Reusable scratch for decomposed solves (union–find, component
-/// layout, per-link residuals, …). One per solver thread.
+/// layout, per-link residuals, …).
 #[derive(Debug, Clone, Default)]
 pub struct SolveScratch {
     /// Union–find used by the from-scratch partitioner.
@@ -177,8 +178,7 @@ pub fn solve_slab_reference(slab: &ProblemSlab, scratch: &mut SolveScratch, rate
 /// Progressive filling over one congestion component, with maintained
 /// per-link unfrozen counts (the production bookkeeping). Touches only
 /// the `comp_flows` / `comp_links` entries of the scratch and output
-/// slices, so disjoint components can be solved concurrently on
-/// disjoint `&mut` views.
+/// slices, so solving one component leaves every other's rates alone.
 ///
 /// `comp_flows` and `comp_links` must be ascending (the partitioner
 /// guarantees it); the round arithmetic then visits links and flows in

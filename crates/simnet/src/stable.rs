@@ -38,17 +38,13 @@ impl StableHash for LinkId {
 
 impl StableHash for EngineMode {
     fn stable_hash(&self, h: &mut StableHasher) {
-        // The sharded engine's thread count is deliberately *excluded*:
-        // every engine produces bit-identical results at any thread
-        // count (enforced by the cross-engine differential suite), so
-        // threads is an execution knob, not a semantic input — hashing
-        // it would force spurious cache misses between `--threads`
-        // settings. The variant tag stays in so a future mode whose
-        // semantics *do* diverge gets its own cache lineage.
+        // Pinned tags: existing study caches key on them. Tag 2 was
+        // `Sharded` (deleted; its results were bit-identical to
+        // `Incremental`'s) — do not reuse it for a mode whose semantics
+        // differ.
         h.write_tag(match self {
             EngineMode::Incremental => 0,
             EngineMode::Reference => 1,
-            EngineMode::Sharded { .. } => 2,
         });
     }
 }
@@ -123,14 +119,21 @@ mod tests {
     }
 
     #[test]
-    fn engine_mode_hashes_variant_but_not_thread_count() {
-        let inc = fingerprint_of(&EngineMode::Incremental);
-        let refc = fingerprint_of(&EngineMode::Reference);
-        let s2 = fingerprint_of(&EngineMode::Sharded { threads: 2 });
-        let s8 = fingerprint_of(&EngineMode::Sharded { threads: 8 });
-        assert_ne!(inc, refc);
-        assert_ne!(inc, s2);
-        assert_eq!(s2, s8, "thread count must not change the fingerprint");
+    fn engine_mode_tags_are_pinned() {
+        // Study caches key on these encodings: Incremental is tag 0,
+        // Reference tag 1, exactly as before `Sharded` (tag 2) left.
+        let tag = |t: u8| {
+            let mut h = StableHasher::new();
+            h.write_tag(t);
+            h.finish()
+        };
+        let of = |m: EngineMode| {
+            let mut h = StableHasher::new();
+            m.stable_hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(of(EngineMode::Incremental), tag(0));
+        assert_eq!(of(EngineMode::Reference), tag(1));
     }
 
     #[test]

@@ -118,7 +118,13 @@ impl SimDuration {
     /// zero integer span (which could stall an event loop).
     pub fn from_secs_f64_ceil(s: f64) -> SimDuration {
         assert!(s.is_finite() && s >= 0.0, "bad duration {s}");
-        SimDuration((s * 1e6).ceil() as u64)
+        // `ceil` without the libm call (the baseline x86-64 target has
+        // no rounding instruction): truncate, then step up if that lost
+        // a fraction. Exact — past 2^53 every f64 is an integer already,
+        // and the cast saturates.
+        let us = s * 1e6;
+        let whole = us as u64;
+        SimDuration(whole.saturating_add(((whole as f64) < us) as u64))
     }
 
     /// This span as fractional seconds.
@@ -209,6 +215,23 @@ mod tests {
         let d = SimDuration::from_secs_f64_ceil(1e-9);
         assert_eq!(d.as_micros(), 1);
         assert!(SimDuration::from_secs_f64_ceil(0.0).is_zero());
+    }
+
+    #[test]
+    fn ceil_matches_libm_ceil_bit_for_bit() {
+        let mut x = 0.37f64;
+        for k in 0..4000u32 {
+            // Fractions, exact integers, and magnitudes up to overflow.
+            for s in [x, x.floor(), (x * 1e6).ceil() / 1e6, x * 1e-9] {
+                assert_eq!(
+                    SimDuration::from_secs_f64_ceil(s).0,
+                    (s * 1e6).ceil() as u64,
+                    "s = {s:e}"
+                );
+            }
+            x = x * 1.013 + (k % 7) as f64 * 0.25;
+        }
+        assert!(x > 1e20, "sweep must pass u64 saturation (reached {x:e})");
     }
 
     #[test]

@@ -1,17 +1,17 @@
-//! Differential suite: the incremental allocation engine **and** the
-//! partition-sharded engine must both be **bit-identical** to the naive
-//! reference engine ([`EngineMode::Reference`], which rebuilds the
-//! fair-share problem from scratch every boundary and solves it with
+//! Differential suite: the incremental allocation engine must be
+//! **bit-identical** to the naive reference engine
+//! ([`EngineMode::Reference`], which rebuilds the fair-share problem
+//! from scratch every boundary, re-queries every cap, and solves with
 //! `fairshare::reference_rates`).
 //!
 //! Each case builds one network, clones it (clones replay identical
 //! randomness), runs one clone per engine mode through an identical
 //! scripted call sequence, and asserts after **every** boundary step
 //! that the clock, the per-flow rates (bitwise), and the completion
-//! records agree across all three engines. Any divergence is an
-//! invalidation bug (incremental) or a partition/merge bug (sharded),
-//! never fp noise — all engines share the same solver arithmetic (see
-//! `fairshare.rs` and `soa.rs`).
+//! records agree. Any divergence is an invalidation bug — a component
+//! left clean whose inputs moved, a cap segment outliving its value, a
+//! split or merge that lost a member — never fp noise: both engines
+//! share the same solver arithmetic (see `fairshare.rs` and `soa.rs`).
 
 use ir_simnet::bandwidth::{
     BandwidthProcess, ConstantProcess, PiecewiseProcess, RegimeSwitchingProcess,
@@ -267,51 +267,101 @@ fn apply(net: &mut Network, action: &Action) {
     }
 }
 
-/// Steps every engine boundary-by-boundary to `until`, asserting
-/// bitwise agreement with the first (pivot) engine after every step.
-fn lockstep(case: u64, nets: &mut [&mut Network], until: SimTime) {
+/// Congestion components of `net`'s current problem, counted from
+/// scratch: [`Components::build_csr`] over every active flow's
+/// Capacity links — or 0 when one of those links is non-finite, the
+/// degenerate case the engine solves without decomposing.
+fn scratch_component_count(net: &mut Network) -> u64 {
+    let alloc = net.active_flow_allocation();
+    let n_links = net.topology().link_count();
+    let (mut off, mut arena) = (vec![0u32], Vec::new());
+    for (_, links, _) in &alloc {
+        for l in links {
+            if net.topology().link(*l).sharing == Sharing::Capacity {
+                if !net.effective_link_rate_now(*l).is_finite() {
+                    return 0;
+                }
+                arena.push(l.0);
+            }
+        }
+        off.push(arena.len() as u32);
+    }
+    let mut comps = Components::default();
+    comps.build_csr(alloc.len(), n_links, &off, &arena, &mut UnionFind::new());
+    comps.count() as u64
+}
+
+/// One full solve of the incremental engine, as [`lockstep`] saw it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Solve {
+    /// Clock when the step began (the instant the solve is for).
+    at: SimTime,
+    /// Components of the problem.
+    components: u64,
+    /// Components the kernel ran on.
+    resolved: u64,
+}
+
+/// Steps both engines boundary-by-boundary to `until`, asserting
+/// bitwise agreement after every step, and that every full solve of
+/// the incremental engine counted exactly the components a from-scratch
+/// decomposition finds. Returns the incremental engine's full solves.
+fn lockstep(case: u64, inc: &mut Network, refc: &mut Network, until: SimTime) -> Vec<Solve> {
+    let mut solves = Vec::new();
     let rates_of = |net: &Network| -> Vec<(u64, u64)> {
         net.last_boundary_rates()
             .iter()
             .map(|&(id, r)| (id.0, r.to_bits()))
             .collect()
     };
-    loop {
-        let (pivot, rest) = nets.split_first_mut().expect("at least one engine");
-        let da = pivot.step_boundary(until);
-        let ra = rates_of(pivot);
-        for other in rest.iter_mut() {
-            let db = other.step_boundary(until);
+    while inc.now() < until {
+        let expect_comps = scratch_component_count(refc);
+        let (before, before_at) = (inc.stats(), inc.now());
+        let da = inc.step_boundary(until);
+        let db = refc.step_boundary(until);
+        assert_eq!(
+            inc.now(),
+            refc.now(),
+            "case {case}: boundary clocks diverged"
+        );
+        assert_eq!(
+            rates_of(inc),
+            rates_of(refc),
+            "case {case}: rates diverged at t={:?}",
+            inc.now()
+        );
+        assert_eq!(da, db, "case {case}: completions diverged");
+        let after = inc.stats();
+        assert_eq!(
+            after.boundaries,
+            refc.stats().boundaries,
+            "case {case}: boundary counts diverged"
+        );
+        let decomposes = inc.engine_mode() == EngineMode::Incremental;
+        if decomposes && after.full_solves > before.full_solves {
             assert_eq!(
-                pivot.now(),
-                other.now(),
-                "case {case}: boundary clocks diverged"
+                after.component_solves - before.component_solves,
+                expect_comps,
+                "case {case}: persistent components drifted from the live membership at t={:?}",
+                inc.now()
             );
-            assert_eq!(
-                ra,
-                rates_of(other),
-                "case {case}: rates diverged at t={:?}",
-                pivot.now()
-            );
-            assert_eq!(da, db, "case {case}: completions diverged");
-            assert_eq!(
-                pivot.stats().boundaries,
-                other.stats().boundaries,
-                "case {case}: boundary counts diverged"
-            );
-        }
-        if pivot.now() >= until {
-            break;
+            solves.push(Solve {
+                at: before_at,
+                components: expect_comps,
+                resolved: after.components_resolved - before.components_resolved,
+            });
         }
     }
+    solves
 }
 
 #[test]
-fn incremental_and_sharded_engines_are_bitwise_identical_to_reference() {
+fn incremental_engine_is_bitwise_identical_to_reference() {
     let mut total_skips = 0u64;
     let mut total_boundaries = 0u64;
     let mut total_full = 0u64;
     let mut total_components = 0u64;
+    let mut total_resolved = 0u64;
     for case in 0..220u64 {
         let Case {
             net,
@@ -319,25 +369,21 @@ fn incremental_and_sharded_engines_are_bitwise_identical_to_reference() {
             horizon,
         } = arb_case(0xE9_0000 + case);
         let mut inc = net.clone();
-        let mut shard = net.clone();
         let mut refc = net;
         inc.set_engine_mode(EngineMode::Incremental);
-        shard.set_engine_mode(EngineMode::Sharded { threads: 4 });
         refc.set_engine_mode(EngineMode::Reference);
 
         for (at, action) in &script {
-            lockstep(case, &mut [&mut inc, &mut refc, &mut shard], *at);
+            lockstep(case, &mut inc, &mut refc, *at);
             apply(&mut inc, action);
             apply(&mut refc, action);
-            apply(&mut shard, action);
         }
-        lockstep(case, &mut [&mut inc, &mut refc, &mut shard], horizon);
+        lockstep(case, &mut inc, &mut refc, horizon);
 
         // Final records, bitwise: every flow's completion (or absence)
-        // must match across all three engines.
+        // must match across both engines.
         let sa = inc.stats();
         let sb = refc.stats();
-        let ss = shard.stats();
         for k in 0..sa.flows_started {
             let id = FlowId(k);
             assert_eq!(
@@ -345,13 +391,7 @@ fn incremental_and_sharded_engines_are_bitwise_identical_to_reference() {
                 refc.completion(id),
                 "case {case}: final record diverged for flow {k}"
             );
-            assert_eq!(
-                inc.completion(id),
-                shard.completion(id),
-                "case {case}: sharded final record diverged for flow {k}"
-            );
             assert_eq!(inc.flow_progress(id), refc.flow_progress(id));
-            assert_eq!(inc.flow_progress(id), shard.flow_progress(id));
         }
         assert_eq!(sa.boundaries, sb.boundaries, "case {case}");
         assert_eq!(sa.flows_completed, sb.flows_completed, "case {case}");
@@ -365,22 +405,12 @@ fn incremental_and_sharded_engines_are_bitwise_identical_to_reference() {
             sb.full_solves,
             "case {case}: every allocation is either solved or provably reused"
         );
-        // The sharded engine runs the incremental code path with chunked
-        // execution: its bookkeeping must match the incremental engine
-        // counter-for-counter, not just its outputs.
-        assert_eq!(sa.boundaries, ss.boundaries, "case {case}");
-        assert_eq!(sa.full_solves, ss.full_solves, "case {case}");
-        assert_eq!(sa.incremental_solves, ss.incremental_solves, "case {case}");
-        assert_eq!(sa.flows_completed, ss.flows_completed, "case {case}");
-        assert_eq!(sa.flows_cancelled, ss.flows_cancelled, "case {case}");
-        assert_eq!(
-            sa.component_solves, ss.component_solves,
-            "case {case}: partition decompositions diverged"
-        );
+        assert!(sa.components_resolved <= sa.component_solves, "case {case}");
         total_skips += sa.incremental_solves;
         total_full += sa.full_solves;
         total_boundaries += sa.boundaries;
         total_components += sa.component_solves;
+        total_resolved += sa.components_resolved;
     }
     // The optimization must actually fire across the sweep, not just be
     // correct: fewer full solves than boundaries overall.
@@ -391,10 +421,15 @@ fn incremental_and_sharded_engines_are_bitwise_identical_to_reference() {
     );
     // Multi-component decompositions must actually occur across the
     // sweep (disjoint segments + express hops guarantee them), or the
-    // partitioner is vacuously untested here.
+    // partitioner is vacuously untested here — and some of their
+    // components must have been left clean.
     assert!(
         total_components > total_full,
         "components ({total_components}) should exceed solves ({total_full})"
+    );
+    assert!(
+        total_resolved < total_components,
+        "every component of every solve was re-solved ({total_resolved})"
     );
 }
 
@@ -491,4 +526,267 @@ fn wide_scenario_completes_under_pinned_boundary_count() {
         st.boundaries, PINNED_BOUNDARIES,
         "boundary schedule moved: {st:?}"
     );
+}
+
+/// Three racks — a `PerFlow` access link and a `Capacity` uplink each,
+/// two long flows per rack — for the component-churn family: every
+/// event below touches one rack, so exactly that rack's component may
+/// be re-solved.
+struct Racks {
+    net: Network,
+    access: Vec<LinkId>,
+    uplinks: Vec<LinkId>,
+    routes: Vec<Route>,
+}
+
+fn racks() -> Racks {
+    let mut topo = Topology::new();
+    let origin = topo.add_node("origin", NodeKind::Server);
+    let (mut access, mut uplinks, mut routes) = (Vec::new(), Vec::new(), Vec::new());
+    for r in 0..3 {
+        let host = topo.add_node(format!("h{r}"), NodeKind::Client);
+        let tor = topo.add_node(format!("tor{r}"), NodeKind::Intermediate);
+        access.push(topo.add_link_shared(host, tor, SimDuration::from_millis(1), Sharing::PerFlow));
+        uplinks.push(topo.add_link_shared(
+            tor,
+            origin,
+            SimDuration::from_millis(1),
+            Sharing::Capacity,
+        ));
+        routes.push(topo.route(&[host, tor, origin]).unwrap());
+    }
+    let mut net = Network::new(topo, 1.0);
+    for r in 0..3 {
+        net.set_link_process(access[r], Box::new(ConstantProcess::new(1e6)));
+        let up = 1e5 + 1e4 * r as f64;
+        net.set_link_process(uplinks[r], Box::new(ConstantProcess::new(up)));
+    }
+    Racks {
+        net,
+        access,
+        uplinks,
+        routes,
+    }
+}
+
+/// Runs `script` over the racks in two-engine lockstep and returns the
+/// incremental engine's full solves.
+fn churn(mut racks: Racks, script: Vec<(SimTime, Action)>, horizon: SimTime) -> Vec<Solve> {
+    let mut inc = racks.net.clone();
+    let refc = &mut racks.net;
+    refc.set_engine_mode(EngineMode::Reference);
+    let mut solves = Vec::new();
+    for (at, action) in &script {
+        solves.extend(lockstep(0, &mut inc, refc, *at));
+        apply(&mut inc, action);
+        apply(refc, action);
+    }
+    solves.extend(lockstep(0, &mut inc, refc, horizon));
+    assert!(inc.stats().flows_completed > 0);
+    solves
+}
+
+fn start(route: &Route, bytes: u64) -> Action {
+    Action::Start {
+        route: route.clone(),
+        bytes,
+        cap: Box::new(NoCap),
+    }
+}
+
+/// The solve for instant `at`.
+fn solve_at(solves: &[Solve], at: SimTime) -> Solve {
+    *solves
+        .iter()
+        .find(|s| s.at == at)
+        .unwrap_or_else(|| panic!("no full solve at {at:?}: {solves:?}"))
+}
+
+fn rack_population(r: &Racks) -> Vec<(SimTime, Action)> {
+    let mut script = Vec::new();
+    for route in &r.routes {
+        script.push((SimTime::ZERO, start(route, 20_000_000)));
+        script.push((SimTime::ZERO, start(route, 20_000_000)));
+    }
+    script
+}
+
+#[test]
+fn bridging_flow_merges_two_components_then_splits_them_again() {
+    let r = racks();
+    let mut script = rack_population(&r);
+    // A flow over both rack 0's and rack 1's uplinks couples them for
+    // as long as it lives.
+    let bridge = Route::from_links(vec![r.uplinks[0], r.uplinks[1]]);
+    let t1 = SimTime::from_secs(1);
+    script.push((t1, start(&bridge, 100_000)));
+    let solves = churn(r, script, SimTime::from_secs(900));
+
+    assert_eq!(solve_at(&solves, SimTime::ZERO).components, 3);
+    let merged = solve_at(&solves, t1);
+    assert_eq!((merged.components, merged.resolved), (2, 1));
+    // The bridge's completion is the next full solve: its component is
+    // re-derived into racks 0 and 1; rack 2 is left alone.
+    let split = solves[solves.iter().position(|s| *s == merged).unwrap() + 1];
+    assert_eq!((split.components, split.resolved), (3, 2));
+}
+
+#[test]
+fn one_rack_events_resolve_one_component() {
+    let r = racks();
+    let mut script = rack_population(&r);
+    let at = |s| SimTime::from_secs(s);
+    // Cancellation in rack 2; a new process on rack 1's uplink; a
+    // brownout over rack 0's uplink; rack 1's PerFlow access link
+    // dropping below its flows' fair share (their folded caps move).
+    script.push((at(10), Action::Cancel(FlowId(5))));
+    script.push((
+        at(20),
+        Action::SetProc(r.uplinks[1], Box::new(ConstantProcess::new(9e4))),
+    ));
+    script.push((
+        at(40),
+        Action::SetProc(
+            r.access[1],
+            Box::new(PiecewiseProcess::new(vec![
+                (SimTime::ZERO, 1e6),
+                (at(50), 2e4),
+                (at(60), 1e6),
+            ])),
+        ),
+    ));
+    let mut r = r;
+    r.net
+        .set_fault_plan(&FaultPlan::none().brownout(r.uplinks[0], at(30), at(35), 0.5));
+    let solves = churn(r, script, SimTime::from_secs(900));
+
+    for t in [10, 20, 30, 35, 50, 60] {
+        let s = solve_at(&solves, at(t));
+        assert_eq!((s.components, s.resolved), (3, 1), "t = {t}s: {s:?}");
+    }
+    // Swapping in a process that reports the same rate still counts as
+    // a full solve (today's classification) but re-solves nothing.
+    let s = solve_at(&solves, at(40));
+    assert_eq!((s.components, s.resolved), (3, 0));
+}
+
+/// A Capacity link whose process reports an infinite rate takes the
+/// generic fallback (the link leaves the problem, so components
+/// change shape), and every component is re-solved once it is finite
+/// again.
+#[test]
+fn non_finite_capacity_link_takes_the_generic_path() {
+    #[derive(Clone)]
+    struct Unbounded;
+    impl BandwidthProcess for Unbounded {
+        fn rate_at(&mut self, _t: SimTime) -> f64 {
+            f64::INFINITY
+        }
+        fn next_change_after(&mut self, _t: SimTime) -> Option<SimTime> {
+            None
+        }
+        fn clone_box(&self) -> Box<dyn BandwidthProcess> {
+            Box::new(Unbounded)
+        }
+    }
+    let r = racks();
+    let mut script = rack_population(&r);
+    let at = |s| SimTime::from_secs(s);
+    script.push((at(5), Action::SetProc(r.uplinks[2], Box::new(Unbounded))));
+    script.push((
+        at(15),
+        Action::SetProc(r.uplinks[2], Box::new(ConstantProcess::new(1.2e5))),
+    ));
+    let solves = churn(r, script, SimTime::from_secs(900));
+    // The fallback solve at 5 s runs no component kernel; the next
+    // kernel solve distrusts every component.
+    let s = solve_at(&solves, at(5));
+    assert_eq!((s.components, s.resolved), (0, 0));
+    let s = solve_at(&solves, at(15));
+    assert_eq!((s.components, s.resolved), (3, 3));
+}
+
+/// Switching engines mid-run is allowed: the incremental caches are
+/// kept up under `Reference`, and rates it wrote are distrusted on the
+/// way back.
+#[test]
+fn switching_engines_mid_run_stays_bitwise_identical() {
+    for case in 0..40u64 {
+        let Case {
+            net,
+            script,
+            horizon,
+        } = arb_case(0x5E_0000 + case);
+        let mut mixed = net.clone();
+        let mut refc = net;
+        refc.set_engine_mode(EngineMode::Reference);
+        let modes = [EngineMode::Incremental, EngineMode::Reference];
+        for (k, (at, action)) in script.iter().enumerate() {
+            lockstep(case, &mut mixed, &mut refc, *at);
+            mixed.set_engine_mode(modes[k % 2]);
+            apply(&mut mixed, action);
+            apply(&mut refc, action);
+        }
+        mixed.set_engine_mode(EngineMode::Incremental);
+        lockstep(case, &mut mixed, &mut refc, horizon);
+        assert_eq!(mixed.stats().flows_completed, refc.stats().flows_completed);
+    }
+}
+
+/// The corner the distrust exists for: an input leaves and returns to
+/// its cached bits entirely under `Reference`, and the switch back
+/// lands on the very instant it returns — the component looks clean
+/// while its rates are the brownout's.
+#[test]
+fn switching_back_as_an_input_reverts_resolves_the_component() {
+    let mut r = racks();
+    let at = |s| SimTime::from_secs(s);
+    r.net
+        .set_fault_plan(&FaultPlan::none().brownout(r.uplinks[0], at(20), at(30), 0.5));
+    let script = rack_population(&r);
+    let mut mixed = r.net.clone();
+    let refc = &mut r.net;
+    refc.set_engine_mode(EngineMode::Reference);
+    for (_, action) in &script {
+        apply(&mut mixed, action);
+        apply(refc, action);
+    }
+    lockstep(0, &mut mixed, refc, at(15));
+    mixed.set_engine_mode(EngineMode::Reference);
+    lockstep(0, &mut mixed, refc, at(30));
+    mixed.set_engine_mode(EngineMode::Incremental);
+    lockstep(0, &mut mixed, refc, at(900));
+}
+
+/// A cap that moves without announcing it breaks the contract the
+/// incremental engine's segment cache rests on; debug builds catch it
+/// at the first boundary after the move.
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "RateCap contract")]
+fn unannounced_cap_change_is_caught_in_debug_builds() {
+    #[derive(Clone)]
+    struct Silent;
+    impl RateCap for Silent {
+        fn cap(&mut self, age: SimDuration, _done: u64) -> f64 {
+            if age < SimDuration::from_secs(5) {
+                1e4
+            } else {
+                2e4
+            }
+        }
+        fn next_cap_change(&mut self, _age: SimDuration) -> Option<SimDuration> {
+            None
+        }
+        fn clone_box(&self) -> Box<dyn RateCap> {
+            Box::new(Silent)
+        }
+    }
+    let Racks {
+        mut net, routes, ..
+    } = racks();
+    net.start_flow(routes[0].clone(), 10_000_000, Box::new(Silent));
+    for s in [3, 8, 12] {
+        net.advance_until(SimTime::from_secs(s));
+    }
 }

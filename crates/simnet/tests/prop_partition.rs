@@ -6,16 +6,18 @@
 //!    the problem: every flow lands in exactly one component, every
 //!    crossed link in exactly one, and no flow crosses a link outside
 //!    its own component (components are genuinely independent).
-//! 2. **Incremental = from-scratch** — after any interleaving of flow
-//!    arrivals and departures, the incrementally-maintained
-//!    [`FlowLinkPartition`] yields byte-for-byte the same canonical
-//!    components as a partition rebuilt from the live membership.
+//! 2. **Persistent = from-scratch** — after any interleaving of flow
+//!    arrivals and departures, the persistently-maintained
+//!    [`LiveComponents`] (arrival unions, local splits on departure)
+//!    holds exactly the components a from-scratch decomposition of the
+//!    live membership finds, member lists ascending, and only touched
+//!    components are dirty.
 //! 3. **Component solves compose** — solving each component
 //!    independently (even in *reverse* component order) scatters into
 //!    exactly `fairshare::reference_rates`, bitwise.
 
 use ir_simnet::fairshare::{max_min_rates, reference_rates, AllocFlow};
-use ir_simnet::partition::{Components, FlowLinkPartition, UnionFind};
+use ir_simnet::partition::{Components, LiveComponents, UnionFind, NO_COMP};
 use ir_simnet::soa::ProblemSlab;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -123,71 +125,88 @@ fn components_are_a_true_decomposition() {
 }
 
 #[test]
-fn incremental_partition_matches_from_scratch_rebuild() {
+fn persistent_components_match_from_scratch_decomposition() {
+    let mut splits = 0u32;
+    let mut left_clean = 0u32;
     for seed in 0..200u64 {
         let mut rng = StdRng::seed_from_u64(0xB0_0000 + seed);
         let n_links = rng.gen_range(1..10usize);
-        // Live membership: slot → capacity links of its route.
-        let mut live: Vec<Option<Vec<u32>>> = Vec::new();
-        let mut inc = FlowLinkPartition::new(n_links);
+        // The engine's append-only CSR arena: flow id → capacity links.
+        let (mut off, mut arena) = (vec![0u32], Vec::<u32>::new());
+        let mut live: Vec<bool> = Vec::new();
+        let mut lc = LiveComponents::new(n_links);
 
         for _ in 0..rng.gen_range(1..40u32) {
-            let departures_possible = live.iter().any(Option::is_some);
-            if !departures_possible || rng.gen_bool(0.6) {
-                // Arrival on a fresh slot (engine slots are never
-                // reused).
-                let k = rng.gen_range(0..=3.min(n_links));
-                let mut links: Vec<u32> = (0..n_links as u32).collect();
-                for i in 0..k {
-                    let j = rng.gen_range(i..n_links);
-                    links.swap(i, j);
-                }
-                links.truncate(k);
-                let slot = live.len() as u32;
-                inc.on_flow_start(slot, links.iter().copied());
-                live.push(Some(links));
-            } else {
-                let victims: Vec<usize> = (0..live.len()).filter(|&s| live[s].is_some()).collect();
-                let s = victims[rng.gen_range(0..victims.len())];
-                live[s] = None;
-                inc.on_flow_end();
-            }
-
-            // The engine rebuilds lazily at the next query; mirror that.
-            if inc.is_dirty() {
-                inc.begin_rebuild();
-                for (slot, links) in live.iter().enumerate() {
-                    if let Some(links) = links {
-                        inc.rebuild_flow(slot as u32, links.iter().copied());
+            // A burst of membership changes between two solves.
+            for _ in 0..rng.gen_range(1..4u32) {
+                if !live.contains(&true) || rng.gen_bool(0.6) {
+                    let k = rng.gen_range(0..=3.min(n_links));
+                    let mut links: Vec<u32> = (0..n_links as u32).collect();
+                    for i in 0..k {
+                        let j = rng.gen_range(i..n_links);
+                        links.swap(i, j);
                     }
+                    links.truncate(k);
+                    lc.arrive(live.len() as u32, &links);
+                    arena.extend_from_slice(&links);
+                    off.push(arena.len() as u32);
+                    live.push(true);
+                } else {
+                    let victims: Vec<usize> = (0..live.len()).filter(|&f| live[f]).collect();
+                    let f = victims[rng.gen_range(0..victims.len())];
+                    live[f] = false;
+                    lc.depart(f as u32);
                 }
             }
+            let before = lc.count();
+            lc.begin_solve(&off, &arena);
+            splits += (lc.count() > before) as u32;
 
-            // From-scratch control: a brand-new partition over the same
-            // live membership.
-            let mut fresh = FlowLinkPartition::new(n_links);
-            for (slot, links) in live.iter().enumerate() {
-                if let Some(links) = links {
-                    fresh.on_flow_start(slot as u32, links.iter().copied());
-                }
-            }
-
-            let active: Vec<u32> = (0..live.len() as u32)
-                .filter(|&s| live[s as usize].is_some())
+            // From-scratch control over the live flows, densely
+            // renumbered (ascending, so order is preserved).
+            let ids: Vec<u32> = (0..live.len() as u32)
+                .filter(|&f| live[f as usize])
                 .collect();
-            let prob_links: Vec<u32> = (0..n_links as u32).collect();
-            let (mut a, mut b) = (Components::default(), Components::default());
-            inc.components_into(&active, &prob_links, &mut a);
-            fresh.components_into(&active, &prob_links, &mut b);
-            assert_eq!(a.comp_of_flow, b.comp_of_flow, "seed {seed}");
-            assert_eq!(a.flows, b.flows, "seed {seed}");
-            assert_eq!(a.flow_starts, b.flow_starts, "seed {seed}");
-            assert_eq!(a.links, b.links, "seed {seed}");
-            assert_eq!(a.link_starts, b.link_starts, "seed {seed}");
+            let (mut doff, mut darena) = (vec![0u32], Vec::new());
+            for &f in &ids {
+                darena.extend_from_slice(
+                    &arena[off[f as usize] as usize..off[f as usize + 1] as usize],
+                );
+                doff.push(darena.len() as u32);
+            }
+            let mut fresh = Components::default();
+            fresh.build_csr(ids.len(), n_links, &doff, &darena, &mut UnionFind::new());
+
+            assert_eq!(lc.count(), fresh.count(), "seed {seed}: component count");
+            for c in 0..fresh.count() {
+                let flows: Vec<u32> = fresh
+                    .comp_flows(c)
+                    .iter()
+                    .map(|&k| ids[k as usize])
+                    .collect();
+                let id = lc.comp_of_flow(flows[0]);
+                assert_ne!(id, NO_COMP, "seed {seed}");
+                assert_eq!(lc.flows(id), &flows[..], "seed {seed}: flow members");
+                assert_eq!(lc.links(id), fresh.comp_links(c), "seed {seed}: links");
+                assert!(flows.iter().all(|&f| lc.comp_of_flow(f) == id));
+            }
+            for (f, &alive) in live.iter().enumerate() {
+                assert_eq!(alive, lc.comp_of_flow(f as u32) != NO_COMP, "seed {seed}");
+            }
+            let mut dirty = lc.dirty().to_vec();
+            dirty.sort_unstable();
+            dirty.dedup();
+            assert_eq!(
+                dirty.len(),
+                lc.dirty().len(),
+                "seed {seed}: duplicate dirty id"
+            );
+            left_clean += (dirty.len() < lc.count()) as u32;
+            lc.end_solve();
         }
-        // Arrivals must actually have taken the incremental path.
-        assert!(inc.incremental_adds > 0, "seed {seed}: never incremental");
     }
+    assert!(splits > 0, "no departure ever split a component");
+    assert!(left_clean > 0, "every solve dirtied every component");
 }
 
 #[test]
