@@ -14,7 +14,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ir_core::{
-    EpsilonGreedy, EwmaBlend, FirstPortion, Predictor, RandomSet, SelectionPolicy, SessionConfig,
+    EpsilonGreedy, EwmaBlend, FirstPortion, PathSelector, Predictor, RandomSet, SessionConfig,
     StaticSingle, Ucb1, UtilizationWeighted,
 };
 use ir_experiments::runner::run_task_with;
@@ -100,7 +100,7 @@ fn ablation_policies(c: &mut Criterion) {
         "{:>30} {:>12} {:>12}",
         "policy", "mean impr %", "penalties %"
     );
-    let policies: Vec<(&str, Box<dyn SelectionPolicy>)> = vec![
+    let policies: Vec<(&str, Box<dyn PathSelector>)> = vec![
         (
             "static-single (first relay)",
             Box::new(StaticSingle(sc.relays[0])),
@@ -148,7 +148,7 @@ fn ablation_predictors(c: &mut Criterion) {
     // schedule instant, what a 100 KB probe would measure on each path
     // (oracle on an isolated replica) feeds the predictor; the chosen
     // path's true whole-file rate is compared with the best path's.
-    use ir_core::{PathSpec, SelectCtx, SimTransport, Transport};
+    use ir_core::{PathCtx, PathSpec, SimTransport, Transport};
     use ir_simnet::time::{SimDuration, SimTime};
 
     let sc = scenario();
@@ -178,19 +178,15 @@ fn ablation_predictors(c: &mut Criterion) {
         for (i, at) in schedule.instants(SimTime::ZERO).enumerate() {
             let target = at.max(transport.now());
             transport.network_mut().advance_until(target);
-            let ctx = SelectCtx {
+            let ctx = PathCtx {
                 client,
                 server,
-                full_set: &sc.relays,
+                relays: &sc.relays,
+                topo: sc.network.topology(),
                 transfer_index: i as u64,
             };
-            let candidates = policy.candidates(&ctx);
             let paths: Vec<PathSpec> = std::iter::once(PathSpec::direct(client, server))
-                .chain(
-                    candidates
-                        .iter()
-                        .map(|&v| PathSpec::indirect(client, server, v)),
-                )
+                .chain(policy.paths(&ctx))
                 .collect();
             // What a probe would measure, and the ground truth.
             let probe_rates: Vec<Option<f64>> = paths

@@ -14,12 +14,19 @@
 //!   real loopback sockets in `ir-relay`.
 //! * [`predictor`] — the paper's first-portion predictor plus an EWMA
 //!   extension.
-//! * [`policy`] — candidate-relay policies: direct-only, the §2.2
+//! * [`policy`] — the one selector trait ([`PathSelector`] over a
+//!   [`PathCtx`]) and the paper's policies: direct-only, the §2.2
 //!   static single relay, the §4 uniform random set, the §6
 //!   utilization-weighted extension, and bandit baselines (ε-greedy,
 //!   UCB1) for ablations.
-//! * [`session`] — the §2.1 protocol: concurrent control download,
-//!   probe race, remainder fetch, improvement measurement.
+//! * [`session`] — the §2.1 protocol, written once: concurrent control
+//!   download, probe race, remainder fetch, improvement measurement.
+//!   Two entry points: [`run_session`] (a selector picks the paths)
+//!   and [`run_paths_session`] (the caller names them).
+//! * [`remainder`] — the three ways the remaining `n − x` bytes are
+//!   carried: the winner's warm connection, the same with mid-transfer
+//!   failover, or an mHTTP-style stripe over every probed path
+//!   ([`plan`] partitions it).
 //! * [`record`] — per-transfer records and the three utilization
 //!   statistics used across Tables II–III and Fig 5.
 //! * [`aggregate`] — [`aggregate::StudySummary`]: the headline numbers
@@ -27,9 +34,12 @@
 
 pub mod aggregate;
 pub mod path;
+pub mod plan;
 pub mod policy;
 pub mod predictor;
+mod rate;
 pub mod record;
+pub mod remainder;
 pub mod session;
 pub mod sim_transport;
 pub mod stable;
@@ -37,15 +47,17 @@ pub mod transport;
 
 pub use aggregate::StudySummary;
 pub use path::{PathSpec, MAX_HOPS};
+pub use plan::{partition, ChunkRange};
 pub use policy::{
-    DirectOnly, EpsilonGreedy, FullSet, RandomSet, SelectCtx, SelectionPolicy, StaticSingle, Ucb1,
-    UtilizationWeighted,
+    sanitize_candidates, DirectOnly, EpsilonGreedy, FullSet, PathCtx, PathSelector, RandomSet,
+    StaticSingle, Ucb1, UtilizationWeighted,
 };
 pub use predictor::{EwmaBlend, FirstPortion, Predictor};
 pub use record::{improvement, TransferRecord, UtilizationTracker};
+pub use remainder::{PathStripeStats, StripeStats};
 pub use session::{
-    run_paths_session_traced, run_session, run_session_traced, select_measure_all, ControlMode,
-    EngineMode, FailoverConfig, ProbeMode, RebalanceConfig, SessionConfig, SessionMode,
+    run_paths_session, run_session, ControlMode, EngineMode, FailoverConfig, ProbeMode,
+    RebalanceConfig, SessionConfig, SessionMode,
 };
 pub use sim_transport::{SimTransport, TcpDerivation};
 pub use transport::{Handle, RaceWin, Timing, Transport};

@@ -1,23 +1,35 @@
-//! Transfer-session orchestration: the paper's §2.1 protocol.
+//! Transfer-session orchestration: the paper's §2.1 protocol, written
+//! once.
 //!
 //! One session = one experiment iteration:
 //!
-//! 1. The policy picks candidate relays (possibly none).
+//! 1. The selector picks candidate paths (possibly none).
 //! 2. A **control** transfer of the whole file starts on the direct
 //!    path (the paper's second client process).
 //! 3. The **selecting** process issues range probes for the first
 //!    `x` bytes over the direct path and every candidate indirect path.
 //! 4. The winner — first probe to finish (or best predicted rate in
-//!    measure-all mode) — carries the remaining `n − x` bytes.
+//!    measure-all mode) — is decided, and the remaining `n − x` bytes
+//!    are carried by one of the three [`crate::remainder`] phases:
+//!    the winner's warm connection (the paper), the same with
+//!    mid-transfer failover, or a stripe over every probed path.
 //! 5. Improvement = selected-process throughput vs control throughput.
+//!
+//! There are two entry points: [`run_session`] (a [`PathSelector`]
+//! chooses the paths) and [`run_paths_session`] (the caller names
+//! them). Everything except step 4's remainder is shared by every
+//! [`SessionMode`].
 
 use crate::path::PathSpec;
-use crate::policy::{SelectCtx, SelectionPolicy};
+use crate::policy::{PathCtx, PathSelector};
 use crate::predictor::Predictor;
 use crate::record::TransferRecord;
+use crate::remainder::{
+    run_remainder_failover, run_remainder_warm, run_striped_remainder, Remainder, StripeStats,
+};
 use crate::transport::{Handle, Timing, Transport};
 pub use ir_simnet::sim::EngineMode;
-use ir_simnet::time::SimDuration;
+use ir_simnet::time::{SimDuration, SimTime};
 use ir_simnet::topology::NodeId;
 use ir_telemetry::trace::{Event, EventKind};
 use ir_telemetry::Telemetry;
@@ -89,8 +101,8 @@ impl FailoverConfig {
 
 /// Chunk-rebalancing parameters for [`SessionMode::Striped`].
 ///
-/// The striper (the `ir-stripe` crate) keeps a per-path EWMA rate
-/// estimate seeded from the probe race. A free path steals the
+/// The striped remainder keeps a per-path EWMA rate estimate seeded
+/// from the probe race. A free path steals the
 /// straggler chunk of a path whose observed rate has drifted below its
 /// own by more than `drift_ratio`, and a path that delivers zero bytes
 /// for a whole `stall_window` is declared dead and its chunk is
@@ -138,20 +150,20 @@ impl RebalanceConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SessionMode {
     /// The paper's protocol: the probe winner carries the whole
-    /// remainder, winner-take-all. This module implements it.
+    /// remainder, winner-take-all (optionally watched by
+    /// [`SessionConfig::failover`]).
     Racing,
     /// mHTTP-style multi-source striping: the remainder is partitioned
     /// into `chunks` ranges fetched concurrently over the direct path
     /// plus the best `k` indirect candidates, rebalanced per
-    /// `rebalance`. Executed by the `ir-stripe` crate's runner (this
-    /// crate's runner is the racing path); with one chunk and `k = 1`
-    /// the striper's record is bit-identical to [`SessionMode::Racing`]
+    /// `rebalance`. With one chunk the record is bit-identical to
+    /// [`SessionMode::Racing`] over the same (at most `k`) candidates
     /// on a healthy network.
     Striped {
         /// Ranges the remainder is split into (>= 1).
         chunks: u32,
         /// Indirect candidates striped over, capping the probe set
-        /// (>= 1; the `PathSelector` plane's `best_k` feeds this).
+        /// (>= 1; [`PathSelector::best_k`] feeds this).
         k: u32,
         /// Straggler-steal and stall-death knobs.
         rebalance: RebalanceConfig,
@@ -187,18 +199,16 @@ pub struct SessionConfig {
     pub control: ControlMode,
     /// Per-phase timeout.
     pub horizon: SimDuration,
-    /// Mid-transfer failover for the remainder phase. `None` (the
+    /// Mid-transfer failover for the racing remainder. `None` (the
     /// paper's protocol) keeps the original single-attempt behavior
-    /// bit-for-bit.
+    /// bit-for-bit. Must be `None` under [`SessionMode::Striped`],
+    /// whose stall-death reassignment is its failover.
     pub failover: Option<FailoverConfig>,
     /// Fair-share engine the simulated transport runs sessions on.
     /// Both modes are bit-identical (enforced by the cross-engine
     /// differential suite); `Reference` is the slow oracle, for tests.
     pub engine: EngineMode,
-    /// Remainder strategy. [`SessionMode::Racing`] (the paper's
-    /// protocol) is what this module's runners execute; striped
-    /// configs are dispatched by the `ir-stripe` crate's runner, which
-    /// delegates back here for `Racing`.
+    /// Remainder strategy, honoured by both entry points.
     pub mode: SessionMode,
 }
 
@@ -232,9 +242,15 @@ impl SessionConfig {
             fo.validate();
         }
         self.mode.validate();
+        assert!(
+            self.failover.is_none() || self.mode == SessionMode::Racing,
+            "failover is the racing remainder's; a striped session's failover is its \
+             stall-death reassignment (RebalanceConfig.stall_window)"
+        );
     }
 }
 
+/// The control process's in-flight whole-file transfer.
 enum Control {
     Live(Handle),
     Forked(Box<dyn Transport>, Handle),
@@ -242,7 +258,7 @@ enum Control {
 
 /// Picks the `MeasureAll` winner from per-path `(probe_rate,
 /// predicted)` outcomes (`None` = the probe never finished inside the
-/// horizon).
+/// horizon); returns its roster index and probe rate.
 ///
 /// An indirect candidate whose probe rate or prediction is zero, NaN,
 /// or infinite can never win: indirection has to be a *measured*
@@ -250,17 +266,10 @@ enum Control {
 /// Among the survivors the strictly highest prediction wins; a tie
 /// keeps the earliest path, and the direct path probes first, so
 /// direct wins prediction ties.
-///
-/// Public because `ir-stripe`'s runner replays the identical probe
-/// phase: both modes must make the same decision from the same
-/// measurements.
-pub fn select_measure_all(
-    paths: &[PathSpec],
-    outcomes: &[Option<(f64, f64)>],
-) -> Option<(PathSpec, f64)> {
-    // (path, score, probe_rate); a non-finite direct prediction ranks
+fn select_measure_all(paths: &[PathSpec], outcomes: &[Option<(f64, f64)>]) -> Option<(usize, f64)> {
+    // (index, score, probe_rate); a non-finite direct prediction ranks
     // below every real measurement but still beats "nothing finished".
-    let mut best: Option<(PathSpec, f64, f64)> = None;
+    let mut best: Option<(usize, f64, f64)> = None;
     for (i, outcome) in outcomes.iter().enumerate() {
         let Some((rate, predicted)) = *outcome else {
             continue;
@@ -280,106 +289,210 @@ pub fn select_measure_all(
             Some((_, best_score, _)) => score > *best_score,
         };
         if wins {
-            best = Some((paths[i], score, rate));
+            best = Some((i, score, rate));
         }
     }
-    best.map(|(p, _, rate)| (p, rate))
+    best.map(|(i, _, rate)| (i, rate))
 }
 
-/// Runs one session; returns the full record (and feeds it back to the
-/// policy and predictor).
-#[allow(clippy::too_many_arguments)] // mirrors the protocol's free parameters
+/// What racing throws away and striping needs from the probe phase,
+/// per roster path. Collected only under [`SessionMode::Striped`], so
+/// a racing session issues no extra transport calls for it.
+struct StripeSeed {
+    /// When the probes launched (the losers' rate denominator).
+    t_probe: SimTime,
+    /// Initial rate estimate (0 = none).
+    init: Vec<f64>,
+    /// True where the probe finished and left a warm connection.
+    warm: Vec<bool>,
+}
+
+/// What the probe phase decided.
+struct ProbeDecision {
+    /// Roster index of the winning path.
+    winner: usize,
+    /// The winner's measured probe rate.
+    probe_rate: f64,
+    /// Present iff the session is striped.
+    stripe_seed: Option<StripeSeed>,
+}
+
+/// The probe phase: waits on the just-launched probes per
+/// `cfg.probe_mode` and cancels the losers. `None` means nothing
+/// finished inside the horizon (the probes are still in flight; the
+/// caller cancels them).
+fn decide_probe(
+    transport: &mut dyn Transport,
+    predictor: &mut dyn Predictor,
+    paths: &[PathSpec],
+    handles: &[Handle],
+    cfg: &SessionConfig,
+) -> Option<ProbeDecision> {
+    let mut stripe_seed = matches!(cfg.mode, SessionMode::Striped { .. }).then(|| StripeSeed {
+        t_probe: transport.now(),
+        init: vec![0.0; paths.len()],
+        warm: vec![false; paths.len()],
+    });
+    let (winner, probe_rate) = match cfg.probe_mode {
+        ProbeMode::FirstToFinish => {
+            let win = transport.race(handles, cfg.horizon)?;
+            let probe_rate = win.timing.throughput();
+            if let Some(seed) = &mut stripe_seed {
+                seed.init[win.index] = probe_rate;
+                seed.warm[win.index] = true;
+            }
+            for (i, &h) in handles.iter().enumerate() {
+                if i != win.index {
+                    // A loser's partial progress seeds its estimate
+                    // (`now` and `progress` are read-only).
+                    if let Some(seed) = &mut stripe_seed {
+                        let dt = (transport.now() - seed.t_probe).as_secs_f64();
+                        if dt > 0.0 {
+                            seed.init[i] = transport.progress(h) as f64 / dt;
+                        }
+                    }
+                    transport.cancel(h);
+                }
+            }
+            (win.index, probe_rate)
+        }
+        ProbeMode::MeasureAll => {
+            let timings: Vec<Option<Timing>> = handles
+                .iter()
+                .map(|&h| transport.finish(h, cfg.horizon))
+                .collect();
+            let outcomes: Vec<Option<(f64, f64)>> = timings
+                .iter()
+                .enumerate()
+                .map(|(i, t)| {
+                    t.as_ref().map(|t| {
+                        let rate = t.throughput();
+                        (rate, predictor.predict(&paths[i], rate))
+                    })
+                })
+                .collect();
+            let decision = select_measure_all(paths, &outcomes)?;
+            if let Some(seed) = &mut stripe_seed {
+                for (i, t) in timings.iter().enumerate() {
+                    seed.init[i] = t.as_ref().map(|t| t.throughput()).unwrap_or(0.0);
+                    seed.warm[i] = t.is_some();
+                }
+            }
+            decision
+        }
+    };
+    Some(ProbeDecision {
+        winner,
+        probe_rate,
+        stripe_seed,
+    })
+}
+
+/// Runs one session through a path selector: the selector-level entry
+/// point.
+///
+/// Asks `selector` for the indirect paths to probe — its `best_k` under
+/// [`SessionMode::Striped`] (the stripe width), `paths` otherwise —
+/// runs [`run_paths_session`] over them, and feeds the record back to
+/// the selector. With telemetry the decision is instrumented per
+/// policy name:
+///
+/// * counter `policy_decisions{policy}` — decisions taken;
+/// * counter `policy_probe_paths{policy}` — indirect paths emitted,
+///   i.e. the probe overhead this policy asks the network to pay;
+/// * a [`EventKind::SelectionDecision`] span carrying the policy name
+///   and path count.
+///
+/// Telemetry is strictly observational — the returned record is
+/// identical with `Some` or `None`.
 pub fn run_session(
     transport: &mut dyn Transport,
-    policy: &mut dyn SelectionPolicy,
+    selector: &mut dyn PathSelector,
     predictor: &mut dyn Predictor,
-    client: NodeId,
-    server: NodeId,
-    full_set: &[NodeId],
-    transfer_index: u64,
-    cfg: &SessionConfig,
-) -> TransferRecord {
-    run_session_traced(
-        transport,
-        policy,
-        predictor,
-        client,
-        server,
-        full_set,
-        transfer_index,
-        cfg,
-        None,
-    )
-}
-
-/// [`run_session`] with an optional telemetry handle. With `None` this
-/// is exactly `run_session`; with `Some` it additionally emits
-/// session-layer events (probe race, selection decision, fallback) and
-/// metrics. Telemetry is strictly observational — the returned record
-/// is identical either way.
-#[allow(clippy::too_many_arguments)] // traced twin of run_session; same signature
-pub fn run_session_traced(
-    transport: &mut dyn Transport,
-    policy: &mut dyn SelectionPolicy,
-    predictor: &mut dyn Predictor,
-    client: NodeId,
-    server: NodeId,
-    full_set: &[NodeId],
-    transfer_index: u64,
+    ctx: &PathCtx<'_>,
     cfg: &SessionConfig,
     tel: Option<&Telemetry>,
-) -> TransferRecord {
-    let ctx = SelectCtx {
-        client,
-        server,
-        full_set,
-        transfer_index,
+) -> (TransferRecord, StripeStats) {
+    let t0 = transport.now();
+    let paths = match cfg.mode {
+        SessionMode::Racing => selector.paths(ctx),
+        SessionMode::Striped { k, .. } => selector.best_k(ctx, k as usize),
     };
-    let candidates = policy.candidates(&ctx);
-    let paths: Vec<PathSpec> = candidates
-        .iter()
-        .map(|&via| PathSpec::indirect(client, server, via))
-        .collect();
-    let record = run_paths_session_traced(
+    let decided = transport.now();
+    debug_assert!(
+        paths.iter().all(|p| p.is_indirect()),
+        "selector {} returned the direct path as a candidate",
+        selector.name()
+    );
+
+    if let Some(tel) = tel {
+        let labels = vec![("policy", selector.name().to_string())];
+        tel.metrics
+            .counter("policy_decisions", labels.clone())
+            .inc();
+        tel.metrics
+            .counter("policy_probe_paths", labels)
+            .add(paths.len() as u64);
+        tel.tracer.record(
+            Event::span(
+                EventKind::SelectionDecision,
+                t0.as_micros(),
+                decided.as_micros().saturating_sub(t0.as_micros()),
+                ctx.transfer_index,
+            )
+            .with_str("policy", selector.name())
+            .with_u64("paths", paths.len() as u64)
+            .with_u64(
+                "max_hops",
+                paths.iter().map(|p| p.hop_count()).max().unwrap_or(0) as u64,
+            ),
+        );
+    }
+
+    let direct = PathSpec::direct(ctx.client, ctx.server);
+    let out = run_paths_session(
         transport,
         predictor,
-        client,
-        server,
+        direct,
         &paths,
-        candidates,
-        transfer_index,
+        ctx.transfer_index,
         cfg,
         tel,
     );
-    policy.observe(&record);
-    record
+    selector.observe(&out.0);
+    out
 }
 
-/// The path-plane session runner: races the direct path against an
-/// explicit, ordered list of indirect candidate paths (1-hop or
-/// multi-hop chains). [`run_session_traced`] is a thin wrapper that
-/// maps a [`SelectionPolicy`]'s relay candidates to 1-hop paths;
-/// `ir-policy` selectors call this directly with arbitrary chains.
+/// The session runner, path-level entry point: races `direct` (which
+/// names the client and the server) against an explicit, ordered list
+/// of indirect candidate paths (1-hop or multi-hop chains), then
+/// carries the remainder per `cfg.mode` and `cfg.failover`. Callers
+/// without a topology to select over — real sockets — enter here;
+/// [`run_session`] is this plus a [`PathSelector`] in front.
 ///
-/// `candidates` is recorded verbatim in the returned
-/// [`TransferRecord`] (the paper's "random set" bookkeeping). Paths
-/// the transport cannot resolve are dropped from the race — counted in
-/// the `path_unresolvable` metric and traced per path — rather than
-/// silently skipped or panicked on.
-#[allow(clippy::too_many_arguments)] // multi-hop twin of run_session_traced; same signature
-pub fn run_paths_session_traced(
+/// The record's `candidates` are the distinct first hops of
+/// `indirect_paths`, in probe order (the paper's "random set"
+/// bookkeeping). Paths the transport cannot resolve are dropped from
+/// the race — counted in the `path_unresolvable` metric and traced per
+/// path — rather than silently skipped or panicked on; under
+/// [`SessionMode::Striped`] the survivors are capped at the stripe
+/// width `k`, since the probe set *is* the stripe set.
+///
+/// The returned [`StripeStats`] are empty unless a striped remainder
+/// ran. Telemetry is strictly observational: with `None` nothing is
+/// emitted and the result is identical.
+pub fn run_paths_session(
     transport: &mut dyn Transport,
     predictor: &mut dyn Predictor,
-    client: NodeId,
-    server: NodeId,
+    direct: PathSpec,
     indirect_paths: &[PathSpec],
-    candidates: Vec<NodeId>,
     transfer_index: u64,
     cfg: &SessionConfig,
     tel: Option<&Telemetry>,
-) -> TransferRecord {
+) -> (TransferRecord, StripeStats) {
     cfg.validate();
-    let direct = PathSpec::direct(client, server);
+    assert!(!direct.is_indirect(), "{direct} is not a direct path");
+    let (client, server) = (direct.client, direct.server);
     let t0 = transport.now();
     if let Some(tel) = tel {
         tel.metrics.counter("session_started", vec![]).inc();
@@ -391,11 +504,20 @@ pub fn run_paths_session_traced(
         );
     }
 
+    // First hops, deduped in probe order: the relay-plane view of the
+    // decision, used for utilization accounting and reports.
+    let mut candidates: Vec<NodeId> = Vec::with_capacity(indirect_paths.len());
+    for via in indirect_paths.iter().filter_map(|p| p.via()) {
+        if !candidates.contains(&via) {
+            candidates.push(via);
+        }
+    }
+
     // Drop candidate paths the transport cannot carry (missing links).
     // The paper's 1-hop star always resolves; multi-hop chains from
     // generative policies may not, and a silent skip would corrupt the
     // probe-overhead accounting of tournament runs.
-    let candidate_paths: Vec<PathSpec> = indirect_paths
+    let mut candidate_paths: Vec<PathSpec> = indirect_paths
         .iter()
         .filter(|p| {
             let ok = transport.resolvable(p);
@@ -416,6 +538,9 @@ pub fn run_paths_session_traced(
         })
         .copied()
         .collect();
+    if let SessionMode::Striped { k, .. } = cfg.mode {
+        candidate_paths.truncate(k as usize);
+    }
 
     // Control process: whole file on the direct path.
     let control = match cfg.control {
@@ -430,21 +555,17 @@ pub fn run_paths_session_traced(
     };
 
     // Selecting process.
-    let (
-        selected,
-        probe_throughput,
-        path_rate,
-        probe_timeout,
-        finished_ok,
-        failovers,
-        stall_ms,
-        abandoned,
-    ) = if candidate_paths.is_empty() {
+    let mut stats = StripeStats::default();
+    let (probe_throughput, probe_timeout, rem) = if candidate_paths.is_empty() {
         // Direct-only: no probe phase; the whole file goes direct.
         let h = transport.begin(&direct, cfg.file_bytes);
         let t = transport.finish(h, cfg.horizon);
         let rate = t.map(|t| t.throughput()).unwrap_or(f64::NAN);
-        (direct, f64::NAN, rate, false, t.is_some(), 0, 0, false)
+        (
+            f64::NAN,
+            false,
+            Remainder::single(direct, t.is_some(), rate),
+        )
     } else {
         let paths: Vec<PathSpec> = std::iter::once(direct)
             .chain(candidate_paths.iter().copied())
@@ -466,39 +587,9 @@ pub fn run_paths_session_traced(
             );
         }
 
-        let decision = match cfg.probe_mode {
-            ProbeMode::FirstToFinish => match transport.race(&handles, cfg.horizon) {
-                Some(win) => {
-                    for (i, &h) in handles.iter().enumerate() {
-                        if i != win.index {
-                            transport.cancel(h);
-                        }
-                    }
-                    Some((paths[win.index], win.timing.throughput()))
-                }
-                None => None,
-            },
-            ProbeMode::MeasureAll => {
-                let timings: Vec<Option<Timing>> = handles
-                    .iter()
-                    .map(|&h| transport.finish(h, cfg.horizon))
-                    .collect();
-                let outcomes: Vec<Option<(f64, f64)>> = timings
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| {
-                        t.as_ref().map(|t| {
-                            let rate = t.throughput();
-                            (rate, predictor.predict(&paths[i], rate))
-                        })
-                    })
-                    .collect();
-                select_measure_all(&paths, &outcomes)
-            }
-        };
-
-        match decision {
-            Some((path, probe_rate)) => {
+        match decide_probe(transport, predictor, &paths, &handles, cfg) {
+            Some(probe) => {
+                let path = paths[probe.winner];
                 if let Some(tel) = tel {
                     let now_us = transport.now().as_micros();
                     let mut won = Event::new(EventKind::ProbeWon, now_us, transfer_index)
@@ -510,7 +601,7 @@ pub fn run_paths_session_traced(
                                 "direct"
                             },
                         )
-                        .with_f64("probe_rate", probe_rate);
+                        .with_f64("probe_rate", probe.probe_rate);
                     if let Some(via) = path.via() {
                         won = won.with_u64("via", via.0 as u64);
                     }
@@ -523,44 +614,47 @@ pub fn run_paths_session_traced(
                         );
                     }
                 }
-                match cfg.failover {
-                    None => {
-                        // The remainder rides the winning probe's warm
-                        // connection (another Range request, §2.1).
-                        let rem = transport.begin_warm(&path, cfg.file_bytes - cfg.probe_bytes);
-                        let (ok, rate) = match transport.finish(rem, cfg.horizon) {
-                            Some(t) => {
-                                // Feed the realized remainder rate back.
-                                predictor.observe(&path, t.throughput());
-                                (true, t.throughput())
-                            }
-                            None => (false, f64::NAN),
-                        };
-                        (path, probe_rate, rate, false, ok, 0, 0, false)
+                // What varies between sessions is only how the
+                // remainder is carried.
+                let rem = match (cfg.mode, cfg.failover) {
+                    (SessionMode::Racing, None) => {
+                        run_remainder_warm(transport, predictor, path, cfg)
                     }
-                    Some(fo) => {
-                        let out = run_remainder_failover(
+                    (SessionMode::Racing, Some(fo)) => run_remainder_failover(
+                        transport,
+                        predictor,
+                        path,
+                        &paths,
+                        cfg,
+                        &fo,
+                        transfer_index,
+                        tel,
+                    ),
+                    (
+                        SessionMode::Striped {
+                            chunks, rebalance, ..
+                        },
+                        _,
+                    ) => {
+                        let seed = probe.stripe_seed.expect("collected under Striped");
+                        let (rem, st) = run_striped_remainder(
                             transport,
                             predictor,
-                            path,
                             &paths,
+                            probe.winner,
+                            &seed.init,
+                            &seed.warm,
+                            chunks,
+                            &rebalance,
                             cfg,
-                            &fo,
                             transfer_index,
                             tel,
                         );
-                        (
-                            out.path,
-                            probe_rate,
-                            out.rate,
-                            false,
-                            out.finished,
-                            out.failovers,
-                            out.stall_ms,
-                            out.abandoned,
-                        )
+                        stats = st;
+                        rem
                     }
-                }
+                };
+                (probe.probe_rate, false, rem)
             }
             None => {
                 // Probe race timed out entirely; cancel everything and
@@ -580,7 +674,7 @@ pub fn run_paths_session_traced(
                 }
                 let h = transport.begin(&direct, cfg.file_bytes);
                 let ok = transport.finish(h, cfg.horizon).is_some();
-                (direct, f64::NAN, f64::NAN, true, ok, 0, 0, false)
+                (f64::NAN, true, Remainder::single(direct, ok, f64::NAN))
             }
         }
     };
@@ -591,7 +685,7 @@ pub fn run_paths_session_traced(
     // throughput of ~0 rather than a fabricated number.
     let t_end = transport.now();
     let wall = (t_end - t0).as_secs_f64();
-    let selected_throughput = if finished_ok && wall > 0.0 {
+    let selected_throughput = if rem.finished && wall > 0.0 {
         cfg.file_bytes as f64 / wall
     } else {
         0.0
@@ -616,16 +710,16 @@ pub fn run_paths_session_traced(
         server,
         started: t0,
         file_bytes: cfg.file_bytes,
-        selected,
+        selected: rem.path,
         candidates,
         direct_throughput,
         selected_throughput,
         probe_throughput,
-        selected_path_rate: path_rate,
+        selected_path_rate: rem.rate,
         probe_timeout,
-        failovers,
-        stall_ms,
-        abandoned,
+        failovers: rem.failovers,
+        stall_ms: rem.stall_ms,
+        abandoned: rem.abandoned,
     };
     if let Some(tel) = tel {
         let wall_us = (t_end - t0).as_micros();
@@ -644,222 +738,21 @@ pub fn run_paths_session_traced(
             .with_f64("direct_bps", record.direct_throughput)
             .with_f64("selected_bps", record.selected_throughput),
         );
-    }
-    record
-}
-
-/// Outcome of the failover-enabled remainder phase.
-struct RemainderOutcome {
-    /// The path that ultimately carried (or failed to carry) the file.
-    path: PathSpec,
-    /// True if the full remainder was delivered before the horizon.
-    finished: bool,
-    /// Realized remainder rate: remainder bytes over remainder wall
-    /// time (NaN when abandoned).
-    rate: f64,
-    /// Mid-transfer path switches performed.
-    failovers: u32,
-    /// Milliseconds spent stalled (zero-progress windows + backoffs).
-    stall_ms: u64,
-    /// True if every retry and surviving candidate was exhausted.
-    abandoned: bool,
-}
-
-/// The remainder phase with stall detection, retry/backoff, and
-/// mid-transfer failover.
-///
-/// The transfer is watched in windows of `fo.stall_timeout`. A window
-/// that delivers bytes just keeps waiting on the same flow; a window
-/// with **zero** progress declares the path stalled. Stalls trigger up
-/// to `fo.max_retries` fresh connections on the same path (exponential
-/// backoff between them), after which the path is abandoned for good
-/// and the best *surviving* candidate — decided by a fresh probe race
-/// over every path not yet declared dead — takes over the rest of the
-/// file. The overall deadline is still `cfg.horizon` from the start of
-/// the remainder; when it expires (or no candidate survives) the
-/// transfer is abandoned.
-#[allow(clippy::too_many_arguments)] // failover tail shares the session's full parameter set
-fn run_remainder_failover(
-    transport: &mut dyn Transport,
-    predictor: &mut dyn Predictor,
-    start_path: PathSpec,
-    all_paths: &[PathSpec],
-    cfg: &SessionConfig,
-    fo: &FailoverConfig,
-    transfer_index: u64,
-    tel: Option<&Telemetry>,
-) -> RemainderOutcome {
-    let total = cfg.file_bytes - cfg.probe_bytes;
-    let started = transport.now();
-    let deadline = started + cfg.horizon;
-    let mut path = start_path;
-    // Candidates not yet declared dead (current path excluded).
-    let mut survivors: Vec<PathSpec> = all_paths.iter().filter(|&&p| p != path).copied().collect();
-    let mut remaining = total;
-    let mut failovers = 0u32;
-    let mut stall_ms = 0u64;
-    let mut attempt = 0u32;
-    let mut backoff = fo.initial_backoff;
-
-    let abandon = |path: PathSpec, failovers: u32, stall_ms: u64, tel: Option<&Telemetry>| {
-        if let Some(tel) = tel {
-            tel.metrics.counter("session_abandoned", vec![]).inc();
-        }
-        RemainderOutcome {
-            path,
-            finished: false,
-            rate: f64::NAN,
-            failovers,
-            stall_ms,
-            abandoned: true,
-        }
-    };
-    let done = |path: PathSpec,
-                end: ir_simnet::time::SimTime,
-                failovers: u32,
-                stall_ms: u64,
-                predictor: &mut dyn Predictor| {
-        let wall = (end - started).as_secs_f64();
-        let rate = if wall > 0.0 {
-            total as f64 / wall
-        } else {
-            f64::INFINITY
-        };
-        // Feed the realized remainder rate back.
-        predictor.observe(&path, rate);
-        RemainderOutcome {
-            path,
-            finished: true,
-            rate,
-            failovers,
-            stall_ms,
-            abandoned: false,
-        }
-    };
-
-    // First attempt rides the winning probe's warm connection (another
-    // Range request, §2.1).
-    let mut handle = transport.begin_warm(&path, remaining);
-    let mut seen = 0u64; // bytes observed on the current handle
-    loop {
-        let now = transport.now();
-        if now >= deadline {
-            transport.cancel(handle);
-            return abandon(path, failovers, stall_ms, tel);
-        }
-        let window = fo.stall_timeout.min(deadline - now);
-        if let Some(t) = transport.finish(handle, window) {
-            return done(path, t.finished, failovers, stall_ms, predictor);
-        }
-        let delivered = transport.progress(handle);
-        if delivered > seen {
-            // Progressing, merely slower than the window: keep waiting.
-            seen = delivered;
-            continue;
-        }
-
-        // A full window with zero progress: the path is stalled.
-        stall_ms += window.as_micros() / 1000;
-        transport.cancel(handle);
-        remaining = remaining.saturating_sub(delivered);
-        attempt += 1;
-        if attempt <= fo.max_retries {
-            // Retry the same path on a fresh connection after backoff.
-            if let Some(tel) = tel {
-                tel.metrics.counter("session_stall_retries", vec![]).inc();
-                tel.tracer.record(
-                    Event::new(
-                        EventKind::Retry,
-                        transport.now().as_micros(),
-                        transfer_index,
-                    )
-                    .with_str("fallback", "same_path")
-                    .with_u64("attempt", attempt as u64)
-                    .with_u64("backoff_us", backoff.as_micros()),
-                );
-            }
-            transport.sleep(backoff);
-            stall_ms += backoff.as_micros() / 1000;
-            backoff = SimDuration::from_micros(backoff.as_micros().saturating_mul(2));
-            if transport.now() >= deadline {
-                return abandon(path, failovers, stall_ms, tel);
-            }
-            handle = transport.begin(&path, remaining);
-            seen = 0;
-            continue;
-        }
-
-        // Retries exhausted: the path is dead to this session. Fail
-        // over to the best surviving candidate via a fresh probe race.
-        failovers += 1;
-        if let Some(tel) = tel {
-            tel.metrics.counter("session_failovers", vec![]).inc();
-            tel.tracer.record(
-                Event::new(
-                    EventKind::PathFailover,
-                    transport.now().as_micros(),
-                    transfer_index,
-                )
-                .with_str(
-                    "from",
-                    if path.is_indirect() {
-                        "indirect"
-                    } else {
-                        "direct"
-                    },
-                )
-                .with_u64("survivors", survivors.len() as u64)
-                .with_u64("remaining_bytes", remaining),
-            );
-        }
-        if survivors.is_empty() {
-            return abandon(path, failovers, stall_ms, tel);
-        }
-        let now = transport.now();
-        if now >= deadline {
-            return abandon(path, failovers, stall_ms, tel);
-        }
-        let window = fo.stall_timeout.min(deadline - now);
-        let chunk = remaining.min(cfg.probe_bytes);
-        let handles: Vec<Handle> = survivors
-            .iter()
-            .map(|p| transport.begin(p, chunk))
-            .collect();
-        match transport.race(&handles, window) {
-            Some(win) => {
-                for (i, &h) in handles.iter().enumerate() {
-                    if i != win.index {
-                        transport.cancel(h);
-                    }
-                }
-                path = survivors.remove(win.index);
-                remaining -= chunk;
-                if remaining == 0 {
-                    return done(path, win.timing.finished, failovers, stall_ms, predictor);
-                }
-                attempt = 0;
-                backoff = fo.initial_backoff;
-                // The rest rides the race winner's warm connection.
-                handle = transport.begin_warm(&path, remaining);
-                seen = 0;
-            }
-            None => {
-                // No survivor moved the chunk inside the window: the
-                // network is gone as far as this session can tell.
-                for &h in &handles {
-                    transport.cancel(h);
-                }
-                stall_ms += window.as_micros() / 1000;
-                return abandon(path, failovers, stall_ms, tel);
+        for s in &stats.per_path {
+            if s.chunks > 0 {
+                tel.metrics
+                    .counter("stripe_path_chunks", vec![("path", s.path.to_string())])
+                    .add(s.chunks);
             }
         }
     }
+    (record, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{DirectOnly, StaticSingle};
+    use crate::policy::{DirectOnly, RandomSet, StaticSingle};
     use crate::predictor::FirstPortion;
     use crate::sim_transport::SimTransport;
     use ir_simnet::bandwidth::ConstantProcess;
@@ -883,15 +776,37 @@ mod tests {
         (SimTransport::new(net), c, v, s)
     }
 
+    /// One session through the selector-level entry: transfer `index`
+    /// between `ends` = (client, server).
+    fn run_at(
+        tp: &mut SimTransport,
+        selector: &mut dyn PathSelector,
+        ends: (NodeId, NodeId),
+        full: &[NodeId],
+        index: u64,
+        cfg: &SessionConfig,
+        tel: Option<&Telemetry>,
+    ) -> TransferRecord {
+        let topo = tp.network().topology().clone();
+        let ctx = PathCtx {
+            client: ends.0,
+            server: ends.1,
+            relays: full,
+            topo: &topo,
+            transfer_index: index,
+        };
+        run_session(tp, selector, &mut FirstPortion, &ctx, cfg, tel).0
+    }
+
     fn run(
         tp: &mut SimTransport,
-        policy: &mut dyn SelectionPolicy,
+        selector: &mut dyn PathSelector,
         c: NodeId,
         s: NodeId,
         full: &[NodeId],
         cfg: &SessionConfig,
     ) -> TransferRecord {
-        run_session(tp, policy, &mut FirstPortion, c, s, full, 0, cfg)
+        run_at(tp, selector, (c, s), full, 0, cfg, None)
     }
 
     fn sel_paths() -> Vec<PathSpec> {
@@ -907,7 +822,7 @@ mod tests {
         let paths = sel_paths();
         let picked = select_measure_all(&paths, &[Some((100.0, 100.0)), Some((100.0, 100.0))])
             .expect("both probes finished");
-        assert!(!picked.0.is_indirect(), "tie must keep the direct path");
+        assert_eq!(picked.0, 0, "tie must keep the direct path");
         assert_eq!(picked.1, 100.0);
     }
 
@@ -916,7 +831,7 @@ mod tests {
         let paths = sel_paths();
         let picked = select_measure_all(&paths, &[Some((100.0, 100.0)), Some((101.0, 101.0))])
             .expect("both probes finished");
-        assert!(picked.0.is_indirect());
+        assert!(paths[picked.0].is_indirect());
     }
 
     #[test]
@@ -926,12 +841,12 @@ mod tests {
             // Dead indirect probe vs a modest direct: direct wins.
             let picked = select_measure_all(&paths, &[Some((10.0, 10.0)), Some((bad, bad))])
                 .expect("direct finished");
-            assert!(!picked.0.is_indirect(), "indirect won on probe rate {bad}");
+            assert_eq!(picked.0, 0, "indirect won on probe rate {bad}");
             // Even when the *direct* probe also died, a dead indirect
             // probe must not be promoted.
             let picked = select_measure_all(&paths, &[None, Some((bad, bad))]);
             assert!(
-                picked.is_none_or(|(p, _)| !p.is_indirect()),
+                picked.is_none_or(|(i, _)| i == 0),
                 "dead indirect probe selected on rate {bad}"
             );
         }
@@ -945,12 +860,12 @@ mod tests {
         let paths = sel_paths();
         let picked = select_measure_all(&paths, &[Some((5.0, 5.0)), Some((50.0, f64::NAN))])
             .expect("direct finished");
-        assert!(!picked.0.is_indirect());
+        assert_eq!(picked.0, 0);
         // And a NaN direct prediction still beats "nothing at all" —
         // the session falls back to direct, never to a dead relay.
         let picked = select_measure_all(&paths, &[Some((f64::NAN, f64::NAN)), None])
             .expect("direct is the fallback");
-        assert!(!picked.0.is_indirect());
+        assert_eq!(picked.0, 0);
     }
 
     #[test]
@@ -1054,12 +969,10 @@ mod tests {
 
         let (mut tp2, c2, v2, s2) = world(100_000.0, 800_000.0);
         let tel = Telemetry::new();
-        let traced = run_session_traced(
+        let traced = run_at(
             &mut tp2,
             &mut StaticSingle(v2),
-            &mut FirstPortion,
-            c2,
-            s2,
+            (c2, s2),
             &[v2],
             0,
             &cfg,
@@ -1091,12 +1004,10 @@ mod tests {
         let mut cfg = SessionConfig::paper_defaults();
         cfg.horizon = SimDuration::from_secs(5);
         let tel = Telemetry::new();
-        let rec = run_session_traced(
+        let rec = run_at(
             &mut tp,
             &mut StaticSingle(v),
-            &mut FirstPortion,
-            c,
-            s,
+            (c, s),
             &[v],
             3,
             &cfg,
@@ -1120,6 +1031,47 @@ mod tests {
         let mut cfg = SessionConfig::paper_defaults();
         cfg.file_bytes = cfg.probe_bytes;
         cfg.validate();
+    }
+
+    /// A striped session would drop a `FailoverConfig` without a word;
+    /// the combination is rejected instead, naming the striped
+    /// equivalent.
+    #[test]
+    #[should_panic(expected = "stall-death reassignment (RebalanceConfig.stall_window)")]
+    fn striped_with_failover_is_rejected() {
+        let mut cfg = SessionConfig::paper_defaults();
+        cfg.mode = SessionMode::Striped {
+            chunks: 4,
+            k: 1,
+            rebalance: RebalanceConfig::paper_defaults(),
+        };
+        cfg.failover = Some(FailoverConfig::paper_defaults());
+        cfg.validate();
+    }
+
+    /// The selector-level entry reports each decision per policy:
+    /// counters labelled with the selector's name plus one
+    /// `SelectionDecision` span per session.
+    #[test]
+    fn decision_telemetry_is_emitted_per_policy() {
+        let (mut tp, c, v, s) = world(100_000.0, 400_000.0);
+        let mut sel = RandomSet::new(2, 9);
+        let tel = Telemetry::new();
+        let cfg = SessionConfig::paper_defaults();
+        for k in 0..3 {
+            run_at(&mut tp, &mut sel, (c, s), &[v], k, &cfg, Some(&tel));
+        }
+        let labels = vec![("policy", "random-set".to_string())];
+        let snap = tel.metrics.snapshot();
+        assert_eq!(snap.counter("policy_decisions", &labels), Some(3));
+        assert_eq!(snap.counter("policy_probe_paths", &labels), Some(3));
+        let decisions = tel
+            .tracer
+            .snapshot()
+            .iter()
+            .filter(|e| e.kind == EventKind::SelectionDecision)
+            .count();
+        assert_eq!(decisions, 3);
     }
 
     /// Like [`world`], but with a fault plan installed. The closure
@@ -1234,12 +1186,10 @@ mod tests {
         cfg.failover = Some(quick_failover());
         let tel = std::sync::Arc::new(Telemetry::new());
         tp.network_mut().set_telemetry(Some(tel.clone()));
-        let rec = run_session_traced(
+        let rec = run_at(
             &mut tp,
             &mut StaticSingle(v),
-            &mut FirstPortion,
-            c,
-            s,
+            (c, s),
             &[v],
             7,
             &cfg,
@@ -1273,17 +1223,16 @@ mod tests {
             PathSpec::indirect(c, s, v),
         ];
         let tel = Telemetry::new();
-        let rec = run_paths_session_traced(
+        let (rec, _) = run_paths_session(
             &mut tp,
             &mut FirstPortion,
-            c,
-            s,
+            PathSpec::direct(c, s),
             &paths,
-            vec![ghost, v],
             0,
             &SessionConfig::paper_defaults(),
             Some(&tel),
         );
+        assert_eq!(rec.candidates, vec![ghost, v], "distinct first hops");
         // The resolvable indirect path still raced (and, being 3×
         // direct, won).
         assert!(rec.chose_indirect());

@@ -1,22 +1,22 @@
-//! Differential and fault-injection tests for the striped runner.
+//! Differential and fault-injection tests for the striped remainder.
 //!
-//! The load-bearing guarantee: `SessionMode::Striped { chunks: 1,
-//! k: 1 }` on a healthy network produces a record **bit-identical** to
-//! the racing runner's. Everything striping adds (multi-chunk fan-out,
-//! drift stealing, stall-death reassignment) must therefore be visible
-//! only on the geometries it exists for.
+//! The load-bearing guarantee: `SessionMode::Striped` at one chunk on a
+//! healthy network produces a record **bit-identical** to
+//! `SessionMode::Racing` over the same candidates. Everything striping
+//! adds (multi-chunk fan-out, drift stealing, stall-death reassignment)
+//! must therefore be visible only on the geometries it exists for.
 
 use ir_core::predictor::FirstPortion;
 use ir_core::sim_transport::SimTransport;
 use ir_core::{
-    run_paths_session_traced, PathSpec, ProbeMode, RebalanceConfig, SessionConfig, SessionMode,
+    run_paths_session, PathSpec, ProbeMode, RebalanceConfig, SessionConfig, SessionMode,
+    StripeStats, TransferRecord,
 };
 use ir_simnet::bandwidth::ConstantProcess;
 use ir_simnet::faults::FaultPlan;
 use ir_simnet::sim::Network;
 use ir_simnet::time::{SimDuration, SimTime};
 use ir_simnet::topology::{LinkId, NodeId, NodeKind, Topology};
-use ir_stripe::{run_striped_paths_session_stats, run_striped_paths_session_traced};
 use ir_telemetry::trace::EventKind;
 use ir_telemetry::Telemetry;
 
@@ -47,6 +47,28 @@ fn faulty_world(
     (SimTransport::new(net), c, v, s)
 }
 
+/// A healthy star: the direct path at `direct_rate` plus one relay per
+/// entry of `overlay_rates` (client→relay leg; the relay→server legs
+/// are effectively unconstrained).
+fn star(direct_rate: f64, overlay_rates: &[f64]) -> (SimTransport, NodeId, Vec<NodeId>, NodeId) {
+    let mut t = Topology::new();
+    let c = t.add_node("client", NodeKind::Client);
+    let s = t.add_node("server", NodeKind::Server);
+    let mut planned = vec![(t.add_link(c, s, SimDuration::from_millis(80)), direct_rate)];
+    let mut vias = Vec::new();
+    for (i, &rate) in overlay_rates.iter().enumerate() {
+        let v = t.add_node(format!("relay{i}"), NodeKind::Intermediate);
+        planned.push((t.add_link(c, v, SimDuration::from_millis(50)), rate));
+        planned.push((t.add_link(v, s, SimDuration::from_millis(15)), 50e6));
+        vias.push(v);
+    }
+    let mut net = Network::new(t, 1.0);
+    for (l, rate) in planned {
+        net.set_link_process(l, Box::new(ConstantProcess::new(rate)));
+    }
+    (SimTransport::new(net), c, vias, s)
+}
+
 fn striped(chunks: u32, k: u32) -> SessionConfig {
     let mut cfg = SessionConfig::paper_defaults();
     cfg.mode = SessionMode::Striped {
@@ -57,44 +79,36 @@ fn striped(chunks: u32, k: u32) -> SessionConfig {
     cfg
 }
 
-fn run_racing(
+/// One session over the direct path plus one candidate per relay in
+/// `vias`, whatever `cfg.mode` says.
+fn run_over(
     tp: &mut SimTransport,
     c: NodeId,
-    v: NodeId,
+    vias: &[NodeId],
     s: NodeId,
     cfg: &SessionConfig,
-) -> ir_core::TransferRecord {
-    run_paths_session_traced(
+    tel: Option<&Telemetry>,
+) -> (TransferRecord, StripeStats) {
+    let paths: Vec<PathSpec> = vias.iter().map(|&v| PathSpec::indirect(c, s, v)).collect();
+    run_paths_session(
         tp,
         &mut FirstPortion,
-        c,
-        s,
-        &[PathSpec::indirect(c, s, v)],
-        vec![v],
+        PathSpec::direct(c, s),
+        &paths,
         0,
         cfg,
-        None,
+        tel,
     )
 }
 
-fn run_striped(
+fn run(
     tp: &mut SimTransport,
     c: NodeId,
     v: NodeId,
     s: NodeId,
     cfg: &SessionConfig,
-) -> (ir_core::TransferRecord, ir_stripe::StripeStats) {
-    run_striped_paths_session_stats(
-        tp,
-        &mut FirstPortion,
-        c,
-        s,
-        &[PathSpec::indirect(c, s, v)],
-        vec![v],
-        0,
-        cfg,
-        None,
-    )
+) -> (TransferRecord, StripeStats) {
+    run_over(tp, c, &[v], s, cfg, None)
 }
 
 /// The tentpole identity: one chunk, k = 1, healthy network — the
@@ -110,10 +124,11 @@ fn single_chunk_k1_is_bit_identical_to_racing() {
             striped_cfg.probe_mode = probe_mode;
 
             let (mut tp1, c1, v1, s1) = world(direct, overlay);
-            let raced = run_racing(&mut tp1, c1, v1, s1, &racing_cfg);
+            let (raced, no_stats) = run(&mut tp1, c1, v1, s1, &racing_cfg);
+            assert!(no_stats.per_path.is_empty(), "racing has no stripe stats");
 
             let (mut tp2, c2, v2, s2) = world(direct, overlay);
-            let (striped_rec, stats) = run_striped(&mut tp2, c2, v2, s2, &striped_cfg);
+            let (striped_rec, stats) = run(&mut tp2, c2, v2, s2, &striped_cfg);
 
             assert_eq!(
                 raced, striped_rec,
@@ -127,16 +142,34 @@ fn single_chunk_k1_is_bit_identical_to_racing() {
     }
 }
 
-/// Racing-mode configs pass through to the `ir-core` runner untouched.
+/// The generalisation the shared prologue makes true by construction:
+/// at one chunk the stripe width does not matter — `Striped { chunks:
+/// 1, k: N }` over N healthy candidates is the racing record over the
+/// same N, bit for bit, in both probe modes.
 #[test]
-fn racing_mode_delegates_to_core() {
-    let cfg = SessionConfig::paper_defaults();
-    let (mut tp1, c1, v1, s1) = world(100_000.0, 800_000.0);
-    let raced = run_racing(&mut tp1, c1, v1, s1, &cfg);
-    let (mut tp2, c2, v2, s2) = world(100_000.0, 800_000.0);
-    let (delegated, stats) = run_striped(&mut tp2, c2, v2, s2, &cfg);
-    assert_eq!(raced, delegated);
-    assert!(stats.per_path.is_empty(), "racing mode has no stripe stats");
+fn single_chunk_kn_is_bit_identical_to_racing_over_n() {
+    for n in [2usize, 3] {
+        for probe_mode in [ProbeMode::FirstToFinish, ProbeMode::MeasureAll] {
+            let mut racing_cfg = SessionConfig::paper_defaults();
+            racing_cfg.probe_mode = probe_mode;
+            let mut striped_cfg = striped(1, n as u32);
+            striped_cfg.probe_mode = probe_mode;
+
+            let overlays = &[500_000.0, 900_000.0, 300_000.0][..n];
+            let (mut tp1, c1, vias1, s1) = star(200_000.0, overlays);
+            let (raced, _) = run_over(&mut tp1, c1, &vias1, s1, &racing_cfg, None);
+
+            let (mut tp2, c2, vias2, s2) = star(200_000.0, overlays);
+            let (striped_rec, stats) = run_over(&mut tp2, c2, &vias2, s2, &striped_cfg, None);
+
+            assert_eq!(
+                raced, striped_rec,
+                "striped {{1, {n}}} diverged from racing over {n} ({probe_mode:?})"
+            );
+            assert_eq!(stats.per_path.len(), n + 1, "direct + {n} candidates");
+            assert_eq!(stats.per_path.iter().map(|p| p.chunks).sum::<u64>(), 1);
+        }
+    }
 }
 
 /// Telemetry is strictly observational: a traced striped session
@@ -145,22 +178,16 @@ fn racing_mode_delegates_to_core() {
 fn traced_striped_session_is_bit_identical_and_counts_chunks() {
     let cfg = striped(6, 1);
     let (mut tp1, c1, v1, s1) = world(100_000.0, 800_000.0);
-    let (plain, stats) = run_striped(&mut tp1, c1, v1, s1, &cfg);
+    let (plain, stats) = run(&mut tp1, c1, v1, s1, &cfg);
 
     let (mut tp2, c2, v2, s2) = world(100_000.0, 800_000.0);
     let tel = Telemetry::new();
-    let traced = run_striped_paths_session_traced(
-        &mut tp2,
-        &mut FirstPortion,
-        c2,
-        s2,
-        &[PathSpec::indirect(c2, s2, v2)],
-        vec![v2],
-        0,
-        &cfg,
-        Some(&tel),
-    );
+    let (traced, traced_stats) = run_over(&mut tp2, c2, &[v2], s2, &cfg, Some(&tel));
     assert_eq!(plain, traced, "telemetry changed the record");
+    assert_eq!(
+        stats, traced_stats,
+        "telemetry changed the chunk accounting"
+    );
     let snap = tel.metrics.snapshot();
     assert_eq!(snap.counter("session_started", &vec![]), Some(1));
     assert_eq!(snap.counter("stripe_chunks_completed", &vec![]), Some(6));
@@ -183,7 +210,7 @@ fn traced_striped_session_is_bit_identical_and_counts_chunks() {
 fn multi_chunk_striping_uses_both_paths_and_completes() {
     let cfg = striped(8, 1);
     let (mut tp, c, v, s) = world(400_000.0, 800_000.0);
-    let (rec, stats) = run_striped(&mut tp, c, v, s, &cfg);
+    let (rec, stats) = run(&mut tp, c, v, s, &cfg);
     assert!(!rec.abandoned);
     assert!(rec.selected_throughput > 0.0);
     assert_eq!(stats.per_path.iter().map(|p| p.chunks).sum::<u64>(), 8);
@@ -213,12 +240,12 @@ fn striping_beats_racing_on_stale_prediction_brownout() {
     racing_cfg.failover = Some(ir_core::FailoverConfig::paper_defaults());
     racing_cfg.horizon = SimDuration::from_secs(3600);
     let (mut tp1, c1, v1, s1) = faulty_world(100_000.0, 800_000.0, brownout);
-    let raced = run_racing(&mut tp1, c1, v1, s1, &racing_cfg);
+    let (raced, _) = run(&mut tp1, c1, v1, s1, &racing_cfg);
 
     let mut striped_cfg = striped(8, 1);
     striped_cfg.horizon = SimDuration::from_secs(3600);
     let (mut tp2, c2, v2, s2) = faulty_world(100_000.0, 800_000.0, brownout);
-    let (striped_rec, stats) = run_striped(&mut tp2, c2, v2, s2, &striped_cfg);
+    let (striped_rec, stats) = run(&mut tp2, c2, v2, s2, &striped_cfg);
 
     assert!(!raced.abandoned && !striped_rec.abandoned);
     assert!(
@@ -259,17 +286,7 @@ fn path_death_mid_transfer_is_reassigned_and_survives() {
     }
     let (mut tp, c, v, s) = faulty_world(100_000.0, 800_000.0, outage);
     let tel = Telemetry::new();
-    let (rec, stats) = run_striped_paths_session_stats(
-        &mut tp,
-        &mut FirstPortion,
-        c,
-        s,
-        &[PathSpec::indirect(c, s, v)],
-        vec![v],
-        0,
-        &cfg,
-        Some(&tel),
-    );
+    let (rec, stats) = run_over(&mut tp, c, &[v], s, &cfg, Some(&tel));
     assert!(!rec.abandoned, "direct path survived");
     assert!(rec.selected_throughput > 0.0);
     assert!(stats.deaths >= 1);
@@ -302,7 +319,7 @@ fn abandons_when_every_path_dies() {
         rebalance.stall_window = SimDuration::from_secs(5);
     }
     let (mut tp, c, v, s) = faulty_world(100_000.0, 300_000.0, all_dead);
-    let (rec, stats) = run_striped(&mut tp, c, v, s, &cfg);
+    let (rec, stats) = run(&mut tp, c, v, s, &cfg);
     assert!(rec.abandoned);
     assert_eq!(rec.selected_throughput, 0.0, "no fabricated throughput");
     assert!(stats.deaths >= 2, "both paths declared dead");
@@ -317,7 +334,7 @@ fn striped_sessions_are_deterministic() {
     let mut outcomes = Vec::new();
     for _ in 0..2 {
         let (mut tp, c, v, s) = world(400_000.0, 800_000.0);
-        outcomes.push(run_striped(&mut tp, c, v, s, &cfg));
+        outcomes.push(run(&mut tp, c, v, s, &cfg));
     }
     assert_eq!(outcomes[0].0, outcomes[1].0, "records diverged");
     assert_eq!(outcomes[0].1, outcomes[1].1, "stripe stats diverged");
@@ -327,38 +344,24 @@ fn striped_sessions_are_deterministic() {
 /// first candidate is probed or striped over.
 #[test]
 fn k_caps_the_probe_and_stripe_set() {
-    let mut t = Topology::new();
-    let c = t.add_node("client", NodeKind::Client);
-    let v1 = t.add_node("relay1", NodeKind::Intermediate);
-    let v2 = t.add_node("relay2", NodeKind::Intermediate);
-    let s = t.add_node("server", NodeKind::Server);
-    let l_cs = t.add_link(c, s, SimDuration::from_millis(80));
-    let l_cv1 = t.add_link(c, v1, SimDuration::from_millis(50));
-    let l_v1s = t.add_link(v1, s, SimDuration::from_millis(15));
-    let l_cv2 = t.add_link(c, v2, SimDuration::from_millis(50));
-    let l_v2s = t.add_link(v2, s, SimDuration::from_millis(15));
-    let mut net = Network::new(t, 1.0);
-    net.set_link_process(l_cs, Box::new(ConstantProcess::new(200_000.0)));
-    net.set_link_process(l_cv1, Box::new(ConstantProcess::new(500_000.0)));
-    net.set_link_process(l_v1s, Box::new(ConstantProcess::new(50e6)));
-    net.set_link_process(l_cv2, Box::new(ConstantProcess::new(900_000.0)));
-    net.set_link_process(l_v2s, Box::new(ConstantProcess::new(50e6)));
-    let mut tp = SimTransport::new(net);
-    let paths = vec![PathSpec::indirect(c, s, v1), PathSpec::indirect(c, s, v2)];
-    let (rec, stats) = run_striped_paths_session_stats(
-        &mut tp,
-        &mut FirstPortion,
-        c,
-        s,
-        &paths,
-        vec![v1, v2],
-        0,
-        &striped(4, 1),
-        None,
-    );
+    let (mut tp, c, vias, s) = star(200_000.0, &[500_000.0, 900_000.0]);
+    let tel = Telemetry::new();
+    let (rec, stats) = run_over(&mut tp, c, &vias, s, &striped(4, 1), Some(&tel));
     assert!(!rec.abandoned);
     // Only direct + the first candidate are in the roster; the faster
-    // second candidate was cut by k.
+    // second candidate was cut by k — before the probe race, not after.
     assert_eq!(stats.per_path.len(), 2);
-    assert!(stats.per_path.iter().all(|p| p.path.via() != Some(v2)));
+    assert!(stats.per_path.iter().all(|p| p.path.via() != Some(vias[1])));
+    let probed = tel
+        .tracer
+        .snapshot()
+        .iter()
+        .find(|e| e.kind == EventKind::ProbeStart)
+        .and_then(|e| {
+            e.attrs.iter().find_map(|(k, a)| match (*k, a) {
+                ("paths", ir_telemetry::trace::Attr::U64(n)) => Some(*n),
+                _ => None,
+            })
+        });
+    assert_eq!(probed, Some(2), "k = 1 probes direct + one candidate");
 }

@@ -6,7 +6,7 @@
 //! failure reproduces from the printed case seed).
 
 use ir_core::{
-    run_session, FirstPortion, PathSpec, SessionConfig, SimTransport, StaticSingle, TransferRecord,
+    run_paths_session, FirstPortion, PathSpec, SessionConfig, SimTransport, TransferRecord,
     UtilizationTracker,
 };
 use ir_simnet::bandwidth::ConstantProcess;
@@ -43,18 +43,16 @@ fn world(
 
 fn run_one(direct: f64, overlay: f64) -> TransferRecord {
     let (mut tp, c, v, s) = world(direct, overlay);
-    let mut policy = StaticSingle(v);
-    let mut predictor = FirstPortion;
-    run_session(
+    run_paths_session(
         &mut tp,
-        &mut policy,
-        &mut predictor,
-        c,
-        s,
-        &[v],
+        &mut FirstPortion,
+        PathSpec::direct(c, s),
+        &[PathSpec::indirect(c, s, v)],
         0,
         &SessionConfig::paper_defaults(),
+        None,
     )
+    .0
 }
 
 #[test]

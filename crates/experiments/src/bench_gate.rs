@@ -344,7 +344,7 @@ impl PolicyStats {
 /// (cold subset, warm full roster) in a throwaway cache.
 fn policy_stats() -> Result<PolicyStats, String> {
     use crate::{sweep, tournament};
-    use ir_policy::PathCtx;
+    use ir_core::PathCtx;
 
     let sc = tournament::scenario("star", 42);
     let topo = sc.network.topology().clone();

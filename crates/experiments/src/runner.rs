@@ -15,7 +15,7 @@
 //! the scenario network is *exactly* equivalent to one shared world.
 
 use ir_core::{
-    run_session_traced, FirstPortion, RandomSet, SelectionPolicy, SessionConfig, SimTransport,
+    run_session, FirstPortion, PathCtx, PathSelector, RandomSet, SessionConfig, SimTransport,
     StaticSingle, TransferRecord, Transport, UtilizationTracker,
 };
 use ir_simnet::time::{SimDuration, SimTime};
@@ -152,7 +152,7 @@ fn run_task(
     client: NodeId,
     server: NodeId,
     full_set: &[NodeId],
-    mut policy: Box<dyn SelectionPolicy>,
+    mut policy: Box<dyn PathSelector>,
     schedule: Schedule,
     session: &SessionConfig,
     task_id: u64,
@@ -169,14 +169,18 @@ fn run_task(
         // the clock backwards.
         let target = at.max(transport.now());
         transport.network_mut().advance_until(target);
-        let rec = run_session_traced(
+        let ctx = PathCtx {
+            client,
+            server,
+            relays: full_set,
+            topo: scenario.network.topology(),
+            transfer_index: i as u64,
+        };
+        let (rec, _) = run_session(
             &mut transport,
             policy.as_mut(),
             &mut predictor,
-            client,
-            server,
-            full_set,
-            i as u64,
+            &ctx,
             session,
             tel.map(|t| t.as_ref()),
         );
@@ -206,7 +210,7 @@ pub fn run_task_with(
     client: NodeId,
     server: NodeId,
     full_set: &[NodeId],
-    policy: Box<dyn SelectionPolicy>,
+    policy: Box<dyn PathSelector>,
     schedule: Schedule,
     session: &SessionConfig,
 ) -> Vec<TransferRecord> {
@@ -617,6 +621,52 @@ mod tests {
         for p in &data.pairs {
             assert_eq!(u.appeared_count(p.client, p.via), 5);
         }
+    }
+
+    /// `cfg.mode` reaches the sweep path: a striped config handed to the
+    /// measurement runner stripes every session (at the parent
+    /// `run_task` raced it without a word).
+    #[test]
+    fn striped_mode_is_honoured_by_the_measurement_runner() {
+        let sc = tiny_scenario();
+        let mut session = SessionConfig::paper_defaults();
+        session.mode = ir_core::SessionMode::Striped {
+            chunks: 4,
+            k: 2,
+            rebalance: ir_core::RebalanceConfig::paper_defaults(),
+        };
+        let tel = Arc::new(Telemetry::new());
+        let records = run_task(
+            &sc,
+            sc.clients[0],
+            sc.servers[0],
+            &sc.relays,
+            Box::new(ir_core::FullSet),
+            Schedule::measurement_study().truncated(3),
+            &session,
+            0,
+            Some(&tel),
+        );
+        assert_eq!(records.len(), 3);
+        // k = 2 of the four relays were asked for, probed and recorded.
+        assert!(records.iter().all(|r| r.candidates.len() == 2));
+        let snap = tel.metrics.snapshot();
+        assert_eq!(snap.counter("stripe_chunks_completed", &vec![]), Some(12));
+        let labels = vec![("policy", "full-set".to_string())];
+        assert_eq!(snap.counter("policy_probe_paths", &labels), Some(6));
+        let (c, srv) = (sc.clients[0], sc.servers[0]);
+        let roster = std::iter::once(ir_core::PathSpec::direct(c, srv)).chain(
+            sc.relays[..2]
+                .iter()
+                .map(|&v| ir_core::PathSpec::indirect(c, srv, v)),
+        );
+        let carrying = roster
+            .filter(|p| {
+                snap.counter("stripe_path_chunks", &vec![("path", p.to_string())])
+                    .is_some_and(|n| n > 0)
+            })
+            .count();
+        assert!(carrying >= 2, "chunks landed on {carrying} path(s)");
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!
 //! The paper's probe-then-commit session bets the whole remainder on
 //! one path; Table I prices the penalty when that bet goes stale.
-//! `ir-stripe` hedges the bet by fetching disjoint chunks over the
-//! direct path plus the best-k indirect paths and rebalancing when
+//! `SessionMode::Striped` hedges the bet by fetching disjoint chunks over
+//! the direct path plus the best-k indirect paths and rebalancing when
 //! observed rates drift. This sweep measures what the hedge buys on a
 //! pinned grid of 2-relay scenarios — stable geometries where racing
 //! is already right, and fault geometries where the probe's prediction
@@ -25,9 +25,9 @@
 //!   stall-death chunk reassignment — and the striper must finish with
 //!   at least one recorded path death.
 //!
-//! The stripe set comes from the path-selection plane:
-//! [`ir_policy::PathSelector::best_k`] on a [`KShortest`] selector
-//! picks the k candidate chains, so racer and striper share one
+//! Both runs enter through [`ir_core::run_session`] with a [`KShortest`]
+//! selector of width k: the racer probes its `paths`, the striper its
+//! `best_k(k)` — the same k chains, so racer and striper share one
 //! selection path. The grid is pinned geometry (like the tournament's
 //! ridge scenarios): constant-rate worlds and a deterministic selector
 //! make every cell a pure function of the config, so the `seed`
@@ -39,16 +39,15 @@ use crate::runner::{parallel_map, Scale};
 use ir_core::predictor::FirstPortion;
 use ir_core::sim_transport::SimTransport;
 use ir_core::{
-    run_paths_session_traced, FailoverConfig, PathSpec, RebalanceConfig, SessionConfig,
-    SessionMode, TransferRecord,
+    run_session, FailoverConfig, PathCtx, RebalanceConfig, SessionConfig, SessionMode, StripeStats,
+    TransferRecord,
 };
-use ir_policy::{KShortest, KShortestConfig, PathCtx, PathSelector};
+use ir_policy::{KShortest, KShortestConfig};
 use ir_simnet::bandwidth::ConstantProcess;
 use ir_simnet::faults::FaultPlan;
 use ir_simnet::sim::Network;
 use ir_simnet::time::{SimDuration, SimTime};
 use ir_simnet::topology::{LinkId, NodeId, NodeKind, Topology};
-use ir_stripe::run_striped_paths_session_stats;
 
 /// Session horizon (seconds) for every cell; an unfinished transfer is
 /// charged the full horizon.
@@ -235,12 +234,16 @@ fn build_world(spec: &ScenarioSpec) -> World {
     }
 }
 
-/// The stripe set, drawn from the path-selection plane: `best_k` on a
-/// k-shortest selector over the world topology. Both overlay chains
-/// beat the direct path on latency (65 vs 80 ms), so `k = 1` yields
-/// the first relay and `k = 2` both, deterministically.
-fn stripe_set(w: &World, k: usize) -> (Vec<PathSpec>, Vec<NodeId>) {
-    let mut sel = KShortest::new(KShortestConfig::default());
+/// One session on a freshly built world, through a k-shortest selector
+/// of width `k`. Both overlay chains beat the direct path on latency
+/// (65 vs 80 ms), so `k = 1` yields the first relay and `k = 2` both,
+/// deterministically.
+fn run_world(spec: &ScenarioSpec, k: u32, cfg: &SessionConfig) -> (TransferRecord, StripeStats) {
+    let mut w = build_world(spec);
+    let mut selector = KShortest::new(KShortestConfig {
+        k: k as usize,
+        ..KShortestConfig::default()
+    });
     let ctx = PathCtx {
         client: w.client,
         server: w.server,
@@ -248,13 +251,7 @@ fn stripe_set(w: &World, k: usize) -> (Vec<PathSpec>, Vec<NodeId>) {
         topo: &w.topo,
         transfer_index: 0,
     };
-    let paths: Vec<PathSpec> = sel
-        .best_k(&ctx, k)
-        .into_iter()
-        .filter(|p| p.is_indirect())
-        .collect();
-    let candidates: Vec<NodeId> = paths.iter().filter_map(|p| p.via()).collect();
-    (paths, candidates)
+    run_session(&mut w.tp, &mut selector, &mut FirstPortion, &ctx, cfg, None)
 }
 
 /// One (scenario, k, chunks) cell.
@@ -293,36 +290,8 @@ fn completion_secs(rec: &TransferRecord) -> f64 {
 }
 
 fn run_cell(spec: &ScenarioSpec, k: u32, chunks: u32) -> StripeCell {
-    let raced = {
-        let mut w = build_world(spec);
-        let (paths, candidates) = stripe_set(&w, k as usize);
-        run_paths_session_traced(
-            &mut w.tp,
-            &mut FirstPortion,
-            w.client,
-            w.server,
-            &paths,
-            candidates,
-            0,
-            &raced_session(),
-            None,
-        )
-    };
-    let (rec, stats) = {
-        let mut w = build_world(spec);
-        let (paths, candidates) = stripe_set(&w, k as usize);
-        run_striped_paths_session_stats(
-            &mut w.tp,
-            &mut FirstPortion,
-            w.client,
-            w.server,
-            &paths,
-            candidates,
-            0,
-            &striped_session(chunks, k),
-            None,
-        )
-    };
+    let (raced, _) = run_world(spec, k, &raced_session());
+    let (rec, stats) = run_world(spec, k, &striped_session(chunks, k));
     let raced_secs = completion_secs(&raced);
     let striped_secs = completion_secs(&rec);
     let direct_chunks = stats
@@ -561,18 +530,28 @@ mod tests {
         assert_eq!(cell.deaths, 0);
     }
 
-    /// The stripe set honours the policy plane's `best_k` ordering:
-    /// k = 1 probes one relay, k = 2 both.
+    /// `cfg.mode` is honoured from the selector-level entry: a striped
+    /// config handed to `run_session` stripes (at the parent it raced),
+    /// and the stripe width follows `best_k` — k = 2 probes direct plus
+    /// both relays and carries chunks on at least two paths, k = 1
+    /// probes one relay.
     #[test]
-    fn stripe_set_width_follows_best_k() {
-        let w = build_world(&SCENARIOS[0]);
-        let (p1, c1) = stripe_set(&w, 1);
-        let (p2, c2) = stripe_set(&w, 2);
-        assert_eq!(p1.len(), 1);
-        assert_eq!(c1.len(), 1);
-        assert_eq!(p2.len(), 2);
-        assert_eq!(c2.len(), 2);
-        assert_eq!(p2[0], p1[0], "best_k(1) is the head of best_k(2)");
+    fn striped_mode_is_honoured_through_the_selector_entry() {
+        let spec = &SCENARIOS[2]; // split-capacity: every path useful
+        let (rec, stats) = run_world(spec, 2, &striped_session(4, 2));
+        assert!(!rec.abandoned);
+        assert_eq!(stats.per_path.len(), 3, "probe set: direct + 2 relays");
+        assert_eq!(rec.candidates.len(), 2);
+        let carrying = stats.per_path.iter().filter(|p| p.chunks > 0).count();
+        assert!(carrying >= 2, "chunks on {carrying} path(s): {stats:?}");
+        assert_eq!(stats.per_path.iter().map(|p| p.chunks).sum::<u64>(), 4);
+
+        let (_, narrow) = run_world(spec, 1, &striped_session(4, 1));
+        assert_eq!(narrow.per_path.len(), 2, "k = 1: direct + one relay");
+        assert_eq!(narrow.per_path[1].path, stats.per_path[1].path);
+
+        let (_, raced) = run_world(spec, 2, &raced_session());
+        assert!(raced.per_path.is_empty(), "racing has no stripe stats");
     }
 
     #[test]

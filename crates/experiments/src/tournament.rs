@@ -1,5 +1,5 @@
 //! Policy tournament: every path-selection policy against every
-//! tournament scenario, through the `ir-policy` path plane.
+//! tournament scenario, through the one session runner.
 //!
 //! The paper fixes one policy (random relay sets) and one path shape
 //! (1-hop); the tournament crosses the pluggable [`PathSelector`]
@@ -28,11 +28,11 @@
 use crate::report::{csv, Check, Report};
 use crate::runner::Scale;
 use ir_core::{
-    FirstPortion, RandomSet, SessionConfig, SimTransport, Transport, UtilizationWeighted,
+    run_session, FirstPortion, PathCtx, PathSelector, RandomSet, SessionConfig, SimTransport,
+    Transport, UtilizationWeighted,
 };
 use ir_policy::{
-    run_selector_session_traced, AdaptiveConfig, AdaptiveLearner, Backpressure, BackpressureConfig,
-    KShortest, KShortestConfig, PathSelector, PolicySelector,
+    AdaptiveConfig, AdaptiveLearner, Backpressure, BackpressureConfig, KShortest, KShortestConfig,
 };
 use ir_simnet::bandwidth::ConstantProcess;
 use ir_simnet::sim::Network;
@@ -87,11 +87,8 @@ pub struct TournamentCell {
 /// stochastic policies; the deterministic ones ignore it.
 pub fn make_selector(policy: &str, seed: u64) -> Box<dyn PathSelector> {
     match policy {
-        "random-set" => Box::new(PolicySelector::new(RandomSet::new(TOURNAMENT_K, seed))),
-        "utilization-weighted" => Box::new(PolicySelector::new(UtilizationWeighted::new(
-            TOURNAMENT_K,
-            seed,
-        ))),
+        "random-set" => Box::new(RandomSet::new(TOURNAMENT_K, seed)),
+        "utilization-weighted" => Box::new(UtilizationWeighted::new(TOURNAMENT_K, seed)),
         "k-shortest" => Box::new(KShortest::new(kshortest_config())),
         "adaptive" => Box::new(AdaptiveLearner::new(AdaptiveConfig {
             seed,
@@ -237,7 +234,7 @@ fn ridge_scenario() -> TournamentScenario {
 
 /// Runs one policy through every tournament scenario: the body of that
 /// policy's sweep study. One selector instance per (scenario, client)
-/// task, mirroring the relay-plane runner; each task gets a fresh
+/// task, mirroring the study runner; each task gets a fresh
 /// clone of the scenario network.
 pub fn run_policy(seed: u64, scale: Scale, policy: &str) -> Vec<TournamentCell> {
     let schedule = Schedule::measurement_study().spread(tournament_transfers(scale));
@@ -257,18 +254,22 @@ pub fn run_policy(seed: u64, scale: Scale, policy: &str) -> Vec<TournamentCell> 
                 for (i, at) in schedule.instants(SimTime::ZERO).enumerate() {
                     let target = at.max(transport.now());
                     transport.network_mut().advance_until(target);
-                    records.push(run_selector_session_traced(
+                    let ctx = PathCtx {
+                        client,
+                        server: sc.server,
+                        relays: &sc.relays,
+                        topo: &topo,
+                        transfer_index: i as u64,
+                    };
+                    let (rec, _) = run_session(
                         &mut transport,
                         selector.as_mut(),
                         &mut predictor,
-                        client,
-                        sc.server,
-                        &sc.relays,
-                        &topo,
-                        i as u64,
+                        &ctx,
                         &session,
                         Some(&tel),
-                    ));
+                    );
+                    records.push(rec);
                 }
             }
             cell_stats(policy, name, &records, &tel)

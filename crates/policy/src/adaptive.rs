@@ -5,10 +5,8 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::sanitize::sanitize_candidates;
-use crate::selector::{PathCtx, PathSelector};
 use crate::weights::weighted_index_or_uniform;
-use ir_core::{PathSpec, TransferRecord};
+use ir_core::{sanitize_candidates, PathCtx, PathSelector, PathSpec, TransferRecord};
 use ir_simnet::topology::NodeId;
 
 /// Configuration for [`AdaptiveLearner`].

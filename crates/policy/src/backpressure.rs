@@ -2,9 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::sanitize::sanitize_candidates;
-use crate::selector::{PathCtx, PathSelector};
-use ir_core::{PathSpec, TransferRecord};
+use ir_core::{sanitize_candidates, PathCtx, PathSelector, PathSpec, TransferRecord};
 use ir_simnet::topology::NodeId;
 
 /// Configuration for [`Backpressure`].

@@ -2,9 +2,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::sanitize::{sanitize_candidates, sanitize_chain};
-use crate::selector::{PathCtx, PathSelector};
-use ir_core::{PathSpec, MAX_HOPS};
+use crate::sanitize::sanitize_chain;
+use ir_core::{sanitize_candidates, PathCtx, PathSelector, PathSpec, MAX_HOPS};
 use ir_simnet::topology::{NodeId, Topology};
 
 /// Configuration for [`KShortest`].
@@ -215,5 +214,68 @@ mod tests {
         let relays = vec![r];
         let mut sel = KShortest::new(KShortestConfig::default());
         assert!(sel.paths(&ctx(&t, c, s, &relays)).is_empty());
+    }
+
+    /// The striper/racer contract: `best_k(ctx, 1)` is exactly the
+    /// path the racer probes first — `paths(ctx)[0]` — for a real
+    /// selector, not just a stub.
+    #[test]
+    fn best_one_equals_first_probe_path() {
+        let (topo, c, s, relays) = ridge();
+        let mut sel = KShortest::new(KShortestConfig::default());
+        let first = sel.paths(&ctx(&topo, c, s, &relays))[0];
+        let best = sel.best_k(&ctx(&topo, c, s, &relays), 1);
+        assert_eq!(best, vec![first]);
+    }
+
+    /// Acceptance: with a fast relay-relay ridge the k-shortest
+    /// selector probes a 2-hop chain and the race picks it over every
+    /// 1-hop path.
+    #[test]
+    fn two_hop_chain_wins_probe_race_end_to_end() {
+        use ir_core::{run_session, FirstPortion, SessionConfig, SimTransport};
+        use ir_simnet::bandwidth::ConstantProcess;
+        use ir_simnet::sim::Network;
+
+        const MBPS: f64 = 1e6 / 8.0; // bytes/sec per "megabit"
+
+        // r0 has a fat uplink but a thin 1-hop downlink; r1 the
+        // reverse. Only the chain c -> r0 -> r1 -> s is fat end to
+        // end, so every 1-hop path bottlenecks at 1 Mbps while the
+        // 2-hop chain runs at 20.
+        let mut t = Topology::new();
+        let c = t.add_node("c", NodeKind::Client);
+        let s = t.add_node("s", NodeKind::Server);
+        let r0 = t.add_node("r0", NodeKind::Intermediate);
+        let r1 = t.add_node("r1", NodeKind::Intermediate);
+        let ms = |n: u64| SimDuration::from_millis(n);
+        let fat = 20.0 * MBPS;
+        let thin = 1.0 * MBPS;
+        let planned = [
+            (t.add_link(c, s, ms(5)), 2.0 * MBPS),
+            (t.add_link(c, r0, ms(5)), fat),
+            (t.add_link(r0, s, ms(5)), thin), // r0's 1-hop path is thin
+            (t.add_link(c, r1, ms(5)), thin), // r1's 1-hop path is thin
+            (t.add_link(r1, s, ms(5)), fat),
+            (t.add_link(r0, r1, ms(1)), fat), // the ridge
+        ];
+        let mut net = Network::new(t, 1.0);
+        for (l, rate) in planned {
+            net.set_link_process(l, Box::new(ConstantProcess::new(rate)));
+        }
+        let relays = vec![r0, r1];
+        let topo = net.topology().clone();
+        let mut transport = SimTransport::new(net);
+        let mut sel = KShortest::new(KShortestConfig::default());
+        let (rec, _) = run_session(
+            &mut transport,
+            &mut sel,
+            &mut FirstPortion,
+            &ctx(&topo, c, s, &relays),
+            &SessionConfig::paper_defaults(),
+            None,
+        );
+        assert_eq!(rec.selected.hops(), &[r0, r1]);
+        assert!(rec.selected_throughput > rec.direct_throughput);
     }
 }

@@ -1,15 +1,12 @@
-//! `ir-policy` — the pluggable path-selection policy plane.
+//! `ir-policy` — the topology-aware path selectors.
 //!
-//! `ir-core`'s [`SelectionPolicy`](ir_core::SelectionPolicy) answers
-//! "which **relays** are candidates"; every candidate becomes one 1-hop
-//! path. This crate generalizes the question to "which **paths** —
-//! direct, 1-hop, or multi-hop chains — should the session probe, and
-//! in what order" ([`PathSelector`]), which is what the paper's §6
-//! proposals and the related overlay-routing work actually need:
+//! `ir-core` defines the one selector trait ([`ir_core::PathSelector`]:
+//! which **paths** — 1-hop or multi-hop chains — should the session
+//! probe, and in what order) and ships the paper's relay-choosing
+//! policies. This crate adds the selectors the paper's §6 proposals and
+//! the related overlay-routing work need, which look at the topology or
+//! keep richer learned state:
 //!
-//! * [`PolicySelector`] — adapter porting any `SelectionPolicy`
-//!   (random set, utilization-weighted, …) into the path plane,
-//!   byte-identically.
 //! * [`KShortest`] — Yen's k-shortest-paths over topology latency,
 //!   feeding the probe race its top-k chains (1 to
 //!   [`ir_core::MAX_HOPS`] hops).
@@ -20,26 +17,17 @@
 //!   spirit of Rai–Singh–Modiano: service-rate estimates discounted by
 //!   virtual queue pressure.
 //!
-//! [`run_selector_session_traced`] drives one §2.1 session through a
-//! selector (probe race over the returned paths plus direct), with
-//! per-policy probe-overhead counters and a selection-decision trace
-//! event.
+//! Any of them drives a session through [`ir_core::run_session`].
 
 pub mod adaptive;
 pub mod backpressure;
 pub mod kshortest;
-pub mod legacy;
 pub mod sanitize;
-pub mod selector;
-pub mod session;
 pub mod stable;
 pub mod weights;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveLearner};
 pub use backpressure::{Backpressure, BackpressureConfig};
 pub use kshortest::{KShortest, KShortestConfig};
-pub use legacy::PolicySelector;
-pub use sanitize::{sanitize_candidates, sanitize_chain};
-pub use selector::{PathCtx, PathSelector};
-pub use session::{run_selector_session, run_selector_session_traced};
+pub use sanitize::sanitize_chain;
 pub use weights::weighted_index_or_uniform;

@@ -1,33 +1,13 @@
-//! Shared candidate sanitization.
-//!
-//! `PathSpec::indirect`/`PathSpec::chain` assert that relays are
-//! distinct from both endpoints and from each other — correct for the
-//! session layer, but a selection policy working from learned state or
-//! a stale roster can easily emit the client itself, the server, or a
-//! duplicate. Every selector funnels its raw output through these
-//! helpers so the degenerate cases are dropped in exactly one place
-//! instead of tripping asserts downstream.
+//! Hop-chain sanitization for chain-building selectors.
 
-use ir_core::MAX_HOPS;
+use ir_core::{sanitize_candidates, MAX_HOPS};
 use ir_simnet::topology::NodeId;
 
-/// Drops `client`, `server`, and duplicates from a relay candidate
-/// list, preserving first-occurrence order.
-pub fn sanitize_candidates(client: NodeId, server: NodeId, nodes: &[NodeId]) -> Vec<NodeId> {
-    let mut out: Vec<NodeId> = Vec::with_capacity(nodes.len());
-    for &n in nodes {
-        if n != client && n != server && !out.contains(&n) {
-            out.push(n);
-        }
-    }
-    out
-}
-
 /// Sanitizes one hop chain: drops endpoints and revisited relays
-/// (keeping the first occurrence) and truncates to
-/// [`MAX_HOPS`]. The result is always a valid
-/// argument to `PathSpec::chain`; an empty result means the chain
-/// degenerated to the direct path and should be skipped.
+/// (keeping the first occurrence, via [`sanitize_candidates`]) and
+/// truncates to [`MAX_HOPS`]. The result is always a valid argument to
+/// `PathSpec::chain`; an empty result means the chain degenerated to
+/// the direct path and should be skipped.
 pub fn sanitize_chain(client: NodeId, server: NodeId, chain: &[NodeId]) -> Vec<NodeId> {
     let mut out = sanitize_candidates(client, server, chain);
     out.truncate(MAX_HOPS);
@@ -41,12 +21,6 @@ mod tests {
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
-    }
-
-    #[test]
-    fn drops_endpoints_and_duplicates() {
-        let out = sanitize_candidates(n(0), n(1), &[n(2), n(0), n(3), n(2), n(1), n(4)]);
-        assert_eq!(out, vec![n(2), n(3), n(4)]);
     }
 
     #[test]
@@ -83,7 +57,6 @@ mod tests {
     #[test]
     fn clean_input_passes_through() {
         let clean = vec![n(5), n(3), n(7)];
-        assert_eq!(sanitize_candidates(n(0), n(1), &clean), clean);
         assert_eq!(sanitize_chain(n(0), n(1), &clean), clean);
     }
 }

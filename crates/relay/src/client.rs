@@ -349,7 +349,8 @@ pub fn download_striped(
     chunks: u32,
     cfg: &ClientConfig,
 ) -> Result<StripedOutcome, RelayError> {
-    use ir_stripe::{partition, ChunkQueue};
+    use ir_core::partition;
+    use ir_stripe::ChunkQueue;
     use std::sync::{Arc, Mutex};
     assert!(chunks >= 1, "zero chunks");
     let start = Instant::now();

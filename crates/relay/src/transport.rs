@@ -1,6 +1,6 @@
 //! [`ir_core::Transport`] over real sockets.
 //!
-//! The selection framework (`ir_core::run_session`) is written against
+//! The selection framework (`ir_core::run_paths_session`) is written against
 //! an abstract transport; this adapter backs it with the loopback
 //! deployment — every `begin` is a genuine TCP connection issuing a
 //! genuine HTTP range request, `race` blocks on real wall-clock
@@ -335,7 +335,7 @@ mod tests {
     use super::*;
     use crate::harness::{HarnessSpec, MiniPlanetLab};
     use crate::shaper::RateSchedule;
-    use ir_core::{run_session, FirstPortion, SessionConfig, StaticSingle};
+    use ir_core::{run_paths_session, FirstPortion, SessionConfig};
 
     const KB: f64 = 1000.0;
 
@@ -348,8 +348,6 @@ mod tests {
         })
         .unwrap();
         let (mut transport, client, server, relays) = RealTransport::for_lab(&lab);
-        let mut policy = StaticSingle(relays[0]);
-        let mut predictor = FirstPortion;
         let cfg = SessionConfig {
             probe_bytes: 50_000,
             file_bytes: 400_000,
@@ -360,15 +358,14 @@ mod tests {
             engine: ir_simnet::sim::EngineMode::Incremental,
             mode: ir_core::SessionMode::Racing,
         };
-        let rec = run_session(
+        let (rec, _) = run_paths_session(
             &mut transport,
-            &mut policy,
-            &mut predictor,
-            client,
-            server,
-            &relays,
+            &mut FirstPortion,
+            PathSpec::direct(client, server),
+            &[PathSpec::indirect(client, server, relays[0])],
             0,
             &cfg,
+            None,
         );
         assert!(rec.chose_indirect(), "fast relay not chosen: {rec:?}");
         assert!(
@@ -388,8 +385,6 @@ mod tests {
         })
         .unwrap();
         let (mut transport, client, server, relays) = RealTransport::for_lab(&lab);
-        let mut policy = StaticSingle(relays[0]);
-        let mut predictor = FirstPortion;
         let cfg = SessionConfig {
             probe_bytes: 50_000,
             file_bytes: 300_000,
@@ -400,15 +395,14 @@ mod tests {
             engine: ir_simnet::sim::EngineMode::Incremental,
             mode: ir_core::SessionMode::Racing,
         };
-        let rec = run_session(
+        let (rec, _) = run_paths_session(
             &mut transport,
-            &mut policy,
-            &mut predictor,
-            client,
-            server,
-            &relays,
+            &mut FirstPortion,
+            PathSpec::direct(client, server),
+            &[PathSpec::indirect(client, server, relays[0])],
             0,
             &cfg,
+            None,
         );
         assert!(!rec.chose_indirect(), "slow relay chosen: {rec:?}");
     }

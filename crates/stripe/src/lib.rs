@@ -1,38 +1,14 @@
-//! `ir-stripe` — mHTTP-style multi-source range striping.
+//! `ir-stripe` — the chunk claim queue of the socket-backed striped
+//! download.
 //!
-//! The paper's protocol is winner-take-all: the probe race picks one
-//! path and the whole remainder rides it, so a prediction that goes
-//! stale right after the decision is paid for until the horizon (the
-//! penalty tail of the variability studies). This crate generalizes
-//! the remainder phase: partition the remaining `n − x` bytes into
-//! chunks and fetch disjoint chunks concurrently over the **direct
-//! path plus the best `k` indirect candidates**, tracking a per-path
-//! EWMA rate and reassigning remaining bytes when a path stalls, dies,
-//! or drifts — so a stale single-path prediction costs one chunk, not
-//! the whole file.
-//!
-//! * [`plan`] — [`plan::partition`] (near-equal chunking) and
-//!   [`plan::ChunkQueue`] (the atomic claim queue the socket-backed
-//!   striped client shares between per-path workers).
-//! * [`rate`] — [`rate::EwmaRate`], the per-path throughput tracker.
-//! * [`session`] — [`session::run_striped_paths_session_traced`], the
-//!   striped twin of `ir_core::run_paths_session_traced`: identical
-//!   prologue and probe phase, striped remainder. With
-//!   `SessionMode::Striped { chunks: 1, k: 1, .. }` on a healthy
-//!   network its record is bit-identical to the racing runner's
-//!   (pinned by `tests/differential.rs`).
-//!
-//! Configuration lives in `ir-core` ([`ir_core::SessionMode::Striped`]
-//! and [`ir_core::RebalanceConfig`]) so session fingerprints cover the
-//! striping knobs; this crate is the execution engine.
+//! The striped session itself — partitioning, per-path rate tracking,
+//! the rebalancing scheduler — is `ir-core`'s striped remainder
+//! (`ir_core::remainder`), one of the three remainders of the one
+//! session runner. What lives here is the piece only real sockets
+//! need: [`ChunkQueue`], the lock-free queue `ir_relay::
+//! download_striped` shares between its per-path worker threads, and
+//! its loom model (`tests/permutation.rs`).
 
 pub mod plan;
-pub mod rate;
-pub mod session;
 
-pub use plan::{partition, ChunkQueue, ChunkRange};
-pub use rate::EwmaRate;
-pub use session::{
-    run_striped_paths_session_stats, run_striped_paths_session_traced, PathStripeStats,
-    StripeStats, MAX_CHUNK_REASSIGNS,
-};
+pub use plan::ChunkQueue;

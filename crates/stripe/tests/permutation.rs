@@ -8,7 +8,8 @@
 //! must be claimed exactly once and no worker may observe a chunk
 //! twice — the invariant the byte-identical reassembly rests on.
 
-use ir_stripe::plan::{partition, ChunkQueue};
+use ir_core::partition;
+use ir_stripe::ChunkQueue;
 use loom::sync::{Arc, Mutex};
 
 #[test]

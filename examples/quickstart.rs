@@ -10,7 +10,7 @@
 //! ```
 
 use indirect_routing::core::{
-    run_session, FirstPortion, PathSpec, SessionConfig, SimTransport, StaticSingle,
+    run_paths_session, FirstPortion, PathSpec, SessionConfig, SimTransport,
 };
 use indirect_routing::simnet::prelude::*;
 use indirect_routing::stats::table::fmt_rate;
@@ -56,27 +56,26 @@ fn main() {
     net.set_link_process(l_down, Box::new(ConstantProcess::new(10_000_000.0)));
 
     // --- The paper's protocol: x = 100 KB probe, 2 MB file.
+    //     One a-priori indirect path (§2.2); `run_session` is the same
+    //     call with a `PathSelector` choosing the candidates per transfer.
     let mut transport = SimTransport::new(net);
-    let mut policy = StaticSingle(relay);
     let mut predictor = FirstPortion;
     let cfg = SessionConfig::paper_defaults();
+    let direct = PathSpec::direct(client, server);
+    let indirect = [PathSpec::indirect(client, server, relay)];
 
-    println!("direct path:   {}", PathSpec::direct(client, server));
-    println!(
-        "indirect path: {}\n",
-        PathSpec::indirect(client, server, relay)
-    );
+    println!("direct path:   {direct}");
+    println!("indirect path: {}\n", indirect[0]);
 
     for i in 0..5 {
-        let rec = run_session(
+        let (rec, _) = run_paths_session(
             &mut transport,
-            &mut policy,
             &mut predictor,
-            client,
-            server,
-            &[relay],
+            direct,
+            &indirect,
             i,
             &cfg,
+            None,
         );
         println!(
             "transfer {}: chose {}  direct {}  selected {}  improvement {:+.1}%",

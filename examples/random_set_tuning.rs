@@ -11,7 +11,7 @@
 //! ```
 
 use indirect_routing::core::{
-    EpsilonGreedy, RandomSet, SelectionPolicy, SessionConfig, Ucb1, UtilizationWeighted,
+    EpsilonGreedy, PathSelector, RandomSet, SessionConfig, Ucb1, UtilizationWeighted,
 };
 use indirect_routing::experiments::runner::{run_selection_study, run_task_with};
 use indirect_routing::stats::Summary;
@@ -53,7 +53,7 @@ fn main() {
     );
     let client = scenario.clients[0];
     let server = scenario.servers[0];
-    let policies: Vec<(&str, Box<dyn SelectionPolicy>)> = vec![
+    let policies: Vec<(&str, Box<dyn PathSelector>)> = vec![
         (
             "uniform random set (k=5)",
             Box::new(RandomSet::new(5, seed)),

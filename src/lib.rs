@@ -14,13 +14,14 @@
 //! * [`http`] — HTTP/1.1 range-request subset and proxy semantics.
 //! * [`relay`] — real-socket loopback overlay (origin, relay daemon,
 //!   racing client, token-bucket shapers).
-//! * [`core`] — the paper's contribution: probe/predict/select framework
-//!   and intermediate-node selection policies.
-//! * [`policy`] — the path-selection policy plane: selectors that pick
-//!   direct/1-hop/multi-hop candidate paths (the §6 extension space).
-//! * [`stripe`] — mHTTP-style multi-source range striping: chunked
-//!   remainder over direct + best-k indirect paths with EWMA-driven
-//!   rebalancing.
+//! * [`core`] — the paper's contribution: the one session runner
+//!   (probe race, then a warm, failover or mHTTP-style striped
+//!   remainder), the `PathSelector` trait and the paper's selection
+//!   policies.
+//! * [`policy`] — the topology-aware selectors: k-shortest multi-hop
+//!   chains, adaptive learner, backpressure (the §6 extension space).
+//! * [`stripe`] — the chunk claim queue of the socket-backed striped
+//!   download.
 //! * [`workload`] — PlanetLab-like scenario generator with the paper's
 //!   node roster.
 //! * [`experiments`] — the harness reproducing every table and figure of

@@ -1,13 +1,13 @@
 //! Integration: one protocol, two transports.
 //!
-//! The same `ir_core::run_session` call is executed against (a) the
+//! The same `ir_core::run_paths_session` call is executed against (a) the
 //! fluid simulator and (b) a live loopback deployment with matching
 //! path rates. Both must make the same selection, and their measured
 //! improvements must agree to within the fidelity gap between a fluid
 //! TCP model and a real kernel stack.
 
 use indirect_routing::core::{
-    run_session, ControlMode, FirstPortion, ProbeMode, SessionConfig, SimTransport, StaticSingle,
+    run_paths_session, ControlMode, FirstPortion, PathSpec, ProbeMode, SessionConfig, SimTransport,
     TransferRecord,
 };
 use indirect_routing::relay::{HarnessSpec, MiniPlanetLab, RateSchedule, RealTransport};
@@ -42,18 +42,16 @@ fn run_sim(direct_rate: f64, overlay_rate: f64, file: u64, probe: u64) -> Transf
     net.set_link_process(l1, Box::new(ConstantProcess::new(overlay_rate)));
     net.set_link_process(l2, Box::new(ConstantProcess::new(100e6)));
     let mut transport = SimTransport::new(net);
-    let mut policy = StaticSingle(v);
-    let mut predictor = FirstPortion;
-    run_session(
+    run_paths_session(
         &mut transport,
-        &mut policy,
-        &mut predictor,
-        c,
-        s,
-        &[v],
+        &mut FirstPortion,
+        PathSpec::direct(c, s),
+        &[PathSpec::indirect(c, s, v)],
         0,
         &session_cfg(file, probe),
+        None,
     )
+    .0
 }
 
 /// Runs the identical session over real sockets with matching shapers.
@@ -65,18 +63,16 @@ fn run_real(direct_rate: f64, overlay_rate: f64, file: u64, probe: u64) -> Trans
     })
     .unwrap();
     let (mut transport, client, server, relays) = RealTransport::for_lab(&lab);
-    let mut policy = StaticSingle(relays[0]);
-    let mut predictor = FirstPortion;
-    run_session(
+    run_paths_session(
         &mut transport,
-        &mut policy,
-        &mut predictor,
-        client,
-        server,
-        &relays,
+        &mut FirstPortion,
+        PathSpec::direct(client, server),
+        &[PathSpec::indirect(client, server, relays[0])],
         0,
         &session_cfg(file, probe),
+        None,
     )
+    .0
 }
 
 #[test]

@@ -10,7 +10,7 @@
 //! with a hard-capacity access link.
 
 use indirect_routing::core::{
-    run_session, FirstPortion, SessionConfig, SimTransport, StaticSingle,
+    run_paths_session, FirstPortion, PathSpec, SessionConfig, SimTransport,
 };
 use indirect_routing::simnet::prelude::*;
 
@@ -104,17 +104,14 @@ fn session_protocol_sees_no_gain_under_shared_bottleneck() {
     net.set_link_process(l_vs, Box::new(ConstantProcess::new(10e6)));
 
     let mut tp = SimTransport::new(net);
-    let mut policy = StaticSingle(v);
-    let mut predictor = FirstPortion;
-    let rec = run_session(
+    let (rec, _) = run_paths_session(
         &mut tp,
-        &mut policy,
-        &mut predictor,
-        c,
-        s,
-        &[v],
+        &mut FirstPortion,
+        PathSpec::direct(c, s),
+        &[PathSpec::indirect(c, s, v)],
         0,
         &SessionConfig::paper_defaults(),
+        None,
     );
     assert!(
         rec.improvement().abs() < 0.15,
