@@ -1,68 +1,7 @@
-//! `ir-bench` — shared fixtures for the Criterion benchmark harness.
+//! `ir-bench` — the Criterion harness for the design-choice ablations.
 //!
-//! The benches live in `benches/`:
-//!
-//! * `figures` — one group per paper artefact (Figs 1–6, Tables I–III):
-//!   times the regeneration of each table/figure from study data, plus
-//!   a small end-to-end study run.
-//! * `micro` — substrate microbenchmarks: event queue, max–min fair
-//!   share, TCP transfer integration, HTTP codec, range parsing,
-//!   histogram/statistics, token bucket.
-//! * `ablations` — design-choice sweeps (probe size x, selection
-//!   policy, predictor); each prints its quality table once to stderr
-//!   and benches the runtime of the reference configuration.
-
-use ir_core::SessionConfig;
-use ir_experiments::runner::{
-    run_measurement_study, run_selection_study, MeasurementData, SelectionData,
-};
-use ir_workload::{build, roster, Calibration, Scenario, Schedule};
-
-/// A small but statistically meaningful measurement scenario: 6 clients
-/// × 6 relays × eBay.
-pub fn bench_scenario() -> Scenario {
-    build(
-        2007,
-        &roster::CLIENTS[..6],
-        &roster::INTERMEDIATES[..6],
-        &roster::SERVERS[..1],
-        Calibration::default(),
-        false,
-    )
-}
-
-/// Measurement-study data for the artefact benches (computed once,
-/// outside timing loops).
-pub fn bench_measurement_data() -> MeasurementData {
-    run_measurement_study(
-        &bench_scenario(),
-        0,
-        Schedule::measurement_study().spread(12),
-        SessionConfig::paper_defaults(),
-    )
-}
-
-/// Selection-study data for Fig 6 / Table III benches.
-pub fn bench_selection_data() -> SelectionData {
-    let sc = ir_workload::selection_study(2007);
-    run_selection_study(
-        &sc,
-        &[1, 5, 10],
-        Schedule::selection_study().spread(40),
-        SessionConfig::paper_defaults(),
-        2007,
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fixtures_build() {
-        let m = bench_measurement_data();
-        assert!(m.all_records().count() > 0);
-        let s = bench_selection_data();
-        assert!(!s.runs.is_empty());
-    }
-}
+//! The one bench, `benches/ablations.rs`, sweeps probe size x,
+//! selection policy and predictor; each prints its quality table once
+//! to stderr and benches the runtime of the reference configuration
+//! (EXPERIMENTS.md §Ablations). Timings of the substrate and of the
+//! paper artefacts are `irbench`'s per-layer rows, not benches here.

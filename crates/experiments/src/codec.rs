@@ -581,7 +581,6 @@ pub fn decode_megaflow(bytes: &[u8]) -> Option<MegaflowResult> {
 pub fn encode_soak(r: &SoakResult) -> Vec<u8> {
     let SoakResult {
         cfg,
-        event_mode,
         completed,
         lost,
         accepted,
@@ -602,7 +601,6 @@ pub fn encode_soak(r: &SoakResult) -> Vec<u8> {
     w.put_u64(cfg.relay_rate);
     w.put_u32(cfg.workers);
     w.put_u64(cfg.stagger_ms);
-    w.put_bool(event_mode);
     w.put_u64(completed);
     w.put_u64(lost);
     w.put_u64(accepted);
@@ -630,7 +628,6 @@ pub fn decode_soak(bytes: &[u8]) -> Option<SoakResult> {
             workers: r.get_u32()?,
             stagger_ms: r.get_u64()?,
         },
-        event_mode: r.get_bool()?,
         completed: r.get_u64()?,
         lost: r.get_u64()?,
         accepted: r.get_u64()?,
@@ -817,7 +814,6 @@ mod tests {
     fn soak_round_trips_bit_exactly() {
         let r = SoakResult {
             cfg: SoakConfig::quick(),
-            event_mode: true,
             completed: 250,
             lost: 0,
             accepted: 251,

@@ -27,12 +27,7 @@
 //! [`runner`] drives the two studies; each artefact module turns study
 //! data into a [`report::Report`] with paper-vs-measured checks and CSV
 //! series. The `experiments` binary wraps it all in a CLI.
-//! [`bench_gate`] is the perf-regression runner behind the `bench-gate`
-//! subcommand: it times the micro/figures benchmark groups, records the
-//! incremental engine's solve split on the pinned Fig 1 study, and
-//! enforces the boundary-count determinism canary (`BENCH_PR4.json`).
 
-pub mod bench_gate;
 pub mod codec;
 pub mod faults;
 pub mod fig1;

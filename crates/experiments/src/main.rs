@@ -44,20 +44,8 @@
 //!            cache-gc    (artefact-cache maintenance: drop corrupt
 //!                         entries, evict oldest until under
 //!                         --max-bytes)
-//!            bench-gate  (perf-regression runner: times the micro +
-//!                         figures benchmark groups, records the
-//!                         engine solve split on the pinned Fig 1
-//!                         study, enforces the boundary-count canary,
-//!                         writes BENCH_PR4.json; --out FILE overrides;
-//!                         also times the pinned mini sweep cold vs
-//!                         warm (BENCH_PR5.json), the path plane
-//!                         (BENCH_PR6.json), the megaflow gate
-//!                         geometry's ns/boundary (BENCH_PR7.json),
-//!                         the relay soak, event reactor vs threaded
-//!                         baseline (BENCH_PR9.json), and the pinned
-//!                         striping sweep, striped vs raced
-//!                         (BENCH_PR10.json))
-//!            all         (everything except bench-gate, no cache)
+//!            all         (everything above except soak, scenario,
+//!                         sweep and cache-gc; no cache)
 //! ```
 //!
 //! `--threads 0` restores the default worker count (one per available
@@ -95,8 +83,6 @@ struct Args {
     /// `--faults`: `None` = flag absent, `Some(0)` = "none" (empty
     /// plan), `Some(n)` = overlay faults at link MTBF `n` seconds.
     faults: Option<u64>,
-    /// `--out`: output path for `bench-gate` (default BENCH_PR4.json).
-    out: PathBuf,
     /// `--cache-dir`: artefact-cache location for `sweep`/`cache-gc`;
     /// `None` means caching disabled (`--cache-dir none`).
     cache_dir: Option<PathBuf>,
@@ -108,12 +94,12 @@ fn usage() -> ! {
     eprintln!(
         "usage: experiments <artefact> [--seed N] [--scale quick|paper] [--csv DIR] [--cal FILE]\n\
          \x20                           [--threads N] [--trace FILE] [--metrics]\n\
-         \x20                           [--faults none|MTBF_SECS] [--out FILE]\n\
+         \x20                           [--faults none|MTBF_SECS]\n\
          \x20                           [--cache-dir DIR|none] [--max-bytes N]\n\
          artefacts: fig1 fig2 fig3 fig4 fig5 fig6 table1 table2 table3\n\
          \x20          variability overhead\n\
          \x20          measurement selection sites headroom faults striping megaflow\n\
-         \x20          tournament soak scenario robustness sweep cache-gc bench-gate all"
+         \x20          tournament soak scenario robustness sweep cache-gc all"
     );
     std::process::exit(2);
 }
@@ -131,7 +117,6 @@ fn parse_args() -> Args {
         trace_file: None,
         metrics: false,
         faults: None,
-        out: PathBuf::from("BENCH_PR4.json"),
         cache_dir: Some(PathBuf::from("results/.cache")),
         gc_max_bytes: 256 * 1024 * 1024,
     };
@@ -178,9 +163,6 @@ fn parse_args() -> Args {
             }
             "--metrics" => {
                 args.metrics = true;
-            }
-            "--out" => {
-                args.out = PathBuf::from(argv.next().unwrap_or_else(|| usage()));
             }
             "--cache-dir" => {
                 args.cache_dir = match argv.next().as_deref() {
@@ -242,15 +224,6 @@ fn main() -> ExitCode {
     let args = parse_args();
     if let Some(n) = args.threads {
         ir_experiments::set_worker_threads(n);
-    }
-    if args.artefact == "bench-gate" {
-        return match ir_experiments::bench_gate::run(&args.out) {
-            Ok(_) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("bench-gate FAILED: {e}");
-                ExitCode::FAILURE
-            }
-        };
     }
     if args.artefact == "cache-gc" {
         let Some(dir) = &args.cache_dir else {

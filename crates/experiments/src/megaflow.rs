@@ -20,9 +20,9 @@
 //! `≈ racks × waves` solve boundaries.
 //!
 //! Everything in [`MegaflowResult`] is a pure function of
-//! `(seed, config)` — wall-clock timings live in the bench gate
-//! (BENCH_PR7.json), never in the artefact, so the study caches and
-//! replays byte-identically.
+//! `(seed, config)` — wall-clock timings live in the benchmark
+//! (`irbench`'s `megaflow-200k` workload), never in the artefact, so
+//! the study caches and replays byte-identically.
 
 use crate::report::{csv, Check, Report};
 use ir_simnet::prelude::*;
@@ -79,22 +79,6 @@ impl MegaflowConfig {
             racks: 8,
             hosts_per_rack: 4,
             flows_per_host: 5,
-            waves: 2,
-            wave_stagger_ms: 10_000,
-            file_bytes: 2_000_000,
-            host_rate: 1_000_000_000,
-            rack_base_rate: 50_000_000,
-        }
-    }
-
-    /// The bench-gate geometry: big enough that per-boundary engine
-    /// work dwarfs timer noise (32,768 flows, 1,024-flow components),
-    /// small enough to time repeatedly.
-    pub fn gate() -> Self {
-        MegaflowConfig {
-            racks: 32,
-            hosts_per_rack: 32,
-            flows_per_host: 32,
             waves: 2,
             wave_stagger_ms: 10_000,
             file_bytes: 2_000_000,
@@ -319,19 +303,19 @@ pub fn report_of(r: &MegaflowResult) -> Report {
 mod tests {
     use super::*;
 
-    /// Pinned canary for the mini geometry at seed 2007 — the sweep's
-    /// quick-scale study. If this moves, the engine's boundary
-    /// accounting changed and BENCH_PR7's canary needs regenerating.
+    /// Boundary count of the mini geometry at seed 2007 — the sweep's
+    /// quick-scale study. A pure function of the config and seed; if
+    /// it moves, the engine's boundary schedule changed. Re-pin only
+    /// after a deliberate engine-semantics change.
+    const PINNED_MEGAFLOW_MINI_BOUNDARIES: u64 = 18;
+
     #[test]
     fn mini_canary_and_engine_invariance() {
         let cfg = MegaflowConfig::mini();
         let inc = run(2007, &cfg, EngineMode::Incremental, None);
         assert_eq!(inc.flows_started, cfg.total_flows());
         assert_eq!(inc.flows_completed, inc.flows_started);
-        assert_eq!(
-            inc.boundaries,
-            crate::bench_gate::PINNED_MEGAFLOW_MINI_BOUNDARIES
-        );
+        assert_eq!(inc.boundaries, PINNED_MEGAFLOW_MINI_BOUNDARIES);
         // Each rack×wave batch completes at one instant.
         assert_eq!(inc.completion_batches, (cfg.racks * cfg.waves) as u64);
 

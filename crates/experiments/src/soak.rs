@@ -17,15 +17,13 @@
 //! functions of `(seed, config)`. It therefore stays out of
 //! [`crate::sweep::full_plan`] (whose artefacts must replay
 //! byte-identically); [`crate::sweep::soak_plan`] wraps it in its own
-//! fingerprinted plan for the `soak` CLI subcommand, and the
-//! event-vs-threaded regression gate lives in BENCH_PR9.json
-//! (see [`crate::bench_gate`]).
+//! fingerprinted plan for the `soak` CLI subcommand.
 //!
 //! [`RelayFirstByte`]: ir_telemetry::trace::EventKind::RelayFirstByte
 
 use crate::report::{csv, Check, Report};
 use ir_relay::{
-    download, ClientConfig, OriginConfig, OriginServer, RateSchedule, Relay, RelayConfig, RelayMode,
+    download, ClientConfig, OriginConfig, OriginServer, RateSchedule, Relay, RelayConfig,
 };
 use ir_telemetry::trace::EventKind;
 use ir_telemetry::Telemetry;
@@ -49,7 +47,7 @@ pub struct SoakConfig {
     pub direct_rate: u64,
     /// Relay-leg shaping, bytes/s; 0 = unshaped (loopback speed).
     pub relay_rate: u64,
-    /// Reactor worker (shard) count under [`RelayMode::Event`].
+    /// Reactor worker (shard) count of the relay.
     pub workers: u32,
     /// Client start times are spread over this window so connect
     /// storms stay below the listener backlog.
@@ -83,21 +81,6 @@ impl SoakConfig {
             stagger_ms: 1_000,
         }
     }
-
-    /// The bench-gate geometry: small enough to run repeatedly in
-    /// both relay modes, big enough that accept-to-first-byte p99 is
-    /// a meaningful tail (64 clients arriving within half a second).
-    pub fn gate() -> Self {
-        SoakConfig {
-            clients: 64,
-            file_bytes: 12_000,
-            probe_bytes: 2_000,
-            direct_rate: 30_000,
-            relay_rate: 0,
-            workers: 4,
-            stagger_ms: 500,
-        }
-    }
 }
 
 /// Outcome of one soak run. All-integer so the result is `Eq` and
@@ -107,9 +90,6 @@ impl SoakConfig {
 pub struct SoakResult {
     /// The geometry that produced this result.
     pub cfg: SoakConfig,
-    /// True when the relay ran the event-driven reactor, false for
-    /// the thread-per-connection baseline.
-    pub event_mode: bool,
     /// Transfers that finished with a byte-exact body.
     pub completed: u64,
     /// Transfers that errored, hung up, or reassembled corrupt.
@@ -149,12 +129,12 @@ fn percentile(sorted: &[u64], p: u64) -> u64 {
     sorted[rank.min(sorted.len()) - 1]
 }
 
-/// Runs the soak: starts the two origins and one relay in `mode`,
-/// unleashes `cfg.clients` racing downloads on small-stack threads,
-/// and collects lifecycle counters plus the relay's own first-byte
-/// spans once the herd is done. Finishes with a graceful drain so the
-/// shutdown path is part of every soak.
-pub fn run(cfg: &SoakConfig, mode: RelayMode) -> SoakResult {
+/// Runs the soak: starts the two origins and one relay, unleashes
+/// `cfg.clients` racing downloads on small-stack threads, and collects
+/// lifecycle counters plus the relay's own first-byte spans once the
+/// herd is done. Finishes with a graceful drain so the shutdown path
+/// is part of every soak.
+pub fn run(cfg: &SoakConfig) -> SoakResult {
     let tel = Arc::new(Telemetry::new());
     let origin_fast =
         OriginServer::start(OriginConfig::new(cfg.file_bytes)).expect("start fast origin");
@@ -167,8 +147,12 @@ pub fn run(cfg: &SoakConfig, mode: RelayMode) -> SoakResult {
     } else {
         RelayConfig::new()
     };
-    let mut relay =
-        Relay::start(relay_cfg.with_telemetry(tel.clone()).with_mode(mode)).expect("start relay");
+    let mut relay = Relay::start(
+        relay_cfg
+            .with_telemetry(tel.clone())
+            .with_workers(cfg.workers as usize),
+    )
+    .expect("start relay");
 
     let direct = origin_direct.addr();
     let for_relays = origin_fast.addr();
@@ -220,7 +204,6 @@ pub fn run(cfg: &SoakConfig, mode: RelayMode) -> SoakResult {
     let wall_ms = (wall.as_millis() as u64).max(1);
     SoakResult {
         cfg: *cfg,
-        event_mode: matches!(mode, RelayMode::Event { .. }),
         completed,
         lost,
         accepted: relay.lifecycle().accepted,
@@ -237,22 +220,12 @@ pub fn run(cfg: &SoakConfig, mode: RelayMode) -> SoakResult {
     }
 }
 
-/// Runs the soak at `cfg` under `mode` and renders the report (the
-/// CLI path).
-pub fn report(cfg: &SoakConfig, mode: RelayMode) -> Report {
-    report_of(&run(cfg, mode))
-}
-
 /// Renders the report from a (possibly cache-restored) result.
 pub fn report_of(r: &SoakResult) -> Report {
     let mut table = ir_stats::TextTable::new()
         .title("soak: concurrent racing downloads through one relay")
         .header(["metric", "value"]);
     let rows_src: Vec<(&str, String)> = vec![
-        (
-            "relay mode",
-            if r.event_mode { "event" } else { "threaded" }.to_string(),
-        ),
         ("clients", r.cfg.clients.to_string()),
         ("file bytes", r.cfg.file_bytes.to_string()),
         ("completed", r.completed.to_string()),
@@ -288,13 +261,8 @@ pub fn report_of(r: &SoakResult) -> Report {
     Report {
         id: "soak",
         title: format!(
-            "Soak: {} concurrent clients through one {} relay",
-            r.cfg.clients,
-            if r.event_mode {
-                "event-driven"
-            } else {
-                "threaded"
-            }
+            "Soak: {} concurrent clients through one event-driven relay",
+            r.cfg.clients
         ),
         body: table.render(),
         csv: vec![("stats".into(), csv(&["metric", "value"], &rows))],
@@ -352,27 +320,25 @@ mod tests {
     }
 
     #[test]
-    fn tiny_soak_loses_nothing_in_either_mode() {
-        for mode in [RelayMode::Event { workers: 2 }, RelayMode::Threaded] {
-            let r = run(&tiny(), mode);
-            assert_eq!(r.completed, 24, "{mode:?}: {r:?}");
-            assert_eq!(r.lost, 0, "{mode:?}: {r:?}");
-            // A losing relay dial can be cancelled pre-connect, so
-            // `accepted` may fall just short of the client count.
-            assert!(r.accepted > 0 && r.accepted <= 24, "{mode:?}: {r:?}");
-            assert_eq!(r.backpressure_drops, 0, "{mode:?}: {r:?}");
-            assert!(r.p99_first_byte_us > 0, "{mode:?}: {r:?}");
-            assert!(r.p50_first_byte_us <= r.p99_first_byte_us, "{mode:?}");
-            assert!(r.p99_first_byte_us <= r.max_first_byte_us, "{mode:?}");
-            assert!(r.goodput_bps > 0, "{mode:?}: {r:?}");
-            assert!(r.drain_completed && r.drain_monotone, "{mode:?}: {r:?}");
-            assert_eq!(r.event_mode, matches!(mode, RelayMode::Event { .. }));
-        }
+    fn tiny_soak_loses_nothing_and_times_its_first_bytes() {
+        let r = run(&tiny());
+        assert_eq!(r.completed, 24, "{r:?}");
+        assert_eq!(r.lost, 0, "{r:?}");
+        // A losing relay dial can be cancelled pre-connect, so
+        // `accepted` may fall just short of the client count.
+        assert!(r.accepted > 0 && r.accepted <= 24, "{r:?}");
+        assert_eq!(r.backpressure_drops, 0, "{r:?}");
+        // The first-byte spans must not go dark.
+        assert!(r.p99_first_byte_us > 0, "{r:?}");
+        assert!(r.p50_first_byte_us <= r.p99_first_byte_us, "{r:?}");
+        assert!(r.p99_first_byte_us <= r.max_first_byte_us, "{r:?}");
+        assert!(r.goodput_bps > 0, "{r:?}");
+        assert!(r.drain_completed && r.drain_monotone, "{r:?}");
     }
 
     #[test]
     fn report_passes_its_checks() {
-        let r = report(&tiny(), RelayMode::Event { workers: 2 });
+        let r = report_of(&run(&tiny()));
         assert!(r.all_pass(), "{}", r.render());
         assert!(r.render().contains("soak"), "{}", r.render());
     }

@@ -78,7 +78,8 @@ pub const SALTS: &[(&str, u64)] = &[
     ("megaflow", 1),
     ("striping", 1),
     ("tournament", 1),
-    ("soak", 1),
+    // 2: the "relay mode" row left the report with the threaded relay.
+    ("soak", 2),
 ];
 
 fn salt_of(name: &str) -> u64 {
@@ -257,11 +258,17 @@ pub fn soak_config(scale: Scale) -> soak::SoakConfig {
 /// *record* of the run that produced it, keyed on `(seed, config,
 /// codec version)` like every other study.
 pub fn soak_plan(seed: u64, scale: Scale) -> SweepPlan {
+    /// Layout of [`codec::encode_soak`]'s record. A soak-only tag:
+    /// [`CODEC_VERSION`] feeds every study fingerprint, and a change to
+    /// this one record must not cold-start the whole sweep cache.
+    /// 2: `event_mode` dropped.
+    const SOAK_LAYOUT: u32 = 2;
     let cfg = soak_config(scale);
     let fp = {
         let mut h = StableHasher::new();
         "study/soak".stable_hash(&mut h);
         CODEC_VERSION.stable_hash(&mut h);
+        SOAK_LAYOUT.stable_hash(&mut h);
         seed.stable_hash(&mut h);
         (cfg.clients as u64).stable_hash(&mut h);
         cfg.file_bytes.stable_hash(&mut h);
@@ -275,14 +282,7 @@ pub fn soak_plan(seed: u64, scale: Scale) -> SweepPlan {
     let study = StudySpec {
         name: format!("soak(seed={seed},{scale:?})"),
         fingerprint: fp,
-        run: Box::new(move || {
-            Arc::new(soak::run(
-                &cfg,
-                ir_relay::RelayMode::Event {
-                    workers: cfg.workers as usize,
-                },
-            )) as Arc<dyn Any + Send + Sync>
-        }),
+        run: Box::new(move || Arc::new(soak::run(&cfg)) as Arc<dyn Any + Send + Sync>),
         encode: Box::new(|out| {
             codec::encode_soak(out.downcast_ref::<soak::SoakResult>().expect("soak output"))
         }),
@@ -726,8 +726,8 @@ fn tournament_policy_fingerprint(seed: u64, scale: Scale, policy: &str) -> Finge
 
 /// The tournament as a sweep plan: one cached study per `policies`
 /// entry plus the single `tournament` artefact consuming them. The
-/// full plan passes the whole roster; the bench gate passes subsets to
-/// prove that adding a policy re-runs only the new study.
+/// full plan passes the whole roster; `tests/sweep_cache.rs` passes
+/// subsets to prove that adding a policy re-runs only the new study.
 pub fn tournament_plan(seed: u64, scale: Scale, policies: &[&'static str]) -> SweepPlan {
     let studies: Vec<StudySpec> = policies
         .iter()
@@ -775,10 +775,10 @@ pub fn tournament_plan(seed: u64, scale: Scale, policies: &[&'static str]) -> Sw
     }
 }
 
-/// A small pinned sweep for tests and the bench gate: the 4×4×1
-/// determinism-golden geometry feeding the two artefacts that share the
-/// measurement study (Fig 1 + Table I) — one study, two artefacts, so
-/// shared-study dedup and cache behaviour are observable in seconds.
+/// A small pinned sweep for tests: the 4×4×1 determinism-golden
+/// geometry feeding the two artefacts that share the measurement study
+/// (Fig 1 + Table I) — one study, two artefacts, so shared-study dedup
+/// and cache behaviour are observable in seconds.
 pub fn mini_plan(seed: u64) -> SweepPlan {
     let clients = &ir_workload::roster::CLIENTS[..4];
     let relays = &ir_workload::roster::INTERMEDIATES[..4];
@@ -1014,6 +1014,20 @@ mod tests {
             .collect();
         let got: Vec<&str> = t.studies.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(got, expected);
+    }
+
+    /// A pinned `full_plan` study key. Anything that moves it — a
+    /// [`CODEC_VERSION`] bump, a new fingerprint input — cold-starts
+    /// every existing sweep cache, so it must be deliberate; a change
+    /// to one study's record (the soak's layout tag) must not.
+    #[test]
+    fn full_plan_measurement_fingerprint_is_pinned() {
+        let plan = full_plan(2007, Scale::Quick, None);
+        assert_eq!(plan.studies[0].name, "measurement(seed=2007,Quick)");
+        assert_eq!(
+            plan.studies[0].fingerprint.to_hex(),
+            "c8e2c50f737590d0f1559f62775ae8fe"
+        );
     }
 
     /// The soak plan is fingerprinted like any other study — stable

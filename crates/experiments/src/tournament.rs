@@ -533,6 +533,31 @@ mod tests {
         }
     }
 
+    /// Total probe paths the pinned quick tournament (seed 11 — the run
+    /// `tests/determinism.rs` snapshots into
+    /// `tests/golden/tournament_cells.csv`) asks the network to pay,
+    /// summed over every policy × scenario cell. A pure function of the
+    /// seed; if it moves, a policy's decision sequence moved. Re-pin
+    /// only after the tournament golden has been deliberately
+    /// regenerated.
+    const PINNED_TOURNAMENT_PROBE_PATHS: u64 = 750;
+
+    #[test]
+    fn pinned_tournament_probe_path_canary() {
+        let per_policy: Vec<(&str, u64)> = POLICIES
+            .iter()
+            .map(|&p| {
+                let n: f64 = run_policy(11, Scale::Quick, p)
+                    .iter()
+                    .map(|c| c.probe_paths_per_transfer * c.transfers as f64)
+                    .sum();
+                (p, n.round() as u64)
+            })
+            .collect();
+        let total: u64 = per_policy.iter().map(|&(_, n)| n).sum();
+        assert_eq!(total, PINNED_TOURNAMENT_PROBE_PATHS, "{per_policy:?}");
+    }
+
     #[test]
     fn report_has_cells_csv_and_checks() {
         let r = report(2007, Scale::Quick);

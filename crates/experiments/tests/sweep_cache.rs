@@ -6,10 +6,13 @@
 //!   byte-identical to a cacheless run's;
 //! * shared-study dedup is observable through the telemetry counters
 //!   (`sweep_studies_executed` < `sweep_artefacts`);
-//! * a tampered cache entry is detected and recomputed, never trusted.
+//! * a tampered cache entry is detected and recomputed, never trusted;
+//! * growing the tournament's policy roster against a warm cache
+//!   executes exactly the added policy's study.
 
 use ir_artifact::ArtifactCache;
-use ir_experiments::sweep::{mini_plan, run_sweep};
+use ir_experiments::sweep::{mini_plan, run_sweep, tournament_plan};
+use ir_experiments::{tournament, Scale};
 use ir_telemetry::Telemetry;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -155,6 +158,40 @@ fn tampered_cache_entries_are_recomputed_not_trusted() {
     let warm = run_sweep(mini_plan(SEED), Some(&cache), None, None).unwrap();
     assert_eq!(warm.studies_executed(), 0);
     assert!((warm.hit_rate() - 1.0).abs() < 1e-12);
+
+    let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
+/// Per-policy fingerprints isolate the roster: a cold sweep of the
+/// roster minus one policy executes one study per policy, and the
+/// full roster against that cache executes only the added policy's.
+#[test]
+fn growing_the_policy_roster_executes_exactly_one_warm_study() {
+    let cache_dir = scratch("roster");
+    let cache = ArtifactCache::open(&cache_dir).unwrap();
+    let (added, subset) = tournament::POLICIES.split_last().unwrap();
+
+    let cold = run_sweep(
+        tournament_plan(42, Scale::Quick, subset),
+        Some(&cache),
+        None,
+        None,
+    )
+    .unwrap();
+    assert_eq!(cold.studies_executed(), subset.len() as u64);
+
+    let warm = run_sweep(
+        tournament_plan(42, Scale::Quick, tournament::POLICIES),
+        Some(&cache),
+        None,
+        None,
+    )
+    .unwrap();
+    assert_eq!(
+        warm.studies_executed(),
+        1,
+        "adding {added} re-ran existing policies' studies"
+    );
 
     let _ = std::fs::remove_dir_all(&cache_dir);
 }

@@ -117,6 +117,11 @@ fn probe_request(
 /// (they sit elsewhere in the network, so the two may differ — in the
 /// loopback harness they are different listeners with different
 /// shaping).
+///
+/// A path that fails (refused connect, `503` from a relay under
+/// backpressure) drops out of the race; when every path has failed the
+/// last path's error is returned at once. [`RelayError::Timeout`] means
+/// the deadline really passed with a path still pending.
 pub fn probe_race(
     direct: SocketAddr,
     origin_for_relays: SocketAddr,
@@ -124,7 +129,8 @@ pub fn probe_race(
     cfg: &ClientConfig,
 ) -> Result<ProbeWin, RelayError> {
     cfg.validate();
-    let (tx, rx) = mpsc::channel::<(ChosenPath, Duration, TcpStream, Vec<u8>)>();
+    let (tx, rx) =
+        mpsc::channel::<Result<(ChosenPath, Duration, TcpStream, Vec<u8>), RelayError>>();
     let start = Instant::now();
 
     let mut targets: Vec<(ChosenPath, SocketAddr)> = vec![(ChosenPath::Direct, direct)];
@@ -151,22 +157,29 @@ pub fn probe_race(
                 }
                 Ok((conn, body))
             };
-            if let Ok((conn, body)) = run() {
-                let _ = tx.send((choice, start.elapsed(), conn, body));
-            }
+            let _ = tx.send(run().map(|(conn, body)| (choice, start.elapsed(), conn, body)));
         });
     }
     drop(tx);
 
-    match rx.recv_timeout(cfg.timeout) {
-        Ok((choice, elapsed, conn, body)) => Ok(ProbeWin {
-            choice,
-            elapsed,
-            throughput: cfg.probe_bytes as f64 / elapsed.as_secs_f64(),
-            conn,
-            body,
-        }),
-        Err(_) => Err(RelayError::Timeout),
+    let deadline = start + cfg.timeout;
+    let mut last_err = RelayError::Timeout;
+    loop {
+        match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+            Ok(Ok((choice, elapsed, conn, body))) => {
+                return Ok(ProbeWin {
+                    choice,
+                    elapsed,
+                    throughput: cfg.probe_bytes as f64 / elapsed.as_secs_f64(),
+                    conn,
+                    body,
+                })
+            }
+            Ok(Err(e)) => last_err = e,
+            Err(mpsc::RecvTimeoutError::Timeout) => return Err(RelayError::Timeout),
+            // Every sender is gone: every path failed.
+            Err(mpsc::RecvTimeoutError::Disconnected) => return Err(last_err),
+        }
     }
 }
 
@@ -683,22 +696,62 @@ mod tests {
         assert_eq!(out.choice, ChosenPath::Relay(0));
     }
 
+    fn refusing_relay() -> Relay {
+        // Admits nothing: every connection is answered `503`.
+        Relay::start(
+            RelayConfig::new().with_max_connections(0, crate::relayd::Backpressure::Refuse),
+        )
+        .unwrap()
+    }
+
+    /// Every path failing fast is reported as that failure, at once —
+    /// not as a timeout.
     #[test]
-    fn race_times_out_when_everything_unreachable() {
-        // Ports 1 and 2: connection refused; the race has no finisher.
+    fn race_returns_the_path_error_when_every_path_fails_fast() {
+        // Port 1: connection refused.
         let dead: SocketAddr = "127.0.0.1:1".parse().unwrap();
-        let dead2: SocketAddr = "127.0.0.1:2".parse().unwrap();
+        let relay = refusing_relay();
+        let cfg = ClientConfig {
+            path: "/f".into(),
+            probe_bytes: 10,
+            total_bytes: 100,
+            timeout: Duration::from_secs(10),
+        };
+        let t0 = Instant::now();
+        match probe_race(dead, dead, &[relay.addr()], &cfg) {
+            // Whichever path failed last.
+            Err(RelayError::BadStatus(503)) | Err(RelayError::Io(_)) => {}
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("race should not succeed"),
+        }
+        assert!(
+            t0.elapsed() < cfg.timeout / 4,
+            "fast failures waited out the deadline: {:?}",
+            t0.elapsed()
+        );
+    }
+
+    /// A failed path does not end the race while another is pending;
+    /// `Timeout` is the deadline passing, nothing else.
+    #[test]
+    fn race_outlasts_a_failed_path_and_times_out_at_the_deadline() {
+        // Connects (kernel backlog) but never answers.
+        let silent = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = silent.local_addr().unwrap();
+        let relay = refusing_relay();
         let cfg = ClientConfig {
             path: "/f".into(),
             probe_bytes: 10,
             total_bytes: 100,
             timeout: Duration::from_millis(400),
         };
-        match probe_race(dead, dead, &[dead2], &cfg) {
+        let t0 = Instant::now();
+        match probe_race(addr, addr, &[relay.addr()], &cfg) {
             Err(RelayError::Timeout) => {}
             Err(e) => panic!("wrong error: {e}"),
             Ok(_) => panic!("race should not succeed"),
         }
+        assert!(t0.elapsed() >= cfg.timeout, "{:?}", t0.elapsed());
     }
 
     #[test]

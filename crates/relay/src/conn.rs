@@ -3,11 +3,11 @@
 //! Each accepted socket becomes a `Conn` driven entirely by
 //! readiness: `accept → read request → latency → dial origin → send
 //! upstream → read head → splice → keep-alive loop`, with error
-//! responses re-entering the keep-alive loop exactly like the threaded
-//! daemon. A connection never blocks a thread — every I/O call is
-//! non-blocking, and `Conn::step` records *why* it parked
-//! (`Blocked`) so the worker polls precisely the descriptor or timer
-//! that can unpark it (no level-triggered busy loops).
+//! responses re-entering the keep-alive loop. A connection never
+//! blocks a thread — every I/O call is non-blocking, and `Conn::step`
+//! records *why* it parked (`Blocked`) so the worker polls precisely
+//! the descriptor or timer that can unpark it (no level-triggered busy
+//! loops).
 //!
 //! Rate shaping reuses [`TokenBucket`] with a carried grant budget:
 //! tokens taken for a write that then hits `WouldBlock` are spent on
@@ -444,8 +444,7 @@ impl Conn {
         loop {
             match parse_request(&self.inbuf[..]) {
                 Err(_) => {
-                    // Unparseable request line: drop the connection,
-                    // matching the threaded daemon.
+                    // Unparseable request line: drop the connection.
                     return Some(self.close(ctx, CloseKind::Error));
                 }
                 Ok(Parsed::Complete { value, consumed }) => {
@@ -556,8 +555,7 @@ impl Conn {
         loop {
             match parse_response(&self.headbuf[..]) {
                 Err(_) => {
-                    // Matches the threaded path: origin protocol errors
-                    // map through `RelayError::Http` to 400.
+                    // An origin protocol error is answered with 400.
                     self.respond(ctx, StatusCode::BAD_REQUEST);
                     return HeadStep::Respond;
                 }
@@ -600,8 +598,8 @@ impl Conn {
                     match origin.read(&mut self.outbuf[..]) {
                         Ok(0) => {
                             self.outbuf.clear();
-                            // UnexpectedEof before the head completes is
-                            // an HttpError in the threaded path → 400.
+                            // EOF before the head completes is an
+                            // origin protocol error too → 400.
                             self.respond(ctx, StatusCode::BAD_REQUEST);
                             return HeadStep::Respond;
                         }
@@ -742,7 +740,7 @@ impl Conn {
         }
     }
 
-    /// Telemetry for one relayed request, mirroring the threaded path.
+    /// Telemetry for one relayed request.
     fn after_request(&mut self, ctx: &StepCtx<'_>) {
         Lifecycle::bump(&ctx.lifecycle.requests_completed);
         if let Some(tel) = ctx.telemetry {

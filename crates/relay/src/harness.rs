@@ -9,7 +9,7 @@
 use crate::client::{download, ClientConfig, DownloadOutcome};
 use crate::error::RelayError;
 use crate::origin::{OriginConfig, OriginServer};
-use crate::relayd::{Relay, RelayConfig, RelayMode};
+use crate::relayd::{Relay, RelayConfig};
 use crate::shaper::RateSchedule;
 use std::net::SocketAddr;
 
@@ -33,23 +33,15 @@ pub struct MiniPlanetLab {
 }
 
 impl MiniPlanetLab {
-    /// Starts every server of the spec (relays in the default
-    /// event-driven mode).
+    /// Starts every server of the spec.
     pub fn start(spec: HarnessSpec) -> std::io::Result<MiniPlanetLab> {
-        Self::start_in_mode(spec, RelayMode::default())
-    }
-
-    /// Starts every server of the spec with an explicit relay serving
-    /// mode — the BENCH_PR9 gate runs the same topology through both
-    /// the reactor and the thread-per-connection baseline.
-    pub fn start_in_mode(spec: HarnessSpec, mode: RelayMode) -> std::io::Result<MiniPlanetLab> {
         let origin_direct =
             OriginServer::start(OriginConfig::new(spec.content_len).shaped(spec.direct))?;
         let origin_fast = OriginServer::start(OriginConfig::new(spec.content_len))?;
         let relays = spec
             .relays
             .into_iter()
-            .map(|sched| Relay::start(RelayConfig::shaped(sched).with_mode(mode)))
+            .map(|sched| Relay::start(RelayConfig::shaped(sched)))
             .collect::<std::io::Result<Vec<_>>>()?;
         Ok(MiniPlanetLab {
             origin_direct,

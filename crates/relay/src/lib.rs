@@ -20,8 +20,8 @@
 //!   bodies).
 //! * [`poller`] — `poll(2)`/non-blocking-connect FFI shim.
 //! * [`conn`] — per-connection state machine for the reactor.
-//! * [`relayd`] — the relay daemon (absolute-form in, origin-form out);
-//!   event-driven reactor by default, thread-per-connection baseline.
+//! * [`relayd`] — the relay daemon (absolute-form in, origin-form out),
+//!   an event-driven reactor.
 //! * [`client`] — probe race + warm remainder download.
 //! * [`wire`] — small blocking HTTP client primitives.
 //! * [`harness`] — a one-process mini-PlanetLab for tests and examples.
@@ -46,7 +46,7 @@ pub use conn::{Lifecycle, LifecycleSnapshot};
 pub use error::RelayError;
 pub use harness::{HarnessSpec, MiniPlanetLab, StudyRound};
 pub use origin::{body_byte, fill_body, OriginConfig, OriginServer};
-pub use relayd::{Backpressure, DrainReport, Relay, RelayConfig, RelayMode};
+pub use relayd::{Backpressure, DrainReport, Relay, RelayConfig};
 pub use shaper::{RateSchedule, TokenBucket};
-pub use stream::{FirstByteStamp, ThrottledStream, SPLICE_CHUNK};
+pub use stream::{ThrottledStream, SPLICE_CHUNK};
 pub use transport::{RealTransport, RealWorld};

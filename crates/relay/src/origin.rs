@@ -134,10 +134,7 @@ fn accept_loop(listener: TcpListener, cfg: OriginConfig, shutdown: Arc<AtomicBoo
 
 /// Reads one request head from `stream` into `buf`; `Ok(None)` on clean
 /// EOF before any bytes of a new request.
-pub(crate) fn read_request(
-    stream: &mut TcpStream,
-    buf: &mut BytesMut,
-) -> Result<Option<Request>, RelayError> {
+fn read_request(stream: &mut TcpStream, buf: &mut BytesMut) -> Result<Option<Request>, RelayError> {
     loop {
         match parse_request(&buf[..])? {
             Parsed::Complete { value, consumed } => {

@@ -6,29 +6,23 @@
 //! back to the client through this relay's rate shaper (the shaper is
 //! the client→relay overlay-link bottleneck of the model).
 //!
-//! Two serving modes share one acceptor (DESIGN.md §15):
+//! One acceptor feeds a small sharded worker pool that drives
+//! non-blocking sockets through a `poll(2)` reactor
+//! ([`crate::poller`], DESIGN.md §15). Each connection is a
+//! `crate::conn::Conn` state machine; splice buffers come from a
+//! shared pool; thousands of concurrent transfers cost a handful of
+//! threads.
 //!
-//! * [`RelayMode::Event`] (the default) — a small sharded worker pool
-//!   drives non-blocking sockets through a `poll(2)` reactor
-//!   ([`crate::poller`]). Each connection is a `crate::conn::Conn`
-//!   state machine; splice buffers come from a shared pool; thousands
-//!   of concurrent transfers cost a handful of threads.
-//! * [`RelayMode::Threaded`] — the original thread-per-connection
-//!   path, kept as the baseline the BENCH_PR9 gate compares against.
-//!
-//! Both modes honour accept-side backpressure ([`RelayConfig::
+//! The daemon honours accept-side backpressure ([`RelayConfig::
 //! with_max_connections`]), `kill()` crash semantics (sever every
 //! splice, refuse new connections — PR 2), and graceful
 //! [`Relay::drain`].
 
 use crate::conn::{BufferPool, Conn, Lifecycle, LifecycleSnapshot, Step, StepCtx};
-use crate::error::RelayError;
-use crate::origin::read_request;
 use crate::poller::{poll_fds, PollFd};
 use crate::shaper::{RateSchedule, TokenBucket};
-use crate::stream::{FirstByteStamp, ThrottledStream, SPLICE_CHUNK};
 use bytes::BytesMut;
-use ir_http::{encode_request, encode_response, plan_forward, Parsed, Response, StatusCode};
+use ir_http::{encode_response, Response, StatusCode};
 use ir_telemetry::trace::{Event, EventKind};
 use ir_telemetry::Telemetry;
 use std::collections::{BTreeMap, VecDeque};
@@ -39,25 +33,6 @@ use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// How the daemon serves connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RelayMode {
-    /// Poll-reactor worker pool over non-blocking sockets.
-    Event {
-        /// Worker (shard) count; each worker owns its connections.
-        workers: usize,
-    },
-    /// One blocking serve thread per connection (the pre-reactor
-    /// baseline).
-    Threaded,
-}
-
-impl Default for RelayMode {
-    fn default() -> Self {
-        RelayMode::Event { workers: 4 }
-    }
-}
 
 /// What the acceptor does with a connection beyond the limit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,8 +57,9 @@ pub struct RelayConfig {
     /// (the default) costs nothing. Events carry wall-clock
     /// microseconds since the daemon's accept-loop epoch.
     pub telemetry: Option<Arc<Telemetry>>,
-    /// Serving mode.
-    pub mode: RelayMode,
+    /// Reactor worker (shard) count; each worker owns its
+    /// connections. Zero is served as one.
+    pub workers: usize,
     /// Concurrent-connection ceiling; `None` = unlimited.
     pub max_connections: Option<usize>,
     /// Policy for accepts beyond `max_connections`.
@@ -100,7 +76,7 @@ impl RelayConfig {
             rate: None,
             latency: Duration::ZERO,
             telemetry: None,
-            mode: RelayMode::default(),
+            workers: 4,
             max_connections: None,
             backpressure: Backpressure::Refuse,
             idle_timeout: Duration::from_secs(30),
@@ -127,9 +103,9 @@ impl RelayConfig {
         self
     }
 
-    /// Selects the serving mode.
-    pub fn with_mode(mut self, mode: RelayMode) -> Self {
-        self.mode = mode;
+    /// Sets the reactor worker (shard) count.
+    pub fn with_workers(mut self, workers: usize) -> Self {
+        self.workers = workers;
         self
     }
 
@@ -224,36 +200,32 @@ impl Relay {
             pool: BufferPool::default(),
         });
         let mut handles = Vec::new();
-        let mut wakes = Vec::new();
         let epoch = Instant::now();
 
-        let dispatch = match shared.cfg.mode {
-            RelayMode::Threaded => Dispatch::Threaded,
-            RelayMode::Event { workers } => {
-                let n = workers.max(1);
-                let mut links = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let (tx, rx) = UnixStream::pair()?;
-                    tx.set_nonblocking(true)?;
-                    rx.set_nonblocking(true)?;
-                    let link = Arc::new(WorkerLink {
-                        queue: Mutex::new(VecDeque::new()),
-                        wake: Mutex::new(tx),
-                    });
-                    let worker = Worker {
-                        link: link.clone(),
-                        wake_rx: rx,
-                        shared: shared.clone(),
-                        shutdown: shutdown.clone(),
-                        draining: draining.clone(),
-                        epoch,
-                    };
-                    handles.push(std::thread::spawn(move || worker.run()));
-                    links.push(link);
-                }
-                wakes = links.clone();
-                Dispatch::Event { links, next: 0 }
-            }
+        let n = shared.cfg.workers.max(1);
+        let mut wakes = Vec::with_capacity(n);
+        for _ in 0..n {
+            let (tx, rx) = UnixStream::pair()?;
+            tx.set_nonblocking(true)?;
+            rx.set_nonblocking(true)?;
+            let link = Arc::new(WorkerLink {
+                queue: Mutex::new(VecDeque::new()),
+                wake: Mutex::new(tx),
+            });
+            let worker = Worker {
+                link: link.clone(),
+                wake_rx: rx,
+                shared: shared.clone(),
+                shutdown: shutdown.clone(),
+                draining: draining.clone(),
+                epoch,
+            };
+            handles.push(std::thread::spawn(move || worker.run()));
+            wakes.push(link);
+        }
+        let dispatch = Dispatch {
+            links: wakes.clone(),
+            next: 0,
         };
 
         let accept_shared = shared.clone();
@@ -326,9 +298,8 @@ impl Relay {
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
-        // Workers reaped their connections on the way out; clear any
-        // stragglers (threaded mode severs but lets serve threads die
-        // on their own).
+        // Workers reaped their connections on the way out; an intake
+        // handed over after its worker exited is dropped here.
         self.shared.registry.lock().expect("relay registry").clear();
     }
 
@@ -394,12 +365,10 @@ impl WorkerLink {
     }
 }
 
-enum Dispatch {
-    Threaded,
-    Event {
-        links: Vec<Arc<WorkerLink>>,
-        next: usize,
-    },
+/// Round-robin handoff from the acceptor to the worker shards.
+struct Dispatch {
+    links: Vec<Arc<WorkerLink>>,
+    next: usize,
 }
 
 fn accept_loop(
@@ -419,7 +388,7 @@ fn accept_loop(
                 parked.push_front(intake);
                 break;
             }
-            admit(&shared, epoch, intake, &mut dispatch, &shutdown, &draining);
+            admit(&shared, epoch, intake, &mut dispatch);
         }
         match listener.accept() {
             Ok((stream, _)) => {
@@ -446,7 +415,7 @@ fn accept_loop(
                     }
                     continue;
                 }
-                admit(&shared, epoch, intake, &mut dispatch, &shutdown, &draining);
+                admit(&shared, epoch, intake, &mut dispatch);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(if parked.is_empty() { 5 } else { 1 }));
@@ -493,14 +462,7 @@ fn refuse(shared: &Shared, mut stream: TcpStream) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-fn admit(
-    shared: &Arc<Shared>,
-    epoch: Instant,
-    intake: Intake,
-    dispatch: &mut Dispatch,
-    shutdown: &Arc<AtomicBool>,
-    draining: &Arc<AtomicBool>,
-) {
+fn admit(shared: &Shared, epoch: Instant, intake: Intake, dispatch: &mut Dispatch) {
     shared.active.fetch_add(1, Ordering::SeqCst);
     Lifecycle::bump(&shared.lifecycle.accepted);
     if let Some(tel) = &shared.cfg.telemetry {
@@ -524,28 +486,14 @@ fn admit(
             .expect("relay registry")
             .insert(intake.conn_id, clone);
     }
-    match dispatch {
-        Dispatch::Event { links, next } => {
-            let link = &links[*next % links.len()];
-            *next = next.wrapping_add(1);
-            link.queue.lock().expect("worker queue").push_back(intake);
-            link.wake();
-        }
-        Dispatch::Threaded => {
-            let shared = shared.clone();
-            let shutdown = shutdown.clone();
-            let draining = draining.clone();
-            std::thread::spawn(move || {
-                let id = intake.conn_id;
-                let _ = serve_client(intake, &shared, epoch, &shutdown, &draining);
-                shared.conn_closed(id);
-            });
-        }
-    }
+    let link = &dispatch.links[dispatch.next % dispatch.links.len()];
+    dispatch.next = dispatch.next.wrapping_add(1);
+    link.queue.lock().expect("worker queue").push_back(intake);
+    link.wake();
 }
 
 // ---------------------------------------------------------------------
-// Event mode: the poll reactor.
+// The poll reactor.
 // ---------------------------------------------------------------------
 
 /// One reactor shard: owns its connections outright; the acceptor only
@@ -716,203 +664,11 @@ impl Worker {
     }
 }
 
-// ---------------------------------------------------------------------
-// Threaded mode: the baseline serve path.
-// ---------------------------------------------------------------------
-
-fn serve_client(
-    intake: Intake,
-    shared: &Shared,
-    epoch: Instant,
-    shutdown: &AtomicBool,
-    draining: &AtomicBool,
-) -> Result<(), RelayError> {
-    let cfg = &shared.cfg;
-    let mut client = intake.stream;
-    let conn_id = intake.conn_id;
-    client.set_read_timeout(Some(cfg.idle_timeout))?;
-    client.set_nodelay(true)?;
-    let mut inbuf = BytesMut::new();
-    let mut first_byte_done = false;
-    loop {
-        let Some(req) = read_request(&mut client, &mut inbuf)? else {
-            Lifecycle::bump(&shared.lifecycle.closed_clean);
-            return Ok(());
-        };
-        Lifecycle::bump(&shared.lifecycle.requests_read);
-        if !cfg.latency.is_zero() {
-            Lifecycle::bump(&shared.lifecycle.latency_waits);
-            std::thread::sleep(cfg.latency);
-        }
-        // Stamp the first client-bound byte of this connection
-        // (accept-to-first-byte), then shape towards the client.
-        let stamp = FirstByteStamp::new(client.try_clone()?, {
-            let telemetry = cfg.telemetry.clone();
-            let accept_at = intake.accept_at;
-            let already = first_byte_done;
-            move || {
-                if already {
-                    return;
-                }
-                if let Some(tel) = &telemetry {
-                    let wait = accept_at.elapsed();
-                    tel.metrics
-                        .histogram("relay_accept_first_byte_us", vec![])
-                        .record(wait.as_micros() as u64);
-                    tel.tracer.record(Event::span(
-                        EventKind::RelayFirstByte,
-                        accept_at.duration_since(epoch).as_micros() as u64,
-                        wait.as_micros() as u64,
-                        conn_id,
-                    ));
-                }
-            }
-        });
-        let mut down: Box<dyn Write> = match &cfg.rate {
-            Some(schedule) => Box::new(ThrottledStream::new(
-                stamp,
-                TokenBucket::with_epoch(schedule.clone(), 16_384.0, epoch),
-            )),
-            None => Box::new(stamp),
-        };
-        let splice_start = epoch.elapsed();
-        match forward_one(&req, &mut *down, &shared.lifecycle) {
-            Ok(bytes) => {
-                Lifecycle::bump(&shared.lifecycle.requests_completed);
-                if let Some(tel) = &cfg.telemetry {
-                    let dur = epoch.elapsed() - splice_start;
-                    tel.metrics.counter("relay_requests", vec![]).inc();
-                    tel.metrics.counter("relay_bytes", vec![]).add(bytes);
-                    tel.metrics
-                        .histogram("relay_splice_us", vec![])
-                        .record(dur.as_micros() as u64);
-                    tel.tracer.record(
-                        Event::span(
-                            EventKind::RelaySplice,
-                            splice_start.as_micros() as u64,
-                            dur.as_micros() as u64,
-                            conn_id,
-                        )
-                        .with_u64("bytes", bytes),
-                    );
-                }
-            }
-            Err(RelayError::Http(_)) => {
-                // The client sent something we refuse to proxy.
-                Lifecycle::bump(&shared.lifecycle.error_responses);
-                if let Some(tel) = &cfg.telemetry {
-                    tel.metrics.counter("relay_errors", vec![]).inc();
-                }
-                let resp =
-                    Response::new(StatusCode::BAD_REQUEST).with_header("Content-Length", "0");
-                let mut buf = BytesMut::new();
-                encode_response(&resp, &mut buf);
-                down.write_all(&buf)?;
-            }
-            Err(_) => {
-                Lifecycle::bump(&shared.lifecycle.error_responses);
-                if let Some(tel) = &cfg.telemetry {
-                    tel.metrics.counter("relay_errors", vec![]).inc();
-                }
-                let resp =
-                    Response::new(StatusCode::BAD_GATEWAY).with_header("Content-Length", "0");
-                let mut buf = BytesMut::new();
-                encode_response(&resp, &mut buf);
-                down.write_all(&buf)?;
-            }
-        }
-        down.flush()?;
-        first_byte_done = true;
-        if shutdown.load(Ordering::SeqCst) {
-            Lifecycle::bump(&shared.lifecycle.killed);
-            return Ok(());
-        }
-        if draining.load(Ordering::SeqCst) {
-            // Finish the in-flight request, then bow out instead of
-            // holding keep-alive open.
-            Lifecycle::bump(&shared.lifecycle.closed_clean);
-            return Ok(());
-        }
-    }
-}
-
-/// Forwards a single request to its origin and streams the response
-/// into `down`. Returns the number of body bytes spliced through.
-fn forward_one(
-    req: &ir_http::Request,
-    down: &mut dyn Write,
-    lifecycle: &Lifecycle,
-) -> Result<u64, RelayError> {
-    let plan = plan_forward(req)?;
-    Lifecycle::bump(&lifecycle.origin_dials);
-    let mut origin = TcpStream::connect((plan.host.as_str(), plan.port))?;
-    origin.set_read_timeout(Some(Duration::from_secs(30)))?;
-    origin.set_nodelay(true)?;
-
-    let mut buf = BytesMut::new();
-    encode_request(&plan.request, &mut buf);
-    origin.write_all(&buf)?;
-    Lifecycle::bump(&lifecycle.upstream_sends);
-
-    // Read the response head.
-    let mut headbuf = BytesMut::new();
-    let head = loop {
-        match ir_http::parse_response(&headbuf[..])? {
-            Parsed::Complete { value, consumed } => {
-                let _ = headbuf.split_to(consumed);
-                break value;
-            }
-            Parsed::Partial => {
-                let mut chunk = [0u8; 8192];
-                let n = origin.read(&mut chunk)?;
-                if n == 0 {
-                    return Err(RelayError::Http(ir_http::HttpError::UnexpectedEof));
-                }
-                headbuf.extend_from_slice(&chunk[..n]);
-            }
-        }
-    };
-    let body_len = head
-        .headers
-        .content_length()
-        .map_err(RelayError::Http)?
-        .ok_or_else(|| RelayError::BadResponse("origin sent no Content-Length".into()))?;
-    Lifecycle::bump(&lifecycle.heads_read);
-
-    // Relay the head (annotated) and the body.
-    let mut relayed = head.clone();
-    relayed.headers.append("Via", "1.1 ir-relay");
-    let mut out = BytesMut::new();
-    encode_response(&relayed, &mut out);
-    down.write_all(&out)?;
-    Lifecycle::bump(&lifecycle.splices_started);
-
-    // Body bytes already read with the head.
-    let mut sent = 0u64;
-    let prefix = headbuf.to_vec();
-    if !prefix.is_empty() {
-        let take = prefix.len().min(body_len as usize);
-        down.write_all(&prefix[..take])?;
-        sent += take as u64;
-    }
-    let mut chunk = vec![0u8; SPLICE_CHUNK];
-    while sent < body_len {
-        let want = ((body_len - sent) as usize).min(chunk.len());
-        let n = origin.read(&mut chunk[..want])?;
-        if n == 0 {
-            return Err(RelayError::Http(ir_http::HttpError::UnexpectedEof));
-        }
-        down.write_all(&chunk[..n])?;
-        sent += n as u64;
-    }
-    Ok(sent)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::origin::{body_byte, OriginConfig, OriginServer};
-    use ir_http::{via_proxy, ByteRange};
+    use ir_http::{encode_request, via_proxy, ByteRange, Parsed};
 
     fn fetch_via(
         relay: SocketAddr,
@@ -1144,16 +900,6 @@ mod tests {
             assert_eq!(head.status, StatusCode::PARTIAL_CONTENT);
             assert_eq!(body[0], body_byte(k * 10));
         }
-    }
-
-    #[test]
-    fn threaded_mode_still_serves() {
-        let origin = OriginServer::start(OriginConfig::new(20_000)).unwrap();
-        let relay = Relay::start(RelayConfig::new().with_mode(RelayMode::Threaded)).unwrap();
-        let (head, body) = fetch_via(relay.addr(), origin.addr(), None);
-        assert_eq!(head.status, StatusCode::OK);
-        assert!(head.headers.get("Via").unwrap().contains("ir-relay"));
-        assert_eq!(body.len(), 20_000);
     }
 
     #[test]

@@ -8,50 +8,9 @@ use crate::shaper::TokenBucket;
 use std::io::{Read, Write};
 
 /// Chunk size shared by every splice loop in the crate (the shaped
-/// writer, the threaded forward path, and the reactor's pooled
-/// buffers): big enough to amortize syscalls, small enough that rate
-/// changes take effect quickly.
+/// writer and the reactor's pooled buffers): big enough to amortize
+/// syscalls, small enough that rate changes take effect quickly.
 pub const SPLICE_CHUNK: usize = 16 * 1024;
-
-/// Calls a hook exactly once, immediately after the first successful
-/// non-empty write. The relay's threaded serve path uses this to
-/// measure accept-to-first-byte without touching the splice loop.
-pub struct FirstByteStamp<S, F: FnMut()> {
-    inner: S,
-    on_first: Option<F>,
-}
-
-impl<S, F: FnMut()> FirstByteStamp<S, F> {
-    /// Wraps `inner`; `on_first` fires after the first byte goes out.
-    pub fn new(inner: S, on_first: F) -> Self {
-        FirstByteStamp {
-            inner,
-            on_first: Some(on_first),
-        }
-    }
-}
-
-impl<S: Write, F: FnMut()> Write for FirstByteStamp<S, F> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        if n > 0 {
-            if let Some(mut hook) = self.on_first.take() {
-                hook();
-            }
-        }
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-impl<S: Read, F: FnMut()> Read for FirstByteStamp<S, F> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        self.inner.read(buf)
-    }
-}
 
 /// A stream whose writes are paced by a token bucket. Reads pass
 /// through untouched.

@@ -11,9 +11,7 @@
 
 use bytes::BytesMut;
 use ir_http::{encode_request, via_proxy, Parsed, Response, StatusCode};
-use ir_relay::{
-    body_byte, OriginConfig, OriginServer, RateSchedule, Relay, RelayConfig, RelayMode,
-};
+use ir_relay::{body_byte, OriginConfig, OriginServer, RateSchedule, Relay, RelayConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{Read, Write};
@@ -241,21 +239,4 @@ fn mid_splice_kill_leaves_no_state_behind() {
         let snap = relay.lifecycle();
         assert!(snap.killed >= 1, "seed {seed}: kill not observed {snap:?}");
     }
-}
-
-#[test]
-fn threaded_mode_counts_its_lifecycle_too() {
-    let origin = OriginServer::start(OriginConfig::new(5_000)).unwrap();
-    let relay = Relay::start(RelayConfig::new().with_mode(RelayMode::Threaded)).unwrap();
-    let mut stream = TcpStream::connect(relay.addr()).unwrap();
-    send_range(&mut stream, origin.addr(), 0, 4_999);
-    let (head, body) = read_response(&mut stream);
-    assert_eq!(head.status, StatusCode::PARTIAL_CONTENT);
-    assert_eq!(body.len(), 5_000);
-    drop(stream);
-    wait_quiesced(&relay);
-    let snap = relay.lifecycle();
-    assert_eq!(snap.accepted, 1);
-    assert_eq!(snap.requests_completed, 1);
-    assert_eq!(snap.closed_clean, 1);
 }

@@ -1,9 +1,11 @@
 //! Integration: everything is a pure function of its seed.
 
-use indirect_routing::core::SessionConfig;
+use indirect_routing::core::{EngineMode, SessionConfig};
 use indirect_routing::experiments::runner;
 use indirect_routing::experiments::{fig1, table1};
 use indirect_routing::workload;
+use ir_telemetry::{Snapshot, Telemetry};
+use std::sync::Arc;
 
 fn records_digest(data: &runner::MeasurementData) -> Vec<(u64, u64, bool)> {
     data.all_records()
@@ -17,7 +19,13 @@ fn records_digest(data: &runner::MeasurementData) -> Vec<(u64, u64, bool)> {
         .collect()
 }
 
-fn run(seed: u64) -> runner::MeasurementData {
+/// The 4 × 4 × 1 study every test here runs, optionally under a
+/// telemetry handle.
+fn run_traced(
+    seed: u64,
+    engine: EngineMode,
+    tel: Option<Arc<Telemetry>>,
+) -> runner::MeasurementData {
     let sc = workload::build(
         seed,
         &workload::roster::CLIENTS[..4],
@@ -26,12 +34,19 @@ fn run(seed: u64) -> runner::MeasurementData {
         workload::Calibration::default(),
         false,
     );
-    runner::run_measurement_study(
+    let mut cfg = SessionConfig::paper_defaults();
+    cfg.engine = engine;
+    runner::run_measurement_study_traced(
         &sc,
         0,
         workload::Schedule::measurement_study().spread(8),
-        SessionConfig::paper_defaults(),
+        cfg,
+        tel,
     )
+}
+
+fn run(seed: u64) -> runner::MeasurementData {
+    run_traced(seed, EngineMode::default(), None)
 }
 
 #[test]
@@ -189,6 +204,44 @@ fn golden_striping_csv_bytes_unchanged() {
     }
 }
 
+/// Boundary count of the pinned Fig 1 study (seed 42, 4 clients × 4
+/// relays × 1 server, spread 8 — the study the goldens above
+/// snapshot). A pure function of the seed: timings drift with
+/// hardware, boundary counts must not. If it moves, the engine's
+/// boundary schedule changed and the golden artefacts are suspect;
+/// re-pin only after `tests/golden/` has been deliberately regenerated.
+const PINNED_FIG1_BOUNDARIES: u64 = 6_054;
+
+/// The pinned Fig 1 study (`run(42)`) under `engine`, with the engine
+/// counters it left in telemetry (aggregated across every `Network`
+/// the study touched — clones share the registry handle).
+fn pinned_study_traced(engine: EngineMode) -> (runner::MeasurementData, Snapshot) {
+    let tel = Arc::new(Telemetry::new());
+    let data = run_traced(42, engine, Some(tel.clone()));
+    (data, tel.metrics.snapshot())
+}
+
+/// The determinism canary and the incremental engine's pay-off: the
+/// pinned study crosses exactly the pinned number of boundaries and
+/// does fewer full solves than boundary steps on it.
+#[test]
+fn pinned_fig1_study_boundary_count_and_solve_split() {
+    let (data, snap) = pinned_study_traced(EngineMode::Incremental);
+    assert!(data.all_records().count() > 0, "pinned study is empty");
+    let get = |name: &str| snap.counter(name, &vec![]).unwrap_or(0);
+    let boundaries = get("simnet_boundaries");
+    let full_solves = get("simnet_recomputes");
+    let incremental_solves = get("simnet_solve_skips");
+    assert_eq!(boundaries, PINNED_FIG1_BOUNDARIES);
+    assert!(
+        full_solves < boundaries,
+        "no solve ever skipped: {full_solves} full solves over {boundaries} boundaries"
+    );
+    // Idle boundaries (no active flows) neither solve nor skip, so
+    // the split never exceeds the boundary count.
+    assert!(full_solves + incremental_solves <= boundaries);
+}
+
 /// The engine mode is an execution knob, never a semantic one: the
 /// pinned seed-42 Fig 1 study must render byte-identical Fig 1 /
 /// Table I CSVs under the reference engine and the incremental one
@@ -196,45 +249,18 @@ fn golden_striping_csv_bytes_unchanged() {
 /// pinned boundary-count canary.
 #[test]
 fn reference_engine_never_moves_study_bytes() {
-    use indirect_routing::core::EngineMode;
-    use ir_telemetry::Telemetry;
-    use std::sync::Arc;
-
     let study = |engine: EngineMode| {
-        let sc = workload::build(
-            42,
-            &workload::roster::CLIENTS[..4],
-            &workload::roster::INTERMEDIATES[..4],
-            &workload::roster::SERVERS[..1],
-            workload::Calibration::default(),
-            false,
-        );
-        let mut cfg = SessionConfig::paper_defaults();
-        cfg.engine = engine;
-        let tel = Arc::new(Telemetry::new());
-        let data = runner::run_measurement_study_traced(
-            &sc,
-            0,
-            workload::Schedule::measurement_study().spread(8),
-            cfg,
-            Some(Arc::clone(&tel)),
-        );
-        let boundaries = tel
-            .metrics
-            .snapshot()
-            .counter("simnet_boundaries", &vec![])
-            .unwrap_or(0);
+        let (data, snap) = pinned_study_traced(engine);
         (
             fig1::report(&data).csv[0].1.clone(),
             table1::report(&data).csv[0].1.clone(),
-            boundaries,
+            snap.counter("simnet_boundaries", &vec![]).unwrap_or(0),
         )
     };
 
     let base = study(EngineMode::Incremental);
     assert_eq!(
-        base.2,
-        indirect_routing::experiments::bench_gate::PINNED_FIG1_BOUNDARIES,
+        base.2, PINNED_FIG1_BOUNDARIES,
         "incremental run missed the pinned boundary canary"
     );
     let reference = study(EngineMode::Reference);

@@ -8,18 +8,14 @@
 use indirect_routing::relay::shaper::RateSchedule;
 use indirect_routing::relay::{
     download, download_striped, ChosenPath, ClientConfig, OriginConfig, OriginServer, Relay,
-    RelayConfig, RelayMode,
+    RelayConfig,
 };
 use std::time::Duration;
 
 const KB: f64 = 1000.0;
 
 fn event_relay(rate: f64) -> Relay {
-    Relay::start(
-        RelayConfig::shaped(RateSchedule::constant(rate))
-            .with_mode(RelayMode::Event { workers: 2 }),
-    )
-    .unwrap()
+    Relay::start(RelayConfig::shaped(RateSchedule::constant(rate)).with_workers(2)).unwrap()
 }
 
 fn client_cfg(total: u64) -> ClientConfig {
