@@ -24,7 +24,11 @@
 //!    (hash-iterated or parallel) sources;
 //! 5. **unsafe hygiene** — `unsafe` without a `// SAFETY:` comment;
 //! 6. **allow justification** — `#[allow(...)]` without a one-line
-//!    justification comment.
+//!    justification comment;
+//! 7. **serve-path sleep** — `thread::sleep` in non-test code of the
+//!    relay crate, whose threads are meant to wait on readiness (a
+//!    timer-quantised accept loop cost every relayed request 10 ms
+//!    until PR 15).
 //!
 //! Exemptions live in `audit.allow.toml` ([`allowlist`]): one reviewed
 //! entry per site, with a mandatory reason; an entry that no longer
@@ -90,6 +94,8 @@ pub enum Rule {
     UnsafeHygiene,
     /// Rule 6: `#[allow(...)]` without a justification comment.
     AllowJustification,
+    /// Rule 7: `thread::sleep` in the relay crate's non-test code.
+    ServePathSleep,
 }
 
 impl Rule {
@@ -103,6 +109,7 @@ impl Rule {
             Rule::FloatOrderHazard => "float-order-hazard",
             Rule::UnsafeHygiene => "unsafe-hygiene",
             Rule::AllowJustification => "allow-justification",
+            Rule::ServePathSleep => "serve-path-sleep",
         }
     }
 
@@ -114,6 +121,7 @@ impl Rule {
         Rule::FloatOrderHazard,
         Rule::UnsafeHygiene,
         Rule::AllowJustification,
+        Rule::ServePathSleep,
     ];
 }
 

@@ -1,4 +1,4 @@
-//! The per-file lexical rule passes (rules 1, 2, 4, 5, 6 — rule 3
+//! The per-file lexical rule passes (rules 1, 2, 4, 5, 6, 7 — rule 3
 //! lives in [`crate::stablehash`] because it cross-references files).
 //!
 //! All passes work on the [`crate::scan`] code view, so strings and
@@ -43,7 +43,7 @@ const AMBIENT: &[(&str, &str)] = &[
 /// Reduction adapters whose result depends on operand order for `f64`.
 const REDUCTIONS: &[&str] = &[".sum()", ".sum::<", ".fold(", ".reduce(", ".product("];
 
-/// Runs rules 1, 2, 4, 5, 6 over one file.
+/// Runs rules 1, 2, 4, 5, 6, 7 over one file.
 pub fn check_file(file: &SourceFile) -> Vec<Finding> {
     let mut out = Vec::new();
     if is_deterministic_path(&file.rel_path) {
@@ -54,6 +54,9 @@ pub fn check_file(file: &SourceFile) -> Vec<Finding> {
     }
     unsafe_hygiene(file, &mut out);
     allow_justification(file, &mut out);
+    if file.rel_path.starts_with("crates/relay/src/") {
+        serve_path_sleep(file, &mut out);
+    }
     out
 }
 
@@ -366,6 +369,34 @@ fn allow_justification(file: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
+/// Rule 7: `thread::sleep` in the relay crate outside its unit tests.
+/// Every wait on the serve path is a readiness wait (`poll` on a
+/// descriptor, a wake pipe or a deadline); a sleep is either emulation
+/// the crate exists to provide or a failure back-off, and says so in
+/// the allowlist. Inline test modules sit at the end of a file by
+/// convention: everything from `#[cfg(test)]` + `mod` down is exempt.
+fn serve_path_sleep(file: &SourceFile, out: &mut Vec<Finding>) {
+    let tests_from = file
+        .lines
+        .windows(2)
+        .position(|w| w[0].code.trim() == "#[cfg(test)]" && w[1].code.trim().starts_with("mod "))
+        .unwrap_or(file.lines.len());
+    for (idx, line) in file.lines[..tests_from].iter().enumerate() {
+        if find_prefix(&line.code, "thread::sleep") {
+            out.push(Finding {
+                rule: Rule::ServePathSleep,
+                path: file.rel_path.clone(),
+                line: idx + 1,
+                message: "`thread::sleep` in the relay crate: wait on readiness \
+                          (`poller::poll_fds`, a wake pipe, a deadline) or add a \
+                          justified allowlist entry"
+                    .to_string(),
+                snippet: file.snippet(idx + 1),
+            });
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,6 +489,22 @@ mod tests {
             "// SAFETY: q is valid for the call's duration.\nlet p = unsafe { deref(q) };\n",
         );
         assert!(rules_of(&ok).is_empty());
+    }
+
+    #[test]
+    fn sleep_fires_in_relay_code_but_not_its_tests_or_other_crates() {
+        let text = "fn wait() {\n    std::thread::sleep(TICK);\n}\n\
+                    #[cfg(test)]\nmod tests {\n    fn t() { std::thread::sleep(TICK); }\n}\n";
+        let relay = file("crates/relay/src/x.rs", text);
+        assert_eq!(rules_of(&relay), vec![(Rule::ServePathSleep, 2)]);
+        // A `#[cfg(test)]` helper is not the test module.
+        let helper = file(
+            "crates/relay/src/x.rs",
+            "#[cfg(test)]\nfn peek() {}\nfn wait() { thread::sleep(TICK); }\n",
+        );
+        assert_eq!(rules_of(&helper), vec![(Rule::ServePathSleep, 3)]);
+        assert!(rules_of(&file("crates/relay/tests/x.rs", text)).is_empty());
+        assert!(rules_of(&file("crates/telemetry/src/x.rs", text)).is_empty());
     }
 
     #[test]

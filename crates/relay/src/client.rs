@@ -10,8 +10,8 @@ use crate::error::RelayError;
 use crate::origin::body_byte;
 use crate::wire::exchange;
 use ir_http::{via_proxy, ByteRange, Request, StatusCode};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::mpsc;
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Which path carried the transfer.
@@ -109,8 +109,18 @@ fn probe_request(
     }
 }
 
+/// The sockets of a probe race, so that the winner can close the
+/// losers instead of leaving each parked on its path until it answers
+/// or times out.
+#[derive(Default)]
+struct RaceSockets {
+    won: bool,
+    open: Vec<(ChosenPath, TcpStream)>,
+}
+
 /// Races the probe over the direct path and every relay; returns the
-/// winner with its open connection.
+/// winner with its open connection. The losers' connections are shut
+/// down as soon as the race is won.
 ///
 /// `direct` is the origin address the client reaches on its default
 /// path; `origin_for_relays` is the origin address relays should dial
@@ -121,7 +131,7 @@ fn probe_request(
 /// A path that fails (refused connect, `503` from a relay under
 /// backpressure) drops out of the race; when every path has failed the
 /// last path's error is returned at once. [`RelayError::Timeout`] means
-/// the deadline really passed with a path still pending.
+/// the deadline passed with no path having delivered its probe.
 pub fn probe_race(
     direct: SocketAddr,
     origin_for_relays: SocketAddr,
@@ -132,6 +142,7 @@ pub fn probe_race(
     let (tx, rx) =
         mpsc::channel::<Result<(ChosenPath, Duration, TcpStream, Vec<u8>), RelayError>>();
     let start = Instant::now();
+    let sockets = Arc::new(Mutex::new(RaceSockets::default()));
 
     let mut targets: Vec<(ChosenPath, SocketAddr)> = vec![(ChosenPath::Direct, direct)];
     for (i, &r) in relays.iter().enumerate() {
@@ -143,11 +154,24 @@ pub fn probe_race(
         let path = cfg.path.clone();
         let probe = cfg.probe_bytes;
         let timeout = cfg.timeout;
+        let sockets = Arc::clone(&sockets);
         std::thread::spawn(move || {
             let run = || -> Result<(TcpStream, Vec<u8>), RelayError> {
                 let mut conn = TcpStream::connect_timeout(&addr, timeout)?;
                 conn.set_read_timeout(Some(timeout))?;
                 conn.set_nodelay(true)?;
+                {
+                    // Registering and checking `won` under one lock: a
+                    // path that connects after the win sees the flag,
+                    // one that connects before it is in `open` when
+                    // the winner shuts the losers down.
+                    let mut race = sockets.lock().expect("race sockets");
+                    if race.won {
+                        // Nobody is listening for this result any more.
+                        return Err(RelayError::Timeout);
+                    }
+                    race.open.push((choice, conn.try_clone()?));
+                }
                 // Connect to the relay (or straight to the origin); the
                 // absolute URI inside always names the origin.
                 let req = probe_request(choice, origin_for_relays, &path, ByteRange::first(probe));
@@ -167,18 +191,34 @@ pub fn probe_race(
     loop {
         match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
             Ok(Ok((choice, elapsed, conn, body))) => {
+                let mut race = sockets.lock().expect("race sockets");
+                race.won = true;
+                for (loser, sock) in race.open.drain(..) {
+                    if loser != choice {
+                        let _ = sock.shutdown(Shutdown::Both);
+                    }
+                }
                 return Ok(ProbeWin {
                     choice,
                     elapsed,
                     throughput: cfg.probe_bytes as f64 / elapsed.as_secs_f64(),
                     conn,
                     body,
-                })
+                });
             }
             Ok(Err(e)) => last_err = e,
             Err(mpsc::RecvTimeoutError::Timeout) => return Err(RelayError::Timeout),
-            // Every sender is gone: every path failed.
-            Err(mpsc::RecvTimeoutError::Disconnected) => return Err(last_err),
+            // Every sender is gone: every path failed. Each path's read
+            // timeout is the race's, started a connect later, so a late
+            // wake-up here can find them all expired: that is the
+            // deadline passing, not a path error.
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                return Err(if Instant::now() >= deadline {
+                    RelayError::Timeout
+                } else {
+                    last_err
+                })
+            }
         }
     }
 }
@@ -752,6 +792,32 @@ mod tests {
             Ok(_) => panic!("race should not succeed"),
         }
         assert!(t0.elapsed() >= cfg.timeout, "{:?}", t0.elapsed());
+    }
+
+    /// Winning the race closes the losers: a relay whose probe would
+    /// run for seconds is rid of the connection at once, not when the
+    /// probe finally drains.
+    #[test]
+    fn race_winner_closes_the_losing_connections() {
+        // 80 KB probe: 16 KiB of burst, the rest at 10 KB/s ≈ 6 s.
+        let (direct, fast, relays) = world(400_000, 50_000.0 * KB, &[10.0 * KB]);
+        let cfg = ClientConfig {
+            path: "/f".into(),
+            probe_bytes: 80_000,
+            total_bytes: 400_000,
+            timeout: Duration::from_secs(20),
+        };
+        let win = probe_race(direct.addr(), fast.addr(), &[relays[0].addr()], &cfg).unwrap();
+        assert_eq!(win.choice, ChosenPath::Direct);
+        let t0 = Instant::now();
+        while relays[0].lifecycle().accepted == 0 || relays[0].active_connections() > 0 {
+            assert!(
+                t0.elapsed() < Duration::from_secs(1),
+                "loser still open on the relay: {:?}",
+                relays[0].lifecycle()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! Each accepted socket becomes a `Conn` driven entirely by
 //! readiness: `accept → read request → latency → dial origin → send
 //! upstream → read head → splice → keep-alive loop`, with error
-//! responses re-entering the keep-alive loop. A connection never
+//! responses re-entering the keep-alive loop. The keep-alive loop
+//! keeps the origin connection too, so the next request to the same
+//! origin skips the dial (`Upstream`). A connection never
 //! blocks a thread — every I/O call is non-blocking, and `Conn::step`
 //! records *why* it parked (`Blocked`) so the worker polls precisely
 //! the descriptor or timer that can unpark it (no level-triggered busy
@@ -43,6 +45,9 @@ pub struct Lifecycle {
     pub latency_waits: AtomicU64,
     /// Origin dials started.
     pub origin_dials: AtomicU64,
+    /// Requests sent on the origin connection kept from the previous
+    /// request of the same client connection (no dial).
+    pub upstream_reuses: AtomicU64,
     /// Upstream requests fully written to an origin.
     pub upstream_sends: AtomicU64,
     /// Origin response heads parsed.
@@ -77,6 +82,8 @@ pub struct LifecycleSnapshot {
     pub latency_waits: u64,
     /// See [`Lifecycle::origin_dials`].
     pub origin_dials: u64,
+    /// See [`Lifecycle::upstream_reuses`].
+    pub upstream_reuses: u64,
     /// See [`Lifecycle::upstream_sends`].
     pub upstream_sends: u64,
     /// See [`Lifecycle::heads_read`].
@@ -108,6 +115,7 @@ impl Lifecycle {
             requests_read: g(&self.requests_read),
             latency_waits: g(&self.latency_waits),
             origin_dials: g(&self.origin_dials),
+            upstream_reuses: g(&self.upstream_reuses),
             upstream_sends: g(&self.upstream_sends),
             heads_read: g(&self.heads_read),
             splices_started: g(&self.splices_started),
@@ -195,13 +203,22 @@ pub(crate) enum Step {
     Closed,
 }
 
+/// The relay→origin leg of a request.
+struct Upstream {
+    addr: SocketAddr,
+    stream: TcpStream,
+    /// Kept from an earlier request on this client connection, so the
+    /// origin may have closed it while it sat idle.
+    reused: bool,
+}
+
 enum State {
     ReadRequest,
     Latency { until: Instant, req: Request },
-    Connecting { origin: TcpStream },
-    SendUpstream { origin: TcpStream },
-    ReadHead { origin: TcpStream },
-    Splice { origin: TcpStream, remaining: u64 },
+    Connecting { origin: Upstream },
+    SendUpstream { origin: Upstream },
+    ReadHead { origin: Upstream },
+    Splice { origin: Upstream, remaining: u64 },
     Respond,
 }
 
@@ -224,6 +241,11 @@ pub(crate) struct Conn {
     pub(crate) accept_at: Instant,
     pub(crate) blocked: Blocked,
     state: State,
+    /// The origin connection of the last relayed request, while the
+    /// client connection sits between requests.
+    warm: Option<Upstream>,
+    /// The response in flight leaves its origin connection reusable.
+    keep_upstream: bool,
     inbuf: BytesMut,
     headbuf: BytesMut,
     /// Pooled scratch/output buffer: pending client-bound bytes live
@@ -259,6 +281,8 @@ impl Conn {
             accept_at,
             blocked: Blocked::ClientRead,
             state: State::ReadRequest,
+            warm: None,
+            keep_upstream: false,
             inbuf: BytesMut::new(),
             headbuf: BytesMut::new(),
             outbuf,
@@ -302,7 +326,7 @@ impl Conn {
             State::Connecting { origin }
             | State::SendUpstream { origin }
             | State::ReadHead { origin }
-            | State::Splice { origin, .. } => Some(origin),
+            | State::Splice { origin, .. } => Some(&origin.stream),
             _ => None,
         };
         match self.blocked {
@@ -343,9 +367,9 @@ impl Conn {
                     // Only a poll wakeup can resolve the handshake; the
                     // worker re-steps us once the socket turns writable
                     // (or errors), and `connect_errno` disambiguates.
-                    match connect_errno(&origin) {
-                        Ok(()) if writable_now(&origin) => {
-                            let _ = origin.set_nodelay(true);
+                    match connect_errno(&origin.stream) {
+                        Ok(()) if writable_now(&origin.stream) => {
+                            let _ = origin.stream.set_nodelay(true);
                             self.state = State::SendUpstream { origin };
                             continue;
                         }
@@ -360,54 +384,66 @@ impl Conn {
                         }
                     }
                 }
-                State::SendUpstream { mut origin } => match self.pump_upstream(&mut origin) {
-                    Pump::Done => {
-                        Lifecycle::bump(&ctx.lifecycle.upstream_sends);
-                        self.touch(ctx.now, idle_timeout);
-                        self.headbuf.clear();
-                        self.state = State::ReadHead { origin };
-                        continue;
+                State::SendUpstream { mut origin } => {
+                    match self.pump_upstream(&mut origin.stream) {
+                        Pump::Done => {
+                            Lifecycle::bump(&ctx.lifecycle.upstream_sends);
+                            self.touch(ctx.now, idle_timeout);
+                            self.headbuf.clear();
+                            self.state = State::ReadHead { origin };
+                            continue;
+                        }
+                        Pump::WouldBlock => {
+                            self.state = State::SendUpstream { origin };
+                            self.blocked = Blocked::OriginWrite;
+                            return Step::Blocked;
+                        }
+                        Pump::Err => {
+                            self.upstream_failed(ctx, origin, StatusCode::BAD_GATEWAY);
+                            continue;
+                        }
                     }
-                    Pump::WouldBlock => {
-                        self.state = State::SendUpstream { origin };
-                        self.blocked = Blocked::OriginWrite;
-                        return Step::Blocked;
+                }
+                State::ReadHead { mut origin } => {
+                    match self.on_read_head(ctx, &mut origin.stream) {
+                        HeadStep::Parked(blocked) => {
+                            self.state = State::ReadHead { origin };
+                            self.blocked = blocked;
+                            return Step::Blocked;
+                        }
+                        HeadStep::Splice { remaining } => {
+                            self.touch(ctx.now, idle_timeout);
+                            Lifecycle::bump(&ctx.lifecycle.splices_started);
+                            self.state = State::Splice { origin, remaining };
+                            continue;
+                        }
+                        HeadStep::Respond => continue,
+                        HeadStep::Failed(status) => {
+                            self.upstream_failed(ctx, origin, status);
+                            continue;
+                        }
                     }
-                    Pump::Err => {
-                        self.respond(ctx, StatusCode::BAD_GATEWAY);
-                        continue;
-                    }
-                },
-                State::ReadHead { mut origin } => match self.on_read_head(ctx, &mut origin) {
-                    HeadStep::Parked(blocked) => {
-                        self.state = State::ReadHead { origin };
-                        self.blocked = blocked;
-                        return Step::Blocked;
-                    }
-                    HeadStep::Splice { remaining } => {
-                        self.touch(ctx.now, idle_timeout);
-                        Lifecycle::bump(&ctx.lifecycle.splices_started);
-                        self.state = State::Splice { origin, remaining };
-                        continue;
-                    }
-                    HeadStep::Respond => continue,
-                },
+                }
                 State::Splice {
                     mut origin,
                     remaining,
                 } => {
-                    match self.on_splice(ctx, &mut origin, remaining, idle_timeout) {
+                    match self.on_splice(ctx, &mut origin.stream, remaining, idle_timeout) {
                         SpliceStep::Parked(blocked, remaining) => {
                             self.state = State::Splice { origin, remaining };
                             self.blocked = blocked;
                             return Step::Blocked;
                         }
                         SpliceStep::Complete => {
-                            // `origin` drops here; the state machine
-                            // loops for keep-alive (or drains out).
+                            // The state machine loops for keep-alive
+                            // (or drains out).
                             self.after_request(ctx);
                             if ctx.draining {
                                 return self.close(ctx, CloseKind::Clean);
+                            }
+                            if self.keep_upstream {
+                                origin.reused = true;
+                                self.warm = Some(origin);
                             }
                             self.touch(ctx.now, idle_timeout);
                             continue;
@@ -501,9 +537,10 @@ impl Conn {
         }
     }
 
-    /// Plans the forward, starts the origin dial, and encodes the
-    /// upstream request. Any planning/dial failure turns into a
-    /// synthesized response on the keep-alive path.
+    /// Plans the forward, encodes the upstream request, and sends it
+    /// on the kept origin connection or starts a dial. Any
+    /// planning/dial failure turns into a synthesized response on the
+    /// keep-alive path.
     fn start_forward(&mut self, ctx: &StepCtx<'_>, req: Request) {
         self.fwd_start = ctx.now;
         self.body_len = 0;
@@ -522,19 +559,54 @@ impl Conn {
                 return;
             }
         };
-        Lifecycle::bump(&ctx.lifecycle.origin_dials);
         self.upbuf.clear();
         encode_request(&plan.request, &mut self.upbuf);
         self.up_off = 0;
-        match connect_nonblocking(&addr) {
-            Ok(Dial::Ready(origin)) => {
-                let _ = origin.set_nodelay(true);
+        match self.warm.take() {
+            Some(origin) if origin.addr == addr => {
+                Lifecycle::bump(&ctx.lifecycle.upstream_reuses);
                 self.state = State::SendUpstream { origin };
             }
-            Ok(Dial::Pending(origin)) => {
-                self.state = State::Connecting { origin };
+            // A kept connection to some other origin is dropped here.
+            _ => self.dial(ctx, addr),
+        }
+    }
+
+    /// Starts a fresh origin connection for the request in `upbuf`.
+    fn dial(&mut self, ctx: &StepCtx<'_>, addr: SocketAddr) {
+        Lifecycle::bump(&ctx.lifecycle.origin_dials);
+        let upstream = |stream| Upstream {
+            addr,
+            stream,
+            reused: false,
+        };
+        match connect_nonblocking(&addr) {
+            Ok(Dial::Ready(stream)) => {
+                let _ = stream.set_nodelay(true);
+                self.state = State::SendUpstream {
+                    origin: upstream(stream),
+                };
+            }
+            Ok(Dial::Pending(stream)) => {
+                self.state = State::Connecting {
+                    origin: upstream(stream),
+                };
             }
             Err(_) => self.respond(ctx, StatusCode::BAD_GATEWAY),
+        }
+    }
+
+    /// The origin leg failed on I/O. With no response byte read on a
+    /// reused connection, the likely cause is the origin having closed
+    /// it while it sat idle: dial afresh, once, and resend (requests
+    /// are GET/HEAD, so a resend is safe). Anything else is answered
+    /// with `status`.
+    fn upstream_failed(&mut self, ctx: &StepCtx<'_>, origin: Upstream, status: StatusCode) {
+        if origin.reused && self.headbuf.is_empty() {
+            self.up_off = 0;
+            self.dial(ctx, origin.addr);
+        } else {
+            self.respond(ctx, status);
         }
     }
 
@@ -577,6 +649,10 @@ impl Conn {
                         Ok(Some(len)) => len,
                     };
                     Lifecycle::bump(&ctx.lifecycle.heads_read);
+                    // Reusable once spliced: the origin keeps the
+                    // connection open and sent nothing past the body.
+                    self.keep_upstream =
+                        !says_close(&head) && self.headbuf.len() as u64 <= body_len;
                     let mut relayed = head;
                     relayed.headers.append("Via", "1.1 ir-relay");
                     let mut enc = BytesMut::new();
@@ -600,8 +676,7 @@ impl Conn {
                             self.outbuf.clear();
                             // EOF before the head completes is an
                             // origin protocol error too → 400.
-                            self.respond(ctx, StatusCode::BAD_REQUEST);
-                            return HeadStep::Respond;
+                            return HeadStep::Failed(StatusCode::BAD_REQUEST);
                         }
                         Ok(n) => {
                             let (filled, _) = self.outbuf.split_at(n);
@@ -619,8 +694,7 @@ impl Conn {
                         }
                         Err(_) => {
                             self.outbuf.clear();
-                            self.respond(ctx, StatusCode::BAD_GATEWAY);
-                            return HeadStep::Respond;
+                            return HeadStep::Failed(StatusCode::BAD_GATEWAY);
                         }
                     }
                 }
@@ -797,8 +871,14 @@ enum Pump {
 
 enum HeadStep {
     Parked(Blocked),
-    Splice { remaining: u64 },
+    Splice {
+        remaining: u64,
+    },
+    /// A response was queued (origin protocol error).
     Respond,
+    /// Reading from the origin failed; the status to answer with
+    /// unless the request is resent (see `Conn::upstream_failed`).
+    Failed(StatusCode),
 }
 
 enum SpliceStep {
@@ -820,6 +900,14 @@ fn writable_now(origin: &TcpStream) -> bool {
     use std::os::unix::io::AsRawFd;
     let mut fds = [PollFd::new(origin.as_raw_fd(), POLLOUT)];
     matches!(poll_fds(&mut fds, Duration::ZERO), Ok(n) if n > 0)
+}
+
+/// `Connection: close` on a response head.
+fn says_close(head: &Response) -> bool {
+    head.headers.get("Connection").is_some_and(|v| {
+        v.split(',')
+            .any(|token| token.trim().eq_ignore_ascii_case("close"))
+    })
 }
 
 /// Resolves `host:port`, preferring literal IPs (no blocking DNS on

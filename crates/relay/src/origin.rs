@@ -5,6 +5,9 @@
 //! verify that a probe + remainder reassembly is byte-exact.
 
 use crate::error::RelayError;
+use crate::poller::{
+    accept_backoff, accept_error_is_transient, wake_pipe, PollFd, WakeRx, Waker, POLLIN,
+};
 use crate::shaper::{RateSchedule, TokenBucket};
 use crate::stream::ThrottledStream;
 use bytes::BytesMut;
@@ -14,6 +17,7 @@ use ir_http::{
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -70,6 +74,8 @@ impl OriginConfig {
 pub struct OriginServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
+    /// Unparks the accept loop so it sees `shutdown`.
+    wake: Waker,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -87,12 +93,14 @@ impl OriginServer {
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let flag = shutdown.clone();
+        let (wake, wake_rx) = wake_pipe()?;
         let handle = std::thread::spawn(move || {
-            accept_loop(listener, cfg, flag);
+            accept_loop(listener, cfg, flag, wake_rx);
         });
         Ok(OriginServer {
             addr,
             shutdown,
+            wake,
             handle: Some(handle),
         })
     }
@@ -106,16 +114,25 @@ impl OriginServer {
 impl Drop for OriginServer {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        // The accept loop parks in `poll` with no timeout: without the
+        // wake byte the join below would wait for the next connection.
+        self.wake.wake();
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
     }
 }
 
-fn accept_loop(listener: TcpListener, cfg: OriginConfig, shutdown: Arc<AtomicBool>) {
+fn accept_loop(
+    listener: TcpListener,
+    cfg: OriginConfig,
+    shutdown: Arc<AtomicBool>,
+    wake_rx: WakeRx,
+) {
     // All connections share one path timeline: schedules are anchored
     // at server start, not per connection.
     let epoch = std::time::Instant::now();
+    let mut fds = [PollFd::new(listener.as_raw_fd(), POLLIN), wake_rx.poll_fd()];
     while !shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -124,9 +141,9 @@ fn accept_loop(listener: TcpListener, cfg: OriginConfig, shutdown: Arc<AtomicBoo
                     let _ = serve_connection(stream, &cfg, epoch);
                 });
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // Backlog drained: park until a connection or `Drop`.
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => wake_rx.park(&mut fds),
+            Err(e) if accept_error_is_transient(&e) => accept_backoff(),
             Err(_) => break,
         }
     }

@@ -4,17 +4,19 @@
 //! reactor needs — `poll` and a non-blocking `connect` — are declared
 //! directly against the platform C library (which every Rust binary
 //! already links). Everything else stays on `std`: sockets are plain
-//! `TcpStream`s flipped to non-blocking mode, and the acceptor→worker
-//! wakeup channel is a `UnixStream` pair.
+//! `TcpStream`s flipped to non-blocking mode, and every thread that
+//! parks in `poll` (the relay's acceptor and workers, the origin's
+//! accept loop) is woken through a `wake_pipe` — a `UnixStream` pair.
 //!
 //! Only Linux constants are used on the FFI path; non-Linux unix
 //! targets fall back to a blocking `connect` + `set_nonblocking`,
 //! which preserves semantics at a small latency cost in the dial.
 
-use std::io;
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::os::raw::{c_int, c_ulong};
 use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
 /// Readable readiness (data or EOF pending).
@@ -88,6 +90,75 @@ pub fn poll_fds(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
         }
         return Err(err);
     }
+}
+
+/// Write half of a [`wake_pipe`]: makes the owner of the read half
+/// return from `poll`. Callers publish what changed (a flag, a queue
+/// entry, a counter) *before* waking.
+pub(crate) struct Waker(UnixStream);
+
+impl Waker {
+    pub(crate) fn wake(&self) {
+        // A full pipe means a wakeup is already pending.
+        let _ = (&self.0).write(&[1]);
+    }
+}
+
+/// Read half of a [`wake_pipe`], part of its owner's poll set.
+pub(crate) struct WakeRx(UnixStream);
+
+impl WakeRx {
+    pub(crate) fn poll_fd(&self) -> PollFd {
+        PollFd::new(self.0.as_raw_fd(), POLLIN)
+    }
+
+    /// Empties the pipe (its only content is "look again"). Call it
+    /// before re-reading the state the wakers publish, so a wake that
+    /// lands after the read leaves a byte for the next `poll`.
+    pub(crate) fn drain(&self) {
+        let mut sink = [0u8; 64];
+        while matches!((&self.0).read(&mut sink), Ok(n) if n > 0) {}
+    }
+
+    /// Parks an accept loop, with no timeout, until a descriptor of
+    /// `fds` — its listener and this pipe — is ready; then drains the
+    /// pipe.
+    pub(crate) fn park(&self, fds: &mut [PollFd]) {
+        if poll_fds(fds, Duration::MAX).is_err() {
+            accept_backoff();
+        }
+        self.drain();
+    }
+}
+
+/// A non-blocking `UnixStream` pair used as a self-pipe.
+pub(crate) fn wake_pipe() -> io::Result<(Waker, WakeRx)> {
+    let (tx, rx) = UnixStream::pair()?;
+    tx.set_nonblocking(true)?;
+    rx.set_nonblocking(true)?;
+    Ok((Waker(tx), WakeRx(rx)))
+}
+
+/// What an accept loop does after a transient `accept` (or `poll`)
+/// failure: the listener stays readable, so retrying at once would
+/// spin.
+pub(crate) fn accept_backoff() {
+    std::thread::sleep(Duration::from_millis(10));
+}
+
+/// True for `accept` failures that say nothing about the listener:
+/// descriptor or buffer exhaustion (`EMFILE`, `ENFILE`, `ENOBUFS`,
+/// `ENOMEM`) and a peer that gave up while queued (`ECONNABORTED`).
+/// The accept loop backs off and carries on; anything else (`EBADF`,
+/// `EINVAL`, …) means the listener itself is gone.
+pub(crate) fn accept_error_is_transient(e: &io::Error) -> bool {
+    const ENFILE: i32 = 23;
+    const EMFILE: i32 = 24;
+    const ENOBUFS: i32 = if cfg!(target_os = "linux") { 105 } else { 55 };
+    matches!(
+        e.kind(),
+        io::ErrorKind::ConnectionAborted | io::ErrorKind::OutOfMemory
+    ) || matches!(e.raw_os_error(), Some(ENFILE | EMFILE | ENOBUFS))
 }
 
 /// Outcome of a non-blocking dial.
@@ -313,6 +384,40 @@ mod tests {
         let mut buf = Vec::new();
         (&stream).read_to_end(&mut buf).unwrap();
         assert_eq!(buf, b"ok");
+    }
+
+    #[test]
+    fn wake_pipe_wakes_poll_until_drained() {
+        let (tx, rx) = wake_pipe().unwrap();
+        let mut fds = [rx.poll_fd()];
+        assert_eq!(poll_fds(&mut fds, Duration::from_millis(10)).unwrap(), 0);
+        tx.wake();
+        tx.wake();
+        assert_eq!(poll_fds(&mut fds, Duration::from_secs(5)).unwrap(), 1);
+        rx.drain();
+        assert_eq!(poll_fds(&mut fds, Duration::from_millis(10)).unwrap(), 0);
+    }
+
+    #[test]
+    fn accept_errors_are_classified() {
+        // EMFILE, ENFILE, ENOMEM, ECONNABORTED (Linux numbering for
+        // the last: the kind is what is matched).
+        for errno in [24, 23, 12] {
+            let e = io::Error::from_raw_os_error(errno);
+            assert!(accept_error_is_transient(&e), "{e}");
+        }
+        let enobufs = if cfg!(target_os = "linux") { 105 } else { 55 };
+        assert!(accept_error_is_transient(&io::Error::from_raw_os_error(
+            enobufs
+        )));
+        assert!(accept_error_is_transient(&io::Error::from(
+            io::ErrorKind::ConnectionAborted
+        )));
+        // EBADF, EINVAL, ENOTSOCK: the listener is unusable.
+        for errno in [9, 22, 88] {
+            let e = io::Error::from_raw_os_error(errno);
+            assert!(!accept_error_is_transient(&e), "{e}");
+        }
     }
 
     #[test]

@@ -172,3 +172,47 @@ fn queue_policy_parks_then_serves_and_overflows_to_503() {
     );
     assert_eq!(snap.counter("relay_backpressure_drops", &vec![]), Some(1));
 }
+
+/// The acceptor has no timer: the only thing that can admit a parked
+/// connection, with nobody else connecting, is the wake-up sent when
+/// a slot frees.
+#[test]
+fn parked_connection_is_admitted_when_a_slot_frees() {
+    let tel = Arc::new(Telemetry::new());
+    let origin = OriginServer::start(OriginConfig::new(20_000)).unwrap();
+    let relay = Relay::start(
+        RelayConfig::new()
+            .with_telemetry(tel.clone())
+            .with_max_connections(1, Backpressure::Queue),
+    )
+    .unwrap();
+
+    // An idle keep-alive connection holds the only slot.
+    let mut occupant = TcpStream::connect(relay.addr()).unwrap();
+    request_range(&mut occupant, origin.addr(), 0, 999);
+    let (_, body) = read_response(&mut occupant);
+    assert_body(&body, 0);
+
+    let mut parked = TcpStream::connect(relay.addr()).unwrap();
+    parked
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    request_range(&mut parked, origin.addr(), 4_000, 4_999);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while tel
+        .metrics
+        .snapshot()
+        .counter("relay_backpressure_queued", &vec![])
+        != Some(1)
+    {
+        assert!(Instant::now() < deadline, "connection never parked");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_eq!(relay.active_connections(), 1);
+
+    drop(occupant);
+    let (head, body) = read_response(&mut parked);
+    assert_eq!(head.status, StatusCode::PARTIAL_CONTENT);
+    assert_eq!(body.len(), 1_000);
+    assert_body(&body, 4_000);
+}

@@ -145,6 +145,7 @@ fn seeded_sweep_reaches_every_transition() {
     assert!(snap.requests_read > 0, "{snap:?}");
     assert!(snap.latency_waits > 0, "{snap:?}");
     assert!(snap.origin_dials > 0, "{snap:?}");
+    assert!(snap.upstream_reuses > 0, "{snap:?}");
     assert!(snap.upstream_sends > 0, "{snap:?}");
     assert!(snap.heads_read > 0, "{snap:?}");
     assert!(snap.splices_started > 0, "{snap:?}");
