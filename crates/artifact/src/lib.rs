@@ -17,7 +17,11 @@
 //!   fingerprint, with atomic writes (temp file + rename), a
 //!   length+checksum corruption header, and mtime-ordered eviction.
 //! * [`codec`] — little-endian byte writer/reader pairs for the cached
-//!   payloads (study outputs and artefact bundles).
+//!   payloads (study outputs and artefact bundles), tied together per
+//!   type by the [`Codec`] trait.
+//! * [`declare!`](macro@declare) — the one field list per cached type
+//!   that generates its `StableHash` impl and its `Codec` pair, so a
+//!   skipped field or a lopsided encoder is a compile error.
 //! * [`dag`] — the **dependency-aware scheduler**: artefacts declare
 //!   the study fingerprints they consume; each distinct study executes
 //!   at most once per sweep and fans out to every dependent; cache
@@ -26,16 +30,18 @@
 //!
 //! The crate is deliberately dependency-free and knows nothing about
 //! networks or figures: `ir-workload`/`ir-simnet`/`ir-core` provide
-//! `StableHash` impls for their parameter types, and `ir-experiments`
-//! builds the concrete sweep plan.
+//! `StableHash` impls for their parameter types (each a `declare!`
+//! next to the type), and `ir-experiments` builds the concrete sweep
+//! plan.
 
 pub mod cache;
 pub mod codec;
 pub mod dag;
+pub mod declare;
 pub mod hash;
 
 pub use cache::{ArtifactCache, GcReport, Lookup};
-pub use codec::{ByteReader, ByteWriter};
+pub use codec::{ByteReader, ByteWriter, Codec};
 pub use dag::{
     execute, ArtefactOutput, ArtefactReport, ArtefactSpec, ExecReport, Source, StudyReport,
     StudySpec,

@@ -1,4 +1,5 @@
-// Seeded hazard: a StableHash impl that skips `retries` (rule 3).
+// Seeded hazard: a hand-written StableHash impl (rule 3) — and why the
+// rule exists: it skips `retries` and still compiles.
 use super::Config;
 
 pub trait StableHash {

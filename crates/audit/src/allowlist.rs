@@ -8,9 +8,6 @@
 //! environment has no `toml` crate):
 //!
 //! ```toml
-//! [config]
-//! fingerprint_roots = ["Calibration", "Schedule"]
-//!
 //! [[allow]]
 //! rule = "ambient-nondeterminism"
 //! path = "crates/artifact/src/cache.rs"
@@ -43,9 +40,6 @@ pub struct AllowEntry {
 /// Parsed `audit.allow.toml`.
 #[derive(Debug, Clone, Default)]
 pub struct Allowlist {
-    /// Entry points of the sweep-study fingerprints; each must be
-    /// defined and `StableHash`-impl'd (rule 3, check c3).
-    pub fingerprint_roots: Vec<String>,
     /// Per-site exemptions, in file order.
     pub entries: Vec<AllowEntry>,
 }
@@ -63,16 +57,8 @@ impl Allowlist {
     /// Parses the TOML subset; returns a line-tagged message on any
     /// structural problem.
     pub fn parse(text: &str) -> Result<Allowlist, String> {
-        #[derive(PartialEq)]
-        enum Section {
-            None,
-            Config,
-            Allow,
-        }
         let mut out = Allowlist::default();
-        let mut section = Section::None;
         let mut cur: Option<(AllowEntry, usize)> = None;
-        let mut pending_array: Option<String> = None; // multiline fingerprint_roots
 
         let finish =
             |cur: &mut Option<(AllowEntry, usize)>, out: &mut Allowlist| -> Result<(), String> {
@@ -102,26 +88,12 @@ impl Allowlist {
 
         for (i, raw) in text.lines().enumerate() {
             let lineno = i + 1;
-            let line = strip_toml_comment(raw).trim().to_string();
-            if let Some(acc) = pending_array.as_mut() {
-                acc.push_str(&line);
-                if line.contains(']') {
-                    let acc = pending_array.take().unwrap();
-                    out.fingerprint_roots = parse_string_array(&acc, lineno)?;
-                }
-                continue;
-            }
+            let line = strip_toml_comment(raw).trim();
             if line.is_empty() {
-                continue;
-            }
-            if line == "[config]" {
-                finish(&mut cur, &mut out)?;
-                section = Section::Config;
                 continue;
             }
             if line == "[[allow]]" {
                 finish(&mut cur, &mut out)?;
-                section = Section::Allow;
                 cur = Some((
                     AllowEntry {
                         rule: String::new(),
@@ -142,38 +114,20 @@ impl Allowlist {
                     "line {lineno}: expected `key = value`, got `{line}`"
                 ));
             };
-            let (key, value) = (key.trim(), value.trim());
-            match section {
-                Section::None => {
-                    return Err(format!("line {lineno}: `{key}` outside any section"));
-                }
-                Section::Config => {
-                    if key != "fingerprint_roots" {
-                        return Err(format!("line {lineno}: unknown [config] key `{key}`"));
-                    }
-                    if value.contains(']') {
-                        out.fingerprint_roots = parse_string_array(value, lineno)?;
-                    } else {
-                        pending_array = Some(value.to_string());
-                    }
-                }
-                Section::Allow => {
-                    let entry = &mut cur.as_mut().expect("entry open in Allow section").0;
-                    let value = parse_string(value, lineno)?;
-                    match key {
-                        "rule" => entry.rule = value,
-                        "path" => entry.path = value,
-                        "pattern" => entry.pattern = value,
-                        "reason" => entry.reason = value,
-                        _ => {
-                            return Err(format!("line {lineno}: unknown [[allow]] key `{key}`"));
-                        }
-                    }
+            let key = key.trim();
+            let Some((entry, _)) = cur.as_mut() else {
+                return Err(format!("line {lineno}: `{key}` outside any section"));
+            };
+            let value = parse_string(value, lineno)?;
+            match key {
+                "rule" => entry.rule = value,
+                "path" => entry.path = value,
+                "pattern" => entry.pattern = value,
+                "reason" => entry.reason = value,
+                _ => {
+                    return Err(format!("line {lineno}: unknown [[allow]] key `{key}`"));
                 }
             }
-        }
-        if pending_array.is_some() {
-            return Err("unterminated fingerprint_roots array".to_string());
         }
         finish(&mut cur, &mut out)?;
         Ok(out)
@@ -214,33 +168,12 @@ fn parse_string(value: &str, lineno: usize) -> Result<String, String> {
     Ok(inner.to_string())
 }
 
-/// `["A", "B", …]` — possibly accumulated across lines.
-fn parse_string_array(value: &str, lineno: usize) -> Result<Vec<String>, String> {
-    let v = value.trim();
-    let inner = v
-        .strip_prefix('[')
-        .and_then(|v| v.strip_suffix(']'))
-        .ok_or_else(|| format!("line {lineno}: expected `[ ... ]` array, got `{v}`"))?;
-    inner
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(|s| parse_string(s, lineno))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const SAMPLE: &str = r#"
 # reviewed exemptions
-[config]
-fingerprint_roots = [
-    "Calibration",
-    "Schedule",
-]
-
 [[allow]]
 rule = "ambient-nondeterminism"
 path = "crates/artifact/src/cache.rs"
@@ -249,9 +182,8 @@ reason = "GC orders eviction by mtime; never hashed"
 "#;
 
     #[test]
-    fn parses_config_and_entries() {
+    fn parses_entries() {
         let a = Allowlist::parse(SAMPLE).unwrap();
-        assert_eq!(a.fingerprint_roots, ["Calibration", "Schedule"]);
         assert_eq!(a.entries.len(), 1);
         assert_eq!(a.entries[0].rule, "ambient-nondeterminism");
     }
@@ -291,6 +223,14 @@ reason = "GC orders eviction by mtime; never hashed"
                    pattern = \"x\"\nreason = \"y\"\n";
         let err = Allowlist::parse(bad).unwrap_err();
         assert!(err.contains("unknown rule"), "{err}");
+    }
+
+    #[test]
+    fn unknown_section_and_stray_key_are_rejected() {
+        let err = Allowlist::parse("[config]\nroots = \"x\"\n").unwrap_err();
+        assert!(err.contains("unknown section"), "{err}");
+        let err = Allowlist::parse("rule = \"unsafe-hygiene\"\n").unwrap_err();
+        assert!(err.contains("outside any section"), "{err}");
     }
 
     #[test]

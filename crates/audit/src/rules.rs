@@ -1,5 +1,4 @@
-//! The per-file lexical rule passes (rules 1, 2, 4, 5, 6, 7 — rule 3
-//! lives in [`crate::stablehash`] because it cross-references files).
+//! The per-file lexical rule passes.
 //!
 //! All passes work on the [`crate::scan`] code view, so strings and
 //! comments never fire a rule. Matching is lexical, not type-aware:
@@ -43,7 +42,14 @@ const AMBIENT: &[(&str, &str)] = &[
 /// Reduction adapters whose result depends on operand order for `f64`.
 const REDUCTIONS: &[&str] = &[".sum()", ".sum::<", ".fold(", ".reduce(", ".product("];
 
-/// Runs rules 1, 2, 4, 5, 6, 7 over one file.
+/// The two files allowed to spell out `impl StableHash for`: the
+/// trait's own primitive/container impls and the `declare!` expansion.
+const STABLE_HASH_HOMES: &[&str] = &[
+    "crates/artifact/src/hash.rs",
+    "crates/artifact/src/declare.rs",
+];
+
+/// Runs every rule over one file.
 pub fn check_file(file: &SourceFile) -> Vec<Finding> {
     let mut out = Vec::new();
     if is_deterministic_path(&file.rel_path) {
@@ -51,6 +57,9 @@ pub fn check_file(file: &SourceFile) -> Vec<Finding> {
         unordered_iteration(file, &receivers, &mut out);
         ambient_nondeterminism(file, &mut out);
         float_order_hazard(file, &receivers, &mut out);
+    }
+    if !STABLE_HASH_HOMES.contains(&file.rel_path.as_str()) {
+        hand_written_stable_hash(file, &mut out);
     }
     unsafe_hygiene(file, &mut out);
     allow_justification(file, &mut out);
@@ -98,21 +107,6 @@ fn ident_before(code: &str, end: usize) -> Option<String> {
         None
     } else {
         Some(code[i..stop].to_string())
-    }
-}
-
-/// The identifier starting at or after byte `start`, skipping
-/// whitespace and `mut `.
-pub(crate) fn ident_after(code: &str, start: usize) -> Option<String> {
-    let rest = code.get(start..)?.trim_start();
-    let rest = rest.strip_prefix("mut ").unwrap_or(rest).trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-        .unwrap_or(rest.len());
-    if end == 0 {
-        None
-    } else {
-        Some(rest[..end].to_string())
     }
 }
 
@@ -270,6 +264,32 @@ fn ambient_nondeterminism(file: &SourceFile, out: &mut Vec<Finding>) {
                     snippet: file.snippet(idx + 1),
                 });
             }
+        }
+    }
+}
+
+/// Rule 3: an `impl … StableHash for` line. `ir_artifact::declare!`
+/// generates the impl from the type's one field list (a field missing
+/// from the list is a compile error); one written by hand re-opens the
+/// "skipped a field, served a stale cache entry" hole, so each needs an
+/// allowlist entry saying why its encoding is not its field list.
+fn hand_written_stable_hash(file: &SourceFile, out: &mut Vec<Finding>) {
+    for (idx, line) in file.lines.iter().enumerate() {
+        let code = &line.code;
+        let Some(&at) = find_word(code, "impl").first() else {
+            continue;
+        };
+        if code[at..].contains("StableHash for ") {
+            out.push(Finding {
+                rule: Rule::HandWrittenStableHash,
+                path: file.rel_path.clone(),
+                line: idx + 1,
+                message: "hand-written `impl StableHash`: declare the type's fields \
+                          once with `ir_artifact::declare!`, or allowlist the impl \
+                          with the reason its encoding is not its field list"
+                    .to_string(),
+                snippet: file.snippet(idx + 1),
+            });
         }
     }
 }
@@ -478,6 +498,39 @@ mod tests {
             "fn g(xs: &[f64]) -> f64 { xs.iter().sum::<f64>() }\n",
         );
         assert!(rules_of(&ok).is_empty());
+    }
+
+    #[test]
+    fn hand_written_stable_hash_fires_outside_its_two_homes() {
+        let text =
+            "impl StableHash for Config {\n    fn stable_hash(&self, h: &mut StableHasher) {}\n}\n";
+        for path in [
+            "crates/core/src/x.rs",
+            "crates/relay/src/x.rs",
+            "tests/x.rs",
+        ] {
+            assert_eq!(
+                rules_of(&file(path, text)),
+                vec![(Rule::HandWrittenStableHash, 1)],
+                "{path}"
+            );
+        }
+        for home in STABLE_HASH_HOMES {
+            assert!(rules_of(&file(home, text)).is_empty(), "{home}");
+        }
+        // Path-qualified and generic spellings are the same impl.
+        let qualified = file(
+            "crates/core/src/x.rs",
+            "impl<T: Copy> ir_artifact::StableHash for Wrapper<T> {}\n",
+        );
+        assert_eq!(rules_of(&qualified), vec![(Rule::HandWrittenStableHash, 1)]);
+        // A declaration, a bound and a comment are not impls.
+        let declared = file(
+            "crates/core/src/x.rs",
+            "ir_artifact::declare! { StableHash for struct Config { seed, retries } }\n\
+             fn key<T: StableHash>(v: &T) {}\n// impl StableHash for Nothing\n",
+        );
+        assert!(rules_of(&declared).is_empty());
     }
 
     #[test]

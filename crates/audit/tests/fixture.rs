@@ -40,12 +40,9 @@ fn fixture_trips_every_rule() {
     assert!(denied
         .iter()
         .any(|(r, p, _)| *r == Rule::FloatOrderHazard && *p == "crates/simnet/src/lib.rs"));
-    assert!(
-        denied
-            .iter()
-            .any(|(r, p, _)| *r == Rule::StableHashExhaustiveness
-                && *p == "crates/core/src/stable.rs")
-    );
+    assert!(denied
+        .iter()
+        .any(|(r, p, _)| *r == Rule::HandWrittenStableHash && *p == "crates/core/src/stable.rs"));
     assert!(denied
         .iter()
         .any(|(r, p, _)| *r == Rule::UnsafeHygiene && *p == "crates/core/src/lib.rs"));
@@ -116,7 +113,6 @@ fn stale_allow_entry_fails_the_audit() {
     // Dropping the stale entry (and keeping the hazards denied) still
     // fails overall, but for findings — not staleness.
     let trimmed = Allowlist {
-        fingerprint_roots: allow.fingerprint_roots.clone(),
         entries: vec![allow.entries[0].clone()],
     };
     let outcome = audit_workspace(&root, &trimmed).unwrap();

@@ -42,7 +42,6 @@ pub mod record;
 pub mod remainder;
 pub mod session;
 pub mod sim_transport;
-pub mod stable;
 pub mod transport;
 
 pub use aggregate::StudySummary;

@@ -7,6 +7,7 @@
 //! pass paths by value throughout) and one-hop specs behave exactly as
 //! the old `via: Option<NodeId>` encoding did.
 
+use ir_artifact::{ByteReader, ByteWriter, Codec, StableHash, StableHasher};
 use ir_simnet::topology::{NodeId, Route, Topology};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -144,6 +145,56 @@ impl PathSpec {
     }
 }
 
+impl StableHash for PathSpec {
+    fn stable_hash(&self, h: &mut StableHasher) {
+        let PathSpec {
+            client,
+            server,
+            hop_len,
+            hops,
+        } = self;
+        client.stable_hash(h);
+        server.stable_hash(h);
+        // Only the live hops participate: the fill slots are a
+        // representation detail, and hashing them would make the
+        // fingerprint depend on MAX_HOPS.
+        hops[..*hop_len as usize].stable_hash(h);
+    }
+}
+
+impl Codec for PathSpec {
+    #[inline]
+    fn put(&self, w: &mut ByteWriter) {
+        self.client.put(w);
+        self.server.put(w);
+        // Hop-chain layout (codec v2): count then the hops in traversal
+        // order. A 1-hop chain is byte-for-byte the old `via` encoding.
+        w.put_u8(self.hop_len);
+        for hop in self.hops() {
+            hop.put(w);
+        }
+    }
+
+    #[inline]
+    fn get(r: &mut ByteReader<'_>) -> Option<Self> {
+        let client = NodeId::get(r)?;
+        let server = NodeId::get(r)?;
+        let n = r.get_u8()? as usize;
+        if n > MAX_HOPS {
+            return None;
+        }
+        let hops: Vec<NodeId> = (0..n).map(|_| NodeId::get(r)).collect::<Option<_>>()?;
+        // Reject degenerate chains instead of panicking in `chain`.
+        if hops.iter().any(|&h| h == client || h == server) {
+            return None;
+        }
+        if (1..hops.len()).any(|i| hops[..i].contains(&hops[i])) {
+            return None;
+        }
+        Some(PathSpec::chain(client, server, &hops))
+    }
+}
+
 impl fmt::Display for PathSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.hop_len == 0 {
@@ -182,6 +233,45 @@ mod tests {
         t.add_link(v, w, SimDuration::from_millis(5));
         t.add_link(w, s, SimDuration::from_millis(5));
         (t, c, v, w, s)
+    }
+
+    /// Cached bytes come from disk: a frame no `chain` call could have
+    /// produced is malformed, never a panic.
+    #[test]
+    fn codec_round_trips_chains_and_rejects_degenerate_ones() {
+        use ir_artifact::codec::{decode, encode};
+        let (c, s) = (NodeId(0), NodeId(9));
+        for hops in [&[][..], &[NodeId(4)], &[NodeId(5), NodeId(4), NodeId(6)]] {
+            let path = PathSpec::chain(c, s, hops);
+            assert_eq!(decode::<PathSpec>(&encode(&path)), Some(path));
+        }
+        let frame = |hops: &[u32]| {
+            let mut w = ByteWriter::new();
+            c.put(&mut w);
+            s.put(&mut w);
+            w.put_u8(hops.len() as u8);
+            for &hop in hops {
+                w.put_u32(hop);
+            }
+            w.into_bytes()
+        };
+        assert!(decode::<PathSpec>(&frame(&[4, 5])).is_some());
+        assert!(
+            decode::<PathSpec>(&frame(&[4, 5, 6, 7])).is_none(),
+            "over MAX_HOPS"
+        );
+        assert!(
+            decode::<PathSpec>(&frame(&[4, 0])).is_none(),
+            "through the client"
+        );
+        assert!(
+            decode::<PathSpec>(&frame(&[9])).is_none(),
+            "through the server"
+        );
+        assert!(
+            decode::<PathSpec>(&frame(&[4, 5, 4])).is_none(),
+            "repeated hop"
+        );
     }
 
     #[test]

@@ -68,6 +68,24 @@ pub struct TransferRecord {
     /// candidate was exhausted before the file completed.
     pub abandoned: bool,
 }
+ir_artifact::declare! {
+    Codec for struct TransferRecord {
+        client,
+        server,
+        started,
+        file_bytes,
+        selected,
+        candidates,
+        direct_throughput,
+        selected_throughput,
+        probe_throughput,
+        selected_path_rate,
+        probe_timeout,
+        failovers,
+        stall_ms,
+        abandoned,
+    }
+}
 
 impl TransferRecord {
     /// Fractional improvement of the selecting process over the control

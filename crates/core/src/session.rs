@@ -46,6 +46,7 @@ pub enum ProbeMode {
     /// best throughput").
     MeasureAll,
 }
+ir_artifact::declare! { StableHash for enum ProbeMode { FirstToFinish = 0, MeasureAll = 1 } }
 
 /// How the control (direct-only) process runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,6 +60,7 @@ pub enum ControlMode {
     /// fork.
     Forked,
 }
+ir_artifact::declare! { StableHash for enum ControlMode { Concurrent = 0, Forked = 1 } }
 
 /// Mid-transfer failover parameters for the remainder phase.
 ///
@@ -79,6 +81,9 @@ pub struct FailoverConfig {
     pub max_retries: u32,
     /// Backoff before the first retry; doubles per retry.
     pub initial_backoff: SimDuration,
+}
+ir_artifact::declare! {
+    StableHash for struct FailoverConfig { stall_timeout, max_retries, initial_backoff }
 }
 
 impl FailoverConfig {
@@ -118,6 +123,7 @@ pub struct RebalanceConfig {
     /// EWMA smoothing for per-path rate estimates (0 < alpha <= 1).
     pub alpha: f64,
 }
+ir_artifact::declare! { StableHash for struct RebalanceConfig { drift_ratio, stall_window, alpha } }
 
 impl RebalanceConfig {
     /// Defaults used by the striping experiments: steal past 2× drift,
@@ -169,6 +175,9 @@ pub enum SessionMode {
         rebalance: RebalanceConfig,
     },
 }
+ir_artifact::declare! {
+    StableHash for enum SessionMode { Racing = 0, Striped { chunks, k, rebalance } = 1 }
+}
 
 impl SessionMode {
     /// Validates invariants.
@@ -210,6 +219,18 @@ pub struct SessionConfig {
     pub engine: EngineMode,
     /// Remainder strategy, honoured by both entry points.
     pub mode: SessionMode,
+}
+ir_artifact::declare! {
+    StableHash for struct SessionConfig {
+        probe_bytes,
+        file_bytes,
+        probe_mode,
+        control,
+        horizon,
+        failover,
+        engine,
+        mode,
+    }
 }
 
 impl SessionConfig {
@@ -755,9 +776,59 @@ mod tests {
     use crate::policy::{DirectOnly, RandomSet, StaticSingle};
     use crate::predictor::FirstPortion;
     use crate::sim_transport::SimTransport;
+    use ir_artifact::fingerprint_of;
     use ir_simnet::bandwidth::ConstantProcess;
     use ir_simnet::sim::Network;
     use ir_simnet::topology::{NodeKind, Topology};
+
+    #[test]
+    fn session_config_fingerprint_tracks_every_knob() {
+        let base = SessionConfig::paper_defaults();
+        assert_eq!(
+            fingerprint_of(&base),
+            fingerprint_of(&SessionConfig::paper_defaults())
+        );
+        let mut failover = base;
+        failover.failover = Some(FailoverConfig::paper_defaults());
+        assert_ne!(fingerprint_of(&base), fingerprint_of(&failover));
+        let mut mode = base;
+        mode.probe_mode = ProbeMode::MeasureAll;
+        assert_ne!(fingerprint_of(&base), fingerprint_of(&mode));
+        let mut engine = base;
+        engine.engine = EngineMode::Reference;
+        assert_ne!(fingerprint_of(&base), fingerprint_of(&engine));
+        let striped = |chunks, k, rebalance| {
+            let mut c = base;
+            c.mode = SessionMode::Striped {
+                chunks,
+                k,
+                rebalance,
+            };
+            c
+        };
+        let rb = RebalanceConfig::paper_defaults();
+        assert_ne!(fingerprint_of(&base), fingerprint_of(&striped(8, 2, rb)));
+        assert_ne!(
+            fingerprint_of(&striped(8, 2, rb)),
+            fingerprint_of(&striped(4, 2, rb))
+        );
+        assert_ne!(
+            fingerprint_of(&striped(8, 2, rb)),
+            fingerprint_of(&striped(8, 3, rb))
+        );
+        let mut drift = rb;
+        drift.drift_ratio = 3.0;
+        assert_ne!(
+            fingerprint_of(&striped(8, 2, rb)),
+            fingerprint_of(&striped(8, 2, drift))
+        );
+        let mut alpha = rb;
+        alpha.alpha = 0.5;
+        assert_ne!(
+            fingerprint_of(&striped(8, 2, rb)),
+            fingerprint_of(&striped(8, 2, alpha))
+        );
+    }
 
     /// A 3-node world where the indirect path is `factor`× the direct
     /// path's rate.

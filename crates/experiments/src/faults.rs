@@ -98,6 +98,19 @@ pub struct FaultCell {
     /// (NaN when none chose indirect).
     pub mean_improvement_pct: f64,
 }
+ir_artifact::declare! {
+    Codec for struct FaultCell {
+        mtbf_secs,
+        k,
+        transfers,
+        availability_pct,
+        mean_failovers,
+        mean_stall_ms,
+        goodput,
+        goodput_ratio,
+        mean_improvement_pct,
+    }
+}
 
 fn cell_stats(mtbf_secs: u64, k: usize, records: &[TransferRecord]) -> FaultCell {
     let transfers = records.len();

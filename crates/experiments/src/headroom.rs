@@ -31,6 +31,7 @@ pub struct Headroom {
     /// Mean improvement of a static single relay (%).
     pub static_pct: f64,
 }
+ir_artifact::declare! { Codec for struct Headroom { client, oracle_pct, random10_pct, static_pct } }
 
 /// Computes oracle/random-set/static improvements for every client of
 /// the §4 scenario.

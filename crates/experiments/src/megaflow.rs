@@ -32,7 +32,10 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// Geometry and rates of a megaflow run. All fields are semantic
-/// inputs: each one is hashed into the study fingerprint.
+/// inputs: the declaration below hashes each one into the study
+/// fingerprint and frames it into the cached result, so a new field
+/// does not compile until it is listed — and listing it moves both, so
+/// bump the `megaflow` entry of [`crate::sweep::SALTS`] with it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MegaflowConfig {
     /// Top-of-rack switches; one congestion component each.
@@ -54,6 +57,20 @@ pub struct MegaflowConfig {
     /// seeded jitter on top so completion batches land at distinct
     /// instants per rack.
     pub rack_base_rate: u64,
+}
+// The counts hash as `u64` — the width the fingerprint has always used —
+// and frame at their own.
+ir_artifact::declare! {
+    StableHash + Codec for struct MegaflowConfig {
+        racks as u64,
+        hosts_per_rack as u64,
+        flows_per_host as u64,
+        waves as u64,
+        wave_stagger_ms,
+        file_bytes,
+        host_rate,
+        rack_base_rate,
+    }
 }
 
 impl MegaflowConfig {
@@ -123,6 +140,20 @@ pub struct MegaflowResult {
     pub completion_batches: u64,
     /// Finish time of the last flow, microseconds.
     pub makespan_us: u64,
+}
+ir_artifact::declare! {
+    Codec for struct MegaflowResult {
+        cfg,
+        nodes,
+        flows_started,
+        flows_completed,
+        boundaries,
+        full_solves,
+        incremental_solves,
+        component_solves,
+        completion_batches,
+        makespan_us,
+    }
 }
 
 impl MegaflowResult {
@@ -308,6 +339,55 @@ mod tests {
     /// it moves, the engine's boundary schedule changed. Re-pin only
     /// after a deliberate engine-semantics change.
     const PINNED_MEGAFLOW_MINI_BOUNDARIES: u64 = 18;
+
+    /// The quick sweep's study key hashes the config as one value; the
+    /// constant is what hashing it field by field produced before the
+    /// declaration existed, so keys on disk still match.
+    #[test]
+    fn megaflow_config_fingerprint_tracks_every_field() {
+        use ir_artifact::fingerprint_of;
+        let base = MegaflowConfig::mini();
+        assert_eq!(
+            fingerprint_of(&base).to_hex(),
+            "d3259b04ef3568ef1baccbf64528e6b0"
+        );
+        for bumped in [
+            MegaflowConfig {
+                racks: base.racks + 1,
+                ..base
+            },
+            MegaflowConfig {
+                hosts_per_rack: base.hosts_per_rack + 1,
+                ..base
+            },
+            MegaflowConfig {
+                flows_per_host: base.flows_per_host + 1,
+                ..base
+            },
+            MegaflowConfig {
+                waves: base.waves + 1,
+                ..base
+            },
+            MegaflowConfig {
+                wave_stagger_ms: base.wave_stagger_ms + 1,
+                ..base
+            },
+            MegaflowConfig {
+                file_bytes: base.file_bytes + 1,
+                ..base
+            },
+            MegaflowConfig {
+                host_rate: base.host_rate + 1,
+                ..base
+            },
+            MegaflowConfig {
+                rack_base_rate: base.rack_base_rate + 1,
+                ..base
+            },
+        ] {
+            assert_ne!(fingerprint_of(&base), fingerprint_of(&bumped), "{bumped:?}");
+        }
+    }
 
     #[test]
     fn mini_canary_and_engine_invariance() {

@@ -66,6 +66,7 @@ pub struct PairRun {
     /// One record per scheduled transfer.
     pub records: Vec<TransferRecord>,
 }
+ir_artifact::declare! { Codec for struct PairRun { client, via, server, records } }
 
 /// Results of the §2.2 measurement study.
 pub struct MeasurementData {
@@ -81,6 +82,9 @@ pub struct MeasurementData {
     pub server: NodeId,
     /// Per-(client, relay) runs.
     pub pairs: Vec<PairRun>,
+}
+ir_artifact::declare! {
+    Codec for struct MeasurementData { names, profiles, clients, relays, server, pairs }
 }
 
 impl MeasurementData {
@@ -351,6 +355,7 @@ pub struct SelectionRun {
     /// One record per scheduled transfer.
     pub records: Vec<TransferRecord>,
 }
+ir_artifact::declare! { Codec for struct SelectionRun { client, k, records } }
 
 /// Results of the §4 selection study.
 pub struct SelectionData {
@@ -363,6 +368,7 @@ pub struct SelectionData {
     /// Runs, one per (client, k).
     pub runs: Vec<SelectionRun>,
 }
+ir_artifact::declare! { Codec for struct SelectionData { names, clients, relays, runs } }
 
 impl SelectionData {
     /// Mean percent improvement for a (client, k) run, over **all**

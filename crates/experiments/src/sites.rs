@@ -23,6 +23,9 @@ pub struct SiteResult {
     /// Number of indirect-chosen transfers.
     pub n: usize,
 }
+ir_artifact::declare! {
+    Codec for struct SiteResult { site, mean_improvement_pct, chose_indirect_pct, n }
+}
 
 /// Runs the study against every site. `transfers_per_pair` bounds the
 /// cost (there are 4 × clients × relays tasks).

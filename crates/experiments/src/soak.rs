@@ -32,7 +32,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Geometry and rates of a soak run. All fields are semantic inputs:
-/// each one is hashed into the study fingerprint.
+/// the declaration below hashes each one into the study fingerprint and
+/// frames it into the cached result, so a new field does not compile
+/// until it is listed — and listing it moves both, so bump the `soak`
+/// entry of [`crate::sweep::SALTS`] (and the layout tag in
+/// [`crate::sweep::soak_plan`]) with it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SoakConfig {
     /// Concurrent racing clients.
@@ -52,6 +56,19 @@ pub struct SoakConfig {
     /// Client start times are spread over this window so connect
     /// storms stay below the listener backlog.
     pub stagger_ms: u64,
+}
+// The counts hash as `u64` — the width the fingerprint has always used —
+// and frame at their own.
+ir_artifact::declare! {
+    StableHash + Codec for struct SoakConfig {
+        clients as u64,
+        file_bytes,
+        probe_bytes,
+        direct_rate,
+        relay_rate,
+        workers as u64,
+        stagger_ms,
+    }
 }
 
 impl SoakConfig {
@@ -117,6 +134,22 @@ pub struct SoakResult {
     pub drain_completed: bool,
     /// …and the active gauge never rose while it ran.
     pub drain_monotone: bool,
+}
+ir_artifact::declare! {
+    Codec for struct SoakResult {
+        cfg,
+        completed,
+        lost,
+        accepted,
+        backpressure_drops,
+        p50_first_byte_us,
+        p99_first_byte_us,
+        max_first_byte_us,
+        goodput_bps,
+        wall_ms,
+        drain_completed,
+        drain_monotone,
+    }
 }
 
 /// Percentile over a sorted sample set (nearest-rank on the sorted
@@ -306,6 +339,51 @@ pub fn report_of(r: &SoakResult) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The soak's study key hashes the config as one value; the constant
+    /// is what hashing it field by field produced before the declaration
+    /// existed, so keys on disk still match.
+    #[test]
+    fn soak_config_fingerprint_tracks_every_field() {
+        use ir_artifact::fingerprint_of;
+        let base = SoakConfig::quick();
+        assert_eq!(
+            fingerprint_of(&base).to_hex(),
+            "c068e1427a42b0171a80df085b15d662"
+        );
+        for bumped in [
+            SoakConfig {
+                clients: base.clients + 1,
+                ..base
+            },
+            SoakConfig {
+                file_bytes: base.file_bytes + 1,
+                ..base
+            },
+            SoakConfig {
+                probe_bytes: base.probe_bytes + 1,
+                ..base
+            },
+            SoakConfig {
+                direct_rate: base.direct_rate + 1,
+                ..base
+            },
+            SoakConfig {
+                relay_rate: base.relay_rate + 1,
+                ..base
+            },
+            SoakConfig {
+                workers: base.workers + 1,
+                ..base
+            },
+            SoakConfig {
+                stagger_ms: base.stagger_ms + 1,
+                ..base
+            },
+        ] {
+            assert_ne!(fingerprint_of(&base), fingerprint_of(&bumped), "{bumped:?}");
+        }
+    }
 
     fn tiny() -> SoakConfig {
         SoakConfig {

@@ -280,6 +280,21 @@ pub struct StripeCell {
     /// Chunks the overlay paths carried.
     pub overlay_chunks: u64,
 }
+ir_artifact::declare! {
+    Codec for struct StripeCell {
+        scenario,
+        k,
+        chunks,
+        stale,
+        raced_secs,
+        striped_secs,
+        ratio,
+        reassignments,
+        deaths,
+        direct_chunks,
+        overlay_chunks,
+    }
+}
 
 fn completion_secs(rec: &TransferRecord) -> f64 {
     if rec.selected_throughput > 0.0 {

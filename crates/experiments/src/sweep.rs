@@ -24,7 +24,6 @@
 //! warm cache reproduces every artefact byte-for-byte without running a
 //! single study; any changed input misses cleanly.
 
-use crate::codec;
 use crate::report::Report;
 use crate::runner::{
     measurement_study_default_traced, run_measurement_study, selection_study_default_traced,
@@ -45,7 +44,6 @@ use ir_telemetry::trace::{Event, EventKind};
 use ir_telemetry::Telemetry;
 use ir_workload::roster::{ClientSite, RelaySite, ServerSite};
 use ir_workload::{Calibration, Schedule};
-use std::any::Any;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -152,24 +150,6 @@ fn measurement_fingerprint(
     h.finish()
 }
 
-fn measurement_spec(
-    name: String,
-    fingerprint: Fingerprint,
-    run: impl FnOnce() -> MeasurementData + 'static,
-) -> StudySpec {
-    StudySpec {
-        name,
-        fingerprint,
-        run: Box::new(move || Arc::new(run()) as Arc<dyn Any + Send + Sync>),
-        encode: Box::new(|out| {
-            codec::encode_measurement(out.downcast_ref().expect("measurement study output"))
-        }),
-        decode: Box::new(|bytes| {
-            codec::decode_measurement(bytes).map(|d| Arc::new(d) as Arc<dyn Any + Send + Sync>)
-        }),
-    }
-}
-
 fn measurement_report_fn(name: &str) -> fn(&MeasurementData) -> Report {
     match name {
         "fig1" => fig1::report,
@@ -258,7 +238,7 @@ pub fn soak_config(scale: Scale) -> soak::SoakConfig {
 /// *record* of the run that produced it, keyed on `(seed, config,
 /// codec version)` like every other study.
 pub fn soak_plan(seed: u64, scale: Scale) -> SweepPlan {
-    /// Layout of [`codec::encode_soak`]'s record. A soak-only tag:
+    /// Layout of the [`soak::SoakResult`] record. A soak-only tag:
     /// [`CODEC_VERSION`] feeds every study fingerprint, and a change to
     /// this one record must not cold-start the whole sweep cache.
     /// 2: `event_mode` dropped.
@@ -270,26 +250,12 @@ pub fn soak_plan(seed: u64, scale: Scale) -> SweepPlan {
         CODEC_VERSION.stable_hash(&mut h);
         SOAK_LAYOUT.stable_hash(&mut h);
         seed.stable_hash(&mut h);
-        (cfg.clients as u64).stable_hash(&mut h);
-        cfg.file_bytes.stable_hash(&mut h);
-        cfg.probe_bytes.stable_hash(&mut h);
-        cfg.direct_rate.stable_hash(&mut h);
-        cfg.relay_rate.stable_hash(&mut h);
-        (cfg.workers as u64).stable_hash(&mut h);
-        cfg.stagger_ms.stable_hash(&mut h);
+        cfg.stable_hash(&mut h);
         h.finish()
     };
-    let study = StudySpec {
-        name: format!("soak(seed={seed},{scale:?})"),
-        fingerprint: fp,
-        run: Box::new(move || Arc::new(soak::run(&cfg)) as Arc<dyn Any + Send + Sync>),
-        encode: Box::new(|out| {
-            codec::encode_soak(out.downcast_ref::<soak::SoakResult>().expect("soak output"))
-        }),
-        decode: Box::new(|bytes| {
-            codec::decode_soak(bytes).map(|d| Arc::new(d) as Arc<dyn Any + Send + Sync>)
-        }),
-    };
+    let study = StudySpec::typed(format!("soak(seed={seed},{scale:?})"), fp, move || {
+        soak::run(&cfg)
+    });
     let artefact = ArtefactSpec {
         name: "soak".into(),
         fingerprint: artefact_fingerprint("soak", &[fp]),
@@ -326,7 +292,7 @@ pub fn full_plan(seed: u64, scale: Scale, tel: Option<Arc<Telemetry>>) -> SweepP
         seed, roster, relays, servers, &cal, false, 0, m_schedule, &session,
     );
     let m_tel = tel.clone();
-    let measurement = measurement_spec(
+    let measurement = StudySpec::typed(
         format!("measurement(seed={seed},{scale:?})"),
         m_fp,
         move || measurement_study_default_traced(seed, scale, m_tel),
@@ -354,20 +320,11 @@ pub fn full_plan(seed: u64, scale: Scale, tel: Option<Arc<Telemetry>>) -> SweepP
         h.finish()
     };
     let s_tel = tel.clone();
-    let selection = StudySpec {
-        name: format!("selection(seed={seed},{scale:?})"),
-        fingerprint: s_fp,
-        run: Box::new(move || {
-            Arc::new(selection_study_default_traced(seed, scale, FIG6_KS, s_tel))
-                as Arc<dyn Any + Send + Sync>
-        }),
-        encode: Box::new(|out| {
-            codec::encode_selection(out.downcast_ref().expect("selection study output"))
-        }),
-        decode: Box::new(|bytes| {
-            codec::decode_selection(bytes).map(|d| Arc::new(d) as Arc<dyn Any + Send + Sync>)
-        }),
-    };
+    let selection = StudySpec::typed(
+        format!("selection(seed={seed},{scale:?})"),
+        s_fp,
+        move || selection_study_default_traced(seed, scale, FIG6_KS, s_tel),
+    );
 
     // Per-site study (all four destinations).
     let site_transfers = sites_transfers(scale);
@@ -387,22 +344,11 @@ pub fn full_plan(seed: u64, scale: Scale, tel: Option<Arc<Telemetry>>) -> SweepP
         session.stable_hash(&mut h);
         h.finish()
     };
-    let sites_study = StudySpec {
-        name: format!("sites(seed={seed},transfers={site_transfers})"),
-        fingerprint: sites_fp,
-        run: Box::new(move || {
-            Arc::new(sites::run(seed, site_transfers)) as Arc<dyn Any + Send + Sync>
-        }),
-        encode: Box::new(|out| {
-            codec::encode_sites(
-                out.downcast_ref::<Vec<sites::SiteResult>>()
-                    .expect("sites output"),
-            )
-        }),
-        decode: Box::new(|bytes| {
-            codec::decode_sites(bytes).map(|d| Arc::new(d) as Arc<dyn Any + Send + Sync>)
-        }),
-    };
+    let sites_study = StudySpec::typed(
+        format!("sites(seed={seed},transfers={site_transfers})"),
+        sites_fp,
+        move || sites::run(seed, site_transfers),
+    );
 
     // Oracle headroom study.
     let hr_transfers = headroom_transfers(scale);
@@ -424,22 +370,11 @@ pub fn full_plan(seed: u64, scale: Scale, tel: Option<Arc<Telemetry>>) -> SweepP
         10u64.stable_hash(&mut h); // random-set k
         h.finish()
     };
-    let headroom_study = StudySpec {
-        name: format!("headroom(seed={seed},transfers={hr_transfers})"),
-        fingerprint: hr_fp,
-        run: Box::new(move || {
-            Arc::new(headroom::run(seed, hr_transfers)) as Arc<dyn Any + Send + Sync>
-        }),
-        encode: Box::new(|out| {
-            codec::encode_headroom(
-                out.downcast_ref::<Vec<headroom::Headroom>>()
-                    .expect("headroom output"),
-            )
-        }),
-        decode: Box::new(|bytes| {
-            codec::decode_headroom(bytes).map(|d| Arc::new(d) as Arc<dyn Any + Send + Sync>)
-        }),
-    };
+    let headroom_study = StudySpec::typed(
+        format!("headroom(seed={seed},transfers={hr_transfers})"),
+        hr_fp,
+        move || headroom::run(seed, hr_transfers),
+    );
 
     // Fault-plane sweep. The generated fault plans are pure functions
     // of (scenario, spec, seed); hash the plans themselves so the
@@ -479,20 +414,11 @@ pub fn full_plan(seed: u64, scale: Scale, tel: Option<Arc<Telemetry>>) -> SweepP
         }
         h.finish()
     };
-    let faults_study = StudySpec {
-        name: format!("faults(seed={seed},{scale:?})"),
-        fingerprint: faults_fp,
-        run: Box::new(move || Arc::new(faults::run(seed, scale)) as Arc<dyn Any + Send + Sync>),
-        encode: Box::new(|out| {
-            codec::encode_faults(
-                out.downcast_ref::<Vec<faults::FaultCell>>()
-                    .expect("faults output"),
-            )
-        }),
-        decode: Box::new(|bytes| {
-            codec::decode_faults(bytes).map(|d| Arc::new(d) as Arc<dyn Any + Send + Sync>)
-        }),
-    };
+    let faults_study = StudySpec::typed(
+        format!("faults(seed={seed},{scale:?})"),
+        faults_fp,
+        move || faults::run(seed, scale),
+    );
 
     // Megaflow: the engine's scale study. Engine-mode invariant (the
     // differential suite's guarantee), so the engine is not a
@@ -503,38 +429,22 @@ pub fn full_plan(seed: u64, scale: Scale, tel: Option<Arc<Telemetry>>) -> SweepP
         "study/megaflow".stable_hash(&mut h);
         CODEC_VERSION.stable_hash(&mut h);
         seed.stable_hash(&mut h);
-        (mega_cfg.racks as u64).stable_hash(&mut h);
-        (mega_cfg.hosts_per_rack as u64).stable_hash(&mut h);
-        (mega_cfg.flows_per_host as u64).stable_hash(&mut h);
-        (mega_cfg.waves as u64).stable_hash(&mut h);
-        mega_cfg.wave_stagger_ms.stable_hash(&mut h);
-        mega_cfg.file_bytes.stable_hash(&mut h);
-        mega_cfg.host_rate.stable_hash(&mut h);
-        mega_cfg.rack_base_rate.stable_hash(&mut h);
+        mega_cfg.stable_hash(&mut h);
         h.finish()
     };
     let mega_tel = tel.clone();
-    let megaflow_study = StudySpec {
-        name: format!("megaflow(seed={seed},{scale:?})"),
-        fingerprint: mega_fp,
-        run: Box::new(move || {
-            Arc::new(megaflow::run(
+    let megaflow_study = StudySpec::typed(
+        format!("megaflow(seed={seed},{scale:?})"),
+        mega_fp,
+        move || {
+            megaflow::run(
                 seed,
                 &mega_cfg,
                 ir_simnet::sim::EngineMode::Incremental,
                 mega_tel,
-            )) as Arc<dyn Any + Send + Sync>
-        }),
-        encode: Box::new(|out| {
-            codec::encode_megaflow(
-                out.downcast_ref::<megaflow::MegaflowResult>()
-                    .expect("megaflow output"),
             )
-        }),
-        decode: Box::new(|bytes| {
-            codec::decode_megaflow(bytes).map(|d| Arc::new(d) as Arc<dyn Any + Send + Sync>)
-        }),
-    };
+        },
+    );
 
     // Striping sweep: raced vs striped sessions on the pinned 2-relay
     // grid. Cells are seed-invariant (fixed geometry, like the
@@ -570,20 +480,11 @@ pub fn full_plan(seed: u64, scale: Scale, tel: Option<Arc<Telemetry>>) -> SweepP
         }
         h.finish()
     };
-    let striping_study = StudySpec {
-        name: format!("striping(seed={seed},{scale:?})"),
-        fingerprint: striping_fp,
-        run: Box::new(move || Arc::new(striping::run(seed, scale)) as Arc<dyn Any + Send + Sync>),
-        encode: Box::new(|out| {
-            codec::encode_striping(
-                out.downcast_ref::<Vec<striping::StripeCell>>()
-                    .expect("striping output"),
-            )
-        }),
-        decode: Box::new(|bytes| {
-            codec::decode_striping(bytes).map(|d| Arc::new(d) as Arc<dyn Any + Send + Sync>)
-        }),
-    };
+    let striping_study = StudySpec::typed(
+        format!("striping(seed={seed},{scale:?})"),
+        striping_fp,
+        move || striping::run(seed, scale),
+    );
 
     // Policy tournament: one study per policy, one artefact over all.
     let mut tplan = tournament_plan(seed, scale, tournament::POLICIES);
@@ -732,24 +633,11 @@ pub fn tournament_plan(seed: u64, scale: Scale, policies: &[&'static str]) -> Sw
     let studies: Vec<StudySpec> = policies
         .iter()
         .map(|&p| {
-            let fp = tournament_policy_fingerprint(seed, scale, p);
-            StudySpec {
-                name: format!("tournament/{p}(seed={seed},{scale:?})"),
-                fingerprint: fp,
-                run: Box::new(move || {
-                    Arc::new(tournament::run_policy(seed, scale, p)) as Arc<dyn Any + Send + Sync>
-                }),
-                encode: Box::new(|out| {
-                    codec::encode_tournament(
-                        out.downcast_ref::<Vec<tournament::TournamentCell>>()
-                            .expect("tournament cells"),
-                    )
-                }),
-                decode: Box::new(|bytes| {
-                    codec::decode_tournament(bytes)
-                        .map(|d| Arc::new(d) as Arc<dyn Any + Send + Sync>)
-                }),
-            }
+            StudySpec::typed(
+                format!("tournament/{p}(seed={seed},{scale:?})"),
+                tournament_policy_fingerprint(seed, scale, p),
+                move || tournament::run_policy(seed, scale, p),
+            )
         })
         .collect();
     let deps: Vec<Fingerprint> = studies.iter().map(|s| s.fingerprint).collect();
@@ -789,7 +677,7 @@ pub fn mini_plan(seed: u64) -> SweepPlan {
     let fp = measurement_fingerprint(
         seed, clients, relays, servers, &cal, false, 0, schedule, &session,
     );
-    let study = measurement_spec(format!("measurement-mini(seed={seed})"), fp, move || {
+    let study = StudySpec::typed(format!("measurement-mini(seed={seed})"), fp, move || {
         let scenario = ir_workload::build(seed, clients, relays, servers, cal, false);
         run_measurement_study(&scenario, 0, schedule, session)
     });
@@ -1028,6 +916,34 @@ mod tests {
             plan.studies[0].fingerprint.to_hex(),
             "c8e2c50f737590d0f1559f62775ae8fe"
         );
+    }
+
+    /// Every study key of the quick seed-2007 plans, in plan order (the
+    /// soak's last). The measurement pin above guards the shared inputs;
+    /// this table guards each study's own — the megaflow and soak
+    /// configs, the fault plans, the per-policy configs. Moving one
+    /// orphans that study's cache entries, so it must be deliberate.
+    #[test]
+    fn study_fingerprints_are_pinned() {
+        let mut studies = full_plan(2007, Scale::Quick, None).studies;
+        studies.extend(soak_plan(2007, Scale::Quick).studies);
+        let got: Vec<String> = studies.iter().map(|s| s.fingerprint.to_hex()).collect();
+        let pinned = [
+            "c8e2c50f737590d0f1559f62775ae8fe", // measurement
+            "6d2ab22e642685c0b5c062929f1b1539", // selection
+            "dc5aacbd45642534543aa8524df4df9f", // sites
+            "f9230923a6ae57241a3a3fa0050db1ac", // headroom
+            "fd2dbdf3e035469d3755f84a5cc6f5c0", // faults
+            "6eac7e2668e8799f5ce26b3994708502", // megaflow
+            "dabc6b7901f94047e67732ee3aa7a272", // striping
+            "ac59f81ae5548cddfc9edad95cb028c1", // tournament/random-set
+            "803a0682274e0843c92f60dd1f3aa0d7", // tournament/utilization-weighted
+            "3ae4b19e775e4db9536a4e7cd293ef5a", // tournament/k-shortest
+            "1044e443ff0a95bb5896ef7062b5bd5d", // tournament/adaptive
+            "adac1271c53ec5810d99749ffdfa98cc", // tournament/backpressure
+            "192e93780839ef96a1b857deaec208ae", // soak
+        ];
+        assert_eq!(got, pinned);
     }
 
     /// The soak plan is fingerprinted like any other study — stable

@@ -82,6 +82,18 @@ pub struct TournamentCell {
     /// Transfers that settled on a 2+-hop chain (%).
     pub multi_hop_pct: f64,
 }
+ir_artifact::declare! {
+    Codec for struct TournamentCell {
+        policy,
+        scenario,
+        transfers,
+        mean_improvement_pct,
+        indirect_pct,
+        penalty_rate_pct,
+        probe_paths_per_transfer,
+        multi_hop_pct,
+    }
+}
 
 /// Builds the selector a tournament cell runs. `seed` feeds the
 /// stochastic policies; the deterministic ones ignore it.

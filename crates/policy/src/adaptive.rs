@@ -23,6 +23,9 @@ pub struct AdaptiveConfig {
     /// weight vector and relies on the uniform fallback.
     pub prior: f64,
 }
+ir_artifact::declare! {
+    StableHash for "adaptive-config" struct AdaptiveConfig { k, seed, alpha, prior }
+}
 
 impl Default for AdaptiveConfig {
     fn default() -> Self {

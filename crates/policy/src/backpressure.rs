@@ -18,6 +18,9 @@ pub struct BackpressureConfig {
     /// value makes the selector explore cold relays first.
     pub optimism: f64,
 }
+ir_artifact::declare! {
+    StableHash for "backpressure-config" struct BackpressureConfig { k, beta, alpha, optimism }
+}
 
 impl Default for BackpressureConfig {
     fn default() -> Self {

@@ -14,6 +14,7 @@ pub struct KShortestConfig {
     /// Hop-count cap per chain; clamped to [`MAX_HOPS`].
     pub max_hops: usize,
 }
+ir_artifact::declare! { StableHash for "kshortest-config" struct KShortestConfig { k, max_hops } }
 
 impl Default for KShortestConfig {
     fn default() -> Self {

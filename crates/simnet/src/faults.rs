@@ -48,6 +48,15 @@ pub enum FaultEvent {
     /// The node restarts.
     NodeUp(NodeId),
 }
+ir_artifact::declare! {
+    StableHash for enum FaultEvent {
+        LinkDown(link) = 0,
+        LinkUp(link) = 1,
+        BrownoutSet { link, factor } = 2,
+        NodeDown(node) = 3,
+        NodeUp(node) = 4,
+    }
+}
 
 /// Parameters of [`FaultPlan::random`]: independent renewal processes
 /// of outages per target link and crash/restart cycles per target node,
@@ -72,6 +81,17 @@ pub struct FaultSpec {
     pub node_mtbf: SimDuration,
     /// Mean node downtime.
     pub node_downtime_mean: SimDuration,
+}
+ir_artifact::declare! {
+    StableHash for struct FaultSpec {
+        horizon,
+        link_mtbf,
+        link_outage_mean,
+        brownout_prob,
+        brownout_factor,
+        node_mtbf,
+        node_downtime_mean,
+    }
 }
 
 impl Default for FaultSpec {
@@ -110,6 +130,7 @@ impl FaultSpec {
 pub struct FaultPlan {
     events: Vec<(SimTime, FaultEvent)>,
 }
+ir_artifact::declare! { StableHash for struct FaultPlan { events } }
 
 /// SplitMix64 sub-seed derivation, so each target gets an independent
 /// stream regardless of how many targets precede it.
@@ -231,6 +252,28 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ir_artifact::fingerprint_of;
+
+    #[test]
+    fn fault_event_variants_do_not_collide() {
+        let down = fingerprint_of(&FaultEvent::LinkDown(LinkId(3)));
+        let up = fingerprint_of(&FaultEvent::LinkUp(LinkId(3)));
+        let node = fingerprint_of(&FaultEvent::NodeDown(NodeId(3)));
+        assert_ne!(down, up);
+        assert_ne!(down, node);
+    }
+
+    #[test]
+    fn plan_fingerprint_is_a_pure_function_of_inputs() {
+        let spec = FaultSpec::default();
+        let links = [LinkId(0), LinkId(1)];
+        let a = FaultPlan::random(&spec, &links, &[], 7);
+        let b = FaultPlan::random(&spec, &links, &[], 7);
+        let c = FaultPlan::random(&spec, &links, &[], 8);
+        assert_eq!(fingerprint_of(&a), fingerprint_of(&b));
+        assert_ne!(fingerprint_of(&a), fingerprint_of(&c));
+        assert_ne!(fingerprint_of(&a), fingerprint_of(&FaultPlan::none()));
+    }
 
     #[test]
     fn none_is_empty() {

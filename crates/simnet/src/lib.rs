@@ -43,7 +43,6 @@ pub mod faults;
 pub mod partition;
 pub mod sim;
 pub mod soa;
-pub mod stable;
 pub mod time;
 pub mod topology;
 pub mod tracer;

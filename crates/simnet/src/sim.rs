@@ -197,6 +197,10 @@ pub enum EngineMode {
     /// every boundary.
     Reference,
 }
+// Pinned tags: existing study caches key on them. Tag 2 was `Sharded`
+// (deleted; its results were bit-identical to `Incremental`'s) — do not
+// reuse it for a mode whose semantics differ.
+ir_artifact::declare! { StableHash for enum EngineMode { Incremental = 0, Reference = 1 } }
 
 type ChangeHeap = BinaryHeap<Reverse<(SimTime, u32)>>;
 
@@ -1389,6 +1393,25 @@ mod tests {
     use super::*;
     use crate::bandwidth::{ConstantProcess, PiecewiseProcess};
     use crate::topology::{NodeKind, Topology};
+    use ir_artifact::{StableHash, StableHasher};
+
+    #[test]
+    fn engine_mode_tags_are_pinned() {
+        // Study caches key on these encodings: Incremental is tag 0,
+        // Reference tag 1, exactly as before `Sharded` (tag 2) left.
+        let tag = |t: u8| {
+            let mut h = StableHasher::new();
+            h.write_tag(t);
+            h.finish()
+        };
+        let of = |m: EngineMode| {
+            let mut h = StableHasher::new();
+            m.stable_hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(of(EngineMode::Incremental), tag(0));
+        assert_eq!(of(EngineMode::Reference), tag(1));
+    }
 
     /// client --L0--> server, client --L1--> mid --L2--> server
     fn diamond(rates: [f64; 3]) -> (Network, Route, Route) {

@@ -15,12 +15,14 @@ use std::ops::{Add, AddAssign, Sub};
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
 pub struct SimTime(pub u64);
+ir_artifact::declare! { StableHash + Codec for struct SimTime(micros) }
 
 /// A span of simulated time (microseconds).
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
 pub struct SimDuration(pub u64);
+ir_artifact::declare! { StableHash for struct SimDuration(micros) }
 
 impl SimTime {
     /// The simulation epoch (t = 0).

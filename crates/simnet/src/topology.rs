@@ -14,10 +14,12 @@ use std::collections::BTreeMap;
 /// Identifier of a node in the topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct NodeId(pub u32);
+ir_artifact::declare! { StableHash + Codec for struct NodeId(id) }
 
 /// Identifier of a directed link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct LinkId(pub u32);
+ir_artifact::declare! { StableHash for struct LinkId(id) }
 
 /// Role of a node in the indirect-routing experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

@@ -20,6 +20,7 @@ pub enum Category {
     /// > 3.0 Mbps.
     High,
 }
+ir_artifact::declare! { Codec for enum Category { Low = 0, Medium = 1, High = 2 } }
 
 impl Category {
     /// Classifies a mean direct-path throughput given in **bytes/sec**.
@@ -55,6 +56,7 @@ pub enum Variability {
     /// Direct-path throughput swings across regimes.
     Variable,
 }
+ir_artifact::declare! { Codec for enum Variability { Stable = 0, Variable = 1 } }
 
 /// Coefficient-of-variation threshold above which a client's measured
 /// direct throughput series is classed [`Variability::Variable`].

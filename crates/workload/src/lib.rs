@@ -20,7 +20,6 @@ pub mod faults;
 pub mod roster;
 pub mod scenario;
 pub mod schedule;
-pub mod stable;
 
 pub use calfile::{from_kv, to_kv};
 pub use category::{Category, Variability, MBPS};

@@ -19,6 +19,7 @@ pub struct ClientSite {
     /// One-way latency to the continental US, ms.
     pub us_latency_ms: u64,
 }
+ir_artifact::declare! { StableHash for struct ClientSite { name, domain, us_latency_ms } }
 
 /// An intermediate (relay) site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,6 +31,7 @@ pub struct RelaySite {
     /// True for the 6 pool-filler sites not named anywhere in the paper.
     pub synthesized: bool,
 }
+ir_artifact::declare! { StableHash for struct RelaySite { name, domain, synthesized } }
 
 /// A destination web site (§2.2).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,6 +43,7 @@ pub struct ServerSite {
     /// eBay's data set — the paper's focus — sits at the slow end).
     pub rate_factor: f64,
 }
+ir_artifact::declare! { StableHash for struct ServerSite { name, rate_factor } }
 
 /// The 22 international client nodes of Table IV.
 pub const CLIENTS: &[ClientSite] = &[
@@ -402,6 +405,20 @@ pub fn selection_relays() -> Vec<RelaySite> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::Schedule;
+    use ir_artifact::fingerprint_of;
+
+    #[test]
+    fn schedules_and_rosters_disambiguate() {
+        let a = Schedule::measurement_study();
+        let b = Schedule::measurement_study().spread(8);
+        assert_ne!(fingerprint_of(&a), fingerprint_of(&b));
+        assert_ne!(fingerprint_of(&CLIENTS[..4]), fingerprint_of(&CLIENTS[..5]));
+        assert_ne!(
+            fingerprint_of(&CLIENTS[0]),
+            fingerprint_of(&INTERMEDIATES[0])
+        );
+    }
 
     #[test]
     fn roster_sizes_match_paper() {

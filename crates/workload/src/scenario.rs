@@ -107,6 +107,36 @@ pub struct Calibration {
     /// Relay→server rate range (Mbps) — fast, never the bottleneck.
     pub relay_server_mbps: (f64, f64),
 }
+ir_artifact::declare! {
+    StableHash for struct Calibration {
+        low_mbps,
+        med_mbps,
+        high_mbps,
+        frac_medium,
+        frac_high,
+        var_frac_low_med,
+        var_frac_high,
+        stable_levels,
+        variable_levels,
+        high_variable_levels,
+        stable_hold_secs,
+        variable_hold_secs,
+        stable_noise,
+        variable_noise,
+        overlay_median_mbps,
+        access_headroom_median,
+        access_headroom_sigma,
+        relay_quality_sigma,
+        pair_sigma,
+        overlay_phi,
+        overlay_sigma,
+        overlay_tick_secs,
+        jump_arrival_secs,
+        jump_duration_secs,
+        jump_factor,
+        relay_server_mbps,
+    }
+}
 
 impl Default for Calibration {
     fn default() -> Self {
@@ -153,6 +183,7 @@ pub struct ClientProfile {
     /// Median direct-path rate before server factors, bytes/sec.
     pub base_rate: f64,
 }
+ir_artifact::declare! { Codec for struct ClientProfile { category, variability, base_rate } }
 
 /// A built scenario: the network plus the node-id bookkeeping every
 /// experiment needs.
@@ -449,6 +480,19 @@ pub fn selection_study(seed: u64) -> Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ir_artifact::fingerprint_of;
+
+    #[test]
+    fn calibration_fingerprint_tracks_field_changes() {
+        let base = Calibration::default();
+        assert_eq!(
+            fingerprint_of(&base),
+            fingerprint_of(&Calibration::default())
+        );
+        let mut tweaked = base;
+        tweaked.overlay_median_mbps += 0.001;
+        assert_ne!(fingerprint_of(&base), fingerprint_of(&tweaked));
+    }
 
     #[test]
     fn planetlab_study_has_expected_shape() {

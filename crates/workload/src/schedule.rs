@@ -16,6 +16,7 @@ pub struct Schedule {
     /// Number of transfers.
     pub count: u64,
 }
+ir_artifact::declare! { StableHash for struct Schedule { period, count } }
 
 impl Schedule {
     /// The §2.2 schedule: every 6 minutes, 100 times (10 hours).

@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablations of the design choices DESIGN.md calls out:
 //!
 //! * **probe size x** — the paper fixes x = 100 KB ("produces good
 //!   estimates"); the sweep shows the trade-off: tiny probes mispredict
@@ -7,28 +7,41 @@
 //!   utilization-weighted extension vs bandit baselines.
 //! * **predictor** — the paper's first-portion predictor vs an EWMA
 //!   blend.
+//! * **file size n** — why the paper requires n ≥ 2 MB.
 //!
-//! Each ablation prints its quality table to stderr once (the numbers
-//! are the point), then benches the runtime of the reference
-//! configuration so regressions in simulation cost are visible.
+//! Each ablation prints its quality table to stderr (EXPERIMENTS.md
+//! §Ablations reads them). Nothing is timed here: what a session or a
+//! boundary costs is `irbench`'s per-layer rows.
+//!
+//! ```text
+//! cargo run --release --example ablations
+//! ```
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use ir_core::{
+use indirect_routing::core::{
     EpsilonGreedy, EwmaBlend, FirstPortion, PathSelector, Predictor, RandomSet, SessionConfig,
     StaticSingle, Ucb1, UtilizationWeighted,
 };
-use ir_experiments::runner::run_task_with;
-use ir_stats::Summary;
-use ir_workload::{selection_study, Scenario, Schedule};
-use std::hint::black_box;
-use std::sync::OnceLock;
+use indirect_routing::experiments::runner::run_task_with;
+use indirect_routing::stats::Summary;
+use indirect_routing::workload::{selection_study, Scenario, Schedule};
 
-fn scenario() -> &'static Scenario {
-    static SC: OnceLock<Scenario> = OnceLock::new();
-    SC.get_or_init(|| selection_study(2007))
-}
-
-fn quality(records: &[ir_core::TransferRecord]) -> (f64, f64) {
+/// Runs `policy` for the first client over `schedule` and scores it:
+/// (mean improvement %, penalties % of all transfers).
+fn quality(
+    sc: &Scenario,
+    policy: Box<dyn PathSelector>,
+    schedule: Schedule,
+    session: &SessionConfig,
+) -> (f64, f64) {
+    let records = run_task_with(
+        sc,
+        sc.clients[0],
+        sc.servers[0],
+        &sc.relays,
+        policy,
+        schedule,
+        session,
+    );
     let imps: Vec<f64> = records
         .iter()
         .map(|r| r.improvement_pct())
@@ -44,8 +57,7 @@ fn quality(records: &[ir_core::TransferRecord]) -> (f64, f64) {
     (s.mean, pen)
 }
 
-fn ablation_probe_size(c: &mut Criterion) {
-    let sc = scenario();
+fn ablation_probe_size(sc: &Scenario) {
     let schedule = Schedule::selection_study().spread(60);
     eprintln!(
         "\n=== ablation: probe size x (client {}, k=5) ===",
@@ -58,38 +70,12 @@ fn ablation_probe_size(c: &mut Criterion) {
     for x_kb in [10u64, 25, 50, 100, 200, 400] {
         let mut session = SessionConfig::paper_defaults();
         session.probe_bytes = x_kb * 1024;
-        let records = run_task_with(
-            sc,
-            sc.clients[0],
-            sc.servers[0],
-            &sc.relays,
-            Box::new(RandomSet::new(5, 7)),
-            schedule,
-            &session,
-        );
-        let (mean, pen) = quality(&records);
+        let (mean, pen) = quality(sc, Box::new(RandomSet::new(5, 7)), schedule, &session);
         eprintln!("{x_kb:>10} {mean:>+12.1} {pen:>12.1}");
     }
-
-    c.bench_function("ablation_probe_size_reference_x100KB", |b| {
-        let session = SessionConfig::paper_defaults();
-        let small = Schedule::selection_study().spread(5);
-        b.iter(|| {
-            black_box(run_task_with(
-                sc,
-                sc.clients[0],
-                sc.servers[0],
-                &sc.relays,
-                Box::new(RandomSet::new(5, 7)),
-                small,
-                &session,
-            ))
-        })
-    });
 }
 
-fn ablation_policies(c: &mut Criterion) {
-    let sc = scenario();
+fn ablation_policies(sc: &Scenario) {
     let schedule = Schedule::selection_study().spread(120);
     let session = SessionConfig::paper_defaults();
     eprintln!(
@@ -114,44 +100,19 @@ fn ablation_policies(c: &mut Criterion) {
         ("ucb1", Box::new(Ucb1::new())),
     ];
     for (name, policy) in policies {
-        let records = run_task_with(
-            sc,
-            sc.clients[0],
-            sc.servers[0],
-            &sc.relays,
-            policy,
-            schedule,
-            &session,
-        );
-        let (mean, pen) = quality(&records);
+        let (mean, pen) = quality(sc, policy, schedule, &session);
         eprintln!("{name:>30} {mean:>+12.1} {pen:>12.1}");
     }
-
-    c.bench_function("ablation_policy_reference_random_set", |b| {
-        let small = Schedule::selection_study().spread(5);
-        b.iter(|| {
-            black_box(run_task_with(
-                sc,
-                sc.clients[0],
-                sc.servers[0],
-                &sc.relays,
-                Box::new(RandomSet::new(5, 7)),
-                small,
-                &session,
-            ))
-        })
-    });
 }
 
-fn ablation_predictors(c: &mut Criterion) {
+fn ablation_predictors(sc: &Scenario) {
     // Pure prediction quality, decoupled from probe overhead: at each
     // schedule instant, what a 100 KB probe would measure on each path
     // (oracle on an isolated replica) feeds the predictor; the chosen
     // path's true whole-file rate is compared with the best path's.
-    use ir_core::{PathCtx, PathSpec, SimTransport, Transport};
-    use ir_simnet::time::{SimDuration, SimTime};
+    use indirect_routing::core::{PathCtx, PathSpec, SimTransport, Transport};
+    use indirect_routing::simnet::time::{SimDuration, SimTime};
 
-    let sc = scenario();
     let schedule = Schedule::selection_study().spread(60);
     let probe_bytes = 100 * 1024;
     let file_bytes = 2 * 1024 * 1024;
@@ -226,30 +187,13 @@ fn ablation_predictors(c: &mut Criterion) {
             efficiency_sum / total.max(1) as f64 * 100.0
         );
     }
-
-    c.bench_function("ablation_predictor_reference_first_portion", |b| {
-        let session = SessionConfig::paper_defaults();
-        let small = Schedule::selection_study().spread(5);
-        b.iter(|| {
-            black_box(run_task_with(
-                sc,
-                sc.clients[0],
-                sc.servers[0],
-                &sc.relays,
-                Box::new(RandomSet::new(5, 7)),
-                small,
-                &session,
-            ))
-        })
-    });
 }
 
-fn ablation_file_size(c: &mut Criterion) {
+fn ablation_file_size(sc: &Scenario) {
     // The paper requires n >= 2 MB "to ensure long-lived TCP
     // transfers". Sweeping n shows why: for small files the probe
     // overhead (x/n) eats the gains; as n grows the improvement
     // converges to the path-rate ratio.
-    let sc = scenario();
     let schedule = Schedule::selection_study().spread(60);
     eprintln!(
         "\n=== ablation: file size n (client {}, k=5, x=100KB) ===",
@@ -262,41 +206,15 @@ fn ablation_file_size(c: &mut Criterion) {
     for n_mb in [0.25f64, 0.5, 1.0, 2.0, 4.0, 8.0] {
         let mut session = SessionConfig::paper_defaults();
         session.file_bytes = (n_mb * 1024.0 * 1024.0) as u64;
-        let records = run_task_with(
-            sc,
-            sc.clients[0],
-            sc.servers[0],
-            &sc.relays,
-            Box::new(RandomSet::new(5, 7)),
-            schedule,
-            &session,
-        );
-        let (mean, pen) = quality(&records);
+        let (mean, pen) = quality(sc, Box::new(RandomSet::new(5, 7)), schedule, &session);
         eprintln!("{n_mb:>10} {mean:>+12.1} {pen:>12.1}");
     }
-
-    c.bench_function("ablation_file_size_reference_2MB", |b| {
-        let session = SessionConfig::paper_defaults();
-        let small = Schedule::selection_study().spread(5);
-        b.iter(|| {
-            black_box(run_task_with(
-                sc,
-                sc.clients[0],
-                sc.servers[0],
-                &sc.relays,
-                Box::new(RandomSet::new(5, 7)),
-                small,
-                &session,
-            ))
-        })
-    });
 }
 
-criterion_group!(
-    benches,
-    ablation_probe_size,
-    ablation_policies,
-    ablation_predictors,
-    ablation_file_size
-);
-criterion_main!(benches);
+fn main() {
+    let sc = selection_study(2007);
+    ablation_probe_size(&sc);
+    ablation_policies(&sc);
+    ablation_predictors(&sc);
+    ablation_file_size(&sc);
+}
