@@ -22,7 +22,7 @@
 //! * [`session`] — the §2.1 protocol, written once: concurrent control
 //!   download, probe race, remainder fetch, improvement measurement.
 //!   Two entry points: [`run_session`] (a selector picks the paths)
-//!   and [`run_paths_session`] (the caller names them).
+//!   and [`run_paths_session`] (a control around [`run_selecting`]).
 //! * [`remainder`] — the three ways the remaining `n − x` bytes are
 //!   carried: the winner's warm connection, the same with mid-transfer
 //!   failover, or an mHTTP-style stripe over every probed path
@@ -53,10 +53,11 @@ pub use policy::{
 };
 pub use predictor::{EwmaBlend, FirstPortion, Predictor};
 pub use record::{improvement, TransferRecord, UtilizationTracker};
-pub use remainder::{PathStripeStats, StripeStats};
+pub use remainder::{PathStripeStats, Remainder, StripeStats};
 pub use session::{
-    run_paths_session, run_session, ControlMode, EngineMode, FailoverConfig, ProbeMode,
-    RebalanceConfig, SessionConfig, SessionMode,
+    run_paths_session, run_probe, run_selecting, run_session, ControlMode, EngineMode,
+    FailoverConfig, ProbeDecision, ProbeMode, RebalanceConfig, Selecting, SessionConfig,
+    SessionMode,
 };
 pub use sim_transport::{SimTransport, TcpDerivation};
 pub use transport::{Handle, RaceWin, Timing, Transport};

@@ -1,9 +1,9 @@
 //! Chunk partitioning for the striped remainder.
 //!
 //! [`partition`] splits the remainder range into near-equal chunks.
-//! The simulated scheduler (`remainder`) owns its chunks directly; the
-//! socket-backed striped client (`ir-relay`) shares them between
-//! per-path worker threads through `ir_stripe::ChunkQueue`.
+//! The simulated scheduler (`remainder`) and the socket-backed striped
+//! client (`ir-relay`) each own their chunks as a queue the paths pull
+//! from.
 
 /// One contiguous byte range of the transfer, identified by its
 /// position in the original partition.

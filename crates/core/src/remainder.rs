@@ -31,21 +31,21 @@ use ir_telemetry::Telemetry;
 use std::collections::VecDeque;
 
 /// Outcome of a remainder phase.
-pub(crate) struct Remainder {
+pub struct Remainder {
     /// The path that ultimately carried (or failed to carry) the file;
     /// for a striped remainder, the one that delivered the most bytes.
-    pub(crate) path: PathSpec,
+    pub path: PathSpec,
     /// True if the full remainder was delivered before the horizon.
-    pub(crate) finished: bool,
+    pub finished: bool,
     /// Realized remainder rate: remainder bytes over remainder wall
     /// time (NaN when it never finished).
-    pub(crate) rate: f64,
+    pub rate: f64,
     /// Mid-transfer path switches performed (striped: path deaths).
-    pub(crate) failovers: u32,
+    pub failovers: u32,
     /// Milliseconds spent stalled (zero-progress windows + backoffs).
-    pub(crate) stall_ms: u64,
+    pub stall_ms: u64,
     /// True if every retry and surviving candidate was exhausted.
-    pub(crate) abandoned: bool,
+    pub abandoned: bool,
 }
 
 impl Remainder {

@@ -18,7 +18,8 @@
 //! There are two entry points: [`run_session`] (a [`PathSelector`]
 //! chooses the paths) and [`run_paths_session`] (the caller names
 //! them). Everything except step 4's remainder is shared by every
-//! [`SessionMode`].
+//! [`SessionMode`]. Steps 3–4 are [`run_selecting`], public so that a
+//! real download can run them without the control measurement.
 
 use crate::path::PathSpec;
 use crate::policy::{PathCtx, PathSelector};
@@ -271,12 +272,6 @@ impl SessionConfig {
     }
 }
 
-/// The control process's in-flight whole-file transfer.
-enum Control {
-    Live(Handle),
-    Forked(Box<dyn Transport>, Handle),
-}
-
 /// Picks the `MeasureAll` winner from per-path `(probe_rate,
 /// predicted)` outcomes (`None` = the probe never finished inside the
 /// horizon); returns its roster index and probe rate.
@@ -329,84 +324,25 @@ struct StripeSeed {
 }
 
 /// What the probe phase decided.
-struct ProbeDecision {
+pub struct ProbeDecision {
     /// Roster index of the winning path.
-    winner: usize,
+    pub winner: usize,
     /// The winner's measured probe rate.
-    probe_rate: f64,
+    pub probe_rate: f64,
     /// Present iff the session is striped.
     stripe_seed: Option<StripeSeed>,
 }
 
-/// The probe phase: waits on the just-launched probes per
-/// `cfg.probe_mode` and cancels the losers. `None` means nothing
-/// finished inside the horizon (the probes are still in flight; the
-/// caller cancels them).
-fn decide_probe(
-    transport: &mut dyn Transport,
-    predictor: &mut dyn Predictor,
-    paths: &[PathSpec],
-    handles: &[Handle],
-    cfg: &SessionConfig,
-) -> Option<ProbeDecision> {
-    let mut stripe_seed = matches!(cfg.mode, SessionMode::Striped { .. }).then(|| StripeSeed {
-        t_probe: transport.now(),
-        init: vec![0.0; paths.len()],
-        warm: vec![false; paths.len()],
-    });
-    let (winner, probe_rate) = match cfg.probe_mode {
-        ProbeMode::FirstToFinish => {
-            let win = transport.race(handles, cfg.horizon)?;
-            let probe_rate = win.timing.throughput();
-            if let Some(seed) = &mut stripe_seed {
-                seed.init[win.index] = probe_rate;
-                seed.warm[win.index] = true;
-            }
-            for (i, &h) in handles.iter().enumerate() {
-                if i != win.index {
-                    // A loser's partial progress seeds its estimate
-                    // (`now` and `progress` are read-only).
-                    if let Some(seed) = &mut stripe_seed {
-                        let dt = (transport.now() - seed.t_probe).as_secs_f64();
-                        if dt > 0.0 {
-                            seed.init[i] = transport.progress(h) as f64 / dt;
-                        }
-                    }
-                    transport.cancel(h);
-                }
-            }
-            (win.index, probe_rate)
-        }
-        ProbeMode::MeasureAll => {
-            let timings: Vec<Option<Timing>> = handles
-                .iter()
-                .map(|&h| transport.finish(h, cfg.horizon))
-                .collect();
-            let outcomes: Vec<Option<(f64, f64)>> = timings
-                .iter()
-                .enumerate()
-                .map(|(i, t)| {
-                    t.as_ref().map(|t| {
-                        let rate = t.throughput();
-                        (rate, predictor.predict(&paths[i], rate))
-                    })
-                })
-                .collect();
-            let decision = select_measure_all(paths, &outcomes)?;
-            if let Some(seed) = &mut stripe_seed {
-                for (i, t) in timings.iter().enumerate() {
-                    seed.init[i] = t.as_ref().map(|t| t.throughput()).unwrap_or(0.0);
-                    seed.warm[i] = t.is_some();
-                }
-            }
-            decision
-        }
-    };
-    Some(ProbeDecision {
-        winner,
-        probe_rate,
-        stripe_seed,
-    })
+/// What the selecting process did with the file.
+pub struct Selecting {
+    /// The probe winner's measured rate (NaN: no probe decided).
+    pub probe_throughput: f64,
+    /// True when no probe finished inside the horizon.
+    pub probe_timeout: bool,
+    /// How the bytes after the probe were carried.
+    pub remainder: Remainder,
+    /// Chunk accounting; empty unless a striped remainder ran.
+    pub stats: StripeStats,
 }
 
 /// Runs one session through a path selector: the selector-level entry
@@ -482,6 +418,226 @@ pub fn run_session(
     );
     selector.observe(&out.0);
     out
+}
+
+/// The probe phase of the selecting process (§2.1): starts a
+/// `cfg.probe_bytes` probe on every one of `paths` at once (the direct
+/// path first), decides per `cfg.probe_mode` and cancels the losers.
+/// `None` means nothing finished inside the horizon; every probe has
+/// then been cancelled.
+pub fn run_probe(
+    transport: &mut dyn Transport,
+    predictor: &mut dyn Predictor,
+    paths: &[PathSpec],
+    transfer_index: u64,
+    cfg: &SessionConfig,
+    tel: Option<&Telemetry>,
+) -> Option<ProbeDecision> {
+    let handles: Vec<Handle> = paths
+        .iter()
+        .map(|p| transport.begin(p, cfg.probe_bytes))
+        .collect();
+    if let Some(tel) = tel {
+        tel.metrics.counter("session_probe_races", vec![]).inc();
+        tel.tracer.record(
+            Event::new(
+                EventKind::ProbeStart,
+                transport.now().as_micros(),
+                transfer_index,
+            )
+            .with_u64("paths", handles.len() as u64)
+            .with_u64("probe_bytes", cfg.probe_bytes),
+        );
+    }
+    let mut stripe_seed = matches!(cfg.mode, SessionMode::Striped { .. }).then(|| StripeSeed {
+        t_probe: transport.now(),
+        init: vec![0.0; paths.len()],
+        warm: vec![false; paths.len()],
+    });
+    let decided = match cfg.probe_mode {
+        ProbeMode::FirstToFinish => transport.race(&handles, cfg.horizon).map(|win| {
+            let probe_rate = win.timing.throughput();
+            if let Some(seed) = &mut stripe_seed {
+                seed.init[win.index] = probe_rate;
+                seed.warm[win.index] = true;
+            }
+            for (i, &h) in handles.iter().enumerate() {
+                if i != win.index {
+                    // A loser's partial progress seeds its estimate
+                    // (`now` and `progress` are read-only).
+                    if let Some(seed) = &mut stripe_seed {
+                        let dt = (transport.now() - seed.t_probe).as_secs_f64();
+                        if dt > 0.0 {
+                            seed.init[i] = transport.progress(h) as f64 / dt;
+                        }
+                    }
+                    transport.cancel(h);
+                }
+            }
+            (win.index, probe_rate)
+        }),
+        ProbeMode::MeasureAll => {
+            let timings: Vec<Option<Timing>> = handles
+                .iter()
+                .map(|&h| transport.finish(h, cfg.horizon))
+                .collect();
+            let outcomes: Vec<Option<(f64, f64)>> = timings
+                .iter()
+                .enumerate()
+                .map(|(i, t)| {
+                    t.as_ref().map(|t| {
+                        let rate = t.throughput();
+                        (rate, predictor.predict(&paths[i], rate))
+                    })
+                })
+                .collect();
+            if let Some(seed) = &mut stripe_seed {
+                for (i, t) in timings.iter().enumerate() {
+                    seed.init[i] = t.as_ref().map(|t| t.throughput()).unwrap_or(0.0);
+                    seed.warm[i] = t.is_some();
+                }
+            }
+            select_measure_all(paths, &outcomes)
+        }
+    };
+    let Some((winner, probe_rate)) = decided else {
+        for &h in &handles {
+            transport.cancel(h);
+        }
+        return None;
+    };
+    Some(ProbeDecision {
+        winner,
+        probe_rate,
+        stripe_seed,
+    })
+}
+
+/// The selecting process of §2.1–2.2, without its control: probes
+/// `direct` and every one of `candidate_paths` (resolvable, at most the
+/// stripe width), then carries the remainder per `cfg.mode` and
+/// `cfg.failover`. With no candidates, or when the probe phase times
+/// out, the whole file goes direct. [`run_paths_session`] is this
+/// between a control start and a control collect; a real download
+/// calls it alone. `cfg` must be valid ([`SessionConfig::validate`]).
+pub fn run_selecting(
+    transport: &mut dyn Transport,
+    predictor: &mut dyn Predictor,
+    direct: PathSpec,
+    candidate_paths: &[PathSpec],
+    transfer_index: u64,
+    cfg: &SessionConfig,
+    tel: Option<&Telemetry>,
+) -> Selecting {
+    let mut stats = StripeStats::default();
+    let (probe_throughput, probe_timeout, remainder) = if candidate_paths.is_empty() {
+        // Direct-only: no probe phase; the whole file goes direct.
+        let h = transport.begin(&direct, cfg.file_bytes);
+        let t = transport.finish(h, cfg.horizon);
+        let rate = t.map(|t| t.throughput()).unwrap_or(f64::NAN);
+        (
+            f64::NAN,
+            false,
+            Remainder::single(direct, t.is_some(), rate),
+        )
+    } else {
+        let paths: Vec<PathSpec> = std::iter::once(direct)
+            .chain(candidate_paths.iter().copied())
+            .collect();
+        match run_probe(transport, predictor, &paths, transfer_index, cfg, tel) {
+            Some(probe) => {
+                let path = paths[probe.winner];
+                if let Some(tel) = tel {
+                    let now_us = transport.now().as_micros();
+                    let mut won = Event::new(EventKind::ProbeWon, now_us, transfer_index)
+                        .with_str(
+                            "path",
+                            if path.is_indirect() {
+                                "indirect"
+                            } else {
+                                "direct"
+                            },
+                        )
+                        .with_f64("probe_rate", probe.probe_rate);
+                    if let Some(via) = path.via() {
+                        won = won.with_u64("via", via.0 as u64);
+                    }
+                    tel.tracer.record(won);
+                    if let Some(via) = path.via() {
+                        tel.metrics.counter("session_path_switches", vec![]).inc();
+                        tel.tracer.record(
+                            Event::new(EventKind::PathSwitch, now_us, transfer_index)
+                                .with_u64("via", via.0 as u64),
+                        );
+                    }
+                }
+                // What varies between sessions is only how the
+                // remainder is carried.
+                let rem = match (cfg.mode, cfg.failover) {
+                    (SessionMode::Racing, None) => {
+                        run_remainder_warm(transport, predictor, path, cfg)
+                    }
+                    (SessionMode::Racing, Some(fo)) => run_remainder_failover(
+                        transport,
+                        predictor,
+                        path,
+                        &paths,
+                        cfg,
+                        &fo,
+                        transfer_index,
+                        tel,
+                    ),
+                    (
+                        SessionMode::Striped {
+                            chunks, rebalance, ..
+                        },
+                        _,
+                    ) => {
+                        let seed = probe.stripe_seed.expect("collected under Striped");
+                        let (rem, st) = run_striped_remainder(
+                            transport,
+                            predictor,
+                            &paths,
+                            probe.winner,
+                            &seed.init,
+                            &seed.warm,
+                            chunks,
+                            &rebalance,
+                            cfg,
+                            transfer_index,
+                            tel,
+                        );
+                        stats = st;
+                        rem
+                    }
+                };
+                (probe.probe_rate, false, rem)
+            }
+            None => {
+                // Probe race timed out entirely; fall back to a direct
+                // transfer of the whole file.
+                if let Some(tel) = tel {
+                    let now_us = transport.now().as_micros();
+                    tel.metrics.counter("session_probe_timeouts", vec![]).inc();
+                    tel.tracer
+                        .record(Event::new(EventKind::ProbeTimeout, now_us, transfer_index));
+                    tel.tracer.record(
+                        Event::new(EventKind::Retry, now_us, transfer_index)
+                            .with_str("fallback", "direct"),
+                    );
+                }
+                let h = transport.begin(&direct, cfg.file_bytes);
+                let ok = transport.finish(h, cfg.horizon).is_some();
+                (f64::NAN, true, Remainder::single(direct, ok, f64::NAN))
+            }
+        }
+    };
+    Selecting {
+        probe_throughput,
+        probe_timeout,
+        remainder,
+        stats,
+    }
 }
 
 /// The session runner, path-level entry point: races `direct` (which
@@ -563,142 +719,27 @@ pub fn run_paths_session(
         candidate_paths.truncate(k as usize);
     }
 
-    // Control process: whole file on the direct path.
-    let control = match cfg.control {
-        ControlMode::Forked => match transport.fork() {
-            Some(mut forked) => {
-                let h = forked.begin(&direct, cfg.file_bytes);
-                Control::Forked(forked, h)
-            }
-            None => Control::Live(transport.begin(&direct, cfg.file_bytes)),
-        },
-        ControlMode::Concurrent => Control::Live(transport.begin(&direct, cfg.file_bytes)),
+    // Control process: whole file on the direct path — of a forked
+    // replica when asked for and the transport has one.
+    let mut forked = match cfg.control {
+        ControlMode::Forked => transport.fork(),
+        ControlMode::Concurrent => None,
+    };
+    let control = match &mut forked {
+        Some(replica) => replica.begin(&direct, cfg.file_bytes),
+        None => transport.begin(&direct, cfg.file_bytes),
     };
 
-    // Selecting process.
-    let mut stats = StripeStats::default();
-    let (probe_throughput, probe_timeout, rem) = if candidate_paths.is_empty() {
-        // Direct-only: no probe phase; the whole file goes direct.
-        let h = transport.begin(&direct, cfg.file_bytes);
-        let t = transport.finish(h, cfg.horizon);
-        let rate = t.map(|t| t.throughput()).unwrap_or(f64::NAN);
-        (
-            f64::NAN,
-            false,
-            Remainder::single(direct, t.is_some(), rate),
-        )
-    } else {
-        let paths: Vec<PathSpec> = std::iter::once(direct)
-            .chain(candidate_paths.iter().copied())
-            .collect();
-        let handles: Vec<Handle> = paths
-            .iter()
-            .map(|p| transport.begin(p, cfg.probe_bytes))
-            .collect();
-        if let Some(tel) = tel {
-            tel.metrics.counter("session_probe_races", vec![]).inc();
-            tel.tracer.record(
-                Event::new(
-                    EventKind::ProbeStart,
-                    transport.now().as_micros(),
-                    transfer_index,
-                )
-                .with_u64("paths", handles.len() as u64)
-                .with_u64("probe_bytes", cfg.probe_bytes),
-            );
-        }
-
-        match decide_probe(transport, predictor, &paths, &handles, cfg) {
-            Some(probe) => {
-                let path = paths[probe.winner];
-                if let Some(tel) = tel {
-                    let now_us = transport.now().as_micros();
-                    let mut won = Event::new(EventKind::ProbeWon, now_us, transfer_index)
-                        .with_str(
-                            "path",
-                            if path.is_indirect() {
-                                "indirect"
-                            } else {
-                                "direct"
-                            },
-                        )
-                        .with_f64("probe_rate", probe.probe_rate);
-                    if let Some(via) = path.via() {
-                        won = won.with_u64("via", via.0 as u64);
-                    }
-                    tel.tracer.record(won);
-                    if let Some(via) = path.via() {
-                        tel.metrics.counter("session_path_switches", vec![]).inc();
-                        tel.tracer.record(
-                            Event::new(EventKind::PathSwitch, now_us, transfer_index)
-                                .with_u64("via", via.0 as u64),
-                        );
-                    }
-                }
-                // What varies between sessions is only how the
-                // remainder is carried.
-                let rem = match (cfg.mode, cfg.failover) {
-                    (SessionMode::Racing, None) => {
-                        run_remainder_warm(transport, predictor, path, cfg)
-                    }
-                    (SessionMode::Racing, Some(fo)) => run_remainder_failover(
-                        transport,
-                        predictor,
-                        path,
-                        &paths,
-                        cfg,
-                        &fo,
-                        transfer_index,
-                        tel,
-                    ),
-                    (
-                        SessionMode::Striped {
-                            chunks, rebalance, ..
-                        },
-                        _,
-                    ) => {
-                        let seed = probe.stripe_seed.expect("collected under Striped");
-                        let (rem, st) = run_striped_remainder(
-                            transport,
-                            predictor,
-                            &paths,
-                            probe.winner,
-                            &seed.init,
-                            &seed.warm,
-                            chunks,
-                            &rebalance,
-                            cfg,
-                            transfer_index,
-                            tel,
-                        );
-                        stats = st;
-                        rem
-                    }
-                };
-                (probe.probe_rate, false, rem)
-            }
-            None => {
-                // Probe race timed out entirely; cancel everything and
-                // fall back to a direct transfer of the whole file.
-                for &h in &handles {
-                    transport.cancel(h);
-                }
-                if let Some(tel) = tel {
-                    let now_us = transport.now().as_micros();
-                    tel.metrics.counter("session_probe_timeouts", vec![]).inc();
-                    tel.tracer
-                        .record(Event::new(EventKind::ProbeTimeout, now_us, transfer_index));
-                    tel.tracer.record(
-                        Event::new(EventKind::Retry, now_us, transfer_index)
-                            .with_str("fallback", "direct"),
-                    );
-                }
-                let h = transport.begin(&direct, cfg.file_bytes);
-                let ok = transport.finish(h, cfg.horizon).is_some();
-                (f64::NAN, true, Remainder::single(direct, ok, f64::NAN))
-            }
-        }
-    };
+    let sel = run_selecting(
+        transport,
+        predictor,
+        direct,
+        &candidate_paths,
+        transfer_index,
+        cfg,
+        tel,
+    );
+    let rem = sel.remainder;
 
     // The selecting process's end-to-end throughput: whole file over
     // wall time since t0 (probe + decision + remainder). When the final
@@ -715,16 +756,11 @@ pub fn run_paths_session(
     // Collect the control result. Give it the same total horizon the
     // selecting process had (generous: two phases).
     let control_horizon = SimDuration::from_micros(cfg.horizon.as_micros() * 2);
-    let direct_throughput = match control {
-        Control::Live(h) => transport
-            .finish(h, control_horizon)
-            .map(|t| t.throughput())
-            .unwrap_or(0.0),
-        Control::Forked(mut forked, h) => forked
-            .finish(h, control_horizon)
-            .map(|t| t.throughput())
-            .unwrap_or(0.0),
+    let control = match &mut forked {
+        Some(replica) => replica.finish(control, control_horizon),
+        None => transport.finish(control, control_horizon),
     };
+    let direct_throughput = control.map(|t| t.throughput()).unwrap_or(0.0);
 
     let record = TransferRecord {
         client,
@@ -735,9 +771,9 @@ pub fn run_paths_session(
         candidates,
         direct_throughput,
         selected_throughput,
-        probe_throughput,
+        probe_throughput: sel.probe_throughput,
         selected_path_rate: rem.rate,
-        probe_timeout,
+        probe_timeout: sel.probe_timeout,
         failovers: rem.failovers,
         stall_ms: rem.stall_ms,
         abandoned: rem.abandoned,
@@ -759,7 +795,7 @@ pub fn run_paths_session(
             .with_f64("direct_bps", record.direct_throughput)
             .with_f64("selected_bps", record.selected_throughput),
         );
-        for s in &stats.per_path {
+        for s in &sel.stats.per_path {
             if s.chunks > 0 {
                 tel.metrics
                     .counter("stripe_path_chunks", vec![("path", s.path.to_string())])
@@ -767,7 +803,7 @@ pub fn run_paths_session(
             }
         }
     }
-    (record, stats)
+    (record, sel.stats)
 }
 
 #[cfg(test)]
@@ -1323,5 +1359,357 @@ mod tests {
             .collect();
         assert_eq!(unresolved.len(), 2);
         assert!(unresolved.iter().all(|p| p.contains("9")), "{unresolved:?}");
+    }
+
+    /// `run_paths_session` is *start control* → `run_selecting` → *collect
+    /// control*, and the seam is invisible to a transport: a recording
+    /// mock sees exactly the call sequences pinned here, which were
+    /// captured from the runner while it was still one function. The
+    /// control `begin` is always the first transfer started and the
+    /// control `finish` the last call made.
+    mod split {
+        use super::*;
+        use crate::transport::RaceWin;
+        use std::cell::{Cell, RefCell};
+
+        const CLIENT: NodeId = NodeId(0);
+        const SERVER: NodeId = NodeId(1);
+
+        /// A transport that moves no bytes: every transfer runs at its path's
+        /// scripted constant rate (0 = never finishes) on a clock that only
+        /// `race`/`finish` advance, and every trait call is logged.
+        struct Recorder {
+            /// Bytes/s by first hop (`None` = the direct path).
+            rates: Vec<(Option<NodeId>, f64)>,
+            unresolvable: Vec<NodeId>,
+            now_us: Cell<u64>,
+            /// (start, finish, bytes) per handle, microseconds; a finish of
+            /// `u64::MAX` = never.
+            flights: Vec<(u64, u64, u64)>,
+            log: RefCell<Vec<String>>,
+        }
+
+        impl Recorder {
+            fn new(rates: &[(Option<NodeId>, f64)]) -> Recorder {
+                Recorder {
+                    rates: rates.to_vec(),
+                    unresolvable: Vec::new(),
+                    now_us: Cell::new(0),
+                    flights: Vec::new(),
+                    log: RefCell::new(Vec::new()),
+                }
+            }
+
+            fn name(path: &PathSpec) -> String {
+                match path.via() {
+                    None => "direct".into(),
+                    Some(v) => format!("via{}", v.0),
+                }
+            }
+
+            fn launch(&mut self, call: &str, path: &PathSpec, bytes: u64) -> Handle {
+                let id = self.flights.len() as u64;
+                self.log
+                    .borrow_mut()
+                    .push(format!("{call} {} {bytes} -> {id}", Self::name(path)));
+                let rate = self
+                    .rates
+                    .iter()
+                    .find(|(via, _)| *via == path.via())
+                    .map_or(0.0, |&(_, r)| r);
+                let start = self.now_us.get();
+                let finish = if rate > 0.0 {
+                    start + (bytes as f64 / rate * 1e6) as u64
+                } else {
+                    u64::MAX
+                };
+                self.flights.push((start, finish, bytes));
+                Handle(id)
+            }
+
+            fn timing(&self, h: Handle) -> Timing {
+                let (start, finish, bytes) = self.flights[h.0 as usize];
+                Timing {
+                    started: SimTime::from_micros(start),
+                    finished: SimTime::from_micros(finish),
+                    bytes,
+                }
+            }
+        }
+
+        impl Transport for Recorder {
+            fn now(&self) -> SimTime {
+                SimTime::from_micros(self.now_us.get())
+            }
+
+            fn begin(&mut self, path: &PathSpec, bytes: u64) -> Handle {
+                self.launch("begin", path, bytes)
+            }
+
+            fn begin_warm(&mut self, path: &PathSpec, bytes: u64) -> Handle {
+                self.launch("begin_warm", path, bytes)
+            }
+
+            fn resolvable(&self, path: &PathSpec) -> bool {
+                self.log
+                    .borrow_mut()
+                    .push(format!("resolvable {}", Self::name(path)));
+                !path.hops().iter().any(|h| self.unresolvable.contains(h))
+            }
+
+            fn race(&mut self, handles: &[Handle], horizon: SimDuration) -> Option<RaceWin> {
+                let ids: Vec<u64> = handles.iter().map(|h| h.0).collect();
+                self.log.borrow_mut().push(format!("race {ids:?}"));
+                let deadline = self.now_us.get().saturating_add(horizon.as_micros());
+                let (index, finish) = handles
+                    .iter()
+                    .map(|h| self.flights[h.0 as usize].1)
+                    .enumerate()
+                    .min_by_key(|&(i, f)| (f, i))?;
+                if finish > deadline {
+                    self.now_us.set(deadline);
+                    return None;
+                }
+                self.now_us.set(self.now_us.get().max(finish));
+                Some(RaceWin {
+                    index,
+                    timing: self.timing(handles[index]),
+                })
+            }
+
+            fn finish(&mut self, handle: Handle, horizon: SimDuration) -> Option<Timing> {
+                self.log.borrow_mut().push(format!("finish {}", handle.0));
+                let deadline = self.now_us.get().saturating_add(horizon.as_micros());
+                let finish = self.flights[handle.0 as usize].1;
+                if finish > deadline {
+                    self.now_us.set(deadline);
+                    return None;
+                }
+                self.now_us.set(self.now_us.get().max(finish));
+                Some(self.timing(handle))
+            }
+
+            fn cancel(&mut self, handle: Handle) {
+                self.log.borrow_mut().push(format!("cancel {}", handle.0));
+            }
+
+            fn progress(&self, handle: Handle) -> u64 {
+                self.log.borrow_mut().push(format!("progress {}", handle.0));
+                0
+            }
+
+            fn sleep(&mut self, d: SimDuration) {
+                self.log
+                    .borrow_mut()
+                    .push(format!("sleep {}", d.as_micros()));
+                self.now_us.set(self.now_us.get() + d.as_micros());
+            }
+
+            fn fork(&self) -> Option<Box<dyn Transport>> {
+                self.log.borrow_mut().push("fork".into());
+                None
+            }
+        }
+
+        fn cfg() -> SessionConfig {
+            SessionConfig {
+                probe_bytes: 1_000,
+                file_bytes: 10_000,
+                horizon: SimDuration::from_secs(60),
+                ..SessionConfig::paper_defaults()
+            }
+        }
+
+        fn via(n: u32) -> PathSpec {
+            PathSpec::indirect(CLIENT, SERVER, NodeId(n))
+        }
+
+        /// Runs one session and returns the transport's call log.
+        fn calls(
+            mut transport: Recorder,
+            candidates: &[PathSpec],
+            cfg: &SessionConfig,
+        ) -> Vec<String> {
+            run_paths_session(
+                &mut transport,
+                &mut FirstPortion,
+                PathSpec::direct(CLIENT, SERVER),
+                candidates,
+                0,
+                cfg,
+                None,
+            );
+            transport.log.into_inner()
+        }
+
+        #[test]
+        fn selecting_process_split_is_invisible() {
+            let fast_relay = [
+                (None, 1_000.0),
+                (Some(NodeId(2)), 4_000.0),
+                (Some(NodeId(3)), 500.0),
+            ];
+            let dead = [(None, 0.0), (Some(NodeId(2)), 0.0)];
+            let failover = SessionConfig {
+                failover: Some(FailoverConfig::paper_defaults()),
+                ..cfg()
+            };
+            let striped = SessionConfig {
+                mode: SessionMode::Striped {
+                    chunks: 3,
+                    k: 2,
+                    rebalance: RebalanceConfig::paper_defaults(),
+                },
+                ..cfg()
+            };
+            let measure_all = SessionConfig {
+                probe_mode: ProbeMode::MeasureAll,
+                ..cfg()
+            };
+            let forked = SessionConfig {
+                control: ControlMode::Forked,
+                ..cfg()
+            };
+            let mut one_unresolvable = Recorder::new(&fast_relay);
+            one_unresolvable.unresolvable.push(NodeId(3));
+
+            let cases: Vec<(&str, Vec<String>, &[&str])> = vec![
+                (
+                    "racing, first-to-finish: the fast relay carries the remainder",
+                    calls(Recorder::new(&fast_relay), &[via(2), via(3)], &cfg()),
+                    &[
+                        "resolvable via2",
+                        "resolvable via3",
+                        "begin direct 10000 -> 0",
+                        "begin direct 1000 -> 1",
+                        "begin via2 1000 -> 2",
+                        "begin via3 1000 -> 3",
+                        "race [1, 2, 3]",
+                        "cancel 1",
+                        "cancel 3",
+                        "begin_warm via2 9000 -> 4",
+                        "finish 4",
+                        "finish 0",
+                    ],
+                ),
+                (
+                    "measure-all waits on every probe, cancels none",
+                    calls(Recorder::new(&fast_relay), &[via(2)], &measure_all),
+                    &[
+                        "resolvable via2",
+                        "begin direct 10000 -> 0",
+                        "begin direct 1000 -> 1",
+                        "begin via2 1000 -> 2",
+                        "finish 1",
+                        "finish 2",
+                        "begin_warm via2 9000 -> 3",
+                        "finish 3",
+                        "finish 0",
+                    ],
+                ),
+                (
+                    "no candidates: the whole file goes direct, no probe phase",
+                    calls(Recorder::new(&fast_relay), &[], &cfg()),
+                    &[
+                        "begin direct 10000 -> 0",
+                        "begin direct 10000 -> 1",
+                        "finish 1",
+                        "finish 0",
+                    ],
+                ),
+                (
+                    "an unresolvable candidate is dropped before the control starts",
+                    calls(one_unresolvable, &[via(3)], &cfg()),
+                    &[
+                        "resolvable via3",
+                        "begin direct 10000 -> 0",
+                        "begin direct 10000 -> 1",
+                        "finish 1",
+                        "finish 0",
+                    ],
+                ),
+                (
+                    "probe timeout: every probe cancelled, direct fallback",
+                    calls(Recorder::new(&dead), &[via(2)], &cfg()),
+                    &[
+                        "resolvable via2",
+                        "begin direct 10000 -> 0",
+                        "begin direct 1000 -> 1",
+                        "begin via2 1000 -> 2",
+                        "race [1, 2]",
+                        "cancel 1",
+                        "cancel 2",
+                        "begin direct 10000 -> 3",
+                        "finish 3",
+                        "finish 0",
+                    ],
+                ),
+                (
+                    "failover on a healthy path is the warm remainder, watched",
+                    calls(Recorder::new(&fast_relay), &[via(2)], &failover),
+                    &[
+                        "resolvable via2",
+                        "begin direct 10000 -> 0",
+                        "begin direct 1000 -> 1",
+                        "begin via2 1000 -> 2",
+                        "race [1, 2]",
+                        "cancel 1",
+                        "begin_warm via2 9000 -> 3",
+                        "finish 3",
+                        "finish 0",
+                    ],
+                ),
+                (
+                    "a control that cannot fork runs live, started at the same point",
+                    calls(Recorder::new(&fast_relay), &[via(2)], &forked),
+                    &[
+                        "resolvable via2",
+                        "fork",
+                        "begin direct 10000 -> 0",
+                        "begin direct 1000 -> 1",
+                        "begin via2 1000 -> 2",
+                        "race [1, 2]",
+                        "cancel 1",
+                        "begin_warm via2 9000 -> 3",
+                        "finish 3",
+                        "finish 0",
+                    ],
+                ),
+                (
+                    "striped: a path that shows no progress has its chunk stolen by the free winner",
+                    calls(Recorder::new(&fast_relay), &[via(2), via(3)], &striped),
+                    &[
+                        "resolvable via2",
+                        "resolvable via3",
+                        "begin direct 10000 -> 0",
+                        "begin direct 1000 -> 1",
+                        "begin via2 1000 -> 2",
+                        "begin via3 1000 -> 3",
+                        "race [1, 2, 3]",
+                        "progress 1",
+                        "cancel 1",
+                        "progress 3",
+                        "cancel 3",
+                        "begin_warm via2 3000 -> 4",
+                        "begin direct 3000 -> 5",
+                        "begin via3 3000 -> 6",
+                        "race [4, 5, 6]",
+                        "progress 5",
+                        "progress 6",
+                        "cancel 5",
+                        "begin_warm via2 3000 -> 7",
+                        "race [6, 7]",
+                        "progress 6",
+                        "cancel 6",
+                        "begin_warm via2 3000 -> 8",
+                        "race [8]",
+                        "finish 0",
+                    ],
+                ),
+            ];
+            for (what, got, want) in &cases {
+                assert_eq!(got, want, "{what}");
+            }
+        }
     }
 }

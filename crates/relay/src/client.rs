@@ -1,17 +1,22 @@
 //! The racing client: the paper's selecting process, over real sockets.
 //!
-//! Implements §2.1 end-to-end: open connections to the origin (direct)
-//! and to each candidate relay (absolute-form proxy requests), issue
-//! `Range: bytes=0-{x-1}` on all of them simultaneously, take whichever
-//! connection delivers the probe first, and fetch `bytes={x}-` **on the
-//! winning, still-warm connection**.
+//! §2.1 end-to-end — range probes on the direct path and through every
+//! candidate relay at once, the first to deliver wins, the rest comes
+//! **on the winning, still-warm connection** — but none of it is
+//! written here: the probe race is the session runner's probe phase
+//! (`ir_core::run_probe`), [`download`] its selecting process
+//! (`ir_core::run_selecting`), and the failover and striped downloads
+//! are single-threaded loops over handles of the same socket engine
+//! ([`RealTransport`]), which does all the dialling and validating.
 
 use crate::error::RelayError;
 use crate::origin::body_byte;
-use crate::wire::exchange;
-use ir_http::{via_proxy, ByteRange, Request, StatusCode};
-use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::sync::{mpsc, Arc, Mutex};
+use crate::transport::RealTransport;
+use ir_core::{partition, run_probe, run_selecting, ChunkRange, FirstPortion, Handle};
+use ir_core::{PathSpec, SessionConfig, Transport};
+use ir_simnet::time::SimDuration;
+use std::collections::VecDeque;
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 /// Which path carried the transfer.
@@ -21,6 +26,13 @@ pub enum ChosenPath {
     Direct,
     /// Via the i-th relay of the candidate list.
     Relay(usize),
+}
+
+/// The path at `index` of the engine's roster (direct first).
+fn chosen(index: usize) -> ChosenPath {
+    index
+        .checked_sub(1)
+        .map_or(ChosenPath::Direct, ChosenPath::Relay)
 }
 
 /// Client configuration for one download.
@@ -37,24 +49,23 @@ pub struct ClientConfig {
 }
 
 impl ClientConfig {
-    /// Defaults mirroring the paper at laptop scale: x = 100 KB.
-    pub fn new(total_bytes: u64) -> Self {
-        let cfg = ClientConfig {
-            path: "/file.bin".into(),
-            probe_bytes: 100 * 1024,
-            total_bytes,
-            timeout: Duration::from_secs(30),
-        };
-        cfg.validate();
-        cfg
-    }
-
     fn validate(&self) {
         assert!(self.probe_bytes > 0, "zero probe");
         assert!(
             self.total_bytes > self.probe_bytes,
             "file must exceed probe"
         );
+    }
+
+    /// The paper's protocol: first probe to finish wins and carries
+    /// the remainder, no failover.
+    fn session(&self) -> SessionConfig {
+        SessionConfig {
+            probe_bytes: self.probe_bytes,
+            file_bytes: self.total_bytes,
+            horizon: SimDuration::from_micros(self.timeout.as_micros() as u64),
+            ..SessionConfig::paper_defaults()
+        }
     }
 }
 
@@ -66,8 +77,6 @@ pub struct ProbeWin {
     pub elapsed: Duration,
     /// Probe throughput, bytes/sec.
     pub throughput: f64,
-    /// The winner's still-open connection.
-    pub conn: TcpStream,
     /// The probe bytes (for integrity checks).
     pub body: Vec<u8>,
 }
@@ -90,141 +99,85 @@ pub struct DownloadOutcome {
     pub failovers: u32,
 }
 
-fn probe_request(
-    target: ChosenPath,
+/// A fresh engine whose reassembly expects `total_bytes`, and its path
+/// roster: the direct path, then one path per relay.
+fn engine(
+    direct: SocketAddr,
     origin_for_relays: SocketAddr,
-    path: &str,
-    range: ByteRange,
-) -> Request {
-    match target {
-        ChosenPath::Direct => Request::get(path.to_string())
-            .with_header("Host", "origin")
-            .with_header("Range", range.to_string()),
-        ChosenPath::Relay(_) => via_proxy(
-            &origin_for_relays.ip().to_string(),
-            origin_for_relays.port(),
-            path,
-        )
-        .with_header("Range", range.to_string()),
+    relays: &[SocketAddr],
+    cfg: &ClientConfig,
+    total_bytes: u64,
+) -> (RealTransport, Vec<PathSpec>) {
+    cfg.validate();
+    let (origin, timeout) = (origin_for_relays, cfg.timeout);
+    RealTransport::star(direct, origin, relays, &cfg.path, total_bytes, timeout)
+}
+
+/// The runner's probe phase over `engine`: the winner's roster index
+/// and probe throughput. Its connection is then warm in the engine's
+/// pool and the probe bytes are in its reassembly.
+fn race(
+    engine: &mut RealTransport,
+    paths: &[PathSpec],
+    cfg: &ClientConfig,
+) -> Result<(usize, f64), RelayError> {
+    match run_probe(engine, &mut FirstPortion, paths, 0, &cfg.session(), None) {
+        Some(probe) => Ok((probe.winner, probe.probe_rate)),
+        None => Err(engine.take_error()),
     }
 }
 
-/// The sockets of a probe race, so that the winner can close the
-/// losers instead of leaving each parked on its path until it answers
-/// or times out.
-#[derive(Default)]
-struct RaceSockets {
-    won: bool,
-    open: Vec<(ChosenPath, TcpStream)>,
+fn body_of(engine: &mut RealTransport) -> Result<Vec<u8>, RelayError> {
+    let missing = || RelayError::BadResponse("bytes missing after the last transfer".into());
+    engine.take_body().ok_or_else(missing)
+}
+
+/// Closes a download: its wall time, end-to-end throughput, and
+/// whether the reassembled content is the origin's.
+fn close(mut engine: RealTransport, start: Instant) -> Result<(Duration, f64, bool), RelayError> {
+    let elapsed = start.elapsed();
+    let body = body_of(&mut engine)?;
+    let intact = body.iter().zip(0..).all(|(&b, i)| b == body_byte(i));
+    // `engine` drops after this: closing the connections, which wakes
+    // the relay and origin behind them, is the last thing a download does.
+    Ok((elapsed, body.len() as f64 / elapsed.as_secs_f64(), intact))
 }
 
 /// Races the probe over the direct path and every relay; returns the
-/// winner with its open connection. The losers' connections are shut
-/// down as soon as the race is won.
+/// winner. The losers' connections are shut down as soon as the race is
+/// won.
 ///
 /// `direct` is the origin address the client reaches on its default
-/// path; `origin_for_relays` is the origin address relays should dial
-/// (they sit elsewhere in the network, so the two may differ — in the
-/// loopback harness they are different listeners with different
-/// shaping).
+/// path; `origin_for_relays` is the one relays should dial (they sit
+/// elsewhere in the network — in the loopback harness the two are
+/// different listeners with different shaping).
 ///
 /// A path that fails (refused connect, `503` from a relay under
-/// backpressure) drops out of the race; when every path has failed the
-/// last path's error is returned at once. [`RelayError::Timeout`] means
-/// the deadline passed with no path having delivered its probe.
+/// backpressure, anything but the `206` asked for) drops out of the
+/// race; when every path has failed a path's error is returned at
+/// once. [`RelayError::Timeout`] means the deadline passed first.
 pub fn probe_race(
     direct: SocketAddr,
     origin_for_relays: SocketAddr,
     relays: &[SocketAddr],
     cfg: &ClientConfig,
 ) -> Result<ProbeWin, RelayError> {
-    cfg.validate();
-    let (tx, rx) =
-        mpsc::channel::<Result<(ChosenPath, Duration, TcpStream, Vec<u8>), RelayError>>();
     let start = Instant::now();
-    let sockets = Arc::new(Mutex::new(RaceSockets::default()));
-
-    let mut targets: Vec<(ChosenPath, SocketAddr)> = vec![(ChosenPath::Direct, direct)];
-    for (i, &r) in relays.iter().enumerate() {
-        targets.push((ChosenPath::Relay(i), r));
-    }
-
-    for (choice, addr) in targets {
-        let tx = tx.clone();
-        let path = cfg.path.clone();
-        let probe = cfg.probe_bytes;
-        let timeout = cfg.timeout;
-        let sockets = Arc::clone(&sockets);
-        std::thread::spawn(move || {
-            let run = || -> Result<(TcpStream, Vec<u8>), RelayError> {
-                let mut conn = TcpStream::connect_timeout(&addr, timeout)?;
-                conn.set_read_timeout(Some(timeout))?;
-                conn.set_nodelay(true)?;
-                {
-                    // Registering and checking `won` under one lock: a
-                    // path that connects after the win sees the flag,
-                    // one that connects before it is in `open` when
-                    // the winner shuts the losers down.
-                    let mut race = sockets.lock().expect("race sockets");
-                    if race.won {
-                        // Nobody is listening for this result any more.
-                        return Err(RelayError::Timeout);
-                    }
-                    race.open.push((choice, conn.try_clone()?));
-                }
-                // Connect to the relay (or straight to the origin); the
-                // absolute URI inside always names the origin.
-                let req = probe_request(choice, origin_for_relays, &path, ByteRange::first(probe));
-                let (head, body) = exchange(&mut conn, &req)?;
-                if head.status != StatusCode::PARTIAL_CONTENT {
-                    return Err(RelayError::BadStatus(head.status.0));
-                }
-                Ok((conn, body))
-            };
-            let _ = tx.send(run().map(|(conn, body)| (choice, start.elapsed(), conn, body)));
-        });
-    }
-    drop(tx);
-
-    let deadline = start + cfg.timeout;
-    let mut last_err = RelayError::Timeout;
-    loop {
-        match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
-            Ok(Ok((choice, elapsed, conn, body))) => {
-                let mut race = sockets.lock().expect("race sockets");
-                race.won = true;
-                for (loser, sock) in race.open.drain(..) {
-                    if loser != choice {
-                        let _ = sock.shutdown(Shutdown::Both);
-                    }
-                }
-                return Ok(ProbeWin {
-                    choice,
-                    elapsed,
-                    throughput: cfg.probe_bytes as f64 / elapsed.as_secs_f64(),
-                    conn,
-                    body,
-                });
-            }
-            Ok(Err(e)) => last_err = e,
-            Err(mpsc::RecvTimeoutError::Timeout) => return Err(RelayError::Timeout),
-            // Every sender is gone: every path failed. Each path's read
-            // timeout is the race's, started a connect later, so a late
-            // wake-up here can find them all expired: that is the
-            // deadline passing, not a path error.
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return Err(if Instant::now() >= deadline {
-                    RelayError::Timeout
-                } else {
-                    last_err
-                })
-            }
-        }
-    }
+    let (mut engine, paths) = engine(direct, origin_for_relays, relays, cfg, cfg.probe_bytes);
+    let (winner, _) = race(&mut engine, &paths, cfg)?;
+    let elapsed = start.elapsed();
+    Ok(ProbeWin {
+        choice: chosen(winner),
+        elapsed,
+        throughput: cfg.probe_bytes as f64 / elapsed.as_secs_f64(),
+        body: body_of(&mut engine)?,
+    })
 }
 
-/// Full §2.1 download: probe race, then the remainder on the winning
-/// warm connection; verifies the reassembled content.
+/// Full §2.1 download: the runner's selecting process — probe race,
+/// then the remainder on the winning warm connection — without its
+/// control; verifies the reassembled content. As in the runner, a
+/// timed-out probe phase falls back to the whole file, direct.
 pub fn download(
     direct: SocketAddr,
     origin_for_relays: SocketAddr,
@@ -232,62 +185,39 @@ pub fn download(
     cfg: &ClientConfig,
 ) -> Result<DownloadOutcome, RelayError> {
     let start = Instant::now();
-    let mut win = probe_race(direct, origin_for_relays, relays, cfg)?;
-
-    let rem_range = ByteRange::from_offset(cfg.probe_bytes);
-    let req = probe_request(win.choice, origin_for_relays, &cfg.path, rem_range);
-    let (head, rest) = exchange(&mut win.conn, &req)?;
-    if head.status != StatusCode::PARTIAL_CONTENT {
-        return Err(RelayError::BadStatus(head.status.0));
+    let (mut engine, paths) = engine(direct, origin_for_relays, relays, cfg, cfg.total_bytes);
+    let (direct, relays, session) = (paths[0], &paths[1..], cfg.session());
+    let did = run_selecting(
+        &mut engine,
+        &mut FirstPortion,
+        direct,
+        relays,
+        0,
+        &session,
+        None,
+    );
+    if !did.remainder.finished {
+        return Err(engine.take_error());
     }
-
-    let elapsed = start.elapsed();
-    let mut body = win.body;
-    body.extend_from_slice(&rest);
-    let body_ok = body.len() as u64 == cfg.total_bytes
-        && body
-            .iter()
-            .enumerate()
-            .all(|(i, &b)| b == body_byte(i as u64));
-
+    let carrier = paths.iter().position(|p| *p == did.remainder.path);
+    let (elapsed, throughput, body_ok) = close(engine, start)?;
     Ok(DownloadOutcome {
-        choice: win.choice,
-        probe_throughput: win.throughput,
+        choice: chosen(carrier.unwrap_or(0)),
+        probe_throughput: did.probe_throughput,
         elapsed,
-        throughput: cfg.total_bytes as f64 / elapsed.as_secs_f64(),
+        throughput,
         body_ok,
         failovers: 0,
     })
 }
 
-/// Fetches one range over a fresh connection (reconnect path of the
-/// failover download).
-fn fetch_range_fresh(
-    addr: SocketAddr,
-    choice: ChosenPath,
-    origin_for_relays: SocketAddr,
-    path: &str,
-    range: ByteRange,
-    timeout: Duration,
-) -> Result<Vec<u8>, RelayError> {
-    let mut conn = TcpStream::connect_timeout(&addr, timeout)?;
-    conn.set_read_timeout(Some(timeout))?;
-    conn.set_nodelay(true)?;
-    let req = probe_request(choice, origin_for_relays, path, range);
-    let (head, body) = exchange(&mut conn, &req)?;
-    if head.status != StatusCode::PARTIAL_CONTENT {
-        return Err(RelayError::BadStatus(head.status.0));
-    }
-    Ok(body)
-}
-
 /// [`download`] with client-side failover: if the winning connection
 /// dies mid-remainder (the relay crashed, the socket was severed), the
-/// client reconnects and re-requests the remainder from the surviving
-/// paths — the direct path first, then each remaining relay — instead
-/// of surfacing the error. `failovers` in the outcome counts every
-/// abandoned path. Fails with the *last* path's error only when no
-/// path survives.
+/// client re-requests the whole remainder (partial bytes are
+/// discarded; the origin is stateless) from the surviving paths — the
+/// direct path first, then each remaining relay. `failovers` counts
+/// every abandoned path. Fails with the *last* path's error only when
+/// no path survives.
 pub fn download_failover(
     direct: SocketAddr,
     origin_for_relays: SocketAddr,
@@ -295,74 +225,26 @@ pub fn download_failover(
     cfg: &ClientConfig,
 ) -> Result<DownloadOutcome, RelayError> {
     let start = Instant::now();
-    let mut win = probe_race(direct, origin_for_relays, relays, cfg)?;
-
-    let rem_range = ByteRange::from_offset(cfg.probe_bytes);
-    let req = probe_request(win.choice, origin_for_relays, &cfg.path, rem_range);
-    let mut failovers = 0u32;
-    let rest = match exchange(&mut win.conn, &req) {
-        Ok((head, rest)) if head.status == StatusCode::PARTIAL_CONTENT => rest,
-        first_failure => {
-            // The winning path died mid-transfer. Reconnect over the
-            // survivors; partial remainder bytes are discarded and the
-            // whole remainder re-requested (ranges make this cheap to
-            // reason about and the origin is stateless).
-            failovers += 1;
-            let mut survivors: Vec<(ChosenPath, SocketAddr)> = vec![(ChosenPath::Direct, direct)];
-            for (i, &r) in relays.iter().enumerate() {
-                survivors.push((ChosenPath::Relay(i), r));
-            }
-            survivors.retain(|&(c, _)| c != win.choice);
-
-            let mut recovered = None;
-            let mut last_err = match first_failure {
-                Ok((head, _)) => RelayError::BadStatus(head.status.0),
-                Err(e) => e,
-            };
-            for (choice, addr) in survivors {
-                match fetch_range_fresh(
-                    addr,
-                    choice,
-                    origin_for_relays,
-                    &cfg.path,
-                    rem_range,
-                    cfg.timeout,
-                ) {
-                    Ok(body) => {
-                        recovered = Some((choice, body));
-                        break;
-                    }
-                    Err(e) => {
-                        failovers += 1;
-                        last_err = e;
-                    }
-                }
-            }
-            let Some((choice, body)) = recovered else {
-                return Err(last_err);
-            };
-            win.choice = choice;
-            body
+    let (mut engine, paths) = engine(direct, origin_for_relays, relays, cfg, cfg.total_bytes);
+    let (winner, probe_throughput) = race(&mut engine, &paths, cfg)?;
+    let (rest, horizon) = (cfg.total_bytes - cfg.probe_bytes, cfg.session().horizon);
+    // The winner's warm connection, then a fresh one per survivor.
+    let order = std::iter::once(winner).chain((0..paths.len()).filter(|&p| p != winner));
+    for (failovers, carrier) in order.enumerate() {
+        let h = engine.fetch(&paths[carrier], cfg.probe_bytes, rest);
+        if engine.finish(h, horizon).is_some() {
+            let (elapsed, throughput, body_ok) = close(engine, start)?;
+            return Ok(DownloadOutcome {
+                choice: chosen(carrier),
+                probe_throughput,
+                elapsed,
+                throughput,
+                body_ok,
+                failovers: failovers as u32,
+            });
         }
-    };
-
-    let elapsed = start.elapsed();
-    let mut body = win.body;
-    body.extend_from_slice(&rest);
-    let body_ok = body.len() as u64 == cfg.total_bytes
-        && body
-            .iter()
-            .enumerate()
-            .all(|(i, &b)| b == body_byte(i as u64));
-
-    Ok(DownloadOutcome {
-        choice: win.choice,
-        probe_throughput: win.throughput,
-        elapsed,
-        throughput: cfg.total_bytes as f64 / elapsed.as_secs_f64(),
-        body_ok,
-        failovers,
-    })
+    }
+    Err(engine.take_error())
 }
 
 /// Result of a striped download ([`download_striped`]).
@@ -374,7 +256,7 @@ pub struct StripedOutcome {
     pub throughput: f64,
     /// Whether the reassembled body matched the origin's content.
     pub body_ok: bool,
-    /// Worker threads that died mid-transfer; their orphaned bytes were
+    /// Paths that died mid-transfer; their orphaned bytes were
     /// refetched by the repair pass.
     pub failovers: u32,
     /// Chunks completed per path, race-target order (direct first).
@@ -385,16 +267,14 @@ pub struct StripedOutcome {
 }
 
 /// mHTTP-style striped download over real sockets: race the probe as
-/// in [`download`], then fetch the remainder as disjoint range chunks
-/// pulled concurrently by one worker per path — each claiming the next
-/// chunk from a shared [`ir_stripe::ChunkQueue`] (so fast paths
-/// naturally carry more chunks) and landing bytes in a shared
-/// [`ir_http::Reassembly`]. The probe winner's warm connection serves
-/// its worker's chunks; other workers fetch each chunk on a fresh
-/// connection. A worker whose path dies orphans at most its current
-/// chunk: after all workers drain, any still-missing intervals are
-/// refetched over the direct path, so a mid-transfer path death
-/// degrades throughput without corrupting content.
+/// in [`download`], then fetch the remainder as disjoint range chunks,
+/// one in flight per path — a path that completes its chunk pulls the
+/// next from the queue (so fast paths carry more chunks) on the one
+/// connection it keeps, and every body lands in the engine's
+/// reassembly. A path that dies orphans at most its current chunk and
+/// stops pulling; whatever is still missing once the queue has drained
+/// is refetched over the direct path, so a mid-transfer path death
+/// costs throughput, never content.
 pub fn download_striped(
     direct: SocketAddr,
     origin_for_relays: SocketAddr,
@@ -402,179 +282,63 @@ pub fn download_striped(
     chunks: u32,
     cfg: &ClientConfig,
 ) -> Result<StripedOutcome, RelayError> {
-    use ir_core::partition;
-    use ir_stripe::ChunkQueue;
-    use std::sync::{Arc, Mutex};
     assert!(chunks >= 1, "zero chunks");
     let start = Instant::now();
-    let win = probe_race(direct, origin_for_relays, relays, cfg)?;
-
-    let mut reassembly = ir_http::Reassembly::new(cfg.total_bytes);
-    reassembly
-        .insert(0, &win.body)
-        .map_err(|e| RelayError::BadResponse(e.to_string()))?;
-    let shared = Arc::new(Mutex::new(reassembly));
-    let queue = Arc::new(ChunkQueue::new(partition(
-        cfg.probe_bytes,
-        cfg.total_bytes - cfg.probe_bytes,
-        chunks,
-    )));
-
-    let mut targets: Vec<(ChosenPath, SocketAddr)> = vec![(ChosenPath::Direct, direct)];
-    for (i, &r) in relays.iter().enumerate() {
-        targets.push((ChosenPath::Relay(i), r));
-    }
-    // The first chunk is reserved for the probe winner before any
-    // worker spawns, so it deterministically rides the warm connection
-    // (the racing client's remainder request, §2.1) instead of racing
-    // the other workers for it.
-    let first_chunk = queue.claim();
-    let mut warm_conn = Some(win.conn);
-    let mut workers = Vec::new();
-    for (choice, addr) in targets {
-        let queue = Arc::clone(&queue);
-        let shared = Arc::clone(&shared);
-        let path = cfg.path.clone();
-        let timeout = cfg.timeout;
-        // The probe winner's worker keeps the warm connection.
-        let mut warm = if choice == win.choice {
-            warm_conn.take()
-        } else {
-            None
-        };
-        let mut reserved = if choice == win.choice {
-            first_chunk
-        } else {
-            None
-        };
-        workers.push(std::thread::spawn(move || {
-            let mut done = 0u64;
-            let mut failed = false;
-            while let Some(chunk) = reserved.take().or_else(|| queue.claim()) {
-                let range = ByteRange::FromTo(chunk.offset, chunk.end() - 1);
-                let fetched = match warm.as_mut() {
-                    Some(conn) => {
-                        let req = probe_request(choice, origin_for_relays, &path, range);
-                        match exchange(conn, &req) {
-                            Ok((head, body)) if head.status == StatusCode::PARTIAL_CONTENT => {
-                                Ok(body)
-                            }
-                            Ok((head, _)) => Err(RelayError::BadStatus(head.status.0)),
-                            Err(e) => Err(e),
-                        }
-                    }
-                    None => {
-                        fetch_range_fresh(addr, choice, origin_for_relays, &path, range, timeout)
-                    }
-                };
-                match fetched {
-                    Ok(body) if body.len() as u64 == chunk.len => {
-                        shared
-                            .lock()
-                            .unwrap()
-                            .insert(chunk.offset, &body)
-                            .expect("chunk scheduler produced overlapping ranges");
-                        done += 1;
-                    }
-                    // The path died (or misdelivered): orphan the
-                    // claimed chunk for the repair pass and stop
-                    // claiming — the surviving workers keep draining.
-                    _ => {
-                        failed = true;
-                        break;
-                    }
-                }
-            }
-            (choice, done, failed)
-        }));
-    }
-
+    let (mut engine, paths) = engine(direct, origin_for_relays, relays, cfg, cfg.total_bytes);
+    let (winner, _) = race(&mut engine, &paths, cfg)?;
+    let (rest, horizon) = (cfg.total_bytes - cfg.probe_bytes, cfg.session().horizon);
+    let mut queue: VecDeque<ChunkRange> = partition(cfg.probe_bytes, rest, chunks).into();
+    // The probe winner pulls first: the first chunk rides the warm
+    // connection (the racing client's remainder request, §2.1).
+    let mut free: VecDeque<usize> = std::iter::once(winner)
+        .chain((0..paths.len()).filter(|&p| p != winner))
+        .collect();
+    let mut flights: Vec<(usize, Handle)> = Vec::new();
+    let mut counts = vec![0u64; paths.len()];
     let mut failovers = 0u32;
-    let mut chunk_counts = Vec::new();
-    for w in workers {
-        let (choice, done, failed) = w.join().expect("striped worker must not panic");
-        if failed {
-            failovers += 1;
+    loop {
+        let pulls = free.len().min(queue.len());
+        for (p, chunk) in free.drain(..pulls).zip(queue.drain(..pulls)) {
+            flights.push((p, engine.fetch(&paths[p], chunk.offset, chunk.len)));
         }
-        chunk_counts.push((choice, done));
+        if flights.is_empty() {
+            break;
+        }
+        let handles: Vec<Handle> = flights.iter().map(|&(_, h)| h).collect();
+        match engine.race(&handles, horizon) {
+            Some(win) => {
+                let (p, _) = flights.swap_remove(win.index);
+                counts[p] += 1;
+                free.push_back(p);
+            }
+            // Every path still in flight has died (or stalled past the
+            // deadline) and orphans its chunk: the dead are reaped last.
+            None => {
+                failovers += flights.len() as u32;
+                flights.drain(..).for_each(|(_, h)| engine.cancel(h));
+            }
+        }
     }
 
     // Repair pass: whatever is still missing — orphaned chunks, or the
-    // whole tail if every worker died — comes over the direct path.
-    let missing = shared.lock().unwrap().missing();
-    let repaired = missing.len() as u64;
-    for (s, e) in missing {
-        let body = fetch_range_fresh(
-            direct,
-            ChosenPath::Direct,
-            origin_for_relays,
-            &cfg.path,
-            ByteRange::FromTo(s, e - 1),
-            cfg.timeout,
-        )?;
-        if body.len() as u64 != e - s {
-            return Err(RelayError::BadResponse(format!(
-                "repair fetch of [{s}, {e}) returned {} bytes",
-                body.len()
-            )));
+    // whole tail if every path died — comes over the direct path.
+    let missing = engine.missing();
+    for &(s, e) in &missing {
+        let h = engine.fetch(&paths[0], s, e - s);
+        if engine.finish(h, horizon).is_none() {
+            return Err(engine.take_error());
         }
-        shared
-            .lock()
-            .unwrap()
-            .insert(s, &body)
-            .map_err(|e| RelayError::BadResponse(e.to_string()))?;
     }
 
-    let elapsed = start.elapsed();
-    let reassembly = Arc::try_unwrap(shared)
-        .expect("every worker joined")
-        .into_inner()
-        .unwrap();
-    let body = reassembly
-        .into_body()
-        .expect("repair pass left bytes missing");
-    let body_ok = body.len() as u64 == cfg.total_bytes
-        && body
-            .iter()
-            .enumerate()
-            .all(|(i, &b)| b == body_byte(i as u64));
+    let (elapsed, throughput, body_ok) = close(engine, start)?;
     Ok(StripedOutcome {
         elapsed,
-        throughput: cfg.total_bytes as f64 / elapsed.as_secs_f64(),
+        throughput,
         body_ok,
         failovers,
-        chunk_counts,
-        repaired,
+        chunk_counts: (0..paths.len()).map(chosen).zip(counts).collect(),
+        repaired: missing.len() as u64,
     })
-}
-
-/// The §4 selection mechanism over real sockets: draw a uniform random
-/// subset of `k` relays (seeded), race the probe over the subset + the
-/// direct path, and download via the winner.
-///
-/// Returns the outcome plus the indices (into `relays`) of the subset
-/// that was drawn, so callers can maintain utilization statistics. The
-/// `ChosenPath::Relay(i)` index in the outcome refers to the *subset*
-/// order; use the returned subset to map back.
-pub fn download_with_subset(
-    direct: SocketAddr,
-    origin_for_relays: SocketAddr,
-    relays: &[SocketAddr],
-    k: usize,
-    seed: u64,
-    cfg: &ClientConfig,
-) -> Result<(DownloadOutcome, Vec<usize>), RelayError> {
-    use rand::seq::SliceRandom;
-    use rand::SeedableRng;
-    assert!(k > 0, "empty random set");
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut subset: Vec<usize> = (0..relays.len()).collect();
-    subset.shuffle(&mut rng);
-    subset.truncate(k.min(relays.len()));
-    subset.sort_unstable();
-    let chosen_addrs: Vec<SocketAddr> = subset.iter().map(|&i| relays[i]).collect();
-    let outcome = download(direct, origin_for_relays, &chosen_addrs, cfg)?;
-    Ok((outcome, subset))
 }
 
 #[cfg(test)]
@@ -662,35 +426,6 @@ mod tests {
         let out = download(direct.addr(), fast.addr(), &[], &cfg).unwrap();
         assert_eq!(out.choice, ChosenPath::Direct);
         assert!(out.body_ok);
-    }
-
-    #[test]
-    fn download_with_subset_draws_k_and_succeeds() {
-        let (direct, fast, relays) = world(
-            200_000,
-            100.0 * KB,
-            &[60.0 * KB, 500.0 * KB, 80.0 * KB, 400.0 * KB],
-        );
-        let cfg = ClientConfig {
-            path: "/f".into(),
-            probe_bytes: 40_000,
-            total_bytes: 200_000,
-            timeout: Duration::from_secs(30),
-        };
-        let addrs: Vec<_> = relays.iter().map(|r| r.addr()).collect();
-        let (out, subset) =
-            download_with_subset(direct.addr(), fast.addr(), &addrs, 2, 42, &cfg).unwrap();
-        assert_eq!(subset.len(), 2);
-        assert!(subset.iter().all(|&i| i < addrs.len()));
-        assert!(out.body_ok);
-        // Whatever was chosen, the subset-relative index is valid.
-        if let ChosenPath::Relay(i) = out.choice {
-            assert!(i < subset.len());
-        }
-        // Determinism of the draw.
-        let (_, subset2) =
-            download_with_subset(direct.addr(), fast.addr(), &addrs, 2, 42, &cfg).unwrap();
-        assert_eq!(subset, subset2);
     }
 
     #[test]
@@ -817,6 +552,106 @@ mod tests {
                 relays[0].lifecycle()
             );
             std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    /// An origin that answers every range request with one of three
+    /// lies, drawn per connection from a seed: `200` for a range, a
+    /// `206` whose body stops half way, a `206` of the wrong length.
+    struct LyingOrigin {
+        addr: SocketAddr,
+        stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
+        thread: Option<std::thread::JoinHandle<()>>,
+    }
+
+    impl LyingOrigin {
+        fn start(seed: u64) -> LyingOrigin {
+            use rand::{Rng, SeedableRng};
+            use std::io::{Read, Write};
+            use std::sync::atomic::Ordering;
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+            let stopped = stop.clone();
+            let thread = std::thread::spawn(move || {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                for conn in listener.incoming() {
+                    if stopped.load(Ordering::SeqCst) {
+                        return;
+                    }
+                    let mut conn = conn.unwrap();
+                    let mut head = Vec::new();
+                    let mut byte = [0u8; 1];
+                    while !head.ends_with(b"\r\n\r\n") && conn.read(&mut byte).unwrap_or(0) == 1 {
+                        head.push(byte[0]);
+                    }
+                    let head = String::from_utf8_lossy(&head).to_string();
+                    let Some(range) = head.split("bytes=").nth(1) else {
+                        continue;
+                    };
+                    let mut ends = range.split(['-', '\r']).map(|n| n.parse::<u64>().unwrap());
+                    let (first, last) = (ends.next().unwrap(), ends.next().unwrap());
+                    let body: Vec<u8> = (first..=last).map(body_byte).collect();
+                    let (status, claimed, sent) = match rng.gen_range(0..3) {
+                        0 => ("200 OK", body.len(), body.len()),
+                        1 => ("206 Partial Content", body.len(), body.len() / 2),
+                        _ => ("206 Partial Content", body.len() - 1, body.len() - 1),
+                    };
+                    let head = format!("HTTP/1.1 {status}\r\nContent-Length: {claimed}\r\n\r\n");
+                    let _ = conn.write_all(head.as_bytes());
+                    let _ = conn.write_all(&body[..sent]);
+                }
+            });
+            LyingOrigin {
+                addr,
+                stop,
+                thread: Some(thread),
+            }
+        }
+    }
+
+    impl Drop for LyingOrigin {
+        fn drop(&mut self) {
+            self.stop.store(true, std::sync::atomic::Ordering::SeqCst);
+            let _ = std::net::TcpStream::connect(self.addr);
+            self.thread.take().unwrap().join().unwrap();
+        }
+    }
+
+    /// One validation rule, in the engine: whatever the lie, the path
+    /// that carried it fails and the file comes out intact over the
+    /// honest path — or not at all — never corrupt.
+    #[test]
+    fn a_lying_origin_fails_its_path_and_never_corrupts_the_file() {
+        let honest = OriginServer::start(OriginConfig::new(120_000)).unwrap();
+        let relay = Relay::start(RelayConfig::new()).unwrap();
+        let cfg = ClientConfig {
+            path: "/f".into(),
+            probe_bytes: 20_000,
+            total_bytes: 120_000,
+            timeout: Duration::from_secs(10),
+        };
+        for seed in 0..9 {
+            let liar = LyingOrigin::start(seed);
+            // Nothing but the liar: no file.
+            let t0 = Instant::now();
+            assert!(download(liar.addr, liar.addr, &[], &cfg).is_err(), "{seed}");
+            assert!(probe_race(liar.addr, liar.addr, &[relay.addr()], &cfg).is_err());
+            assert!(t0.elapsed() < cfg.timeout / 2, "a lie is not a timeout");
+            // The liar on the direct path: the relay carries the file.
+            let out = download(liar.addr, honest.addr(), &[relay.addr()], &cfg).unwrap();
+            assert_eq!((out.choice, out.body_ok), (ChosenPath::Relay(0), true));
+            // The liar behind the relay: the direct path carries it, and
+            // a stripe repairs every chunk the relay was given.
+            let out = download_failover(honest.addr(), liar.addr, &[relay.addr()], &cfg).unwrap();
+            assert_eq!((out.choice, out.body_ok), (ChosenPath::Direct, true));
+            let out = download_striped(honest.addr(), liar.addr, &[relay.addr()], 6, &cfg).unwrap();
+            assert!(out.body_ok, "seed {seed}: {out:?}");
+            assert_eq!(
+                out.chunk_counts[1],
+                (ChosenPath::Relay(0), 0),
+                "seed {seed}"
+            );
         }
     }
 

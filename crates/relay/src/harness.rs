@@ -29,7 +29,7 @@ pub struct MiniPlanetLab {
     origin_direct: OriginServer,
     origin_fast: OriginServer,
     relays: Vec<Relay>,
-    content_len: u64,
+    pub(crate) content_len: u64,
 }
 
 impl MiniPlanetLab {
@@ -91,80 +91,6 @@ impl MiniPlanetLab {
             &cfg,
         )
     }
-
-    /// A direct-only control download (the paper's second client
-    /// process): the whole file over the direct path, no probing.
-    pub fn run_control(&self) -> Result<f64, RelayError> {
-        use crate::wire::exchange;
-        use ir_http::{ByteRange, Request, StatusCode};
-        let t0 = std::time::Instant::now();
-        let mut conn = std::net::TcpStream::connect(self.direct_addr())?;
-        conn.set_read_timeout(Some(std::time::Duration::from_secs(60)))?;
-        let req = Request::get("/file.bin")
-            .with_header("Host", "origin")
-            .with_header("Range", ByteRange::first(self.content_len).to_string());
-        let (head, body) = exchange(&mut conn, &req)?;
-        if head.status != StatusCode::PARTIAL_CONTENT {
-            return Err(crate::error::RelayError::BadStatus(head.status.0));
-        }
-        if body.len() as u64 != self.content_len {
-            return Err(crate::error::RelayError::BadResponse("short body".into()));
-        }
-        Ok(self.content_len as f64 / t0.elapsed().as_secs_f64())
-    }
-
-    /// The paper's methodology over real bytes: `rounds` iterations of
-    /// {probed download + concurrent direct control}, returning per-round
-    /// improvements `(selected_throughput / control_throughput − 1)`.
-    ///
-    /// Both transfers run concurrently (as in §2.2) on separate threads.
-    pub fn run_study(
-        &self,
-        probe_bytes: u64,
-        rounds: usize,
-        gap: std::time::Duration,
-    ) -> Result<Vec<StudyRound>, RelayError> {
-        let mut out = Vec::with_capacity(rounds);
-        for i in 0..rounds {
-            if i > 0 {
-                std::thread::sleep(gap);
-            }
-            let control = std::thread::scope(|scope| {
-                let control = scope.spawn(|| self.run_control());
-                let treatment = self.run_download(probe_bytes)?;
-                let control = control.join().expect("control thread")?;
-                Ok::<_, RelayError>((treatment, control))
-            });
-            let (treatment, control_thr) = control?;
-            out.push(StudyRound {
-                choice: treatment.choice,
-                selected_throughput: treatment.throughput,
-                control_throughput: control_thr,
-                body_ok: treatment.body_ok,
-            });
-        }
-        Ok(out)
-    }
-}
-
-/// One round of [`MiniPlanetLab::run_study`].
-#[derive(Debug, Clone, Copy)]
-pub struct StudyRound {
-    /// Which path the selecting process used.
-    pub choice: crate::client::ChosenPath,
-    /// Selecting process end-to-end throughput (bytes/sec).
-    pub selected_throughput: f64,
-    /// Control (direct-only) throughput (bytes/sec).
-    pub control_throughput: f64,
-    /// Content integrity of the selecting process's download.
-    pub body_ok: bool,
-}
-
-impl StudyRound {
-    /// Fractional improvement over the control.
-    pub fn improvement(&self) -> f64 {
-        (self.selected_throughput - self.control_throughput) / self.control_throughput
-    }
 }
 
 #[cfg(test)]
@@ -173,32 +99,6 @@ mod tests {
     use crate::client::ChosenPath;
 
     const KB: f64 = 1000.0;
-
-    #[test]
-    fn study_rounds_measure_real_improvement() {
-        // Relay path 4x the direct path: every round should choose the
-        // relay and register a solid positive improvement over the
-        // concurrently measured control.
-        let lab = MiniPlanetLab::start(HarnessSpec {
-            content_len: 240_000,
-            direct: RateSchedule::constant(150.0 * KB),
-            relays: vec![RateSchedule::constant(600.0 * KB)],
-        })
-        .unwrap();
-        let rounds = lab
-            .run_study(40_000, 3, std::time::Duration::from_millis(100))
-            .unwrap();
-        assert_eq!(rounds.len(), 3);
-        for r in &rounds {
-            assert!(r.body_ok);
-            assert_eq!(r.choice, ChosenPath::Relay(0));
-            assert!(
-                r.improvement() > 0.5,
-                "expected a big win, got {:+.0}%",
-                r.improvement() * 100.0
-            );
-        }
-    }
 
     #[test]
     fn end_to_end_fast_relay_wins_and_improves() {

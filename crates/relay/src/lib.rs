@@ -1,11 +1,12 @@
 //! `ir-relay` — the indirect-routing system over real sockets.
 //!
 //! Everything `ir-core` does against the fluid simulator, this crate
-//! does against genuine TCP connections on loopback: a threaded origin
-//! server speaking the `ir-http` range subset, relay daemons
-//! implementing the paper's forwarding service, and a racing client
-//! that probes direct + indirect paths concurrently and fetches the
-//! remainder on the winner's warm connection.
+//! does against genuine TCP connections on loopback: an origin server
+//! speaking the `ir-http` range subset, relay daemons implementing the
+//! paper's forwarding service, and one socket fetch engine under
+//! `ir-core`'s session runner, which probes direct + indirect paths
+//! concurrently and fetches the remainder on the winner's warm
+//! connection.
 //!
 //! Wide-area heterogeneity is substituted by token-bucket rate shapers
 //! (DESIGN.md §2): each leg of each path carries a [`shaper::
@@ -22,7 +23,11 @@
 //! * [`conn`] — per-connection state machine for the reactor.
 //! * [`relayd`] — the relay daemon (absolute-form in, origin-form out),
 //!   an event-driven reactor.
-//! * [`client`] — probe race + warm remainder download.
+//! * [`transport`] — the socket fetch engine ([`RealTransport`]): the
+//!   only client-side code that dials, requests, validates, pools and
+//!   cancels; an `ir_core::Transport`.
+//! * [`client`] — probe race and downloads (racing, failover,
+//!   striped): the runner's selecting process over the engine.
 //! * [`wire`] — small blocking HTTP client primitives.
 //! * [`harness`] — a one-process mini-PlanetLab for tests and examples.
 
@@ -39,14 +44,14 @@ pub mod transport;
 pub mod wire;
 
 pub use client::{
-    download, download_failover, download_striped, download_with_subset, probe_race, ChosenPath,
-    ClientConfig, DownloadOutcome, ProbeWin, StripedOutcome,
+    download, download_failover, download_striped, probe_race, ChosenPath, ClientConfig,
+    DownloadOutcome, ProbeWin, StripedOutcome,
 };
 pub use conn::{Lifecycle, LifecycleSnapshot};
 pub use error::RelayError;
-pub use harness::{HarnessSpec, MiniPlanetLab, StudyRound};
+pub use harness::{HarnessSpec, MiniPlanetLab};
 pub use origin::{body_byte, fill_body, OriginConfig, OriginServer};
 pub use relayd::{Backpressure, DrainReport, Relay, RelayConfig};
 pub use shaper::{RateSchedule, TokenBucket};
 pub use stream::{ThrottledStream, SPLICE_CHUNK};
-pub use transport::{RealTransport, RealWorld};
+pub use transport::RealTransport;

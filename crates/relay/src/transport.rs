@@ -1,331 +1,406 @@
-//! [`ir_core::Transport`] over real sockets.
+//! The socket fetch engine: [`ir_core::Transport`] over real sockets.
 //!
-//! The selection framework (`ir_core::run_paths_session`) is written against
-//! an abstract transport; this adapter backs it with the loopback
-//! deployment — every `begin` is a genuine TCP connection issuing a
-//! genuine HTTP range request, `race` blocks on real wall-clock
-//! completions, and `begin_warm` reuses the winning probe's keep-alive
-//! connection exactly as the paper's client does.
+//! This is the only client-side code in the crate that dials a path,
+//! writes a range request, reads and validates the response, pools the
+//! warm connection and shuts a loser down. The session runner
+//! (`ir_core::run_paths_session` / `run_selecting`) drives it through
+//! the [`Transport`] trait — `begin` is a genuine TCP connection and
+//! HTTP range request, `race` blocks on wall-clock completions,
+//! `begin_warm` reuses the winning probe's keep-alive connection — and
+//! [`crate::client`]'s downloads through the same handles plus
+//! [`RealTransport::fetch`], which names the byte offset.
 //!
-//! One protocol, two transports: the studies run on the fluid
-//! simulator; this adapter proves the same orchestration code drives
-//! real bytes (see `tests/session_over_sockets.rs`).
+//! Bodies land in one [`Reassembly`] the engine owns, when the caller
+//! *accepts* a transfer (it wins a `race`, or `finish` returns it);
+//! a cancelled loser's bytes never do. One protocol, two transports:
+//! `tests/session_over_sockets.rs` runs the studies' runner over this.
 
 use crate::error::RelayError;
-use crate::wire::exchange;
+use crate::wire::fetch_range;
 use ir_core::{Handle, PathSpec, RaceWin, Timing, Transport};
-use ir_http::{via_proxy, ByteRange, Request, StatusCode};
+use ir_http::{via_proxy, ByteRange, Reassembly, Request};
 use ir_simnet::time::{SimDuration, SimTime};
 use ir_simnet::topology::NodeId;
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpStream};
-use std::sync::{Arc, Condvar, Mutex};
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Where each node of the session's world listens.
-#[derive(Debug, Clone)]
-pub struct RealWorld {
-    /// The client node id (the session's `client` argument).
-    pub client: NodeId,
-    /// The server node id.
-    pub server: NodeId,
-    /// Origin address over the client's direct path.
-    pub direct: SocketAddr,
-    /// Origin address relays dial.
-    pub origin_for_relays: SocketAddr,
-    /// Relay node id → relay address.
-    pub relays: HashMap<NodeId, SocketAddr>,
-    /// Resource path on the origin.
-    pub path: String,
-    /// Per-transfer socket timeout.
-    pub timeout: Duration,
-}
-
-type SlotResult = Result<Timing, String>;
-
 struct Slot {
-    /// Completion buffer (thread writes, race/finish reads).
-    result: Option<SlotResult>,
-    /// A clone of the transfer's socket, for cancellation and warm
-    /// reuse.
+    path: PathSpec,
+    /// Offset of the transfer's first byte in the resource.
+    offset: u64,
+    /// Completion buffer (thread writes, `race` reads).
+    result: Option<Result<Timing, RelayError>>,
+    /// The validated body, until the transfer is accepted.
+    body: Vec<u8>,
+    /// The transfer's socket: a clone while in flight (for `cancel`),
+    /// the connection itself once it succeeded (for warm reuse).
     conn: Option<TcpStream>,
     /// Cancelled by the session.
     cancelled: bool,
+    /// The transfer itself, while it waits to be started.
+    deferred: Option<Job>,
+}
+
+/// A transfer with everything it needs to run, on a thread of its own
+/// or on the caller's.
+struct Job {
+    idx: usize,
+    addr: SocketAddr,
+    request: Request,
+    bytes: u64,
+    /// A connection to reuse instead of dialling `addr`.
+    warm: Option<TcpStream>,
 }
 
 struct Shared {
     slots: Mutex<Vec<Slot>>,
     cv: Condvar,
+    /// Zero of the engine's clock.
+    epoch: Instant,
+    /// Per-transfer socket timeout.
+    timeout: Duration,
+}
+
+impl Shared {
+    fn now(&self) -> SimTime {
+        SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
+    }
+
+    fn slots(&self) -> MutexGuard<'_, Vec<Slot>> {
+        // Poisoned only if a transfer thread panicked mid-update.
+        self.slots.lock().expect("slot table poisoned")
+    }
 }
 
 /// A [`Transport`] whose transfers are real HTTP range requests over
 /// real TCP connections.
 pub struct RealTransport {
-    world: RealWorld,
+    /// Origin address over the client's direct path.
+    direct: SocketAddr,
+    /// Origin address relays dial.
+    origin_for_relays: SocketAddr,
+    /// Relay addresses; relay `i` is node `2 + i`.
+    relays: Vec<SocketAddr>,
+    /// Resource path on the origin.
+    path: String,
     shared: Arc<Shared>,
-    epoch: Instant,
     /// Next range offset per path (probe consumed `[0, x)` → remainder
     /// starts at `x`).
     next_offset: HashMap<PathSpec, u64>,
-    /// Idle keep-alive connections per path, for `begin_warm`.
+    /// Idle keep-alive connections per path, for warm reuse.
     idle: HashMap<PathSpec, TcpStream>,
-    /// Which path each handle transferred on (for warm pooling).
-    handle_paths: HashMap<Handle, PathSpec>,
+    /// Every accepted body, by offset.
+    reassembly: Reassembly,
+    /// Why the last `race`/`finish` returned `None`.
+    error: Option<RelayError>,
+}
+
+impl Job {
+    fn spawn(self, shared: &Arc<Shared>) {
+        let shared = shared.clone();
+        std::thread::spawn(move || self.run(&shared));
+    }
+
+    /// Dials (or reuses), fetches, validates, and writes the outcome to
+    /// the slot.
+    fn run(self, shared: &Shared) {
+        let (idx, bytes, started) = (self.idx, self.bytes, shared.now());
+        let run = || -> Result<(TcpStream, Vec<u8>), RelayError> {
+            let mut conn = match self.warm {
+                Some(c) => c,
+                None => {
+                    let c = TcpStream::connect_timeout(&self.addr, shared.timeout)?;
+                    c.set_nodelay(true)?;
+                    c
+                }
+            };
+            conn.set_read_timeout(Some(shared.timeout))?;
+            // Publishing the socket and checking `cancelled` under one
+            // lock: a cancel that came first is seen here, one that
+            // comes later finds the socket to shut down.
+            {
+                let mut slots = shared.slots();
+                if slots[idx].cancelled {
+                    return Err(RelayError::Timeout);
+                }
+                slots[idx].conn = Some(conn.try_clone()?);
+            }
+            let body = fetch_range(&mut conn, &self.request, bytes)?;
+            Ok((conn, body))
+        };
+        let outcome = run();
+        let finished = shared.now();
+        let mut slots = shared.slots();
+        let slot = &mut slots[idx];
+        match outcome {
+            Ok((conn, body)) => {
+                (slot.conn, slot.body) = (Some(conn), body);
+                let timing = Timing {
+                    started,
+                    finished,
+                    bytes,
+                };
+                slot.result = Some(Ok(timing));
+            }
+            Err(e) => (slot.conn, slot.result) = (None, Some(Err(e))),
+        }
+        shared.cv.notify_all();
+    }
 }
 
 impl RealTransport {
-    /// Creates a transport over a running deployment.
-    pub fn new(world: RealWorld) -> Self {
-        RealTransport {
-            world,
+    /// Builds an engine for a one-hop star on loopback — node ids 0 and
+    /// 1 are the client and server, relay `i` is node `2 + i` — that
+    /// fetches the `total_bytes` of `path`, and the path roster over it:
+    /// the direct path, then one path per relay.
+    pub fn star(
+        direct: SocketAddr,
+        origin_for_relays: SocketAddr,
+        relays: &[SocketAddr],
+        path: &str,
+        total_bytes: u64,
+        timeout: Duration,
+    ) -> (Self, Vec<PathSpec>) {
+        let (client, server) = (NodeId(0), NodeId(1));
+        let via = |i| PathSpec::indirect(client, server, NodeId(2 + i as u32));
+        let paths = std::iter::once(PathSpec::direct(client, server))
+            .chain((0..relays.len()).map(via))
+            .collect();
+        let transport = RealTransport {
+            direct,
+            origin_for_relays,
+            relays: relays.to_vec(),
+            path: path.into(),
             shared: Arc::new(Shared {
                 slots: Mutex::new(Vec::new()),
                 cv: Condvar::new(),
+                epoch: Instant::now(),
+                timeout,
             }),
-            epoch: Instant::now(),
             next_offset: HashMap::new(),
             idle: HashMap::new(),
-            handle_paths: HashMap::new(),
-        }
+            reassembly: Reassembly::new(total_bytes),
+            error: None,
+        };
+        (transport, paths)
     }
 
-    /// Builds a transport for a [`crate::harness::MiniPlanetLab`]: node
-    /// ids 0 and 1 are the client and server; relays get ids 2, 3, ….
-    pub fn for_lab(lab: &crate::harness::MiniPlanetLab) -> (Self, NodeId, NodeId, Vec<NodeId>) {
-        let client = NodeId(0);
-        let server = NodeId(1);
-        let relay_ids: Vec<NodeId> = (0..lab.relay_addrs().len())
-            .map(|i| NodeId(2 + i as u32))
-            .collect();
-        let relays = relay_ids
-            .iter()
-            .zip(lab.relay_addrs())
-            .map(|(&id, addr)| (id, addr))
-            .collect();
-        let transport = RealTransport::new(RealWorld {
-            client,
-            server,
-            direct: lab.direct_addr(),
-            origin_for_relays: lab.origin_for_relays(),
-            relays,
-            path: "/file.bin".into(),
-            timeout: Duration::from_secs(60),
-        });
-        (transport, client, server, relay_ids)
+    /// [`RealTransport::star`] over a [`crate::harness::MiniPlanetLab`].
+    pub fn for_lab(lab: &crate::harness::MiniPlanetLab) -> (Self, Vec<PathSpec>) {
+        RealTransport::star(
+            lab.direct_addr(),
+            lab.origin_for_relays(),
+            &lab.relay_addrs(),
+            "/file.bin",
+            lab.content_len,
+            Duration::from_secs(60),
+        )
     }
 
-    fn sim_now(&self) -> SimTime {
-        SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
-    }
-
-    fn request_for(&self, path: &PathSpec, range: ByteRange) -> (SocketAddr, Request) {
-        assert!(
-            path.hop_count() <= 1,
-            "socket relays splice one hop; unresolvable chain {path} reached request_for"
-        );
-        match path.via() {
-            None => (
-                self.world.direct,
-                Request::get(self.world.path.clone())
-                    .with_header("Host", "origin")
-                    .with_header("Range", range.to_string()),
+    /// Where `path` is dialled and what is asked of it; an error for a
+    /// path [`Transport::resolvable`] rejects.
+    fn request_for(
+        &self,
+        path: &PathSpec,
+        range: ByteRange,
+    ) -> Result<(SocketAddr, Request), RelayError> {
+        let unknown = || {
+            let why = format!("no socket route for {path}");
+            RelayError::Io(std::io::Error::new(std::io::ErrorKind::NotFound, why))
+        };
+        let (addr, request) = match path.hops() {
+            [] => (
+                self.direct,
+                Request::get(self.path.clone()).with_header("Host", "origin"),
             ),
-            Some(via) => {
-                let addr = *self
-                    .world
-                    .relays
-                    .get(&via)
-                    .unwrap_or_else(|| panic!("unknown relay {via:?}"));
-                let o = self.world.origin_for_relays;
+            [via] => {
+                let relay = self.relays.get((via.0 as usize).wrapping_sub(2));
+                let o = self.origin_for_relays;
                 (
-                    addr,
-                    via_proxy(&o.ip().to_string(), o.port(), &self.world.path)
-                        .with_header("Range", range.to_string()),
+                    *relay.ok_or_else(unknown)?,
+                    via_proxy(&o.ip().to_string(), o.port(), &self.path),
                 )
             }
-        }
+            _ => return Err(unknown()),
+        };
+        Ok((addr, request.with_header("Range", range.to_string())))
     }
 
-    /// Launches a transfer thread; `conn` is `Some` for warm reuse.
-    fn launch(&mut self, path: &PathSpec, bytes: u64, warm_conn: Option<TcpStream>) -> Handle {
-        let start_offset = if warm_conn.is_some() {
-            self.next_offset.get(path).copied().unwrap_or(0)
-        } else {
-            0
-        };
+    /// A transfer of `[offset, offset + bytes)` over `path`, on the
+    /// path's idle keep-alive connection when there is one. It starts
+    /// when it is first waited on.
+    pub fn fetch(&mut self, path: &PathSpec, offset: u64, bytes: u64) -> Handle {
+        let warm = self.idle.remove(path);
+        self.launch(path, offset, bytes, warm, true)
+    }
+
+    /// Creates a transfer's slot and job: started at once on its own
+    /// thread, or deferred until first waited on ([`Transport::race`]).
+    fn launch(
+        &mut self,
+        path: &PathSpec,
+        offset: u64,
+        bytes: u64,
+        warm: Option<TcpStream>,
+        defer: bool,
+    ) -> Handle {
         // Track where the next warm request on this path should start.
-        self.next_offset.insert(*path, start_offset + bytes);
-        let range = if start_offset == 0 {
-            ByteRange::first(bytes)
-        } else {
-            ByteRange::FromTo(start_offset, start_offset + bytes - 1)
-        };
-        let (addr, request) = self.request_for(path, range);
-
-        let handle = {
-            let mut slots = self.shared.slots.lock().expect("poisoned");
-            slots.push(Slot {
-                result: None,
-                conn: None,
-                cancelled: false,
-            });
-            Handle((slots.len() - 1) as u64)
-        };
-
-        let shared = self.shared.clone();
-        let epoch = self.epoch;
-        let timeout = self.world.timeout;
-        let idx = handle.0 as usize;
-        std::thread::spawn(move || {
-            let started = SimTime::from_micros(epoch.elapsed().as_micros() as u64);
-            let run = || -> Result<(TcpStream, u64), RelayError> {
-                // A cancel that lands before the dial skips the socket
-                // work entirely — a relay refusing under backpressure
-                // should not also absorb doomed connects.
-                if shared.slots.lock().expect("poisoned")[idx].cancelled {
-                    return Err(RelayError::Timeout);
-                }
-                let mut conn = match warm_conn {
-                    Some(c) => c,
-                    None => {
-                        let c = TcpStream::connect_timeout(&addr, timeout)?;
-                        c.set_nodelay(true)?;
-                        c
-                    }
-                };
-                conn.set_read_timeout(Some(timeout))?;
-                // Publish the socket so cancel() can shut it down.
-                {
-                    let mut slots = shared.slots.lock().expect("poisoned");
-                    if slots[idx].cancelled {
-                        return Err(RelayError::Timeout);
-                    }
-                    slots[idx].conn = Some(conn.try_clone()?);
-                }
-                let (head, body) = exchange(&mut conn, &request)?;
-                if head.status != StatusCode::PARTIAL_CONTENT && head.status != StatusCode::OK {
-                    return Err(RelayError::BadStatus(head.status.0));
-                }
-                Ok((conn, body.len() as u64))
-            };
-            let outcome = run();
-            let finished = SimTime::from_micros(epoch.elapsed().as_micros() as u64);
-            let mut slots = shared.slots.lock().expect("poisoned");
-            let slot = &mut slots[idx];
-            match outcome {
-                Ok((conn, got)) => {
-                    slot.conn = Some(conn);
-                    slot.result = Some(Ok(Timing {
-                        started,
-                        finished,
-                        bytes: got,
-                    }));
-                }
-                Err(e) => {
-                    slot.conn = None;
-                    slot.result = Some(Err(e.to_string()));
-                }
-            }
-            shared.cv.notify_all();
+        self.next_offset.insert(*path, offset + bytes);
+        let last = (offset + bytes).saturating_sub(1);
+        let target = self.request_for(path, ByteRange::FromTo(offset, last));
+        let mut slots = self.shared.slots();
+        let idx = slots.len();
+        slots.push(Slot {
+            path: *path,
+            offset,
+            result: None,
+            body: Vec::new(),
+            conn: None,
+            cancelled: false,
+            deferred: None,
         });
-        handle
+        match target {
+            Err(e) => slots[idx].result = Some(Err(e)),
+            Ok((addr, request)) => {
+                let job = Job {
+                    idx,
+                    addr,
+                    request,
+                    bytes,
+                    warm,
+                };
+                if defer {
+                    slots[idx].deferred = Some(job);
+                } else {
+                    job.spawn(&self.shared);
+                }
+            }
+        }
+        Handle(idx as u64)
     }
 
-    fn wait<F: Fn(&[Slot]) -> Option<R>, R>(&self, horizon: SimDuration, pick: F) -> Option<R> {
-        let deadline = Instant::now() + Duration::from_secs_f64(horizon.as_secs_f64());
-        let mut slots = self.shared.slots.lock().expect("poisoned");
-        loop {
-            if let Some(r) = pick(&slots) {
-                return Some(r);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _) = self
-                .shared
-                .cv
-                .wait_timeout(slots, deadline - now)
-                .expect("poisoned");
-            slots = guard;
-        }
+    /// Why the last [`Transport::race`] or [`Transport::finish`] came
+    /// back empty: the last waited-on path's error when every one of
+    /// them failed, [`RelayError::Timeout`] when the horizon passed.
+    pub fn take_error(&mut self) -> RelayError {
+        self.error.take().unwrap_or(RelayError::Timeout)
     }
 
-    /// Takes the finished connection of `handle` back into the warm
-    /// pool for `path` (called internally after completions).
-    fn pool_connection(&mut self, handle: Handle, path: &PathSpec) {
-        let mut slots = self.shared.slots.lock().expect("poisoned");
-        if let Some(conn) = slots[handle.0 as usize].conn.take() {
-            self.idle.insert(*path, conn);
-        }
+    /// The intervals of the resource no accepted transfer has covered.
+    pub fn missing(&self) -> Vec<(u64, u64)> {
+        self.reassembly.missing()
+    }
+
+    /// Takes the reassembled resource out, or `None` while bytes are
+    /// missing. The engine stays up: dropping it closes the pooled
+    /// connections, which wakes the relay and origin behind them, and
+    /// a caller with work left (verifying the body) does that first.
+    pub fn take_body(&mut self) -> Option<Vec<u8>> {
+        std::mem::replace(&mut self.reassembly, Reassembly::new(0)).into_body()
     }
 }
 
 impl Transport for RealTransport {
     fn now(&self) -> SimTime {
-        self.sim_now()
+        self.shared.now()
     }
 
     fn begin(&mut self, path: &PathSpec, bytes: u64) -> Handle {
-        let h = self.launch(path, bytes, None);
-        // Remember the path for warm pooling at completion.
-        self.handle_paths.insert(h, *path);
-        h
+        self.launch(path, 0, bytes, None, false)
     }
 
     fn resolvable(&self, path: &PathSpec) -> bool {
         // A socket relay splices exactly one proxy hop: direct always
         // works, one known relay works, longer chains never do.
-        match path.hops() {
-            [] => true,
-            [via] => self.world.relays.contains_key(via),
-            _ => false,
-        }
+        self.request_for(path, ByteRange::From(0)).is_ok()
     }
 
     fn begin_warm(&mut self, path: &PathSpec, bytes: u64) -> Handle {
-        let warm = self.idle.remove(path);
-        let h = self.launch(path, bytes, warm);
-        self.handle_paths.insert(h, *path);
-        h
+        let offset = self.next_offset.get(path).copied().unwrap_or(0);
+        self.fetch(path, offset, bytes)
     }
 
+    /// Returns as soon as one of `handles` has delivered or every one
+    /// of them has failed: a failed path drops out of the race, and
+    /// nobody waits out the horizon for the dead. A deferred transfer
+    /// among `handles` starts here — beside others on its own thread,
+    /// alone on the caller's: a remainder costs no thread or hand-off.
     fn race(&mut self, handles: &[Handle], horizon: SimDuration) -> Option<RaceWin> {
-        let wanted: Vec<usize> = handles.iter().map(|h| h.0 as usize).collect();
-        let won = self.wait(horizon, |slots| {
-            wanted.iter().enumerate().find_map(|(pos, &i)| {
-                slots[i]
-                    .result
-                    .as_ref()
-                    .and_then(|r| r.as_ref().ok())
-                    .map(|t| (pos, *t))
-            })
-        })?;
-        let (index, timing) = won;
-        // Pool the winner's connection for the warm remainder.
-        if let Some(path) = self.handle_paths.get(&handles[index]).copied() {
-            self.pool_connection(handles[index], &path);
+        let deadline = Instant::now() + Duration::from_secs_f64(horizon.as_secs_f64());
+        let mut slots = self.shared.slots();
+        let take = |h: &Handle| slots[h.0 as usize].deferred.take();
+        let deferred: Vec<Job> = handles.iter().filter_map(take).collect();
+        drop(slots);
+        for job in deferred {
+            match handles {
+                [_] => job.run(&self.shared),
+                _ => job.spawn(&self.shared),
+            }
         }
+        let mut slots = self.shared.slots();
+        let (index, timing) = loop {
+            let delivered = handles.iter().enumerate().find_map(|(index, h)| {
+                match slots[h.0 as usize].result {
+                    Some(Ok(timing)) => Some((index, timing)),
+                    _ => None,
+                }
+            });
+            if let Some((index, timing)) = delivered {
+                let slot = &mut slots[handles[index].0 as usize];
+                // Accepted: the connection goes to the warm pool, the
+                // body to the reassembly — unless an earlier transfer
+                // delivered those bytes: every probe carries `[0, x)`, a
+                // control the whole file, and a duplicate is dropped.
+                if let Some(conn) = slot.conn.take() {
+                    self.idle.insert(slot.path, conn);
+                }
+                let _ = self
+                    .reassembly
+                    .insert(slot.offset, &std::mem::take(&mut slot.body));
+                break (index, timing);
+            }
+            let now = Instant::now();
+            let failed = |h: &Handle| slots[h.0 as usize].result.is_some();
+            if now >= deadline || handles.iter().all(failed) {
+                // A path error is reported only while the deadline has
+                // not passed: each path's read timeout is the race's,
+                // started a connect later, so a late wake-up can find
+                // them all expired — that is the deadline passing.
+                self.error = handles.last().filter(|_| now < deadline).and_then(|h| {
+                    let failure = slots[h.0 as usize].result.as_mut()?.as_mut().err()?;
+                    Some(std::mem::replace(failure, RelayError::Timeout))
+                });
+                return None;
+            }
+            // Poisoned only if a transfer thread panicked mid-update.
+            let (guard, _) = self
+                .shared
+                .cv
+                .wait_timeout(slots, deadline - now)
+                .expect("slot table poisoned");
+            slots = guard;
+        };
         Some(RaceWin { index, timing })
     }
 
     fn finish(&mut self, handle: Handle, horizon: SimDuration) -> Option<Timing> {
-        let i = handle.0 as usize;
-        let timing = self.wait(horizon, |slots| {
-            slots[i].result.as_ref().map(|r| r.clone().ok())
-        })??;
-        if let Some(path) = self.handle_paths.get(&handle).copied() {
-            self.pool_connection(handle, &path);
-        }
-        Some(timing)
+        self.race(&[handle], horizon).map(|win| win.timing)
     }
 
+    /// Also how a race's winner closes the losers: the session cancels
+    /// them, and a loser parked on a slow path is rid of its socket at
+    /// once instead of when the probe finally drains.
     fn cancel(&mut self, handle: Handle) {
-        let mut slots = self.shared.slots.lock().expect("poisoned");
+        let mut slots = self.shared.slots();
         let slot = &mut slots[handle.0 as usize];
         slot.cancelled = true;
+        if slot.deferred.take().is_some() {
+            slot.result = Some(Err(RelayError::Timeout));
+        }
         if let Some(conn) = slot.conn.take() {
-            let _ = conn.shutdown(std::net::Shutdown::Both);
+            let _ = conn.shutdown(Shutdown::Both);
         }
     }
 }
@@ -347,7 +422,7 @@ mod tests {
             relays: vec![RateSchedule::constant(800.0 * KB)],
         })
         .unwrap();
-        let (mut transport, client, server, relays) = RealTransport::for_lab(&lab);
+        let (mut transport, paths) = RealTransport::for_lab(&lab);
         let cfg = SessionConfig {
             probe_bytes: 50_000,
             file_bytes: 400_000,
@@ -361,8 +436,8 @@ mod tests {
         let (rec, _) = run_paths_session(
             &mut transport,
             &mut FirstPortion,
-            PathSpec::direct(client, server),
-            &[PathSpec::indirect(client, server, relays[0])],
+            paths[0],
+            &paths[1..],
             0,
             &cfg,
             None,
@@ -384,7 +459,7 @@ mod tests {
             relays: vec![RateSchedule::constant(100.0 * KB)],
         })
         .unwrap();
-        let (mut transport, client, server, relays) = RealTransport::for_lab(&lab);
+        let (mut transport, paths) = RealTransport::for_lab(&lab);
         let cfg = SessionConfig {
             probe_bytes: 50_000,
             file_bytes: 300_000,
@@ -398,12 +473,40 @@ mod tests {
         let (rec, _) = run_paths_session(
             &mut transport,
             &mut FirstPortion,
-            PathSpec::direct(client, server),
-            &[PathSpec::indirect(client, server, relays[0])],
+            paths[0],
+            &paths[1..],
             0,
             &cfg,
             None,
         );
         assert!(!rec.chose_indirect(), "slow relay chosen: {rec:?}");
+    }
+
+    /// A path the engine has no socket route for is unresolvable, and
+    /// a transfer begun on it anyway is a typed failure, not a panic.
+    #[test]
+    fn unknown_relay_and_chains_fail_typed() {
+        let lab = MiniPlanetLab::start(HarnessSpec {
+            content_len: 50_000,
+            direct: RateSchedule::constant(900.0 * KB),
+            relays: vec![RateSchedule::constant(900.0 * KB)],
+        })
+        .unwrap();
+        let (mut transport, paths) = RealTransport::for_lab(&lab);
+        let (client, server) = (paths[0].client, paths[0].server);
+        let stranger = PathSpec::indirect(client, server, NodeId(99));
+        let chain = PathSpec::chain(client, server, &[NodeId(2), NodeId(99)]);
+        assert!(transport.resolvable(&paths[1]));
+        for path in [stranger, chain] {
+            assert!(!transport.resolvable(&path), "{path}");
+            let h = transport.begin(&path, 1_000);
+            let t0 = Instant::now();
+            assert!(transport.finish(h, SimDuration::from_secs(30)).is_none());
+            assert!(
+                t0.elapsed() < Duration::from_secs(5),
+                "waited out the horizon"
+            );
+            assert!(matches!(transport.take_error(), RelayError::Io(_)));
+        }
     }
 }

@@ -1,9 +1,9 @@
-//! Small blocking HTTP client primitives shared by the racing client
+//! Small blocking HTTP client primitives shared by the socket engine
 //! and tests: send a request, read a head, read a sized body.
 
 use crate::error::RelayError;
 use bytes::BytesMut;
-use ir_http::{encode_request, parse_response, Parsed, Request, Response};
+use ir_http::{encode_request, parse_response, Parsed, Request, Response, StatusCode};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
@@ -55,25 +55,28 @@ pub fn read_body(stream: &mut TcpStream, prefix: Vec<u8>, len: u64) -> Result<Ve
     Ok(body)
 }
 
-/// One full request/response exchange; returns the head and the sized
-/// body (by `Content-Length`).
-pub fn exchange(stream: &mut TcpStream, req: &Request) -> Result<(Response, Vec<u8>), RelayError> {
-    send_request(stream, req)?;
-    let (head, prefix) = read_head(stream)?;
-    let len = head
-        .headers
-        .content_length()
-        .map_err(RelayError::Http)?
-        .ok_or_else(|| RelayError::BadResponse("missing Content-Length".into()))?;
-    let body = read_body(stream, prefix, len)?;
-    Ok((head, body))
+/// One full range request/response exchange, validated once for every
+/// caller: `206` and exactly the `bytes` asked for, or the path has
+/// failed.
+pub fn fetch_range(conn: &mut TcpStream, req: &Request, bytes: u64) -> Result<Vec<u8>, RelayError> {
+    send_request(conn, req)?;
+    let (head, prefix) = read_head(conn)?;
+    if head.status != StatusCode::PARTIAL_CONTENT {
+        return Err(RelayError::BadStatus(head.status.0));
+    }
+    match head.headers.content_length()? {
+        Some(len) if len == bytes => read_body(conn, prefix, len),
+        len => Err(RelayError::BadResponse(format!(
+            "asked for {bytes} bytes, Content-Length {len:?}"
+        ))),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::origin::{body_byte, OriginConfig, OriginServer};
-    use ir_http::{ByteRange, StatusCode};
+    use ir_http::ByteRange;
 
     #[test]
     fn exchange_round_trip() {
@@ -82,8 +85,7 @@ mod tests {
         let req = Request::get("/f")
             .with_header("Host", "o")
             .with_header("Range", ByteRange::first(100).to_string());
-        let (head, body) = exchange(&mut s, &req).unwrap();
-        assert_eq!(head.status, StatusCode::PARTIAL_CONTENT);
+        let body = fetch_range(&mut s, &req, 100).unwrap();
         assert_eq!(body.len(), 100);
         assert!(body
             .iter()
@@ -99,7 +101,7 @@ mod tests {
             let req = Request::get("/f")
                 .with_header("Host", "o")
                 .with_header("Range", format!("bytes={}-{}", k * 7, k * 7 + 6));
-            let (_, body) = exchange(&mut s, &req).unwrap();
+            let body = fetch_range(&mut s, &req, 7).unwrap();
             assert_eq!(body.len(), 7);
             assert_eq!(body[0], body_byte(k * 7));
         }

@@ -1,15 +1,17 @@
 //! Real sockets: the indirect-routing system on loopback.
 //!
 //! Starts an origin server and three relay daemons with token-bucket
-//! shapers emulating heterogeneous path rates, then runs probed
-//! downloads with genuine TCP connections and HTTP range requests —
-//! the same protocol the simulator studies, exercised end to end.
+//! shapers emulating heterogeneous path rates, then runs the session
+//! runner (`run_paths_session`, the code every simulated study uses)
+//! over genuine TCP connections and HTTP range requests.
 //!
 //! ```text
 //! cargo run --release --example relay_localhost
 //! ```
 
-use indirect_routing::relay::{ChosenPath, HarnessSpec, MiniPlanetLab, RateSchedule};
+use indirect_routing::core::{run_paths_session, FirstPortion, SessionConfig};
+use indirect_routing::relay::{body_byte, HarnessSpec, MiniPlanetLab, RateSchedule, RealTransport};
+use indirect_routing::simnet::time::SimDuration;
 use std::time::Duration;
 
 const KB: f64 = 1000.0;
@@ -43,20 +45,39 @@ fn main() {
 
     // The paper's methodology over real bytes: each round runs the
     // selecting process and a direct-only control concurrently.
-    let rounds = lab
-        .run_study(60_000, 4, Duration::from_secs(2))
-        .expect("study");
-    for (i, r) in rounds.iter().enumerate() {
-        let choice = match r.choice {
-            ChosenPath::Direct => "direct".to_string(),
-            ChosenPath::Relay(k) => format!("relay {k}"),
+    let cfg = SessionConfig {
+        probe_bytes: 60_000,
+        file_bytes: 600_000,
+        horizon: SimDuration::from_secs(60),
+        ..SessionConfig::paper_defaults()
+    };
+    for round in 0..4 {
+        if round > 0 {
+            std::thread::sleep(Duration::from_secs(2));
+        }
+        let (mut transport, paths) = RealTransport::for_lab(&lab);
+        let (rec, _) = run_paths_session(
+            &mut transport,
+            &mut FirstPortion,
+            paths[0],
+            &paths[1..],
+            round,
+            &cfg,
+            None,
+        );
+        let choice = match paths.iter().position(|p| *p == rec.selected) {
+            Some(i) if i > 0 => format!("relay {}", i - 1),
+            _ => "direct".to_string(),
         };
+        let intact = transport
+            .take_body()
+            .is_some_and(|body| body.iter().zip(0..).all(|(&b, i)| b == body_byte(i)));
         println!(
-            "round {i}: chose {choice:8}  selected {:6.0} KB/s  control {:6.0} KB/s  improvement {:+5.0}%  content {}",
-            r.selected_throughput / KB,
-            r.control_throughput / KB,
-            r.improvement() * 100.0,
-            if r.body_ok { "verified" } else { "CORRUPT" }
+            "round {round}: chose {choice:8}  selected {:6.0} KB/s  control {:6.0} KB/s  improvement {:+5.0}%  content {}",
+            rec.selected_throughput / KB,
+            rec.direct_throughput / KB,
+            rec.improvement_pct(),
+            if intact { "verified" } else { "CORRUPT" }
         );
     }
 }

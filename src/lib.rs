@@ -13,15 +13,13 @@
 //! * [`tcp`] — fluid TCP throughput model (slow start + PFTK cap).
 //! * [`http`] — HTTP/1.1 range-request subset and proxy semantics.
 //! * [`relay`] — real-socket loopback overlay (origin, relay daemon,
-//!   racing client, token-bucket shapers).
+//!   socket fetch engine, token-bucket shapers).
 //! * [`core`] — the paper's contribution: the one session runner
 //!   (probe race, then a warm, failover or mHTTP-style striped
 //!   remainder), the `PathSelector` trait and the paper's selection
 //!   policies.
 //! * [`policy`] — the topology-aware selectors: k-shortest multi-hop
 //!   chains, adaptive learner, backpressure (the §6 extension space).
-//! * [`stripe`] — the chunk claim queue of the socket-backed striped
-//!   download.
 //! * [`workload`] — PlanetLab-like scenario generator with the paper's
 //!   node roster.
 //! * [`experiments`] — the harness reproducing every table and figure of
@@ -34,6 +32,5 @@ pub use ir_policy as policy;
 pub use ir_relay as relay;
 pub use ir_simnet as simnet;
 pub use ir_stats as stats;
-pub use ir_stripe as stripe;
 pub use ir_tcp as tcp;
 pub use ir_workload as workload;

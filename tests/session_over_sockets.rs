@@ -10,7 +10,7 @@ use indirect_routing::core::{
     run_paths_session, ControlMode, FirstPortion, PathSpec, ProbeMode, SessionConfig, SimTransport,
     TransferRecord,
 };
-use indirect_routing::relay::{HarnessSpec, MiniPlanetLab, RateSchedule, RealTransport};
+use indirect_routing::relay::{body_byte, HarnessSpec, MiniPlanetLab, RateSchedule, RealTransport};
 use indirect_routing::simnet::prelude::*;
 
 const KB: f64 = 1000.0;
@@ -54,7 +54,8 @@ fn run_sim(direct_rate: f64, overlay_rate: f64, file: u64, probe: u64) -> Transf
     .0
 }
 
-/// Runs the identical session over real sockets with matching shapers.
+/// Runs the identical session over real sockets with matching shapers,
+/// and checks what the selecting process reassembled, byte for byte.
 fn run_real(direct_rate: f64, overlay_rate: f64, file: u64, probe: u64) -> TransferRecord {
     let lab = MiniPlanetLab::start(HarnessSpec {
         content_len: file,
@@ -62,17 +63,24 @@ fn run_real(direct_rate: f64, overlay_rate: f64, file: u64, probe: u64) -> Trans
         relays: vec![RateSchedule::constant(overlay_rate)],
     })
     .unwrap();
-    let (mut transport, client, server, relays) = RealTransport::for_lab(&lab);
-    run_paths_session(
+    let (mut transport, paths) = RealTransport::for_lab(&lab);
+    let (record, _) = run_paths_session(
         &mut transport,
         &mut FirstPortion,
-        PathSpec::direct(client, server),
-        &[PathSpec::indirect(client, server, relays[0])],
+        paths[0],
+        &paths[1..],
         0,
         &session_cfg(file, probe),
         None,
-    )
-    .0
+    );
+    let body = transport
+        .take_body()
+        .expect("the selecting process delivered every byte");
+    assert_eq!(body.len() as u64, file);
+    if let Some(at) = (0..file).find(|&i| body[i as usize] != body_byte(i)) {
+        panic!("reassembled body differs from the origin's at byte {at}");
+    }
+    record
 }
 
 #[test]

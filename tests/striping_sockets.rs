@@ -1,9 +1,10 @@
 //! Striped downloads over real loopback sockets.
 //!
-//! Drives `ir-relay`'s striped client — probe race, shared chunk
-//! queue, per-path workers issuing `ir-http` range requests, shared
-//! reassembly — against event-mode relay daemons, including a relay
-//! killed mid-transfer to exercise the orphan-repair path.
+//! Drives `ir-relay`'s striped client — probe race, a chunk queue the
+//! paths pull from, `ir-http` range requests on one connection per
+//! path, the engine's shared reassembly — against event-mode relay
+//! daemons, including a relay killed mid-transfer to exercise the
+//! orphan-repair path.
 
 use indirect_routing::relay::shaper::RateSchedule;
 use indirect_routing::relay::{
@@ -123,4 +124,41 @@ fn relay_killed_mid_stripe_is_repaired() {
         .map(|&(_, n)| n)
         .unwrap();
     assert!(direct_chunks > 0, "{:?}", out.chunk_counts);
+}
+
+/// A path keeps one connection for all its chunks: a relay sees the
+/// probe's connection and — unless it won the probe and kept that one
+/// warm — the one its first chunk dials, never one per chunk.
+#[test]
+fn striped_reuses_one_connection_per_path() {
+    let total = 600_000;
+    let direct =
+        OriginServer::start(OriginConfig::new(total).shaped(RateSchedule::constant(300.0 * KB)))
+            .unwrap();
+    let fast_origin = OriginServer::start(OriginConfig::new(total)).unwrap();
+    let relays = [event_relay(900.0 * KB), event_relay(500.0 * KB)];
+    let addrs: Vec<_> = relays.iter().map(|r| r.addr()).collect();
+
+    let out = download_striped(
+        direct.addr(),
+        fast_origin.addr(),
+        &addrs,
+        12,
+        &client_cfg(total),
+    )
+    .unwrap();
+    assert!(out.body_ok);
+    assert_eq!((out.failovers, out.repaired), (0, 0));
+    for (i, relay) in relays.iter().enumerate() {
+        let carried = out.chunk_counts[1 + i].1;
+        assert!(
+            carried >= 2,
+            "relay {i} carried {carried} chunks: too few to tell"
+        );
+        let accepted = relay.lifecycle().accepted;
+        assert!(
+            (1..=2).contains(&accepted),
+            "relay {i} carried {carried} chunks over {accepted} connections"
+        );
+    }
 }
