@@ -275,7 +275,8 @@ mod tests {
             ("tournament", 87, "d689d6ba2566830fdb4a3564eb0860c8"),
             ("soak", 122, "214c9a18ead83da82cc2dbcd9e0b9c17"),
         ];
-        let mut studies = crate::sweep::full_plan(2007, crate::Scale::Quick, None).studies;
+        let mut studies =
+            crate::sweep::full_plan(2007, crate::Scale::Quick, None, None, None).studies;
         studies.extend(crate::sweep::soak_plan(2007, crate::Scale::Quick).studies);
         let mut seen = Vec::new();
         for study in &studies {

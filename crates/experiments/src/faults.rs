@@ -33,37 +33,35 @@ pub const MTBF_SECS: &[u64] = &[0, 900, 300];
 /// Random-set sizes swept (the §4 selection knob).
 pub const KS: &[usize] = &[1, 3, 6];
 
-/// The fault pressure applied at a given link MTBF: outages average
-/// two minutes, a quarter of draws brown the link out to 25 %
-/// capacity, and relay nodes churn at 3× the link MTBF.
-pub fn fault_spec(mtbf_secs: u64, horizon: SimDuration) -> FaultSpec {
-    FaultSpec {
-        horizon,
+/// The seeded overlay fault plan at link MTBF `mtbf_secs`: outages
+/// average two minutes, a quarter of draws brown the link out to 25 %
+/// capacity, and relay nodes churn at 3× the link MTBF. What the CLI's
+/// `--faults` flag puts on the measurement study, and each row of this
+/// sweep carries; `mtbf_secs == 0` ("none") is the empty plan, which
+/// [`ir_simnet::sim::Network::set_fault_plan`] treats as a provable
+/// no-op — the study stays byte-identical to a run without the flag.
+pub fn fault_plan(scenario: &Scenario, mtbf_secs: u64, schedule: Schedule, seed: u64) -> FaultPlan {
+    if mtbf_secs == 0 {
+        return FaultPlan::none();
+    }
+    let spec = FaultSpec {
+        // Slack past the last scheduled start so late transfers still
+        // see fault pressure.
+        horizon: schedule.span() + SimDuration::from_secs(3600),
         link_mtbf: SimDuration::from_secs(mtbf_secs),
         link_outage_mean: SimDuration::from_secs(120),
         brownout_prob: 0.25,
         brownout_factor: 0.25,
         node_mtbf: SimDuration::from_secs(mtbf_secs * 3),
         node_downtime_mean: SimDuration::from_secs(90),
-    }
+    };
+    overlay_fault_plan(scenario, &spec, seed)
 }
 
-/// Builds the plan the CLI's `--faults` flag applies to a
-/// measurement-study scenario. `mtbf_secs == 0` ("none") returns the
-/// empty plan, which [`ir_simnet::sim::Network::set_fault_plan`]
-/// treats as a provable no-op — the study stays byte-identical to a
-/// run without the flag.
-pub fn cli_fault_plan(
-    scenario: &Scenario,
-    mtbf_secs: u64,
-    schedule: Schedule,
-    seed: u64,
-) -> FaultPlan {
-    if mtbf_secs == 0 {
-        return FaultPlan::none();
-    }
-    let horizon = schedule.span() + SimDuration::from_secs(3600);
-    overlay_fault_plan(scenario, &fault_spec(mtbf_secs, horizon), seed)
+/// The plan this sweep's `mtbf_secs` row carries (read by [`run`] and
+/// by the study's fingerprint, which hashes the plans themselves).
+pub fn sweep_fault_plan(scenario: &Scenario, mtbf_secs: u64, scale: Scale, seed: u64) -> FaultPlan {
+    fault_plan(scenario, mtbf_secs, schedule(scale), seed ^ 0xFA17)
 }
 
 /// The failover policy used throughout the sweep.
@@ -141,17 +139,37 @@ fn cell_stats(mtbf_secs: u64, k: usize, records: &[TransferRecord]) -> FaultCell
     }
 }
 
-/// The small fixed-roster scenario the sweep runs on: 3 clients ×
-/// 6 relays × 1 server, Low/Medium clients (as in §4).
-pub fn sweep_scenario(seed: u64) -> Scenario {
-    build(
-        seed,
+/// Roster slices: clients, relays, servers.
+pub type RosterSlices = (
+    &'static [roster::ClientSite],
+    &'static [roster::RelaySite],
+    &'static [roster::ServerSite],
+);
+
+/// The sweep scenario's roster: 3 clients × 6 relays × 1 server (read
+/// by [`sweep_scenario`] and by the study's fingerprint).
+pub fn sweep_roster() -> RosterSlices {
+    (
         &roster::CLIENTS[..3],
         &roster::INTERMEDIATES[..6],
         &roster::SERVERS[..1],
-        Calibration::default(),
-        true,
     )
+}
+
+/// The small fixed-roster scenario the sweep runs on: Low/Medium
+/// clients (as in §4) on [`sweep_roster`].
+pub fn sweep_scenario(seed: u64) -> Scenario {
+    let (clients, relays, servers) = sweep_roster();
+    build(seed, clients, relays, servers, Calibration::default(), true)
+}
+
+/// The sweep's schedule at a scale: 12 transfers per (client, k) at
+/// Quick, 40 at Paper (read by [`run`] and by the study's fingerprint).
+pub fn schedule(scale: Scale) -> Schedule {
+    Schedule::measurement_study().spread(match scale {
+        Scale::Quick => 12,
+        Scale::Paper => 40,
+    })
 }
 
 /// Runs the sweep: for each MTBF, a freshly built scenario carries that
@@ -159,24 +177,13 @@ pub fn sweep_scenario(seed: u64) -> Scenario {
 /// `k` runs every client against the server under [`RandomSet`]
 /// selection with failover enabled.
 pub fn run(seed: u64, scale: Scale) -> Vec<FaultCell> {
-    let transfers = match scale {
-        Scale::Quick => 12,
-        Scale::Paper => 40,
-    };
-    let schedule = Schedule::measurement_study().spread(transfers);
+    let schedule = schedule(scale);
     let session = failover_session();
 
     let mut cells: Vec<FaultCell> = Vec::new();
     for &mtbf in MTBF_SECS {
         let mut scenario = sweep_scenario(seed);
-        let plan = if mtbf == 0 {
-            FaultPlan::none()
-        } else {
-            // Slack past the last scheduled start so late transfers
-            // still see fault pressure.
-            let horizon = schedule.span() + SimDuration::from_secs(3600);
-            overlay_fault_plan(&scenario, &fault_spec(mtbf, horizon), seed ^ 0xFA17)
-        };
+        let plan = sweep_fault_plan(&scenario, mtbf, scale, seed);
         scenario.network.set_fault_plan(&plan);
         for &k in KS {
             let server = scenario.servers[0];
@@ -216,11 +223,6 @@ pub fn run(seed: u64, scale: Scale) -> Vec<FaultCell> {
         };
     }
     cells
-}
-
-/// Builds the faults report.
-pub fn report(seed: u64, scale: Scale) -> Report {
-    report_of(&run(seed, scale))
 }
 
 /// Builds the faults report from precomputed (possibly cache-restored)
@@ -388,7 +390,7 @@ mod tests {
 
     #[test]
     fn report_has_cells_and_csv() {
-        let r = report(11, Scale::Quick);
+        let r = report_of(&run(11, Scale::Quick));
         assert_eq!(r.id, "faults");
         assert_eq!(r.csv.len(), 1);
         let lines = r.csv[0].1.lines().count();

@@ -33,13 +33,19 @@ pub struct Headroom {
 }
 ir_artifact::declare! { Codec for struct Headroom { client, oracle_pct, random10_pct, static_pct } }
 
+/// The oracle's look-ahead for a whole-file rate (read by [`run`] and
+/// by the study's fingerprint, like [`RANDOM_SET_K`]).
+pub const ORACLE_HORIZON: SimDuration = SimDuration::from_secs(1200);
+
+/// Random-set size of the probing policy the oracle is compared with.
+pub const RANDOM_SET_K: usize = 10;
+
 /// Computes oracle/random-set/static improvements for every client of
 /// the §4 scenario.
 pub fn run(seed: u64, transfers: u64) -> Vec<Headroom> {
     let scenario = selection_study(seed);
     let schedule = Schedule::selection_study().spread(transfers);
     let session = SessionConfig::paper_defaults();
-    let horizon = SimDuration::from_secs(1200);
 
     scenario
         .clients
@@ -59,7 +65,7 @@ pub fn run(seed: u64, transfers: u64) -> Vec<Headroom> {
                 let direct = transport.oracle_throughput(
                     &PathSpec::direct(client, server),
                     session.file_bytes,
-                    horizon,
+                    ORACLE_HORIZON,
                 );
                 let best_indirect = scenario
                     .relays
@@ -68,7 +74,7 @@ pub fn run(seed: u64, transfers: u64) -> Vec<Headroom> {
                         transport.oracle_throughput(
                             &PathSpec::indirect(client, server, v),
                             session.file_bytes,
-                            horizon,
+                            ORACLE_HORIZON,
                         )
                     })
                     .fold(f64::NEG_INFINITY, f64::max);
@@ -94,7 +100,7 @@ pub fn run(seed: u64, transfers: u64) -> Vec<Headroom> {
                 client,
                 server,
                 &scenario.relays,
-                Box::new(RandomSet::new(10, seed)),
+                Box::new(RandomSet::new(RANDOM_SET_K, seed)),
                 schedule,
                 &session,
             ));
@@ -118,11 +124,6 @@ pub fn run(seed: u64, transfers: u64) -> Vec<Headroom> {
             }
         })
         .collect()
-}
-
-/// Builds the headroom report.
-pub fn report(seed: u64, transfers: u64) -> Report {
-    report_of(&run(seed, transfers))
 }
 
 /// Builds the headroom report from precomputed (possibly
@@ -199,7 +200,7 @@ mod tests {
 
     #[test]
     fn headroom_report_orders_sensibly() {
-        let r = report(5, 8);
+        let r = report_of(&run(5, 8));
         assert!(r.render().contains("oracle"), "{}", r.render());
         // The oracle must not lose to the probing policy by any real
         // margin (it knows the future).

@@ -26,7 +26,12 @@
 //!
 //! [`runner`] drives the two studies; each artefact module turns study
 //! data into a [`report::Report`] with paper-vs-measured checks and CSV
-//! series. The `experiments` binary wraps it all in a CLI.
+//! series. The table above is code: [`MEASUREMENT_ARTEFACTS`] and
+//! [`SELECTION_ARTEFACTS`] map artefact → renderer per study, and
+//! [`sweep::full_plan`] maps every artefact (extensions included) to
+//! the study it consumes. The `experiments` binary is a CLI over that
+//! one plan: a command selects artefacts ([`sweep::SweepPlan::select`])
+//! and [`sweep::run_sweep`] runs the studies they need.
 
 pub mod codec;
 pub mod faults;
@@ -55,28 +60,47 @@ pub mod variability;
 
 pub use report::{Check, Report};
 pub use runner::{
-    effective_worker_threads, measurement_study_default, measurement_study_default_traced,
-    run_measurement_study, run_measurement_study_traced, run_selection_study,
-    run_selection_study_traced, selection_study_default, selection_study_default_traced,
-    set_worker_threads, MeasurementData, PairRun, Scale, SelectionData, SelectionRun, FIG6_KS,
+    effective_worker_threads, measurement_study_default, run_measurement_study,
+    run_measurement_study_traced, run_selection_study, run_selection_study_traced,
+    selection_study_default, set_worker_threads, MeasurementData, PairRun, Scale, SelectionData,
+    SelectionRun, FIG6_KS,
 };
+
+/// The artefacts of a study whose data is a `T`: name and renderer, in
+/// emission order.
+pub type Artefacts<T> = [(&'static str, fn(&T) -> Report)];
+
+/// The measurement study's artefacts. The one list
+/// [`measurement_reports`], the sweep plan and the CLI's `measurement`
+/// group read.
+pub const MEASUREMENT_ARTEFACTS: &Artefacts<MeasurementData> = &[
+    ("fig1", fig1::report),
+    ("fig2", fig2::report),
+    ("table1", table1::report),
+    ("table2", table2::report),
+    ("fig3", fig3::report),
+    ("fig4", fig4::report),
+    ("fig5", fig5::report),
+    ("variability", variability::report),
+    ("overhead", overhead::report),
+];
+
+/// The selection study's artefacts (see [`MEASUREMENT_ARTEFACTS`]).
+pub const SELECTION_ARTEFACTS: &Artefacts<SelectionData> =
+    &[("fig6", fig6::report), ("table3", table3::report)];
 
 /// Runs every measurement-study artefact on shared data.
 pub fn measurement_reports(data: &MeasurementData) -> Vec<Report> {
-    vec![
-        fig1::report(data),
-        fig2::report(data),
-        table1::report(data),
-        table2::report(data),
-        fig3::report(data),
-        fig4::report(data),
-        fig5::report(data),
-        variability::report(data),
-        overhead::report(data),
-    ]
+    MEASUREMENT_ARTEFACTS
+        .iter()
+        .map(|&(_, render)| render(data))
+        .collect()
 }
 
 /// Runs every selection-study artefact on shared data.
 pub fn selection_reports(data: &SelectionData) -> Vec<Report> {
-    vec![fig6::report(data), table3::report(data)]
+    SELECTION_ARTEFACTS
+        .iter()
+        .map(|&(_, render)| render(data))
+        .collect()
 }

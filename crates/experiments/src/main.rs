@@ -1,5 +1,11 @@
 //! `experiments` — CLI reproducing the paper's tables and figures.
 //!
+//! One driver: a command selects artefacts from the sweep plan
+//! (`sweep::full_plan`; `SweepPlan::select`), the scheduler runs the
+//! studies they consume — each at most once — and one printer emits the
+//! reports in plan order. stderr carries one `running <command> …` line
+//! before and one `<study> <source> <ms>` line per study after.
+//!
 //! ```text
 //! experiments <artefact> [--seed N] [--scale quick|paper] [--csv DIR]
 //!             [--cal FILE] [--threads N] [--trace FILE] [--metrics]
@@ -44,9 +50,12 @@
 //!            cache-gc    (artefact-cache maintenance: drop corrupt
 //!                         entries, evict oldest until under
 //!                         --max-bytes)
-//!            all         (everything above except soak, scenario,
-//!                         sweep and cache-gc; no cache)
+//!            all         (every artefact of the plan, in plan order,
+//!                         then robustness; no cache)
 //! ```
+//!
+//! Only `sweep`, `soak` and `cache-gc` touch the cache; every other
+//! command computes what it prints.
 //!
 //! `--threads 0` restores the default worker count (one per available
 //! core) after an earlier cap in the same process.
@@ -54,7 +63,9 @@
 //! `--faults MTBF_SECS` injects a seeded overlay fault plan (link MTBF
 //! in seconds) into the measurement study and enables session failover;
 //! `--faults none` installs the empty plan, which is a provable no-op —
-//! artefacts stay byte-identical to a run without the flag.
+//! artefacts stay byte-identical to a run without the flag. `--cal` and
+//! `--faults` shape the measurement study only, under every command
+//! that runs it (`sweep` included: its cache key covers both).
 //!
 //! `--trace FILE` writes a Chrome `trace_event` JSON of the study to
 //! FILE (open in `chrome://tracing` or Perfetto); `--metrics` prints a
@@ -62,10 +73,9 @@
 //! strictly observational: artefact numbers are bit-identical with and
 //! without them.
 
-use ir_experiments::{
-    measurement_reports, measurement_study_default_traced, selection_reports,
-    selection_study_default_traced, Report, Scale, FIG6_KS,
-};
+use ir_artifact::{ArtifactCache, ExecReport};
+use ir_experiments::sweep::{self, SweepPlan};
+use ir_experiments::{inspect, robustness, Scale};
 use ir_telemetry::Telemetry;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -91,15 +101,15 @@ struct Args {
 }
 
 fn usage() -> ! {
+    let artefacts: Vec<&str> = sweep::SALTS.iter().map(|&(name, _)| name).collect();
     eprintln!(
         "usage: experiments <artefact> [--seed N] [--scale quick|paper] [--csv DIR] [--cal FILE]\n\
          \x20                           [--threads N] [--trace FILE] [--metrics]\n\
          \x20                           [--faults none|MTBF_SECS]\n\
          \x20                           [--cache-dir DIR|none] [--max-bytes N]\n\
-         artefacts: fig1 fig2 fig3 fig4 fig5 fig6 table1 table2 table3\n\
-         \x20          variability overhead\n\
-         \x20          measurement selection sites headroom faults striping megaflow\n\
-         \x20          tournament soak scenario robustness sweep cache-gc all"
+         artefacts: {}\n\
+         \x20          measurement selection all sweep scenario robustness cache-gc",
+        artefacts.join(" ")
     );
     std::process::exit(2);
 }
@@ -195,29 +205,90 @@ fn parse_args() -> Args {
     args
 }
 
-fn emit(reports: &[Report], csv_dir: &Option<PathBuf>) -> bool {
-    let mut ok = true;
-    for r in reports {
-        println!("{}", r.render());
-        if let Some(dir) = csv_dir {
-            match r.write_csv(dir) {
-                Ok(files) => {
-                    for f in files {
-                        println!("wrote {}", f.display());
-                    }
-                }
-                Err(e) => {
-                    eprintln!("csv write failed: {e}");
-                    ok = false;
-                }
-            }
+fn cache_gc(args: &Args) -> ExitCode {
+    let Some(dir) = &args.cache_dir else {
+        eprintln!("cache-gc needs a cache directory (omit --cache-dir none)");
+        return ExitCode::FAILURE;
+    };
+    match ArtifactCache::open(dir).and_then(|c| c.gc(args.gc_max_bytes)) {
+        Ok(r) => {
+            println!(
+                "cache-gc {}: scanned {}, removed {} corrupt, evicted {}, {} bytes kept",
+                dir.display(),
+                r.scanned,
+                r.corrupt_removed,
+                r.evicted,
+                r.bytes_after
+            );
+            ExitCode::SUCCESS
         }
-        if !r.all_pass() {
-            ok = false;
+        Err(e) => {
+            eprintln!("cache-gc failed for {}: {e}", dir.display());
+            ExitCode::FAILURE
         }
-        println!();
     }
-    ok
+}
+
+/// What the command runs: the soak's own plan, or the command's
+/// selection from the full plan plus the two artefacts no study feeds.
+fn plan_for(args: &Args, tel: Option<Arc<Telemetry>>) -> SweepPlan {
+    let command = args.artefact.as_str();
+    let seed = args.seed;
+    let mut plan = match command {
+        // Real sockets + wall clock: the soak never rides along with
+        // the deterministic `all`/`sweep` bundles.
+        "soak" => return sweep::soak_plan(seed, args.scale),
+        "scenario" | "robustness" => SweepPlan::default(),
+        _ => sweep::full_plan(seed, args.scale, args.cal, args.faults, tel)
+            .select(command)
+            .unwrap_or_else(|| usage()),
+    };
+    if matches!(command, "robustness" | "all") {
+        let render = || robustness::report(robustness::DEFAULT_SEEDS);
+        plan.artefacts.push(sweep::uncached("robustness", render));
+    }
+    if command == "scenario" {
+        let render = move || inspect::report(seed);
+        plan.artefacts.push(sweep::uncached("scenario", render));
+    }
+    plan
+}
+
+/// `sweep`'s closing block: where every study and artefact came from.
+fn print_summary(report: &ExecReport, wall_secs: f64) {
+    println!("== sweep summary ==");
+    for s in &report.studies {
+        println!(
+            "study    {:<24} {:>12?} {:>9.1}ms  {}",
+            s.name,
+            s.source,
+            s.wall.as_secs_f64() * 1e3,
+            s.fingerprint.to_hex()
+        );
+    }
+    for a in &report.artefacts {
+        println!(
+            "artefact {:<24} {:>12?} {:>9.1}ms  {}",
+            a.name,
+            a.source,
+            a.wall.as_secs_f64() * 1e3,
+            a.fingerprint.to_hex()
+        );
+    }
+    println!(
+        "{} artefacts ({} from cache), {} studies executed; cache {} hits / {} misses / \
+         {} stores / {} corrupt (hit rate {:.0}%); wall {:.1}s",
+        report.artefacts.len(),
+        report.artefact_hits(),
+        report.studies_executed(),
+        report.cache_hits,
+        report.cache_misses,
+        report.cache_stores,
+        report.cache_corrupt,
+        report.hit_rate() * 100.0,
+        wall_secs
+    );
+    println!();
 }
 
 fn main() -> ExitCode {
@@ -225,28 +296,9 @@ fn main() -> ExitCode {
     if let Some(n) = args.threads {
         ir_experiments::set_worker_threads(n);
     }
-    if args.artefact == "cache-gc" {
-        let Some(dir) = &args.cache_dir else {
-            eprintln!("cache-gc needs a cache directory (omit --cache-dir none)");
-            return ExitCode::FAILURE;
-        };
-        return match ir_artifact::ArtifactCache::open(dir).and_then(|c| c.gc(args.gc_max_bytes)) {
-            Ok(r) => {
-                println!(
-                    "cache-gc {}: scanned {}, removed {} corrupt, evicted {}, {} bytes kept",
-                    dir.display(),
-                    r.scanned,
-                    r.corrupt_removed,
-                    r.evicted,
-                    r.bytes_after
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("cache-gc failed for {}: {e}", dir.display());
-                ExitCode::FAILURE
-            }
-        };
+    let command = args.artefact.as_str();
+    if command == "cache-gc" {
+        return cache_gc(&args);
     }
     // One shared handle for every study this invocation runs; None
     // (the default) keeps every layer on its no-op path.
@@ -255,322 +307,54 @@ fn main() -> ExitCode {
     } else {
         None
     };
-    let needs_measurement = matches!(
-        args.artefact.as_str(),
-        "fig1"
-            | "fig2"
-            | "fig3"
-            | "fig4"
-            | "fig5"
-            | "table1"
-            | "table2"
-            | "variability"
-            | "overhead"
-            | "measurement"
-            | "all"
+    let plan = plan_for(&args, tel.clone());
+    // Only `sweep` and `soak` read and write the artefact cache; every
+    // other command computes what it prints.
+    let cache = match &args.cache_dir {
+        Some(dir) if matches!(command, "sweep" | "soak") => match ArtifactCache::open(dir) {
+            Ok(c) => Some(c),
+            Err(e) => {
+                eprintln!("cannot open cache at {}: {e}", dir.display());
+                return ExitCode::FAILURE;
+            }
+        },
+        _ => None,
+    };
+
+    eprintln!(
+        "running {command} (seed {}, {:?} scale)...",
+        args.seed, args.scale
     );
-    let needs_selection = matches!(
-        args.artefact.as_str(),
-        "fig6" | "table3" | "selection" | "all"
-    );
-    let needs_sites = matches!(args.artefact.as_str(), "sites" | "all");
-    let needs_headroom = matches!(args.artefact.as_str(), "headroom" | "all");
-    let needs_faults = matches!(args.artefact.as_str(), "faults" | "all");
-    let needs_striping = matches!(args.artefact.as_str(), "striping" | "all");
-    let needs_megaflow = matches!(args.artefact.as_str(), "megaflow" | "all");
-    let needs_tournament = matches!(args.artefact.as_str(), "tournament" | "all");
-    let needs_scenario = args.artefact == "scenario";
-    let needs_robustness = matches!(args.artefact.as_str(), "robustness" | "all");
-    let needs_sweep = args.artefact == "sweep";
-    // Real sockets + wall clock: the soak never rides along with the
-    // deterministic `all`/`sweep` bundles.
-    let needs_soak = args.artefact == "soak";
-    if !needs_measurement
-        && !needs_selection
-        && !needs_sites
-        && !needs_headroom
-        && !needs_faults
-        && !needs_striping
-        && !needs_megaflow
-        && !needs_tournament
-        && !needs_scenario
-        && !needs_robustness
-        && !needs_sweep
-        && !needs_soak
+    let t0 = std::time::Instant::now();
+    let report = match sweep::run_sweep(plan, cache.as_ref(), args.csv_dir.as_deref(), tel.as_ref())
     {
-        usage();
-    }
-
-    let mut ok = true;
-
-    if needs_sweep {
-        let cache = match &args.cache_dir {
-            Some(dir) => match ir_artifact::ArtifactCache::open(dir) {
-                Ok(c) => Some(c),
-                Err(e) => {
-                    eprintln!("cannot open cache at {}: {e}", dir.display());
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => None,
-        };
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("{command} failed: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    for s in &report.studies {
         eprintln!(
-            "running artefact sweep (seed {}, {:?} scale, cache: {})...",
-            args.seed,
-            args.scale,
-            match &args.cache_dir {
-                Some(d) => d.display().to_string(),
-                None => "disabled".into(),
-            }
+            "{} {:?} {:.1}ms",
+            s.name,
+            s.source,
+            s.wall.as_secs_f64() * 1e3
         );
-        let t0 = std::time::Instant::now();
-        let plan = ir_experiments::sweep::full_plan(args.seed, args.scale, tel.clone());
-        let report = match ir_experiments::sweep::run_sweep(
-            plan,
-            cache.as_ref(),
-            args.csv_dir.as_deref(),
-            tel.as_ref(),
-        ) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("sweep failed: {e}");
-                return ExitCode::FAILURE;
+    }
+    for a in &report.artefacts {
+        println!("{}", a.output.text);
+        if let Some(dir) = &args.csv_dir {
+            for (file, _) in &a.output.files {
+                println!("wrote {}", dir.join(file).display());
             }
-        };
-        for a in &report.artefacts {
-            println!("{}", a.output.text);
-            println!();
         }
-        println!("== sweep summary ==");
-        for s in &report.studies {
-            println!(
-                "study    {:<24} {:>12?} {:>9.1}ms  {}",
-                s.name,
-                s.source,
-                s.wall.as_secs_f64() * 1e3,
-                s.fingerprint.to_hex()
-            );
-        }
-        for a in &report.artefacts {
-            println!(
-                "artefact {:<24} {:>12?} {:>9.1}ms  {}",
-                a.name,
-                a.source,
-                a.wall.as_secs_f64() * 1e3,
-                a.fingerprint.to_hex()
-            );
-        }
-        println!(
-            "{} artefacts ({} from cache), {} studies executed; cache {} hits / {} misses / \
-             {} stores / {} corrupt (hit rate {:.0}%); wall {:.1}s",
-            report.artefacts.len(),
-            report.artefact_hits(),
-            report.studies_executed(),
-            report.cache_hits,
-            report.cache_misses,
-            report.cache_stores,
-            report.cache_corrupt,
-            report.hit_rate() * 100.0,
-            t0.elapsed().as_secs_f64()
-        );
         println!();
-        ok &= report.all_pass();
     }
-
-    if needs_soak {
-        let cache = match &args.cache_dir {
-            Some(dir) => match ir_artifact::ArtifactCache::open(dir) {
-                Ok(c) => Some(c),
-                Err(e) => {
-                    eprintln!("cannot open cache at {}: {e}", dir.display());
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => None,
-        };
-        let cfg = ir_experiments::sweep::soak_config(args.scale);
-        eprintln!(
-            "running relay soak (seed {}, {:?} scale, {} clients)...",
-            args.seed, args.scale, cfg.clients
-        );
-        let t0 = std::time::Instant::now();
-        let plan = ir_experiments::sweep::soak_plan(args.seed, args.scale);
-        let report = match ir_experiments::sweep::run_sweep(
-            plan,
-            cache.as_ref(),
-            args.csv_dir.as_deref(),
-            tel.as_ref(),
-        ) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("soak failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        for a in &report.artefacts {
-            println!("{}", a.output.text);
-            println!();
-        }
-        eprintln!(
-            "soak: {:?} in {:.1}s",
-            report.artefacts[0].source,
-            t0.elapsed().as_secs_f64()
-        );
-        ok &= report.all_pass();
+    if command == "sweep" {
+        print_summary(&report, t0.elapsed().as_secs_f64());
     }
-
-    if needs_measurement {
-        eprintln!(
-            "running measurement study (seed {}, {:?} scale)...",
-            args.seed, args.scale
-        );
-        let t0 = std::time::Instant::now();
-        let data = match (&args.cal, args.faults) {
-            (None, None) => measurement_study_default_traced(args.seed, args.scale, tel.clone()),
-            (cal, faults) => {
-                // Decomposed default path so that `--faults none` and
-                // a custom calibration share one code path; with the
-                // empty plan it is byte-identical to the branch above.
-                let mut scenario = match cal {
-                    None => ir_workload::planetlab_study(args.seed),
-                    Some(cal) => ir_workload::build(
-                        args.seed,
-                        ir_workload::roster::CLIENTS,
-                        ir_workload::roster::INTERMEDIATES,
-                        ir_workload::roster::SERVERS,
-                        *cal,
-                        false,
-                    ),
-                };
-                let schedule = ir_workload::Schedule::measurement_study()
-                    .spread(args.scale.measurement_transfers());
-                let mut session = ir_core::SessionConfig::paper_defaults();
-                if let Some(mtbf) = faults {
-                    let plan = ir_experiments::faults::cli_fault_plan(
-                        &scenario, mtbf, schedule, args.seed,
-                    );
-                    scenario.network.set_fault_plan(&plan);
-                    if mtbf > 0 {
-                        session.failover = Some(ir_core::FailoverConfig::paper_defaults());
-                    }
-                }
-                ir_experiments::run_measurement_study_traced(
-                    &scenario,
-                    0,
-                    schedule,
-                    session,
-                    tel.clone(),
-                )
-            }
-        };
-        eprintln!(
-            "measurement study: {} records in {:.1}s",
-            data.all_records().count(),
-            t0.elapsed().as_secs_f64()
-        );
-        let reports = measurement_reports(&data);
-        let wanted: Vec<Report> = reports
-            .into_iter()
-            .filter(|r| {
-                matches!(args.artefact.as_str(), "measurement" | "all") || r.id == args.artefact
-            })
-            .collect();
-        ok &= emit(&wanted, &args.csv_dir);
-    }
-
-    if needs_selection {
-        eprintln!(
-            "running selection study (seed {}, {:?} scale)...",
-            args.seed, args.scale
-        );
-        let t0 = std::time::Instant::now();
-        let data = selection_study_default_traced(args.seed, args.scale, FIG6_KS, tel.clone());
-        eprintln!(
-            "selection study: {} runs in {:.1}s",
-            data.runs.len(),
-            t0.elapsed().as_secs_f64()
-        );
-        let reports = selection_reports(&data);
-        let wanted: Vec<Report> = reports
-            .into_iter()
-            .filter(|r| {
-                matches!(args.artefact.as_str(), "selection" | "all") || r.id == args.artefact
-            })
-            .collect();
-        ok &= emit(&wanted, &args.csv_dir);
-    }
-
-    if needs_sites {
-        eprintln!("running per-site study (seed {})...", args.seed);
-        let transfers = match args.scale {
-            Scale::Quick => 8,
-            Scale::Paper => 25,
-        };
-        let r = ir_experiments::sites::report(args.seed, transfers);
-        ok &= emit(&[r], &args.csv_dir);
-    }
-
-    if needs_faults {
-        eprintln!(
-            "running fault-plane study (seed {}, {:?} scale)...",
-            args.seed, args.scale
-        );
-        let r = ir_experiments::faults::report(args.seed, args.scale);
-        ok &= emit(&[r], &args.csv_dir);
-    }
-
-    if needs_striping {
-        eprintln!(
-            "running striping study (seed {}, {:?} scale)...",
-            args.seed, args.scale
-        );
-        let r = ir_experiments::striping::report(args.seed, args.scale);
-        ok &= emit(&[r], &args.csv_dir);
-    }
-
-    if needs_megaflow {
-        let cfg = ir_experiments::sweep::megaflow_config(args.scale);
-        eprintln!(
-            "running megaflow study (seed {}, {:?} scale, {} flows)...",
-            args.seed,
-            args.scale,
-            cfg.total_flows()
-        );
-        let t0 = std::time::Instant::now();
-        let r = ir_experiments::megaflow::report(args.seed, &cfg, Default::default());
-        eprintln!("megaflow study: done in {:.1}s", t0.elapsed().as_secs_f64());
-        ok &= emit(&[r], &args.csv_dir);
-    }
-
-    if needs_tournament {
-        eprintln!(
-            "running policy tournament (seed {}, {:?} scale)...",
-            args.seed, args.scale
-        );
-        let r = ir_experiments::tournament::report(args.seed, args.scale);
-        ok &= emit(&[r], &args.csv_dir);
-    }
-
-    if needs_robustness {
-        eprintln!("running seed-robustness sweep...");
-        let r = ir_experiments::robustness::report(ir_experiments::robustness::DEFAULT_SEEDS);
-        ok &= emit(&[r], &args.csv_dir);
-    }
-
-    if needs_scenario {
-        let r = ir_experiments::inspect::report(args.seed);
-        ok &= emit(&[r], &args.csv_dir);
-    }
-
-    if needs_headroom {
-        eprintln!("running oracle headroom study (seed {})...", args.seed);
-        let transfers = match args.scale {
-            Scale::Quick => 30,
-            Scale::Paper => 120,
-        };
-        let r = ir_experiments::headroom::report(args.seed, transfers);
-        ok &= emit(&[r], &args.csv_dir);
-    }
+    let mut ok = report.all_pass();
 
     if let Some(tel) = &tel {
         if let Some(path) = &args.trace_file {

@@ -253,12 +253,6 @@ pub fn run(
     }
 }
 
-/// Runs the megaflow study at its scale's geometry and renders the
-/// report (the CLI path).
-pub fn report(seed: u64, cfg: &MegaflowConfig, engine: EngineMode) -> Report {
-    report_of(&run(seed, cfg, engine, None))
-}
-
 /// Renders the report from a (possibly cache-restored) result.
 pub fn report_of(r: &MegaflowResult) -> Report {
     let mut table = ir_stats::TextTable::new()
@@ -420,7 +414,12 @@ mod tests {
 
     #[test]
     fn report_passes_its_checks() {
-        let r = report(2007, &MegaflowConfig::mini(), EngineMode::Incremental);
+        let r = report_of(&run(
+            2007,
+            &MegaflowConfig::mini(),
+            EngineMode::Incremental,
+            None,
+        ));
         assert!(r.all_pass(), "{}", r.render());
         assert!(r.render().contains("megaflow"), "{}", r.render());
     }

@@ -18,7 +18,7 @@ use ir_core::{
     run_session, FirstPortion, PathCtx, PathSelector, RandomSet, SessionConfig, SimTransport,
     StaticSingle, TransferRecord, Transport, UtilizationTracker,
 };
-use ir_simnet::time::{SimDuration, SimTime};
+use ir_simnet::time::SimTime;
 use ir_simnet::topology::NodeId;
 use ir_telemetry::trace::{Event, EventKind};
 use ir_telemetry::Telemetry;
@@ -476,52 +476,27 @@ pub fn run_selection_study_traced(
 /// Convenience: the measurement study at a given scale with default
 /// session parameters (x = 100 KB, n = 2 MB).
 pub fn measurement_study_default(seed: u64, scale: Scale) -> MeasurementData {
-    measurement_study_default_traced(seed, scale, None)
-}
-
-/// [`measurement_study_default`] with an optional telemetry handle.
-pub fn measurement_study_default_traced(
-    seed: u64,
-    scale: Scale,
-    tel: Option<Arc<Telemetry>>,
-) -> MeasurementData {
     let scenario = ir_workload::planetlab_study(seed);
     let schedule = Schedule::measurement_study().spread(scale.measurement_transfers());
-    run_measurement_study_traced(&scenario, 0, schedule, SessionConfig::paper_defaults(), tel)
+    run_measurement_study(&scenario, 0, schedule, SessionConfig::paper_defaults())
 }
 
 /// Convenience: the selection study at a given scale.
 pub fn selection_study_default(seed: u64, scale: Scale, ks: &[usize]) -> SelectionData {
-    selection_study_default_traced(seed, scale, ks, None)
-}
-
-/// [`selection_study_default`] with an optional telemetry handle.
-pub fn selection_study_default_traced(
-    seed: u64,
-    scale: Scale,
-    ks: &[usize],
-    tel: Option<Arc<Telemetry>>,
-) -> SelectionData {
     let scenario = ir_workload::selection_study(seed);
     let schedule = Schedule::selection_study().spread(scale.selection_transfers());
-    run_selection_study_traced(
+    run_selection_study(
         &scenario,
         ks,
         schedule,
         SessionConfig::paper_defaults(),
         seed,
-        tel,
     )
 }
 
 /// The k sweep used by Fig 6 (a subsample of 1..=35 that brackets the
 /// paper's knee at k ≈ 10).
 pub const FIG6_KS: &[usize] = &[1, 2, 3, 5, 7, 10, 15, 20, 25, 30, 35];
-
-/// Duration helper re-exported for CLI flags.
-pub fn secs(s: u64) -> SimDuration {
-    SimDuration::from_secs(s)
-}
 
 #[cfg(test)]
 mod tests {

@@ -48,11 +48,6 @@ pub fn run(seed: u64, transfers_per_pair: u64) -> Vec<SiteResult> {
         .collect()
 }
 
-/// Builds the per-site report.
-pub fn report(seed: u64, transfers_per_pair: u64) -> Report {
-    report_of(&run(seed, transfers_per_pair))
-}
-
 /// Builds the per-site report from precomputed (possibly
 /// cache-restored) study results.
 pub fn report_of(results: &[SiteResult]) -> Report {
@@ -125,7 +120,7 @@ mod tests {
 
     #[test]
     fn sites_report_covers_all_four() {
-        let r = report(5, 3);
+        let r = report_of(&run(5, 3));
         let text = r.render();
         for site in ["eBay", "Google", "Microsoft", "Yahoo"] {
             assert!(text.contains(site), "missing {site}");

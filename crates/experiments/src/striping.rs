@@ -354,11 +354,6 @@ pub fn run(_seed: u64, scale: Scale) -> Vec<StripeCell> {
     })
 }
 
-/// Builds the striping report.
-pub fn report(seed: u64, scale: Scale) -> Report {
-    report_of(&run(seed, scale))
-}
-
 /// Builds the striping report from precomputed (possibly
 /// cache-restored) sweep cells.
 pub fn report_of(cells: &[StripeCell]) -> Report {
@@ -600,7 +595,7 @@ mod tests {
 
     #[test]
     fn report_has_cells_and_csv() {
-        let r = report(11, Scale::Quick);
+        let r = report_of(&run(11, Scale::Quick));
         assert_eq!(r.id, "striping");
         assert_eq!(r.csv.len(), 1);
         let lines = r.csv[0].1.lines().count();

@@ -18,27 +18,30 @@
 //! Study fingerprints hash **every input that determines the output**:
 //! the seed, rosters, [`Calibration`], [`Schedule`], [`SessionConfig`],
 //! sweep constants (`ks`, MTBFs), the generated fault plans, and
-//! [`CODEC_VERSION`]. Artefact fingerprints hash the artefact name, its
-//! per-artefact code-version salt ([`SALTS`] — bump when render logic
-//! changes), and its study fingerprints. Same inputs ⇒ same key ⇒ a
-//! warm cache reproduces every artefact byte-for-byte without running a
-//! single study; any changed input misses cleanly.
+//! [`CODEC_VERSION`] — each read from the name the study body itself
+//! reads, so changing a study moves its key. Artefact fingerprints hash
+//! the artefact name, its per-artefact code-version salt ([`SALTS`] —
+//! bump when render logic changes), and its study fingerprints. Same
+//! inputs ⇒ same key ⇒ a warm cache reproduces every artefact
+//! byte-for-byte without running a single study; any changed input
+//! misses cleanly.
+//!
+//! The plan is also the `experiments` CLI's only driver: every command
+//! is a [`SweepPlan::select`]ion from [`full_plan`] run through
+//! [`run_sweep`] (the soak has its own [`soak_plan`]).
 
 use crate::report::Report;
-use crate::runner::{
-    measurement_study_default_traced, run_measurement_study, selection_study_default_traced,
-    MeasurementData, Scale, SelectionData, FIG6_KS,
-};
+use crate::runner::{run_measurement_study_traced, run_selection_study_traced, Scale, FIG6_KS};
 use crate::{
-    faults, fig1, fig2, fig3, fig4, fig5, fig6, headroom, megaflow, overhead, sites, soak,
-    striping, table1, table2, table3, tournament, variability,
+    faults, headroom, megaflow, sites, soak, striping, tournament, Artefacts,
+    MEASUREMENT_ARTEFACTS, SELECTION_ARTEFACTS,
 };
 use ir_artifact::{
-    execute, ArtefactOutput, ArtefactSpec, ArtifactCache, ExecReport, Fingerprint, StableHash,
-    StableHasher, StudySpec,
+    execute, fingerprint_of, ArtefactOutput, ArtefactSpec, ArtifactCache, ExecReport, Fingerprint,
+    StableHash, StableHasher, StudySpec,
 };
-use ir_core::SessionConfig;
-use ir_simnet::time::SimDuration;
+use ir_core::{FailoverConfig, SessionConfig};
+use ir_simnet::faults::FaultPlan;
 use ir_simnet::topology::LinkId;
 use ir_telemetry::trace::{Event, EventKind};
 use ir_telemetry::Telemetry;
@@ -89,11 +92,33 @@ fn salt_of(name: &str) -> u64 {
 }
 
 /// A declared sweep: studies plus the artefacts consuming them.
+#[derive(Default)]
 pub struct SweepPlan {
     /// Every study any artefact may demand.
     pub studies: Vec<StudySpec>,
     /// Artefacts in emission order.
     pub artefacts: Vec<ArtefactSpec>,
+}
+
+impl SweepPlan {
+    /// Keeps the artefacts a CLI name selects, in plan order: one
+    /// artefact, every artefact of the `measurement` / `selection`
+    /// study, or everything for `all` / `sweep`; `None` when the name
+    /// selects nothing. The studies stay declared — [`execute`] is
+    /// demand-driven, so one no kept artefact consumes never runs.
+    pub fn select(mut self, name: &str) -> Option<SweepPlan> {
+        fn names<T>(table: &Artefacts<T>) -> Vec<&'static str> {
+            table.iter().map(|a| a.0).collect()
+        }
+        let keep: Vec<&str> = match name {
+            "all" | "sweep" => return Some(self),
+            "measurement" => names(MEASUREMENT_ARTEFACTS),
+            "selection" => names(SELECTION_ARTEFACTS),
+            one => vec![one],
+        };
+        self.artefacts.retain(|a| keep.contains(&a.name.as_str()));
+        (!self.artefacts.is_empty()).then_some(self)
+    }
 }
 
 fn artefact_fingerprint(name: &str, deps: &[Fingerprint]) -> Fingerprint {
@@ -106,7 +131,9 @@ fn artefact_fingerprint(name: &str, deps: &[Fingerprint]) -> Fingerprint {
     h.finish()
 }
 
-fn output_of(r: &Report) -> ArtefactOutput {
+/// A report as the bundle the scheduler caches, the CLI prints and
+/// [`run_sweep`] writes out.
+pub fn output_of(r: &Report) -> ArtefactOutput {
     ArtefactOutput {
         pass: r.all_pass(),
         text: r.render(),
@@ -150,51 +177,90 @@ fn measurement_fingerprint(
     h.finish()
 }
 
-fn measurement_report_fn(name: &str) -> fn(&MeasurementData) -> Report {
-    match name {
-        "fig1" => fig1::report,
-        "fig2" => fig2::report,
-        "fig3" => fig3::report,
-        "fig4" => fig4::report,
-        "fig5" => fig5::report,
-        "table1" => table1::report,
-        "table2" => table2::report,
-        "variability" => variability::report,
-        "overhead" => overhead::report,
-        other => panic!("{other:?} is not a measurement artefact"),
-    }
-}
-
-fn measurement_artefact(name: &'static str, dep: Fingerprint) -> ArtefactSpec {
-    let render = measurement_report_fn(name);
+/// The artefact `name`: renders the `T` its one study `dep` produced.
+fn artefact<T: 'static>(
+    name: &'static str,
+    dep: Fingerprint,
+    render: impl Fn(&T) -> Report + 'static,
+) -> ArtefactSpec {
     ArtefactSpec {
         name: name.to_string(),
         fingerprint: artefact_fingerprint(name, &[dep]),
         deps: vec![dep],
         render: Box::new(move |inputs| {
-            output_of(&render(inputs[0].downcast_ref().expect("measurement data")))
+            let data = inputs[0].downcast_ref::<T>();
+            output_of(&render(data.expect("study output of its declared type")))
         }),
     }
 }
 
-fn selection_artefact(name: &'static str, dep: Fingerprint) -> ArtefactSpec {
-    let render: fn(&SelectionData) -> Report = match name {
-        "fig6" => fig6::report,
-        "table3" => table3::report,
-        other => panic!("{other:?} is not a selection artefact"),
+/// Every artefact of a study kind's table, over the study `dep`.
+fn artefacts_of<T: 'static>(
+    table: &'static Artefacts<T>,
+    dep: Fingerprint,
+) -> impl Iterator<Item = ArtefactSpec> {
+    table
+        .iter()
+        .map(move |&(name, render)| artefact(name, dep, render))
+}
+
+/// An artefact with no study behind it (the CLI's `robustness` and
+/// `scenario`): rendered when its turn comes, through the same bundle
+/// as the rest. Its key carries no inputs, so only add it to a plan
+/// that runs without a cache.
+pub fn uncached(name: &'static str, report: impl FnOnce() -> Report + 'static) -> ArtefactSpec {
+    ArtefactSpec {
+        name: name.to_string(),
+        fingerprint: fingerprint_of(&("uncached", name)),
+        deps: Vec::new(),
+        render: Box::new(move |_| output_of(&report())),
+    }
+}
+
+/// The §2.2 measurement study (shared by nine artefacts), shaped by
+/// `cal` and `faults` as [`full_plan`] documents.
+fn measurement_study(
+    seed: u64,
+    scale: Scale,
+    cal: Option<Calibration>,
+    faults: Option<u64>,
+    tel: Option<Arc<Telemetry>>,
+) -> StudySpec {
+    let roster = ir_workload::roster::CLIENTS;
+    let relays = ir_workload::roster::INTERMEDIATES;
+    let servers = ir_workload::roster::SERVERS;
+    let cal = cal.unwrap_or_default();
+    let schedule = Schedule::measurement_study().spread(scale.measurement_transfers());
+    let mut session = SessionConfig::paper_defaults();
+    let build = move || ir_workload::build(seed, roster, relays, servers, cal, false);
+    let fault_plan = match faults {
+        Some(mtbf) if mtbf > 0 => {
+            session.failover = Some(FailoverConfig::paper_defaults());
+            faults::fault_plan(&build(), mtbf, schedule, seed)
+        }
+        _ => FaultPlan::none(),
     };
-    ArtefactSpec {
-        name: name.to_string(),
-        fingerprint: artefact_fingerprint(name, &[dep]),
-        deps: vec![dep],
-        render: Box::new(move |inputs| {
-            output_of(&render(inputs[0].downcast_ref().expect("selection data")))
-        }),
-    }
+    let key = measurement_fingerprint(
+        seed, roster, relays, servers, &cal, false, 0, schedule, &session,
+    );
+    let key = if fault_plan.is_empty() {
+        key
+    } else {
+        fingerprint_of(&(key, &fault_plan))
+    };
+    StudySpec::typed(
+        format!("measurement(seed={seed},{scale:?})"),
+        key,
+        move || {
+            let mut scenario = build();
+            scenario.network.set_fault_plan(&fault_plan);
+            run_measurement_study_traced(&scenario, 0, schedule, session, tel)
+        },
+    )
 }
 
-/// Transfers per pair the `sites` study uses at a scale (shared by the
-/// `sites` CLI artefact and the sweep).
+/// Transfers per pair the `sites` study uses at a scale (read by the
+/// plan and by the benchmark).
 pub fn sites_transfers(scale: Scale) -> u64 {
     match scale {
         Scale::Quick => 8,
@@ -207,26 +273,6 @@ pub fn headroom_transfers(scale: Scale) -> u64 {
     match scale {
         Scale::Quick => 30,
         Scale::Paper => 120,
-    }
-}
-
-/// Megaflow geometry at a scale (shared by the `megaflow` CLI artefact
-/// and the sweep): the seconds-scale mini fan-in at Quick, the
-/// million-flow headline geometry at Paper.
-pub fn megaflow_config(scale: Scale) -> megaflow::MegaflowConfig {
-    match scale {
-        Scale::Quick => megaflow::MegaflowConfig::mini(),
-        Scale::Paper => megaflow::MegaflowConfig::paper(),
-    }
-}
-
-/// Soak geometry at a scale (shared by the `soak` CLI artefact and
-/// [`soak_plan`]): 250 concurrent clients at Quick, the 2000-client
-/// headline herd at Paper.
-pub fn soak_config(scale: Scale) -> soak::SoakConfig {
-    match scale {
-        Scale::Quick => soak::SoakConfig::quick(),
-        Scale::Paper => soak::SoakConfig::paper(),
     }
 }
 
@@ -243,7 +289,10 @@ pub fn soak_plan(seed: u64, scale: Scale) -> SweepPlan {
     /// this one record must not cold-start the whole sweep cache.
     /// 2: `event_mode` dropped.
     const SOAK_LAYOUT: u32 = 2;
-    let cfg = soak_config(scale);
+    let cfg = match scale {
+        Scale::Quick => soak::SoakConfig::quick(), // 250 concurrent clients
+        Scale::Paper => soak::SoakConfig::paper(), // the 2000-client headline herd
+    };
     let fp = {
         let mut h = StableHasher::new();
         "study/soak".stable_hash(&mut h);
@@ -256,47 +305,39 @@ pub fn soak_plan(seed: u64, scale: Scale) -> SweepPlan {
     let study = StudySpec::typed(format!("soak(seed={seed},{scale:?})"), fp, move || {
         soak::run(&cfg)
     });
-    let artefact = ArtefactSpec {
-        name: "soak".into(),
-        fingerprint: artefact_fingerprint("soak", &[fp]),
-        deps: vec![fp],
-        render: Box::new(|inputs| {
-            output_of(&soak::report_of(
-                inputs[0]
-                    .downcast_ref::<soak::SoakResult>()
-                    .expect("soak result"),
-            ))
-        }),
-    };
     SweepPlan {
         studies: vec![study],
-        artefacts: vec![artefact],
+        artefacts: vec![artefact("soak", fp, soak::report_of)],
     }
 }
 
-/// The full evaluation: the six shared studies plus one tournament
-/// study per policy, feeding sixteen artefacts. `tel` is
-/// shared by the measurement/selection studies (simnet, session, and
-/// runner layers report into it), exactly as the per-artefact CLI paths
-/// do.
-pub fn full_plan(seed: u64, scale: Scale, tel: Option<Arc<Telemetry>>) -> SweepPlan {
+/// The full evaluation: the seven shared studies plus one tournament
+/// study per policy, feeding seventeen artefacts.
+///
+/// `cal` and `faults` are the CLI's `--cal` / `--faults`. They shape
+/// the measurement study only, and its key: a calibration replaces the
+/// default one; `Some(mtbf_secs)` above zero puts a seeded overlay
+/// fault plan on the scenario's network and enables session failover.
+/// With neither, and under `--faults none` (`Some(0)`: the empty plan,
+/// a provable no-op), it is [`crate::measurement_study_default`] under
+/// the default key. `tel` is shared by the measurement, selection and
+/// megaflow studies (simnet, session, and runner layers report into
+/// it).
+pub fn full_plan(
+    seed: u64,
+    scale: Scale,
+    cal: Option<Calibration>,
+    faults: Option<u64>,
+    tel: Option<Arc<Telemetry>>,
+) -> SweepPlan {
+    let measurement = measurement_study(seed, scale, cal, faults, tel.clone());
+    let m_fp = measurement.fingerprint;
+
     let roster = ir_workload::roster::CLIENTS;
     let relays = ir_workload::roster::INTERMEDIATES;
     let servers = ir_workload::roster::SERVERS;
     let cal = Calibration::default();
     let session = SessionConfig::paper_defaults();
-
-    // §2.2 measurement study (shared by nine artefacts).
-    let m_schedule = Schedule::measurement_study().spread(scale.measurement_transfers());
-    let m_fp = measurement_fingerprint(
-        seed, roster, relays, servers, &cal, false, 0, m_schedule, &session,
-    );
-    let m_tel = tel.clone();
-    let measurement = StudySpec::typed(
-        format!("measurement(seed={seed},{scale:?})"),
-        m_fp,
-        move || measurement_study_default_traced(seed, scale, m_tel),
-    );
 
     // §4 selection study (shared by fig6 + table3).
     let s_schedule = Schedule::selection_study().spread(scale.selection_transfers());
@@ -323,7 +364,10 @@ pub fn full_plan(seed: u64, scale: Scale, tel: Option<Arc<Telemetry>>) -> SweepP
     let selection = StudySpec::typed(
         format!("selection(seed={seed},{scale:?})"),
         s_fp,
-        move || selection_study_default_traced(seed, scale, FIG6_KS, s_tel),
+        move || {
+            let scenario = ir_workload::selection_study(seed);
+            run_selection_study_traced(&scenario, FIG6_KS, s_schedule, session, seed, s_tel)
+        },
     );
 
     // Per-site study (all four destinations).
@@ -366,8 +410,8 @@ pub fn full_plan(seed: u64, scale: Scale, tel: Option<Arc<Telemetry>>) -> SweepP
             .spread(hr_transfers)
             .stable_hash(&mut h);
         session.stable_hash(&mut h);
-        SimDuration::from_secs(1200).stable_hash(&mut h); // oracle horizon
-        10u64.stable_hash(&mut h); // random-set k
+        headroom::ORACLE_HORIZON.stable_hash(&mut h);
+        headroom::RANDOM_SET_K.stable_hash(&mut h);
         h.finish()
     };
     let headroom_study = StudySpec::typed(
@@ -379,18 +423,12 @@ pub fn full_plan(seed: u64, scale: Scale, tel: Option<Arc<Telemetry>>) -> SweepP
     // Fault-plane sweep. The generated fault plans are pure functions
     // of (scenario, spec, seed); hash the plans themselves so the
     // fingerprint covers fault pressure directly.
-    let f_schedule = Schedule::measurement_study().spread(match scale {
-        Scale::Quick => 12,
-        Scale::Paper => 40,
-    });
     let faults_fp = {
         let mut h = StableHasher::new();
         "study/faults".stable_hash(&mut h);
         CODEC_VERSION.stable_hash(&mut h);
         seed.stable_hash(&mut h);
-        roster[..3].stable_hash(&mut h);
-        relays[..6].stable_hash(&mut h);
-        servers[..1].stable_hash(&mut h);
+        faults::sweep_roster().stable_hash(&mut h);
         cal.stable_hash(&mut h);
         faults::MTBF_SECS.stable_hash(&mut h);
         faults::KS
@@ -398,18 +436,12 @@ pub fn full_plan(seed: u64, scale: Scale, tel: Option<Arc<Telemetry>>) -> SweepP
             .map(|&k| k as u64)
             .collect::<Vec<_>>()
             .stable_hash(&mut h);
-        f_schedule.stable_hash(&mut h);
+        faults::schedule(scale).stable_hash(&mut h);
         faults::failover_session().stable_hash(&mut h);
         let scenario = faults::sweep_scenario(seed);
-        let horizon = f_schedule.span() + SimDuration::from_secs(3600);
         for &mtbf in faults::MTBF_SECS {
             if mtbf != 0 {
-                ir_workload::overlay_fault_plan(
-                    &scenario,
-                    &faults::fault_spec(mtbf, horizon),
-                    seed ^ 0xFA17,
-                )
-                .stable_hash(&mut h);
+                faults::sweep_fault_plan(&scenario, mtbf, scale, seed).stable_hash(&mut h);
             }
         }
         h.finish()
@@ -423,7 +455,10 @@ pub fn full_plan(seed: u64, scale: Scale, tel: Option<Arc<Telemetry>>) -> SweepP
     // Megaflow: the engine's scale study. Engine-mode invariant (the
     // differential suite's guarantee), so the engine is not a
     // fingerprint input.
-    let mega_cfg = megaflow_config(scale);
+    let mega_cfg = match scale {
+        Scale::Quick => megaflow::MegaflowConfig::mini(), // the seconds-scale mini fan-in
+        Scale::Paper => megaflow::MegaflowConfig::paper(), // the million-flow headline geometry
+    };
     let mega_fp = {
         let mut h = StableHasher::new();
         "study/megaflow".stable_hash(&mut h);
@@ -489,85 +524,22 @@ pub fn full_plan(seed: u64, scale: Scale, tel: Option<Arc<Telemetry>>) -> SweepP
     // Policy tournament: one study per policy, one artefact over all.
     let mut tplan = tournament_plan(seed, scale, tournament::POLICIES);
 
-    let mut artefacts: Vec<ArtefactSpec> = [
-        "fig1",
-        "fig2",
-        "table1",
-        "table2",
-        "fig3",
-        "fig4",
-        "fig5",
-        "variability",
-        "overhead",
-    ]
-    .into_iter()
-    .map(|name| measurement_artefact(name, m_fp))
-    .collect();
-    artefacts.push(selection_artefact("fig6", s_fp));
-    artefacts.push(selection_artefact("table3", s_fp));
-    artefacts.push(ArtefactSpec {
-        name: "sites".into(),
-        fingerprint: artefact_fingerprint("sites", &[sites_fp]),
-        deps: vec![sites_fp],
-        render: Box::new(|inputs| {
-            output_of(&sites::report_of(
-                inputs[0]
-                    .downcast_ref::<Vec<sites::SiteResult>>()
-                    .expect("site results"),
-            ))
-        }),
-    });
-    artefacts.push(ArtefactSpec {
-        name: "headroom".into(),
-        fingerprint: artefact_fingerprint("headroom", &[hr_fp]),
-        deps: vec![hr_fp],
-        render: Box::new(|inputs| {
-            output_of(&headroom::report_of(
-                inputs[0]
-                    .downcast_ref::<Vec<headroom::Headroom>>()
-                    .expect("headroom results"),
-            ))
-        }),
-    });
-    artefacts.push(ArtefactSpec {
-        name: "faults".into(),
-        fingerprint: artefact_fingerprint("faults", &[faults_fp]),
-        deps: vec![faults_fp],
-        render: Box::new(|inputs| {
-            output_of(&faults::report_of(
-                inputs[0]
-                    .downcast_ref::<Vec<faults::FaultCell>>()
-                    .expect("fault cells"),
-            ))
-        }),
-    });
-
-    artefacts.push(ArtefactSpec {
-        name: "megaflow".into(),
-        fingerprint: artefact_fingerprint("megaflow", &[mega_fp]),
-        deps: vec![mega_fp],
-        render: Box::new(|inputs| {
-            output_of(&megaflow::report_of(
-                inputs[0]
-                    .downcast_ref::<megaflow::MegaflowResult>()
-                    .expect("megaflow result"),
-            ))
-        }),
-    });
-
-    artefacts.push(ArtefactSpec {
-        name: "striping".into(),
-        fingerprint: artefact_fingerprint("striping", &[striping_fp]),
-        deps: vec![striping_fp],
-        render: Box::new(|inputs| {
-            output_of(&striping::report_of(
-                inputs[0]
-                    .downcast_ref::<Vec<striping::StripeCell>>()
-                    .expect("striping cells"),
-            ))
-        }),
-    });
-
+    let mut artefacts: Vec<ArtefactSpec> = artefacts_of(MEASUREMENT_ARTEFACTS, m_fp)
+        .chain(artefacts_of(SELECTION_ARTEFACTS, s_fp))
+        .collect();
+    artefacts.push(artefact::<Vec<_>>("sites", sites_fp, |r| {
+        sites::report_of(r)
+    }));
+    artefacts.push(artefact::<Vec<_>>("headroom", hr_fp, |r| {
+        headroom::report_of(r)
+    }));
+    artefacts.push(artefact::<Vec<_>>("faults", faults_fp, |r| {
+        faults::report_of(r)
+    }));
+    artefacts.push(artefact("megaflow", mega_fp, megaflow::report_of));
+    artefacts.push(artefact::<Vec<_>>("striping", striping_fp, |r| {
+        striping::report_of(r)
+    }));
     artefacts.append(&mut tplan.artefacts);
 
     let mut studies = vec![
@@ -607,9 +579,7 @@ fn tournament_policy_fingerprint(seed: u64, scale: Scale, policy: &str) -> Finge
     tournament::tournament_session().stable_hash(&mut h);
     // Star-scenario inputs (the ridge is fixed geometry, covered by
     // the SCENARIOS names + codec version).
-    ir_workload::roster::CLIENTS[..3].stable_hash(&mut h);
-    ir_workload::roster::INTERMEDIATES[..6].stable_hash(&mut h);
-    ir_workload::roster::SERVERS[..1].stable_hash(&mut h);
+    tournament::star_roster().stable_hash(&mut h);
     Calibration::default().stable_hash(&mut h);
     // Per-policy config, exhaustively (see ir-policy's StableHash
     // impls).
@@ -679,14 +649,13 @@ pub fn mini_plan(seed: u64) -> SweepPlan {
     );
     let study = StudySpec::typed(format!("measurement-mini(seed={seed})"), fp, move || {
         let scenario = ir_workload::build(seed, clients, relays, servers, cal, false);
-        run_measurement_study(&scenario, 0, schedule, session)
+        run_measurement_study_traced(&scenario, 0, schedule, session, None)
     });
     SweepPlan {
         studies: vec![study],
-        artefacts: vec![
-            measurement_artefact("fig1", fp),
-            measurement_artefact("table1", fp),
-        ],
+        artefacts: artefacts_of(MEASUREMENT_ARTEFACTS, fp)
+            .filter(|a| a.name == "fig1" || a.name == "table1")
+            .collect(),
     }
 }
 
@@ -759,7 +728,7 @@ mod tests {
 
     #[test]
     fn every_full_plan_artefact_has_a_salt_and_unique_fingerprint() {
-        let plan = full_plan(2007, Scale::Quick, None);
+        let plan = full_plan(2007, Scale::Quick, None, None, None);
         assert_eq!(plan.studies.len(), 7 + tournament::POLICIES.len());
         // `soak` carries a salt but lives in its own plan (wall-clock
         // results must not enter the byte-replayable sweep), so the
@@ -796,7 +765,7 @@ mod tests {
         // The artefact key covers the roster, so it does move.
         assert_ne!(small.artefacts[0].fingerprint, big.artefacts[0].fingerprint);
         // And the full plan embeds the same per-policy keys.
-        let full = full_plan(7, Scale::Quick, None);
+        let full = full_plan(7, Scale::Quick, None, None, None);
         for s in &small.studies {
             assert!(
                 full.studies.iter().any(|f| f.fingerprint == s.fingerprint),
@@ -808,10 +777,10 @@ mod tests {
 
     #[test]
     fn fingerprints_move_with_seed_and_scale() {
-        let a = full_plan(1, Scale::Quick, None);
-        let b = full_plan(2, Scale::Quick, None);
-        let c = full_plan(1, Scale::Paper, None);
-        let d = full_plan(1, Scale::Quick, None);
+        let a = full_plan(1, Scale::Quick, None, None, None);
+        let b = full_plan(2, Scale::Quick, None, None, None);
+        let c = full_plan(1, Scale::Paper, None, None, None);
+        let d = full_plan(1, Scale::Quick, None, None, None);
         for ((x, y), (z, w)) in a
             .studies
             .iter()
@@ -830,7 +799,7 @@ mod tests {
         let b = mini_plan(42);
         assert_eq!(a.studies[0].fingerprint, b.studies[0].fingerprint);
         assert_eq!(a.artefacts[0].fingerprint, b.artefacts[0].fingerprint);
-        let full = full_plan(42, Scale::Quick, None);
+        let full = full_plan(42, Scale::Quick, None, None, None);
         assert_ne!(a.studies[0].fingerprint, full.studies[0].fingerprint);
         // Same artefact name, different deps ⇒ different artefact key.
         assert_ne!(a.artefacts[0].fingerprint, full.artefacts[0].fingerprint);
@@ -844,7 +813,7 @@ mod tests {
     /// order even with identical fingerprints.
     #[test]
     fn full_plan_order_is_pinned() {
-        let plan = full_plan(2007, Scale::Quick, None);
+        let plan = full_plan(2007, Scale::Quick, None, None, None);
         let studies: Vec<&str> = plan.studies.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(
             studies,
@@ -887,7 +856,7 @@ mod tests {
             ]
         );
         // And construction is reproducible: same order, same keys.
-        let again = full_plan(2007, Scale::Quick, None);
+        let again = full_plan(2007, Scale::Quick, None, None, None);
         for (a, b) in plan.studies.iter().zip(&again.studies) {
             assert_eq!(
                 (a.name.as_str(), a.fingerprint),
@@ -910,7 +879,7 @@ mod tests {
     /// to one study's record (the soak's layout tag) must not.
     #[test]
     fn full_plan_measurement_fingerprint_is_pinned() {
-        let plan = full_plan(2007, Scale::Quick, None);
+        let plan = full_plan(2007, Scale::Quick, None, None, None);
         assert_eq!(plan.studies[0].name, "measurement(seed=2007,Quick)");
         assert_eq!(
             plan.studies[0].fingerprint.to_hex(),
@@ -925,7 +894,7 @@ mod tests {
     /// orphans that study's cache entries, so it must be deliberate.
     #[test]
     fn study_fingerprints_are_pinned() {
-        let mut studies = full_plan(2007, Scale::Quick, None).studies;
+        let mut studies = full_plan(2007, Scale::Quick, None, None, None).studies;
         studies.extend(soak_plan(2007, Scale::Quick).studies);
         let got: Vec<String> = studies.iter().map(|s| s.fingerprint.to_hex()).collect();
         let pinned = [
@@ -946,6 +915,95 @@ mod tests {
         assert_eq!(got, pinned);
     }
 
+    /// `--cal` / `--faults` shape the measurement study only, and its
+    /// key: the default flags and `--faults none` leave every key where
+    /// it is pinned; a tweaked calibration or a real MTBF moves the
+    /// measurement key (and the nine artefact keys over it) and nothing
+    /// else.
+    #[test]
+    fn cal_and_faults_move_only_the_measurement_key() {
+        let keys = |cal, faults| -> Vec<Fingerprint> {
+            let plan = full_plan(2007, Scale::Quick, cal, faults, None);
+            let studies = plan.studies.iter().map(|s| s.fingerprint);
+            studies
+                .chain(plan.artefacts.iter().map(|a| a.fingerprint))
+                .collect()
+        };
+        let default = keys(None, None);
+        assert_eq!(keys(None, Some(0)), default, "--faults none moved a key");
+        assert_eq!(keys(Some(Calibration::default()), None), default);
+        let cal = Calibration {
+            frac_high: 0.25,
+            ..Calibration::default()
+        };
+        let tweaked = keys(Some(cal), None);
+        let faulted = keys(None, Some(600));
+        let measurement_artefacts = 12..12 + MEASUREMENT_ARTEFACTS.len();
+        for (i, key) in default.iter().enumerate() {
+            let moves = i == 0 || measurement_artefacts.contains(&i);
+            assert_eq!(tweaked[i] != *key, moves, "--cal, key {i}");
+            assert_eq!(faulted[i] != *key, moves, "--faults 600, key {i}");
+        }
+        assert_ne!(tweaked[0], faulted[0]);
+        assert_ne!(keys(None, Some(300))[0], faulted[0], "MTBF is an input");
+    }
+
+    /// The plan's measurement and selection studies are the library's
+    /// `*_study_default` runs, byte for byte: the benchmark times one
+    /// and the CLI prints the other.
+    #[test]
+    fn plan_studies_are_the_default_studies() {
+        let mut studies = full_plan(11, Scale::Quick, None, Some(0), None).studies;
+        let selection = studies.swap_remove(1);
+        let measurement = studies.swap_remove(0);
+        assert_eq!(
+            (measurement.encode)(&(measurement.run)()),
+            crate::codec::encode_measurement(&crate::measurement_study_default(11, Scale::Quick))
+        );
+        assert_eq!(
+            (selection.encode)(&(selection.run)()),
+            crate::codec::encode_selection(&crate::selection_study_default(
+                11,
+                Scale::Quick,
+                FIG6_KS
+            ))
+        );
+    }
+
+    /// A selection runs what it needs and nothing else: `fig6` executes
+    /// the selection study alone, `fig1` + `table1` share one
+    /// measurement study, a group keeps its study's artefacts in plan
+    /// order, and a name that selects nothing is `None`.
+    #[test]
+    fn selecting_runs_only_the_studies_the_kept_artefacts_consume() {
+        let select = |name| full_plan(11, Scale::Quick, None, None, None).select(name);
+        let fig6 = run_sweep(select("fig6").unwrap(), None, None, None).unwrap();
+        assert_eq!(fig6.artefacts.len(), 1);
+        assert_eq!(fig6.studies_executed(), 1);
+        assert_eq!(fig6.studies[0].name, "selection(seed=11,Quick)");
+
+        let mut both = select("all").unwrap();
+        both.artefacts
+            .retain(|a| a.name == "fig1" || a.name == "table1");
+        let both = run_sweep(both, None, None, None).unwrap();
+        assert_eq!(both.artefacts.len(), 2);
+        assert_eq!(both.studies_executed(), 1);
+
+        let names = |name| -> Vec<String> {
+            let kept = select(name).unwrap().artefacts;
+            kept.into_iter().map(|a| a.name).collect()
+        };
+        let table_names =
+            |t: &[(&str, _)]| -> Vec<String> { t.iter().map(|a| a.0.to_string()).collect() };
+        assert_eq!(names("measurement"), table_names(MEASUREMENT_ARTEFACTS));
+        assert_eq!(names("selection"), ["fig6", "table3"]);
+        assert_eq!(names("sweep").len(), 17);
+        assert_eq!(names("all").len(), 17);
+        for none in ["fig99", "soak", "scenario", ""] {
+            assert!(select(none).is_none(), "{none:?} selected something");
+        }
+    }
+
     /// The soak plan is fingerprinted like any other study — stable
     /// under identical inputs, moved by seed and scale — without ever
     /// running the (wall-clock) study itself.
@@ -964,7 +1022,7 @@ mod tests {
         let scale_moved = soak_plan(2007, Scale::Paper);
         assert_ne!(a.studies[0].fingerprint, scale_moved.studies[0].fingerprint);
         // And the full plan never declares it.
-        let full = full_plan(2007, Scale::Quick, None);
+        let full = full_plan(2007, Scale::Quick, None, None, None);
         assert!(full.artefacts.iter().all(|x| x.name != "soak"));
     }
 }

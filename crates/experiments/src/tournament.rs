@@ -173,17 +173,21 @@ pub fn scenario(name: &str, seed: u64) -> TournamentScenario {
     }
 }
 
-/// The paper's calibrated 1-hop star: 3 clients × 6 relays × 1 server,
-/// Low/Medium clients as in §4.
-fn star_scenario(seed: u64) -> TournamentScenario {
-    let s = build(
-        seed,
+/// The star scenario's roster: 3 clients × 6 relays × 1 server (read
+/// by the scenario builder and by the per-policy study fingerprints).
+pub fn star_roster() -> crate::faults::RosterSlices {
+    (
         &roster::CLIENTS[..3],
         &roster::INTERMEDIATES[..6],
         &roster::SERVERS[..1],
-        Calibration::default(),
-        true,
-    );
+    )
+}
+
+/// The paper's calibrated 1-hop star on [`star_roster`], Low/Medium
+/// clients as in §4.
+fn star_scenario(seed: u64) -> TournamentScenario {
+    let (clients, relays, servers) = star_roster();
+    let s = build(seed, clients, relays, servers, Calibration::default(), true);
     TournamentScenario {
         name: "star",
         network: s.network,
@@ -290,8 +294,8 @@ pub fn run_policy(seed: u64, scale: Scale, policy: &str) -> Vec<TournamentCell> 
 }
 
 /// Runs the whole tournament: every policy, every scenario. The sweep
-/// path runs [`run_policy`] per cached study instead; this entry is
-/// for the CLI and the goldens.
+/// plan runs [`run_policy`] per cached study instead; this entry is
+/// for the benchmark and the goldens.
 pub fn run(seed: u64, scale: Scale) -> Vec<TournamentCell> {
     POLICIES
         .iter()
@@ -330,11 +334,6 @@ fn cell_stats(
         probe_paths_per_transfer: probe_paths as f64 / transfers.max(1) as f64,
         multi_hop_pct: multi_hop as f64 / transfers.max(1) as f64 * 100.0,
     }
-}
-
-/// Builds the tournament report.
-pub fn report(seed: u64, scale: Scale) -> Report {
-    report_of(&run(seed, scale))
 }
 
 /// Builds the tournament report from precomputed (possibly
@@ -572,7 +571,7 @@ mod tests {
 
     #[test]
     fn report_has_cells_csv_and_checks() {
-        let r = report(2007, Scale::Quick);
+        let r = report_of(&run(2007, Scale::Quick));
         assert_eq!(r.id, "tournament");
         assert_eq!(r.csv.len(), 1);
         let lines = r.csv[0].1.lines().count();

@@ -68,3 +68,69 @@ fn bad_cal_file_is_rejected_with_line_number() {
     assert!(err.contains("line 1"), "{err}");
     std::fs::remove_file(&path).ok();
 }
+
+/// Every artefact of the plan is a command of the binary (it runs, it
+/// prints its report, it does not exit with the usage code) and is
+/// listed by the usage text and README.md — the names come from the
+/// plan, so an artefact added there cannot be missing here.
+#[test]
+fn every_plan_artefact_is_a_command_and_in_usage() {
+    use ir_experiments::{sweep, Scale};
+    let usage = String::from_utf8(bin().output().expect("run").stderr).unwrap();
+    let listed: Vec<&str> = usage.split_whitespace().collect();
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"))
+        .expect("README.md at the workspace root");
+    let readme: Vec<&str> = readme.split(|c: char| !c.is_ascii_alphanumeric()).collect();
+    let plan = sweep::full_plan(2007, Scale::Quick, None, None, None);
+    for artefact in &plan.artefacts {
+        let name = artefact.name.as_str();
+        assert!(
+            listed.contains(&name),
+            "{name} missing from usage:\n{usage}"
+        );
+        assert!(readme.contains(&name), "{name} missing from README.md");
+        let out = bin()
+            .args([name, "--scale", "quick", "--seed", "2007"])
+            .output()
+            .expect("run");
+        assert_ne!(out.status.code(), Some(2), "{name} is not a command");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("paper vs measured"), "{name}: {stdout}");
+    }
+    for command in [
+        "soak",
+        "measurement",
+        "selection",
+        "all",
+        "sweep",
+        "scenario",
+        "robustness",
+        "cache-gc",
+    ] {
+        assert!(listed.contains(&command), "{command} missing from usage");
+    }
+}
+
+/// One driver: `experiments measurement` prints exactly the nine texts
+/// the sweep plan renders for the measurement study, in plan order.
+#[test]
+fn measurement_stdout_is_the_nine_sweep_texts() {
+    use ir_experiments::{sweep, Scale};
+    let plan = sweep::full_plan(2007, Scale::Quick, None, None, None)
+        .select("measurement")
+        .expect("a group of the plan");
+    let report = sweep::run_sweep(plan, None, None, None).unwrap();
+    assert_eq!(report.artefacts.len(), 9);
+    assert_eq!(report.studies_executed(), 1);
+    let expected: String = report
+        .artefacts
+        .iter()
+        .map(|a| format!("{}\n\n", a.output.text))
+        .collect();
+    let out = bin()
+        .args(["measurement", "--scale", "quick", "--seed", "2007"])
+        .output()
+        .expect("run");
+    assert!(out.status.success());
+    assert_eq!(String::from_utf8_lossy(&out.stdout), expected);
+}

@@ -8,10 +8,12 @@
 //!   (`sweep_studies_executed` < `sweep_artefacts`);
 //! * a tampered cache entry is detected and recomputed, never trusted;
 //! * growing the tournament's policy roster against a warm cache
-//!   executes exactly the added policy's study.
+//!   executes exactly the added policy's study;
+//! * a `--cal` override against a warm default cache re-runs exactly
+//!   the measurement study and re-renders exactly its nine artefacts.
 
 use ir_artifact::ArtifactCache;
-use ir_experiments::sweep::{mini_plan, run_sweep, tournament_plan};
+use ir_experiments::sweep::{full_plan, mini_plan, run_sweep, tournament_plan};
 use ir_experiments::{tournament, Scale};
 use ir_telemetry::Telemetry;
 use std::collections::BTreeMap;
@@ -192,6 +194,48 @@ fn growing_the_policy_roster_executes_exactly_one_warm_study() {
         1,
         "adding {added} re-ran existing policies' studies"
     );
+
+    let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
+/// `--cal` reaches `sweep`, and its key: against a cache warmed by the
+/// default plan, a tweaked calibration executes the measurement study
+/// and nothing else — its nine artefacts re-render, the other eight
+/// are served as bundles, and their studies are never looked at.
+#[test]
+fn cal_override_reruns_only_the_measurement_study() {
+    let cache_dir = scratch("cal");
+    let cache = ArtifactCache::open(&cache_dir).unwrap();
+    let default = full_plan(SEED, Scale::Quick, None, None, None);
+    let cold = run_sweep(default, Some(&cache), None, None).unwrap();
+    assert_eq!(cold.studies_executed(), 12);
+
+    let cal = ir_workload::Calibration {
+        frac_high: 0.25,
+        ..Default::default()
+    };
+    let tweaked = full_plan(SEED, Scale::Quick, Some(cal), None, None);
+    let warm = run_sweep(tweaked, Some(&cache), None, None).unwrap();
+    assert_eq!(warm.studies_executed(), 1);
+    assert_eq!(warm.studies.len(), 1, "a cached study was materialised");
+    assert!(warm.studies[0].name.starts_with("measurement("));
+    assert_eq!(warm.artefacts.len(), 17);
+    assert_eq!(warm.artefact_hits(), 8);
+    let rendered: Vec<&str> = warm
+        .artefacts
+        .iter()
+        .filter(|a| a.source == ir_artifact::Source::Computed)
+        .map(|a| a.name.as_str())
+        .collect();
+    let measurement: Vec<&str> = ir_experiments::MEASUREMENT_ARTEFACTS
+        .iter()
+        .map(|a| a.0)
+        .collect();
+    assert_eq!(rendered, measurement);
+    for (w, c) in warm.artefacts.iter().zip(&cold.artefacts) {
+        let moved = measurement.contains(&w.name.as_str());
+        assert_eq!(w.output != c.output, moved, "{}", w.name);
+    }
 
     let _ = std::fs::remove_dir_all(&cache_dir);
 }

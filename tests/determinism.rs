@@ -121,7 +121,7 @@ fn golden_fig1_table1_csv_bytes_unchanged() {
 #[test]
 fn golden_faults_csv_bytes_unchanged() {
     use indirect_routing::experiments::faults;
-    let report = faults::report(11, runner::Scale::Quick);
+    let report = faults::report_of(&faults::run(11, runner::Scale::Quick));
     let artefacts = [("faults_cells.csv", &report.csv[0].1)];
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
@@ -152,7 +152,7 @@ fn golden_faults_csv_bytes_unchanged() {
 #[test]
 fn golden_tournament_csv_bytes_unchanged() {
     use indirect_routing::experiments::tournament;
-    let report = tournament::report(11, runner::Scale::Quick);
+    let report = tournament::report_of(&tournament::run(11, runner::Scale::Quick));
     let artefacts = [("tournament_cells.csv", &report.csv[0].1)];
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
@@ -185,7 +185,7 @@ fn golden_tournament_csv_bytes_unchanged() {
 #[test]
 fn golden_striping_csv_bytes_unchanged() {
     use indirect_routing::experiments::striping;
-    let report = striping::report(11, runner::Scale::Quick);
+    let report = striping::report_of(&striping::run(11, runner::Scale::Quick));
     let artefacts = [("striping_cells.csv", &report.csv[0].1)];
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
