@@ -1,11 +1,14 @@
-//! Per-connection state machine for the event-driven relay.
+//! Per-connection state machine for the event-driven daemons.
 //!
 //! Each accepted socket becomes a `Conn` driven entirely by
 //! readiness: `accept → read request → latency → dial origin → send
 //! upstream → read head → splice → keep-alive loop`, with error
 //! responses re-entering the keep-alive loop. The keep-alive loop
 //! keeps the origin connection too, so the next request to the same
-//! origin skips the dial (`Upstream`). A connection never
+//! origin skips the dial (`Upstream`). The daemon's `Role` decides
+//! how a request is answered — a relay forwards it, an origin plans
+//! the response itself and its splice draws on the content generator
+//! instead of a socket; every other state is shared. A connection never
 //! blocks a thread — every I/O call is non-blocking, and `Conn::step`
 //! records *why* it parked (`Blocked`) so the worker polls precisely
 //! the descriptor or timer that can unpark it (no level-triggered busy
@@ -13,16 +16,16 @@
 //!
 //! Rate shaping reuses [`TokenBucket`] with a carried grant budget:
 //! tokens taken for a write that then hits `WouldBlock` are spent on
-//! the retry rather than lost, so the shaped goodput matches the
-//! blocking [`crate::stream::ThrottledStream`] path byte for byte.
+//! the retry rather than lost, so the shaped goodput is the scheduled
+//! rate however often the client's socket fills.
 
+use crate::origin::{fill_body, plan_response};
 use crate::poller::{connect_errno, connect_nonblocking, Dial};
 use crate::shaper::TokenBucket;
-use crate::stream::SPLICE_CHUNK;
 use bytes::BytesMut;
 use ir_http::{
-    encode_request, encode_response, parse_request, parse_response, Parsed, Request, Response,
-    StatusCode,
+    encode_request, encode_response, parse_request, parse_response, Method, Parsed, Request,
+    Response, StatusCode,
 };
 use ir_telemetry::trace::{Event, EventKind};
 use ir_telemetry::Telemetry;
@@ -134,6 +137,11 @@ impl Lifecycle {
     }
 }
 
+/// Chunk size of every splice (the pooled buffers, one shaper grant):
+/// big enough to amortize syscalls, small enough that rate changes
+/// take effect quickly.
+pub const SPLICE_CHUNK: usize = 16 * 1024;
+
 /// Pool of splice buffers: connections borrow one 16 KiB chunk for
 /// their lifetime and return it on close, so a soak's allocation count
 /// tracks peak concurrency instead of transfer count.
@@ -203,6 +211,26 @@ pub(crate) enum Step {
     Closed,
 }
 
+/// What answers a request, fixed when the daemon starts. It is read
+/// where a response is planned (`Conn::start_response`); the [`Source`]
+/// chosen there is read where body bytes are produced
+/// (`Conn::on_splice`). No other state knows which daemon it runs in.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Role {
+    /// A relay: forward the request to the origin it names.
+    Forward,
+    /// An origin: serve ranges of `content_len` synthetic bytes.
+    Serve { content_len: u64 },
+}
+
+/// Where the body of the response in flight comes from.
+enum Source {
+    /// The relay→origin leg.
+    Origin(Upstream),
+    /// The content generator, from this offset on.
+    Body { offset: u64 },
+}
+
 /// The relay→origin leg of a request.
 struct Upstream {
     addr: SocketAddr,
@@ -218,13 +246,14 @@ enum State {
     Connecting { origin: Upstream },
     SendUpstream { origin: Upstream },
     ReadHead { origin: Upstream },
-    Splice { origin: Upstream, remaining: u64 },
+    Splice { source: Source, remaining: u64 },
     Respond,
 }
 
 /// Everything a step needs from the worker.
 pub(crate) struct StepCtx<'a> {
     pub telemetry: &'a Option<Arc<Telemetry>>,
+    pub role: Role,
     pub latency: Duration,
     pub epoch: Instant,
     pub lifecycle: &'a Lifecycle,
@@ -257,6 +286,9 @@ pub(crate) struct Conn {
     bucket: Option<TokenBucket>,
     budget: usize,
     fwd_start: Instant,
+    /// The request in flight is a `HEAD`: its response carries no body
+    /// whatever `Content-Length` says.
+    head_only: bool,
     body_len: u64,
     first_byte_sent: bool,
     /// Progress deadline: no forward progress past this instant closes
@@ -292,6 +324,7 @@ impl Conn {
             bucket,
             budget: 0,
             fwd_start: accept_at,
+            head_only: false,
             body_len: 0,
             first_byte_sent: false,
             deadline: accept_at + idle_timeout,
@@ -326,7 +359,10 @@ impl Conn {
             State::Connecting { origin }
             | State::SendUpstream { origin }
             | State::ReadHead { origin }
-            | State::Splice { origin, .. } => Some(&origin.stream),
+            | State::Splice {
+                source: Source::Origin(origin),
+                ..
+            } => Some(&origin.stream),
             _ => None,
         };
         match self.blocked {
@@ -356,7 +392,7 @@ impl Conn {
                 },
                 State::Latency { until, req } => {
                     if ctx.now >= until {
-                        self.start_forward(ctx, req);
+                        self.start_response(ctx, req);
                         continue;
                     }
                     self.state = State::Latency { until, req };
@@ -413,8 +449,7 @@ impl Conn {
                         }
                         HeadStep::Splice { remaining } => {
                             self.touch(ctx.now, idle_timeout);
-                            Lifecycle::bump(&ctx.lifecycle.splices_started);
-                            self.state = State::Splice { origin, remaining };
+                            self.start_splice(ctx, Source::Origin(origin), remaining);
                             continue;
                         }
                         HeadStep::Respond => continue,
@@ -425,12 +460,12 @@ impl Conn {
                     }
                 }
                 State::Splice {
-                    mut origin,
+                    mut source,
                     remaining,
                 } => {
-                    match self.on_splice(ctx, &mut origin.stream, remaining, idle_timeout) {
+                    match self.on_splice(ctx, &mut source, remaining, idle_timeout) {
                         SpliceStep::Parked(blocked, remaining) => {
-                            self.state = State::Splice { origin, remaining };
+                            self.state = State::Splice { source, remaining };
                             self.blocked = blocked;
                             return Step::Blocked;
                         }
@@ -441,7 +476,8 @@ impl Conn {
                             if ctx.draining {
                                 return self.close(ctx, CloseKind::Clean);
                             }
-                            if self.keep_upstream {
+                            if let (Source::Origin(mut origin), true) = (source, self.keep_upstream)
+                            {
                                 origin.reused = true;
                                 self.warm = Some(origin);
                             }
@@ -488,7 +524,7 @@ impl Conn {
                     Lifecycle::bump(&ctx.lifecycle.requests_read);
                     self.touch(ctx.now, idle_timeout);
                     if ctx.latency.is_zero() {
-                        self.start_forward(ctx, value);
+                        self.start_response(ctx, value);
                     } else {
                         Lifecycle::bump(&ctx.lifecycle.latency_waits);
                         self.state = State::Latency {
@@ -537,14 +573,44 @@ impl Conn {
         }
     }
 
+    /// Answers `req` in the daemon's role.
+    fn start_response(&mut self, ctx: &StepCtx<'_>, req: Request) {
+        self.fwd_start = ctx.now;
+        self.body_len = 0;
+        self.head_only = req.method == Method::Head;
+        match ctx.role {
+            Role::Forward => self.start_forward(ctx, &req),
+            Role::Serve { content_len } => {
+                let (head, offset, len) = plan_response(&req, content_len);
+                self.queue_head(&head);
+                self.body_len = self.carried(len);
+                self.start_splice(ctx, Source::Body { offset }, self.body_len);
+            }
+        }
+    }
+
+    /// Enters `Splice` behind the head already queued in `outbuf`.
+    fn start_splice(&mut self, ctx: &StepCtx<'_>, source: Source, remaining: u64) {
+        Lifecycle::bump(&ctx.lifecycle.splices_started);
+        self.state = State::Splice { source, remaining };
+    }
+
+    /// Body bytes that follow a head advertising `content_length`: a
+    /// `HEAD` response ends at its head.
+    fn carried(&self, content_length: u64) -> u64 {
+        if self.head_only {
+            0
+        } else {
+            content_length
+        }
+    }
+
     /// Plans the forward, encodes the upstream request, and sends it
     /// on the kept origin connection or starts a dial. Any
     /// planning/dial failure turns into a synthesized response on the
     /// keep-alive path.
-    fn start_forward(&mut self, ctx: &StepCtx<'_>, req: Request) {
-        self.fwd_start = ctx.now;
-        self.body_len = 0;
-        let plan = match ir_http::plan_forward(&req) {
+    fn start_forward(&mut self, ctx: &StepCtx<'_>, req: &Request) {
+        let plan = match ir_http::plan_forward(req) {
             Ok(p) => p,
             Err(_) => {
                 // The client sent something we refuse to proxy.
@@ -646,7 +712,7 @@ impl Conn {
                             self.respond(ctx, StatusCode::BAD_GATEWAY);
                             return HeadStep::Respond;
                         }
-                        Ok(Some(len)) => len,
+                        Ok(Some(len)) => self.carried(len),
                     };
                     Lifecycle::bump(&ctx.lifecycle.heads_read);
                     // Reusable once spliced: the origin keeps the
@@ -655,11 +721,7 @@ impl Conn {
                         !says_close(&head) && self.headbuf.len() as u64 <= body_len;
                     let mut relayed = head;
                     relayed.headers.append("Via", "1.1 ir-relay");
-                    let mut enc = BytesMut::new();
-                    encode_response(&relayed, &mut enc);
-                    self.outbuf.clear();
-                    self.out_off = 0;
-                    self.outbuf.extend_from_slice(&enc);
+                    self.queue_head(&relayed);
                     // Body bytes already read with the head.
                     let take = (self.headbuf.len() as u64).min(body_len) as usize;
                     self.outbuf.extend_from_slice(&self.headbuf[..take]);
@@ -705,7 +767,7 @@ impl Conn {
     fn on_splice(
         &mut self,
         ctx: &StepCtx<'_>,
-        origin: &mut TcpStream,
+        source: &mut Source,
         mut remaining: u64,
         idle_timeout: Duration,
     ) -> SpliceStep {
@@ -721,7 +783,15 @@ impl Conn {
             let want = (remaining as usize).min(SPLICE_CHUNK);
             self.outbuf.resize(want, 0);
             self.out_off = 0;
-            match origin.read(&mut self.outbuf[..want]) {
+            let read = match source {
+                Source::Origin(origin) => origin.stream.read(&mut self.outbuf[..want]),
+                Source::Body { offset } => {
+                    fill_body(*offset, &mut self.outbuf[..want]);
+                    *offset += want as u64;
+                    Ok(want)
+                }
+            };
+            match read {
                 Ok(0) => {
                     // Origin died mid-body: the head already went out,
                     // so the client sees a short read, never a hang.
@@ -799,13 +869,17 @@ impl Conn {
     fn respond(&mut self, ctx: &StepCtx<'_>, status: StatusCode) {
         self.count_error(ctx);
         Lifecycle::bump(&ctx.lifecycle.error_responses);
-        let resp = Response::new(status).with_header("Content-Length", "0");
+        self.queue_head(&Response::new(status).with_header("Content-Length", "0"));
+        self.state = State::Respond;
+    }
+
+    /// Makes `head` the pending client-bound bytes.
+    fn queue_head(&mut self, head: &Response) {
         let mut enc = BytesMut::new();
-        encode_response(&resp, &mut enc);
+        encode_response(head, &mut enc);
         self.outbuf.clear();
         self.out_off = 0;
         self.outbuf.extend_from_slice(&enc);
-        self.state = State::Respond;
     }
 
     fn count_error(&self, ctx: &StepCtx<'_>) {

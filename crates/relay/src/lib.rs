@@ -16,13 +16,13 @@
 //! with real bytes.
 //!
 //! * [`shaper`] — token buckets over piecewise rate schedules.
-//! * [`stream`] — write-paced stream wrapper.
-//! * [`origin`] — origin server (Range, keep-alive, deterministic
-//!   bodies).
+//! * [`origin`] — origin server: the content (Range planning,
+//!   deterministic bodies) served by the daemon in its serve role.
 //! * [`poller`] — `poll(2)`/non-blocking-connect FFI shim.
-//! * [`conn`] — per-connection state machine for the reactor.
-//! * [`relayd`] — the relay daemon (absolute-form in, origin-form out),
-//!   an event-driven reactor.
+//! * [`conn`] — per-connection state machine for the reactor; the only
+//!   code that reads a request and writes a response, for both roles.
+//! * [`relayd`] — the daemon (acceptor, worker reactor, kill/drain):
+//!   a relay (absolute-form in, origin-form out) or an origin.
 //! * [`transport`] — the socket fetch engine ([`RealTransport`]): the
 //!   only client-side code that dials, requests, validates, pools and
 //!   cancels; an `ir_core::Transport`.
@@ -39,7 +39,6 @@ pub mod origin;
 pub mod poller;
 pub mod relayd;
 pub mod shaper;
-pub mod stream;
 pub mod transport;
 pub mod wire;
 
@@ -47,11 +46,10 @@ pub use client::{
     download, download_failover, download_striped, probe_race, ChosenPath, ClientConfig,
     DownloadOutcome, ProbeWin, StripedOutcome,
 };
-pub use conn::{Lifecycle, LifecycleSnapshot};
+pub use conn::{Lifecycle, LifecycleSnapshot, SPLICE_CHUNK};
 pub use error::RelayError;
 pub use harness::{HarnessSpec, MiniPlanetLab};
 pub use origin::{body_byte, fill_body, OriginConfig, OriginServer};
 pub use relayd::{Backpressure, DrainReport, Relay, RelayConfig};
 pub use shaper::{RateSchedule, TokenBucket};
-pub use stream::{ThrottledStream, SPLICE_CHUNK};
 pub use transport::RealTransport;

@@ -3,23 +3,18 @@
 //! Stands in for the paper's destination web sites (eBay, Google, …).
 //! Bodies are deterministic byte patterns so an end-to-end test can
 //! verify that a probe + remainder reassembly is byte-exact.
+//!
+//! An origin is the relay's daemon ([`crate::relayd`]) started in the
+//! serve role: same acceptor, workers and connection state machine,
+//! with `plan_response` in place of the forward and [`fill_body`] in
+//! place of the origin socket. This file holds only what the content
+//! is; no socket is touched here.
 
-use crate::error::RelayError;
-use crate::poller::{
-    accept_backoff, accept_error_is_transient, wake_pipe, PollFd, WakeRx, Waker, POLLIN,
-};
-use crate::shaper::{RateSchedule, TokenBucket};
-use crate::stream::ThrottledStream;
-use bytes::BytesMut;
-use ir_http::{
-    encode_response, parse_request, ByteRange, ContentRange, Method, Parsed, Request, Response,
-    StatusCode,
-};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use crate::conn::{LifecycleSnapshot, Role};
+use crate::relayd::{Relay, RelayConfig};
+use crate::shaper::RateSchedule;
+use ir_http::{ByteRange, ContentRange, Request, Response, StatusCode};
+use std::net::SocketAddr;
 use std::time::Duration;
 
 /// The deterministic content byte at offset `i`.
@@ -70,150 +65,63 @@ impl OriginConfig {
     }
 }
 
-/// A running origin server on 127.0.0.1.
+/// A running origin server on 127.0.0.1. Dropping it severs its
+/// connections ([`Relay::kill`]).
 pub struct OriginServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    /// Unparks the accept loop so it sees `shutdown`.
-    wake: Waker,
-    handle: Option<std::thread::JoinHandle<()>>,
+    daemon: Relay,
 }
 
 impl OriginServer {
-    /// Binds an ephemeral loopback port and starts the accept loop.
+    /// Binds an ephemeral loopback port and starts serving.
     pub fn start(cfg: OriginConfig) -> std::io::Result<OriginServer> {
         Self::start_on("127.0.0.1:0", cfg)
     }
 
-    /// Binds an explicit address (e.g. `0.0.0.0:8080`) and starts the
-    /// accept loop.
+    /// Binds an explicit address (e.g. `0.0.0.0:8080`) and starts
+    /// serving.
     pub fn start_on(addr: &str, cfg: OriginConfig) -> std::io::Result<OriginServer> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let flag = shutdown.clone();
-        let (wake, wake_rx) = wake_pipe()?;
-        let handle = std::thread::spawn(move || {
-            accept_loop(listener, cfg, flag, wake_rx);
-        });
+        Self::start_reaping(addr, cfg, RelayConfig::new().idle_timeout)
+    }
+
+    /// [`OriginServer::start_on`] with the progress deadline chosen:
+    /// a connection making no progress for `idle_timeout` is closed.
+    pub(crate) fn start_reaping(
+        addr: &str,
+        cfg: OriginConfig,
+        idle_timeout: Duration,
+    ) -> std::io::Result<OriginServer> {
+        let daemon = RelayConfig {
+            rate: cfg.rate,
+            latency: cfg.latency,
+            idle_timeout,
+            ..RelayConfig::new()
+        };
+        let role = Role::Serve {
+            content_len: cfg.content_len,
+        };
         Ok(OriginServer {
-            addr,
-            shutdown,
-            wake,
-            handle: Some(handle),
+            daemon: Relay::start_role(addr, daemon, role)?,
         })
     }
 
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.daemon.addr()
+    }
+
+    /// Snapshot of the connection-lifecycle transition counters.
+    pub fn lifecycle(&self) -> LifecycleSnapshot {
+        self.daemon.lifecycle()
     }
 }
 
-impl Drop for OriginServer {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // The accept loop parks in `poll` with no timeout: without the
-        // wake byte the join below would wait for the next connection.
-        self.wake.wake();
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    cfg: OriginConfig,
-    shutdown: Arc<AtomicBool>,
-    wake_rx: WakeRx,
-) {
-    // All connections share one path timeline: schedules are anchored
-    // at server start, not per connection.
-    let epoch = std::time::Instant::now();
-    let mut fds = [PollFd::new(listener.as_raw_fd(), POLLIN), wake_rx.poll_fd()];
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let cfg = cfg.clone();
-                std::thread::spawn(move || {
-                    let _ = serve_connection(stream, &cfg, epoch);
-                });
-            }
-            // Backlog drained: park until a connection or `Drop`.
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => wake_rx.park(&mut fds),
-            Err(e) if accept_error_is_transient(&e) => accept_backoff(),
-            Err(_) => break,
-        }
-    }
-}
-
-/// Reads one request head from `stream` into `buf`; `Ok(None)` on clean
-/// EOF before any bytes of a new request.
-fn read_request(stream: &mut TcpStream, buf: &mut BytesMut) -> Result<Option<Request>, RelayError> {
-    loop {
-        match parse_request(&buf[..])? {
-            Parsed::Complete { value, consumed } => {
-                let _ = buf.split_to(consumed);
-                return Ok(Some(value));
-            }
-            Parsed::Partial => {}
-        }
-        let mut chunk = [0u8; 4096];
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            if buf.is_empty() {
-                return Ok(None);
-            }
-            return Err(RelayError::Http(ir_http::HttpError::UnexpectedEof));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    }
-}
-
-fn serve_connection(
-    mut stream: TcpStream,
-    cfg: &OriginConfig,
-    epoch: std::time::Instant,
-) -> Result<(), RelayError> {
-    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    stream.set_nodelay(true)?;
-    let mut inbuf = BytesMut::new();
-    loop {
-        let Some(req) = read_request(&mut stream, &mut inbuf)? else {
-            return Ok(()); // peer closed between requests
-        };
-        if !cfg.latency.is_zero() {
-            std::thread::sleep(cfg.latency);
-        }
-        let mut out: Box<dyn Write> = match &cfg.rate {
-            Some(schedule) => Box::new(ThrottledStream::new(
-                stream.try_clone()?,
-                TokenBucket::with_epoch(schedule.clone(), 16_384.0, epoch),
-            )),
-            None => Box::new(stream.try_clone()?),
-        };
-        respond(&mut *out, &req, cfg)?;
-        out.flush()?;
-    }
-}
-
-fn respond(out: &mut dyn Write, req: &Request, cfg: &OriginConfig) -> Result<(), RelayError> {
-    let total = cfg.content_len;
-    let range = match req.headers.get("Range") {
-        None => None,
-        Some(v) => match ByteRange::parse(v) {
-            Ok(r) => Some(r),
-            Err(_) => {
-                return write_head(
-                    out,
-                    &Response::new(StatusCode::BAD_REQUEST).with_header("Content-Length", "0"),
-                );
-            }
-        },
+/// Plans the response to `req` against `total` content bytes: the
+/// head, and the offset and length of the body a `GET` carries.
+pub(crate) fn plan_response(req: &Request, total: u64) -> (Response, u64, u64) {
+    let Ok(range) = req.headers.get("Range").map(ByteRange::parse).transpose() else {
+        let resp = Response::new(StatusCode::BAD_REQUEST).with_header("Content-Length", "0");
+        return (resp, 0, 0);
     };
-
     let (status, first, last) = match range {
         None => (StatusCode::OK, 0, total.saturating_sub(1)),
         Some(r) => match r.resolve(total) {
@@ -221,7 +129,7 @@ fn respond(out: &mut dyn Write, req: &Request, cfg: &OriginConfig) -> Result<(),
                 let resp = Response::new(StatusCode::RANGE_NOT_SATISFIABLE)
                     .with_header("Content-Range", format!("bytes */{total}"))
                     .with_header("Content-Length", "0");
-                return write_head(out, &resp);
+                return (resp, 0, 0);
             }
             Some((a, b)) => (StatusCode::PARTIAL_CONTENT, a, b),
         },
@@ -237,36 +145,16 @@ fn respond(out: &mut dyn Write, req: &Request, cfg: &OriginConfig) -> Result<(),
             ContentRange::new(first, last, total).to_string(),
         );
     }
-    write_head(out, &resp)?;
-
-    if req.method == Method::Head || len == 0 {
-        return Ok(());
-    }
-    // Stream the body in chunks.
-    let mut offset = first;
-    let mut remaining = len;
-    let mut chunk = vec![0u8; 16 * 1024];
-    while remaining > 0 {
-        let n = (remaining as usize).min(chunk.len());
-        fill_body(offset, &mut chunk[..n]);
-        out.write_all(&chunk[..n])?;
-        offset += n as u64;
-        remaining -= n as u64;
-    }
-    Ok(())
-}
-
-fn write_head(out: &mut dyn Write, resp: &Response) -> Result<(), RelayError> {
-    let mut buf = BytesMut::new();
-    encode_response(resp, &mut buf);
-    out.write_all(&buf)?;
-    Ok(())
+    (resp, first, len)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ir_http::via_proxy;
+    use bytes::BytesMut;
+    use ir_http::{via_proxy, Method, Parsed};
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
 
     fn get(addr: SocketAddr, req: &Request) -> (Response, Vec<u8>) {
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -437,6 +325,101 @@ mod tests {
         let slow_dt = t1.elapsed();
         assert!(slow_dt >= Duration::from_millis(140), "{slow_dt:?}");
         assert!(slow_dt > fast_dt + Duration::from_millis(100));
+    }
+
+    /// The wire contract, byte for byte: every head below was recorded
+    /// from the thread-per-connection origin this daemon replaced. One
+    /// keep-alive connection carries all six, so a stray body byte
+    /// (after the `HEAD`, after an error) would corrupt the next head.
+    #[test]
+    fn heads_and_bodies_are_the_recorded_wire_format() {
+        const OK: &str = "HTTP/1.1 200 OK\r\nContent-Length: 10000\r\nAccept-Ranges: bytes\r\n\r\n";
+        let cases: [(Method, Option<&str>, &str, std::ops::Range<u64>); 6] = [
+            (Method::Get, None, OK, 0..10_000),
+            (
+                Method::Get,
+                Some("bytes=0-1023"),
+                "HTTP/1.1 206 Partial Content\r\nContent-Length: 1024\r\nAccept-Ranges: bytes\r\n\
+                 Content-Range: bytes 0-1023/10000\r\n\r\n",
+                0..1024,
+            ),
+            (Method::Head, None, OK, 0..0),
+            (
+                Method::Get,
+                Some("bytes=9000-"),
+                "HTTP/1.1 206 Partial Content\r\nContent-Length: 1000\r\nAccept-Ranges: bytes\r\n\
+                 Content-Range: bytes 9000-9999/10000\r\n\r\n",
+                9000..10_000,
+            ),
+            (
+                Method::Get,
+                Some("bytes=10500-"),
+                "HTTP/1.1 416 Range Not Satisfiable\r\nContent-Range: bytes */10000\r\n\
+                 Content-Length: 0\r\n\r\n",
+                0..0,
+            ),
+            (
+                Method::Get,
+                Some("bytes=oops"),
+                "HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n",
+                0..0,
+            ),
+        ];
+        let origin = OriginServer::start(OriginConfig::new(10_000)).unwrap();
+        let mut stream = TcpStream::connect(origin.addr()).unwrap();
+        for (method, range, want_head, want_body) in cases {
+            let mut req = Request::get("/f").with_header("Host", "o");
+            req.method = method;
+            if let Some(range) = range {
+                req = req.with_header("Range", range);
+            }
+            let mut buf = BytesMut::new();
+            ir_http::encode_request(&req, &mut buf);
+            stream.write_all(&buf).unwrap();
+
+            let mut head = Vec::new();
+            while !head.ends_with(b"\r\n\r\n") {
+                let mut byte = [0u8; 1];
+                stream.read_exact(&mut byte).unwrap();
+                head.push(byte[0]);
+            }
+            assert_eq!(String::from_utf8(head).unwrap(), want_head, "{range:?}");
+            let mut body = vec![0u8; (want_body.end - want_body.start) as usize];
+            stream.read_exact(&mut body).unwrap();
+            let want: Vec<u8> = want_body.map(body_byte).collect();
+            assert_eq!(body, want, "{range:?}");
+        }
+    }
+
+    /// A client that asks for more than the socket buffers hold and
+    /// never reads is closed by the progress deadline; nothing of it
+    /// stays behind.
+    #[test]
+    fn a_reader_that_stops_reading_is_reaped_by_the_origin() {
+        let origin = OriginServer::start_reaping(
+            "127.0.0.1:0",
+            OriginConfig::new(8 << 20),
+            Duration::from_millis(300),
+        )
+        .unwrap();
+        let mut stream = TcpStream::connect(origin.addr()).unwrap();
+        let mut buf = BytesMut::new();
+        ir_http::encode_request(&Request::get("/f").with_header("Host", "o"), &mut buf);
+        stream.write_all(&buf).unwrap();
+
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while origin.daemon.active_connections() > 0 || origin.lifecycle().accepted == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "stalled reader still held: {:?}",
+                origin.lifecycle()
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let life = origin.lifecycle();
+        assert_eq!((life.idle_timeouts, life.closed_error), (1, 1), "{life:?}");
+        assert_eq!(life.requests_completed, 0, "{life:?}");
+        assert!(origin.daemon.registry_is_empty());
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! directly against the platform C library (which every Rust binary
 //! already links). Everything else stays on `std`: sockets are plain
 //! `TcpStream`s flipped to non-blocking mode, and every thread that
-//! parks in `poll` (the relay's acceptor and workers, the origin's
-//! accept loop) is woken through a `wake_pipe` — a `UnixStream` pair.
+//! parks in `poll` (a daemon's acceptor and workers) is woken through
+//! a `wake_pipe` — a `UnixStream` pair.
 //!
 //! Only Linux constants are used on the FFI path; non-Linux unix
 //! targets fall back to a blocking `connect` + `set_nonblocking`,

@@ -11,14 +11,15 @@
 //! ([`crate::poller`], DESIGN.md §15). Each connection is a
 //! `crate::conn::Conn` state machine; splice buffers come from a
 //! shared pool; thousands of concurrent transfers cost a handful of
-//! threads.
+//! threads. [`crate::OriginServer`] is this same daemon started in the
+//! serve role: nothing in this file knows which role it runs.
 //!
 //! The daemon honours accept-side backpressure ([`RelayConfig::
 //! with_max_connections`]), `kill()` crash semantics (sever every
 //! splice, refuse new connections — PR 2), and graceful
 //! [`Relay::drain`].
 
-use crate::conn::{BufferPool, Conn, Lifecycle, LifecycleSnapshot, Step, StepCtx};
+use crate::conn::{BufferPool, Conn, Lifecycle, LifecycleSnapshot, Role, Step, StepCtx};
 use crate::poller::{
     accept_backoff, accept_error_is_transient, poll_fds, wake_pipe, PollFd, WakeRx, Waker, POLLIN,
 };
@@ -150,13 +151,15 @@ pub struct Relay {
     shutdown: Arc<AtomicBool>,
     draining: Arc<AtomicBool>,
     shared: Arc<Shared>,
-    handles: Vec<std::thread::JoinHandle<()>>,
+    /// The acceptor; it starts and joins the workers.
+    acceptor: Option<std::thread::JoinHandle<()>>,
     wakes: Vec<Arc<WorkerLink>>,
 }
 
 /// State shared by the acceptor, the workers, and the owning `Relay`.
 struct Shared {
     cfg: RelayConfig,
+    role: Role,
     /// Client-socket clones keyed by connection id, so `kill` can
     /// sever splices that are mid-flight on another thread.
     registry: Mutex<BTreeMap<u64, TcpStream>>,
@@ -195,6 +198,11 @@ impl Relay {
     /// forwarding — the deployable entry point of the forwarding
     /// service.
     pub fn start_on(addr: &str, cfg: RelayConfig) -> std::io::Result<Relay> {
+        Self::start_role(addr, cfg, Role::Forward)
+    }
+
+    /// Starts the daemon answering requests as `role`.
+    pub(crate) fn start_role(addr: &str, cfg: RelayConfig, role: Role) -> std::io::Result<Relay> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -203,17 +211,18 @@ impl Relay {
         let (accept_wake, accept_wake_rx) = wake_pipe()?;
         let shared = Arc::new(Shared {
             cfg,
+            role,
             registry: Mutex::new(BTreeMap::new()),
             active: AtomicU64::new(0),
             lifecycle: Lifecycle::default(),
             pool: BufferPool::default(),
             accept_wake,
         });
-        let mut handles = Vec::new();
         let epoch = Instant::now();
 
         let n = shared.cfg.workers.max(1);
         let mut wakes = Vec::with_capacity(n);
+        let mut idle = Vec::with_capacity(n);
         for _ in 0..n {
             let (wake, wake_rx) = wake_pipe()?;
             let link = Arc::new(WorkerLink {
@@ -228,18 +237,20 @@ impl Relay {
                 draining: draining.clone(),
                 epoch,
             };
-            handles.push(std::thread::spawn(move || worker.run()));
+            idle.push(Some(worker));
             wakes.push(link);
         }
         let dispatch = Dispatch {
             links: wakes.clone(),
+            idle,
+            running: Vec::new(),
             next: 0,
         };
 
         let accept_shared = shared.clone();
         let accept_shutdown = shutdown.clone();
         let accept_draining = draining.clone();
-        handles.push(std::thread::spawn(move || {
+        let acceptor = std::thread::spawn(move || {
             accept_loop(
                 listener,
                 accept_shared,
@@ -249,14 +260,14 @@ impl Relay {
                 dispatch,
                 accept_wake_rx,
             )
-        }));
+        });
 
         Ok(Relay {
             addr,
             shutdown,
             draining,
             shared,
-            handles,
+            acceptor: Some(acceptor),
             wakes,
         })
     }
@@ -306,8 +317,8 @@ impl Relay {
             let _ = c.shutdown(Shutdown::Both);
         }
         self.wake_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
+        if let Some(acceptor) = self.acceptor.take() {
+            let _ = acceptor.join();
         }
         // Workers reaped their connections on the way out; an intake
         // handed over after its worker exited is dropped here.
@@ -369,9 +380,14 @@ struct WorkerLink {
     wake: Waker,
 }
 
-/// Round-robin handoff from the acceptor to the worker shards.
+/// Round-robin handoff from the acceptor to the worker shards. A
+/// shard's thread starts with its first connection, so starting a
+/// daemon costs one thread and an idle one holds no more.
 struct Dispatch {
     links: Vec<Arc<WorkerLink>>,
+    /// Shards whose thread has not started, by index.
+    idle: Vec<Option<Worker>>,
+    running: Vec<std::thread::JoinHandle<()>>,
     next: usize,
 }
 
@@ -452,6 +468,9 @@ fn accept_loop(
             .with_u64("connections", conns),
         );
     }
+    for worker in dispatch.running {
+        let _ = worker.join();
+    }
 }
 
 fn at_capacity(shared: &Shared) -> bool {
@@ -500,10 +519,16 @@ fn admit(shared: &Shared, epoch: Instant, intake: Intake, dispatch: &mut Dispatc
             .expect("relay registry")
             .insert(intake.conn_id, clone);
     }
-    let link = &dispatch.links[dispatch.next % dispatch.links.len()];
+    let shard = dispatch.next % dispatch.links.len();
     dispatch.next = dispatch.next.wrapping_add(1);
+    let link = &dispatch.links[shard];
     link.queue.lock().expect("worker queue").push_back(intake);
-    link.wake.wake();
+    match dispatch.idle[shard].take() {
+        Some(worker) => dispatch
+            .running
+            .push(std::thread::spawn(move || worker.run())),
+        None => link.wake.wake(),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -667,6 +692,7 @@ impl Worker {
     fn step_conn(&self, conn: &mut Conn, now: Instant, draining: bool) -> Step {
         let ctx = StepCtx {
             telemetry: &self.shared.cfg.telemetry,
+            role: self.shared.role,
             latency: self.shared.cfg.latency,
             epoch: self.epoch,
             lifecycle: &self.shared.lifecycle,
@@ -934,6 +960,36 @@ mod tests {
         let life = relay.lifecycle();
         assert_eq!(life.origin_dials, 1, "{life:?}");
         assert_eq!(life.upstream_reuses, 2, "{life:?}");
+    }
+
+    /// A relayed `HEAD` ends at its head: the relay does not wait for
+    /// the `Content-Length` bytes the origin never sends, and both legs
+    /// stay usable for the next request.
+    #[test]
+    fn head_through_relay_completes_and_keeps_both_legs() {
+        let origin = OriginServer::start(OriginConfig::new(5_000)).unwrap();
+        let relay =
+            Relay::start(RelayConfig::new().with_idle_timeout(Duration::from_secs(1))).unwrap();
+        let mut stream = TcpStream::connect(relay.addr()).unwrap();
+        let o = origin.addr();
+        let mut req = via_proxy(&o.ip().to_string(), o.port(), "/f");
+        req.method = ir_http::Method::Head;
+        let mut buf = BytesMut::new();
+        encode_request(&req, &mut buf);
+        stream.write_all(&buf).unwrap();
+        let (head, leftover) = crate::wire::read_head(&mut stream).unwrap();
+        assert_eq!(head.status, StatusCode::OK);
+        assert_eq!(head.headers.content_length().unwrap(), Some(5_000));
+        assert!(leftover.is_empty(), "HEAD must not carry a body");
+
+        send_range(&mut stream, o, 100, 199);
+        assert_range(&mut stream, 100, 199);
+        let life = relay.lifecycle();
+        assert_eq!(life.upstream_reuses, 1, "{life:?}");
+        assert_eq!(life.idle_timeouts, 0, "{life:?}");
+        // The `GET` is counted just after its last byte leaves, so
+        // only the `HEAD` is certain to be counted by now.
+        assert!(life.requests_completed >= 1, "{life:?}");
     }
 
     /// An origin that answers one request per connection and hangs up

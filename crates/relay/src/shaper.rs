@@ -2,9 +2,9 @@
 //!
 //! On loopback everything runs at gigabytes per second; the shaper is
 //! what turns a localhost socket into a "1.2 Mbps transatlantic path".
-//! Every byte written through a [`crate::stream::ThrottledStream`]
-//! spends tokens; when the bucket runs dry the writer sleeps until the
-//! refill covers the next chunk.
+//! Every byte a daemon writes to a shaped client spends tokens; when
+//! the bucket runs dry the connection parks on a reactor timer until
+//! the refill covers the next chunk (`Conn::flush_out`).
 
 use std::time::{Duration, Instant};
 
@@ -80,29 +80,18 @@ impl TokenBucket {
         }
     }
 
-    /// Convenience: constant-rate bucket with a burst of ~50 ms worth
-    /// of tokens (smooth pacing without syscall-per-byte overhead).
-    pub fn at_rate(rate: f64) -> Self {
-        TokenBucket::new(RateSchedule::constant(rate), (rate * 0.05).max(4096.0))
-    }
-
     fn refill(&mut self, now: Instant) {
         let dt = now.duration_since(self.last_refill);
         // Use the rate at the interval midpoint — close enough for the
-        // ~ms refill cadence the stream produces.
+        // ~ms refill cadence the reactor produces.
         let mid = now.duration_since(self.epoch).saturating_sub(dt / 2);
         let rate = self.schedule.rate_at(mid);
         self.tokens = (self.tokens + rate * dt.as_secs_f64()).min(self.burst);
         self.last_refill = now;
     }
 
-    /// Takes up to `want` tokens; returns how many were granted
-    /// (possibly zero).
-    pub fn take(&mut self, want: usize) -> usize {
-        self.take_at(want, Instant::now())
-    }
-
-    /// Deterministic variant of [`TokenBucket::take`] for tests.
+    /// Takes up to `want` tokens as of `now`; returns how many were
+    /// granted (possibly zero).
     pub fn take_at(&mut self, want: usize, now: Instant) -> usize {
         self.refill(now);
         let granted = (want as f64).min(self.tokens).floor();
@@ -110,28 +99,13 @@ impl TokenBucket {
         granted as usize
     }
 
-    /// How long to wait before ~`want` tokens will be available.
-    pub fn eta(&self, want: usize) -> Duration {
-        let missing = (want as f64 - self.tokens).max(0.0);
-        let rate = self
-            .schedule
-            .rate_at(self.last_refill.duration_since(self.epoch));
-        Duration::from_secs_f64((missing / rate).clamp(0.0005, 0.25))
-    }
-
-    /// Deterministic variant of [`TokenBucket::eta`]: the wait as of
-    /// `now`, using the rate scheduled at that instant. The reactor
-    /// turns this into a poll timeout instead of sleeping.
+    /// How long to wait, as of `now`, before ~`want` tokens will be
+    /// available at the rate scheduled at that instant. The reactor
+    /// turns this into a poll timeout.
     pub fn eta_at(&self, want: usize, now: Instant) -> Duration {
         let missing = (want as f64 - self.tokens).max(0.0);
         let rate = self.schedule.rate_at(now.duration_since(self.epoch));
         Duration::from_secs_f64((missing / rate).clamp(0.0005, 0.25))
-    }
-
-    /// The currently scheduled rate (bytes/sec).
-    pub fn current_rate(&self) -> f64 {
-        self.schedule
-            .rate_at(Instant::now().duration_since(self.epoch))
     }
 }
 
@@ -184,7 +158,7 @@ mod tests {
         let mut b = TokenBucket::new(RateSchedule::constant(1000.0), 100.0);
         let t0 = Instant::now();
         b.take_at(100, t0); // drain
-        let eta = b.eta(100);
+        let eta = b.eta_at(100, t0);
         // 100 tokens at 1000/s = 100 ms (clamped window 0.5..250 ms).
         assert!(eta >= Duration::from_millis(50) && eta <= Duration::from_millis(250));
     }

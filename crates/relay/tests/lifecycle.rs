@@ -241,3 +241,136 @@ fn mid_splice_kill_leaves_no_state_behind() {
         assert!(snap.killed >= 1, "seed {seed}: kill not observed {snap:?}");
     }
 }
+
+/// The origin is the same daemon in its serve role, so its connections
+/// die with it: a detached serving thread used to finish the body.
+#[test]
+fn dropping_an_origin_severs_its_connections() {
+    const CONTENT: u64 = 400_000;
+    let origin =
+        OriginServer::start(OriginConfig::new(CONTENT).shaped(RateSchedule::constant(200_000.0)))
+            .unwrap();
+    let mut stream = TcpStream::connect(origin.addr()).unwrap();
+    let mut buf = BytesMut::new();
+    encode_request(
+        &ir_http::Request::get("/f").with_header("Host", "o"),
+        &mut buf,
+    );
+    stream.write_all(&buf).unwrap();
+    // Mid-body: the burst and a little more have arrived.
+    let mut got = 0usize;
+    let mut chunk = [0u8; 8192];
+    while got < 30_000 {
+        got += stream.read(&mut chunk).unwrap();
+    }
+    drop(origin);
+    let t0 = Instant::now();
+    loop {
+        match stream.read(&mut chunk) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => got += n,
+        }
+    }
+    assert!((got as u64) < CONTENT, "the whole body arrived: {got}");
+    assert!(
+        t0.elapsed() < Duration::from_millis(500),
+        "client noticed after {:?}",
+        t0.elapsed()
+    );
+}
+
+/// The sweep's leak oracle against a serve-role daemon: whatever the
+/// clients do, every accepted connection reaches a terminal counter.
+#[test]
+fn serve_role_sweep_accounts_for_every_connection() {
+    const CONTENT: u64 = 8 << 20;
+    let origin = OriginServer::start(OriginConfig::new(CONTENT)).unwrap();
+    let send = |stream: &mut TcpStream, method: ir_http::Method, range: Option<String>| {
+        let mut req = ir_http::Request::get("/f").with_header("Host", "o");
+        req.method = method;
+        if let Some(range) = range {
+            req = req.with_header("Range", range);
+        }
+        let mut buf = BytesMut::new();
+        encode_request(&req, &mut buf);
+        stream.write_all(&buf).unwrap();
+    };
+    let mut opened = 0u64;
+    let mut answered = 0u64;
+    for seed in 0..6u64 {
+        let mut rng = StdRng::seed_from_u64(0x0516 + seed);
+        let mut stream = TcpStream::connect(origin.addr()).unwrap();
+        opened += 1;
+        for _ in 0..rng.gen_range(1..4usize) {
+            let from = rng.gen_range(0..CONTENT - 64);
+            let to = rng.gen_range(from..CONTENT.min(from + 40_000));
+            let (method, range, want) = match rng.gen_range(0..4u32) {
+                0 => (ir_http::Method::Head, None, StatusCode::OK),
+                1 => (
+                    ir_http::Method::Get,
+                    Some(format!("bytes={}-", CONTENT + from)),
+                    StatusCode::RANGE_NOT_SATISFIABLE,
+                ),
+                2 => (
+                    ir_http::Method::Get,
+                    Some("bytes=nonsense".to_string()),
+                    StatusCode::BAD_REQUEST,
+                ),
+                _ => (
+                    ir_http::Method::Get,
+                    Some(format!("bytes={from}-{to}")),
+                    StatusCode::PARTIAL_CONTENT,
+                ),
+            };
+            send(&mut stream, method, range);
+            if method == ir_http::Method::Head {
+                let (head, rest) = ir_relay::wire::read_head(&mut stream).unwrap();
+                assert_eq!((head.status, rest.len()), (want, 0), "seed {seed}");
+            } else {
+                let (head, body) = read_response(&mut stream);
+                assert_eq!(head.status, want, "seed {seed}");
+                if want == StatusCode::PARTIAL_CONTENT {
+                    let bytes: Vec<u8> = (from..=to).map(body_byte).collect();
+                    assert_eq!(body, bytes, "seed {seed}");
+                }
+            }
+            answered += 1;
+        }
+        // Half of the clients walk away mid-body instead of closing
+        // between requests.
+        if seed % 2 == 0 {
+            send(&mut stream, ir_http::Method::Get, None);
+            let mut first = [0u8; 512];
+            stream.read_exact(&mut first).unwrap();
+        }
+    }
+    // A client that sends no HTTP at all.
+    {
+        let mut stream = TcpStream::connect(origin.addr()).unwrap();
+        opened += 1;
+        stream.write_all(b"\x00\x01 not http\r\n\r\n").unwrap();
+        let mut sink = [0u8; 64];
+        assert!(matches!(stream.read(&mut sink), Ok(0) | Err(_)));
+    }
+
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let settled = |s: &ir_relay::LifecycleSnapshot| {
+        s.accepted == opened && s.accepted == s.closed_clean + s.closed_error + s.killed
+    };
+    while !settled(&origin.lifecycle()) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let snap = origin.lifecycle();
+    assert!(settled(&snap), "{opened} opened, leaked: {snap:?}");
+    assert!(snap.requests_completed >= answered, "{snap:?}");
+    assert!(
+        snap.closed_clean >= 3 && snap.closed_error >= 1,
+        "both ends of the ledger were exercised: {snap:?}"
+    );
+    // The forward-only transitions are unreachable in this role.
+    assert_eq!(
+        (snap.origin_dials, snap.upstream_sends, snap.heads_read),
+        (0, 0, 0),
+        "{snap:?}"
+    );
+}
