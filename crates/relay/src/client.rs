@@ -529,6 +529,43 @@ mod tests {
         assert!(t0.elapsed() >= cfg.timeout, "{:?}", t0.elapsed());
     }
 
+    /// A lone wait ends at its horizon, not when the body is in, and
+    /// leaves the transfer's progress readable.
+    #[test]
+    fn a_lone_wait_returns_at_its_horizon() {
+        let origin = OriginServer::start(
+            OriginConfig::new(500_000).shaped(RateSchedule::constant(50.0 * KB)),
+        )
+        .unwrap();
+        let a = origin.addr();
+        let timeout = Duration::from_secs(30);
+        let (mut engine, paths) = RealTransport::star(a, a, &[], "/f", 500_000, timeout);
+        let h = engine.fetch(&paths[0], 0, 500_000);
+        let t0 = Instant::now();
+        assert!(engine.finish(h, SimDuration::from_secs(2)).is_none());
+        let waited = t0.elapsed();
+        assert!(waited < Duration::from_millis(2_500), "{waited:?}");
+        let moved = engine.progress(h);
+        assert!(moved > 0 && moved < 500_000, "{moved}");
+    }
+
+    /// `ClientConfig::timeout` bounds the remainder too: a download
+    /// whose remainder would take ≈ 9 s gives up at 2.
+    #[test]
+    fn download_gives_up_at_the_per_phase_timeout() {
+        let (origin, _, relays) = world(500_000, 50.0 * KB, &[40.0 * KB]);
+        let cfg = ClientConfig {
+            path: "/f".into(),
+            probe_bytes: 50_000,
+            total_bytes: 500_000,
+            timeout: Duration::from_secs(2),
+        };
+        let t0 = Instant::now();
+        let got = download(origin.addr(), origin.addr(), &[relays[0].addr()], &cfg);
+        assert!(matches!(got, Err(RelayError::Timeout)), "{got:?}");
+        assert!(t0.elapsed() < Duration::from_secs(5), "{:?}", t0.elapsed());
+    }
+
     /// Winning the race closes the losers: a relay whose probe would
     /// run for seconds is rid of the connection at once, not when the
     /// probe finally drains.

@@ -25,10 +25,11 @@
 //!   a relay (absolute-form in, origin-form out) or an origin.
 //! * [`transport`] — the socket fetch engine ([`RealTransport`]): the
 //!   only client-side code that dials, requests, validates, pools and
-//!   cancels; an `ir_core::Transport`.
+//!   cancels; an `ir_core::Transport` driven by one `poll` loop on the
+//!   caller's thread.
 //! * [`client`] — probe race and downloads (racing, failover,
 //!   striped): the runner's selecting process over the engine.
-//! * [`wire`] — small blocking HTTP client primitives.
+//! * [`wire`] — blocking helpers for tests and tools.
 //! * [`harness`] — a one-process mini-PlanetLab for tests and examples.
 
 pub mod client;

@@ -419,7 +419,10 @@ mod tests {
         let life = origin.lifecycle();
         assert_eq!((life.idle_timeouts, life.closed_error), (1, 1), "{life:?}");
         assert_eq!(life.requests_completed, 0, "{life:?}");
-        assert!(origin.daemon.registry_is_empty());
+        assert_eq!(
+            life.accepted,
+            life.closed_clean + life.closed_error + life.killed
+        );
     }
 
     #[test]

@@ -28,12 +28,12 @@ use bytes::BytesMut;
 use ir_http::{encode_response, Response, StatusCode};
 use ir_telemetry::trace::{Event, EventKind};
 use ir_telemetry::Telemetry;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// What the acceptor does with a connection beyond the limit.
@@ -160,9 +160,6 @@ pub struct Relay {
 struct Shared {
     cfg: RelayConfig,
     role: Role,
-    /// Client-socket clones keyed by connection id, so `kill` can
-    /// sever splices that are mid-flight on another thread.
-    registry: Mutex<BTreeMap<u64, TcpStream>>,
     /// Live connection count (backpressure admission + `relay_active`).
     active: AtomicU64,
     lifecycle: Lifecycle,
@@ -173,8 +170,7 @@ struct Shared {
 }
 
 impl Shared {
-    fn conn_closed(&self, id: u64) {
-        self.registry.lock().expect("relay registry").remove(&id);
+    fn conn_closed(&self) {
         self.active.fetch_sub(1, Ordering::SeqCst);
         if self.cfg.max_connections.is_some() {
             // A `Queue`-parked socket may now be admitted.
@@ -212,7 +208,6 @@ impl Relay {
         let shared = Arc::new(Shared {
             cfg,
             role,
-            registry: Mutex::new(BTreeMap::new()),
             active: AtomicU64::new(0),
             lifecycle: Lifecycle::default(),
             pool: BufferPool::default(),
@@ -282,16 +277,6 @@ impl Relay {
         self.shared.active.load(Ordering::SeqCst)
     }
 
-    /// True when the kill-registry holds no connection handles —
-    /// nothing leaked past a drain or kill.
-    pub fn registry_is_empty(&self) -> bool {
-        self.shared
-            .registry
-            .lock()
-            .expect("relay registry")
-            .is_empty()
-    }
-
     /// Snapshot of the connection-lifecycle transition counters.
     pub fn lifecycle(&self) -> LifecycleSnapshot {
         self.shared.lifecycle.snapshot()
@@ -313,16 +298,20 @@ impl Relay {
     /// new one on the same address to model a restart).
     pub fn kill(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        for (_, c) in self.shared.registry.lock().expect("relay registry").iter() {
-            let _ = c.shutdown(Shutdown::Both);
-        }
         self.wake_all();
+        // The acceptor joins the workers, and each drops (closes) every
+        // connection it owns on its way out.
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
-        // Workers reaped their connections on the way out; an intake
-        // handed over after its worker exited is dropped here.
-        self.shared.registry.lock().expect("relay registry").clear();
+        // An intake handed over after its worker exited is dropped here.
+        for link in &self.wakes {
+            let mut queue = link.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            for _ in queue.drain(..) {
+                Lifecycle::bump(&self.shared.lifecycle.killed);
+                self.shared.conn_closed();
+            }
+        }
     }
 
     /// Gracefully drains: stops accepting, closes idle connections
@@ -510,15 +499,6 @@ fn admit(shared: &Shared, epoch: Instant, intake: Intake, dispatch: &mut Dispatc
             intake.conn_id,
         ));
     }
-    // Register a handle so `kill` can sever the connection even while
-    // it is mid-splice on another thread.
-    if let Ok(clone) = intake.stream.try_clone() {
-        shared
-            .registry
-            .lock()
-            .expect("relay registry")
-            .insert(intake.conn_id, clone);
-    }
     let shard = dispatch.next % dispatch.links.len();
     dispatch.next = dispatch.next.wrapping_add(1);
     let link = &dispatch.links[shard];
@@ -565,7 +545,8 @@ impl Worker {
                 let intake = self.link.queue.lock().expect("worker queue").pop_front();
                 let Some(intake) = intake else { break };
                 if shutdown {
-                    self.shared.conn_closed(intake.conn_id);
+                    Lifecycle::bump(&self.shared.lifecycle.killed);
+                    self.shared.conn_closed();
                     continue;
                 }
                 let bucket = self
@@ -590,7 +571,10 @@ impl Worker {
                         }
                         conns.push(conn);
                     }
-                    Err(_) => self.shared.conn_closed(intake.conn_id),
+                    Err(_) => {
+                        Lifecycle::bump(&self.shared.lifecycle.closed_error);
+                        self.shared.conn_closed();
+                    }
                 }
             }
 
@@ -703,9 +687,8 @@ impl Worker {
     }
 
     fn reap(&self, conn: Conn) {
-        let id = conn.id;
         self.shared.pool.give(conn.into_buffer());
-        self.shared.conn_closed(id);
+        self.shared.conn_closed();
     }
 }
 
@@ -1104,6 +1087,9 @@ mod tests {
         assert_eq!(body.len(), 120_000);
         assert!(report.monotone, "samples rose: {:?}", report.samples);
         assert!(report.completed && report.forced == 0);
-        assert!(relay.registry_is_empty(), "drain leaked registry entries");
+        let life = relay.lifecycle();
+        let closed = life.closed_clean + life.closed_error + life.killed;
+        assert_eq!(life.accepted, closed, "drain leaked a connection: {life:?}");
+        assert_eq!(relay.active_connections(), 0);
     }
 }

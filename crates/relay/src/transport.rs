@@ -5,72 +5,139 @@
 //! warm connection and shuts a loser down. The session runner
 //! (`ir_core::run_paths_session` / `run_selecting`) drives it through
 //! the [`Transport`] trait — `begin` is a genuine TCP connection and
-//! HTTP range request, `race` blocks on wall-clock completions,
-//! `begin_warm` reuses the winning probe's keep-alive connection — and
-//! [`crate::client`]'s downloads through the same handles plus
-//! [`RealTransport::fetch`], which names the byte offset.
+//! HTTP range request, `race` and `finish` wait on wall-clock
+//! completions, `begin_warm` reuses the winning probe's keep-alive
+//! connection — and [`crate::client`]'s downloads through the same
+//! handles plus [`RealTransport::fetch`], which names the byte offset.
 //!
-//! Bodies land in one [`Reassembly`] the engine owns, when the caller
-//! *accepts* a transfer (it wins a `race`, or `finish` returns it);
-//! a cancelled loser's bytes never do. One protocol, two transports:
-//! `tests/session_over_sockets.rs` runs the studies' runner over this.
+//! A transfer is a non-blocking socket and a state machine (dial, send,
+//! head, body) moved by one `poll` loop on the caller's thread: whichever
+//! handles it waits on, every live transfer advances — a control begun
+//! before a probe race keeps downloading through it. No transfer holds a
+//! thread, and dropping the engine closes its sockets. Bodies land in one
+//! [`Reassembly`] the engine owns, when the caller *accepts* a transfer
+//! (it wins a `race`, or `finish` returns it); a cancelled loser's bytes
+//! never do. One protocol, two transports: `tests/session_over_sockets.rs`
+//! runs the studies' runner over this.
 
 use crate::error::RelayError;
-use crate::wire::fetch_range;
+use crate::poller::{connect_errno, connect_nonblocking, poll_fds, Dial, PollFd, POLLIN, POLLOUT};
+use bytes::BytesMut;
 use ir_core::{Handle, PathSpec, RaceWin, Timing, Transport};
-use ir_http::{via_proxy, ByteRange, Reassembly, Request};
+use ir_http::{encode_request, parse_response, via_proxy, ByteRange, HttpError, Parsed};
+use ir_http::{Reassembly, Request, StatusCode};
 use ir_simnet::time::{SimDuration, SimTime};
 use ir_simnet::topology::NodeId;
 use std::collections::HashMap;
-use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::io::{self, Read, Write};
+use std::mem;
+use std::net::{SocketAddr, TcpStream};
+use std::os::unix::io::AsRawFd;
 use std::time::{Duration, Instant};
+
+/// Where a transfer is; each live stage waits on its socket.
+enum Stage {
+    /// The non-blocking connect is in flight.
+    Dial,
+    /// The request is going out; this much of it has.
+    Send(usize),
+    /// The response head, as it arrives.
+    Head(Vec<u8>),
+    /// The body, read straight into its final, zeroed buffer (for a
+    /// large body, fresh pages); this much of it has arrived.
+    Body(Vec<u8>, usize),
+    /// Delivered; the body stays here until the transfer is accepted.
+    Done(Vec<u8>),
+    /// Failed or cancelled: the socket is closed.
+    Failed(RelayError),
+}
 
 struct Slot {
     path: PathSpec,
     /// Offset of the transfer's first byte in the resource.
     offset: u64,
-    /// Completion buffer (thread writes, `race` reads).
-    result: Option<Result<Timing, RelayError>>,
-    /// The validated body, until the transfer is accepted.
-    body: Vec<u8>,
-    /// The transfer's socket: a clone while in flight (for `cancel`),
-    /// the connection itself once it succeeded (for warm reuse).
+    /// Start and size; the finish is stamped on delivery.
+    timing: Timing,
+    stage: Stage,
+    /// The transfer's socket, kept after delivery for warm reuse.
     conn: Option<TcpStream>,
-    /// Cancelled by the session.
-    cancelled: bool,
-    /// The transfer itself, while it waits to be started.
-    deferred: Option<Job>,
+    /// The encoded request.
+    request: BytesMut,
+    /// When the socket was last ready.
+    moved: Instant,
 }
 
-/// A transfer with everything it needs to run, on a thread of its own
-/// or on the caller's.
-struct Job {
-    idx: usize,
-    addr: SocketAddr,
-    request: Request,
-    bytes: u64,
-    /// A connection to reuse instead of dialling `addr`.
-    warm: Option<TcpStream>,
-}
-
-struct Shared {
-    slots: Mutex<Vec<Slot>>,
-    cv: Condvar,
-    /// Zero of the engine's clock.
-    epoch: Instant,
-    /// Per-transfer socket timeout.
-    timeout: Duration,
-}
-
-impl Shared {
-    fn now(&self) -> SimTime {
-        SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
+impl Slot {
+    /// What the transfer's socket is polled for while it is live.
+    fn poll_fd(&self) -> Option<PollFd> {
+        let events = match self.stage {
+            Stage::Dial | Stage::Send(_) => POLLOUT,
+            Stage::Head(_) | Stage::Body(..) => POLLIN,
+            Stage::Done(..) | Stage::Failed(_) => return None,
+        };
+        Some(PollFd::new(self.conn.as_ref()?.as_raw_fd(), events))
     }
 
-    fn slots(&self) -> MutexGuard<'_, Vec<Slot>> {
-        // Poisoned only if a transfer thread panicked mid-update.
-        self.slots.lock().expect("slot table poisoned")
+    /// Moves the transfer as far as its socket goes without blocking —
+    /// a readable socket is read until it would block — and records
+    /// delivery at `now`. On an error the caller fails the path.
+    fn step(&mut self, now: SimTime) -> Result<(), RelayError> {
+        let Some(conn) = &mut self.conn else {
+            return Ok(());
+        };
+        loop {
+            let moved = match &mut self.stage {
+                Stage::Dial => connect_errno(conn).map(|()| 1),
+                Stage::Send(sent) => conn.write(&self.request[*sent..]).inspect(|n| *sent += n),
+                Stage::Head(head) => {
+                    let mut got = [0u8; 4096];
+                    conn.read(&mut got).inspect(|&n| head.extend(&got[..n]))
+                }
+                Stage::Body(body, got) if *got == body.len() => Ok(1), // came with the head
+                Stage::Body(body, got) => conn.read(&mut body[*got..]).inspect(|n| *got += n),
+                Stage::Done(..) | Stage::Failed(_) => return Ok(()),
+            };
+            match moved {
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                Ok(0) => return Err(RelayError::Http(HttpError::UnexpectedEof)),
+                moved => moved?,
+            };
+            match &mut self.stage {
+                Stage::Dial => self.stage = Stage::Send(0),
+                Stage::Send(sent) if *sent == self.request.len() => {
+                    self.stage = Stage::Head(Vec::new())
+                }
+                Stage::Head(head) => {
+                    let Parsed::Complete { value, consumed } = parse_response(head)? else {
+                        continue;
+                    };
+                    // The one validation rule: `206` and exactly the
+                    // bytes asked for, or the path has failed.
+                    if value.status != StatusCode::PARTIAL_CONTENT {
+                        return Err(RelayError::BadStatus(value.status.0));
+                    }
+                    let (len, bytes) = (value.headers.content_length()?, self.timing.bytes);
+                    if len != Some(bytes) {
+                        let why = format!("asked for {bytes} bytes, Content-Length {len:?}");
+                        return Err(RelayError::BadResponse(why));
+                    }
+                    let mut body = vec![0u8; bytes as usize];
+                    let early = &head[consumed..];
+                    let n = early.len().min(body.len());
+                    body[..n].copy_from_slice(&early[..n]);
+                    self.stage = Stage::Body(body, n);
+                }
+                Stage::Body(body, got) if *got == body.len() => {
+                    self.timing.finished = now;
+                    self.stage = Stage::Done(mem::take(body));
+                }
+                _ => {}
+            }
+        }
+    }
+
+    fn fail(&mut self, e: RelayError) {
+        (self.conn, self.stage) = (None, Stage::Failed(e));
     }
 }
 
@@ -85,7 +152,12 @@ pub struct RealTransport {
     relays: Vec<SocketAddr>,
     /// Resource path on the origin.
     path: String,
-    shared: Arc<Shared>,
+    /// Every transfer begun, by handle.
+    slots: Vec<Slot>,
+    /// Zero of the engine's clock.
+    epoch: Instant,
+    /// Silence after which a transfer's path fails.
+    timeout: Duration,
     /// Next range offset per path (probe consumed `[0, x)` → remainder
     /// starts at `x`).
     next_offset: HashMap<PathSpec, u64>,
@@ -95,59 +167,6 @@ pub struct RealTransport {
     reassembly: Reassembly,
     /// Why the last `race`/`finish` returned `None`.
     error: Option<RelayError>,
-}
-
-impl Job {
-    fn spawn(self, shared: &Arc<Shared>) {
-        let shared = shared.clone();
-        std::thread::spawn(move || self.run(&shared));
-    }
-
-    /// Dials (or reuses), fetches, validates, and writes the outcome to
-    /// the slot.
-    fn run(self, shared: &Shared) {
-        let (idx, bytes, started) = (self.idx, self.bytes, shared.now());
-        let run = || -> Result<(TcpStream, Vec<u8>), RelayError> {
-            let mut conn = match self.warm {
-                Some(c) => c,
-                None => {
-                    let c = TcpStream::connect_timeout(&self.addr, shared.timeout)?;
-                    c.set_nodelay(true)?;
-                    c
-                }
-            };
-            conn.set_read_timeout(Some(shared.timeout))?;
-            // Publishing the socket and checking `cancelled` under one
-            // lock: a cancel that came first is seen here, one that
-            // comes later finds the socket to shut down.
-            {
-                let mut slots = shared.slots();
-                if slots[idx].cancelled {
-                    return Err(RelayError::Timeout);
-                }
-                slots[idx].conn = Some(conn.try_clone()?);
-            }
-            let body = fetch_range(&mut conn, &self.request, bytes)?;
-            Ok((conn, body))
-        };
-        let outcome = run();
-        let finished = shared.now();
-        let mut slots = shared.slots();
-        let slot = &mut slots[idx];
-        match outcome {
-            Ok((conn, body)) => {
-                (slot.conn, slot.body) = (Some(conn), body);
-                let timing = Timing {
-                    started,
-                    finished,
-                    bytes,
-                };
-                slot.result = Some(Ok(timing));
-            }
-            Err(e) => (slot.conn, slot.result) = (None, Some(Err(e))),
-        }
-        shared.cv.notify_all();
-    }
 }
 
 impl RealTransport {
@@ -173,12 +192,9 @@ impl RealTransport {
             origin_for_relays,
             relays: relays.to_vec(),
             path: path.into(),
-            shared: Arc::new(Shared {
-                slots: Mutex::new(Vec::new()),
-                cv: Condvar::new(),
-                epoch: Instant::now(),
-                timeout,
-            }),
+            slots: Vec::new(),
+            epoch: Instant::now(),
+            timeout,
             next_offset: HashMap::new(),
             idle: HashMap::new(),
             reassembly: Reassembly::new(total_bytes),
@@ -229,56 +245,81 @@ impl RealTransport {
     }
 
     /// A transfer of `[offset, offset + bytes)` over `path`, on the
-    /// path's idle keep-alive connection when there is one. It starts
-    /// when it is first waited on.
+    /// path's idle keep-alive connection when there is one.
     pub fn fetch(&mut self, path: &PathSpec, offset: u64, bytes: u64) -> Handle {
         let warm = self.idle.remove(path);
-        self.launch(path, offset, bytes, warm, true)
+        self.launch(path, offset, bytes, warm)
     }
 
-    /// Creates a transfer's slot and job: started at once on its own
-    /// thread, or deferred until first waited on ([`Transport::race`]).
-    fn launch(
-        &mut self,
-        path: &PathSpec,
-        offset: u64,
-        bytes: u64,
-        warm: Option<TcpStream>,
-        defer: bool,
-    ) -> Handle {
+    /// Creates a transfer's slot and starts it at once: dials the path,
+    /// or writes the request on `warm`.
+    fn launch(&mut self, path: &PathSpec, from: u64, len: u64, warm: Option<TcpStream>) -> Handle {
         // Track where the next warm request on this path should start.
-        self.next_offset.insert(*path, offset + bytes);
-        let last = (offset + bytes).saturating_sub(1);
-        let target = self.request_for(path, ByteRange::FromTo(offset, last));
-        let mut slots = self.shared.slots();
-        let idx = slots.len();
-        slots.push(Slot {
+        self.next_offset.insert(*path, from + len);
+        let started = self.now();
+        let mut slot = Slot {
             path: *path,
-            offset,
-            result: None,
-            body: Vec::new(),
+            offset: from,
+            timing: Timing {
+                started,
+                finished: started,
+                bytes: len,
+            },
+            stage: Stage::Dial,
             conn: None,
-            cancelled: false,
-            deferred: None,
+            request: BytesMut::new(),
+            moved: Instant::now(),
+        };
+        let last = (from + len).saturating_sub(1);
+        let target = self.request_for(path, ByteRange::FromTo(from, last));
+        let dialled = target.and_then(|(addr, request)| {
+            encode_request(&request, &mut slot.request);
+            let (conn, stage) = match warm {
+                Some(conn) => (conn, Stage::Send(0)),
+                None => match connect_nonblocking(&addr)? {
+                    Dial::Ready(conn) => (conn, Stage::Send(0)),
+                    Dial::Pending(conn) => (conn, Stage::Dial),
+                },
+            };
+            conn.set_nodelay(true)?;
+            (slot.conn, slot.stage) = (Some(conn), stage);
+            // A connected socket takes its request at once.
+            match slot.stage {
+                Stage::Dial => Ok(()),
+                _ => slot.step(started),
+            }
         });
-        match target {
-            Err(e) => slots[idx].result = Some(Err(e)),
-            Ok((addr, request)) => {
-                let job = Job {
-                    idx,
-                    addr,
-                    request,
-                    bytes,
-                    warm,
-                };
-                if defer {
-                    slots[idx].deferred = Some(job);
-                } else {
-                    job.spawn(&self.shared);
-                }
+        if let Err(e) = dialled {
+            slot.fail(e);
+        }
+        self.slots.push(slot);
+        Handle(self.slots.len() as u64 - 1)
+    }
+
+    /// Waits until a live transfer's socket is ready, or `deadline`, and
+    /// moves every ready one. A transfer silent for the engine's timeout,
+    /// counted from `since` (the wait's start) at the earliest, fails.
+    fn turn(&mut self, since: Instant, deadline: Instant) {
+        let (live, mut fds): (Vec<usize>, Vec<PollFd>) = (self.slots.iter().enumerate())
+            .filter_map(|(i, slot)| Some((i, slot.poll_fd()?)))
+            .unzip();
+        let stall = |slot: &Slot| slot.moved.max(since) + self.timeout;
+        let wake = (live.iter()).fold(deadline, |t, &i| t.min(stall(&self.slots[i])));
+        // Whole milliseconds, rounded up: a shorter wait would spin.
+        let wait = wake.saturating_duration_since(Instant::now()).as_micros();
+        let polled = poll_fds(&mut fds, Duration::from_millis(wait.div_ceil(1000) as u64));
+        let (now, at) = (Instant::now(), self.now());
+        for (&i, fd) in live.iter().zip(&fds) {
+            let slot = &mut self.slots[i];
+            if let Err(e) = &polled {
+                slot.fail(io::Error::from(e.kind()).into());
+            } else if fd.is_ready() {
+                slot.moved = now;
+                slot.step(at).unwrap_or_else(|e| slot.fail(e));
+            } else if now >= stall(slot) {
+                slot.fail(io::Error::from(io::ErrorKind::TimedOut).into());
             }
         }
-        Handle(idx as u64)
     }
 
     /// Why the last [`Transport::race`] or [`Transport::finish`] came
@@ -298,17 +339,17 @@ impl RealTransport {
     /// connections, which wakes the relay and origin behind them, and
     /// a caller with work left (verifying the body) does that first.
     pub fn take_body(&mut self) -> Option<Vec<u8>> {
-        std::mem::replace(&mut self.reassembly, Reassembly::new(0)).into_body()
+        mem::replace(&mut self.reassembly, Reassembly::new(0)).into_body()
     }
 }
 
 impl Transport for RealTransport {
     fn now(&self) -> SimTime {
-        self.shared.now()
+        SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
     }
 
     fn begin(&mut self, path: &PathSpec, bytes: u64) -> Handle {
-        self.launch(path, 0, bytes, None, false)
+        self.launch(path, 0, bytes, None)
     }
 
     fn resolvable(&self, path: &PathSpec) -> bool {
@@ -324,65 +365,43 @@ impl Transport for RealTransport {
 
     /// Returns as soon as one of `handles` has delivered or every one
     /// of them has failed: a failed path drops out of the race, and
-    /// nobody waits out the horizon for the dead. A deferred transfer
-    /// among `handles` starts here — beside others on its own thread,
-    /// alone on the caller's: a remainder costs no thread or hand-off.
+    /// nobody waits out the horizon for the dead. Every live transfer
+    /// moves while it waits, waited on or not.
     fn race(&mut self, handles: &[Handle], horizon: SimDuration) -> Option<RaceWin> {
-        let deadline = Instant::now() + Duration::from_secs_f64(horizon.as_secs_f64());
-        let mut slots = self.shared.slots();
-        let take = |h: &Handle| slots[h.0 as usize].deferred.take();
-        let deferred: Vec<Job> = handles.iter().filter_map(take).collect();
-        drop(slots);
-        for job in deferred {
-            match handles {
-                [_] => job.run(&self.shared),
-                _ => job.spawn(&self.shared),
-            }
-        }
-        let mut slots = self.shared.slots();
-        let (index, timing) = loop {
-            let delivered = handles.iter().enumerate().find_map(|(index, h)| {
-                match slots[h.0 as usize].result {
-                    Some(Ok(timing)) => Some((index, timing)),
-                    _ => None,
-                }
-            });
-            if let Some((index, timing)) = delivered {
-                let slot = &mut slots[handles[index].0 as usize];
-                // Accepted: the connection goes to the warm pool, the
-                // body to the reassembly — unless an earlier transfer
-                // delivered those bytes: every probe carries `[0, x)`, a
-                // control the whole file, and a duplicate is dropped.
+        let since = Instant::now();
+        let deadline = since + Duration::from_secs_f64(horizon.as_secs_f64());
+        loop {
+            let done = |h: &Handle| matches!(self.slots[h.0 as usize].stage, Stage::Done(_));
+            if let Some(index) = handles.iter().position(done) {
+                let slot = &mut self.slots[handles[index].0 as usize];
+                // Accepted: the connection goes to the warm pool, the body
+                // to the reassembly, which drops bytes already delivered
+                // (every probe carries `[0, x)`, a control the whole file).
                 if let Some(conn) = slot.conn.take() {
                     self.idle.insert(slot.path, conn);
                 }
-                let _ = self
-                    .reassembly
-                    .insert(slot.offset, &std::mem::take(&mut slot.body));
-                break (index, timing);
+                if let Stage::Done(body) = &mut slot.stage {
+                    let _ = self.reassembly.insert(slot.offset, &mem::take(body));
+                }
+                let timing = slot.timing;
+                return Some(RaceWin { index, timing });
             }
             let now = Instant::now();
-            let failed = |h: &Handle| slots[h.0 as usize].result.is_some();
+            let failed = |h: &Handle| matches!(self.slots[h.0 as usize].stage, Stage::Failed(_));
             if now >= deadline || handles.iter().all(failed) {
-                // A path error is reported only while the deadline has
-                // not passed: each path's read timeout is the race's,
-                // started a connect later, so a late wake-up can find
-                // them all expired — that is the deadline passing.
-                self.error = handles.last().filter(|_| now < deadline).and_then(|h| {
-                    let failure = slots[h.0 as usize].result.as_mut()?.as_mut().err()?;
-                    Some(std::mem::replace(failure, RelayError::Timeout))
-                });
+                // A path error counts only before the deadline: silence is
+                // timed from the wait's start, so a horizon-long stall is
+                // the deadline passing.
+                self.error = match handles.last().map(|h| &mut self.slots[h.0 as usize].stage) {
+                    Some(Stage::Failed(e)) if now < deadline => {
+                        Some(mem::replace(e, RelayError::Timeout))
+                    }
+                    _ => None,
+                };
                 return None;
             }
-            // Poisoned only if a transfer thread panicked mid-update.
-            let (guard, _) = self
-                .shared
-                .cv
-                .wait_timeout(slots, deadline - now)
-                .expect("slot table poisoned");
-            slots = guard;
-        };
-        Some(RaceWin { index, timing })
+            self.turn(since, deadline);
+        }
     }
 
     fn finish(&mut self, handle: Handle, horizon: SimDuration) -> Option<Timing> {
@@ -393,14 +412,16 @@ impl Transport for RealTransport {
     /// them, and a loser parked on a slow path is rid of its socket at
     /// once instead of when the probe finally drains.
     fn cancel(&mut self, handle: Handle) {
-        let mut slots = self.shared.slots();
-        let slot = &mut slots[handle.0 as usize];
-        slot.cancelled = true;
-        if slot.deferred.take().is_some() {
-            slot.result = Some(Err(RelayError::Timeout));
-        }
-        if let Some(conn) = slot.conn.take() {
-            let _ = conn.shutdown(Shutdown::Both);
+        self.slots[handle.0 as usize].fail(RelayError::Timeout);
+    }
+
+    /// Body bytes read so far.
+    fn progress(&self, handle: Handle) -> u64 {
+        let slot = &self.slots[handle.0 as usize];
+        match &slot.stage {
+            Stage::Body(_, got) => *got as u64,
+            Stage::Done(_) => slot.timing.bytes,
+            _ => 0,
         }
     }
 }
@@ -409,6 +430,7 @@ impl Transport for RealTransport {
 mod tests {
     use super::*;
     use crate::harness::{HarnessSpec, MiniPlanetLab};
+    use crate::origin::{body_byte, OriginConfig, OriginServer};
     use crate::shaper::RateSchedule;
     use ir_core::{run_paths_session, FirstPortion, SessionConfig};
 
@@ -480,6 +502,65 @@ mod tests {
             None,
         );
         assert!(!rec.chose_indirect(), "slow relay chosen: {rec:?}");
+    }
+
+    /// The Concurrent control's contract, held by the loop: a transfer
+    /// begun earlier moves while the caller waits on another one.
+    #[test]
+    fn a_begun_transfer_progresses_while_another_is_awaited() {
+        let lab = MiniPlanetLab::start(HarnessSpec {
+            content_len: 400_000,
+            direct: RateSchedule::constant(150.0 * KB),
+            relays: vec![RateSchedule::constant(800.0 * KB)],
+        })
+        .unwrap();
+        let (mut transport, paths) = RealTransport::for_lab(&lab);
+        let whole = transport.begin(&paths[0], 400_000);
+        let probe = transport.begin(&paths[1], 50_000);
+        assert!(transport
+            .finish(probe, SimDuration::from_secs(30))
+            .is_some());
+        assert_eq!(transport.progress(probe), 50_000);
+        let moved = transport.progress(whole);
+        assert!(moved > 0 && moved < 400_000, "{moved}");
+    }
+
+    /// One origin, no relays: `fetch` alone, at any offset.
+    fn origin_only(total: u64) -> (OriginServer, RealTransport, PathSpec) {
+        let origin = OriginServer::start(OriginConfig::new(5_000)).unwrap();
+        let a = origin.addr();
+        let timeout = Duration::from_secs(10);
+        let (transport, paths) = RealTransport::star(a, a, &[], "/f", total, timeout);
+        (origin, transport, paths[0])
+    }
+
+    #[test]
+    fn exchange_round_trip() {
+        let (_origin, mut transport, direct) = origin_only(100);
+        let h = transport.fetch(&direct, 0, 100);
+        assert!(transport.finish(h, SimDuration::from_secs(10)).is_some());
+        let body = transport.take_body().unwrap();
+        assert_eq!(body.len(), 100);
+        assert!(body
+            .iter()
+            .enumerate()
+            .all(|(i, &b)| b == body_byte(i as u64)));
+    }
+
+    #[test]
+    fn sequential_exchanges_on_one_connection() {
+        let (origin, mut transport, direct) = origin_only(21);
+        for k in 0..3u64 {
+            let h = transport.fetch(&direct, k * 7, 7);
+            let timing = transport.finish(h, SimDuration::from_secs(10)).unwrap();
+            assert_eq!(timing.bytes, 7);
+        }
+        let body = transport.take_body().unwrap();
+        for k in 0..3u64 {
+            assert_eq!(body[k as usize * 7], body_byte(k * 7));
+        }
+        // Every range after the first rode the same warm connection.
+        assert_eq!(origin.lifecycle().accepted, 1);
     }
 
     /// A path the engine has no socket route for is unresolvable, and
