@@ -1,6 +1,6 @@
 //! Little-endian byte codec for cached payloads.
 //!
-//! The build environment vendors only the serde *traits* (no format
+//! The build environment has no serialisation crate (no format
 //! crate), so cached study outputs use a hand-rolled frame: fixed-width
 //! little-endian integers, `to_bits` floats, and length-prefixed
 //! strings/sequences. Decoding is total — every read returns `Option`

@@ -1,7 +1,7 @@
 //! Findings rendering: machine-readable JSON + human text.
 //!
-//! The JSON is hand-rolled (workspace convention — the vendored serde
-//! is a stub) and byte-deterministic: findings arrive already sorted
+//! The JSON is hand-rolled (workspace convention — the tree has no JSON
+//! library) and byte-deterministic: findings arrive already sorted
 //! from [`crate::audit_files`], and keys are emitted in a fixed order,
 //! so CI can archive `audit_findings.json` and diff runs directly.
 

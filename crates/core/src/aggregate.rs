@@ -8,10 +8,9 @@
 
 use crate::record::TransferRecord;
 use ir_stats::Summary;
-use serde::{Deserialize, Serialize};
 
 /// Aggregate view of a set of transfer records.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StudySummary {
     /// Total records aggregated.
     pub transfers: usize,

@@ -46,7 +46,6 @@ pub mod transport;
 
 pub use aggregate::StudySummary;
 pub use path::{PathSpec, MAX_HOPS};
-pub use plan::{partition, ChunkRange};
 pub use policy::{
     sanitize_candidates, DirectOnly, EpsilonGreedy, FullSet, PathCtx, PathSelector, RandomSet,
     StaticSingle, Ucb1, UtilizationWeighted,

@@ -9,7 +9,6 @@
 
 use ir_artifact::{ByteReader, ByteWriter, Codec, StableHash, StableHasher};
 use ir_simnet::topology::{NodeId, Route, Topology};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum number of intermediate hops a [`PathSpec`] can carry.
@@ -26,7 +25,7 @@ const FILL: NodeId = NodeId(u32::MAX);
 
 /// An end-to-end path choice between a client and a server: the direct
 /// Internet path, or a detour through 1..=[`MAX_HOPS`] overlay relays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PathSpec {
     /// The downloading client.
     pub client: NodeId,

@@ -1,9 +1,8 @@
 //! Chunk partitioning for the striped remainder.
 //!
-//! [`partition`] splits the remainder range into near-equal chunks.
-//! The simulated scheduler (`remainder`) and the socket-backed striped
-//! client (`ir-relay`) each own their chunks as a queue the paths pull
-//! from.
+//! [`partition`] splits the remainder range into near-equal chunks,
+//! the queue the striped scheduler (`remainder`) hands to its paths —
+//! over the simulator and over real sockets alike.
 
 /// One contiguous byte range of the transfer, identified by its
 /// position in the original partition.

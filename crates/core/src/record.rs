@@ -11,7 +11,6 @@
 use crate::path::PathSpec;
 use ir_simnet::time::SimTime;
 use ir_simnet::topology::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Throughput improvement of `selected` relative to `direct`, as a
@@ -28,7 +27,7 @@ pub fn improvement(selected: f64, direct: f64) -> f64 {
 
 /// Full record of one experiment iteration (one file downloaded by both
 /// the control process and the selecting process).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransferRecord {
     /// The client node.
     pub client: NodeId,
@@ -112,7 +111,7 @@ impl TransferRecord {
 
 /// Counts of candidate appearances and selections per (client, relay)
 /// pair — the basis of all three utilization statistics in the paper.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct UtilizationTracker {
     appeared: BTreeMap<(NodeId, NodeId), u64>,
     chosen: BTreeMap<(NodeId, NodeId), u64>,

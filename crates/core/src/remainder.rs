@@ -70,7 +70,7 @@ pub(crate) fn run_remainder_warm(
     path: PathSpec,
     cfg: &SessionConfig,
 ) -> Remainder {
-    let rem = transport.begin_warm(&path, cfg.file_bytes - cfg.probe_bytes);
+    let rem = transport.begin_warm(&path, cfg.probe_bytes, cfg.file_bytes - cfg.probe_bytes);
     match transport.finish(rem, cfg.horizon) {
         Some(t) => {
             // Feed the realized remainder rate back.
@@ -86,14 +86,14 @@ pub(crate) fn run_remainder_warm(
 ///
 /// The transfer is watched in windows of `fo.stall_timeout`. A window
 /// that delivers bytes just keeps waiting on the same flow; a window
-/// with **zero** progress declares the path stalled. Stalls trigger up
-/// to `fo.max_retries` fresh connections on the same path (exponential
-/// backoff between them), after which the path is abandoned for good
-/// and the best *surviving* candidate — decided by a fresh probe race
-/// over every path not yet declared dead — takes over the rest of the
-/// file. The overall deadline is still `cfg.horizon` from the start of
-/// the remainder; when it expires (or no candidate survives) the
-/// transfer is abandoned.
+/// with **zero** progress, or a failure ([`Transport::failed`]), stalls
+/// the path. Stalls trigger up to `fo.max_retries` fresh connections on
+/// the same path (exponential backoff between them), after which the
+/// path is abandoned for good and the best *surviving* candidate —
+/// decided by a fresh probe race over every path not yet declared dead
+/// — takes over the rest of the file. The overall deadline is still
+/// `cfg.horizon` from the start of the remainder; when it expires (or
+/// no candidate survives) the transfer is abandoned.
 #[allow(clippy::too_many_arguments)] // failover tail shares the session's full parameter set
 pub(crate) fn run_remainder_failover(
     transport: &mut dyn Transport,
@@ -154,8 +154,9 @@ pub(crate) fn run_remainder_failover(
     };
 
     // First attempt rides the winning probe's warm connection (another
-    // Range request, §2.1).
-    let mut handle = transport.begin_warm(&path, remaining);
+    // Range request, §2.1); every attempt asks for the last `remaining`.
+    let n = cfg.file_bytes;
+    let mut handle = transport.begin_warm(&path, n - remaining, remaining);
     let mut seen = 0u64; // bytes observed on the current handle
     loop {
         let now = transport.now();
@@ -168,13 +169,13 @@ pub(crate) fn run_remainder_failover(
             return done(path, t.finished, failovers, stall_ms, predictor);
         }
         let delivered = transport.progress(handle);
-        if delivered > seen {
+        if delivered > seen && !transport.failed(handle) {
             // Progressing, merely slower than the window: keep waiting.
             seen = delivered;
             continue;
         }
 
-        // A full window with zero progress: the path is stalled.
+        // No progress for a full window, or a failure: the path stalled.
         stall_ms += window.as_micros() / 1000;
         transport.cancel(handle);
         remaining = remaining.saturating_sub(delivered);
@@ -200,7 +201,7 @@ pub(crate) fn run_remainder_failover(
             if transport.now() >= deadline {
                 return abandon(path, failovers, stall_ms, tel);
             }
-            handle = transport.begin(&path, remaining);
+            handle = transport.begin(&path, n - remaining, remaining);
             seen = 0;
             continue;
         }
@@ -239,7 +240,7 @@ pub(crate) fn run_remainder_failover(
         let chunk = remaining.min(cfg.probe_bytes);
         let handles: Vec<Handle> = survivors
             .iter()
-            .map(|p| transport.begin(p, chunk))
+            .map(|p| transport.begin(p, n - remaining, chunk))
             .collect();
         match transport.race(&handles, window) {
             Some(win) => {
@@ -256,7 +257,7 @@ pub(crate) fn run_remainder_failover(
                 attempt = 0;
                 backoff = fo.initial_backoff;
                 // The rest rides the race winner's warm connection.
-                handle = transport.begin_warm(&path, remaining);
+                handle = transport.begin_warm(&path, n - remaining, remaining);
                 seen = 0;
             }
             None => {
@@ -332,9 +333,9 @@ fn launch(
     reassigns: u32,
 ) {
     let handle = if warm[p] {
-        transport.begin_warm(&paths[p], chunk.len)
+        transport.begin_warm(&paths[p], chunk.offset, chunk.len)
     } else {
-        transport.begin(&paths[p], chunk.len)
+        transport.begin(&paths[p], chunk.offset, chunk.len)
     };
     warm[p] = false;
     let now = transport.now();
@@ -362,7 +363,7 @@ fn free_paths(rate: &[EwmaRate], alive: &[bool], flights: &[Flight]) -> Vec<usiz
 }
 
 /// The striped remainder phase: partition, fan out, race completions,
-/// rebalance on drift, reassign on stall-death.
+/// rebalance on drift, reassign on stall-death or failure.
 #[allow(clippy::too_many_arguments)] // remainder tail shares the session's full parameter set
 pub(crate) fn run_striped_remainder(
     transport: &mut dyn Transport,
@@ -394,7 +395,6 @@ pub(crate) fn run_striped_remainder(
         .into_iter()
         .map(|c| (c, 0))
         .collect();
-    let mut failovers = 0u32;
     let mut stall_ms = 0u64;
     let mut reassignments = 0u32;
     let mut deaths = 0u32;
@@ -415,18 +415,22 @@ pub(crate) fn run_striped_remainder(
     // Runs until every chunk is delivered (`true`) or the remainder has
     // to be abandoned (`false`).
     let finished = loop {
-        if flights.is_empty() {
-            // Work left but nothing in the air: every path is dead.
-            break pending.is_empty();
-        }
-        let now = transport.now();
-        if now >= deadline {
-            break false;
-        }
-        let window = rb.stall_window.min(deadline - now);
-        let handles: Vec<Handle> = flights.iter().map(|f| f.handle).collect();
-        match transport.race(&handles, window) {
-            Some(win) => {
+        // A failed flight is a stall window that has already expired.
+        let mut dead: Vec<usize> = (0..flights.len())
+            .filter(|&i| transport.failed(flights[i].handle))
+            .collect();
+        if dead.is_empty() {
+            if flights.is_empty() {
+                // Work left but nothing in the air: every path is dead.
+                break pending.is_empty();
+            }
+            let now = transport.now();
+            if now >= deadline {
+                break false;
+            }
+            let window = rb.stall_window.min(deadline - now);
+            let handles: Vec<Handle> = flights.iter().map(|f| f.handle).collect();
+            if let Some(win) = transport.race(&handles, window) {
                 let f = flights.remove(win.index);
                 let p = f.path;
                 let observed = win.timing.throughput();
@@ -457,70 +461,67 @@ pub(crate) fn run_striped_remainder(
                         tel,
                     );
                 }
+                continue;
             }
-            None => {
-                // Window expired with no completion: sweep for stalls.
-                let now = transport.now();
-                let mut dead: Vec<usize> = Vec::new();
-                for (i, f) in flights.iter_mut().enumerate() {
-                    let delivered = transport.progress(f.handle);
-                    if delivered > f.seen {
-                        f.seen = delivered;
-                        f.last_progress_at = now;
-                    } else if now - f.last_progress_at >= rb.stall_window {
-                        dead.push(i);
-                    }
-                }
-                for i in dead.into_iter().rev() {
-                    let f = flights.remove(i);
-                    let p = f.path;
-                    alive[p] = false;
-                    warm[p] = false;
-                    deaths += 1;
-                    failovers += 1;
-                    stall_ms += (now - f.last_progress_at).as_micros() / 1000;
-                    transport.cancel(f.handle);
-                    bytes_done[p] += f.seen;
-                    let rest = f.chunk.len - f.seen;
-                    if rest > 0 {
-                        reassignments += 1;
-                        if let Some(tel) = tel {
-                            tel.metrics.counter("stripe_path_deaths", vec![]).inc();
-                            tel.metrics
-                                .counter("stripe_chunks_reassigned", vec![])
-                                .inc();
-                            tel.tracer.record(
-                                Event::new(
-                                    EventKind::ChunkReassigned,
-                                    now.as_micros(),
-                                    transfer_index,
-                                )
-                                .with_u64("chunk", u64::from(f.chunk.id))
-                                .with_str("from", paths[p].to_string())
-                                .with_str("reason", "stall")
-                                .with_u64("remaining", rest),
-                            );
-                        }
-                        pending.push_front((
-                            ChunkRange {
-                                id: f.chunk.id,
-                                offset: f.chunk.offset + f.seen,
-                                len: rest,
-                            },
-                            f.reassigns + 1,
-                        ));
-                    } else if let Some(tel) = tel {
-                        tel.metrics.counter("stripe_path_deaths", vec![]).inc();
-                    }
-                }
-                // Hand the reassigned remainders to the survivors.
-                for p in free_paths(&rate, &alive, &flights) {
-                    let Some((c, r)) = pending.pop_front() else {
-                        break;
-                    };
-                    launch(transport, paths, &mut warm, &mut flights, p, c, r);
+            // Window expired with no completion: sweep for stalls.
+            let now = transport.now();
+            for (i, f) in flights.iter_mut().enumerate() {
+                let delivered = transport.progress(f.handle);
+                if delivered > f.seen {
+                    f.seen = delivered;
+                    f.last_progress_at = now;
+                } else if now - f.last_progress_at >= rb.stall_window {
+                    dead.push(i);
                 }
             }
+        }
+        let now = transport.now();
+        for i in dead.into_iter().rev() {
+            let mut f = flights.remove(i);
+            if transport.failed(f.handle) {
+                f.seen = transport.progress(f.handle);
+            }
+            let p = f.path;
+            alive[p] = false;
+            warm[p] = false;
+            deaths += 1;
+            stall_ms += (now - f.last_progress_at).as_micros() / 1000;
+            transport.cancel(f.handle);
+            bytes_done[p] += f.seen;
+            let rest = f.chunk.len - f.seen;
+            if rest > 0 {
+                reassignments += 1;
+                if let Some(tel) = tel {
+                    tel.metrics.counter("stripe_path_deaths", vec![]).inc();
+                    tel.metrics
+                        .counter("stripe_chunks_reassigned", vec![])
+                        .inc();
+                    tel.tracer.record(
+                        Event::new(EventKind::ChunkReassigned, now.as_micros(), transfer_index)
+                            .with_u64("chunk", u64::from(f.chunk.id))
+                            .with_str("from", paths[p].to_string())
+                            .with_str("reason", "stall")
+                            .with_u64("remaining", rest),
+                    );
+                }
+                pending.push_front((
+                    ChunkRange {
+                        id: f.chunk.id,
+                        offset: f.chunk.offset + f.seen,
+                        len: rest,
+                    },
+                    f.reassigns + 1,
+                ));
+            } else if let Some(tel) = tel {
+                tel.metrics.counter("stripe_path_deaths", vec![]).inc();
+            }
+        }
+        // Hand the reassigned remainders to the survivors.
+        for p in free_paths(&rate, &alive, &flights) {
+            let Some((c, r)) = pending.pop_front() else {
+                break;
+            };
+            launch(transport, paths, &mut warm, &mut flights, p, c, r);
         }
     };
 
@@ -544,7 +545,7 @@ pub(crate) fn run_striped_remainder(
         path: paths[best_path(&bytes_done, winner)],
         finished,
         rate: agg,
-        failovers,
+        failovers: deaths,
         stall_ms,
         abandoned: !finished,
     };
@@ -602,7 +603,8 @@ fn maybe_steal(
     let now = transport.now();
     let mut victim: Option<(usize, u64, f64)> = None; // (flight, remaining, observed)
     for (i, f) in flights.iter().enumerate() {
-        if f.reassigns >= MAX_CHUNK_REASSIGNS {
+        // A failed flight is the next sweep's death, not a straggler.
+        if f.reassigns >= MAX_CHUNK_REASSIGNS || transport.failed(f.handle) {
             continue;
         }
         let delivered = transport.progress(f.handle);

@@ -435,7 +435,7 @@ pub fn run_probe(
 ) -> Option<ProbeDecision> {
     let handles: Vec<Handle> = paths
         .iter()
-        .map(|p| transport.begin(p, cfg.probe_bytes))
+        .map(|p| transport.begin(p, 0, cfg.probe_bytes))
         .collect();
     if let Some(tel) = tel {
         tel.metrics.counter("session_probe_races", vec![]).inc();
@@ -532,7 +532,7 @@ pub fn run_selecting(
     let mut stats = StripeStats::default();
     let (probe_throughput, probe_timeout, remainder) = if candidate_paths.is_empty() {
         // Direct-only: no probe phase; the whole file goes direct.
-        let h = transport.begin(&direct, cfg.file_bytes);
+        let h = transport.begin(&direct, 0, cfg.file_bytes);
         let t = transport.finish(h, cfg.horizon);
         let rate = t.map(|t| t.throughput()).unwrap_or(f64::NAN);
         (
@@ -626,7 +626,7 @@ pub fn run_selecting(
                             .with_str("fallback", "direct"),
                     );
                 }
-                let h = transport.begin(&direct, cfg.file_bytes);
+                let h = transport.begin(&direct, 0, cfg.file_bytes);
                 let ok = transport.finish(h, cfg.horizon).is_some();
                 (f64::NAN, true, Remainder::single(direct, ok, f64::NAN))
             }
@@ -726,8 +726,8 @@ pub fn run_paths_session(
         ControlMode::Concurrent => None,
     };
     let control = match &mut forked {
-        Some(replica) => replica.begin(&direct, cfg.file_bytes),
-        None => transport.begin(&direct, cfg.file_bytes),
+        Some(replica) => replica.begin(&direct, 0, cfg.file_bytes),
+        None => transport.begin(&direct, 0, cfg.file_bytes),
     };
 
     let sel = run_selecting(
@@ -1442,11 +1442,11 @@ mod tests {
                 SimTime::from_micros(self.now_us.get())
             }
 
-            fn begin(&mut self, path: &PathSpec, bytes: u64) -> Handle {
+            fn begin(&mut self, path: &PathSpec, _offset: u64, bytes: u64) -> Handle {
                 self.launch("begin", path, bytes)
             }
 
-            fn begin_warm(&mut self, path: &PathSpec, bytes: u64) -> Handle {
+            fn begin_warm(&mut self, path: &PathSpec, _offset: u64, bytes: u64) -> Handle {
                 self.launch("begin_warm", path, bytes)
             }
 

@@ -107,7 +107,7 @@ impl Transport for SimTransport {
         self.net.now()
     }
 
-    fn begin(&mut self, path: &PathSpec, bytes: u64) -> Handle {
+    fn begin(&mut self, path: &PathSpec, _offset: u64, bytes: u64) -> Handle {
         let route = path
             .resolve(self.net.topology())
             .unwrap_or_else(|| panic!("unresolvable path {path}"));
@@ -124,7 +124,7 @@ impl Transport for SimTransport {
         path.resolve(self.net.topology()).is_some()
     }
 
-    fn begin_warm(&mut self, path: &PathSpec, bytes: u64) -> Handle {
+    fn begin_warm(&mut self, path: &PathSpec, _offset: u64, bytes: u64) -> Handle {
         let route = path
             .resolve(self.net.topology())
             .unwrap_or_else(|| panic!("unresolvable path {path}"));
@@ -218,8 +218,8 @@ mod tests {
     #[test]
     fn race_picks_faster_path() {
         let (mut tp, d, i) = transport(50_000.0, 400_000.0, 10e6);
-        let hd = tp.begin(&d, 100_000);
-        let hi = tp.begin(&i, 100_000);
+        let hd = tp.begin(&d, 0, 100_000);
+        let hi = tp.begin(&i, 0, 100_000);
         let win = tp.race(&[hd, hi], SimDuration::from_secs(600)).unwrap();
         assert_eq!(win.index, 1, "indirect should win");
         assert!(win.timing.throughput() > 50_000.0);
@@ -229,7 +229,7 @@ mod tests {
     #[test]
     fn finish_runs_to_completion() {
         let (mut tp, d, _) = transport(100_000.0, 1.0, 1.0);
-        let h = tp.begin(&d, 500_000);
+        let h = tp.begin(&d, 0, 500_000);
         let t = tp.finish(h, SimDuration::from_secs(600)).unwrap();
         // Slower than raw link rate because of handshake+slow start, but
         // in the ballpark.
@@ -242,8 +242,8 @@ mod tests {
         let (tp, d, _) = transport(80_000.0, 1.0, 1.0);
         let mut f1 = tp.fork().unwrap();
         let mut f2 = tp.fork().unwrap();
-        let h1 = f1.begin(&d, 200_000);
-        let h2 = f2.begin(&d, 200_000);
+        let h1 = f1.begin(&d, 0, 200_000);
+        let h2 = f2.begin(&d, 0, 200_000);
         let t1 = f1.finish(h1, SimDuration::from_secs(600)).unwrap();
         let t2 = f2.finish(h2, SimDuration::from_secs(600)).unwrap();
         assert_eq!(t1.finished, t2.finished, "replicas diverged");
@@ -257,7 +257,7 @@ mod tests {
         // Network clock unchanged.
         assert_eq!(tp.now(), SimTime::ZERO);
         // And a real transfer still behaves.
-        let h = tp.begin(&d, 50_000);
+        let h = tp.begin(&d, 0, 50_000);
         assert!(tp.finish(h, SimDuration::from_secs(600)).is_some());
     }
 
@@ -274,6 +274,6 @@ mod tests {
     fn unresolvable_path_panics() {
         let (mut tp, d, _) = transport(1.0, 1.0, 1.0);
         let backwards = PathSpec::direct(d.server, d.client);
-        tp.begin(&backwards, 10);
+        tp.begin(&backwards, 0, 10);
     }
 }

@@ -52,13 +52,14 @@ pub trait Transport {
     /// Current time on this transport's clock.
     fn now(&self) -> SimTime;
 
-    /// Starts a transfer of `bytes` bytes over `path` (a fresh
-    /// connection: handshake and slow start included).
+    /// Starts a transfer of the file's `bytes` bytes from `offset` over
+    /// `path` (a fresh connection: handshake and slow start included); a
+    /// transport that only times transfers (the simulator) ignores `offset`.
     ///
     /// # Panics
     ///
     /// Panics if the path cannot be resolved on this transport.
-    fn begin(&mut self, path: &PathSpec, bytes: u64) -> Handle;
+    fn begin(&mut self, path: &PathSpec, offset: u64, bytes: u64) -> Handle;
 
     /// True when this transport can carry `path` at all. The session
     /// runner drops unresolvable candidate paths (with telemetry)
@@ -75,8 +76,8 @@ pub trait Transport {
     /// remainder request of §2.1: another `Range` on the connection the
     /// winning probe just used. Defaults to a cold [`Transport::begin`]
     /// for transports without connection reuse.
-    fn begin_warm(&mut self, path: &PathSpec, bytes: u64) -> Handle {
-        self.begin(path, bytes)
+    fn begin_warm(&mut self, path: &PathSpec, offset: u64, bytes: u64) -> Handle {
+        self.begin(path, offset, bytes)
     }
 
     /// Blocks until the first of `handles` completes or `horizon`
@@ -91,11 +92,20 @@ pub trait Transport {
 
     /// Bytes delivered so far on an in-flight (or finished) transfer.
     /// Best effort: transports without byte-level visibility report 0.
-    /// The failover loop uses this to credit partial progress before
-    /// abandoning a stalled path.
+    /// The remainders credit it before abandoning a transfer and ask for
+    /// the rest from `offset + progress`, so a transport that keeps
+    /// bytes keeps exactly these through a cancel or a failure.
     fn progress(&self, handle: Handle) -> u64 {
         let _ = handle;
         0
+    }
+
+    /// True once `handle` has failed for good. The remainders treat it as
+    /// a stall window already expired: the path is given up at once.
+    /// Default: false, for transports whose paths only stall.
+    fn failed(&self, handle: Handle) -> bool {
+        let _ = handle;
+        false
     }
 
     /// Blocks the caller for `d` on this transport's clock — the

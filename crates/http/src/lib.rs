@@ -16,7 +16,7 @@
 //! * [`proxy`] — the relay rewrite: absolute-form in, origin-form out,
 //!   `Range` preserved, `Via` annotated.
 //! * [`reassembly`] — out-of-order chunk reassembly for striped
-//!   multi-path range downloads (`ir-stripe`).
+//!   multi-path range downloads (`ir-relay`'s socket engine).
 //!
 //! Both the simulated transport (`ir-core`) and the real-socket relay
 //! (`ir-relay`) drive these same types, so the protocol logic is tested

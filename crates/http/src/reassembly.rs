@@ -1,10 +1,11 @@
 //! Chunk reassembly for striped range downloads.
 //!
-//! The striper (`ir-stripe` / `ir-relay`'s striped client) fetches
-//! disjoint byte ranges of one resource concurrently over several
-//! paths; responses land in arbitrary order. [`Reassembly`] collects
-//! them into the final body, tracking coverage so a transfer is
-//! `complete` exactly when every byte of `[0, total)` arrived once.
+//! A striped download (`ir-relay`'s socket engine under the core
+//! striped scheduler) fetches disjoint byte ranges of one resource
+//! concurrently over several paths; responses land in arbitrary order.
+//! [`Reassembly`] collects them into the final body, tracking coverage
+//! so a transfer is `complete` exactly when every byte of `[0, total)`
+//! arrived once.
 //!
 //! Overlapping inserts are rejected rather than reconciled: the chunk
 //! scheduler owns the partition and an overlap means it double-fetched
@@ -69,6 +70,7 @@ pub struct Reassembly {
 impl Reassembly {
     /// An empty buffer for a resource of `total` bytes.
     pub fn new(total: u64) -> Reassembly {
+        // `total` is the caller's configured size, never a peer's claim.
         Reassembly {
             buf: vec![0; usize::try_from(total).expect("resource exceeds address space")],
             segments: Vec::new(),

@@ -4,18 +4,19 @@
 //! candidate relay at once, the first to deliver wins, the rest comes
 //! **on the winning, still-warm connection** — but none of it is
 //! written here: the probe race is the session runner's probe phase
-//! (`ir_core::run_probe`), [`download`] its selecting process
-//! (`ir_core::run_selecting`), and the failover and striped downloads
-//! are single-threaded loops over handles of the same socket engine
-//! ([`RealTransport`]), which does all the dialling and validating.
+//! (`ir_core::run_probe`), and each download is one call of its
+//! selecting process (`ir_core::run_selecting`) over the socket engine
+//! ([`RealTransport`]) with the paper's warm remainder, the core
+//! failover remainder or the core striped scheduler. What is left here
+//! is that choice of [`SessionConfig`], body verification and the
+//! outcome types.
 
 use crate::error::RelayError;
 use crate::origin::body_byte;
 use crate::transport::RealTransport;
-use ir_core::{partition, run_probe, run_selecting, ChunkRange, FirstPortion, Handle};
-use ir_core::{PathSpec, SessionConfig, Transport};
+use ir_core::{run_probe, run_selecting, FailoverConfig, FirstPortion, PathSpec, RebalanceConfig};
+use ir_core::{SessionConfig, SessionMode, StripeStats};
 use ir_simnet::time::SimDuration;
-use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
@@ -67,6 +68,32 @@ impl ClientConfig {
             ..SessionConfig::paper_defaults()
         }
     }
+
+    /// The core failover remainder, with the socket client's rule for a
+    /// dead path: failed, or silent for the timeout, it is abandoned at
+    /// once and the survivors race for the rest — no same-path retry.
+    fn failover(&self) -> SessionConfig {
+        let mut session = self.session();
+        let mut fo = FailoverConfig::paper_defaults();
+        (fo.stall_timeout, fo.max_retries) = (session.horizon, 0);
+        session.failover = Some(fo);
+        session
+    }
+
+    /// The core striped scheduler over `chunks` ranges, the direct path
+    /// and all `relays`; a path failed, or silent for the timeout, is dead.
+    fn striped(&self, chunks: u32, relays: usize) -> SessionConfig {
+        let mut session = self.session();
+        let mut rebalance = RebalanceConfig::paper_defaults();
+        rebalance.stall_window = session.horizon;
+        let k = relays.max(1) as u32;
+        session.mode = SessionMode::Striped {
+            chunks,
+            k,
+            rebalance,
+        };
+        session
+    }
 }
 
 /// Result of the probe race.
@@ -113,34 +140,50 @@ fn engine(
     RealTransport::star(direct, origin, relays, &cfg.path, total_bytes, timeout)
 }
 
-/// The runner's probe phase over `engine`: the winner's roster index
-/// and probe throughput. Its connection is then warm in the engine's
-/// pool and the probe bytes are in its reassembly.
-fn race(
-    engine: &mut RealTransport,
-    paths: &[PathSpec],
-    cfg: &ClientConfig,
-) -> Result<(usize, f64), RelayError> {
-    match run_probe(engine, &mut FirstPortion, paths, 0, &cfg.session(), None) {
-        Some(probe) => Ok((probe.winner, probe.probe_rate)),
-        None => Err(engine.take_error()),
-    }
-}
-
 fn body_of(engine: &mut RealTransport) -> Result<Vec<u8>, RelayError> {
     let missing = || RelayError::BadResponse("bytes missing after the last transfer".into());
     engine.take_body().ok_or_else(missing)
 }
 
-/// Closes a download: its wall time, end-to-end throughput, and
-/// whether the reassembled content is the origin's.
-fn close(mut engine: RealTransport, start: Instant) -> Result<(Duration, f64, bool), RelayError> {
+/// The runner's selecting process under `session` over a fresh engine
+/// for the whole file, and the verified download: its outcome (the
+/// remainder's carrier, its failovers) and the stripe's chunk counts.
+fn select(
+    direct: SocketAddr,
+    origin_for_relays: SocketAddr,
+    relays: &[SocketAddr],
+    cfg: &ClientConfig,
+    session: &SessionConfig,
+) -> Result<(DownloadOutcome, StripeStats), RelayError> {
+    let start = Instant::now();
+    let (mut engine, paths) = engine(direct, origin_for_relays, relays, cfg, cfg.total_bytes);
+    let (direct, relays) = (paths[0], &paths[1..]);
+    let did = run_selecting(
+        &mut engine,
+        &mut FirstPortion,
+        direct,
+        relays,
+        0,
+        session,
+        None,
+    );
+    if !did.remainder.finished {
+        return Err(engine.take_error());
+    }
     let elapsed = start.elapsed();
     let body = body_of(&mut engine)?;
-    let intact = body.iter().zip(0..).all(|(&b, i)| b == body_byte(i));
+    let carrier = paths.iter().position(|p| *p == did.remainder.path);
     // `engine` drops after this: closing the connections, which wakes
     // the relay and origin behind them, is the last thing a download does.
-    Ok((elapsed, body.len() as f64 / elapsed.as_secs_f64(), intact))
+    let out = DownloadOutcome {
+        choice: chosen(carrier.unwrap_or(0)),
+        probe_throughput: did.probe_throughput,
+        elapsed,
+        throughput: body.len() as f64 / elapsed.as_secs_f64(),
+        body_ok: body.iter().zip(0..).all(|(&b, i)| b == body_byte(i)),
+        failovers: did.remainder.failovers,
+    };
+    Ok((out, did.stats))
 }
 
 /// Races the probe over the direct path and every relay; returns the
@@ -164,7 +207,15 @@ pub fn probe_race(
 ) -> Result<ProbeWin, RelayError> {
     let start = Instant::now();
     let (mut engine, paths) = engine(direct, origin_for_relays, relays, cfg, cfg.probe_bytes);
-    let (winner, _) = race(&mut engine, &paths, cfg)?;
+    let probe = run_probe(
+        &mut engine,
+        &mut FirstPortion,
+        &paths,
+        0,
+        &cfg.session(),
+        None,
+    );
+    let winner = probe.ok_or_else(|| engine.take_error())?.winner;
     let elapsed = start.elapsed();
     Ok(ProbeWin {
         choice: chosen(winner),
@@ -184,67 +235,23 @@ pub fn download(
     relays: &[SocketAddr],
     cfg: &ClientConfig,
 ) -> Result<DownloadOutcome, RelayError> {
-    let start = Instant::now();
-    let (mut engine, paths) = engine(direct, origin_for_relays, relays, cfg, cfg.total_bytes);
-    let (direct, relays, session) = (paths[0], &paths[1..], cfg.session());
-    let did = run_selecting(
-        &mut engine,
-        &mut FirstPortion,
-        direct,
-        relays,
-        0,
-        &session,
-        None,
-    );
-    if !did.remainder.finished {
-        return Err(engine.take_error());
-    }
-    let carrier = paths.iter().position(|p| *p == did.remainder.path);
-    let (elapsed, throughput, body_ok) = close(engine, start)?;
-    Ok(DownloadOutcome {
-        choice: chosen(carrier.unwrap_or(0)),
-        probe_throughput: did.probe_throughput,
-        elapsed,
-        throughput,
-        body_ok,
-        failovers: 0,
-    })
+    select(direct, origin_for_relays, relays, cfg, &cfg.session()).map(|(out, _)| out)
 }
 
-/// [`download`] with client-side failover: if the winning connection
-/// dies mid-remainder (the relay crashed, the socket was severed), the
-/// client re-requests the whole remainder (partial bytes are
-/// discarded; the origin is stateless) from the surviving paths — the
-/// direct path first, then each remaining relay. `failovers` counts
-/// every abandoned path. Fails with the *last* path's error only when
-/// no path survives.
+/// [`download`] with the core failover remainder: if the carrier dies
+/// mid-remainder (the relay crashed, the socket was severed) or goes
+/// silent for the timeout, the bytes it delivered are kept, the
+/// surviving paths race for the next probe-sized piece of the rest, and
+/// the winner carries what is left on its warm connection — for as long
+/// as a path survives. `failovers` counts every abandoned path. Fails
+/// with the last path's error only when no path survives.
 pub fn download_failover(
     direct: SocketAddr,
     origin_for_relays: SocketAddr,
     relays: &[SocketAddr],
     cfg: &ClientConfig,
 ) -> Result<DownloadOutcome, RelayError> {
-    let start = Instant::now();
-    let (mut engine, paths) = engine(direct, origin_for_relays, relays, cfg, cfg.total_bytes);
-    let (winner, probe_throughput) = race(&mut engine, &paths, cfg)?;
-    let (rest, horizon) = (cfg.total_bytes - cfg.probe_bytes, cfg.session().horizon);
-    // The winner's warm connection, then a fresh one per survivor.
-    let order = std::iter::once(winner).chain((0..paths.len()).filter(|&p| p != winner));
-    for (failovers, carrier) in order.enumerate() {
-        let h = engine.fetch(&paths[carrier], cfg.probe_bytes, rest);
-        if engine.finish(h, horizon).is_some() {
-            let (elapsed, throughput, body_ok) = close(engine, start)?;
-            return Ok(DownloadOutcome {
-                choice: chosen(carrier),
-                probe_throughput,
-                elapsed,
-                throughput,
-                body_ok,
-                failovers: failovers as u32,
-            });
-        }
-    }
-    Err(engine.take_error())
+    select(direct, origin_for_relays, relays, cfg, &cfg.failover()).map(|(out, _)| out)
 }
 
 /// Result of a striped download ([`download_striped`]).
@@ -256,25 +263,26 @@ pub struct StripedOutcome {
     pub throughput: f64,
     /// Whether the reassembled body matched the origin's content.
     pub body_ok: bool,
-    /// Paths that died mid-transfer; their orphaned bytes were
-    /// refetched by the repair pass.
+    /// Paths that died mid-transfer (failed, or silent for the timeout).
     pub failovers: u32,
-    /// Chunks completed per path, race-target order (direct first).
+    /// Chunks completed per path, race-target order (direct first); all
+    /// 0 when no stripe ran (no relay, or the probe phase timed out).
     pub chunk_counts: Vec<(ChosenPath, u64)>,
-    /// Missing intervals the repair pass refetched over the direct
-    /// path (0 on a clean run).
+    /// Chunk remainders orphaned by a path death (one per dead path) and
+    /// finished by the survivors; a drift steal is none: a clean run reads 0.
     pub repaired: u64,
 }
 
-/// mHTTP-style striped download over real sockets: race the probe as
-/// in [`download`], then fetch the remainder as disjoint range chunks,
-/// one in flight per path — a path that completes its chunk pulls the
-/// next from the queue (so fast paths carry more chunks) on the one
-/// connection it keeps, and every body lands in the engine's
-/// reassembly. A path that dies orphans at most its current chunk and
-/// stops pulling; whatever is still missing once the queue has drained
-/// is refetched over the direct path, so a mid-transfer path death
-/// costs throughput, never content.
+/// mHTTP-style striped download over real sockets: the probe race, then
+/// the core striped scheduler. The remainder is split into `chunks`
+/// disjoint ranges fetched concurrently, one in flight per path on the
+/// one connection the path keeps: the probe winner's warm connection
+/// takes the first, a path that completes a chunk pulls the next (so
+/// fast paths carry more), and once the queue is empty a free path
+/// steals the rest of a chunk whose carrier runs at under half the free
+/// path's rate. A path that fails or goes silent for the timeout is dead,
+/// and its chunk's remainder goes to the survivors from the byte where
+/// it stopped, so a path death costs throughput, never content.
 pub fn download_striped(
     direct: SocketAddr,
     origin_for_relays: SocketAddr,
@@ -283,61 +291,18 @@ pub fn download_striped(
     cfg: &ClientConfig,
 ) -> Result<StripedOutcome, RelayError> {
     assert!(chunks >= 1, "zero chunks");
-    let start = Instant::now();
-    let (mut engine, paths) = engine(direct, origin_for_relays, relays, cfg, cfg.total_bytes);
-    let (winner, _) = race(&mut engine, &paths, cfg)?;
-    let (rest, horizon) = (cfg.total_bytes - cfg.probe_bytes, cfg.session().horizon);
-    let mut queue: VecDeque<ChunkRange> = partition(cfg.probe_bytes, rest, chunks).into();
-    // The probe winner pulls first: the first chunk rides the warm
-    // connection (the racing client's remainder request, §2.1).
-    let mut free: VecDeque<usize> = std::iter::once(winner)
-        .chain((0..paths.len()).filter(|&p| p != winner))
-        .collect();
-    let mut flights: Vec<(usize, Handle)> = Vec::new();
-    let mut counts = vec![0u64; paths.len()];
-    let mut failovers = 0u32;
-    loop {
-        let pulls = free.len().min(queue.len());
-        for (p, chunk) in free.drain(..pulls).zip(queue.drain(..pulls)) {
-            flights.push((p, engine.fetch(&paths[p], chunk.offset, chunk.len)));
-        }
-        if flights.is_empty() {
-            break;
-        }
-        let handles: Vec<Handle> = flights.iter().map(|&(_, h)| h).collect();
-        match engine.race(&handles, horizon) {
-            Some(win) => {
-                let (p, _) = flights.swap_remove(win.index);
-                counts[p] += 1;
-                free.push_back(p);
-            }
-            // Every path still in flight has died (or stalled past the
-            // deadline) and orphans its chunk: the dead are reaped last.
-            None => {
-                failovers += flights.len() as u32;
-                flights.drain(..).for_each(|(_, h)| engine.cancel(h));
-            }
-        }
-    }
-
-    // Repair pass: whatever is still missing — orphaned chunks, or the
-    // whole tail if every path died — comes over the direct path.
-    let missing = engine.missing();
-    for &(s, e) in &missing {
-        let h = engine.fetch(&paths[0], s, e - s);
-        if engine.finish(h, horizon).is_none() {
-            return Err(engine.take_error());
-        }
-    }
-
-    let (elapsed, throughput, body_ok) = close(engine, start)?;
+    let session = cfg.striped(chunks, relays.len());
+    let (out, stats) = select(direct, origin_for_relays, relays, cfg, &session)?;
+    let carried = |i: usize| stats.per_path.get(i).map_or(0, |s| s.chunks);
     Ok(StripedOutcome {
-        elapsed,
-        throughput,
-        body_ok,
-        failovers,
-        chunk_counts: (0..paths.len()).map(chosen).zip(counts).collect(),
-        repaired: missing.len() as u64,
+        elapsed: out.elapsed,
+        throughput: out.throughput,
+        body_ok: out.body_ok,
+        failovers: out.failovers,
+        chunk_counts: (0..=relays.len())
+            .map(|i| (chosen(i), carried(i)))
+            .collect(),
+        repaired: u64::from(stats.deaths),
     })
 }
 
@@ -347,6 +312,7 @@ mod tests {
     use crate::origin::{OriginConfig, OriginServer};
     use crate::relayd::{Relay, RelayConfig};
     use crate::shaper::RateSchedule;
+    use ir_core::Transport;
 
     const KB: f64 = 1000.0;
 
@@ -540,7 +506,7 @@ mod tests {
         let a = origin.addr();
         let timeout = Duration::from_secs(30);
         let (mut engine, paths) = RealTransport::star(a, a, &[], "/f", 500_000, timeout);
-        let h = engine.fetch(&paths[0], 0, 500_000);
+        let h = engine.begin(&paths[0], 0, 500_000);
         let t0 = Instant::now();
         assert!(engine.finish(h, SimDuration::from_secs(2)).is_none());
         let waited = t0.elapsed();

@@ -32,7 +32,7 @@ use ir_telemetry::Telemetry;
 use std::io::{Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Transition counters for the connection lifecycle, shared by every
@@ -144,7 +144,8 @@ pub const SPLICE_CHUNK: usize = 16 * 1024;
 
 /// Pool of splice buffers: connections borrow one 16 KiB chunk for
 /// their lifetime and return it on close, so a soak's allocation count
-/// tracks peak concurrency instead of transfer count.
+/// tracks peak concurrency instead of transfer count. Every update is
+/// one push or pop, so a lock a panic poisoned still guards a whole pool.
 #[derive(Debug, Default)]
 pub(crate) struct BufferPool {
     free: Mutex<Vec<Vec<u8>>>,
@@ -156,14 +157,14 @@ impl BufferPool {
     pub(crate) fn take(&self) -> Vec<u8> {
         self.free
             .lock()
-            .expect("buffer pool")
+            .unwrap_or_else(PoisonError::into_inner)
             .pop()
             .unwrap_or_else(|| Vec::with_capacity(SPLICE_CHUNK))
     }
 
     pub(crate) fn give(&self, mut buf: Vec<u8>) {
         buf.clear();
-        let mut free = self.free.lock().expect("buffer pool");
+        let mut free = self.free.lock().unwrap_or_else(PoisonError::into_inner);
         if buf.capacity() >= SPLICE_CHUNK && free.len() < Self::MAX_POOLED {
             free.push(buf);
         }

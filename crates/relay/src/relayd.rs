@@ -33,7 +33,7 @@ use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// What the acceptor does with a connection beyond the limit.
@@ -306,7 +306,7 @@ impl Relay {
         }
         // An intake handed over after its worker exited is dropped here.
         for link in &self.wakes {
-            let mut queue = link.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut queue = queue_of(link);
             for _ in queue.drain(..) {
                 Lifecycle::bump(&self.shared.lifecycle.killed);
                 self.shared.conn_closed();
@@ -367,6 +367,12 @@ struct Intake {
 struct WorkerLink {
     queue: Mutex<VecDeque<Intake>>,
     wake: Waker,
+}
+
+/// `link`'s intake queue. Every update is one push or pop, so a lock a
+/// panic poisoned still guards a whole queue.
+fn queue_of(link: &WorkerLink) -> MutexGuard<'_, VecDeque<Intake>> {
+    link.queue.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Round-robin handoff from the acceptor to the worker shards. A
@@ -502,7 +508,7 @@ fn admit(shared: &Shared, epoch: Instant, intake: Intake, dispatch: &mut Dispatc
     let shard = dispatch.next % dispatch.links.len();
     dispatch.next = dispatch.next.wrapping_add(1);
     let link = &dispatch.links[shard];
-    link.queue.lock().expect("worker queue").push_back(intake);
+    queue_of(link).push_back(intake);
     match dispatch.idle[shard].take() {
         Some(worker) => dispatch
             .running
@@ -542,7 +548,7 @@ impl Worker {
 
             // Intake: adopt newly accepted connections.
             loop {
-                let intake = self.link.queue.lock().expect("worker queue").pop_front();
+                let intake = queue_of(&self.link).pop_front();
                 let Some(intake) = intake else { break };
                 if shutdown {
                     Lifecycle::bump(&self.shared.lifecycle.killed);

@@ -4,21 +4,21 @@
 //! writes a range request, reads and validates the response, pools the
 //! warm connection and shuts a loser down. The session runner
 //! (`ir_core::run_paths_session` / `run_selecting`) drives it through
-//! the [`Transport`] trait — `begin` is a genuine TCP connection and
-//! HTTP range request, `race` and `finish` wait on wall-clock
-//! completions, `begin_warm` reuses the winning probe's keep-alive
-//! connection — and [`crate::client`]'s downloads through the same
-//! handles plus [`RealTransport::fetch`], which names the byte offset.
+//! the [`Transport`] trait, and so do all of [`crate::client`]'s
+//! downloads: `begin` is a TCP connection and a request for the range
+//! the session names, `begin_warm` the same on the path's keep-alive
+//! connection, `race` and `finish` wait on wall-clock completions, and
+//! `failed` reports a path error the moment it happens.
 //!
 //! A transfer is a non-blocking socket and a state machine (dial, send,
 //! head, body) moved by one `poll` loop on the caller's thread: whichever
 //! handles it waits on, every live transfer advances — a control begun
 //! before a probe race keeps downloading through it. No transfer holds a
 //! thread, and dropping the engine closes its sockets. Bodies land in one
-//! [`Reassembly`] the engine owns, when the caller *accepts* a transfer
-//! (it wins a `race`, or `finish` returns it); a cancelled loser's bytes
-//! never do. One protocol, two transports: `tests/session_over_sockets.rs`
-//! runs the studies' runner over this.
+//! [`Reassembly`] the engine owns: whole when a transfer completes, and
+//! the first `progress(h)` bytes when it is cancelled or fails. One
+//! protocol, two transports: `tests/session_over_sockets.rs` runs the
+//! studies' runner over this.
 
 use crate::error::RelayError;
 use crate::poller::{connect_errno, connect_nonblocking, poll_fds, Dial, PollFd, POLLIN, POLLOUT};
@@ -46,10 +46,11 @@ enum Stage {
     /// The body, read straight into its final, zeroed buffer (for a
     /// large body, fresh pages); this much of it has arrived.
     Body(Vec<u8>, usize),
-    /// Delivered; the body stays here until the transfer is accepted.
-    Done(Vec<u8>),
-    /// Failed or cancelled: the socket is closed.
-    Failed(RelayError),
+    /// Delivered: the body is in the reassembly.
+    Done,
+    /// Failed or cancelled: the socket is closed, and this many body
+    /// bytes went to the reassembly.
+    Failed(RelayError, u64),
 }
 
 struct Slot {
@@ -73,15 +74,16 @@ impl Slot {
         let events = match self.stage {
             Stage::Dial | Stage::Send(_) => POLLOUT,
             Stage::Head(_) | Stage::Body(..) => POLLIN,
-            Stage::Done(..) | Stage::Failed(_) => return None,
+            Stage::Done | Stage::Failed(..) => return None,
         };
         Some(PollFd::new(self.conn.as_ref()?.as_raw_fd(), events))
     }
 
     /// Moves the transfer as far as its socket goes without blocking —
-    /// a readable socket is read until it would block — and records
-    /// delivery at `now`. On an error the caller fails the path.
-    fn step(&mut self, now: SimTime) -> Result<(), RelayError> {
+    /// a readable socket is read until it would block — and on delivery
+    /// stamps `now` and lands the body in `into`. On an error the caller
+    /// fails the path.
+    fn step(&mut self, now: SimTime, into: &mut Reassembly) -> Result<(), RelayError> {
         let Some(conn) = &mut self.conn else {
             return Ok(());
         };
@@ -95,7 +97,7 @@ impl Slot {
                 }
                 Stage::Body(body, got) if *got == body.len() => Ok(1), // came with the head
                 Stage::Body(body, got) => conn.read(&mut body[*got..]).inspect(|n| *got += n),
-                Stage::Done(..) | Stage::Failed(_) => return Ok(()),
+                Stage::Done | Stage::Failed(..) => return Ok(()),
             };
             match moved {
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
@@ -128,17 +130,40 @@ impl Slot {
                     self.stage = Stage::Body(body, n);
                 }
                 Stage::Body(body, got) if *got == body.len() => {
-                    self.timing.finished = now;
-                    self.stage = Stage::Done(mem::take(body));
+                    land(into, self.offset, body);
+                    (self.timing.finished, self.stage) = (now, Stage::Done);
                 }
                 _ => {}
             }
         }
     }
 
-    fn fail(&mut self, e: RelayError) {
-        (self.conn, self.stage) = (None, Stage::Failed(e));
+    /// Ends the transfer where it stands: the socket closes, and the
+    /// body bytes read so far land in `into`, so `progress` stays put.
+    fn fail(&mut self, e: RelayError, into: &mut Reassembly) {
+        let kept = match mem::replace(&mut self.stage, Stage::Dial) {
+            Stage::Body(body, got) => land(into, self.offset, &body[..got]),
+            Stage::Done => self.timing.bytes,
+            Stage::Failed(_, kept) => kept,
+            _ => 0,
+        };
+        (self.conn, self.stage) = (None, Stage::Failed(e, kept));
     }
+}
+
+/// Lands `body`, the bytes at `offset`, wherever `into` still misses
+/// them, and returns its length. Every transfer reads the same resource:
+/// a byte that came twice (each probe carries `[0, x)`) is already there.
+fn land(into: &mut Reassembly, offset: u64, body: &[u8]) -> u64 {
+    let end = offset + body.len() as u64;
+    for (from, to) in into.missing() {
+        let (from, to) = (from.max(offset), to.min(end));
+        if from < to {
+            let part = &body[(from - offset) as usize..(to - offset) as usize];
+            let _ = into.insert(from, part); // cannot fail: `part` is missing
+        }
+    }
+    body.len() as u64
 }
 
 /// A [`Transport`] whose transfers are real HTTP range requests over
@@ -158,12 +183,9 @@ pub struct RealTransport {
     epoch: Instant,
     /// Silence after which a transfer's path fails.
     timeout: Duration,
-    /// Next range offset per path (probe consumed `[0, x)` → remainder
-    /// starts at `x`).
-    next_offset: HashMap<PathSpec, u64>,
     /// Idle keep-alive connections per path, for warm reuse.
     idle: HashMap<PathSpec, TcpStream>,
-    /// Every accepted body, by offset.
+    /// Every body delivered, whole or in part, by offset.
     reassembly: Reassembly,
     /// Why the last `race`/`finish` returned `None`.
     error: Option<RelayError>,
@@ -195,7 +217,6 @@ impl RealTransport {
             slots: Vec::new(),
             epoch: Instant::now(),
             timeout,
-            next_offset: HashMap::new(),
             idle: HashMap::new(),
             reassembly: Reassembly::new(total_bytes),
             error: None,
@@ -244,18 +265,9 @@ impl RealTransport {
         Ok((addr, request.with_header("Range", range.to_string())))
     }
 
-    /// A transfer of `[offset, offset + bytes)` over `path`, on the
-    /// path's idle keep-alive connection when there is one.
-    pub fn fetch(&mut self, path: &PathSpec, offset: u64, bytes: u64) -> Handle {
-        let warm = self.idle.remove(path);
-        self.launch(path, offset, bytes, warm)
-    }
-
-    /// Creates a transfer's slot and starts it at once: dials the path,
-    /// or writes the request on `warm`.
+    /// Creates the slot of a transfer of `[from, from + len)` and starts
+    /// it at once: dials the path, or writes the request on `warm`.
     fn launch(&mut self, path: &PathSpec, from: u64, len: u64, warm: Option<TcpStream>) -> Handle {
-        // Track where the next warm request on this path should start.
-        self.next_offset.insert(*path, from + len);
         let started = self.now();
         let mut slot = Slot {
             path: *path,
@@ -286,11 +298,11 @@ impl RealTransport {
             // A connected socket takes its request at once.
             match slot.stage {
                 Stage::Dial => Ok(()),
-                _ => slot.step(started),
+                _ => slot.step(started, &mut self.reassembly),
             }
         });
         if let Err(e) = dialled {
-            slot.fail(e);
+            slot.fail(e, &mut self.reassembly);
         }
         self.slots.push(slot);
         Handle(self.slots.len() as u64 - 1)
@@ -310,14 +322,14 @@ impl RealTransport {
         let polled = poll_fds(&mut fds, Duration::from_millis(wait.div_ceil(1000) as u64));
         let (now, at) = (Instant::now(), self.now());
         for (&i, fd) in live.iter().zip(&fds) {
-            let slot = &mut self.slots[i];
+            let (slot, into) = (&mut self.slots[i], &mut self.reassembly);
             if let Err(e) = &polled {
-                slot.fail(io::Error::from(e.kind()).into());
+                slot.fail(io::Error::from(e.kind()).into(), into);
             } else if fd.is_ready() {
                 slot.moved = now;
-                slot.step(at).unwrap_or_else(|e| slot.fail(e));
+                slot.step(at, into).unwrap_or_else(|e| slot.fail(e, into));
             } else if now >= stall(slot) {
-                slot.fail(io::Error::from(io::ErrorKind::TimedOut).into());
+                slot.fail(io::Error::from(io::ErrorKind::TimedOut).into(), into);
             }
         }
     }
@@ -327,11 +339,6 @@ impl RealTransport {
     /// them failed, [`RelayError::Timeout`] when the horizon passed.
     pub fn take_error(&mut self) -> RelayError {
         self.error.take().unwrap_or(RelayError::Timeout)
-    }
-
-    /// The intervals of the resource no accepted transfer has covered.
-    pub fn missing(&self) -> Vec<(u64, u64)> {
-        self.reassembly.missing()
     }
 
     /// Takes the reassembled resource out, or `None` while bytes are
@@ -348,8 +355,8 @@ impl Transport for RealTransport {
         SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
     }
 
-    fn begin(&mut self, path: &PathSpec, bytes: u64) -> Handle {
-        self.launch(path, 0, bytes, None)
+    fn begin(&mut self, path: &PathSpec, offset: u64, bytes: u64) -> Handle {
+        self.launch(path, offset, bytes, None)
     }
 
     fn resolvable(&self, path: &PathSpec) -> bool {
@@ -358,9 +365,10 @@ impl Transport for RealTransport {
         self.request_for(path, ByteRange::From(0)).is_ok()
     }
 
-    fn begin_warm(&mut self, path: &PathSpec, bytes: u64) -> Handle {
-        let offset = self.next_offset.get(path).copied().unwrap_or(0);
-        self.fetch(path, offset, bytes)
+    /// On the path's pooled keep-alive connection, or a fresh dial.
+    fn begin_warm(&mut self, path: &PathSpec, offset: u64, bytes: u64) -> Handle {
+        let warm = self.idle.remove(path);
+        self.launch(path, offset, bytes, warm)
     }
 
     /// Returns as soon as one of `handles` has delivered or every one
@@ -371,29 +379,25 @@ impl Transport for RealTransport {
         let since = Instant::now();
         let deadline = since + Duration::from_secs_f64(horizon.as_secs_f64());
         loop {
-            let done = |h: &Handle| matches!(self.slots[h.0 as usize].stage, Stage::Done(_));
+            let done = |h: &Handle| matches!(self.slots[h.0 as usize].stage, Stage::Done);
             if let Some(index) = handles.iter().position(done) {
                 let slot = &mut self.slots[handles[index].0 as usize];
-                // Accepted: the connection goes to the warm pool, the body
-                // to the reassembly, which drops bytes already delivered
-                // (every probe carries `[0, x)`, a control the whole file).
+                // Accepted: the connection goes to the warm pool.
                 if let Some(conn) = slot.conn.take() {
                     self.idle.insert(slot.path, conn);
                 }
-                if let Stage::Done(body) = &mut slot.stage {
-                    let _ = self.reassembly.insert(slot.offset, &mem::take(body));
-                }
-                let timing = slot.timing;
-                return Some(RaceWin { index, timing });
+                return Some(RaceWin {
+                    index,
+                    timing: slot.timing,
+                });
             }
             let now = Instant::now();
-            let failed = |h: &Handle| matches!(self.slots[h.0 as usize].stage, Stage::Failed(_));
-            if now >= deadline || handles.iter().all(failed) {
+            if now >= deadline || handles.iter().all(|&h| self.failed(h)) {
                 // A path error counts only before the deadline: silence is
                 // timed from the wait's start, so a horizon-long stall is
                 // the deadline passing.
                 self.error = match handles.last().map(|h| &mut self.slots[h.0 as usize].stage) {
-                    Some(Stage::Failed(e)) if now < deadline => {
+                    Some(Stage::Failed(e, _)) if now < deadline => {
                         Some(mem::replace(e, RelayError::Timeout))
                     }
                     _ => None,
@@ -410,19 +414,26 @@ impl Transport for RealTransport {
 
     /// Also how a race's winner closes the losers: the session cancels
     /// them, and a loser parked on a slow path is rid of its socket at
-    /// once instead of when the probe finally drains.
+    /// once instead of when the probe finally drains. The bytes it read
+    /// stay in the reassembly.
     fn cancel(&mut self, handle: Handle) {
-        self.slots[handle.0 as usize].fail(RelayError::Timeout);
+        self.slots[handle.0 as usize].fail(RelayError::Timeout, &mut self.reassembly);
     }
 
-    /// Body bytes read so far.
+    /// Body bytes read so far (and, once it ended, kept).
     fn progress(&self, handle: Handle) -> u64 {
         let slot = &self.slots[handle.0 as usize];
         match &slot.stage {
             Stage::Body(_, got) => *got as u64,
-            Stage::Done(_) => slot.timing.bytes,
+            Stage::Done => slot.timing.bytes,
+            Stage::Failed(_, kept) => *kept,
             _ => 0,
         }
+    }
+
+    /// Failed (a path error, or silence past the timeout) or cancelled.
+    fn failed(&self, handle: Handle) -> bool {
+        matches!(self.slots[handle.0 as usize].stage, Stage::Failed(..))
     }
 }
 
@@ -515,8 +526,8 @@ mod tests {
         })
         .unwrap();
         let (mut transport, paths) = RealTransport::for_lab(&lab);
-        let whole = transport.begin(&paths[0], 400_000);
-        let probe = transport.begin(&paths[1], 50_000);
+        let whole = transport.begin(&paths[0], 0, 400_000);
+        let probe = transport.begin(&paths[1], 0, 50_000);
         assert!(transport
             .finish(probe, SimDuration::from_secs(30))
             .is_some());
@@ -525,7 +536,34 @@ mod tests {
         assert!(moved > 0 && moved < 400_000, "{moved}");
     }
 
-    /// One origin, no relays: `fetch` alone, at any offset.
+    /// A cancelled transfer keeps exactly the bytes `progress` reports,
+    /// so the rest, asked for from there, completes the file byte for
+    /// byte — what the core remainders do when they give up on a path.
+    #[test]
+    fn a_cancelled_transfer_resumes_where_it_stopped() {
+        // 50 KB/s for as long as the first transfer runs, then fast, so
+        // the resumed range does not take nine more seconds.
+        let rate = RateSchedule::piecewise(vec![
+            (Duration::ZERO, 50.0 * KB),
+            (Duration::from_millis(1_500), 5_000.0 * KB),
+        ]);
+        let origin = OriginServer::start(OriginConfig::new(500_000).shaped(rate)).unwrap();
+        let a = origin.addr();
+        let timeout = Duration::from_secs(30);
+        let (mut transport, paths) = RealTransport::star(a, a, &[], "/f", 500_000, timeout);
+        let h = transport.begin(&paths[0], 0, 500_000);
+        assert!(transport.finish(h, SimDuration::from_secs(1)).is_none());
+        let p = transport.progress(h);
+        assert!(p > 0 && p < 500_000, "{p}");
+        transport.cancel(h);
+        assert_eq!(transport.progress(h), p, "cancel moved the progress");
+        let rest = transport.begin(&paths[0], p, 500_000 - p);
+        assert!(transport.finish(rest, SimDuration::from_secs(20)).is_some());
+        let body = transport.take_body().expect("the two ranges make the file");
+        assert!(body.iter().zip(0..).all(|(&b, i)| b == body_byte(i)));
+    }
+
+    /// One origin, no relays: ranges at any offset.
     fn origin_only(total: u64) -> (OriginServer, RealTransport, PathSpec) {
         let origin = OriginServer::start(OriginConfig::new(5_000)).unwrap();
         let a = origin.addr();
@@ -537,7 +575,7 @@ mod tests {
     #[test]
     fn exchange_round_trip() {
         let (_origin, mut transport, direct) = origin_only(100);
-        let h = transport.fetch(&direct, 0, 100);
+        let h = transport.begin(&direct, 0, 100);
         assert!(transport.finish(h, SimDuration::from_secs(10)).is_some());
         let body = transport.take_body().unwrap();
         assert_eq!(body.len(), 100);
@@ -551,7 +589,7 @@ mod tests {
     fn sequential_exchanges_on_one_connection() {
         let (origin, mut transport, direct) = origin_only(21);
         for k in 0..3u64 {
-            let h = transport.fetch(&direct, k * 7, 7);
+            let h = transport.begin_warm(&direct, k * 7, 7);
             let timing = transport.finish(h, SimDuration::from_secs(10)).unwrap();
             assert_eq!(timing.bytes, 7);
         }
@@ -580,9 +618,10 @@ mod tests {
         assert!(transport.resolvable(&paths[1]));
         for path in [stranger, chain] {
             assert!(!transport.resolvable(&path), "{path}");
-            let h = transport.begin(&path, 1_000);
+            let h = transport.begin(&path, 0, 1_000);
             let t0 = Instant::now();
             assert!(transport.finish(h, SimDuration::from_secs(30)).is_none());
+            assert!(transport.failed(h), "{path}");
             assert!(
                 t0.elapsed() < Duration::from_secs(5),
                 "waited out the horizon"

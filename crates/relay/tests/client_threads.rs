@@ -28,7 +28,7 @@ fn in_flight_transfers_hold_no_thread_and_die_with_the_engine() {
     let timeout = Duration::from_secs(10);
     let (mut engine, paths) =
         RealTransport::star(addrs[0], addrs[0], &addrs[1..], "/f", 100, timeout);
-    let handles: Vec<_> = paths.iter().map(|p| engine.begin(p, 100)).collect();
+    let handles: Vec<_> = paths.iter().map(|p| engine.begin(p, 0, 100)).collect();
     assert!(engine
         .race(&handles, SimDuration::from_millis(200))
         .is_none());

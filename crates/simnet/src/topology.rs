@@ -8,21 +8,20 @@
 //! propagation latency used to derive per-route RTTs.
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Identifier of a node in the topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 ir_artifact::declare! { StableHash + Codec for struct NodeId(id) }
 
 /// Identifier of a directed link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LinkId(pub u32);
 ir_artifact::declare! { StableHash for struct LinkId(id) }
 
 /// Role of a node in the indirect-routing experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// A download client (the paper's international PlanetLab nodes).
     Client,
@@ -33,7 +32,7 @@ pub enum NodeKind {
 }
 
 /// A node: a name, a role, nothing else.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Node {
     /// Human-readable name, e.g. `"Berlin"` or `"Texas"`.
     pub name: String,
@@ -48,7 +47,7 @@ pub struct Node {
 /// more of our flows does not halve anyone's share. A dedicated link
 /// (e.g. an access link in a controlled testbed) is the opposite: our
 /// flows are the only users and split it max–min fairly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Sharing {
     /// The process value is a hard capacity, max–min shared among the
     /// simulation's flows.
@@ -61,7 +60,7 @@ pub enum Sharing {
 }
 
 /// A directed link between two nodes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Link {
     /// Source node.
     pub from: NodeId,
@@ -74,7 +73,7 @@ pub struct Link {
 }
 
 /// A directed multigraph of nodes and links.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Topology {
     nodes: Vec<Node>,
     links: Vec<Link>,
@@ -207,7 +206,7 @@ impl Topology {
 }
 
 /// An ordered sequence of links a flow traverses.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Route {
     /// Links in traversal order.
     pub links: Vec<LinkId>,

@@ -7,8 +7,6 @@
 //! correlation and with a robust Theil–Sen slope (scatter data from
 //! throughput measurements has heavy tails, so OLS alone is fragile).
 
-use serde::{Deserialize, Serialize};
-
 /// Pearson product-moment correlation of two equal-length samples.
 ///
 /// Returns `NaN` when fewer than two points or when either sample is
@@ -69,7 +67,7 @@ pub fn ranks(x: &[f64]) -> Vec<f64> {
 }
 
 /// An ordinary-least-squares line fit `y = slope * x + intercept`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OlsFit {
     /// Fitted slope.
     pub slope: f64,

@@ -4,10 +4,8 @@
 //! style statements in the paper (§3.1) and for quantile lookups in the
 //! experiment reports.
 
-use serde::{Deserialize, Serialize};
-
 /// An empirical CDF built from a sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ecdf {
     sorted: Vec<f64>,
 }

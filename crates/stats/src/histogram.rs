@@ -5,12 +5,11 @@
 //! maximum penalty of 3840%), so the histogram keeps explicit underflow
 //! and overflow bins rather than silently clipping.
 
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// A histogram over `[lo, hi)` with `bins` equal-width bins plus
 /// underflow (`x < lo`) and overflow (`x >= hi`) bins.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

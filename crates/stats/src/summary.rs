@@ -5,13 +5,11 @@
 //! a sample that additionally provides order statistics (median,
 //! percentiles), which require sorting.
 
-use serde::{Deserialize, Serialize};
-
 /// Single-pass accumulator for count, mean, variance, RMS and extrema.
 ///
 /// Uses Welford's algorithm, which is numerically stable for long runs of
 /// near-equal values (our throughput traces are exactly that).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OnlineStats {
     n: u64,
     mean: f64,
@@ -152,7 +150,7 @@ impl FromIterator<f64> for OnlineStats {
 }
 
 /// Batch summary of a sample, including order statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     /// Number of observations.
     pub count: usize,

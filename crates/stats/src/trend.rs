@@ -6,10 +6,8 @@
 //! monotone trend in a time series, robust to the non-Gaussian noise of
 //! throughput measurements.
 
-use serde::{Deserialize, Serialize};
-
 /// Direction verdict at a significance level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Trend {
     /// Statistically significant increasing trend.
     Increasing,
@@ -20,7 +18,7 @@ pub enum Trend {
 }
 
 /// Result of a Mann–Kendall test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MannKendall {
     /// The S statistic: #(concordant pairs) − #(discordant pairs).
     pub s: i64,

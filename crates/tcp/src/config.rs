@@ -1,10 +1,9 @@
 //! TCP model parameters.
 
 use ir_simnet::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the fluid TCP model for one connection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TcpConfig {
     /// Maximum segment size in bytes (default 1460, Ethernet-era MSS).
     pub mss: u32,

@@ -2,7 +2,7 @@
 //! or [Perfetto](https://ui.perfetto.dev)), a flat JSON event dump, and
 //! a flat CSV event dump.
 //!
-//! JSON is emitted by hand — the tree has no serde runtime — so every
+//! JSON is emitted by hand — the tree has no JSON library — so every
 //! string goes through [`json_string`] and every float through
 //! [`json_f64`] (non-finite values become `null`, which strict parsers
 //! require).

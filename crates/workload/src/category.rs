@@ -5,13 +5,11 @@
 //! throughput to the targeted destination Web servers on the direct
 //! path."
 
-use serde::{Deserialize, Serialize};
-
 /// Bytes per second in one Mbps.
 pub const MBPS: f64 = 1e6 / 8.0;
 
 /// The paper's client throughput categories.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Category {
     /// 0–1.5 Mbps average direct throughput.
     Low,
@@ -49,7 +47,7 @@ impl Category {
 /// Table I filters on "highly variable direct throughputs"; we
 /// operationalise the same split with a coefficient-of-variation
 /// threshold (see [`VARIABILITY_COV_THRESHOLD`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Variability {
     /// Direct-path throughput holds steady between transfers.
     Stable,

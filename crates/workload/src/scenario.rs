@@ -31,13 +31,12 @@ use ir_simnet::topology::{NodeId, NodeKind, Sharing, Topology};
 use ir_stats::sampling::{LogNormal, Sample};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Everything tunable about the synthetic network. Defaults are the
 /// calibrated values used by the experiment harness; the ablation
 /// benches perturb individual fields.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Calibration {
     /// Median direct-path rate range for Low clients (Mbps).
     pub low_mbps: (f64, f64),
@@ -174,7 +173,7 @@ impl Default for Calibration {
 /// Hidden ground-truth profile of a client in a scenario. Experiments
 /// must *measure* category/variability like the paper did; the profile
 /// is for assertions and debugging.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClientProfile {
     /// Intended throughput category.
     pub category: Category,

@@ -6,10 +6,9 @@
 //! seconds for 6 hours (720 times)".
 
 use ir_simnet::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A periodic transfer schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Schedule {
     /// Time between transfer starts.
     pub period: SimDuration,

@@ -1,10 +1,12 @@
 //! Striped downloads over real loopback sockets.
 //!
-//! Drives `ir-relay`'s striped client — probe race, a chunk queue the
-//! paths pull from, `ir-http` range requests on one connection per
-//! path, the engine's shared reassembly — against event-mode relay
-//! daemons, including a relay killed mid-transfer to exercise the
-//! orphan-repair path.
+//! Drives `ir-relay`'s striped client — the probe race, then the core
+//! striped scheduler (chunks the paths pull, drift steals, dead-path
+//! reassignment) over `ir-http` range requests on one connection per
+//! path and the engine's shared reassembly — against event-mode relay
+//! daemons, including a relay killed mid-transfer, whose orphaned chunk
+//! the survivors finish, and a relay whose rate collapses, whose
+//! straggler chunk a faster path steals.
 
 use indirect_routing::relay::shaper::RateSchedule;
 use indirect_routing::relay::{
@@ -94,8 +96,8 @@ fn single_chunk_matches_racing_download() {
 }
 
 /// Killing a relay mid-stripe orphans at most its current chunk; the
-/// repair pass refetches the hole over the direct path and the body
-/// still verifies.
+/// direct path finishes it from the byte where the relay stopped, and
+/// the body still verifies.
 #[test]
 fn relay_killed_mid_stripe_is_repaired() {
     let total = 500_000;
@@ -113,8 +115,8 @@ fn relay_killed_mid_stripe_is_repaired() {
     relay.kill();
     let out = t.join().expect("client must not panic").unwrap();
     assert!(out.body_ok, "content must survive the mid-stripe kill");
-    // Either the relay died mid-chunk (orphan repaired) or it happened
-    // to be between chunks; in both cases the direct worker finishes
+    // Either the relay died mid-chunk (orphan reassigned) or it happened
+    // to be between chunks; in both cases the direct path finishes
     // the queue and the body verifies. The kill window is wide enough
     // that the relay cannot have drained the whole queue first.
     let direct_chunks = out
@@ -161,4 +163,39 @@ fn striped_reuses_one_connection_per_path() {
             "relay {i} carried {carried} chunks over {accepted} connections"
         );
     }
+}
+
+/// A relay that collapses mid-download from 800 to 10 KB/s loses its
+/// straggler chunk to the direct path, which finishes it from the byte
+/// where the relay stopped. Without the steal the download waits for
+/// the relay: its first chunk (237.5 KB) is at most ≈ 180 KB in when
+/// the rate collapses, and the rest at 10 KB/s takes ≈ 6 s or more.
+#[test]
+fn collapsing_relay_loses_its_straggler_chunk() {
+    let total = 1_000_000;
+    let direct =
+        OriginServer::start(OriginConfig::new(total).shaped(RateSchedule::constant(300.0 * KB)))
+            .unwrap();
+    let fast_origin = OriginServer::start(OriginConfig::new(total)).unwrap();
+    let collapse = RateSchedule::piecewise(vec![
+        (Duration::ZERO, 800.0 * KB),
+        (Duration::from_millis(250), 10.0 * KB),
+    ]);
+    let relay = Relay::start(RelayConfig::shaped(collapse).with_workers(2)).unwrap();
+    let out = download_striped(
+        direct.addr(),
+        fast_origin.addr(),
+        &[relay.addr()],
+        4,
+        &client_cfg(total),
+    )
+    .unwrap();
+    assert!(out.body_ok, "content must survive the steal");
+    assert_eq!((out.failovers, out.repaired), (0, 0), "a steal is no death");
+    assert!(
+        out.elapsed < Duration::from_secs(5),
+        "waited out the collapsed relay: {:?}, {:?}",
+        out.elapsed,
+        out.chunk_counts
+    );
 }
