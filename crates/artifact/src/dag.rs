@@ -98,8 +98,10 @@ pub struct ArtefactSpec {
     /// expects them.
     pub deps: Vec<Fingerprint>,
     /// Renders the artefact from its resolved study outputs.
-    // boxed render closure; aliasing it would obscure the artefact contract
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "boxed render closure; aliasing it would obscure the artefact contract"
+    )]
     pub render: Box<dyn FnOnce(&[StudyOutput]) -> ArtefactOutput>,
 }
 
@@ -248,6 +250,10 @@ pub fn decode_bundle(bytes: &[u8]) -> Option<ArtefactOutput> {
 /// Panics if an artefact depends on a fingerprint no [`StudySpec`]
 /// provides — that is a plan-construction bug, not a runtime
 /// condition.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "wall-clock study/build durations are reporting-only fields, excluded from artefact hashing"
+)]
 pub fn execute(
     studies: Vec<StudySpec>,
     artefacts: Vec<ArtefactSpec>,

@@ -50,7 +50,7 @@
 //!
 //! A type whose encoding is *not* its field list (a canonical subset, a
 //! derived view) writes `impl StableHash` by hand and is listed, with
-//! the reason, in `audit.allow.toml`.
+//! the reason, in `HAND_WRITTEN` in the workspace's `tests/lint_fences.rs`.
 
 /// Expands one field / variant list into `StableHash` and/or `Codec`
 /// impls; see the [module docs](mod@crate::declare) for the grammar.

@@ -94,7 +94,10 @@ pub(crate) fn run_remainder_warm(
 /// — takes over the rest of the file. The overall deadline is still
 /// `cfg.horizon` from the start of the remainder; when it expires (or
 /// no candidate survives) the transfer is abandoned.
-#[allow(clippy::too_many_arguments)] // failover tail shares the session's full parameter set
+#[expect(
+    clippy::too_many_arguments,
+    reason = "failover tail shares the session's full parameter set"
+)]
 pub(crate) fn run_remainder_failover(
     transport: &mut dyn Transport,
     predictor: &mut dyn Predictor,
@@ -364,7 +367,10 @@ fn free_paths(rate: &[EwmaRate], alive: &[bool], flights: &[Flight]) -> Vec<usiz
 
 /// The striped remainder phase: partition, fan out, race completions,
 /// rebalance on drift, reassign on stall-death or failure.
-#[allow(clippy::too_many_arguments)] // remainder tail shares the session's full parameter set
+#[expect(
+    clippy::too_many_arguments,
+    reason = "remainder tail shares the session's full parameter set"
+)]
 pub(crate) fn run_striped_remainder(
     transport: &mut dyn Transport,
     predictor: &mut dyn Predictor,
@@ -583,7 +589,10 @@ fn best_path(bytes_done: &[u64], winner: usize) -> usize {
 /// observed rate has drifted `drift_ratio`× below `p`'s estimate. The
 /// victim's estimate is dragged down to its observed rate first, so it
 /// cannot immediately steal the chunk back.
-#[allow(clippy::too_many_arguments)] // scheduler interior; shares the loop's working set
+#[expect(
+    clippy::too_many_arguments,
+    reason = "scheduler interior; shares the loop's working set"
+)]
 fn maybe_steal(
     transport: &mut dyn Transport,
     paths: &[PathSpec],

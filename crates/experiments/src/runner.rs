@@ -150,7 +150,10 @@ impl MeasurementData {
 }
 
 /// Runs one scheduled task: a session per schedule instant.
-#[allow(clippy::too_many_arguments)] // one argument per sweep axis; a struct would churn every call site
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one argument per sweep axis; a struct would churn every call site"
+)]
 fn run_task(
     scenario: &Scenario,
     client: NodeId,
@@ -239,6 +242,10 @@ pub fn set_worker_threads(n: usize) {
 /// configured cap, or
 /// one per available core when the setting is 0 (the default and the
 /// restore value), never more than the task count and never 0.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "effective_worker_threads is the blessed single chokepoint for core counts (engine output is thread-count-invariant); the second site is its unit test"
+)]
 pub fn effective_worker_threads(n: usize) -> usize {
     let configured = WORKER_THREADS.load(Ordering::Relaxed);
     let workers = if configured > 0 {
@@ -505,6 +512,10 @@ mod tests {
     /// `set_worker_threads(0)` must restore the available-parallelism
     /// default — not panic, and not pin the pool to 0 workers.
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "effective_worker_threads is the blessed single chokepoint for core counts (engine output is thread-count-invariant); the second site is its unit test"
+    )]
     fn worker_threads_zero_restores_available_parallelism() {
         let default = std::thread::available_parallelism()
             .map(|p| p.get())

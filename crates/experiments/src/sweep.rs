@@ -150,7 +150,10 @@ pub fn output_of(r: &Report) -> ArtefactOutput {
     }
 }
 
-#[allow(clippy::too_many_arguments)] // fingerprint covers every cache-relevant input explicitly
+#[expect(
+    clippy::too_many_arguments,
+    reason = "fingerprint covers every cache-relevant input explicitly"
+)]
 fn measurement_fingerprint(
     seed: u64,
     clients: &[ClientSite],

@@ -22,6 +22,10 @@
 //! (`ir-relay`) drive these same types, so the protocol logic is tested
 //! once and exercised everywhere.
 
+// No input from the network may panic the socket tier: a fallible result
+// is handled, or its site `#[expect]`s the lint with why it cannot fail.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod codec;
 pub mod error;
 pub mod proxy;

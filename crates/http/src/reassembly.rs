@@ -69,8 +69,11 @@ pub struct Reassembly {
 
 impl Reassembly {
     /// An empty buffer for a resource of `total` bytes.
+    #[expect(
+        clippy::expect_used,
+        reason = "`total` is the caller's configured size, never a peer's claim; a size past the address space could not be buffered anyway"
+    )]
     pub fn new(total: u64) -> Reassembly {
-        // `total` is the caller's configured size, never a peer's claim.
         Reassembly {
             buf: vec![0; usize::try_from(total).expect("resource exceeds address space")],
             segments: Vec::new(),

@@ -81,7 +81,10 @@ fn edge(topo: &Topology, a: NodeId, b: NodeId) -> Option<u64> {
 /// is the latency accumulated from the client up to the chain's last
 /// relay; a chain is recorded when the closing hop to the server
 /// exists.
-#[allow(clippy::too_many_arguments)] // candidate-path extension mirrors Yen's algorithm state
+#[expect(
+    clippy::too_many_arguments,
+    reason = "candidate-path extension mirrors Yen's algorithm state"
+)]
 fn extend(
     topo: &Topology,
     client: NodeId,

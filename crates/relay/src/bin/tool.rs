@@ -14,6 +14,11 @@
 //! paper's probed download — race the probe over direct + relays, pull
 //! the remainder on the winner's warm connection — and reports which
 //! path won and the throughput achieved.
+//!
+//! A malformed flag value exits 2 with the usage text; an address the
+//! daemon cannot listen on exits 1.
+
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 use ir_relay::{
     download, ChosenPath, ClientConfig, OriginConfig, OriginServer, RateSchedule, Relay,
@@ -21,6 +26,7 @@ use ir_relay::{
 };
 use std::collections::HashMap;
 use std::net::SocketAddr;
+use std::str::FromStr;
 use std::time::Duration;
 
 fn usage() -> ! {
@@ -49,18 +55,25 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
     map
 }
 
+/// `--key`'s value, parsed: `None` when the flag is absent, a usage error
+/// when its value does not parse.
+fn parsed<T: FromStr>(flags: &HashMap<String, String>, key: &str) -> Option<T> {
+    flags
+        .get(key)
+        .map(|v| v.parse().unwrap_or_else(|_| usage()))
+}
+
 fn rate_schedule(flags: &HashMap<String, String>) -> Option<RateSchedule> {
-    flags.get("rate-kbps").map(|v| {
-        let kbps: f64 = v.parse().unwrap_or_else(|_| usage());
-        RateSchedule::constant(kbps * 1000.0)
-    })
+    parsed(flags, "rate-kbps").map(|kbps: f64| RateSchedule::constant(kbps * 1000.0))
 }
 
 fn latency(flags: &HashMap<String, String>) -> Duration {
-    flags
-        .get("latency-ms")
-        .map(|v| Duration::from_millis(v.parse().unwrap_or_else(|_| usage())))
-        .unwrap_or(Duration::ZERO)
+    Duration::from_millis(parsed(flags, "latency-ms").unwrap_or(0))
+}
+
+fn cannot_listen(addr: &str, e: std::io::Error) -> ! {
+    eprintln!("error: cannot listen on {addr}: {e}");
+    std::process::exit(1);
 }
 
 fn main() {
@@ -71,15 +84,13 @@ fn main() {
     match cmd.as_str() {
         "origin" => {
             let listen = flags.get("listen").unwrap_or_else(|| usage());
-            let size: u64 = flags
-                .get("size")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(2 * 1024 * 1024);
+            let size: u64 = parsed(&flags, "size").unwrap_or(2 * 1024 * 1024);
             let mut cfg = OriginConfig::new(size).with_latency(latency(&flags));
             if let Some(sched) = rate_schedule(&flags) {
                 cfg = cfg.shaped(sched);
             }
-            let server = OriginServer::start_on(listen, cfg).expect("bind origin");
+            let server =
+                OriginServer::start_on(listen, cfg).unwrap_or_else(|e| cannot_listen(listen, e));
             println!("origin serving {size} bytes on {}", server.addr());
             park_forever();
         }
@@ -90,19 +101,13 @@ fn main() {
                 None => RelayConfig::new(),
             }
             .with_latency(latency(&flags));
-            let relay = Relay::start_on(listen, cfg).expect("bind relay");
+            let relay = Relay::start_on(listen, cfg).unwrap_or_else(|e| cannot_listen(listen, e));
             println!("relay forwarding on {}", relay.addr());
             park_forever();
         }
         "fetch" => {
-            let direct: SocketAddr = flags
-                .get("direct")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| usage());
-            let origin: SocketAddr = flags
-                .get("origin")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(direct);
+            let direct: SocketAddr = parsed(&flags, "direct").unwrap_or_else(|| usage());
+            let origin: SocketAddr = parsed(&flags, "origin").unwrap_or(direct);
             let relays: Vec<SocketAddr> = flags
                 .get("relays")
                 .map(|v| {
@@ -116,14 +121,8 @@ fn main() {
                     .get("path")
                     .cloned()
                     .unwrap_or_else(|| "/file.bin".into()),
-                probe_bytes: flags
-                    .get("probe")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(100 * 1024),
-                total_bytes: flags
-                    .get("size")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(2 * 1024 * 1024),
+                probe_bytes: parsed(&flags, "probe").unwrap_or(100 * 1024),
+                total_bytes: parsed(&flags, "size").unwrap_or(2 * 1024 * 1024),
                 timeout: Duration::from_secs(120),
             };
             match download(direct, origin, &relays, &cfg) {

@@ -307,6 +307,10 @@ pub fn download_striped(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests pace real-socket scenarios with sleeps; the serve-path rule is about the daemon's own threads"
+)]
 mod tests {
     use super::*;
     use crate::origin::{OriginConfig, OriginServer};

@@ -94,6 +94,10 @@ impl MiniPlanetLab {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests pace real-socket scenarios with sleeps; the serve-path rule is about the daemon's own threads"
+)]
 mod tests {
     use super::*;
     use crate::client::ChosenPath;

@@ -32,6 +32,10 @@
 //! * [`wire`] — blocking helpers for tests and tools.
 //! * [`harness`] — a one-process mini-PlanetLab for tests and examples.
 
+// No input from the network may panic the socket tier: a fallible result
+// is handled, or its site `#[expect]`s the lint with why it cannot fail.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod client;
 pub mod conn;
 pub mod error;

@@ -149,6 +149,10 @@ pub(crate) fn plan_response(req: &Request, total: u64) -> (Response, u64, u64) {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests pace real-socket scenarios with sleeps; the serve-path rule is about the daemon's own threads"
+)]
 mod tests {
     use super::*;
     use bytes::BytesMut;

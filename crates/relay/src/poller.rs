@@ -142,6 +142,10 @@ pub(crate) fn wake_pipe() -> io::Result<(Waker, WakeRx)> {
 /// What an accept loop does after a transient `accept` (or `poll`)
 /// failure: the listener stays readable, so retrying at once would
 /// spin.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "accept_backoff: after EMFILE/ENFILE/ENOBUFS/ECONNABORTED the listener stays readable, so retrying without a pause would spin; the normal accept wait is poll on listener + wake pipe"
+)]
 pub(crate) fn accept_backoff() {
     std::thread::sleep(Duration::from_millis(10));
 }

@@ -335,6 +335,10 @@ impl Relay {
             if n == 0 {
                 break;
             }
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "drain() samples the active count every 2 ms for its DrainReport; it runs on the caller's thread, not on a serving one"
+            )]
             std::thread::sleep(Duration::from_millis(2));
         }
         let forced = self.shared.active.load(Ordering::SeqCst);
@@ -653,8 +657,10 @@ impl Worker {
             // instead of spinning on a zero-timeout poll.
             let timeout = Duration::from_millis(timeout.as_micros().div_ceil(1000) as u64);
             if poll_fds(&mut fds, timeout).is_err() {
-                // poll only fails on EINVAL/ENOMEM-class conditions;
-                // back off rather than spin.
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "a worker whose poll itself failed (EINVAL/ENOMEM class) backs off instead of spinning on the error"
+                )]
                 std::thread::sleep(Duration::from_millis(1));
             }
 
@@ -699,6 +705,10 @@ impl Worker {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests pace real-socket scenarios with sleeps; the serve-path rule is about the daemon's own threads"
+)]
 mod tests {
     use super::*;
     use crate::origin::{body_byte, OriginConfig, OriginServer};

@@ -5,6 +5,10 @@
 //! `relay_backpressure_drops` / `relay_backpressure_queued` must
 //! count the event, and — crucially — connections admitted earlier
 //! must keep serving byte-for-byte correct responses.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests pace real-socket scenarios with sleeps; the serve-path rule is about the daemon's own threads"
+)]
 
 use bytes::BytesMut;
 use ir_http::{encode_request, via_proxy, Parsed, Response, StatusCode};

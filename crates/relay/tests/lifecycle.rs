@@ -9,6 +9,10 @@
 //! LifecycleSnapshot`] counters and that nothing leaks: every accepted
 //! connection reached a terminal counter and the active gauge is zero
 //! once connections end.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests pace real-socket scenarios with sleeps; the serve-path rule is about the daemon's own threads"
+)]
 
 use bytes::BytesMut;
 use ir_http::{encode_request, via_proxy, Parsed, Response, StatusCode};

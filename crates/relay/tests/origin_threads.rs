@@ -1,6 +1,10 @@
 //! The origin costs no thread per connection. Alone in this file so
 //! that no neighbouring test's threads are counted.
 #![cfg(target_os = "linux")]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "tests pace real-socket scenarios with sleeps; the serve-path rule is about the daemon's own threads"
+)]
 
 use bytes::BytesMut;
 use ir_http::{encode_request, Request, StatusCode};

@@ -12,7 +12,10 @@ use rand::{Rng, SeedableRng};
 /// Both solvers, named: every invariant below must hold for the
 /// production solver *and* the naive oracle the differential engine
 /// suite compares it against.
-#[allow(clippy::type_complexity)] // solver-function table; an alias would hide the signature under test
+#[expect(
+    clippy::type_complexity,
+    reason = "solver-function table; an alias would hide the signature under test"
+)]
 const SOLVERS: [(&str, fn(&[f64], &[AllocFlow]) -> Vec<f64>); 2] = [
     ("max_min_rates", max_min_rates),
     ("reference_rates", reference_rates),

@@ -11,6 +11,10 @@
 
 use indirect_routing::experiments::{fig1, fig5, measurement_study_default, table1, Scale};
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "reports the study's wall-clock run time on stderr; every printed table is a function of the seed"
+)]
 fn main() {
     let seed = std::env::args()
         .nth(1)

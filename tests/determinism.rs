@@ -19,6 +19,30 @@ fn records_digest(data: &runner::MeasurementData) -> Vec<(u64, u64, bool)> {
         .collect()
 }
 
+/// Compares each `(file, bytes)` with `tests/golden/<file>`, or
+/// rewrites the goldens when `UPDATE_GOLDEN` is set.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "UPDATE_GOLDEN opt-in rewrites goldens locally; the comparison path reads no environment"
+)]
+fn assert_golden(artefacts: &[(&str, &String)]) {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("golden");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, bytes) in artefacts {
+            std::fs::write(dir.join(name), bytes).unwrap();
+        }
+        return;
+    }
+    for (name, bytes) in artefacts {
+        let golden = std::fs::read_to_string(dir.join(name))
+            .unwrap_or_else(|e| panic!("missing golden {name}: {e}"));
+        assert_eq!(&&golden, bytes, "{name} diverged from the golden snapshot");
+    }
+}
+
 /// The 4 × 4 × 1 study every test here runs, optionally under a
 /// telemetry handle.
 fn run_traced(
@@ -89,24 +113,7 @@ fn golden_fig1_table1_csv_bytes_unchanged() {
         ("fig1_histogram.csv", &fig1::report(&data).csv[0].1),
         ("table1_penalties.csv", &table1::report(&data).csv[0].1),
     ];
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(&dir).unwrap();
-        for (name, bytes) in &artefacts {
-            std::fs::write(dir.join(name), bytes).unwrap();
-        }
-        return;
-    }
-    for (name, bytes) in &artefacts {
-        let golden = std::fs::read_to_string(dir.join(name))
-            .unwrap_or_else(|e| panic!("missing golden {name}: {e}"));
-        assert_eq!(
-            &&golden, bytes,
-            "{name} diverged from the pre-optimization golden"
-        );
-    }
+    assert_golden(&artefacts);
 }
 
 /// Golden-artefact snapshot: the faults artefact's cells CSV, byte-
@@ -123,21 +130,7 @@ fn golden_faults_csv_bytes_unchanged() {
     use indirect_routing::experiments::faults;
     let report = faults::report_of(&faults::run(11, runner::Scale::Quick));
     let artefacts = [("faults_cells.csv", &report.csv[0].1)];
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(&dir).unwrap();
-        for (name, bytes) in &artefacts {
-            std::fs::write(dir.join(name), bytes).unwrap();
-        }
-        return;
-    }
-    for (name, bytes) in &artefacts {
-        let golden = std::fs::read_to_string(dir.join(name))
-            .unwrap_or_else(|e| panic!("missing golden {name}: {e}"));
-        assert_eq!(&&golden, bytes, "{name} diverged from the golden snapshot");
-    }
+    assert_golden(&artefacts);
 }
 
 /// Golden-artefact snapshot: the tournament artefact's cells CSV,
@@ -154,21 +147,7 @@ fn golden_tournament_csv_bytes_unchanged() {
     use indirect_routing::experiments::tournament;
     let report = tournament::report_of(&tournament::run(11, runner::Scale::Quick));
     let artefacts = [("tournament_cells.csv", &report.csv[0].1)];
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(&dir).unwrap();
-        for (name, bytes) in &artefacts {
-            std::fs::write(dir.join(name), bytes).unwrap();
-        }
-        return;
-    }
-    for (name, bytes) in &artefacts {
-        let golden = std::fs::read_to_string(dir.join(name))
-            .unwrap_or_else(|e| panic!("missing golden {name}: {e}"));
-        assert_eq!(&&golden, bytes, "{name} diverged from the golden snapshot");
-    }
+    assert_golden(&artefacts);
 }
 
 /// Golden-artefact snapshot: the striping artefact's cells CSV,
@@ -187,21 +166,7 @@ fn golden_striping_csv_bytes_unchanged() {
     use indirect_routing::experiments::striping;
     let report = striping::report_of(&striping::run(11, runner::Scale::Quick));
     let artefacts = [("striping_cells.csv", &report.csv[0].1)];
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(&dir).unwrap();
-        for (name, bytes) in &artefacts {
-            std::fs::write(dir.join(name), bytes).unwrap();
-        }
-        return;
-    }
-    for (name, bytes) in &artefacts {
-        let golden = std::fs::read_to_string(dir.join(name))
-            .unwrap_or_else(|e| panic!("missing golden {name}: {e}"));
-        assert_eq!(&&golden, bytes, "{name} diverged from the golden snapshot");
-    }
+    assert_golden(&artefacts);
 }
 
 /// Boundary count of the pinned Fig 1 study (seed 42, 4 clients × 4
