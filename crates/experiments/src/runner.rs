@@ -13,11 +13,15 @@
 //! not interact: links are `PerFlow` and bandwidth processes are pure
 //! functions of their seeds, so running each task on its own clone of
 //! the scenario network is *exactly* equivalent to one shared world.
+//! A clone shares the topology and every link's process with the
+//! scenario and copies only the processes its sessions query, so a
+//! task costs the few links it touches, not the roster's hundreds.
 
 use ir_core::{
     run_session, FirstPortion, PathCtx, PathSelector, RandomSet, SessionConfig, SimTransport,
     StaticSingle, TransferRecord, Transport, UtilizationTracker,
 };
+use ir_simnet::sim::Network;
 use ir_simnet::time::SimTime;
 use ir_simnet::topology::NodeId;
 use ir_telemetry::trace::{Event, EventKind};
@@ -149,13 +153,15 @@ impl MeasurementData {
     }
 }
 
-/// Runs one scheduled task: a session per schedule instant.
+/// Runs one scheduled task on `net` (the scenario network's clone): a
+/// session per schedule instant.
 #[expect(
     clippy::too_many_arguments,
     reason = "one argument per sweep axis; a struct would churn every call site"
 )]
 fn run_task(
     scenario: &Scenario,
+    mut net: Network,
     client: NodeId,
     server: NodeId,
     full_set: &[NodeId],
@@ -165,7 +171,6 @@ fn run_task(
     task_id: u64,
     tel: Option<&Arc<Telemetry>>,
 ) -> Vec<TransferRecord> {
-    let mut net = scenario.network.clone();
     net.set_telemetry(tel.cloned());
     net.set_engine_mode(session.engine);
     let mut transport = SimTransport::new(net);
@@ -222,7 +227,16 @@ pub fn run_task_with(
     session: &SessionConfig,
 ) -> Vec<TransferRecord> {
     run_task(
-        scenario, client, server, full_set, policy, schedule, session, 0, None,
+        scenario,
+        scenario.network.clone(),
+        client,
+        server,
+        full_set,
+        policy,
+        schedule,
+        session,
+        0,
+        None,
     )
 }
 
@@ -317,6 +331,7 @@ pub fn run_measurement_study_traced(
         let (client, via) = tasks[i];
         let records = run_task(
             scenario,
+            scenario.network.clone(),
             client,
             server,
             &[via],
@@ -410,6 +425,11 @@ impl SelectionData {
     }
 }
 
+/// The selection study's policy for its `(client, k)` task.
+fn selection_policy(seed: u64, client: NodeId, k: usize) -> RandomSet {
+    RandomSet::new(k, seed ^ ((client.0 as u64) << 32) ^ (k as u64))
+}
+
 /// Runs the §4 selection study: for every client and every `k`, a
 /// schedule of transfers with the uniform random-set policy and
 /// measure-all probing.
@@ -449,13 +469,13 @@ pub fn run_selection_study_traced(
 
     let runs = parallel_map(tasks.len(), |i| {
         let (client, k) = tasks[i];
-        let policy_seed = seed ^ ((client.0 as u64) << 32) ^ (k as u64);
         let records = run_task(
             scenario,
+            scenario.network.clone(),
             client,
             server,
             &scenario.relays,
-            Box::new(RandomSet::new(k, policy_seed)),
+            Box::new(selection_policy(seed, client, k)),
             schedule,
             &session,
             i as u64,
@@ -508,6 +528,7 @@ pub const FIG6_KS: &[usize] = &[1, 2, 3, 5, 7, 10, 15, 20, 25, 30, 35];
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ir_core::PathSpec;
 
     /// `set_worker_threads(0)` must restore the available-parallelism
     /// default — not panic, and not pin the pool to 0 workers.
@@ -599,6 +620,104 @@ mod tests {
         }
     }
 
+    /// A replica owning a copy of every link's process: what a task's
+    /// clone was before clones shared the processes.
+    fn deep_copy(net: &Network) -> Network {
+        let mut copy = net.clone();
+        for l in 0..net.topology().link_count() as u32 {
+            let l = ir_simnet::topology::LinkId(l);
+            copy.set_link_process(l, net.link_process(l).clone_box());
+        }
+        copy
+    }
+
+    /// `SimTransport::oracle_throughput` with a deep-copied replica.
+    fn deep_oracle(net: &Network, path: &PathSpec, bytes: u64) -> Option<f64> {
+        let mut replica = deep_copy(net);
+        let route = path.resolve(replica.topology()).unwrap();
+        let cfg = ir_core::TcpDerivation::default().config_for(&replica, &route);
+        let id = replica.start_flow(route, bytes, Box::new(ir_tcp::TcpRateCap::new(cfg)));
+        let deadline = replica.now() + crate::headroom::ORACLE_HORIZON;
+        replica.run_flow(id, deadline).map(|c| c.throughput())
+    }
+
+    /// Copy-on-first-query clones against eager deep copies: every
+    /// measurement task, the selection study and one client's headroom
+    /// oracle agree bit for bit.
+    #[test]
+    fn shared_clones_match_deep_copies() {
+        let sc = tiny_scenario();
+        let session = SessionConfig::paper_defaults();
+        let server = sc.servers[0];
+
+        let schedule = Schedule::measurement_study().truncated(3);
+        let shared = run_measurement_study(&sc, 0, schedule, session);
+        for (i, pair) in shared.pairs.iter().enumerate() {
+            let deep = run_task(
+                &sc,
+                deep_copy(&sc.network),
+                pair.client,
+                server,
+                &[pair.via],
+                Box::new(StaticSingle(pair.via)),
+                schedule,
+                &session,
+                i as u64,
+                None,
+            );
+            assert_eq!(pair.records, deep, "measurement task {i}");
+        }
+
+        let schedule = Schedule::selection_study().truncated(4);
+        let shared = run_selection_study(&sc, &[1, 4], schedule, session, 7);
+        for run in &shared.runs {
+            let deep = run_task(
+                &sc,
+                deep_copy(&sc.network),
+                run.client,
+                server,
+                &sc.relays,
+                Box::new(selection_policy(7, run.client, run.k)),
+                schedule,
+                &session,
+                0,
+                None,
+            );
+            assert_eq!(
+                run.records, deep,
+                "selection task ({:?}, {})",
+                run.client, run.k
+            );
+        }
+
+        let (client, horizon) = (sc.clients[0], crate::headroom::ORACLE_HORIZON);
+        let indirect = sc
+            .relays
+            .iter()
+            .map(|&v| PathSpec::indirect(client, server, v));
+        let paths: Vec<PathSpec> = std::iter::once(PathSpec::direct(client, server))
+            .chain(indirect)
+            .collect();
+        let mut transport = SimTransport::new(sc.network.clone());
+        let mut deep = deep_copy(&sc.network);
+        let mut finished = 0;
+        for at in schedule.instants(SimTime::ZERO) {
+            transport.network_mut().advance_until(at);
+            deep.advance_until(at);
+            for p in &paths {
+                let a = transport.oracle_throughput(p, session.file_bytes, horizon);
+                let b = deep_oracle(&deep, p, session.file_bytes);
+                assert_eq!(
+                    a.map(f64::to_bits),
+                    b.map(f64::to_bits),
+                    "oracle on {p} at {at:?}"
+                );
+                finished += a.is_some() as u32;
+            }
+        }
+        assert!(finished > 0, "no oracle transfer finished");
+    }
+
     #[test]
     fn utilization_tracks_choices() {
         let sc = tiny_scenario();
@@ -630,6 +749,7 @@ mod tests {
         let tel = Arc::new(Telemetry::new());
         let records = run_task(
             &sc,
+            sc.network.clone(),
             sc.clients[0],
             sc.servers[0],
             &sc.relays,

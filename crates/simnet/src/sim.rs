@@ -26,7 +26,8 @@
 //! are bit-for-bit identical. Cloning a [`Network`] yields an
 //! independent replica with identical future randomness — this is how
 //! experiments run the paper's "two concurrent client processes" in a
-//! genuinely interference-free control configuration when desired.
+//! genuinely interference-free control configuration when desired
+//! (cheaply: see [`Network`] for what a clone shares).
 
 use crate::bandwidth::BandwidthProcess;
 use crate::events::EventQueue;
@@ -458,10 +459,17 @@ impl EngineTelemetry {
 
 /// The simulated network: topology + per-link bandwidth processes +
 /// active flows + the clock.
+///
+/// A clone costs O(1) allocations whatever the link count: it shares
+/// the topology and every link's process with its donor, and copies a
+/// process the first time it queries that link (`process_mut`). A
+/// shared process is never mutated, and processes are pure functions
+/// of their seeds that only extend forward, so a late copy cannot
+/// change a bit.
 #[derive(Clone)]
 pub struct Network {
-    topo: Topology,
-    procs: Vec<Box<dyn BandwidthProcess>>,
+    topo: Arc<Topology>,
+    procs: Vec<Arc<dyn BandwidthProcess>>,
     flows: Vec<FlowState>,
     /// Size of each flow, by flow id.
     bytes_total: Vec<u64>,
@@ -497,13 +505,13 @@ impl Network {
     pub fn new(topo: Topology, default_rate: f64) -> Self {
         let procs = (0..topo.link_count())
             .map(|_| {
-                Box::new(crate::bandwidth::ConstantProcess::new(default_rate))
-                    as Box<dyn BandwidthProcess>
+                Arc::new(crate::bandwidth::ConstantProcess::new(default_rate))
+                    as Arc<dyn BandwidthProcess>
             })
             .collect();
         let links = topo.link_count();
         Network {
-            topo,
+            topo: Arc::new(topo),
             procs,
             flows: Vec::new(),
             bytes_total: Vec::new(),
@@ -552,15 +560,28 @@ impl Network {
     /// one.
     pub fn set_link_process(&mut self, link: LinkId, proc_: Box<dyn BandwidthProcess>) {
         let lu = link.0 as usize;
-        self.procs[lu] = proc_;
+        self.procs[lu] = Arc::from(proc_);
         // Invalidate the cached rate segment: mark it as expiring
-        // immediately and arm the heap so the next boundary re-queries
-        // the new process.
+        // immediately and, if the link is in use, arm the heap so the
+        // next boundary re-queries the new process (an idle link is
+        // re-queried through `newly_used` when it comes into use).
         self.cache.rate_until[lu] = SimTime::ZERO;
-        self.cache
-            .change_heap
-            .push(Reverse((SimTime::ZERO, link.0)));
+        if self.cache.link_refs[lu] > 0 {
+            self.cache
+                .change_heap
+                .push(Reverse((SimTime::ZERO, link.0)));
+        }
         self.cache.have_solution = false;
+    }
+
+    /// Link `l`'s process, for a query that may extend its timeline:
+    /// copied first if a clone still shares it (copy-on-write).
+    fn process_mut(&mut self, l: usize) -> &mut dyn BandwidthProcess {
+        let p = &mut self.procs[l];
+        if Arc::get_mut(p).is_none() {
+            *p = Arc::from(p.clone_box());
+        }
+        Arc::get_mut(p).expect("a fresh copy is unshared")
     }
 
     /// The topology.
@@ -577,7 +598,7 @@ impl Network {
     /// (before fair sharing).
     pub fn link_rate_now(&mut self, link: LinkId) -> f64 {
         let t = self.now;
-        self.procs[link.0 as usize].rate_at(t)
+        self.process_mut(link.0 as usize).rate_at(t)
     }
 
     /// The bandwidth process attached to `link` (e.g. to clone it for
@@ -834,7 +855,7 @@ impl Network {
         let rates: Vec<f64> = in_use
             .iter()
             .enumerate()
-            .map(|(k, &l)| self.procs[l].rate_at(t) * factors[k])
+            .map(|(k, &l)| self.process_mut(l).rate_at(t) * factors[k])
             .collect();
         let caps: Vec<f64> = in_use
             .iter()
@@ -874,8 +895,10 @@ impl Network {
     /// raw rate and the segment end, and arms the change heap.
     fn refresh_link_rate(&mut self, l: usize) {
         let t = self.now;
-        self.cache.raw_rate[l] = self.procs[l].rate_at(t);
-        match self.procs[l].next_change_after(t) {
+        let proc_ = self.process_mut(l);
+        let (rate, next) = (proc_.rate_at(t), proc_.next_change_after(t));
+        self.cache.raw_rate[l] = rate;
+        match next {
             Some(until) => {
                 debug_assert!(until > t, "rate change not in the future");
                 self.cache.rate_until[l] = until;
@@ -1193,7 +1216,7 @@ impl Network {
                     }
                 }
                 for &l in &in_use {
-                    if let Some(ch) = self.procs[l].next_change_after(t) {
+                    if let Some(ch) = self.process_mut(l).next_change_after(t) {
                         boundary = boundary.min(ch);
                     }
                 }
@@ -1576,6 +1599,93 @@ mod tests {
         let ca = net.run_flow(a, SimTime::from_secs(10_000)).unwrap();
         let cb = replica.run_flow(b, SimTime::from_secs(10_000)).unwrap();
         assert_eq!(ca.finished, cb.finished);
+    }
+
+    /// `diamond`'s three links plus `idle` links no route uses, all
+    /// PerFlow and each on its own regime-switching process.
+    fn shared_world(idle: u32) -> (Network, Route, Route) {
+        use crate::bandwidth::RegimeSwitchingProcess;
+        let mut t = Topology::new();
+        let c = t.add_node("c", NodeKind::Client);
+        let m = t.add_node("m", NodeKind::Intermediate);
+        let s = t.add_node("s", NodeKind::Server);
+        let ms = SimDuration::from_millis;
+        t.add_link_shared(c, s, ms(40), Sharing::PerFlow);
+        t.add_link_shared(c, m, ms(20), Sharing::PerFlow);
+        t.add_link_shared(m, s, ms(10), Sharing::PerFlow);
+        for k in 0..idle {
+            let x = t.add_node(format!("x{k}"), NodeKind::Client);
+            t.add_link_shared(s, x, ms(30), Sharing::PerFlow);
+        }
+        let direct = t.route(&[c, s]).unwrap();
+        let indirect = t.route(&[c, m, s]).unwrap();
+        let mut net = Network::new(t, 1.0);
+        for l in 0..net.topology().link_count() as u32 {
+            let levels = vec![2e4, 1e5, 4e5];
+            let p = RegimeSwitchingProcess::new(levels, ms(1500), 0.3, 40 + l as u64);
+            net.set_link_process(LinkId(l), Box::new(p));
+        }
+        (net, direct, indirect)
+    }
+
+    /// A replica owning a copy of every process: what a clone was
+    /// before processes were shared.
+    fn deep_copy(net: &Network) -> Network {
+        let mut copy = net.clone();
+        for l in 0..net.topology().link_count() as u32 {
+            copy.set_link_process(LinkId(l), net.link_process(LinkId(l)).clone_box());
+        }
+        copy
+    }
+
+    fn shares(a: &Network, b: &Network, l: u32) -> bool {
+        std::ptr::addr_eq(a.link_process(LinkId(l)), b.link_process(LinkId(l)))
+    }
+
+    /// Races a 300 KB flow down each route and runs both to completion.
+    fn race(net: &mut Network, direct: &Route, indirect: &Route) -> Vec<CompletedFlow> {
+        let d = net.start_flow(direct.clone(), 300_000, Box::new(NoCap));
+        let i = net.start_flow(indirect.clone(), 300_000, Box::new(NoCap));
+        let horizon = SimTime::from_secs(600);
+        let first = net.run_until_first_of(&[d, i], horizon).unwrap();
+        let mut done = vec![first];
+        done.extend(net.advance_until(horizon));
+        done
+    }
+
+    #[test]
+    fn a_clone_copies_only_the_processes_it_queries() {
+        let (donor, direct, indirect) = shared_world(5);
+        let mut clone = donor.clone();
+        assert!(std::ptr::eq(donor.topology(), clone.topology()));
+        assert!((0..8).all(|l| shares(&donor, &clone, l)));
+        race(&mut clone, &direct, &indirect);
+        let copied: Vec<u32> = (0..8).filter(|&l| !shares(&donor, &clone, l)).collect();
+        assert_eq!(copied, [0, 1, 2], "exactly the raced routes' links");
+    }
+
+    #[test]
+    fn clones_raced_on_two_threads_match_a_deep_copy() {
+        let (donor, direct, indirect) = shared_world(2);
+        let mut deep = deep_copy(&donor);
+        assert!((0..5).all(|l| !shares(&donor, &deep, l)));
+        let expected = race(&mut deep, &direct, &indirect);
+        assert_eq!(expected.len(), 2);
+        let (mut a, mut b) = (donor.clone(), donor.clone());
+        // Both threads start together, so their first queries of the
+        // shared processes overlap.
+        let go = std::sync::Barrier::new(2);
+        let (ra, rb) = std::thread::scope(|s| {
+            let run = |net: &mut Network| {
+                go.wait();
+                race(net, &direct, &indirect)
+            };
+            let ha = s.spawn(move || run(&mut a));
+            let hb = s.spawn(move || run(&mut b));
+            (ha.join().unwrap(), hb.join().unwrap())
+        });
+        assert_eq!(ra, expected);
+        assert_eq!(rb, expected);
     }
 
     #[test]

@@ -5,12 +5,14 @@
 //! nothing allocates **nothing**, and a step that completes flows
 //! allocates exactly the `Vec<CompletedFlow>` it returns. Pinned over a
 //! megaflow-shaped fan-in (large components, batched completions) and a
-//! two-path TCP-capped probe race (cap-change boundaries).
+//! two-path TCP-capped probe race (cap-change boundaries). Beside them,
+//! `Network::clone` — what every study task starts from — is pinned to
+//! a fixed allocation count whatever the link count.
 //!
 //! The counting allocator only counts on the thread that armed it, so
 //! the test harness's other threads cannot leak into a window.
 
-use ir_simnet::bandwidth::ConstantProcess;
+use ir_simnet::bandwidth::{ConstantProcess, RegimeSwitchingProcess};
 use ir_simnet::prelude::*;
 use ir_simnet::topology::NodeKind;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -176,4 +178,35 @@ fn tcp_capped_probe_race_boundaries_allocate_only_their_completions() {
     assert_eq!(net.stats().flows_completed, 2);
     assert_eq!(completing, 2);
     assert!(steady > 10, "ramp steps must be boundaries: {steady}");
+}
+
+#[test]
+fn network_clone_allocations_do_not_grow_with_links() {
+    // A star of PerFlow links, each on its own regime-switching process
+    // (so every process owns its own timeline `Vec`s). A clone shares
+    // the topology and the processes: what it allocates is the engine's
+    // per-link arrays, one allocation each, whatever their length.
+    let star = |links: u32| {
+        let mut topo = Topology::new();
+        let hub = topo.add_node("hub", NodeKind::Server);
+        let ids: Vec<LinkId> = (0..links)
+            .map(|k| {
+                let leaf = topo.add_node(format!("leaf{k}"), NodeKind::Client);
+                topo.add_link_shared(leaf, hub, SimDuration::from_millis(10), Sharing::PerFlow)
+            })
+            .collect();
+        let mut net = Network::new(topo, 1.0);
+        for (k, &l) in ids.iter().enumerate() {
+            let levels = vec![1e4, 1e5, 1e6];
+            let proc_ =
+                RegimeSwitchingProcess::new(levels, SimDuration::from_secs(5), 0.2, k as u64);
+            net.set_link_process(l, Box::new(proc_));
+        }
+        net
+    };
+    let (small, large) = (star(10), star(1_000));
+    let (_, at_10) = allocs_in(|| small.clone());
+    let (_, at_1000) = allocs_in(|| large.clone());
+    assert_eq!(at_10, at_1000, "a clone's allocations grew with its links");
+    assert_eq!(at_10, 9);
 }
