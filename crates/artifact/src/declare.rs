@@ -47,6 +47,12 @@
 //! 3. A study output reaches the cache through
 //!    [`StudySpec::typed`](crate::StudySpec::typed), which takes its
 //!    encoder and decoder from the `Codec` impl.
+//! 4. A new study is an inputs type — everything its body reads,
+//!    declared `StableHash for` — and a plain `fn(&Inputs, telemetry) ->
+//!    Output` body, handed to `ir_experiments::sweep`'s `study` helper.
+//!    Its key is `fingerprint_of` the inputs value; write no hasher block
+//!    (`tests/lint_fences.rs` rejects a `StableHasher::new()` outside
+//!    this crate's `hash.rs` and `declare.rs`).
 //!
 //! A type whose encoding is *not* its field list (a canonical subset, a
 //! derived view) writes `impl StableHash` by hand and is listed, with

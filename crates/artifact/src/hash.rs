@@ -194,6 +194,18 @@ impl<T: StableHash> StableHash for Option<T> {
     }
 }
 
+/// A sequence hashed as its items back to back, with **no** length
+/// prefix: the layout of a key that folded a loop's items in one at a
+/// time. Keep it last in a key, or its items self-delimiting.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Unframed<T>(pub Vec<T>);
+
+impl<T: StableHash> StableHash for Unframed<T> {
+    fn stable_hash(&self, h: &mut StableHasher) {
+        self.0.iter().for_each(|item| item.stable_hash(h));
+    }
+}
+
 impl<T: StableHash + ?Sized> StableHash for &T {
     fn stable_hash(&self, h: &mut StableHasher) {
         (**self).stable_hash(h);
@@ -251,6 +263,18 @@ mod tests {
         assert_ne!(a, b);
         let c = fingerprint_of(&vec!["abc".to_string()]);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn unframed_is_the_items_back_to_back() {
+        assert_eq!(
+            fingerprint_of(&Unframed(vec![1u64, 2])),
+            fingerprint_of(&(1u64, 2u64))
+        );
+        assert_eq!(
+            fingerprint_of(&Unframed(Vec::<u64>::new())),
+            StableHasher::new().finish()
+        );
     }
 
     #[test]

@@ -46,4 +46,4 @@ pub use dag::{
     execute, ArtefactOutput, ArtefactReport, ArtefactSpec, ExecReport, Source, StudyReport,
     StudySpec,
 };
-pub use hash::{fingerprint_of, Fingerprint, StableHash, StableHasher};
+pub use hash::{fingerprint_of, Fingerprint, StableHash, StableHasher, Unframed};

@@ -19,12 +19,13 @@
 
 use crate::report::{csv, Check, Report};
 use crate::robustness::FIG1_MEAN_PCT;
-use crate::runner::{run_task_with, Scale};
+use crate::runner::{run_task_with, Roster, Scale};
+use ir_artifact::Unframed;
 use ir_core::{FailoverConfig, RandomSet, SessionConfig, TransferRecord};
 use ir_simnet::faults::{FaultPlan, FaultSpec};
 use ir_simnet::time::SimDuration;
 use ir_stats::Summary;
-use ir_workload::{build, overlay_fault_plan, roster, Calibration, Scenario, Schedule};
+use ir_workload::{overlay_fault_plan, Scenario, Schedule};
 
 /// Link MTBF values swept (seconds); 0 means "no faults" and anchors
 /// the goodput ratios.
@@ -56,19 +57,6 @@ pub fn fault_plan(scenario: &Scenario, mtbf_secs: u64, schedule: Schedule, seed:
         node_downtime_mean: SimDuration::from_secs(90),
     };
     overlay_fault_plan(scenario, &spec, seed)
-}
-
-/// The plan this sweep's `mtbf_secs` row carries (read by [`run`] and
-/// by the study's fingerprint, which hashes the plans themselves).
-pub fn sweep_fault_plan(scenario: &Scenario, mtbf_secs: u64, scale: Scale, seed: u64) -> FaultPlan {
-    fault_plan(scenario, mtbf_secs, schedule(scale), seed ^ 0xFA17)
-}
-
-/// The failover policy used throughout the sweep.
-pub fn failover_session() -> SessionConfig {
-    let mut cfg = SessionConfig::paper_defaults();
-    cfg.failover = Some(FailoverConfig::paper_defaults());
-    cfg
 }
 
 /// One (MTBF, k) cell of the sweep.
@@ -139,90 +127,110 @@ fn cell_stats(mtbf_secs: u64, k: usize, records: &[TransferRecord]) -> FaultCell
     }
 }
 
-/// Roster slices: clients, relays, servers.
-pub type RosterSlices = (
-    &'static [roster::ClientSite],
-    &'static [roster::RelaySite],
-    &'static [roster::ServerSite],
-);
-
-/// The sweep scenario's roster: 3 clients × 6 relays × 1 server (read
-/// by [`sweep_scenario`] and by the study's fingerprint).
-pub fn sweep_roster() -> RosterSlices {
-    (
-        &roster::CLIENTS[..3],
-        &roster::INTERMEDIATES[..6],
-        &roster::SERVERS[..1],
-    )
+/// What the fault-plane sweep runs on, in key order: the scenario (seed,
+/// roster; the first server is the destination), the link MTBFs and
+/// random-set sizes swept, the schedule per (client, k), the session
+/// (failover on), and the fault plan of each nonzero MTBF, in order.
+/// The seed also seeds each task's policy.
+#[derive(Debug, Clone)]
+pub struct FaultsInputs {
+    seed: u64,
+    roster: Roster,
+    mtbf_secs: &'static [u64],
+    ks: &'static [usize],
+    schedule: Schedule,
+    session: SessionConfig,
+    plans: Unframed<FaultPlan>,
+}
+ir_artifact::declare! {
+    StableHash for struct FaultsInputs { seed, roster, mtbf_secs, ks, schedule, session, plans }
 }
 
-/// The small fixed-roster scenario the sweep runs on: Low/Medium
-/// clients (as in §4) on [`sweep_roster`].
-pub fn sweep_scenario(seed: u64) -> Scenario {
-    let (clients, relays, servers) = sweep_roster();
-    build(seed, clients, relays, servers, Calibration::default(), true)
-}
-
-/// The sweep's schedule at a scale: 12 transfers per (client, k) at
-/// Quick, 40 at Paper (read by [`run`] and by the study's fingerprint).
-pub fn schedule(scale: Scale) -> Schedule {
-    Schedule::measurement_study().spread(match scale {
-        Scale::Quick => 12,
-        Scale::Paper => 40,
-    })
-}
-
-/// Runs the sweep: for each MTBF, a freshly built scenario carries that
-/// fault plan on its network (every task clone inherits it), and each
-/// `k` runs every client against the server under [`RandomSet`]
-/// selection with failover enabled.
-pub fn run(seed: u64, scale: Scale) -> Vec<FaultCell> {
-    let schedule = schedule(scale);
-    let session = failover_session();
-
-    let mut cells: Vec<FaultCell> = Vec::new();
-    for &mtbf in MTBF_SECS {
-        let mut scenario = sweep_scenario(seed);
-        let plan = sweep_fault_plan(&scenario, mtbf, scale, seed);
-        scenario.network.set_fault_plan(&plan);
-        for &k in KS {
-            let server = scenario.servers[0];
-            let mut records = Vec::new();
-            for (ci, &client) in scenario.clients.iter().enumerate() {
-                let policy_seed = seed ^ ((ci as u64) << 16) ^ k as u64;
-                records.extend(run_task_with(
-                    &scenario,
-                    client,
-                    server,
-                    &scenario.relays,
-                    Box::new(RandomSet::new(k, policy_seed)),
-                    schedule,
-                    &session,
-                ));
-            }
-            cells.push(cell_stats(mtbf, k, &records));
+impl FaultsInputs {
+    /// The sweep at a scale: 3 clients × 6 relays × 1 server, 12
+    /// transfers per (client, k) at Quick and 40 at Paper.
+    pub fn new(seed: u64, scale: Scale) -> Self {
+        let roster = Roster::planetlab().first(3, 6, 1);
+        let schedule = Schedule::measurement_study().spread(match scale {
+            Scale::Quick => 12,
+            Scale::Paper => 40,
+        });
+        let mut session = SessionConfig::paper_defaults();
+        session.failover = Some(FailoverConfig::paper_defaults());
+        let scenario = roster.build(seed, true);
+        let plans = MTBF_SECS
+            .iter()
+            .filter(|&&mtbf| mtbf != 0)
+            .map(|&mtbf| fault_plan(&scenario, mtbf, schedule, seed ^ 0xFA17))
+            .collect();
+        FaultsInputs {
+            seed,
+            roster,
+            mtbf_secs: MTBF_SECS,
+            ks: KS,
+            schedule,
+            session,
+            plans: Unframed(plans),
         }
     }
 
-    // Goodput ratios against the zero-fault cell at the same k.
-    let baselines: Vec<(usize, f64)> = cells
-        .iter()
-        .filter(|c| c.mtbf_secs == 0)
-        .map(|c| (c.k, c.goodput))
-        .collect();
-    for cell in &mut cells {
-        let base = baselines
+    /// Runs the sweep: for each MTBF, a freshly built scenario carries
+    /// that fault plan on its network (every task clone inherits it),
+    /// and each `k` runs every client against the server under
+    /// [`RandomSet`] selection with failover enabled.
+    pub fn run(&self) -> Vec<FaultCell> {
+        let mut plans = self.plans.0.iter();
+        let mut cells: Vec<FaultCell> = Vec::new();
+        for &mtbf in self.mtbf_secs {
+            let mut scenario = self.roster.build(self.seed, true);
+            if mtbf != 0 {
+                scenario
+                    .network
+                    .set_fault_plan(plans.next().expect("a plan per MTBF"));
+            }
+            for &k in self.ks {
+                let server = scenario.servers[0];
+                let mut records = Vec::new();
+                for (ci, &client) in scenario.clients.iter().enumerate() {
+                    let policy_seed = self.seed ^ ((ci as u64) << 16) ^ k as u64;
+                    records.extend(run_task_with(
+                        &scenario,
+                        client,
+                        server,
+                        &scenario.relays,
+                        Box::new(RandomSet::new(k, policy_seed)),
+                        self.schedule,
+                        &self.session,
+                    ));
+                }
+                cells.push(cell_stats(mtbf, k, &records));
+            }
+        }
+        // Goodput ratios against the zero-fault cell at the same k.
+        let baselines: Vec<(usize, f64)> = cells
             .iter()
-            .find(|(k, _)| *k == cell.k)
-            .map(|&(_, g)| g)
-            .unwrap_or(f64::NAN);
-        cell.goodput_ratio = if base > 0.0 {
-            cell.goodput / base
-        } else {
-            f64::NAN
-        };
+            .filter(|c| c.mtbf_secs == 0)
+            .map(|c| (c.k, c.goodput))
+            .collect();
+        for cell in &mut cells {
+            let base = baselines
+                .iter()
+                .find(|(k, _)| *k == cell.k)
+                .map(|&(_, g)| g)
+                .unwrap_or(f64::NAN);
+            cell.goodput_ratio = if base > 0.0 {
+                cell.goodput / base
+            } else {
+                f64::NAN
+            };
+        }
+        cells
     }
-    cells
+}
+
+/// Runs the sweep at a scale (see [`FaultsInputs::run`]).
+pub fn run(seed: u64, scale: Scale) -> Vec<FaultCell> {
+    FaultsInputs::new(seed, scale).run()
 }
 
 /// Builds the faults report from precomputed (possibly cache-restored)

@@ -13,11 +13,11 @@
 //! * the **static single relay** outcome (§2.2's configuration).
 
 use crate::report::{csv, Check, Report};
-use crate::runner::run_task_with;
+use crate::runner::{run_task_with, Roster};
 use ir_core::{PathSpec, RandomSet, SessionConfig, SimTransport, StaticSingle};
 use ir_simnet::time::{SimDuration, SimTime};
 use ir_stats::Summary;
-use ir_workload::{selection_study, Schedule};
+use ir_workload::Schedule;
 
 /// Headroom results for one client.
 #[derive(Debug, Clone)]
@@ -33,97 +33,128 @@ pub struct Headroom {
 }
 ir_artifact::declare! { Codec for struct Headroom { client, oracle_pct, random10_pct, static_pct } }
 
-/// The oracle's look-ahead for a whole-file rate (read by [`run`] and
-/// by the study's fingerprint, like [`RANDOM_SET_K`]).
-pub const ORACLE_HORIZON: SimDuration = SimDuration::from_secs(1200);
+/// What the headroom study runs on, in key order: the scenario (seed,
+/// roster; server 0 is the destination), the transfers per client and
+/// their §4 schedule, the session, the oracle's whole-file look-ahead,
+/// and the size of the random-set policy it is compared with.
+#[derive(Debug, Clone)]
+pub struct HeadroomInputs {
+    seed: u64,
+    roster: Roster,
+    transfers: u64,
+    schedule: Schedule,
+    session: SessionConfig,
+    oracle_horizon: SimDuration,
+    random_set_k: usize,
+}
+ir_artifact::declare! {
+    StableHash for struct HeadroomInputs {
+        seed, roster, transfers, schedule, session, oracle_horizon, random_set_k
+    }
+}
 
-/// Random-set size of the probing policy the oracle is compared with.
-pub const RANDOM_SET_K: usize = 10;
+impl HeadroomInputs {
+    /// The §4 roster at `transfers` transfers per client.
+    pub fn new(seed: u64, transfers: u64) -> Self {
+        HeadroomInputs {
+            seed,
+            roster: Roster::selection(),
+            transfers,
+            schedule: Schedule::selection_study().spread(transfers),
+            session: SessionConfig::paper_defaults(),
+            oracle_horizon: SimDuration::from_secs(1200),
+            random_set_k: 10,
+        }
+    }
+
+    /// Computes oracle/random-set/static improvements for every client.
+    pub fn run(&self) -> Vec<Headroom> {
+        let (schedule, session) = (self.schedule, self.session);
+        let scenario = self.roster.build(self.seed, true);
+        scenario
+            .clients
+            .iter()
+            .map(|&client| {
+                let server = scenario.servers[0];
+
+                // Oracle: hindsight-best whole-file rate at each instant.
+                let mut transport = SimTransport::new(scenario.network.clone());
+                let mut oracle_imps = Vec::new();
+                for at in schedule.instants(SimTime::ZERO) {
+                    {
+                        use ir_core::Transport as _;
+                        let target = at.max(transport.now());
+                        transport.network_mut().advance_until(target);
+                    }
+                    let direct = transport.oracle_throughput(
+                        &PathSpec::direct(client, server),
+                        session.file_bytes,
+                        self.oracle_horizon,
+                    );
+                    let best_indirect = scenario
+                        .relays
+                        .iter()
+                        .filter_map(|&v| {
+                            transport.oracle_throughput(
+                                &PathSpec::indirect(client, server, v),
+                                session.file_bytes,
+                                self.oracle_horizon,
+                            )
+                        })
+                        .fold(f64::NEG_INFINITY, f64::max);
+                    if let Some(d) = direct {
+                        if d > 0.0 && best_indirect.is_finite() {
+                            let best = best_indirect.max(d);
+                            oracle_imps.push((best - d) / d * 100.0);
+                        }
+                    }
+                }
+
+                // Policies under the real session protocol.
+                let mean_of = |records: Vec<ir_core::TransferRecord>| {
+                    let v: Vec<f64> = records
+                        .iter()
+                        .map(|r| r.improvement_pct())
+                        .filter(|x| x.is_finite())
+                        .collect();
+                    Summary::of(&v).map(|s| s.mean).unwrap_or(f64::NAN)
+                };
+                let random10 = mean_of(run_task_with(
+                    &scenario,
+                    client,
+                    server,
+                    &scenario.relays,
+                    Box::new(RandomSet::new(self.random_set_k, self.seed)),
+                    schedule,
+                    &session,
+                ));
+                let static_single = mean_of(run_task_with(
+                    &scenario,
+                    client,
+                    server,
+                    &scenario.relays[..1],
+                    Box::new(StaticSingle(scenario.relays[0])),
+                    schedule,
+                    &session,
+                ));
+
+                Headroom {
+                    client: scenario.name(client).to_string(),
+                    oracle_pct: Summary::of(&oracle_imps)
+                        .map(|s| s.mean)
+                        .unwrap_or(f64::NAN),
+                    random10_pct: random10,
+                    static_pct: static_single,
+                }
+            })
+            .collect()
+    }
+}
 
 /// Computes oracle/random-set/static improvements for every client of
 /// the §4 scenario.
 pub fn run(seed: u64, transfers: u64) -> Vec<Headroom> {
-    let scenario = selection_study(seed);
-    let schedule = Schedule::selection_study().spread(transfers);
-    let session = SessionConfig::paper_defaults();
-
-    scenario
-        .clients
-        .iter()
-        .map(|&client| {
-            let server = scenario.servers[0];
-
-            // Oracle: hindsight-best whole-file rate at each instant.
-            let mut transport = SimTransport::new(scenario.network.clone());
-            let mut oracle_imps = Vec::new();
-            for at in schedule.instants(SimTime::ZERO) {
-                {
-                    use ir_core::Transport as _;
-                    let target = at.max(transport.now());
-                    transport.network_mut().advance_until(target);
-                }
-                let direct = transport.oracle_throughput(
-                    &PathSpec::direct(client, server),
-                    session.file_bytes,
-                    ORACLE_HORIZON,
-                );
-                let best_indirect = scenario
-                    .relays
-                    .iter()
-                    .filter_map(|&v| {
-                        transport.oracle_throughput(
-                            &PathSpec::indirect(client, server, v),
-                            session.file_bytes,
-                            ORACLE_HORIZON,
-                        )
-                    })
-                    .fold(f64::NEG_INFINITY, f64::max);
-                if let Some(d) = direct {
-                    if d > 0.0 && best_indirect.is_finite() {
-                        let best = best_indirect.max(d);
-                        oracle_imps.push((best - d) / d * 100.0);
-                    }
-                }
-            }
-
-            // Policies under the real session protocol.
-            let mean_of = |records: Vec<ir_core::TransferRecord>| {
-                let v: Vec<f64> = records
-                    .iter()
-                    .map(|r| r.improvement_pct())
-                    .filter(|x| x.is_finite())
-                    .collect();
-                Summary::of(&v).map(|s| s.mean).unwrap_or(f64::NAN)
-            };
-            let random10 = mean_of(run_task_with(
-                &scenario,
-                client,
-                server,
-                &scenario.relays,
-                Box::new(RandomSet::new(RANDOM_SET_K, seed)),
-                schedule,
-                &session,
-            ));
-            let static_single = mean_of(run_task_with(
-                &scenario,
-                client,
-                server,
-                &scenario.relays[..1],
-                Box::new(StaticSingle(scenario.relays[0])),
-                schedule,
-                &session,
-            ));
-
-            Headroom {
-                client: scenario.name(client).to_string(),
-                oracle_pct: Summary::of(&oracle_imps)
-                    .map(|s| s.mean)
-                    .unwrap_or(f64::NAN),
-                random10_pct: random10,
-                static_pct: static_single,
-            }
-        })
-        .collect()
+    HeadroomInputs::new(seed, transfers).run()
 }
 
 /// Builds the headroom report from precomputed (possibly

@@ -29,9 +29,11 @@
 //! series. The table above is code: [`MEASUREMENT_ARTEFACTS`] and
 //! [`SELECTION_ARTEFACTS`] map artefact → renderer per study, and
 //! [`sweep::full_plan`] maps every artefact (extensions included) to
-//! the study it consumes. The `experiments` binary is a CLI over that
-//! one plan: a command selects artefacts ([`sweep::SweepPlan::select`])
-//! and [`sweep::run_sweep`] runs the studies they need.
+//! the study it consumes, keyed by the hash of the inputs value it runs
+//! on ([`MeasurementInputs`], [`sites::SitesInputs`], …). The
+//! `experiments` binary is a CLI over that one plan: a command selects
+//! artefacts ([`sweep::SweepPlan::select`]) and [`sweep::run_sweep`]
+//! runs the studies they need.
 
 pub mod codec;
 pub mod faults;
@@ -62,8 +64,8 @@ pub use report::{Check, Report};
 pub use runner::{
     effective_worker_threads, measurement_study_default, run_measurement_study,
     run_measurement_study_traced, run_selection_study, run_selection_study_traced,
-    selection_study_default, set_worker_threads, MeasurementData, PairRun, Scale, SelectionData,
-    SelectionRun, FIG6_KS,
+    selection_study_default, set_worker_threads, MeasurementData, MeasurementInputs, PairRun,
+    Roster, Scale, SelectionData, SelectionInputs, SelectionRun, FIG6_KS,
 };
 
 /// The artefacts of a study whose data is a `T`: name and renderer, in

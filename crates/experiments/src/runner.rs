@@ -17,16 +17,19 @@
 //! scenario and copies only the processes its sessions query, so a
 //! task costs the few links it touches, not the roster's hundreds.
 
+use ir_artifact::Unframed;
 use ir_core::{
     run_session, FirstPortion, PathCtx, PathSelector, RandomSet, SessionConfig, SimTransport,
     StaticSingle, TransferRecord, Transport, UtilizationTracker,
 };
+use ir_simnet::faults::FaultPlan;
 use ir_simnet::sim::Network;
 use ir_simnet::time::SimTime;
 use ir_simnet::topology::NodeId;
 use ir_telemetry::trace::{Event, EventKind};
 use ir_telemetry::Telemetry;
-use ir_workload::{ClientProfile, Scenario, Schedule};
+use ir_workload::roster::{self, ClientSite, RelaySite, ServerSite};
+use ir_workload::{Calibration, ClientProfile, Scenario, Schedule};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -159,7 +162,7 @@ impl MeasurementData {
     clippy::too_many_arguments,
     reason = "one argument per sweep axis; a struct would churn every call site"
 )]
-fn run_task(
+pub(crate) fn run_task(
     scenario: &Scenario,
     mut net: Network,
     client: NodeId,
@@ -500,25 +503,152 @@ pub fn run_selection_study_traced(
     }
 }
 
-/// Convenience: the measurement study at a given scale with default
-/// session parameters (x = 100 KB, n = 2 MB).
-pub fn measurement_study_default(seed: u64, scale: Scale) -> MeasurementData {
-    let scenario = ir_workload::planetlab_study(seed);
-    let schedule = Schedule::measurement_study().spread(scale.measurement_transfers());
-    run_measurement_study(&scenario, 0, schedule, SessionConfig::paper_defaults())
+/// A scenario's sites and calibration: what [`ir_workload::build`]
+/// reads besides the seed and the Low/Medium pin.
+#[derive(Debug, Clone)]
+pub struct Roster {
+    clients: Vec<ClientSite>,
+    relays: Vec<RelaySite>,
+    servers: Vec<ServerSite>,
+    pub(crate) cal: Calibration,
+}
+ir_artifact::declare! { StableHash for struct Roster { clients, relays, servers, cal } }
+
+impl Roster {
+    /// The §2.2 roster (22 clients × 21 relays × 4 sites), default
+    /// calibration.
+    pub fn planetlab() -> Roster {
+        Roster {
+            clients: roster::CLIENTS.to_vec(),
+            relays: roster::INTERMEDIATES.to_vec(),
+            servers: roster::SERVERS.to_vec(),
+            cal: Calibration::default(),
+        }
+    }
+
+    /// The §4 roster (3 clients × 35 relays × eBay), default calibration.
+    pub fn selection() -> Roster {
+        Roster {
+            clients: roster::SELECTION_CLIENTS.to_vec(),
+            relays: roster::selection_relays(),
+            servers: roster::SERVERS[..1].to_vec(),
+            cal: Calibration::default(),
+        }
+    }
+
+    /// The first `clients` × `relays` × `servers` sites of this roster.
+    pub fn first(mut self, clients: usize, relays: usize, servers: usize) -> Roster {
+        self.clients.truncate(clients);
+        self.relays.truncate(relays);
+        self.servers.truncate(servers);
+        self
+    }
+
+    /// The scenario on this roster (see [`ir_workload::build`]).
+    pub fn build(&self, seed: u64, force_low_med: bool) -> Scenario {
+        let (clients, relays, servers) = (&self.clients, &self.relays, &self.servers);
+        ir_workload::build(seed, clients, relays, servers, self.cal, force_low_med)
+    }
 }
 
-/// Convenience: the selection study at a given scale.
+/// What a measurement study runs on, its fields in the order its cache
+/// key hashes them: the scenario (seed, roster, Low/Medium pin), the
+/// server every pair fetches from, the schedule per pair, the session,
+/// and the fault plan the network carries (none, or the CLI's
+/// `--faults` draw).
+#[derive(Debug, Clone)]
+pub struct MeasurementInputs {
+    seed: u64,
+    pub(crate) roster: Roster,
+    force_low_med: bool,
+    server_index: usize,
+    pub(crate) schedule: Schedule,
+    pub(crate) session: SessionConfig,
+    pub(crate) faults: Unframed<FaultPlan>,
+}
+ir_artifact::declare! {
+    StableHash for struct MeasurementInputs {
+        seed, roster, force_low_med, server_index, schedule, session, faults
+    }
+}
+
+impl MeasurementInputs {
+    /// The §2.2 study at a scale: the full roster against server 0 with
+    /// default session parameters (x = 100 KB, n = 2 MB), no faults.
+    pub fn new(seed: u64, scale: Scale) -> Self {
+        MeasurementInputs {
+            seed,
+            roster: Roster::planetlab(),
+            force_low_med: false,
+            server_index: 0,
+            schedule: Schedule::measurement_study().spread(scale.measurement_transfers()),
+            session: SessionConfig::paper_defaults(),
+            faults: Unframed::default(),
+        }
+    }
+
+    /// The scenario the study runs on, its fault plan installed.
+    pub fn scenario(&self) -> Scenario {
+        let mut scenario = self.roster.build(self.seed, self.force_low_med);
+        for plan in &self.faults.0 {
+            scenario.network.set_fault_plan(plan);
+        }
+        scenario
+    }
+
+    /// Runs the study, reporting into `tel` when given.
+    pub fn run(&self, tel: Option<Arc<Telemetry>>) -> MeasurementData {
+        let (schedule, session) = (self.schedule, self.session);
+        run_measurement_study_traced(&self.scenario(), self.server_index, schedule, session, tel)
+    }
+}
+
+/// What a selection study runs on, in key order: the scenario (seed,
+/// roster, Low/Medium pin), the random-set sizes run per client, the
+/// schedule per (client, k), and the session. The seed also seeds each
+/// task's policy.
+#[derive(Debug, Clone)]
+pub struct SelectionInputs {
+    seed: u64,
+    roster: Roster,
+    force_low_med: bool,
+    ks: Vec<usize>,
+    schedule: Schedule,
+    session: SessionConfig,
+}
+ir_artifact::declare! {
+    StableHash for struct SelectionInputs { seed, roster, force_low_med, ks, schedule, session }
+}
+
+impl SelectionInputs {
+    /// The §4 study at a scale over the random-set sizes `ks`.
+    pub fn new(seed: u64, scale: Scale, ks: &[usize]) -> Self {
+        SelectionInputs {
+            seed,
+            roster: Roster::selection(),
+            force_low_med: true,
+            ks: ks.to_vec(),
+            schedule: Schedule::selection_study().spread(scale.selection_transfers()),
+            session: SessionConfig::paper_defaults(),
+        }
+    }
+
+    /// Runs the study, reporting into `tel` when given.
+    pub fn run(&self, tel: Option<Arc<Telemetry>>) -> SelectionData {
+        let scenario = self.roster.build(self.seed, self.force_low_med);
+        let (schedule, session) = (self.schedule, self.session);
+        run_selection_study_traced(&scenario, &self.ks, schedule, session, self.seed, tel)
+    }
+}
+
+/// The measurement study at a given scale (see [`MeasurementInputs::new`]).
+pub fn measurement_study_default(seed: u64, scale: Scale) -> MeasurementData {
+    MeasurementInputs::new(seed, scale).run(None)
+}
+
+/// The selection study at a given scale.
 pub fn selection_study_default(seed: u64, scale: Scale, ks: &[usize]) -> SelectionData {
-    let scenario = ir_workload::selection_study(seed);
-    let schedule = Schedule::selection_study().spread(scale.selection_transfers());
-    run_selection_study(
-        &scenario,
-        ks,
-        schedule,
-        SessionConfig::paper_defaults(),
-        seed,
-    )
+    SelectionInputs::new(seed, scale, ks).run(None)
 }
 
 /// The k sweep used by Fig 6 (a subsample of 1..=35 that brackets the
@@ -631,13 +761,18 @@ mod tests {
         copy
     }
 
+    /// The headroom study's oracle look-ahead.
+    fn oracle_horizon() -> ir_simnet::time::SimDuration {
+        ir_simnet::time::SimDuration::from_secs(1200)
+    }
+
     /// `SimTransport::oracle_throughput` with a deep-copied replica.
     fn deep_oracle(net: &Network, path: &PathSpec, bytes: u64) -> Option<f64> {
         let mut replica = deep_copy(net);
         let route = path.resolve(replica.topology()).unwrap();
         let cfg = ir_core::TcpDerivation::default().config_for(&replica, &route);
         let id = replica.start_flow(route, bytes, Box::new(ir_tcp::TcpRateCap::new(cfg)));
-        let deadline = replica.now() + crate::headroom::ORACLE_HORIZON;
+        let deadline = replica.now() + oracle_horizon();
         replica.run_flow(id, deadline).map(|c| c.throughput())
     }
 
@@ -690,7 +825,7 @@ mod tests {
             );
         }
 
-        let (client, horizon) = (sc.clients[0], crate::headroom::ORACLE_HORIZON);
+        let (client, horizon) = (sc.clients[0], oracle_horizon());
         let indirect = sc
             .relays
             .iter()

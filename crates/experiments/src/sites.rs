@@ -6,10 +6,10 @@
 //! report the per-site mean improvement over indirect-chosen transfers.
 
 use crate::report::{csv, Check, Report};
-use crate::runner::run_measurement_study;
+use crate::runner::{run_measurement_study, Roster};
 use ir_core::SessionConfig;
 use ir_stats::Summary;
-use ir_workload::{planetlab_study, Schedule};
+use ir_workload::Schedule;
 
 /// Per-site result.
 #[derive(Debug, Clone)]
@@ -27,25 +27,56 @@ ir_artifact::declare! {
     Codec for struct SiteResult { site, mean_improvement_pct, chose_indirect_pct, n }
 }
 
+/// What the per-site study runs on, in key order: the scenario (seed,
+/// roster; every server is a destination), the transfers per pair and
+/// site, the §2.2 schedule spread over them, and the session.
+#[derive(Debug, Clone)]
+pub struct SitesInputs {
+    seed: u64,
+    roster: Roster,
+    transfers: u64,
+    schedule: Schedule,
+    session: SessionConfig,
+}
+ir_artifact::declare! {
+    StableHash for struct SitesInputs { seed, roster, transfers, schedule, session }
+}
+
+impl SitesInputs {
+    /// The §2.2 roster at `transfers_per_pair` transfers per pair.
+    pub fn new(seed: u64, transfers_per_pair: u64) -> Self {
+        SitesInputs {
+            seed,
+            roster: Roster::planetlab(),
+            transfers: transfers_per_pair,
+            schedule: Schedule::measurement_study().spread(transfers_per_pair),
+            session: SessionConfig::paper_defaults(),
+        }
+    }
+
+    /// Runs the measurement study against every site.
+    pub fn run(&self) -> Vec<SiteResult> {
+        let scenario = self.roster.build(self.seed, false);
+        (0..scenario.servers.len())
+            .map(|si| {
+                let data = run_measurement_study(&scenario, si, self.schedule, self.session);
+                let imps = data.indirect_improvements_pct();
+                let total = data.all_records().count();
+                SiteResult {
+                    site: scenario.name(scenario.servers[si]).to_string(),
+                    mean_improvement_pct: Summary::of(&imps).map(|s| s.mean).unwrap_or(f64::NAN),
+                    chose_indirect_pct: imps.len() as f64 / total.max(1) as f64 * 100.0,
+                    n: imps.len(),
+                }
+            })
+            .collect()
+    }
+}
+
 /// Runs the study against every site. `transfers_per_pair` bounds the
 /// cost (there are 4 × clients × relays tasks).
 pub fn run(seed: u64, transfers_per_pair: u64) -> Vec<SiteResult> {
-    let scenario = planetlab_study(seed);
-    let schedule = Schedule::measurement_study().spread(transfers_per_pair);
-    (0..scenario.servers.len())
-        .map(|si| {
-            let data =
-                run_measurement_study(&scenario, si, schedule, SessionConfig::paper_defaults());
-            let imps = data.indirect_improvements_pct();
-            let total = data.all_records().count();
-            SiteResult {
-                site: scenario.name(scenario.servers[si]).to_string(),
-                mean_improvement_pct: Summary::of(&imps).map(|s| s.mean).unwrap_or(f64::NAN),
-                chose_indirect_pct: imps.len() as f64 / total.max(1) as f64 * 100.0,
-                n: imps.len(),
-            }
-        })
-        .collect()
+    SitesInputs::new(seed, transfers_per_pair).run()
 }
 
 /// Builds the per-site report from precomputed (possibly

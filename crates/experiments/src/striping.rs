@@ -36,6 +36,7 @@
 
 use crate::report::{csv, Check, Report};
 use crate::runner::{parallel_map, Scale};
+use ir_artifact::Unframed;
 use ir_core::predictor::FirstPortion;
 use ir_core::sim_transport::SimTransport;
 use ir_core::{
@@ -44,7 +45,7 @@ use ir_core::{
 };
 use ir_policy::{KShortest, KShortestConfig};
 use ir_simnet::bandwidth::ConstantProcess;
-use ir_simnet::faults::FaultPlan;
+use ir_simnet::faults::{FaultEvent, FaultPlan};
 use ir_simnet::sim::Network;
 use ir_simnet::time::{SimDuration, SimTime};
 use ir_simnet::topology::{LinkId, NodeId, NodeKind, Topology};
@@ -55,144 +56,181 @@ pub const HORIZON_SECS: u64 = 3600;
 
 /// Stripe widths swept (the best-k knob; the grid worlds carry two
 /// relays, so 2 is the full set).
-pub const KS: &[u32] = &[1, 2];
+pub const KS: &[u64] = &[1, 2];
 
-/// Fault pressure applied to a scenario's overlay uplinks. Faults land
-/// at t = 1 s — mid-remainder, right after the probe decision — and
-/// outlast the horizon, the exact "prediction went stale" geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// Healthy network.
-    None,
-    /// The primary overlay uplink browns out to 2% capacity: it still
-    /// trickles, so racing never sees a stall, and the probe's
-    /// prediction is maximally stale.
-    BrownoutPrimary,
-    /// Both overlay uplinks fade to 5%: every indirect escape route
-    /// goes stale at once and only the direct path stays honest.
-    BrownoutBoth,
-    /// The primary overlay uplink dies outright mid-transfer.
-    OutagePrimary,
+/// A grid scenario as its cells run it: its label, the direct and two
+/// uplink rates (B/s; the relay→server legs are effectively
+/// unconstrained), and the fault plan on its uplinks.
+#[derive(Debug, Clone)]
+struct StripeScenario {
+    name: &'static str,
+    direct_rate: f64,
+    overlay1_rate: f64,
+    overlay2_rate: f64,
+    faults: FaultPlan,
+}
+ir_artifact::declare! {
+    StableHash for struct StripeScenario { name, direct_rate, overlay1_rate, overlay2_rate, faults }
 }
 
-/// One scenario of the pinned grid: a 2-relay star with constant-rate
-/// uplinks and a fault kind.
-#[derive(Debug, Clone, Copy)]
-pub struct ScenarioSpec {
-    /// Cell label (CSV / table key).
-    pub name: &'static str,
-    /// Direct client→server rate (B/s).
-    pub direct_rate: f64,
-    /// Client→relay-1 rate (B/s); relay→server legs are effectively
-    /// unconstrained.
-    pub overlay1_rate: f64,
-    /// Client→relay-2 rate (B/s).
-    pub overlay2_rate: f64,
-    /// Fault applied at t = 1 s.
-    pub fault: FaultKind,
+/// What the striping sweep runs on, in key order: the seed (carried for
+/// CLI symmetry; cells are seed-invariant), the session horizon (an
+/// unfinished transfer is charged all of it), the stripe widths and
+/// chunk counts swept, the racing baseline (mid-transfer failover on),
+/// the striped contender at 8 chunks × k = 2 (each cell sets its own),
+/// and the grid in cell order.
+#[derive(Debug, Clone)]
+pub struct StripingInputs {
+    seed: u64,
+    horizon_secs: u64,
+    ks: &'static [u64],
+    chunks: &'static [u64],
+    raced: SessionConfig,
+    striped: SessionConfig,
+    scenarios: Unframed<StripeScenario>,
 }
-
-impl ScenarioSpec {
-    /// Stale-prediction (penalty-tail) cell: the probe's winner browns
-    /// out right after the decision but keeps trickling. These are the
-    /// cells striping exists for; the tests require a strict win.
-    pub fn is_stale(&self) -> bool {
-        matches!(
-            self.fault,
-            FaultKind::BrownoutPrimary | FaultKind::BrownoutBoth
-        )
+ir_artifact::declare! {
+    StableHash for struct StripingInputs {
+        seed, horizon_secs, ks, chunks, raced, striped, scenarios
     }
 }
 
-/// The pinned scenario grid.
-pub const SCENARIOS: &[ScenarioSpec] = &[
-    ScenarioSpec {
-        name: "stable-direct",
-        direct_rate: 800_000.0,
-        overlay1_rate: 300_000.0,
-        overlay2_rate: 200_000.0,
-        fault: FaultKind::None,
-    },
-    ScenarioSpec {
-        name: "stable-overlay",
-        direct_rate: 100_000.0,
-        overlay1_rate: 800_000.0,
-        overlay2_rate: 500_000.0,
-        fault: FaultKind::None,
-    },
-    ScenarioSpec {
-        name: "split-capacity",
-        direct_rate: 400_000.0,
-        overlay1_rate: 800_000.0,
-        overlay2_rate: 600_000.0,
-        fault: FaultKind::None,
-    },
-    ScenarioSpec {
-        name: "stale-brownout",
-        direct_rate: 100_000.0,
-        overlay1_rate: 800_000.0,
-        overlay2_rate: 500_000.0,
-        fault: FaultKind::BrownoutPrimary,
-    },
-    ScenarioSpec {
-        name: "double-fade",
-        direct_rate: 200_000.0,
-        overlay1_rate: 800_000.0,
-        overlay2_rate: 600_000.0,
-        fault: FaultKind::BrownoutBoth,
-    },
-    ScenarioSpec {
-        name: "overlay-death",
-        direct_rate: 100_000.0,
-        overlay1_rate: 800_000.0,
-        overlay2_rate: 500_000.0,
-        fault: FaultKind::OutagePrimary,
-    },
-];
+impl StripingInputs {
+    /// The pinned grid at a scale: 8 chunks at Quick, 4, 8 and 16 at
+    /// Paper.
+    pub fn new(seed: u64, scale: Scale) -> Self {
+        let defaults = SessionConfig {
+            horizon: SimDuration::from_secs(HORIZON_SECS),
+            ..SessionConfig::paper_defaults()
+        };
+        // Faults land at t = 1 s — mid-remainder, right after the probe
+        // decision — and outlast the horizon: the exact "prediction went
+        // stale" geometry.
+        let (_, _, [_, up1, _, up2, _]) = star();
+        let (at, until) = (SimTime::from_secs(1), SimTime::from_secs(4000));
+        let healthy = FaultPlan::none;
+        let scenario = |name, direct_rate, overlay1_rate, overlay2_rate, faults| StripeScenario {
+            name,
+            direct_rate,
+            overlay1_rate,
+            overlay2_rate,
+            faults,
+        };
+        let scenarios = vec![
+            scenario("stable-direct", 800e3, 300e3, 200e3, healthy()),
+            scenario("stable-overlay", 100e3, 800e3, 500e3, healthy()),
+            scenario("split-capacity", 400e3, 800e3, 600e3, healthy()),
+            // The primary uplink browns out to 2 %: it still trickles, so
+            // racing never sees a stall, and the probe's prediction is
+            // maximally stale.
+            scenario("stale-brownout", 100e3, 800e3, 500e3, {
+                healthy().brownout(up1, at, until, 0.02)
+            }),
+            // Both uplinks fade to 5 %: every indirect escape route goes
+            // stale at once and only the direct path stays honest.
+            scenario("double-fade", 200e3, 800e3, 600e3, {
+                let fade = healthy().brownout(up1, at, until, 0.05);
+                fade.brownout(up2, at, until, 0.05)
+            }),
+            // The primary uplink dies outright mid-transfer.
+            scenario("overlay-death", 100e3, 800e3, 500e3, {
+                healthy().link_outage(up1, at, until)
+            }),
+        ];
+        StripingInputs {
+            seed,
+            horizon_secs: HORIZON_SECS,
+            ks: KS,
+            chunks: match scale {
+                Scale::Quick => &[8],
+                Scale::Paper => &[4, 8, 16],
+            },
+            raced: SessionConfig {
+                failover: Some(FailoverConfig::paper_defaults()),
+                ..defaults
+            },
+            striped: SessionConfig {
+                mode: SessionMode::Striped {
+                    chunks: 8,
+                    k: 2,
+                    rebalance: RebalanceConfig::paper_defaults(),
+                },
+                ..defaults
+            },
+            scenarios: Unframed(scenarios),
+        }
+    }
 
-/// Chunk counts swept at a scale.
-pub fn chunk_grid(scale: Scale) -> &'static [u32] {
-    match scale {
-        Scale::Quick => &[8],
-        Scale::Paper => &[4, 8, 16],
+    /// The striped contender at a grid point.
+    fn striped_at(&self, chunks: u32, k: u32) -> SessionConfig {
+        let mut cfg = self.striped;
+        if let SessionMode::Striped {
+            chunks: c, k: w, ..
+        } = &mut cfg.mode
+        {
+            (*c, *w) = (chunks, k);
+        }
+        cfg
+    }
+
+    /// Runs the sweep: every scenario × stripe width × chunk count, each
+    /// cell a raced baseline and a striped run on identically built
+    /// worlds. Cells are independent, so they run on the worker pool;
+    /// output order is the grid order regardless of thread count.
+    pub fn run(&self) -> Vec<StripeCell> {
+        let mut grid = Vec::new();
+        for scenario in &self.scenarios.0 {
+            for &k in self.ks {
+                grid.extend(self.chunks.iter().map(|&c| (scenario, k as u32, c as u32)));
+            }
+        }
+        parallel_map(grid.len(), |i| {
+            let (scenario, k, chunks) = grid[i];
+            self.run_cell(scenario, k, chunks)
+        })
+    }
+
+    fn run_cell(&self, scenario: &StripeScenario, k: u32, chunks: u32) -> StripeCell {
+        let (raced, _) = run_world(scenario, k, &self.raced);
+        let (rec, stats) = run_world(scenario, k, &self.striped_at(chunks, k));
+        let completion_secs = |rec: &TransferRecord| {
+            if rec.selected_throughput > 0.0 {
+                rec.file_bytes as f64 / rec.selected_throughput
+            } else {
+                self.horizon_secs as f64
+            }
+        };
+        let raced_secs = completion_secs(&raced);
+        let striped_secs = completion_secs(&rec);
+        let chunks_on = |indirect: bool| {
+            let paths = stats.per_path.iter();
+            paths
+                .filter(|p| p.path.is_indirect() == indirect)
+                .map(|p| p.chunks)
+                .sum()
+        };
+        let mut faults = scenario.faults.events().iter();
+        StripeCell {
+            scenario: scenario.name.into(),
+            k,
+            chunks,
+            // Stale-prediction (penalty-tail) cell: an uplink browns out
+            // right after the decision but keeps trickling.
+            stale: faults.any(|(_, e)| matches!(e, FaultEvent::BrownoutSet { .. })),
+            raced_secs,
+            striped_secs,
+            ratio: striped_secs / raced_secs,
+            reassignments: stats.reassignments,
+            deaths: stats.deaths,
+            direct_chunks: chunks_on(false),
+            overlay_chunks: chunks_on(true),
+        }
     }
 }
 
-/// The racing baseline: paper defaults with mid-transfer failover
-/// enabled (the strongest single-path recovery the racer has) and the
-/// cell horizon.
-pub fn raced_session() -> SessionConfig {
-    let mut cfg = SessionConfig::paper_defaults();
-    cfg.failover = Some(FailoverConfig::paper_defaults());
-    cfg.horizon = SimDuration::from_secs(HORIZON_SECS);
-    cfg
-}
-
-/// The striped contender at a grid point.
-pub fn striped_session(chunks: u32, k: u32) -> SessionConfig {
-    let mut cfg = SessionConfig::paper_defaults();
-    cfg.mode = SessionMode::Striped {
-        chunks,
-        k,
-        rebalance: RebalanceConfig::paper_defaults(),
-    };
-    cfg.horizon = SimDuration::from_secs(HORIZON_SECS);
-    cfg
-}
-
-/// The fault plan a scenario carries (see [`FaultKind`]). Exposed so
-/// the sweep fingerprint can hash the plans directly.
-pub fn scenario_fault_plan(kind: FaultKind, l_cv1: LinkId, l_cv2: LinkId) -> FaultPlan {
-    let at = SimTime::from_secs(1);
-    let until = SimTime::from_secs(4000);
-    match kind {
-        FaultKind::None => FaultPlan::default(),
-        FaultKind::BrownoutPrimary => FaultPlan::default().brownout(l_cv1, at, until, 0.02),
-        FaultKind::BrownoutBoth => FaultPlan::default()
-            .brownout(l_cv1, at, until, 0.05)
-            .brownout(l_cv2, at, until, 0.05),
-        FaultKind::OutagePrimary => FaultPlan::default().link_outage(l_cv1, at, until),
-    }
+/// Runs the sweep at a scale (see [`StripingInputs::run`]).
+pub fn run(seed: u64, scale: Scale) -> Vec<StripeCell> {
+    StripingInputs::new(seed, scale).run()
 }
 
 struct World {
@@ -203,10 +241,11 @@ struct World {
     server: NodeId,
 }
 
-/// Builds a scenario's world: client, two relays, server; 80 ms direct
-/// vs 50 + 15 ms overlay latency (the differential suite's star), with
-/// the scenario's rates and fault plan installed.
-fn build_world(spec: &ScenarioSpec) -> World {
+/// The star every cell runs on: client, two relays, server; 80 ms
+/// direct vs 50 + 15 ms overlay latency (the differential suite's
+/// star). Nodes are client, relay 1, relay 2, server; links are the
+/// direct path, then each relay's uplink and downlink.
+fn star() -> (Topology, [NodeId; 4], [LinkId; 5]) {
     let mut t = Topology::new();
     let c = t.add_node("client", NodeKind::Client);
     let v1 = t.add_node("relay1", NodeKind::Intermediate);
@@ -217,14 +256,21 @@ fn build_world(spec: &ScenarioSpec) -> World {
     let l_v1s = t.add_link(v1, s, SimDuration::from_millis(15));
     let l_cv2 = t.add_link(c, v2, SimDuration::from_millis(50));
     let l_v2s = t.add_link(v2, s, SimDuration::from_millis(15));
-    let topo = t.clone();
-    let mut net = Network::new(t, 1.0);
-    net.set_link_process(l_cs, Box::new(ConstantProcess::new(spec.direct_rate)));
-    net.set_link_process(l_cv1, Box::new(ConstantProcess::new(spec.overlay1_rate)));
-    net.set_link_process(l_v1s, Box::new(ConstantProcess::new(50e6)));
-    net.set_link_process(l_cv2, Box::new(ConstantProcess::new(spec.overlay2_rate)));
-    net.set_link_process(l_v2s, Box::new(ConstantProcess::new(50e6)));
-    net.set_fault_plan(&scenario_fault_plan(spec.fault, l_cv1, l_cv2));
+    (t, [c, v1, v2, s], [l_cs, l_cv1, l_v1s, l_cv2, l_v2s])
+}
+
+/// Builds a scenario's world: the star with the scenario's rates and
+/// fault plan installed.
+fn build_world(scenario: &StripeScenario) -> World {
+    let (topo, [c, v1, v2, s], [l_cs, l_cv1, l_v1s, l_cv2, l_v2s]) = star();
+    let mut net = Network::new(topo.clone(), 1.0);
+    let mut rate = |l, r| net.set_link_process(l, Box::new(ConstantProcess::new(r)));
+    rate(l_cs, scenario.direct_rate);
+    rate(l_cv1, scenario.overlay1_rate);
+    rate(l_v1s, 50e6);
+    rate(l_cv2, scenario.overlay2_rate);
+    rate(l_v2s, 50e6);
+    net.set_fault_plan(&scenario.faults);
     World {
         tp: SimTransport::new(net),
         topo,
@@ -238,8 +284,12 @@ fn build_world(spec: &ScenarioSpec) -> World {
 /// of width `k`. Both overlay chains beat the direct path on latency
 /// (65 vs 80 ms), so `k = 1` yields the first relay and `k = 2` both,
 /// deterministically.
-fn run_world(spec: &ScenarioSpec, k: u32, cfg: &SessionConfig) -> (TransferRecord, StripeStats) {
-    let mut w = build_world(spec);
+fn run_world(
+    scenario: &StripeScenario,
+    k: u32,
+    cfg: &SessionConfig,
+) -> (TransferRecord, StripeStats) {
+    let mut w = build_world(scenario);
     let mut selector = KShortest::new(KShortestConfig {
         k: k as usize,
         ..KShortestConfig::default()
@@ -294,64 +344,6 @@ ir_artifact::declare! {
         direct_chunks,
         overlay_chunks,
     }
-}
-
-fn completion_secs(rec: &TransferRecord) -> f64 {
-    if rec.selected_throughput > 0.0 {
-        rec.file_bytes as f64 / rec.selected_throughput
-    } else {
-        HORIZON_SECS as f64
-    }
-}
-
-fn run_cell(spec: &ScenarioSpec, k: u32, chunks: u32) -> StripeCell {
-    let (raced, _) = run_world(spec, k, &raced_session());
-    let (rec, stats) = run_world(spec, k, &striped_session(chunks, k));
-    let raced_secs = completion_secs(&raced);
-    let striped_secs = completion_secs(&rec);
-    let direct_chunks = stats
-        .per_path
-        .iter()
-        .filter(|p| !p.path.is_indirect())
-        .map(|p| p.chunks)
-        .sum();
-    let overlay_chunks = stats
-        .per_path
-        .iter()
-        .filter(|p| p.path.is_indirect())
-        .map(|p| p.chunks)
-        .sum();
-    StripeCell {
-        scenario: spec.name.into(),
-        k,
-        chunks,
-        stale: spec.is_stale(),
-        raced_secs,
-        striped_secs,
-        ratio: striped_secs / raced_secs,
-        reassignments: stats.reassignments,
-        deaths: stats.deaths,
-        direct_chunks,
-        overlay_chunks,
-    }
-}
-
-/// Runs the sweep: every scenario × stripe width × chunk count, each
-/// cell a raced baseline and a striped run on identically built
-/// worlds. Cells are independent, so they run on the worker pool;
-/// output order is the grid order regardless of thread count.
-pub fn run(_seed: u64, scale: Scale) -> Vec<StripeCell> {
-    let grid: Vec<(&ScenarioSpec, u32, u32)> = SCENARIOS
-        .iter()
-        .flat_map(|s| {
-            KS.iter()
-                .flat_map(move |&k| chunk_grid(scale).iter().map(move |&chunks| (s, k, chunks)))
-        })
-        .collect();
-    parallel_map(grid.len(), |i| {
-        let (spec, k, chunks) = grid[i];
-        run_cell(spec, k, chunks)
-    })
 }
 
 /// Builds the striping report from precomputed (possibly
@@ -495,14 +487,17 @@ pub fn report_of(cells: &[StripeCell]) -> Report {
 mod tests {
     use super::*;
 
+    /// Cells of the quick sweep: scenarios × stripe widths × chunk counts.
+    fn quick_cells() -> usize {
+        let inputs = StripingInputs::new(11, Scale::Quick);
+        inputs.scenarios.0.len() * inputs.ks.len() * inputs.chunks.len()
+    }
+
     #[test]
     fn sweep_is_deterministic_and_striping_wins_the_penalty_tail() {
         let a = run(11, Scale::Quick);
         let b = run(11, Scale::Quick);
-        assert_eq!(
-            a.len(),
-            SCENARIOS.len() * KS.len() * chunk_grid(Scale::Quick).len()
-        );
+        assert_eq!(a.len(), quick_cells());
         assert_eq!(a, b, "cells diverged across runs");
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.raced_secs.to_bits(), y.raced_secs.to_bits());
@@ -563,7 +558,8 @@ mod tests {
     /// metric the artefact reports).
     #[test]
     fn single_chunk_k1_ratio_is_exactly_one() {
-        let cell = run_cell(&SCENARIOS[1], 1, 1);
+        let inputs = StripingInputs::new(11, Scale::Quick);
+        let cell = inputs.run_cell(&inputs.scenarios.0[1], 1, 1);
         assert_eq!(cell.ratio.to_bits(), 1.0f64.to_bits(), "{cell:?}");
         assert_eq!(cell.reassignments, 0);
         assert_eq!(cell.deaths, 0);
@@ -576,8 +572,9 @@ mod tests {
     /// probes one relay.
     #[test]
     fn striped_mode_is_honoured_through_the_selector_entry() {
-        let spec = &SCENARIOS[2]; // split-capacity: every path useful
-        let (rec, stats) = run_world(spec, 2, &striped_session(4, 2));
+        let inputs = StripingInputs::new(11, Scale::Quick);
+        let spec = &inputs.scenarios.0[2]; // split-capacity: every path useful
+        let (rec, stats) = run_world(spec, 2, &inputs.striped_at(4, 2));
         assert!(!rec.abandoned);
         assert_eq!(stats.per_path.len(), 3, "probe set: direct + 2 relays");
         assert_eq!(rec.candidates.len(), 2);
@@ -585,11 +582,11 @@ mod tests {
         assert!(carrying >= 2, "chunks on {carrying} path(s): {stats:?}");
         assert_eq!(stats.per_path.iter().map(|p| p.chunks).sum::<u64>(), 4);
 
-        let (_, narrow) = run_world(spec, 1, &striped_session(4, 1));
+        let (_, narrow) = run_world(spec, 1, &inputs.striped_at(4, 1));
         assert_eq!(narrow.per_path.len(), 2, "k = 1: direct + one relay");
         assert_eq!(narrow.per_path[1].path, stats.per_path[1].path);
 
-        let (_, raced) = run_world(spec, 2, &raced_session());
+        let (_, raced) = run_world(spec, 2, &inputs.raced);
         assert!(raced.per_path.is_empty(), "racing has no stripe stats");
     }
 
@@ -599,10 +596,7 @@ mod tests {
         assert_eq!(r.id, "striping");
         assert_eq!(r.csv.len(), 1);
         let lines = r.csv[0].1.lines().count();
-        assert_eq!(
-            lines,
-            1 + SCENARIOS.len() * KS.len() * chunk_grid(Scale::Quick).len()
-        );
+        assert_eq!(lines, 1 + quick_cells());
         assert!(!r.checks.is_empty());
     }
 }

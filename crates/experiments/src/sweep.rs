@@ -15,14 +15,14 @@
 //! | striping (striped vs raced sessions) | striping |
 //! | tournament/`<policy>` (one study **per policy**) | tournament |
 //!
-//! Study fingerprints hash **every input that determines the output**:
-//! the seed, rosters, [`Calibration`], [`Schedule`], [`SessionConfig`],
-//! sweep constants (`ks`, MTBFs), the generated fault plans, and
-//! [`CODEC_VERSION`] — each read from the name the study body itself
-//! reads, so changing a study moves its key. Artefact fingerprints hash
-//! the artefact name, its per-artefact code-version salt ([`SALTS`] —
-//! bump when render logic changes), and its study fingerprints. Same
-//! inputs ⇒ same key ⇒ a warm cache reproduces every artefact
+//! **A study's key is the value it runs on**: one declared inputs value
+//! ([`MeasurementInputs`], [`sites::SitesInputs`], …, or a `(seed,
+//! config)` tuple for megaflow and the soak) and a plain `fn` body over
+//! it, which can capture nothing else (telemetry aside, which only
+//! observes). The key hashes the study's domain, [`CODEC_VERSION`] and
+//! that value; an artefact's hashes its name, its code-version salt
+//! ([`SALTS`] — bump when render logic changes) and its studies' keys.
+//! Same inputs ⇒ same key ⇒ a warm cache reproduces every artefact
 //! byte-for-byte without running a single study; any changed input
 //! misses cleanly.
 //!
@@ -30,22 +30,24 @@
 //! is a [`SweepPlan::select`]ion from [`full_plan`] run through
 //! [`run_sweep`] (the soak has its own [`soak_plan`]).
 
+use crate::faults::FaultsInputs;
+use crate::headroom::HeadroomInputs;
 use crate::report::Report;
-use crate::runner::{run_measurement_study_traced, run_selection_study_traced, Scale, FIG6_KS};
+use crate::runner::{MeasurementInputs, Roster, Scale, SelectionInputs, FIG6_KS};
+use crate::sites::SitesInputs;
+use crate::striping::StripingInputs;
+use crate::tournament::TournamentInputs;
 use crate::{
     faults, headroom, megaflow, sites, soak, striping, tournament, Artefacts,
     MEASUREMENT_ARTEFACTS, SELECTION_ARTEFACTS,
 };
 use ir_artifact::{
-    execute, fingerprint_of, ArtefactOutput, ArtefactSpec, ArtifactCache, ExecReport, Fingerprint,
-    StableHash, StableHasher, StudySpec,
+    execute, fingerprint_of, ArtefactOutput, ArtefactSpec, ArtifactCache, Codec, ExecReport,
+    Fingerprint, StableHash, StudySpec,
 };
-use ir_core::{FailoverConfig, SessionConfig};
-use ir_simnet::faults::FaultPlan;
-use ir_simnet::topology::LinkId;
+use ir_core::FailoverConfig;
 use ir_telemetry::trace::{Event, EventKind};
 use ir_telemetry::Telemetry;
-use ir_workload::roster::{ClientSite, RelaySite, ServerSite};
 use ir_workload::{Calibration, Schedule};
 use std::path::Path;
 use std::sync::Arc;
@@ -122,13 +124,26 @@ impl SweepPlan {
 }
 
 fn artefact_fingerprint(name: &str, deps: &[Fingerprint]) -> Fingerprint {
-    let mut h = StableHasher::new();
-    "artefact".stable_hash(&mut h);
-    CODEC_VERSION.stable_hash(&mut h);
-    name.stable_hash(&mut h);
-    salt_of(name).stable_hash(&mut h);
-    deps.stable_hash(&mut h);
-    h.finish()
+    fingerprint_of(&("artefact", CODEC_VERSION, name, salt_of(name), deps))
+}
+
+/// A study's cache key: its domain, the codec version, and the value it
+/// runs on.
+fn key(domain: &str, inputs: &impl StableHash) -> Fingerprint {
+    fingerprint_of(&(domain, CODEC_VERSION, inputs))
+}
+
+/// The study `label`, keyed by [`key`]`(domain, &inputs)`. `body` is a
+/// plain `fn`, so it captures nothing: besides code and the
+/// observational `tel`, it reads only what the key hashes.
+fn study<I: StableHash + 'static, T: Codec + Send + Sync + 'static>(
+    label: String,
+    domain: &str,
+    inputs: I,
+    tel: Option<Arc<Telemetry>>,
+    body: fn(&I, Option<Arc<Telemetry>>) -> T,
+) -> StudySpec {
+    StudySpec::typed(label, key(domain, &inputs), move || body(&inputs, tel))
 }
 
 /// A report as the bundle the scheduler caches, the CLI prints and
@@ -148,36 +163,6 @@ pub fn output_of(r: &Report) -> ArtefactOutput {
             })
             .collect(),
     }
-}
-
-#[expect(
-    clippy::too_many_arguments,
-    reason = "fingerprint covers every cache-relevant input explicitly"
-)]
-fn measurement_fingerprint(
-    seed: u64,
-    clients: &[ClientSite],
-    relays: &[RelaySite],
-    servers: &[ServerSite],
-    cal: &Calibration,
-    force_low_med: bool,
-    server_index: usize,
-    schedule: Schedule,
-    session: &SessionConfig,
-) -> Fingerprint {
-    let mut h = StableHasher::new();
-    "study/measurement".stable_hash(&mut h);
-    CODEC_VERSION.stable_hash(&mut h);
-    seed.stable_hash(&mut h);
-    clients.stable_hash(&mut h);
-    relays.stable_hash(&mut h);
-    servers.stable_hash(&mut h);
-    cal.stable_hash(&mut h);
-    force_low_med.stable_hash(&mut h);
-    server_index.stable_hash(&mut h);
-    schedule.stable_hash(&mut h);
-    session.stable_hash(&mut h);
-    h.finish()
 }
 
 /// The artefact `name`: renders the `T` its one study `dep` produced.
@@ -220,48 +205,6 @@ pub fn uncached(name: &'static str, report: impl FnOnce() -> Report + 'static) -
     }
 }
 
-/// The §2.2 measurement study (shared by nine artefacts), shaped by
-/// `cal` and `faults` as [`full_plan`] documents.
-fn measurement_study(
-    seed: u64,
-    scale: Scale,
-    cal: Option<Calibration>,
-    faults: Option<u64>,
-    tel: Option<Arc<Telemetry>>,
-) -> StudySpec {
-    let roster = ir_workload::roster::CLIENTS;
-    let relays = ir_workload::roster::INTERMEDIATES;
-    let servers = ir_workload::roster::SERVERS;
-    let cal = cal.unwrap_or_default();
-    let schedule = Schedule::measurement_study().spread(scale.measurement_transfers());
-    let mut session = SessionConfig::paper_defaults();
-    let build = move || ir_workload::build(seed, roster, relays, servers, cal, false);
-    let fault_plan = match faults {
-        Some(mtbf) if mtbf > 0 => {
-            session.failover = Some(FailoverConfig::paper_defaults());
-            faults::fault_plan(&build(), mtbf, schedule, seed)
-        }
-        _ => FaultPlan::none(),
-    };
-    let key = measurement_fingerprint(
-        seed, roster, relays, servers, &cal, false, 0, schedule, &session,
-    );
-    let key = if fault_plan.is_empty() {
-        key
-    } else {
-        fingerprint_of(&(key, &fault_plan))
-    };
-    StudySpec::typed(
-        format!("measurement(seed={seed},{scale:?})"),
-        key,
-        move || {
-            let mut scenario = build();
-            scenario.network.set_fault_plan(&fault_plan);
-            run_measurement_study_traced(&scenario, 0, schedule, session, tel)
-        },
-    )
-}
-
 /// Transfers per pair the `sites` study uses at a scale (read by the
 /// plan and by the benchmark).
 pub fn sites_transfers(scale: Scale) -> u64 {
@@ -296,18 +239,14 @@ pub fn soak_plan(seed: u64, scale: Scale) -> SweepPlan {
         Scale::Quick => soak::SoakConfig::quick(), // 250 concurrent clients
         Scale::Paper => soak::SoakConfig::paper(), // the 2000-client headline herd
     };
-    let fp = {
-        let mut h = StableHasher::new();
-        "study/soak".stable_hash(&mut h);
-        CODEC_VERSION.stable_hash(&mut h);
-        SOAK_LAYOUT.stable_hash(&mut h);
-        seed.stable_hash(&mut h);
-        cfg.stable_hash(&mut h);
-        h.finish()
-    };
-    let study = StudySpec::typed(format!("soak(seed={seed},{scale:?})"), fp, move || {
-        soak::run(&cfg)
-    });
+    let study = study(
+        format!("soak(seed={seed},{scale:?})"),
+        "study/soak",
+        (SOAK_LAYOUT, seed, cfg),
+        None,
+        |(_, _, cfg), _| soak::run(cfg),
+    );
+    let fp = study.fingerprint;
     SweepPlan {
         studies: vec![study],
         artefacts: vec![artefact("soak", fp, soak::report_of)],
@@ -333,216 +272,90 @@ pub fn full_plan(
     faults: Option<u64>,
     tel: Option<Arc<Telemetry>>,
 ) -> SweepPlan {
-    let measurement = measurement_study(seed, scale, cal, faults, tel.clone());
-    let m_fp = measurement.fingerprint;
-
-    let roster = ir_workload::roster::CLIENTS;
-    let relays = ir_workload::roster::INTERMEDIATES;
-    let servers = ir_workload::roster::SERVERS;
-    let cal = Calibration::default();
-    let session = SessionConfig::paper_defaults();
-
-    // §4 selection study (shared by fig6 + table3).
-    let s_schedule = Schedule::selection_study().spread(scale.selection_transfers());
-    let s_fp = {
-        let mut h = StableHasher::new();
-        "study/selection".stable_hash(&mut h);
-        CODEC_VERSION.stable_hash(&mut h);
-        seed.stable_hash(&mut h);
-        ir_workload::roster::SELECTION_CLIENTS.stable_hash(&mut h);
-        ir_workload::roster::selection_relays().stable_hash(&mut h);
-        servers[..1].stable_hash(&mut h);
-        cal.stable_hash(&mut h);
-        true.stable_hash(&mut h); // force_low_med
-        FIG6_KS
-            .iter()
-            .map(|&k| k as u64)
-            .collect::<Vec<_>>()
-            .stable_hash(&mut h);
-        s_schedule.stable_hash(&mut h);
-        session.stable_hash(&mut h);
-        h.finish()
-    };
-    let s_tel = tel.clone();
-    let selection = StudySpec::typed(
+    let mut inputs = MeasurementInputs::new(seed, scale);
+    if let Some(cal) = cal {
+        inputs.roster.cal = cal;
+    }
+    if let Some(mtbf) = faults.filter(|&mtbf| mtbf > 0) {
+        inputs.session.failover = Some(FailoverConfig::paper_defaults());
+        let plan = faults::fault_plan(&inputs.scenario(), mtbf, inputs.schedule, seed);
+        inputs.faults.0.push(plan);
+    }
+    let measurement = study(
+        format!("measurement(seed={seed},{scale:?})"),
+        "study/measurement",
+        inputs,
+        tel.clone(),
+        MeasurementInputs::run,
+    );
+    let selection = study(
         format!("selection(seed={seed},{scale:?})"),
-        s_fp,
-        move || {
-            let scenario = ir_workload::selection_study(seed);
-            run_selection_study_traced(&scenario, FIG6_KS, s_schedule, session, seed, s_tel)
-        },
+        "study/selection",
+        SelectionInputs::new(seed, scale, FIG6_KS),
+        tel.clone(),
+        SelectionInputs::run,
     );
-
-    // Per-site study (all four destinations).
-    let site_transfers = sites_transfers(scale);
-    let sites_fp = {
-        let mut h = StableHasher::new();
-        "study/sites".stable_hash(&mut h);
-        CODEC_VERSION.stable_hash(&mut h);
-        seed.stable_hash(&mut h);
-        roster.stable_hash(&mut h);
-        relays.stable_hash(&mut h);
-        servers.stable_hash(&mut h);
-        cal.stable_hash(&mut h);
-        site_transfers.stable_hash(&mut h);
-        Schedule::measurement_study()
-            .spread(site_transfers)
-            .stable_hash(&mut h);
-        session.stable_hash(&mut h);
-        h.finish()
-    };
-    let sites_study = StudySpec::typed(
-        format!("sites(seed={seed},transfers={site_transfers})"),
-        sites_fp,
-        move || sites::run(seed, site_transfers),
+    let transfers = sites_transfers(scale);
+    let sites_study = study(
+        format!("sites(seed={seed},transfers={transfers})"),
+        "study/sites",
+        SitesInputs::new(seed, transfers),
+        None,
+        |inputs, _| inputs.run(),
     );
-
-    // Oracle headroom study.
-    let hr_transfers = headroom_transfers(scale);
-    let hr_fp = {
-        let mut h = StableHasher::new();
-        "study/headroom".stable_hash(&mut h);
-        CODEC_VERSION.stable_hash(&mut h);
-        seed.stable_hash(&mut h);
-        ir_workload::roster::SELECTION_CLIENTS.stable_hash(&mut h);
-        ir_workload::roster::selection_relays().stable_hash(&mut h);
-        servers[..1].stable_hash(&mut h);
-        cal.stable_hash(&mut h);
-        hr_transfers.stable_hash(&mut h);
-        Schedule::selection_study()
-            .spread(hr_transfers)
-            .stable_hash(&mut h);
-        session.stable_hash(&mut h);
-        headroom::ORACLE_HORIZON.stable_hash(&mut h);
-        headroom::RANDOM_SET_K.stable_hash(&mut h);
-        h.finish()
-    };
-    let headroom_study = StudySpec::typed(
-        format!("headroom(seed={seed},transfers={hr_transfers})"),
-        hr_fp,
-        move || headroom::run(seed, hr_transfers),
+    let transfers = headroom_transfers(scale);
+    let headroom_study = study(
+        format!("headroom(seed={seed},transfers={transfers})"),
+        "study/headroom",
+        HeadroomInputs::new(seed, transfers),
+        None,
+        |inputs, _| inputs.run(),
     );
-
-    // Fault-plane sweep. The generated fault plans are pure functions
-    // of (scenario, spec, seed); hash the plans themselves so the
-    // fingerprint covers fault pressure directly.
-    let faults_fp = {
-        let mut h = StableHasher::new();
-        "study/faults".stable_hash(&mut h);
-        CODEC_VERSION.stable_hash(&mut h);
-        seed.stable_hash(&mut h);
-        faults::sweep_roster().stable_hash(&mut h);
-        cal.stable_hash(&mut h);
-        faults::MTBF_SECS.stable_hash(&mut h);
-        faults::KS
-            .iter()
-            .map(|&k| k as u64)
-            .collect::<Vec<_>>()
-            .stable_hash(&mut h);
-        faults::schedule(scale).stable_hash(&mut h);
-        faults::failover_session().stable_hash(&mut h);
-        let scenario = faults::sweep_scenario(seed);
-        for &mtbf in faults::MTBF_SECS {
-            if mtbf != 0 {
-                faults::sweep_fault_plan(&scenario, mtbf, scale, seed).stable_hash(&mut h);
-            }
-        }
-        h.finish()
-    };
-    let faults_study = StudySpec::typed(
+    let faults_study = study(
         format!("faults(seed={seed},{scale:?})"),
-        faults_fp,
-        move || faults::run(seed, scale),
+        "study/faults",
+        FaultsInputs::new(seed, scale),
+        None,
+        |inputs, _| inputs.run(),
     );
-
     // Megaflow: the engine's scale study. Engine-mode invariant (the
-    // differential suite's guarantee), so the engine is not a
-    // fingerprint input.
+    // differential suite's guarantee), so the engine is not an input.
     let mega_cfg = match scale {
         Scale::Quick => megaflow::MegaflowConfig::mini(), // the seconds-scale mini fan-in
         Scale::Paper => megaflow::MegaflowConfig::paper(), // the million-flow headline geometry
     };
-    let mega_fp = {
-        let mut h = StableHasher::new();
-        "study/megaflow".stable_hash(&mut h);
-        CODEC_VERSION.stable_hash(&mut h);
-        seed.stable_hash(&mut h);
-        mega_cfg.stable_hash(&mut h);
-        h.finish()
-    };
-    let mega_tel = tel.clone();
-    let megaflow_study = StudySpec::typed(
+    let megaflow_study = study(
         format!("megaflow(seed={seed},{scale:?})"),
-        mega_fp,
-        move || {
-            megaflow::run(
-                seed,
-                &mega_cfg,
-                ir_simnet::sim::EngineMode::Incremental,
-                mega_tel,
-            )
-        },
+        "study/megaflow",
+        (seed, mega_cfg),
+        tel,
+        |(seed, cfg), tel| megaflow::run(*seed, cfg, ir_simnet::sim::EngineMode::Incremental, tel),
     );
-
-    // Striping sweep: raced vs striped sessions on the pinned 2-relay
-    // grid. Cells are seed-invariant (fixed geometry, like the
-    // tournament's ridge scenarios), but the seed stays a fingerprint
-    // input so the cache key moves with the CLI invocation. The fault
-    // plans are pure functions of the scenario; hash them directly so
-    // the fingerprint covers fault pressure (the uplinks are links 1
-    // and 3 of the scenario world, in construction order).
-    let striping_fp = {
-        let mut h = StableHasher::new();
-        "study/striping".stable_hash(&mut h);
-        CODEC_VERSION.stable_hash(&mut h);
-        seed.stable_hash(&mut h);
-        striping::HORIZON_SECS.stable_hash(&mut h);
-        striping::KS
-            .iter()
-            .map(|&k| k as u64)
-            .collect::<Vec<_>>()
-            .stable_hash(&mut h);
-        striping::chunk_grid(scale)
-            .iter()
-            .map(|&c| c as u64)
-            .collect::<Vec<_>>()
-            .stable_hash(&mut h);
-        striping::raced_session().stable_hash(&mut h);
-        striping::striped_session(8, 2).stable_hash(&mut h);
-        for s in striping::SCENARIOS {
-            s.name.stable_hash(&mut h);
-            s.direct_rate.to_bits().stable_hash(&mut h);
-            s.overlay1_rate.to_bits().stable_hash(&mut h);
-            s.overlay2_rate.to_bits().stable_hash(&mut h);
-            striping::scenario_fault_plan(s.fault, LinkId(1), LinkId(3)).stable_hash(&mut h);
-        }
-        h.finish()
-    };
-    let striping_study = StudySpec::typed(
+    let striping_study = study(
         format!("striping(seed={seed},{scale:?})"),
-        striping_fp,
-        move || striping::run(seed, scale),
+        "study/striping",
+        StripingInputs::new(seed, scale),
+        None,
+        |inputs, _| inputs.run(),
     );
-
     // Policy tournament: one study per policy, one artefact over all.
     let mut tplan = tournament_plan(seed, scale, tournament::POLICIES);
 
-    let mut artefacts: Vec<ArtefactSpec> = artefacts_of(MEASUREMENT_ARTEFACTS, m_fp)
-        .chain(artefacts_of(SELECTION_ARTEFACTS, s_fp))
-        .collect();
-    artefacts.push(artefact::<Vec<_>>("sites", sites_fp, |r| {
-        sites::report_of(r)
-    }));
-    artefacts.push(artefact::<Vec<_>>("headroom", hr_fp, |r| {
-        headroom::report_of(r)
-    }));
-    artefacts.push(artefact::<Vec<_>>("faults", faults_fp, |r| {
-        faults::report_of(r)
-    }));
-    artefacts.push(artefact("megaflow", mega_fp, megaflow::report_of));
-    artefacts.push(artefact::<Vec<_>>("striping", striping_fp, |r| {
-        striping::report_of(r)
-    }));
+    let mut artefacts: Vec<ArtefactSpec> =
+        artefacts_of(MEASUREMENT_ARTEFACTS, measurement.fingerprint)
+            .chain(artefacts_of(SELECTION_ARTEFACTS, selection.fingerprint))
+            .chain([
+                artefact::<Vec<_>>("sites", sites_study.fingerprint, |r| sites::report_of(r)),
+                artefact::<Vec<_>>("headroom", headroom_study.fingerprint, |r| {
+                    headroom::report_of(r)
+                }),
+                artefact::<Vec<_>>("faults", faults_study.fingerprint, |r| faults::report_of(r)),
+                artefact("megaflow", megaflow_study.fingerprint, megaflow::report_of),
+                artefact::<Vec<_>>("striping", striping_study.fingerprint, |r| {
+                    striping::report_of(r)
+                }),
+            ])
+            .collect();
     artefacts.append(&mut tplan.artefacts);
 
     let mut studies = vec![
@@ -559,57 +372,23 @@ pub fn full_plan(
     SweepPlan { studies, artefacts }
 }
 
-/// Fingerprint of one policy's tournament study. Covers everything
-/// that determines its cells — the seed, scale (via transfer count
-/// and schedule), session config, shared tournament constants, the
-/// scenario roster, the star-scenario inputs, and **this policy's**
-/// config — but nothing about any other policy, so growing the
-/// [`tournament::POLICIES`] roster never moves an existing study's
-/// key.
-fn tournament_policy_fingerprint(seed: u64, scale: Scale, policy: &str) -> Fingerprint {
-    let mut h = StableHasher::new();
-    "study/tournament".stable_hash(&mut h);
-    CODEC_VERSION.stable_hash(&mut h);
-    seed.stable_hash(&mut h);
-    policy.stable_hash(&mut h);
-    (tournament::TOURNAMENT_K as u64).stable_hash(&mut h);
-    for &name in tournament::SCENARIOS {
-        name.stable_hash(&mut h);
-    }
-    Schedule::measurement_study()
-        .spread(tournament::tournament_transfers(scale))
-        .stable_hash(&mut h);
-    tournament::tournament_session().stable_hash(&mut h);
-    // Star-scenario inputs (the ridge is fixed geometry, covered by
-    // the SCENARIOS names + codec version).
-    tournament::star_roster().stable_hash(&mut h);
-    Calibration::default().stable_hash(&mut h);
-    // Per-policy config, exhaustively (see ir-policy's StableHash
-    // impls).
-    match policy {
-        "random-set" | "utilization-weighted" => {
-            (tournament::TOURNAMENT_K as u64).stable_hash(&mut h)
-        }
-        "k-shortest" => tournament::kshortest_config().stable_hash(&mut h),
-        "adaptive" => tournament::adaptive_config().stable_hash(&mut h),
-        "backpressure" => tournament::backpressure_config().stable_hash(&mut h),
-        other => panic!("tournament policy {other:?} has no fingerprint arm"),
-    }
-    h.finish()
-}
-
 /// The tournament as a sweep plan: one cached study per `policies`
-/// entry plus the single `tournament` artefact consuming them. The
-/// full plan passes the whole roster; `tests/sweep_cache.rs` passes
-/// subsets to prove that adding a policy re-runs only the new study.
+/// entry plus the single `tournament` artefact consuming them. A
+/// policy's key covers its own [`TournamentInputs`] and nothing about
+/// any other policy, so growing the roster never moves an existing
+/// study's key. The full plan passes the whole roster;
+/// `tests/sweep_cache.rs` passes subsets to prove that adding a policy
+/// re-runs only the new study.
 pub fn tournament_plan(seed: u64, scale: Scale, policies: &[&'static str]) -> SweepPlan {
     let studies: Vec<StudySpec> = policies
         .iter()
         .map(|&p| {
-            StudySpec::typed(
+            study(
                 format!("tournament/{p}(seed={seed},{scale:?})"),
-                tournament_policy_fingerprint(seed, scale, p),
-                move || tournament::run_policy(seed, scale, p),
+                "study/tournament",
+                TournamentInputs::new(seed, scale, p),
+                None,
+                |inputs, _| inputs.run(),
             )
         })
         .collect();
@@ -641,19 +420,17 @@ pub fn tournament_plan(seed: u64, scale: Scale, policies: &[&'static str]) -> Sw
 /// (Fig 1 + Table I) — one study, two artefacts, so shared-study dedup
 /// and cache behaviour are observable in seconds.
 pub fn mini_plan(seed: u64) -> SweepPlan {
-    let clients = &ir_workload::roster::CLIENTS[..4];
-    let relays = &ir_workload::roster::INTERMEDIATES[..4];
-    let servers = &ir_workload::roster::SERVERS[..1];
-    let cal = Calibration::default();
-    let schedule = Schedule::measurement_study().spread(8);
-    let session = SessionConfig::paper_defaults();
-    let fp = measurement_fingerprint(
-        seed, clients, relays, servers, &cal, false, 0, schedule, &session,
+    let mut inputs = MeasurementInputs::new(seed, Scale::Quick);
+    inputs.roster = Roster::planetlab().first(4, 4, 1);
+    inputs.schedule = Schedule::measurement_study().spread(8);
+    let study = study(
+        format!("measurement-mini(seed={seed})"),
+        "study/measurement",
+        inputs,
+        None,
+        MeasurementInputs::run,
     );
-    let study = StudySpec::typed(format!("measurement-mini(seed={seed})"), fp, move || {
-        let scenario = ir_workload::build(seed, clients, relays, servers, cal, false);
-        run_measurement_study_traced(&scenario, 0, schedule, session, None)
-    });
+    let fp = study.fingerprint;
     SweepPlan {
         studies: vec![study],
         artefacts: artefacts_of(MEASUREMENT_ARTEFACTS, fp)
@@ -971,6 +748,63 @@ mod tests {
                 FIG6_KS
             ))
         );
+    }
+
+    /// The library entry points the benchmark times build the inputs of
+    /// the plan's studies: each has its study's key in the quick
+    /// seed-2007 plan (keys only; nothing runs).
+    #[test]
+    fn entry_points_key_like_the_plan() {
+        let (seed, scale) = (2007, Scale::Quick);
+        let plan = full_plan(seed, scale, None, None, None);
+        let planned = |label: &str| {
+            let study = plan.studies.iter().find(|s| s.name.starts_with(label));
+            study
+                .unwrap_or_else(|| panic!("no {label} study"))
+                .fingerprint
+        };
+        let entry_points = [
+            (
+                "measurement(",
+                key("study/measurement", &MeasurementInputs::new(seed, scale)),
+            ),
+            (
+                "selection(",
+                key(
+                    "study/selection",
+                    &SelectionInputs::new(seed, scale, FIG6_KS),
+                ),
+            ),
+            (
+                "sites(",
+                key(
+                    "study/sites",
+                    &SitesInputs::new(seed, sites_transfers(scale)),
+                ),
+            ),
+            (
+                "headroom(",
+                key(
+                    "study/headroom",
+                    &HeadroomInputs::new(seed, headroom_transfers(scale)),
+                ),
+            ),
+            (
+                "faults(",
+                key("study/faults", &FaultsInputs::new(seed, scale)),
+            ),
+            (
+                "striping(",
+                key("study/striping", &StripingInputs::new(seed, scale)),
+            ),
+        ];
+        for (label, got) in entry_points {
+            assert_eq!(got, planned(label), "{label}");
+        }
+        for &p in tournament::POLICIES {
+            let got = key("study/tournament", &TournamentInputs::new(seed, scale, p));
+            assert_eq!(got, planned(&format!("tournament/{p}(")), "{p}");
+        }
     }
 
     /// A selection runs what it needs and nothing else: `fig6` executes

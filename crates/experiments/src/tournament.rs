@@ -26,24 +26,24 @@
 //! existing ones.
 
 use crate::report::{csv, Check, Report};
-use crate::runner::Scale;
-use ir_core::{
-    run_session, FirstPortion, PathCtx, PathSelector, RandomSet, SessionConfig, SimTransport,
-    Transport, UtilizationWeighted,
-};
+use crate::runner::{run_task, Roster, Scale};
+use ir_artifact::{StableHash, StableHasher, Unframed};
+use ir_core::{PathSelector, RandomSet, SessionConfig, UtilizationWeighted};
 use ir_policy::{
     AdaptiveConfig, AdaptiveLearner, Backpressure, BackpressureConfig, KShortest, KShortestConfig,
 };
 use ir_simnet::bandwidth::ConstantProcess;
 use ir_simnet::sim::Network;
-use ir_simnet::time::{SimDuration, SimTime};
-use ir_simnet::topology::{NodeId, NodeKind, Topology};
+use ir_simnet::time::SimDuration;
+use ir_simnet::topology::{NodeKind, Topology};
 use ir_stats::Summary;
 use ir_telemetry::Telemetry;
-use ir_workload::{build, roster, Calibration, Schedule};
+use ir_workload::{Calibration, Scenario, Schedule};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The policy roster, in report order. Names must match
-/// [`PathSelector::name`] of the selector [`make_selector`] builds.
+/// [`PathSelector::name`] of the selector their config builds.
 pub const POLICIES: &[&str] = &[
     "random-set",
     "utilization-weighted",
@@ -95,105 +95,149 @@ ir_artifact::declare! {
     }
 }
 
-/// Builds the selector a tournament cell runs. `seed` feeds the
-/// stochastic policies; the deterministic ones ignore it.
-pub fn make_selector(policy: &str, seed: u64) -> Box<dyn PathSelector> {
-    match policy {
-        "random-set" => Box::new(RandomSet::new(TOURNAMENT_K, seed)),
-        "utilization-weighted" => Box::new(UtilizationWeighted::new(TOURNAMENT_K, seed)),
-        "k-shortest" => Box::new(KShortest::new(kshortest_config())),
-        "adaptive" => Box::new(AdaptiveLearner::new(AdaptiveConfig {
+/// A policy's configuration, built from its [`POLICIES`] name by
+/// [`PolicyConfig::named`]: the one place a name becomes a selector.
+#[derive(Debug, Clone, Copy)]
+enum PolicyConfig {
+    /// `random-set` over `k` relay candidates per decision.
+    RandomSet(usize),
+    /// `utilization-weighted` over `k` relay candidates per decision.
+    UtilizationWeighted(usize),
+    KShortest(KShortestConfig),
+    /// The learner; each task splices in its own seed.
+    Adaptive(AdaptiveConfig),
+    Backpressure(BackpressureConfig),
+}
+
+/// Hashed with no variant tag: the policy name beside it in the key
+/// already tells the variants apart, so each hashes as its config alone.
+impl StableHash for PolicyConfig {
+    fn stable_hash(&self, h: &mut StableHasher) {
+        match self {
+            PolicyConfig::RandomSet(k) | PolicyConfig::UtilizationWeighted(k) => k.stable_hash(h),
+            PolicyConfig::KShortest(cfg) => cfg.stable_hash(h),
+            PolicyConfig::Adaptive(cfg) => cfg.stable_hash(h),
+            PolicyConfig::Backpressure(cfg) => cfg.stable_hash(h),
+        }
+    }
+}
+
+impl PolicyConfig {
+    /// The config of the roster's policy `name`, at `k` relay
+    /// candidates per decision.
+    fn named(name: &str, k: usize) -> PolicyConfig {
+        match name {
+            "random-set" => PolicyConfig::RandomSet(k),
+            "utilization-weighted" => PolicyConfig::UtilizationWeighted(k),
+            "k-shortest" => PolicyConfig::KShortest(KShortestConfig {
+                k,
+                ..KShortestConfig::default()
+            }),
+            "adaptive" => PolicyConfig::Adaptive(AdaptiveConfig {
+                k,
+                ..AdaptiveConfig::default()
+            }),
+            "backpressure" => PolicyConfig::Backpressure(BackpressureConfig {
+                k,
+                ..BackpressureConfig::default()
+            }),
+            other => panic!("unknown tournament policy {other:?}"),
+        }
+    }
+
+    /// The selector a tournament task runs. `seed` feeds the stochastic
+    /// policies; the deterministic ones ignore it.
+    fn selector(&self, seed: u64) -> Box<dyn PathSelector> {
+        match *self {
+            PolicyConfig::RandomSet(k) => Box::new(RandomSet::new(k, seed)),
+            PolicyConfig::UtilizationWeighted(k) => Box::new(UtilizationWeighted::new(k, seed)),
+            PolicyConfig::KShortest(cfg) => Box::new(KShortest::new(cfg)),
+            PolicyConfig::Adaptive(cfg) => {
+                Box::new(AdaptiveLearner::new(AdaptiveConfig { seed, ..cfg }))
+            }
+            PolicyConfig::Backpressure(cfg) => Box::new(Backpressure::new(cfg)),
+        }
+    }
+}
+
+/// What one policy's tournament study runs on, in key order: the seed
+/// (also seeding each task's policy), the policy's roster name, the
+/// relay candidates per decision its config was built with, the
+/// scenarios run, the schedule per (scenario, client), the session, the
+/// star's roster (the ridge is fixed geometry, covered by its name and
+/// the codec version), and the policy's own config.
+#[derive(Debug, Clone)]
+pub struct TournamentInputs {
+    seed: u64,
+    policy: &'static str,
+    k: usize,
+    scenarios: Unframed<&'static str>,
+    schedule: Schedule,
+    session: SessionConfig,
+    roster: Roster,
+    config: PolicyConfig,
+}
+ir_artifact::declare! {
+    StableHash for struct TournamentInputs {
+        seed, policy, k, scenarios, schedule, session, roster, config
+    }
+}
+
+impl TournamentInputs {
+    /// Policy `policy` at a scale: 10 transfers per (scenario, client)
+    /// at Quick, 40 at Paper.
+    pub fn new(seed: u64, scale: Scale, policy: &'static str) -> Self {
+        TournamentInputs {
             seed,
-            ..adaptive_config()
-        })),
-        "backpressure" => Box::new(Backpressure::new(backpressure_config())),
-        other => panic!("unknown tournament policy {other:?}"),
+            policy,
+            k: TOURNAMENT_K,
+            scenarios: Unframed(SCENARIOS.to_vec()),
+            schedule: Schedule::measurement_study().spread(match scale {
+                Scale::Quick => 10,
+                Scale::Paper => 40,
+            }),
+            session: SessionConfig::paper_defaults(),
+            roster: Roster::planetlab().first(3, 6, 1),
+            config: PolicyConfig::named(policy, TOURNAMENT_K),
+        }
     }
-}
 
-/// The k-shortest config the tournament runs (also hashed into its
-/// study fingerprint).
-pub fn kshortest_config() -> KShortestConfig {
-    KShortestConfig {
-        k: TOURNAMENT_K,
-        ..KShortestConfig::default()
+    /// Runs the policy through every scenario: the body of its sweep
+    /// study. One selector instance per (scenario, client) task, each
+    /// task on a fresh clone of the scenario network through the study
+    /// runner, which counts the probes into the cell's own telemetry.
+    pub fn run(&self) -> Vec<TournamentCell> {
+        let cell = |name| {
+            let sc = self.scenario(name);
+            let tel = Arc::new(Telemetry::new());
+            let mut records = Vec::new();
+            for (ci, &client) in sc.clients.iter().enumerate() {
+                let policy_seed = self.seed ^ ((ci as u64) << 16) ^ 0x70AA;
+                records.extend(run_task(
+                    &sc,
+                    sc.network.clone(),
+                    client,
+                    sc.servers[0],
+                    &sc.relays,
+                    self.config.selector(policy_seed),
+                    self.schedule,
+                    &self.session,
+                    ci as u64,
+                    Some(&tel),
+                ));
+            }
+            cell_stats(self.policy, name, &records, &tel)
+        };
+        self.scenarios.0.iter().map(|&name| cell(name)).collect()
     }
-}
 
-/// The adaptive-learner config the tournament runs, before the
-/// per-task seed is spliced in.
-pub fn adaptive_config() -> AdaptiveConfig {
-    AdaptiveConfig {
-        k: TOURNAMENT_K,
-        ..AdaptiveConfig::default()
-    }
-}
-
-/// The backpressure config the tournament runs.
-pub fn backpressure_config() -> BackpressureConfig {
-    BackpressureConfig {
-        k: TOURNAMENT_K,
-        ..BackpressureConfig::default()
-    }
-}
-
-/// Transfers per (client, scenario) at a scale.
-pub fn tournament_transfers(scale: Scale) -> u64 {
-    match scale {
-        Scale::Quick => 10,
-        Scale::Paper => 40,
-    }
-}
-
-/// The session config every tournament cell runs.
-pub fn tournament_session() -> SessionConfig {
-    SessionConfig::paper_defaults()
-}
-
-/// A tournament scenario: a sealed network plus its actors.
-pub struct TournamentScenario {
-    /// Scenario name (a [`SCENARIOS`] entry).
-    pub name: &'static str,
-    /// The network, bandwidth processes attached.
-    pub network: Network,
-    /// Clients, in schedule order.
-    pub clients: Vec<NodeId>,
-    /// The relay roster handed to selectors.
-    pub relays: Vec<NodeId>,
-    /// The single destination server.
-    pub server: NodeId,
-}
-
-/// Builds a named tournament scenario.
-pub fn scenario(name: &str, seed: u64) -> TournamentScenario {
-    match name {
-        "star" => star_scenario(seed),
-        "ridge" => ridge_scenario(),
-        other => panic!("unknown tournament scenario {other:?}"),
-    }
-}
-
-/// The star scenario's roster: 3 clients × 6 relays × 1 server (read
-/// by the scenario builder and by the per-policy study fingerprints).
-pub fn star_roster() -> crate::faults::RosterSlices {
-    (
-        &roster::CLIENTS[..3],
-        &roster::INTERMEDIATES[..6],
-        &roster::SERVERS[..1],
-    )
-}
-
-/// The paper's calibrated 1-hop star on [`star_roster`], Low/Medium
-/// clients as in §4.
-fn star_scenario(seed: u64) -> TournamentScenario {
-    let (clients, relays, servers) = star_roster();
-    let s = build(seed, clients, relays, servers, Calibration::default(), true);
-    TournamentScenario {
-        name: "star",
-        network: s.network,
-        clients: s.clients,
-        relays: s.relays,
-        server: s.servers[0],
+    /// Builds a named tournament scenario.
+    fn scenario(&self, name: &str) -> Scenario {
+        match name {
+            "star" => self.roster.build(self.seed, true),
+            "ridge" => ridge_scenario(),
+            other => panic!("unknown tournament scenario {other:?}"),
+        }
     }
 }
 
@@ -215,7 +259,7 @@ const MBPS: f64 = 1e6 / 8.0;
 ///   c* --30ms/3--> r2 --30ms/3--> s       (thin both ways)
 ///   r0 --2ms/20--> r1                     (the ridge)
 /// ```
-fn ridge_scenario() -> TournamentScenario {
+fn ridge_scenario() -> Scenario {
     let mut t = Topology::new();
     let c0 = t.add_node("ridge-c0", NodeKind::Client);
     let c1 = t.add_node("ridge-c1", NodeKind::Client);
@@ -239,67 +283,24 @@ fn ridge_scenario() -> TournamentScenario {
     for (l, mbps) in planned {
         network.set_link_process(l, Box::new(ConstantProcess::new(mbps * MBPS)));
     }
-    TournamentScenario {
-        name: "ridge",
+    Scenario {
         network,
         clients: vec![c0, c1],
         relays: vec![r0, r1, r2],
-        server: s,
+        servers: vec![s],
+        profiles: BTreeMap::new(),
+        relay_quality: BTreeMap::new(),
+        cal: Calibration::default(),
     }
 }
 
-/// Runs one policy through every tournament scenario: the body of that
-/// policy's sweep study. One selector instance per (scenario, client)
-/// task, mirroring the study runner; each task gets a fresh
-/// clone of the scenario network.
-pub fn run_policy(seed: u64, scale: Scale, policy: &str) -> Vec<TournamentCell> {
-    let schedule = Schedule::measurement_study().spread(tournament_transfers(scale));
-    let session = tournament_session();
-    SCENARIOS
-        .iter()
-        .map(|&name| {
-            let sc = scenario(name, seed);
-            let tel = Telemetry::new();
-            let topo = sc.network.topology().clone();
-            let mut records = Vec::new();
-            for (ci, &client) in sc.clients.iter().enumerate() {
-                let policy_seed = seed ^ ((ci as u64) << 16) ^ 0x70AA;
-                let mut selector = make_selector(policy, policy_seed);
-                let mut transport = SimTransport::new(sc.network.clone());
-                let mut predictor = FirstPortion;
-                for (i, at) in schedule.instants(SimTime::ZERO).enumerate() {
-                    let target = at.max(transport.now());
-                    transport.network_mut().advance_until(target);
-                    let ctx = PathCtx {
-                        client,
-                        server: sc.server,
-                        relays: &sc.relays,
-                        topo: &topo,
-                        transfer_index: i as u64,
-                    };
-                    let (rec, _) = run_session(
-                        &mut transport,
-                        selector.as_mut(),
-                        &mut predictor,
-                        &ctx,
-                        &session,
-                        Some(&tel),
-                    );
-                    records.push(rec);
-                }
-            }
-            cell_stats(policy, name, &records, &tel)
-        })
-        .collect()
-}
-
 /// Runs the whole tournament: every policy, every scenario. The sweep
-/// plan runs [`run_policy`] per cached study instead; this entry is
-/// for the benchmark and the goldens.
+/// plan runs each policy's [`TournamentInputs`] as its own cached
+/// study instead; this entry is for the benchmark and the goldens.
 pub fn run(seed: u64, scale: Scale) -> Vec<TournamentCell> {
     POLICIES
         .iter()
-        .flat_map(|&p| run_policy(seed, scale, p))
+        .flat_map(|&p| TournamentInputs::new(seed, scale, p).run())
         .collect()
 }
 
@@ -522,7 +523,7 @@ mod tests {
     fn per_policy_runs_compose_into_the_full_run() {
         let full = run(2007, Scale::Quick);
         for &p in POLICIES {
-            let solo = run_policy(2007, Scale::Quick, p);
+            let solo = TournamentInputs::new(2007, Scale::Quick, p).run();
             let from_full: Vec<&TournamentCell> = full.iter().filter(|c| c.policy == p).collect();
             assert_eq!(solo.len(), from_full.len());
             for (s, f) in solo.iter().zip(from_full) {
@@ -534,7 +535,7 @@ mod tests {
 
     #[test]
     fn probe_overhead_counters_populate_cells() {
-        let cells = run_policy(2007, Scale::Quick, "random-set");
+        let cells = TournamentInputs::new(2007, Scale::Quick, "random-set").run();
         for c in &cells {
             assert!(
                 c.probe_paths_per_transfer > 0.0
@@ -558,7 +559,8 @@ mod tests {
         let per_policy: Vec<(&str, u64)> = POLICIES
             .iter()
             .map(|&p| {
-                let n: f64 = run_policy(11, Scale::Quick, p)
+                let n: f64 = TournamentInputs::new(11, Scale::Quick, p)
+                    .run()
                     .iter()
                     .map(|c| c.probe_paths_per_transfer * c.transfers as f64)
                     .sum();

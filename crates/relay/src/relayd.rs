@@ -499,7 +499,6 @@ fn admit(shared: &Shared, epoch: Instant, intake: Intake, dispatch: &mut Dispatc
     Lifecycle::bump(&shared.lifecycle.accepted);
     if let Some(tel) = &shared.cfg.telemetry {
         tel.metrics.counter("relay_connections", vec![]).inc();
-        tel.metrics.counter("relay_accepts", vec![]).inc();
         tel.metrics
             .gauge("relay_active", vec![])
             .set(shared.active.load(Ordering::SeqCst) as f64);

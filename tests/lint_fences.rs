@@ -1,9 +1,9 @@
-//! The two determinism fences clippy cannot hold (DESIGN.md §14).
+//! The determinism fences clippy cannot hold (DESIGN.md §14).
 //!
 //! Every other determinism lint is clippy's: `clippy.toml` and the
 //! workspace `[lints]` table. These tests keep hand-written
-//! `StableHash` impls from coming back, and keep every workspace
-//! member under those lints.
+//! `StableHash` impls and hand-fed study hashers from coming back, and
+//! keep every workspace member under those lints.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -20,7 +20,14 @@ const STABLE_HASH_HOMES: &[&str] = &[
 /// representation detail, and hashing them would tie every fingerprint
 /// to `MAX_HOPS`. The impl still destructures exhaustively, so a new
 /// field does not compile unhashed.
-const HAND_WRITTEN: &[(&str, &str)] = &[("crates/core/src/path.rs", "PathSpec")];
+///
+/// `PolicyConfig` hashes with no variant tag: each tournament key hashed
+/// its policy's config bare, after the policy's name, which already
+/// tells the variants apart; a tag would move every pinned key.
+const HAND_WRITTEN: &[(&str, &str)] = &[
+    ("crates/core/src/path.rs", "PathSpec"),
+    ("crates/experiments/src/tournament.rs", "PolicyConfig"),
+];
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -92,6 +99,37 @@ fn stable_hash_impls_come_from_declare() {
             "stale HAND_WRITTEN entry: no `impl StableHash for {ty}` in {rel}"
         );
     }
+}
+
+/// A study's key is `fingerprint_of` the one inputs value its body runs
+/// on (DESIGN.md §11). A hasher fed by hand beside the body re-derives
+/// those inputs and drifts from them, so non-test code does not open
+/// one: files under `tests/`, and each file from its first
+/// `#[cfg(test)]` on, are test code.
+#[test]
+fn study_keys_hash_their_inputs() {
+    let mut files = Vec::new();
+    rust_files(root(), &mut files);
+    let mut found = Vec::new();
+    for file in &files {
+        let rel = file.strip_prefix(root()).unwrap().to_string_lossy();
+        if STABLE_HASH_HOMES.contains(&rel.as_ref()) || rel.split('/').any(|d| d == "tests") {
+            continue;
+        }
+        let text = fs::read_to_string(file).unwrap();
+        let code = text.split("#[cfg(test)]").next().unwrap_or("");
+        for (n, line) in code.lines().enumerate() {
+            let line = line.split("//").next().unwrap_or("");
+            if line.contains("StableHasher::new()") {
+                found.push(format!("{rel}:{}", n + 1));
+            }
+        }
+    }
+    assert!(
+        found.is_empty(),
+        "a hand-fed `StableHasher`: key a study with `fingerprint_of` of a declared \
+         inputs value instead (see ir_artifact::declare): {found:?}"
+    );
 }
 
 #[test]
