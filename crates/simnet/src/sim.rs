@@ -495,8 +495,11 @@ pub struct Network {
     mode: EngineMode,
     /// Incremental-engine state (maintained in both modes).
     cache: EngineCache,
-    /// `(flow, rate)` pairs the most recent boundary step integrated.
-    last_rates: Vec<(FlowId, f64)>,
+    /// The flows the most recent boundary step integrated, ascending:
+    /// the step's `active` list before compaction, double-buffered
+    /// with `active` so that keeping it costs nothing. Their rates are
+    /// still in `cache.rate`, which only a boundary's solve writes.
+    last_step: Vec<u32>,
 }
 
 impl Network {
@@ -524,7 +527,7 @@ impl Network {
             telemetry: None,
             mode: EngineMode::default(),
             cache: EngineCache::new(links),
-            last_rates: Vec::new(),
+            last_step: Vec::new(),
         }
     }
 
@@ -1179,7 +1182,7 @@ impl Network {
         }
         self.apply_due_faults();
         if self.active.is_empty() {
-            self.last_rates.clear();
+            self.last_step.clear();
             // Stop at the next fault event so its application time (and
             // telemetry timestamp) stays exact even while idle.
             self.now = match self.next_fault_time() {
@@ -1188,8 +1191,8 @@ impl Network {
             };
             return Vec::new();
         }
-        // Lent out for the step (the list is compacted in place below).
-        let mut active = std::mem::take(&mut self.active);
+        // Lent out for the step; the survivors go to the other buffer.
+        let active = std::mem::take(&mut self.active);
         let t = self.now;
         let mut boundary = until;
         // The allocation, then the earliest upcoming link-rate and
@@ -1229,22 +1232,24 @@ impl Network {
                 }
             }
         }
-        // Each flow's projected completion.
-        self.last_rates.clear();
+        // The earliest projected completion. Rounding up to whole
+        // microseconds and the saturating add are both monotone, so
+        // rounding the least quotient once gives the boundary that
+        // rounding each flow's would.
+        let mut soonest = f64::INFINITY;
         for &i in &active {
             let iu = i as usize;
             let rate = self.cache.rate[iu];
-            self.last_rates.push((FlowId(i as u64), rate));
             let remaining = self.bytes_total[iu] as f64 - self.bytes_done[iu];
             if rate > 0.0 && remaining > 0.0 {
-                let dt = SimDuration::from_secs_f64_ceil(remaining / rate);
-                let dt = if dt.is_zero() {
-                    SimDuration::from_micros(1)
-                } else {
-                    dt
-                };
-                boundary = boundary.min(t.saturating_add(dt));
+                let q = remaining / rate;
+                assert!(q.is_finite() && q >= 0.0, "bad duration {q}");
+                soonest = soonest.min(q);
             }
+        }
+        if soonest.is_finite() {
+            let dt = SimDuration::from_secs_f64_ceil(soonest);
+            boundary = boundary.min(t.saturating_add(dt));
         }
         // A scheduled fault is a rate-change boundary like any other
         // (events at or before `now` were applied above, so any pending
@@ -1252,20 +1257,23 @@ impl Network {
         if let Some(fault_at) = self.next_fault_time() {
             boundary = boundary.min(fault_at);
         }
-        // Guarantee progress even if a process reports a change at `now`
-        // (should not happen; defensive).
+        // Every other candidate is in the future (the process and cap
+        // contracts), so this moves a completion that rounds to 0 µs (an
+        // infinite rate) to 1 µs, and guarantees progress should a
+        // process break its contract.
         if boundary <= self.now {
             boundary = self.now + SimDuration::from_micros(1);
         }
         let dt = (boundary - self.now).as_secs_f64();
 
-        // Integrate progress, compacting the flows that complete at
-        // `boundary` out of the active list (ascending, like the list).
+        // Integrate progress, splitting the step's flows into those that
+        // complete at `boundary` and the survivors (both ascending).
         self.cache.completed.clear();
         self.cache.completed.reserve(active.len());
-        let mut kept = 0;
-        for k in 0..active.len() {
-            let i = active[k];
+        let mut kept = std::mem::take(&mut self.last_step);
+        kept.clear();
+        kept.reserve(active.len());
+        for &i in &active {
             let iu = i as usize;
             let total = self.bytes_total[iu] as f64;
             let done = (self.bytes_done[iu] + self.cache.rate[iu] * dt).min(total);
@@ -1276,12 +1284,11 @@ impl Network {
                 self.cache.completed.push(i);
             } else {
                 self.bytes_done[iu] = done;
-                active[kept] = i;
-                kept += 1;
+                kept.push(i);
             }
         }
-        active.truncate(kept);
-        self.active = active;
+        self.active = kept;
+        self.last_step = active;
         self.now = boundary;
 
         let mut done = Vec::with_capacity(self.cache.completed.len());
@@ -1314,10 +1321,13 @@ impl Network {
 
     /// `(flow, rate)` pairs integrated over the most recent boundary
     /// step, in ascending flow order (empty before the first step or
-    /// when the step found no active flows). The differential suite
+    /// when the step found no active flows). The step's completed flows
+    /// are listed; flows started since are not. The differential suite
     /// compares these bitwise across engine modes.
-    pub fn last_boundary_rates(&self) -> &[(FlowId, f64)] {
-        &self.last_rates
+    pub fn last_boundary_rates(&self) -> impl ExactSizeIterator<Item = (FlowId, f64)> + '_ {
+        self.last_step
+            .iter()
+            .map(|&i| (FlowId(i as u64), self.cache.rate[i as usize]))
     }
 
     /// Advances simulated time by exactly one boundary, bounded by
@@ -1686,6 +1696,131 @@ mod tests {
         });
         assert_eq!(ra, expected);
         assert_eq!(rb, expected);
+    }
+
+    /// A per-flow link that never limits: its flows run at their caps,
+    /// or at an infinite rate under [`NoCap`].
+    #[derive(Clone)]
+    struct Unbounded;
+
+    impl BandwidthProcess for Unbounded {
+        fn rate_at(&mut self, _t: SimTime) -> f64 {
+            f64::INFINITY
+        }
+        fn next_change_after(&mut self, _t: SimTime) -> Option<SimTime> {
+            None
+        }
+        fn clone_box(&self) -> Box<dyn BandwidthProcess> {
+            Box::new(self.clone())
+        }
+    }
+
+    /// Starts `(bytes, cap)` flows at `start` on an unbounded per-flow
+    /// link and takes one boundary step.
+    fn first_boundary(start: SimTime, flows: &[(u64, Option<f64>)]) -> Network {
+        use crate::topology::Sharing;
+        let mut t = Topology::new();
+        let c = t.add_node("c", NodeKind::Client);
+        let s = t.add_node("s", NodeKind::Server);
+        let l = t.add_link_shared(c, s, SimDuration::from_millis(1), Sharing::PerFlow);
+        let route = t.route(&[c, s]).unwrap();
+        let mut net = Network::new(t, 1.0);
+        net.set_link_process(l, Box::new(Unbounded));
+        net.advance_until(start);
+        for &(bytes, cap) in flows {
+            let cap: Box<dyn RateCap> = match cap {
+                Some(r) => Box::new(ConstCap(r)),
+                None => Box::new(NoCap),
+            };
+            net.start_flow(route.clone(), bytes, cap);
+        }
+        net.step_boundary(SimTime::MAX);
+        net
+    }
+
+    /// The boundary as every flow's own rounded completion would give
+    /// it: `start + min over flows of max(1 µs, ⌈bytes / rate⌉ µs)`.
+    fn per_flow_ceil(start: SimTime, flows: &[(u64, Option<f64>)]) -> SimTime {
+        let us = flows
+            .iter()
+            .filter_map(|&(bytes, cap)| {
+                let rate = cap.unwrap_or(f64::INFINITY);
+                (rate > 0.0 && bytes > 0)
+                    .then(|| ((bytes as f64 / rate * 1e6).ceil() as u64).max(1))
+            })
+            .min()
+            .unwrap();
+        start.saturating_add(SimDuration::from_micros(us))
+    }
+
+    #[test]
+    fn one_ceil_of_the_least_quotient_is_the_per_flow_boundary() {
+        let start = SimTime::from_micros(3_700_001);
+        let mut cases: Vec<Vec<(u64, Option<f64>)>> = vec![
+            // Quotients either side of 2 µs and 3 µs, and exactly on them.
+            vec![
+                (1_000_000, Some(1e6 / 2.999_999_9e-6)),
+                (1_000_000, Some(1e6 / 3.000_000_1e-6)),
+            ],
+            vec![
+                (1_000_000, Some(1e6 / 2.000_000_1e-6)),
+                (1_000_000, Some(5e11)),
+            ],
+            // A tie after rounding, and a stalled flow that never counts.
+            vec![(3, Some(2e6)), (1, Some(1e6)), (1_000, Some(0.0))],
+            // Infinite rate: a zero quotient, floored to 1 µs.
+            vec![(5_000, None), (7, Some(1e3))],
+            // A quotient far below a microsecond rounds up to one.
+            vec![(1, Some(1e300)), (10, Some(1.0))],
+        ];
+        let mut x = 0.618_033_988_75f64;
+        for k in 0..200u64 {
+            x = (x * 7.919 + 0.377).fract();
+            let us = 1 + k % 9;
+            let near = us as f64 + (x - 0.5) * 2e-6;
+            cases.push(vec![
+                (4_096, Some(4_096.0 / (near * 1e-6))),
+                (8_192, Some(8_192.0 / (us as f64 * 1e-6))),
+                (
+                    1 + k,
+                    Some((1 + k) as f64 / ((us + 1) as f64 * 1e-6 * (1.0 - x * 1e-9))),
+                ),
+            ]);
+        }
+        for (case, flows) in cases.iter().enumerate() {
+            let net = first_boundary(start, flows);
+            let want = per_flow_ceil(start, flows);
+            assert_eq!(net.now(), want, "case {case}: {flows:?}");
+            assert_eq!(
+                net.last_boundary_rates().len(),
+                flows.iter().filter(|f| f.0 > 0).count()
+            );
+        }
+    }
+
+    #[test]
+    fn last_boundary_rates_are_the_steps_flows() {
+        let (mut net, direct, indirect) = diamond([1000.0, 400.0, 2000.0]);
+        let a = net.start_flow(direct.clone(), 1_000, Box::new(NoCap));
+        let b = net.start_flow(indirect.clone(), 100_000, Box::new(NoCap));
+        assert_eq!(net.last_boundary_rates().len(), 0);
+        let done = net.step_boundary(SimTime::from_secs(100));
+        assert_eq!(done.iter().map(|c| c.id).collect::<Vec<_>>(), vec![a]);
+        // The completed flow is listed with the rate it finished at.
+        let want = vec![(a, 1000.0), (b, 400.0)];
+        assert_eq!(net.last_boundary_rates().collect::<Vec<_>>(), want);
+        // A flow started after the step is not.
+        let c = net.start_flow(direct, 500, Box::new(NoCap));
+        assert_eq!(net.last_boundary_rates().collect::<Vec<_>>(), want);
+        net.step_boundary(SimTime::from_secs(100));
+        assert_eq!(
+            net.last_boundary_rates().collect::<Vec<_>>(),
+            vec![(b, 400.0), (c, 1000.0)]
+        );
+        // An idle step lists nothing.
+        net.advance_until(SimTime::from_secs(1000));
+        net.step_boundary(SimTime::from_secs(2000));
+        assert_eq!(net.last_boundary_rates().len(), 0);
     }
 
     #[test]

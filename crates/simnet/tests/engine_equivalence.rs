@@ -310,8 +310,7 @@ fn lockstep(case: u64, inc: &mut Network, refc: &mut Network, until: SimTime) ->
     let mut solves = Vec::new();
     let rates_of = |net: &Network| -> Vec<(u64, u64)> {
         net.last_boundary_rates()
-            .iter()
-            .map(|&(id, r)| (id.0, r.to_bits()))
+            .map(|(id, r)| (id.0, r.to_bits()))
             .collect()
     };
     while inc.now() < until {

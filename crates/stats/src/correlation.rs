@@ -122,23 +122,35 @@ pub fn ols(x: &[f64], y: &[f64]) -> Option<OlsFit> {
 ///
 /// O(n²) pairs — fine for the ≤ few-thousand-point scatters we fit.
 /// Returns `None` when fewer than two distinct x values exist.
+///
+/// # Panics
+///
+/// Panics if the lengths differ, or if there are two or more slopes
+/// and one is NaN.
 pub fn theil_sen(x: &[f64], y: &[f64]) -> Option<f64> {
     assert_eq!(x.len(), y.len(), "samples must have equal length");
     let n = x.len();
-    let mut slopes = Vec::with_capacity(n * (n - 1) / 2);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let dx = x[j] - x[i];
-            if dx != 0.0 {
-                slopes.push((y[j] - y[i]) / dx);
-            }
-        }
+    if n < 2 {
+        return None;
     }
+    let mut slopes = Vec::with_capacity(n * (n - 1) / 2);
+    slopes.extend(pairwise_slopes(x, y));
     if slopes.is_empty() {
         return None;
     }
-    slopes.sort_by(|a, b| a.partial_cmp(b).expect("NaN slope"));
-    Some(crate::summary::percentile_sorted(&slopes, 50.0))
+    Some(crate::summary::select_percentile(&mut slopes, 50.0, |k| {
+        pairwise_slopes(x, y).filter(|&s| s == 0.0).nth(k)
+    }))
+}
+
+/// The slope of every pair `i < j` with distinct x, in `(i, j)` order.
+fn pairwise_slopes<'a>(x: &'a [f64], y: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
+    (0..x.len()).flat_map(move |i| {
+        ((i + 1)..x.len()).filter_map(move |j| {
+            let dx = x[j] - x[i];
+            (dx != 0.0).then(|| (y[j] - y[i]) / dx)
+        })
+    })
 }
 
 #[cfg(test)]
@@ -221,6 +233,12 @@ mod tests {
         assert_close(ts, 2.0, 0.2);
         let ls = ols(&x, &y).unwrap().slope;
         assert!(ls > 3.0, "OLS should be dragged up, got {ls}");
+    }
+
+    #[test]
+    fn theil_sen_of_fewer_than_two_points_is_none() {
+        assert!(theil_sen(&[], &[]).is_none());
+        assert!(theil_sen(&[1.0], &[2.0]).is_none());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! [`OnlineStats`] is a single-pass Welford accumulator suitable for hot
 //! loops (no allocation, O(1) update). [`Summary`] is a batch summary over
 //! a sample that additionally provides order statistics (median,
-//! percentiles), which require sorting.
+//! percentiles), found by selection.
 
 /// Single-pass accumulator for count, mean, variance, RMS and extrema.
 ///
@@ -175,12 +175,10 @@ impl Summary {
             return None;
         }
         let online: OnlineStats = data.iter().copied().collect();
-        let mut sorted = data.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample"));
         Some(Summary {
             count: data.len(),
             mean: online.mean(),
-            median: percentile_sorted(&sorted, 50.0),
+            median: percentile(data, 50.0),
             stdev: if data.len() > 1 {
                 online.sample_stdev()
             } else {
@@ -207,22 +205,76 @@ pub fn percentile_sorted(data: &[f64], p: f64) -> f64 {
     if data.len() == 1 {
         return data[0];
     }
-    let rank = p / 100.0 * (data.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
+    let (lo, hi, frac) = ranks(data.len(), p);
     if lo == hi {
         data[lo]
     } else {
-        let frac = rank - lo as f64;
         data[lo] * (1.0 - frac) + data[hi] * frac
     }
 }
 
-/// Percentile of an unsorted sample (sorts a copy).
+/// Where percentile `p` falls among `n ≥ 2` sorted values: the ranks
+/// either side of it (equal when it lands on one) and the upper one's
+/// weight.
+fn ranks(n: usize, p: f64) -> (usize, usize, f64) {
+    let rank = p / 100.0 * (n - 1) as f64;
+    let lo = rank.floor() as usize;
+    (lo, rank.ceil() as usize, rank - lo as f64)
+}
+
+/// Percentile of an unsorted sample: bit for bit what
+/// [`percentile_sorted`] gives on a stably sorted copy, found by
+/// selection on a copy instead.
+///
+/// # Panics
+///
+/// Panics if `data` is empty, holds a NaN (and more than one value), or
+/// `p` is outside `[0, 100]`.
 pub fn percentile(data: &[f64], p: f64) -> f64 {
-    let mut sorted = data.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample"));
-    percentile_sorted(&sorted, p)
+    select_percentile(&mut data.to_vec(), p, |k| {
+        data.iter().copied().filter(|&v| v == 0.0).nth(k)
+    })
+}
+
+/// [`percentile`] of the values in `work`, which it reorders.
+///
+/// Selection does not keep equal values in input order, as a stable
+/// sort does. That only shows for zeros, the one value with two bit
+/// patterns (−0.0 == 0.0): `input_zero(k)` is the `k`-th zero of the
+/// input, in input order, and is called only when an order statistic
+/// is zero.
+pub(crate) fn select_percentile(
+    work: &mut [f64],
+    p: f64,
+    input_zero: impl Fn(usize) -> Option<f64>,
+) -> f64 {
+    assert!(!work.is_empty(), "percentile of empty sample");
+    assert!((0.0..=100.0).contains(&p), "percentile out of range: {p}");
+    if work.len() == 1 {
+        return work[0];
+    }
+    let (lo, hi, frac) = ranks(work.len(), p);
+    let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("NaN in sample");
+    let (_, &mut lo_v, upper) = work.select_nth_unstable_by(lo, cmp);
+    // Rank `hi` holds the least value above rank `lo`.
+    let hi_v = if hi > lo {
+        upper.iter().copied().min_by(cmp).expect("hi is a rank")
+    } else {
+        lo_v
+    };
+    let stable = |rank: usize, v: f64| {
+        if v != 0.0 {
+            return v;
+        }
+        let below = work.iter().filter(|&&x| x < 0.0).count();
+        input_zero(rank - below).expect("a zero order statistic is an input zero")
+    };
+    let lo_v = stable(lo, lo_v);
+    if lo == hi {
+        lo_v
+    } else {
+        lo_v * (1.0 - frac) + stable(hi, hi_v) * frac
+    }
 }
 
 /// Fraction of observations for which `pred` holds. `NaN` on empty input.

@@ -4,7 +4,11 @@
 //! same invariants are checked over seeded random case sweeps (every
 //! failure reproduces from the printed case number).
 
-use ir_stats::{mann_kendall, pearson, spearman, Ecdf, Histogram, OnlineStats, Summary, Trend};
+use ir_stats::summary::{percentile, percentile_sorted};
+use ir_stats::{
+    mann_kendall, median_ci95, pearson, spearman, theil_sen, Ecdf, Histogram, OnlineStats, Summary,
+    Trend,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -180,4 +184,108 @@ fn mann_kendall_symmetric() {
         assert_eq!(mk.s, -mk2.s, "case {case}");
         assert!((mk.p_value - mk2.p_value).abs() < 1e-9, "case {case}");
     }
+}
+
+/// A sample of few distinct values, so ties are the rule: both zeros
+/// (equal, different bits) among them.
+fn gen_tied(rng: &mut StdRng, n: usize) -> Vec<f64> {
+    const VALUES: [f64; 7] = [-0.0, 0.0, -1.5, 2.0, 0.0, 7.25, -0.0];
+    (0..n)
+        .map(|_| {
+            if rng.gen_range(0..4u32) == 0 {
+                rng.gen_range(-3.0f64..3.0)
+            } else {
+                VALUES[rng.gen_range(0..VALUES.len())]
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn percentile_selects_what_a_stable_sort_gives() {
+    for case in 0..2000u64 {
+        let mut rng = StdRng::seed_from_u64(0x57_8000 + case);
+        let n = match case % 4 {
+            0 => 1 + (case / 4 % 3) as usize,
+            _ => rng.gen_range(1..120usize),
+        };
+        let data = gen_tied(&mut rng, n);
+        let mut sorted = data.clone();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        for p in [0.0, 2.5, 50.0, 97.5, 100.0, rng.gen_range(0.0..=100.0)] {
+            let want = percentile_sorted(&sorted, p);
+            let got = percentile(&data, p);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "case {case}, p {p}: {got} vs {want} over {data:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn percentile_of_nan_panics() {
+    for case in 0..64u64 {
+        let mut rng = StdRng::seed_from_u64(0x57_9000 + case);
+        let n = rng.gen_range(2..40usize);
+        let mut data = gen_tied(&mut rng, n);
+        let at = rng.gen_range(0..data.len());
+        data[at] = f64::NAN;
+        let p = [0.0, 50.0, 100.0, 37.5][case as usize % 4];
+        let r = std::panic::catch_unwind(|| percentile(&data, p));
+        assert!(r.is_err(), "case {case}: NaN at {at} did not panic");
+    }
+}
+
+#[test]
+#[should_panic(expected = "NaN")]
+fn theil_sen_with_a_nan_slope_panics() {
+    theil_sen(&[0.0, 1.0, 2.0], &[0.0, f64::NAN, 1.0]);
+}
+
+/// Ties in x and y, x out of order (negative dx), and both zeros in y.
+fn pin_sample() -> (Vec<f64>, Vec<f64>) {
+    let x: Vec<f64> = (0..211u32).map(|i| f64::from((i * 29) % 37)).collect();
+    let y: Vec<f64> = (0..211u32)
+        .map(|i| {
+            let v = f64::from((i * 53) % 23) / 4.0 - 2.5;
+            if v == 0.0 && i % 2 == 1 {
+                -0.0
+            } else {
+                v
+            }
+        })
+        .collect();
+    (x, y)
+}
+
+#[test]
+fn median_ci95_and_theil_sen_are_pinned() {
+    let (x, y) = pin_sample();
+    let ci = median_ci95(&y, 2007);
+    assert_eq!(
+        (ci.lo.to_bits(), ci.hi.to_bits()),
+        (0xbfd0000000000000, 0x3fe8000000000000)
+    );
+    assert_eq!(theil_sen(&x, &y).unwrap().to_bits(), 0x0);
+    let flat: Vec<f64> = y
+        .iter()
+        .map(|&v| if v.abs() < 1.0 { v * 0.0 } else { v })
+        .collect();
+    assert_eq!(theil_sen(&x, &flat).unwrap().to_bits(), 0x8000000000000000);
+
+    let smooth: Vec<f64> = (0..3079u32)
+        .map(|i| 10.0 + (f64::from(i) * 1.7).sin() * 2.0)
+        .collect();
+    let ci = median_ci95(&smooth, 11);
+    assert_eq!(
+        (ci.lo.to_bits(), ci.hi.to_bits()),
+        (0x4023c6da764f7c08, 0x4024337de6044ffe)
+    );
+    let sx: Vec<f64> = (0..400u32)
+        .map(|i| (f64::from(i) * 0.37).cos() * 50.0)
+        .collect();
+    let sy: Vec<f64> = sx.iter().zip(&smooth).map(|(a, b)| 2.0 * a + b).collect();
+    assert_eq!(theil_sen(&sx, &sy).unwrap().to_bits(), 0x40000058f9b3572a);
 }

@@ -14,21 +14,40 @@ use crate::config::TcpConfig;
 use crate::pftk::pftk_rate;
 use ir_simnet::sim::RateCap;
 use ir_simnet::time::SimDuration;
+use std::sync::LazyLock;
 
 /// Fluid TCP ceiling for one connection.
 #[derive(Debug, Clone, Copy)]
 pub struct TcpRateCap {
     cfg: TcpConfig,
     steady_rate: f64,
+    /// The first sub-round in which the ramp reaches the steady rate.
+    to_steady: u64,
 }
+
+/// The last sub-round the ramp grows in; later ones repeat its factor.
+const MAX_SUBROUND: u64 = 240;
+
+/// `2^(q/SUBSTEPS)` for every sub-round `q ≤ MAX_SUBROUND`, each entry
+/// the bits of `2.0f64.powf(q as f64 / 4.0)`.
+static RAMP_FACTORS: LazyLock<[f64; MAX_SUBROUND as usize + 1]> =
+    LazyLock::new(|| std::array::from_fn(|q| 2.0f64.powf(q as f64 / TcpRateCap::SUBSTEPS as f64)));
 
 impl TcpRateCap {
     /// Creates the cap from a configuration.
     pub fn new(cfg: TcpConfig) -> Self {
         cfg.validate();
+        let steady_rate = pftk_rate(&cfg);
+        let iw_rate = (cfg.init_cwnd_segments * cfg.mss) as f64 / cfg.rtt.as_secs_f64();
+        let to_steady = if iw_rate >= steady_rate {
+            0
+        } else {
+            ((steady_rate / iw_rate).log2() * Self::SUBSTEPS as f64).ceil() as u64
+        };
         TcpRateCap {
             cfg,
-            steady_rate: pftk_rate(&cfg),
+            steady_rate,
+            to_steady,
         }
     }
 
@@ -60,18 +79,8 @@ impl TcpRateCap {
     /// `IW · 2^(q/SUBSTEPS) / RTT`, clamped to the steady-state ceiling.
     fn ramp_rate(&self, subround: u64) -> f64 {
         let iw = (self.cfg.init_cwnd_segments * self.cfg.mss) as f64;
-        let factor = 2.0f64.powf((subround.min(240) as f64) / Self::SUBSTEPS as f64);
+        let factor = RAMP_FACTORS[subround.min(MAX_SUBROUND) as usize];
         (iw * factor / self.cfg.rtt.as_secs_f64()).min(self.steady_rate)
-    }
-
-    /// The first sub-round in which the ramp reaches the steady rate.
-    fn subrounds_to_steady(&self) -> u64 {
-        let iw_rate =
-            (self.cfg.init_cwnd_segments * self.cfg.mss) as f64 / self.cfg.rtt.as_secs_f64();
-        if iw_rate >= self.steady_rate {
-            return 0;
-        }
-        ((self.steady_rate / iw_rate).log2() * Self::SUBSTEPS as f64).ceil() as u64
     }
 }
 
@@ -87,7 +96,7 @@ impl RateCap for TcpRateCap {
         match self.subround(age) {
             None => Some(self.cfg.startup),
             Some(q) => {
-                if q >= self.subrounds_to_steady() {
+                if q >= self.to_steady {
                     None // converged; constant from here on
                 } else {
                     let step = (self.cfg.rtt.as_micros() / Self::SUBSTEPS).max(1);
@@ -189,10 +198,40 @@ mod tests {
     #[test]
     fn subrounds_to_steady_consistent_with_ramp() {
         let c = cap_for(100, 0.01);
-        let q = c.subrounds_to_steady();
+        let q = c.to_steady;
         assert!((c.ramp_rate(q) - c.steady_rate()).abs() < 1e-9);
         if q > 0 {
             assert!(c.ramp_rate(q - 1) < c.steady_rate());
+        }
+    }
+
+    #[test]
+    fn constants_match_the_per_query_expressions() {
+        for q in 0..=MAX_SUBROUND {
+            let factor = 2.0f64.powf(q as f64 / TcpRateCap::SUBSTEPS as f64);
+            assert_eq!(
+                RAMP_FACTORS[q as usize].to_bits(),
+                factor.to_bits(),
+                "q = {q}"
+            );
+        }
+        for rtt_ms in [1, 7, 30, 80, 100, 250, 1000] {
+            for loss in [0.0, 1e-4, 0.001, 0.005, 0.01, 0.05, 0.2] {
+                for iw in [1, 3, 10, 1000] {
+                    let mut cfg =
+                        TcpConfig::for_rtt(SimDuration::from_millis(rtt_ms)).with_loss(loss);
+                    cfg.init_cwnd_segments = iw;
+                    let c = TcpRateCap::new(cfg);
+                    let iw_rate = (cfg.init_cwnd_segments * cfg.mss) as f64 / cfg.rtt.as_secs_f64();
+                    let per_query = if iw_rate >= c.steady_rate {
+                        0
+                    } else {
+                        ((c.steady_rate / iw_rate).log2() * TcpRateCap::SUBSTEPS as f64).ceil()
+                            as u64
+                    };
+                    assert_eq!(c.to_steady, per_query, "rtt {rtt_ms} ms, p {loss}, iw {iw}");
+                }
+            }
         }
     }
 
