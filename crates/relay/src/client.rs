@@ -12,7 +12,7 @@
 //! outcome types.
 
 use crate::error::RelayError;
-use crate::origin::body_byte;
+use crate::origin::is_body;
 use crate::transport::RealTransport;
 use ir_core::{run_probe, run_selecting, FailoverConfig, FirstPortion, PathSpec, RebalanceConfig};
 use ir_core::{SessionConfig, SessionMode, StripeStats};
@@ -180,7 +180,7 @@ fn select(
         probe_throughput: did.probe_throughput,
         elapsed,
         throughput: body.len() as f64 / elapsed.as_secs_f64(),
-        body_ok: body.iter().zip(0..).all(|(&b, i)| b == body_byte(i)),
+        body_ok: is_body(0, &body),
         failovers: did.remainder.failovers,
     };
     Ok((out, did.stats))
@@ -313,7 +313,7 @@ pub fn download_striped(
 )]
 mod tests {
     use super::*;
-    use crate::origin::{OriginConfig, OriginServer};
+    use crate::origin::{body_byte, OriginConfig, OriginServer};
     use crate::relayd::{Relay, RelayConfig};
     use crate::shaper::RateSchedule;
     use ir_core::Transport;

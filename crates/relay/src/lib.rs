@@ -54,7 +54,7 @@ pub use client::{
 pub use conn::{Lifecycle, LifecycleSnapshot, SPLICE_CHUNK};
 pub use error::RelayError;
 pub use harness::{HarnessSpec, MiniPlanetLab};
-pub use origin::{body_byte, fill_body, OriginConfig, OriginServer};
+pub use origin::{body_byte, fill_body, is_body, OriginConfig, OriginServer};
 pub use relayd::{Backpressure, DrainReport, Relay, RelayConfig};
 pub use shaper::{RateSchedule, TokenBucket};
 pub use transport::RealTransport;

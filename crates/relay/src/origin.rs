@@ -18,15 +18,49 @@ use std::net::SocketAddr;
 use std::time::Duration;
 
 /// The deterministic content byte at offset `i`.
-pub fn body_byte(i: u64) -> u8 {
-    (i % 251) as u8
+pub const fn body_byte(i: u64) -> u8 {
+    (i % PERIOD as u64) as u8
+}
+
+/// The content's period: `body_byte(i + PERIOD) == body_byte(i)`.
+const PERIOD: usize = 251;
+
+/// Bytes [`fill_body`] and [`is_body`] take from [`TABLE`] per slice: a
+/// whole number of periods (just under 64 KiB), so every run of a
+/// buffer starts at the buffer's phase.
+const RUN: usize = 261 * PERIOD;
+
+/// The content from offset 0, one period longer than a run, so a run at
+/// any phase is a single slice of it.
+static TABLE: [u8; RUN + PERIOD] = {
+    let mut table = [0; RUN + PERIOD];
+    let mut i = 0;
+    while i < table.len() {
+        table[i] = body_byte(i as u64);
+        i += 1;
+    }
+    table
+};
+
+/// Where in [`TABLE`] the content at `offset` starts.
+fn phase(offset: u64) -> usize {
+    (offset % PERIOD as u64) as usize
 }
 
 /// Fills `buf` with the content bytes starting at `offset`.
 pub fn fill_body(offset: u64, buf: &mut [u8]) {
-    for (k, b) in buf.iter_mut().enumerate() {
-        *b = body_byte(offset + k as u64);
+    let phase = phase(offset);
+    for run in buf.chunks_mut(RUN) {
+        run.copy_from_slice(&TABLE[phase..phase + run.len()]);
     }
+}
+
+/// Whether `buf` holds exactly the content bytes starting at `offset`;
+/// every byte is compared.
+pub fn is_body(offset: u64, buf: &[u8]) -> bool {
+    let phase = phase(offset);
+    buf.chunks(RUN)
+        .all(|run| *run == TABLE[phase..phase + run.len()])
 }
 
 /// Origin configuration.
@@ -434,6 +468,44 @@ mod tests {
         // (Compile-level sanity that the proxy helper interoperates.)
         let r = via_proxy("127.0.0.1", 8080, "/f");
         assert!(r.target.starts_with("http://127.0.0.1:8080/"));
+    }
+
+    /// `fill_body` and `is_body` are `body_byte`, run by run, at every
+    /// phase and at lengths around a period and around a run, and one
+    /// flipped byte anywhere fails the check.
+    #[test]
+    fn the_table_is_body_byte_at_every_phase() {
+        let lens = [0, 1, 250, 251, 252, RUN - 1, RUN, RUN + 1, 2 * RUN + 3];
+        let longest = 2 * RUN + 3;
+        let content: Vec<u8> = (0..(PERIOD + longest) as u64).map(body_byte).collect();
+        let far = 251 * 4_000_000_000; // a phase-0 offset past 2^40
+        let mut buf = vec![0u8; longest];
+        for phase in 0..PERIOD {
+            for len in lens {
+                let want = &content[phase..phase + len];
+                for offset in [phase as u64, far + phase as u64] {
+                    let got = &mut buf[..len];
+                    got.fill(0xFF);
+                    fill_body(offset, got);
+                    assert!(got == want, "fill_body at {offset}, len {len}");
+                    assert!(is_body(offset, want), "is_body at {offset}, len {len}");
+                }
+                if len > 0 {
+                    assert!(!is_body(phase as u64 + 1, want), "phase {phase}, len {len}");
+                }
+                for at in [0, len / 2, len.saturating_sub(1)]
+                    .into_iter()
+                    .filter(|_| len > 0)
+                {
+                    let flipped = &mut buf[..len];
+                    flipped.copy_from_slice(want);
+                    flipped[at] ^= 0x80;
+                    assert!(!is_body(phase as u64, flipped), "flip at {at}, len {len}");
+                }
+            }
+        }
+        let near_far: Vec<u8> = (far - 300..far + 300).map(body_byte).collect();
+        assert!(is_body(far - 300, &near_far));
     }
 
     #[test]

@@ -19,6 +19,12 @@
 //! the first `progress(h)` bytes when it is cancelled or fails. One
 //! protocol, two transports: `tests/session_over_sockets.rs` runs the
 //! studies' runner over this.
+//!
+//! A transfer whose range no other live transfer shares — the bulk
+//! remainder — reads straight into the reassembly's final buffer and
+//! commits there; one that shares it (the probes, which all ask for
+//! `[0, x)`) reads into a buffer of its own and lands in what is still
+//! missing. Either way the first bytes to land are the ones kept.
 
 use crate::error::RelayError;
 use crate::poller::{connect_errno, connect_nonblocking, poll_fds, Dial, PollFd, POLLIN, POLLOUT};
@@ -43,9 +49,13 @@ enum Stage {
     Send(usize),
     /// The response head, as it arrives.
     Head(Vec<u8>),
-    /// The body, read straight into its final, zeroed buffer (for a
-    /// large body, fresh pages); this much of it has arrived.
-    Body(Vec<u8>, usize),
+    /// The body; this much of it has arrived. With no buffer of its
+    /// own (`None`) it is read in place, into the reassembly's vacant
+    /// window at the transfer's range, and committed when the transfer
+    /// ends; with one, it lands where the reassembly still misses it.
+    /// Which one is decided at the head: in place only if the range is
+    /// vacant and no other live transfer's range overlaps it.
+    Body(Option<Vec<u8>>, usize),
     /// Delivered: the body is in the reassembly.
     Done,
     /// Failed or cancelled: the socket is closed, and this many body
@@ -69,6 +79,16 @@ struct Slot {
 }
 
 impl Slot {
+    /// Neither delivered nor failed.
+    fn live(&self) -> bool {
+        !matches!(self.stage, Stage::Done | Stage::Failed(..))
+    }
+
+    /// Whether the transfer's range meets `[from, to)`.
+    fn overlaps(&self, from: u64, to: u64) -> bool {
+        self.offset < to && from < self.offset + self.timing.bytes
+    }
+
     /// What the transfer's socket is polled for while it is live.
     fn poll_fd(&self) -> Option<PollFd> {
         let events = match self.stage {
@@ -81,12 +101,19 @@ impl Slot {
 
     /// Moves the transfer as far as its socket goes without blocking —
     /// a readable socket is read until it would block — and on delivery
-    /// stamps `now` and lands the body in `into`. On an error the caller
-    /// fails the path.
-    fn step(&mut self, now: SimTime, into: &mut Reassembly) -> Result<(), RelayError> {
+    /// stamps `now` and lands the body in `into`. `alone` says, when the
+    /// head has arrived, whether no other live transfer's range meets
+    /// this one's. On an error the caller fails the path.
+    fn step(
+        &mut self,
+        now: SimTime,
+        into: &mut Reassembly,
+        alone: impl Fn(u64, u64) -> bool,
+    ) -> Result<(), RelayError> {
         let Some(conn) = &mut self.conn else {
             return Ok(());
         };
+        let (offset, len) = (self.offset, self.timing.bytes as usize);
         loop {
             let moved = match &mut self.stage {
                 Stage::Dial => connect_errno(conn).map(|()| 1),
@@ -95,8 +122,17 @@ impl Slot {
                     let mut got = [0u8; 4096];
                     conn.read(&mut got).inspect(|&n| head.extend(&got[..n]))
                 }
-                Stage::Body(body, got) if *got == body.len() => Ok(1), // came with the head
-                Stage::Body(body, got) => conn.read(&mut body[*got..]).inspect(|n| *got += n),
+                Stage::Body(_, got) if *got == len => Ok(1), // came with the head
+                Stage::Body(Some(own), got) => conn.read(&mut own[*got..]).inspect(|n| *got += n),
+                Stage::Body(None, got) => {
+                    let at = offset + *got as u64;
+                    // Vacant while the transfer lives: a launch over it
+                    // gives the transfer a buffer of its own first.
+                    let window = into.vacant_mut(at, (len - *got) as u64).ok_or_else(|| {
+                        io::Error::other(format!("reassembly window at {at} taken in flight"))
+                    })?;
+                    conn.read(window).inspect(|n| *got += n)
+                }
                 Stage::Done | Stage::Failed(..) => return Ok(()),
             };
             match moved {
@@ -118,19 +154,26 @@ impl Slot {
                     if value.status != StatusCode::PARTIAL_CONTENT {
                         return Err(RelayError::BadStatus(value.status.0));
                     }
-                    let (len, bytes) = (value.headers.content_length()?, self.timing.bytes);
-                    if len != Some(bytes) {
-                        let why = format!("asked for {bytes} bytes, Content-Length {len:?}");
+                    let (claimed, bytes) = (value.headers.content_length()?, self.timing.bytes);
+                    if claimed != Some(bytes) {
+                        let why = format!("asked for {bytes} bytes, Content-Length {claimed:?}");
                         return Err(RelayError::BadResponse(why));
                     }
-                    let mut body = vec![0u8; bytes as usize];
+                    let mut own = None;
+                    let body = match into.vacant_mut(offset, bytes) {
+                        Some(window) if alone(offset, offset + bytes) => window,
+                        _ => own.insert(vec![0u8; len]),
+                    };
                     let early = &head[consumed..];
-                    let n = early.len().min(body.len());
+                    let n = early.len().min(len);
                     body[..n].copy_from_slice(&early[..n]);
-                    self.stage = Stage::Body(body, n);
+                    self.stage = Stage::Body(own, n);
                 }
-                Stage::Body(body, got) if *got == body.len() => {
-                    land(into, self.offset, body);
+                Stage::Body(own, got) if *got == len => {
+                    match own {
+                        Some(body) => land(into, offset, body),
+                        None => keep(into, offset, len),
+                    };
                     (self.timing.finished, self.stage) = (now, Stage::Done);
                 }
                 _ => {}
@@ -142,12 +185,25 @@ impl Slot {
     /// body bytes read so far land in `into`, so `progress` stays put.
     fn fail(&mut self, e: RelayError, into: &mut Reassembly) {
         let kept = match mem::replace(&mut self.stage, Stage::Dial) {
-            Stage::Body(body, got) => land(into, self.offset, &body[..got]),
+            Stage::Body(Some(body), got) => land(into, self.offset, &body[..got]),
+            Stage::Body(None, got) => keep(into, self.offset, got),
             Stage::Done => self.timing.bytes,
             Stage::Failed(_, kept) => kept,
             _ => 0,
         };
         (self.conn, self.stage) = (None, Stage::Failed(e, kept));
+    }
+
+    /// Gives an in-place transfer a buffer of its own, holding the
+    /// prefix it has read; its window stays vacant.
+    fn demote(&mut self, from: &mut Reassembly) {
+        if let Stage::Body(own @ None, got) = &mut self.stage {
+            let mut body = vec![0u8; self.timing.bytes as usize];
+            if let Some(read) = from.vacant_mut(self.offset, *got as u64) {
+                body[..*got].copy_from_slice(read);
+            }
+            *own = Some(body);
+        }
     }
 }
 
@@ -164,6 +220,18 @@ fn land(into: &mut Reassembly, offset: u64, body: &[u8]) -> u64 {
         }
     }
     body.len() as u64
+}
+
+/// Whether no live transfer among `others` meets `[from, to)`.
+fn no_live_overlap(others: &[Slot], from: u64, to: u64) -> bool {
+    others.iter().all(|o| !o.live() || !o.overlaps(from, to))
+}
+
+/// Commits the `len` bytes an in-place transfer read at `offset`, and
+/// returns their count.
+fn keep(into: &mut Reassembly, offset: u64, len: usize) -> u64 {
+    let _ = into.commit(offset, len as u64); // cannot fail: the window was vacant
+    len as u64
 }
 
 /// A [`Transport`] whose transfers are real HTTP range requests over
@@ -269,6 +337,13 @@ impl RealTransport {
     /// it at once: dials the path, or writes the request on `warm`.
     fn launch(&mut self, path: &PathSpec, from: u64, len: u64, warm: Option<TcpStream>) -> Handle {
         let started = self.now();
+        // A live transfer reading this range in place moves to a buffer
+        // of its own, so whichever of the two ends first lands first.
+        for other in &mut self.slots {
+            if other.live() && other.overlaps(from, from + len) {
+                other.demote(&mut self.reassembly);
+            }
+        }
         let mut slot = Slot {
             path: *path,
             offset: from,
@@ -298,7 +373,9 @@ impl RealTransport {
             // A connected socket takes its request at once.
             match slot.stage {
                 Stage::Dial => Ok(()),
-                _ => slot.step(started, &mut self.reassembly),
+                _ => slot.step(started, &mut self.reassembly, |a, b| {
+                    no_live_overlap(&self.slots, a, b)
+                }),
             }
         });
         if let Err(e) = dialled {
@@ -322,12 +399,18 @@ impl RealTransport {
         let polled = poll_fds(&mut fds, Duration::from_millis(wait.div_ceil(1000) as u64));
         let (now, at) = (Instant::now(), self.now());
         for (&i, fd) in live.iter().zip(&fds) {
-            let (slot, into) = (&mut self.slots[i], &mut self.reassembly);
+            let (before, rest) = self.slots.split_at_mut(i);
+            let Some((slot, after)) = rest.split_first_mut() else {
+                continue;
+            };
+            let into = &mut self.reassembly;
+            let alone = |a, b| no_live_overlap(before, a, b) && no_live_overlap(after, a, b);
             if let Err(e) = &polled {
                 slot.fail(io::Error::from(e.kind()).into(), into);
             } else if fd.is_ready() {
                 slot.moved = now;
-                slot.step(at, into).unwrap_or_else(|e| slot.fail(e, into));
+                slot.step(at, into, alone)
+                    .unwrap_or_else(|e| slot.fail(e, into));
             } else if now >= stall(slot) {
                 slot.fail(io::Error::from(io::ErrorKind::TimedOut).into(), into);
             }
@@ -561,6 +644,144 @@ mod tests {
         assert!(transport.finish(rest, SimDuration::from_secs(20)).is_some());
         let body = transport.take_body().expect("the two ranges make the file");
         assert!(body.iter().zip(0..).all(|(&b, i)| b == body_byte(i)));
+    }
+
+    /// A peer that takes one connection and answers its range request
+    /// `206` with the length asked for, in bytes no content holds
+    /// (`0xFF`): the head and the first 4 KiB at once, the rest once
+    /// `release`d.
+    struct Liar {
+        addr: SocketAddr,
+        go: std::sync::mpsc::Sender<()>,
+        thread: std::thread::JoinHandle<()>,
+    }
+
+    impl Liar {
+        fn start() -> Liar {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let (go, wait) = std::sync::mpsc::channel();
+            let thread = std::thread::spawn(move || {
+                let (mut conn, _) = listener.accept().unwrap();
+                let mut head = Vec::new();
+                let mut byte = [0u8; 1];
+                while !head.ends_with(b"\r\n\r\n") && conn.read(&mut byte).unwrap() == 1 {
+                    head.push(byte[0]);
+                }
+                let Ok(Parsed::Complete { value, .. }) = ir_http::parse_request(&head) else {
+                    panic!("no request head");
+                };
+                let range = value.headers.get("Range").map(ByteRange::parse);
+                let Some(Ok(ByteRange::FromTo(first, last))) = range else {
+                    panic!("no range");
+                };
+                let len = (last - first + 1) as usize;
+                let head = format!("HTTP/1.1 206 Partial Content\r\nContent-Length: {len}\r\n\r\n");
+                conn.write_all(head.as_bytes()).unwrap();
+                conn.write_all(&vec![0xFF; 4096]).unwrap();
+                wait.recv().unwrap();
+                let _ = conn.write_all(&vec![0xFF; len - 4096]); // fails if cancelled
+            });
+            Liar { addr, go, thread }
+        }
+
+        /// Sends the rest of the body; `then` runs while it goes out.
+        fn release<T>(self, then: impl FnOnce() -> T) -> T {
+            self.go.send(()).unwrap();
+            let out = then();
+            self.thread.join().unwrap();
+            out
+        }
+    }
+
+    /// An honest unshaped origin, and a liar as relay 0, both serving
+    /// `[0, 200_000)`; paths are (honest, liar).
+    fn honest_and_liar() -> (OriginServer, Liar, RealTransport, PathSpec, PathSpec) {
+        let origin = OriginServer::start(OriginConfig::new(200_000)).unwrap();
+        let (o, liar) = (origin.addr(), Liar::start());
+        let timeout = Duration::from_secs(10);
+        let (transport, paths) = RealTransport::star(o, o, &[liar.addr], "/f", 200_000, timeout);
+        (origin, liar, transport, paths[0], paths[1])
+    }
+
+    /// Waits until `h` is mid-body, and returns its progress.
+    fn mid_body(transport: &mut RealTransport, h: Handle) -> u64 {
+        while transport.progress(h) == 0 {
+            assert!(transport.finish(h, SimDuration::from_millis(20)).is_none());
+            assert!(!transport.failed(h));
+        }
+        transport.progress(h)
+    }
+
+    fn in_place(transport: &RealTransport, h: Handle) -> bool {
+        matches!(transport.slots[h.0 as usize].stage, Stage::Body(None, _))
+    }
+
+    /// Two transfers of one range begun together: neither reads in
+    /// place, the honest one finishes first, and its bytes are the ones
+    /// kept when the liar finishes too.
+    #[test]
+    fn transfers_begun_together_keep_the_first_to_finish() {
+        let (_origin, liar, mut transport, honest, lying) = honest_and_liar();
+        let lie = transport.begin(&lying, 0, 200_000);
+        let truth = transport.begin(&honest, 0, 200_000);
+        assert!(transport
+            .finish(truth, SimDuration::from_secs(10))
+            .is_some());
+        mid_body(&mut transport, lie);
+        assert!(!in_place(&transport, lie));
+        let lie_done = liar.release(|| transport.finish(lie, SimDuration::from_secs(10)));
+        assert!(lie_done.is_some());
+        assert!(crate::origin::is_body(0, &transport.take_body().unwrap()));
+    }
+
+    /// A transfer begun over one that is reading in place demotes it:
+    /// the liar keeps its prefix in a buffer of its own and goes on,
+    /// unharmed, to finish second; the honest bytes, landed first, stay.
+    #[test]
+    fn a_transfer_over_an_in_place_one_demotes_it() {
+        let (_origin, liar, mut transport, honest, lying) = honest_and_liar();
+        let lie = transport.begin(&lying, 0, 200_000);
+        let read = mid_body(&mut transport, lie);
+        assert!(in_place(&transport, lie));
+        let truth = transport.begin(&honest, 0, 200_000);
+        let Stage::Body(Some(own), got) = &transport.slots[lie.0 as usize].stage else {
+            panic!("not demoted");
+        };
+        assert_eq!(*got as u64, read);
+        assert!(own[..*got].iter().all(|&b| b == 0xFF));
+        assert_eq!(
+            transport.reassembly.received(),
+            0,
+            "the window was committed"
+        );
+        assert!(transport
+            .finish(truth, SimDuration::from_secs(10))
+            .is_some());
+        let lie_done = liar.release(|| transport.finish(lie, SimDuration::from_secs(10)));
+        assert!(lie_done.is_some(), "{:?}", transport.take_error());
+        assert!(crate::origin::is_body(0, &transport.take_body().unwrap()));
+    }
+
+    /// Cancelled while reading in place, a transfer keeps exactly
+    /// `progress` bytes: the rest from there completes the file.
+    #[test]
+    fn a_cancelled_in_place_transfer_keeps_its_progress() {
+        let (_origin, liar, mut transport, honest, lying) = honest_and_liar();
+        let lie = transport.begin(&lying, 0, 200_000);
+        mid_body(&mut transport, lie);
+        assert!(in_place(&transport, lie));
+        transport.cancel(lie);
+        liar.release(|| ());
+        let p = transport.progress(lie);
+        assert!(p > 0 && p < 200_000, "{p}");
+        assert_eq!(transport.reassembly.received(), p);
+        let rest = transport.begin(&honest, p, 200_000 - p);
+        assert!(transport.finish(rest, SimDuration::from_secs(10)).is_some());
+        let body = transport.take_body().unwrap();
+        let (lied, told) = body.split_at(p as usize);
+        assert!(lied.iter().all(|&b| b == 0xFF));
+        assert!(crate::origin::is_body(p, told));
     }
 
     /// One origin, no relays: ranges at any offset.
