@@ -80,9 +80,9 @@ impl SimTransport {
     /// Hindsight oracle: the whole-file throughput `path` would deliver
     /// for a transfer starting now, measured on an isolated replica so
     /// nothing in the real network is disturbed. The replica is a clone
-    /// that shares every process and copies only the path's links, so
-    /// an oracle query costs the path, not the network. `None` if it
-    /// would not finish within `horizon`.
+    /// that shares every process (extending a timeline moves no value
+    /// either network reads), so an oracle query costs the path, not
+    /// the network. `None` if it would not finish within `horizon`.
     pub fn oracle_throughput(
         &self,
         path: &PathSpec,

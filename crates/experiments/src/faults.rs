@@ -19,13 +19,15 @@
 
 use crate::report::{csv, Check, Report};
 use crate::robustness::FIG1_MEAN_PCT;
-use crate::runner::{run_task_with, Roster, Scale};
+use crate::runner::{run_task, Roster, Scale};
 use ir_artifact::Unframed;
 use ir_core::{FailoverConfig, RandomSet, SessionConfig, TransferRecord};
 use ir_simnet::faults::{FaultPlan, FaultSpec};
 use ir_simnet::time::SimDuration;
 use ir_stats::Summary;
+use ir_telemetry::Telemetry;
 use ir_workload::{overlay_fault_plan, Scenario, Schedule};
+use std::sync::Arc;
 
 /// Link MTBF values swept (seconds); 0 means "no faults" and anchors
 /// the goodput ratios.
@@ -177,8 +179,9 @@ impl FaultsInputs {
     /// Runs the sweep: for each MTBF, a freshly built scenario carries
     /// that fault plan on its network (every task clone inherits it),
     /// and each `k` runs every client against the server under
-    /// [`RandomSet`] selection with failover enabled.
-    pub fn run(&self) -> Vec<FaultCell> {
+    /// [`RandomSet`] selection with failover enabled, reporting into
+    /// `tel` when given.
+    pub fn run(&self, tel: Option<Arc<Telemetry>>) -> Vec<FaultCell> {
         let mut plans = self.plans.0.iter();
         let mut cells: Vec<FaultCell> = Vec::new();
         for &mtbf in self.mtbf_secs {
@@ -193,14 +196,17 @@ impl FaultsInputs {
                 let mut records = Vec::new();
                 for (ci, &client) in scenario.clients.iter().enumerate() {
                     let policy_seed = self.seed ^ ((ci as u64) << 16) ^ k as u64;
-                    records.extend(run_task_with(
+                    records.extend(run_task(
                         &scenario,
+                        scenario.network.clone(),
                         client,
                         server,
                         &scenario.relays,
                         Box::new(RandomSet::new(k, policy_seed)),
                         self.schedule,
                         &self.session,
+                        0,
+                        tel.as_ref(),
                     ));
                 }
                 cells.push(cell_stats(mtbf, k, &records));
@@ -230,7 +236,7 @@ impl FaultsInputs {
 
 /// Runs the sweep at a scale (see [`FaultsInputs::run`]).
 pub fn run(seed: u64, scale: Scale) -> Vec<FaultCell> {
-    FaultsInputs::new(seed, scale).run()
+    FaultsInputs::new(seed, scale).run(None)
 }
 
 /// Builds the faults report from precomputed (possibly cache-restored)

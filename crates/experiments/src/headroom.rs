@@ -13,11 +13,13 @@
 //! * the **static single relay** outcome (§2.2's configuration).
 
 use crate::report::{csv, Check, Report};
-use crate::runner::{run_task_with, Roster};
+use crate::runner::{run_task, Roster};
 use ir_core::{PathSpec, RandomSet, SessionConfig, SimTransport, StaticSingle};
 use ir_simnet::time::{SimDuration, SimTime};
 use ir_stats::Summary;
+use ir_telemetry::Telemetry;
 use ir_workload::Schedule;
+use std::sync::Arc;
 
 /// Headroom results for one client.
 #[derive(Debug, Clone)]
@@ -67,8 +69,9 @@ impl HeadroomInputs {
         }
     }
 
-    /// Computes oracle/random-set/static improvements for every client.
-    pub fn run(&self) -> Vec<Headroom> {
+    /// Computes oracle/random-set/static improvements for every client,
+    /// reporting into `tel` when given.
+    pub fn run(&self, tel: Option<Arc<Telemetry>>) -> Vec<Headroom> {
         let (schedule, session) = (self.schedule, self.session);
         let scenario = self.roster.build(self.seed, true);
         scenario
@@ -78,7 +81,9 @@ impl HeadroomInputs {
                 let server = scenario.servers[0];
 
                 // Oracle: hindsight-best whole-file rate at each instant.
-                let mut transport = SimTransport::new(scenario.network.clone());
+                let mut oracle_net = scenario.network.clone();
+                oracle_net.set_telemetry(tel.clone());
+                let mut transport = SimTransport::new(oracle_net);
                 let mut oracle_imps = Vec::new();
                 for at in schedule.instants(SimTime::ZERO) {
                     {
@@ -119,23 +124,29 @@ impl HeadroomInputs {
                         .collect();
                     Summary::of(&v).map(|s| s.mean).unwrap_or(f64::NAN)
                 };
-                let random10 = mean_of(run_task_with(
+                let random10 = mean_of(run_task(
                     &scenario,
+                    scenario.network.clone(),
                     client,
                     server,
                     &scenario.relays,
                     Box::new(RandomSet::new(self.random_set_k, self.seed)),
                     schedule,
                     &session,
+                    0,
+                    tel.as_ref(),
                 ));
-                let static_single = mean_of(run_task_with(
+                let static_single = mean_of(run_task(
                     &scenario,
+                    scenario.network.clone(),
                     client,
                     server,
                     &scenario.relays[..1],
                     Box::new(StaticSingle(scenario.relays[0])),
                     schedule,
                     &session,
+                    0,
+                    tel.as_ref(),
                 ));
 
                 Headroom {
@@ -154,7 +165,7 @@ impl HeadroomInputs {
 /// Computes oracle/random-set/static improvements for every client of
 /// the §4 scenario.
 pub fn run(seed: u64, transfers: u64) -> Vec<Headroom> {
-    HeadroomInputs::new(seed, transfers).run()
+    HeadroomInputs::new(seed, transfers).run(None)
 }
 
 /// Builds the headroom report from precomputed (possibly

@@ -14,8 +14,9 @@
 //! functions of their seeds, so running each task on its own clone of
 //! the scenario network is *exactly* equivalent to one shared world.
 //! A clone shares the topology and every link's process with the
-//! scenario and copies only the processes its sessions query, so a
-//! task costs the few links it touches, not the roster's hundreds.
+//! scenario, so a task costs the few links it touches, not the
+//! roster's hundreds, and each link's timeline is drawn once for all
+//! the tasks that read it.
 
 use ir_artifact::Unframed;
 use ir_core::{
@@ -750,25 +751,16 @@ mod tests {
         }
     }
 
-    /// A replica owning a copy of every link's process: what a task's
-    /// clone was before clones shared the processes.
-    fn deep_copy(net: &Network) -> Network {
-        let mut copy = net.clone();
-        for l in 0..net.topology().link_count() as u32 {
-            let l = ir_simnet::topology::LinkId(l);
-            copy.set_link_process(l, net.link_process(l).clone_box());
-        }
-        copy
-    }
-
     /// The headroom study's oracle look-ahead.
     fn oracle_horizon() -> ir_simnet::time::SimDuration {
         ir_simnet::time::SimDuration::from_secs(1200)
     }
 
-    /// `SimTransport::oracle_throughput` with a deep-copied replica.
-    fn deep_oracle(net: &Network, path: &PathSpec, bytes: u64) -> Option<f64> {
-        let mut replica = deep_copy(net);
+    /// `SimTransport::oracle_throughput` at `at` on a network built
+    /// independently of every other.
+    fn independent_oracle(at: SimTime, path: &PathSpec, bytes: u64) -> Option<f64> {
+        let mut replica = tiny_scenario().network;
+        replica.advance_until(at);
         let route = path.resolve(replica.topology()).unwrap();
         let cfg = ir_core::TcpDerivation::default().config_for(&replica, &route);
         let id = replica.start_flow(route, bytes, Box::new(ir_tcp::TcpRateCap::new(cfg)));
@@ -776,11 +768,12 @@ mod tests {
         replica.run_flow(id, deadline).map(|c| c.throughput())
     }
 
-    /// Copy-on-first-query clones against eager deep copies: every
-    /// measurement task, the selection study and one client's headroom
-    /// oracle agree bit for bit.
+    /// Clones sharing their scenario's processes against networks built
+    /// independently from the same seed: every measurement task, the
+    /// selection study and one client's headroom oracle agree bit for
+    /// bit.
     #[test]
-    fn shared_clones_match_deep_copies() {
+    fn shared_clones_match_independent_builds() {
         let sc = tiny_scenario();
         let session = SessionConfig::paper_defaults();
         let server = sc.servers[0];
@@ -790,7 +783,7 @@ mod tests {
         for (i, pair) in shared.pairs.iter().enumerate() {
             let deep = run_task(
                 &sc,
-                deep_copy(&sc.network),
+                tiny_scenario().network,
                 pair.client,
                 server,
                 &[pair.via],
@@ -808,7 +801,7 @@ mod tests {
         for run in &shared.runs {
             let deep = run_task(
                 &sc,
-                deep_copy(&sc.network),
+                tiny_scenario().network,
                 run.client,
                 server,
                 &sc.relays,
@@ -834,14 +827,12 @@ mod tests {
             .chain(indirect)
             .collect();
         let mut transport = SimTransport::new(sc.network.clone());
-        let mut deep = deep_copy(&sc.network);
         let mut finished = 0;
         for at in schedule.instants(SimTime::ZERO) {
             transport.network_mut().advance_until(at);
-            deep.advance_until(at);
             for p in &paths {
                 let a = transport.oracle_throughput(p, session.file_bytes, horizon);
-                let b = deep_oracle(&deep, p, session.file_bytes);
+                let b = independent_oracle(at, p, session.file_bytes);
                 assert_eq!(
                     a.map(f64::to_bits),
                     b.map(f64::to_bits),

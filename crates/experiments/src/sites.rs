@@ -6,10 +6,12 @@
 //! report the per-site mean improvement over indirect-chosen transfers.
 
 use crate::report::{csv, Check, Report};
-use crate::runner::{run_measurement_study, Roster};
+use crate::runner::{run_measurement_study_traced, Roster};
 use ir_core::SessionConfig;
 use ir_stats::Summary;
+use ir_telemetry::Telemetry;
 use ir_workload::Schedule;
+use std::sync::Arc;
 
 /// Per-site result.
 #[derive(Debug, Clone)]
@@ -54,12 +56,15 @@ impl SitesInputs {
         }
     }
 
-    /// Runs the measurement study against every site.
-    pub fn run(&self) -> Vec<SiteResult> {
+    /// Runs the measurement study against every site, reporting into
+    /// `tel` when given.
+    pub fn run(&self, tel: Option<Arc<Telemetry>>) -> Vec<SiteResult> {
         let scenario = self.roster.build(self.seed, false);
         (0..scenario.servers.len())
             .map(|si| {
-                let data = run_measurement_study(&scenario, si, self.schedule, self.session);
+                let (schedule, session) = (self.schedule, self.session);
+                let data =
+                    run_measurement_study_traced(&scenario, si, schedule, session, tel.clone());
                 let imps = data.indirect_improvements_pct();
                 let total = data.all_records().count();
                 SiteResult {
@@ -76,7 +81,7 @@ impl SitesInputs {
 /// Runs the study against every site. `transfers_per_pair` bounds the
 /// cost (there are 4 × clients × relays tasks).
 pub fn run(seed: u64, transfers_per_pair: u64) -> Vec<SiteResult> {
-    SitesInputs::new(seed, transfers_per_pair).run()
+    SitesInputs::new(seed, transfers_per_pair).run(None)
 }
 
 /// Builds the per-site report from precomputed (possibly

@@ -49,6 +49,8 @@ use ir_simnet::faults::{FaultEvent, FaultPlan};
 use ir_simnet::sim::Network;
 use ir_simnet::time::{SimDuration, SimTime};
 use ir_simnet::topology::{LinkId, NodeId, NodeKind, Topology};
+use ir_telemetry::Telemetry;
+use std::sync::Arc;
 
 /// Session horizon (seconds) for every cell; an unfinished transfer is
 /// charged the full horizon.
@@ -177,7 +179,8 @@ impl StripingInputs {
     /// cell a raced baseline and a striped run on identically built
     /// worlds. Cells are independent, so they run on the worker pool;
     /// output order is the grid order regardless of thread count.
-    pub fn run(&self) -> Vec<StripeCell> {
+    /// Reports into `tel` when given.
+    pub fn run(&self, tel: Option<Arc<Telemetry>>) -> Vec<StripeCell> {
         let mut grid = Vec::new();
         for scenario in &self.scenarios.0 {
             for &k in self.ks {
@@ -186,13 +189,19 @@ impl StripingInputs {
         }
         parallel_map(grid.len(), |i| {
             let (scenario, k, chunks) = grid[i];
-            self.run_cell(scenario, k, chunks)
+            self.run_cell(scenario, k, chunks, tel.as_ref())
         })
     }
 
-    fn run_cell(&self, scenario: &StripeScenario, k: u32, chunks: u32) -> StripeCell {
-        let (raced, _) = run_world(scenario, k, &self.raced);
-        let (rec, stats) = run_world(scenario, k, &self.striped_at(chunks, k));
+    fn run_cell(
+        &self,
+        scenario: &StripeScenario,
+        k: u32,
+        chunks: u32,
+        tel: Option<&Arc<Telemetry>>,
+    ) -> StripeCell {
+        let (raced, _) = run_world(scenario, k, &self.raced, tel);
+        let (rec, stats) = run_world(scenario, k, &self.striped_at(chunks, k), tel);
         let completion_secs = |rec: &TransferRecord| {
             if rec.selected_throughput > 0.0 {
                 rec.file_bytes as f64 / rec.selected_throughput
@@ -230,7 +239,7 @@ impl StripingInputs {
 
 /// Runs the sweep at a scale (see [`StripingInputs::run`]).
 pub fn run(seed: u64, scale: Scale) -> Vec<StripeCell> {
-    StripingInputs::new(seed, scale).run()
+    StripingInputs::new(seed, scale).run(None)
 }
 
 struct World {
@@ -260,8 +269,8 @@ fn star() -> (Topology, [NodeId; 4], [LinkId; 5]) {
 }
 
 /// Builds a scenario's world: the star with the scenario's rates and
-/// fault plan installed.
-fn build_world(scenario: &StripeScenario) -> World {
+/// fault plan installed, reporting into `tel` when given.
+fn build_world(scenario: &StripeScenario, tel: Option<&Arc<Telemetry>>) -> World {
     let (topo, [c, v1, v2, s], [l_cs, l_cv1, l_v1s, l_cv2, l_v2s]) = star();
     let mut net = Network::new(topo.clone(), 1.0);
     let mut rate = |l, r| net.set_link_process(l, Box::new(ConstantProcess::new(r)));
@@ -271,6 +280,7 @@ fn build_world(scenario: &StripeScenario) -> World {
     rate(l_cv2, scenario.overlay2_rate);
     rate(l_v2s, 50e6);
     net.set_fault_plan(&scenario.faults);
+    net.set_telemetry(tel.cloned());
     World {
         tp: SimTransport::new(net),
         topo,
@@ -288,8 +298,9 @@ fn run_world(
     scenario: &StripeScenario,
     k: u32,
     cfg: &SessionConfig,
+    tel: Option<&Arc<Telemetry>>,
 ) -> (TransferRecord, StripeStats) {
-    let mut w = build_world(scenario);
+    let mut w = build_world(scenario, tel);
     let mut selector = KShortest::new(KShortestConfig {
         k: k as usize,
         ..KShortestConfig::default()
@@ -301,7 +312,8 @@ fn run_world(
         topo: &w.topo,
         transfer_index: 0,
     };
-    run_session(&mut w.tp, &mut selector, &mut FirstPortion, &ctx, cfg, None)
+    let tel = tel.map(|t| t.as_ref());
+    run_session(&mut w.tp, &mut selector, &mut FirstPortion, &ctx, cfg, tel)
 }
 
 /// One (scenario, k, chunks) cell.
@@ -559,7 +571,7 @@ mod tests {
     #[test]
     fn single_chunk_k1_ratio_is_exactly_one() {
         let inputs = StripingInputs::new(11, Scale::Quick);
-        let cell = inputs.run_cell(&inputs.scenarios.0[1], 1, 1);
+        let cell = inputs.run_cell(&inputs.scenarios.0[1], 1, 1, None);
         assert_eq!(cell.ratio.to_bits(), 1.0f64.to_bits(), "{cell:?}");
         assert_eq!(cell.reassignments, 0);
         assert_eq!(cell.deaths, 0);
@@ -574,7 +586,7 @@ mod tests {
     fn striped_mode_is_honoured_through_the_selector_entry() {
         let inputs = StripingInputs::new(11, Scale::Quick);
         let spec = &inputs.scenarios.0[2]; // split-capacity: every path useful
-        let (rec, stats) = run_world(spec, 2, &inputs.striped_at(4, 2));
+        let (rec, stats) = run_world(spec, 2, &inputs.striped_at(4, 2), None);
         assert!(!rec.abandoned);
         assert_eq!(stats.per_path.len(), 3, "probe set: direct + 2 relays");
         assert_eq!(rec.candidates.len(), 2);
@@ -582,11 +594,11 @@ mod tests {
         assert!(carrying >= 2, "chunks on {carrying} path(s): {stats:?}");
         assert_eq!(stats.per_path.iter().map(|p| p.chunks).sum::<u64>(), 4);
 
-        let (_, narrow) = run_world(spec, 1, &inputs.striped_at(4, 1));
+        let (_, narrow) = run_world(spec, 1, &inputs.striped_at(4, 1), None);
         assert_eq!(narrow.per_path.len(), 2, "k = 1: direct + one relay");
         assert_eq!(narrow.per_path[1].path, stats.per_path[1].path);
 
-        let (_, raced) = run_world(spec, 2, &inputs.raced);
+        let (_, raced) = run_world(spec, 2, &inputs.raced, None);
         assert!(raced.per_path.is_empty(), "racing has no stripe stats");
     }
 

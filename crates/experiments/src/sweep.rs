@@ -262,9 +262,9 @@ pub fn soak_plan(seed: u64, scale: Scale) -> SweepPlan {
 /// fault plan on the scenario's network and enables session failover.
 /// With neither, and under `--faults none` (`Some(0)`: the empty plan,
 /// a provable no-op), it is [`crate::measurement_study_default`] under
-/// the default key. `tel` is shared by the measurement, selection and
-/// megaflow studies (simnet, session, and runner layers report into
-/// it).
+/// the default key. `tel` is shared by every study (simnet, session,
+/// and runner layers report into it); it only observes, so no key
+/// hashes it.
 pub fn full_plan(
     seed: u64,
     scale: Scale,
@@ -300,23 +300,23 @@ pub fn full_plan(
         format!("sites(seed={seed},transfers={transfers})"),
         "study/sites",
         SitesInputs::new(seed, transfers),
-        None,
-        |inputs, _| inputs.run(),
+        tel.clone(),
+        |inputs, tel| inputs.run(tel),
     );
     let transfers = headroom_transfers(scale);
     let headroom_study = study(
         format!("headroom(seed={seed},transfers={transfers})"),
         "study/headroom",
         HeadroomInputs::new(seed, transfers),
-        None,
-        |inputs, _| inputs.run(),
+        tel.clone(),
+        |inputs, tel| inputs.run(tel),
     );
     let faults_study = study(
         format!("faults(seed={seed},{scale:?})"),
         "study/faults",
         FaultsInputs::new(seed, scale),
-        None,
-        |inputs, _| inputs.run(),
+        tel.clone(),
+        |inputs, tel| inputs.run(tel),
     );
     // Megaflow: the engine's scale study. Engine-mode invariant (the
     // differential suite's guarantee), so the engine is not an input.
@@ -328,18 +328,18 @@ pub fn full_plan(
         format!("megaflow(seed={seed},{scale:?})"),
         "study/megaflow",
         (seed, mega_cfg),
-        tel,
+        tel.clone(),
         |(seed, cfg), tel| megaflow::run(*seed, cfg, ir_simnet::sim::EngineMode::Incremental, tel),
     );
     let striping_study = study(
         format!("striping(seed={seed},{scale:?})"),
         "study/striping",
         StripingInputs::new(seed, scale),
-        None,
-        |inputs, _| inputs.run(),
+        tel.clone(),
+        |inputs, tel| inputs.run(tel),
     );
     // Policy tournament: one study per policy, one artefact over all.
-    let mut tplan = tournament_plan(seed, scale, tournament::POLICIES);
+    let mut tplan = tournament_plan(seed, scale, tournament::POLICIES, tel);
 
     let mut artefacts: Vec<ArtefactSpec> =
         artefacts_of(MEASUREMENT_ARTEFACTS, measurement.fingerprint)
@@ -379,7 +379,12 @@ pub fn full_plan(
 /// study's key. The full plan passes the whole roster;
 /// `tests/sweep_cache.rs` passes subsets to prove that adding a policy
 /// re-runs only the new study.
-pub fn tournament_plan(seed: u64, scale: Scale, policies: &[&'static str]) -> SweepPlan {
+pub fn tournament_plan(
+    seed: u64,
+    scale: Scale,
+    policies: &[&'static str],
+    tel: Option<Arc<Telemetry>>,
+) -> SweepPlan {
     let studies: Vec<StudySpec> = policies
         .iter()
         .map(|&p| {
@@ -387,8 +392,8 @@ pub fn tournament_plan(seed: u64, scale: Scale, policies: &[&'static str]) -> Sw
                 format!("tournament/{p}(seed={seed},{scale:?})"),
                 "study/tournament",
                 TournamentInputs::new(seed, scale, p),
-                None,
-                |inputs, _| inputs.run(),
+                tel.clone(),
+                |inputs, tel| inputs.run(tel),
             )
         })
         .collect();
@@ -537,8 +542,13 @@ mod tests {
 
     #[test]
     fn adding_a_policy_keeps_existing_tournament_fingerprints() {
-        let small = tournament_plan(7, Scale::Quick, &["random-set", "k-shortest"]);
-        let big = tournament_plan(7, Scale::Quick, &["random-set", "k-shortest", "adaptive"]);
+        let small = tournament_plan(7, Scale::Quick, &["random-set", "k-shortest"], None);
+        let big = tournament_plan(
+            7,
+            Scale::Quick,
+            &["random-set", "k-shortest", "adaptive"],
+            None,
+        );
         for (s, b) in small.studies.iter().zip(&big.studies) {
             assert_eq!(s.fingerprint, b.fingerprint, "{} moved", s.name);
         }
@@ -644,7 +654,7 @@ mod tests {
             );
         }
         // Tournament studies follow the declared policy roster order.
-        let t = tournament_plan(11, Scale::Quick, tournament::POLICIES);
+        let t = tournament_plan(11, Scale::Quick, tournament::POLICIES, None);
         let expected: Vec<String> = tournament::POLICIES
             .iter()
             .map(|p| format!("tournament/{p}(seed=11,Quick)"))

@@ -205,11 +205,12 @@ impl TournamentInputs {
     /// Runs the policy through every scenario: the body of its sweep
     /// study. One selector instance per (scenario, client) task, each
     /// task on a fresh clone of the scenario network through the study
-    /// runner, which counts the probes into the cell's own telemetry.
-    pub fn run(&self) -> Vec<TournamentCell> {
+    /// runner, which counts the probes into the cell's own telemetry;
+    /// each cell's telemetry is then folded into `tel` when given.
+    pub fn run(&self, tel: Option<Arc<Telemetry>>) -> Vec<TournamentCell> {
         let cell = |name| {
             let sc = self.scenario(name);
-            let tel = Arc::new(Telemetry::new());
+            let cell_tel = Arc::new(Telemetry::new());
             let mut records = Vec::new();
             for (ci, &client) in sc.clients.iter().enumerate() {
                 let policy_seed = self.seed ^ ((ci as u64) << 16) ^ 0x70AA;
@@ -223,10 +224,13 @@ impl TournamentInputs {
                     self.schedule,
                     &self.session,
                     ci as u64,
-                    Some(&tel),
+                    Some(&cell_tel),
                 ));
             }
-            cell_stats(self.policy, name, &records, &tel)
+            if let Some(tel) = &tel {
+                tel.absorb(&cell_tel);
+            }
+            cell_stats(self.policy, name, &records, &cell_tel)
         };
         self.scenarios.0.iter().map(|&name| cell(name)).collect()
     }
@@ -300,7 +304,7 @@ fn ridge_scenario() -> Scenario {
 pub fn run(seed: u64, scale: Scale) -> Vec<TournamentCell> {
     POLICIES
         .iter()
-        .flat_map(|&p| TournamentInputs::new(seed, scale, p).run())
+        .flat_map(|&p| TournamentInputs::new(seed, scale, p).run(None))
         .collect()
 }
 
@@ -523,7 +527,7 @@ mod tests {
     fn per_policy_runs_compose_into_the_full_run() {
         let full = run(2007, Scale::Quick);
         for &p in POLICIES {
-            let solo = TournamentInputs::new(2007, Scale::Quick, p).run();
+            let solo = TournamentInputs::new(2007, Scale::Quick, p).run(None);
             let from_full: Vec<&TournamentCell> = full.iter().filter(|c| c.policy == p).collect();
             assert_eq!(solo.len(), from_full.len());
             for (s, f) in solo.iter().zip(from_full) {
@@ -535,7 +539,7 @@ mod tests {
 
     #[test]
     fn probe_overhead_counters_populate_cells() {
-        let cells = TournamentInputs::new(2007, Scale::Quick, "random-set").run();
+        let cells = TournamentInputs::new(2007, Scale::Quick, "random-set").run(None);
         for c in &cells {
             assert!(
                 c.probe_paths_per_transfer > 0.0
@@ -560,7 +564,7 @@ mod tests {
             .iter()
             .map(|&p| {
                 let n: f64 = TournamentInputs::new(11, Scale::Quick, p)
-                    .run()
+                    .run(None)
                     .iter()
                     .map(|c| c.probe_paths_per_transfer * c.transfers as f64)
                     .sum();

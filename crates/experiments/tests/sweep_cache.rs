@@ -174,7 +174,7 @@ fn growing_the_policy_roster_executes_exactly_one_warm_study() {
     let (added, subset) = tournament::POLICIES.split_last().unwrap();
 
     let cold = run_sweep(
-        tournament_plan(42, Scale::Quick, subset),
+        tournament_plan(42, Scale::Quick, subset, None),
         Some(&cache),
         None,
         None,
@@ -183,7 +183,7 @@ fn growing_the_policy_roster_executes_exactly_one_warm_study() {
     assert_eq!(cold.studies_executed(), subset.len() as u64);
 
     let warm = run_sweep(
-        tournament_plan(42, Scale::Quick, tournament::POLICIES),
+        tournament_plan(42, Scale::Quick, tournament::POLICIES, None),
         Some(&cache),
         None,
         None,

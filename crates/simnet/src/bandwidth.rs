@@ -19,10 +19,13 @@
 //!   Fig 4).
 //! * [`ScaledProcess`] — multiplies an inner process by a constant.
 //!
-//! All processes are deterministic functions of their construction seed,
-//! and `Clone`-able so that an entire network can be duplicated to run a
-//! control process under identical conditions (the paper's two-process
-//! methodology).
+//! All processes are deterministic functions of their construction seed
+//! that only extend forward. That is what lets every clone of a
+//! [`crate::sim::Network`] — each replica that runs a control process
+//! under identical conditions (the paper's two-process methodology) —
+//! share one process per link: whichever clone first needs a segment
+//! draws it, and every other reads the same values it would have drawn
+//! itself.
 
 use crate::time::{SimDuration, SimTime};
 use ir_stats::sampling::{Exponential, LogNormal, Sample};
@@ -38,7 +41,9 @@ pub const MIN_RATE: f64 = 1.0;
 ///
 /// Implementations lazily materialise a piecewise-constant timeline;
 /// queries may revisit past times but the process only ever *extends*
-/// forward, so results are stable across queries.
+/// forward, so results are stable across queries — and do not depend
+/// on the order of the queries that extended it, which is why a
+/// network's clones may share one process.
 pub trait BandwidthProcess: Send + Sync {
     /// Available bandwidth at `t`, in bytes/sec. Always `>= MIN_RATE`.
     fn rate_at(&mut self, t: SimTime) -> f64;
@@ -101,38 +106,6 @@ impl Timeline {
         let idx = self.starts.partition_point(|&s| s <= t);
         self.starts.get(idx).copied()
     }
-}
-
-/// Ensures a generator-backed timeline extends past `t`, appending
-/// segments produced by `next_hold`.
-macro_rules! impl_gen_process {
-    ($ty:ty) => {
-        impl BandwidthProcess for $ty {
-            fn rate_at(&mut self, t: SimTime) -> f64 {
-                self.ensure(t);
-                self.timeline.rate_at(t).max(MIN_RATE)
-            }
-
-            fn next_change_after(&mut self, t: SimTime) -> Option<SimTime> {
-                // Materialise a little beyond t so the next breakpoint
-                // exists.
-                let mut probe = t;
-                loop {
-                    self.ensure(probe);
-                    if let Some(next) = self.timeline.next_start_after(t) {
-                        return Some(next);
-                    }
-                    // Timeline horizon is beyond probe but no break after
-                    // t yet: extend further.
-                    probe += SimDuration::from_secs(3600);
-                }
-            }
-
-            fn clone_box(&self) -> Box<dyn BandwidthProcess> {
-                Box::new(self.clone())
-            }
-        }
-    };
 }
 
 /// Fixed-rate process.
@@ -293,15 +266,35 @@ impl RegimeSwitchingProcess {
     }
 }
 
-impl_gen_process!(RegimeSwitchingProcess);
+impl BandwidthProcess for RegimeSwitchingProcess {
+    fn rate_at(&mut self, t: SimTime) -> f64 {
+        self.ensure(t);
+        self.timeline.rate_at(t).max(MIN_RATE)
+    }
+
+    fn next_change_after(&mut self, t: SimTime) -> Option<SimTime> {
+        // `ensure(t)` materialises past `t`, so a later start exists.
+        self.ensure(t);
+        self.timeline.next_start_after(t)
+    }
+
+    fn clone_box(&self) -> Box<dyn BandwidthProcess> {
+        Box::new(self.clone())
+    }
+}
 
 /// Mean-reverting AR(1) on log-rate, sampled at a fixed tick.
 ///
 /// `log r_{k+1} = log m + phi (log r_k - log m) + sigma eps_k`, so the
 /// stationary median is `m` and `phi` in `[0,1)` controls persistence.
+/// Segment `k` is `[k tick, (k+1) tick)`, so the timeline stores rates
+/// only: half the bytes a shared timeline keeps, and a lookup is one
+/// division.
 #[derive(Debug, Clone)]
 pub struct Ar1LogProcess {
-    timeline: Timeline,
+    /// `rates[k]` holds on segment `k`; every segment before the last
+    /// is materialised.
+    rates: Vec<f64>,
     rng: StdRng,
     log_median: f64,
     phi: f64,
@@ -330,7 +323,7 @@ impl Ar1LogProcess {
         let log_state =
             ir_stats::sampling::Normal::new(log_median, stationary_sigma).sample(&mut rng);
         Ar1LogProcess {
-            timeline: Timeline::new(log_state.exp()),
+            rates: vec![log_state.exp()],
             rng,
             log_median,
             phi,
@@ -340,18 +333,36 @@ impl Ar1LogProcess {
         }
     }
 
-    fn ensure(&mut self, t: SimTime) {
-        while self.timeline.horizon <= t {
+    /// The segment holding `t`, materialising it and the next one's
+    /// start (the last segment's start is the materialised horizon).
+    fn ensure(&mut self, t: SimTime) -> usize {
+        let k = (t.as_micros() / self.tick.as_micros()) as usize;
+        while self.rates.len() <= k + 1 {
             let eps = ir_stats::sampling::Normal::new(0.0, 1.0).sample(&mut self.rng);
             self.log_state =
                 self.log_median + self.phi * (self.log_state - self.log_median) + self.sigma * eps;
-            let next_start = self.timeline.horizon + self.tick;
-            self.timeline.push(next_start, self.log_state.exp());
+            self.rates.push(self.log_state.exp());
         }
+        k
     }
 }
 
-impl_gen_process!(Ar1LogProcess);
+impl BandwidthProcess for Ar1LogProcess {
+    fn rate_at(&mut self, t: SimTime) -> f64 {
+        let k = self.ensure(t);
+        self.rates[k].max(MIN_RATE)
+    }
+
+    fn next_change_after(&mut self, t: SimTime) -> Option<SimTime> {
+        let k = self.ensure(t) as u64;
+        let next = (k + 1).checked_mul(self.tick.as_micros());
+        Some(SimTime::from_micros(next.expect("SimTime overflow")))
+    }
+
+    fn clone_box(&self) -> Box<dyn BandwidthProcess> {
+        Box::new(self.clone())
+    }
+}
 
 /// Decorator adding rare multiplicative level shifts ("jumps") on top of
 /// an inner process: episodes arrive as a Poisson process, last an
@@ -686,6 +697,31 @@ mod tests {
         let med = rates[rates.len() / 2];
         // Stationary median should be near 1e6 (within a factor ~1.5).
         assert!(med > 6e5 && med < 1.6e6, "median {med}");
+    }
+
+    #[test]
+    fn ar1_segments_are_whole_ticks_and_stable_after_requery() {
+        let tick = SimDuration::from_secs(30);
+        let mut p = Ar1LogProcess::new(1e6, 0.9, 0.1, tick, 11);
+        let probes = [0, 1, 29_999_999, 30_000_000, 95_000_000, 3_600_000_000];
+        let first: Vec<(u64, Option<SimTime>)> = probes
+            .iter()
+            .map(|&us| {
+                let t = SimTime::from_micros(us);
+                (p.rate_at(t).to_bits(), p.next_change_after(t))
+            })
+            .collect();
+        for (&us, &(rate, next)) in probes.iter().zip(&first) {
+            let k = us / tick.as_micros();
+            assert_eq!(next, Some(SimTime::from_micros((k + 1) * tick.as_micros())));
+            let start = SimTime::from_micros(k * tick.as_micros());
+            assert_eq!(
+                p.rate_at(start).to_bits(),
+                rate,
+                "segment {k} is not constant"
+            );
+        }
+        assert_ne!(first[0].0, first[3].0, "the rate never moved");
     }
 
     #[test]

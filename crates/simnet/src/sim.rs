@@ -40,7 +40,7 @@ use ir_telemetry::trace::{Event, EventKind};
 use ir_telemetry::{Counter, Histogram, Telemetry};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Identifier of a flow within one [`Network`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -461,15 +461,16 @@ impl EngineTelemetry {
 /// active flows + the clock.
 ///
 /// A clone costs O(1) allocations whatever the link count: it shares
-/// the topology and every link's process with its donor, and copies a
-/// process the first time it queries that link (`process_mut`). A
-/// shared process is never mutated, and processes are pure functions
-/// of their seeds that only extend forward, so a late copy cannot
-/// change a bit.
+/// the topology and every link's process with its donor. A process is
+/// never copied: every clone, on whichever thread, extends the one
+/// timeline under its lock, so each segment is drawn once however many
+/// clones read it. Processes are pure functions of their seeds that
+/// only extend forward, so the order in which clones extend a timeline
+/// cannot change a bit.
 #[derive(Clone)]
 pub struct Network {
     topo: Arc<Topology>,
-    procs: Vec<Arc<dyn BandwidthProcess>>,
+    procs: Vec<Arc<Mutex<Box<dyn BandwidthProcess>>>>,
     flows: Vec<FlowState>,
     /// Size of each flow, by flow id.
     bytes_total: Vec<u64>,
@@ -504,14 +505,13 @@ pub struct Network {
 
 impl Network {
     /// Creates a network over `topo`; every link starts with the given
-    /// default constant rate until a process is attached.
+    /// default constant rate (one process all of them share) until a
+    /// process is attached.
     pub fn new(topo: Topology, default_rate: f64) -> Self {
-        let procs = (0..topo.link_count())
-            .map(|_| {
-                Arc::new(crate::bandwidth::ConstantProcess::new(default_rate))
-                    as Arc<dyn BandwidthProcess>
-            })
-            .collect();
+        let default: Box<dyn BandwidthProcess> =
+            Box::new(crate::bandwidth::ConstantProcess::new(default_rate));
+        let shared = Arc::new(Mutex::new(default));
+        let procs = vec![shared; topo.link_count()];
         let links = topo.link_count();
         Network {
             topo: Arc::new(topo),
@@ -560,10 +560,10 @@ impl Network {
     }
 
     /// Attaches a bandwidth process to a link, replacing the previous
-    /// one.
+    /// one. Clones made after this call share it.
     pub fn set_link_process(&mut self, link: LinkId, proc_: Box<dyn BandwidthProcess>) {
         let lu = link.0 as usize;
-        self.procs[lu] = Arc::from(proc_);
+        self.procs[lu] = Arc::new(Mutex::new(proc_));
         // Invalidate the cached rate segment: mark it as expiring
         // immediately and, if the link is in use, arm the heap so the
         // next boundary re-queries the new process (an idle link is
@@ -577,14 +577,10 @@ impl Network {
         self.cache.have_solution = false;
     }
 
-    /// Link `l`'s process, for a query that may extend its timeline:
-    /// copied first if a clone still shares it (copy-on-write).
-    fn process_mut(&mut self, l: usize) -> &mut dyn BandwidthProcess {
-        let p = &mut self.procs[l];
-        if Arc::get_mut(p).is_none() {
-            *p = Arc::from(p.clone_box());
-        }
-        Arc::get_mut(p).expect("a fresh copy is unshared")
+    /// Link `l`'s process, locked for a query that may extend the
+    /// timeline every clone shares.
+    fn process(&self, l: usize) -> MutexGuard<'_, Box<dyn BandwidthProcess>> {
+        self.procs[l].lock().expect("bandwidth process poisoned")
     }
 
     /// The topology.
@@ -600,14 +596,15 @@ impl Network {
     /// Instantaneous available bandwidth of `link` at the current time
     /// (before fair sharing).
     pub fn link_rate_now(&mut self, link: LinkId) -> f64 {
-        let t = self.now;
-        self.process_mut(link.0 as usize).rate_at(t)
+        self.process(link.0 as usize).rate_at(self.now)
     }
 
-    /// The bandwidth process attached to `link` (e.g. to clone it for
-    /// side-channel sampling; see [`crate::tracer`]).
-    pub fn link_process(&self, link: LinkId) -> &dyn BandwidthProcess {
-        self.procs[link.0 as usize].as_ref()
+    /// The bandwidth process attached to `link`, locked: the timeline
+    /// this network and every clone of it share (e.g. for side-channel
+    /// sampling; see [`crate::tracer`]). Querying it only extends that
+    /// timeline, which cannot move a value any of them reads.
+    pub fn link_process(&self, link: LinkId) -> MutexGuard<'_, Box<dyn BandwidthProcess>> {
+        self.process(link.0 as usize)
     }
 
     /// Installs a fault plan, replacing any previous plan and clearing
@@ -858,7 +855,7 @@ impl Network {
         let rates: Vec<f64> = in_use
             .iter()
             .enumerate()
-            .map(|(k, &l)| self.process_mut(l).rate_at(t) * factors[k])
+            .map(|(k, &l)| self.process(l).rate_at(t) * factors[k])
             .collect();
         let caps: Vec<f64> = in_use
             .iter()
@@ -898,8 +895,10 @@ impl Network {
     /// raw rate and the segment end, and arms the change heap.
     fn refresh_link_rate(&mut self, l: usize) {
         let t = self.now;
-        let proc_ = self.process_mut(l);
-        let (rate, next) = (proc_.rate_at(t), proc_.next_change_after(t));
+        let (rate, next) = {
+            let mut proc_ = self.process(l);
+            (proc_.rate_at(t), proc_.next_change_after(t))
+        };
         self.cache.raw_rate[l] = rate;
         match next {
             Some(until) => {
@@ -1219,7 +1218,7 @@ impl Network {
                     }
                 }
                 for &l in &in_use {
-                    if let Some(ch) = self.process_mut(l).next_change_after(t) {
+                    if let Some(ch) = self.process(l).next_change_after(t) {
                         boundary = boundary.min(ch);
                     }
                 }
@@ -1638,18 +1637,8 @@ mod tests {
         (net, direct, indirect)
     }
 
-    /// A replica owning a copy of every process: what a clone was
-    /// before processes were shared.
-    fn deep_copy(net: &Network) -> Network {
-        let mut copy = net.clone();
-        for l in 0..net.topology().link_count() as u32 {
-            copy.set_link_process(LinkId(l), net.link_process(LinkId(l)).clone_box());
-        }
-        copy
-    }
-
-    fn shares(a: &Network, b: &Network, l: u32) -> bool {
-        std::ptr::addr_eq(a.link_process(LinkId(l)), b.link_process(LinkId(l)))
+    fn shares(a: &Network, b: &Network, l: usize) -> bool {
+        Arc::ptr_eq(&a.procs[l], &b.procs[l])
     }
 
     /// Races a 300 KB flow down each route and runs both to completion.
@@ -1664,22 +1653,27 @@ mod tests {
     }
 
     #[test]
-    fn a_clone_copies_only_the_processes_it_queries() {
+    fn a_clone_shares_every_process_it_queries() {
         let (donor, direct, indirect) = shared_world(5);
+        let (mut independent, _, _) = shared_world(5);
+        assert!((0..8).all(|l| !shares(&donor, &independent, l)));
+        let expected = race(&mut independent, &direct, &indirect);
         let mut clone = donor.clone();
         assert!(std::ptr::eq(donor.topology(), clone.topology()));
         assert!((0..8).all(|l| shares(&donor, &clone, l)));
-        race(&mut clone, &direct, &indirect);
-        let copied: Vec<u32> = (0..8).filter(|&l| !shares(&donor, &clone, l)).collect();
-        assert_eq!(copied, [0, 1, 2], "exactly the raced routes' links");
+        assert_eq!(race(&mut clone, &direct, &indirect), expected);
+        assert!(
+            (0..8).all(|l| shares(&donor, &clone, l)),
+            "a query copied a process"
+        );
     }
 
     #[test]
-    fn clones_raced_on_two_threads_match_a_deep_copy() {
+    fn clones_raced_on_two_threads_match_an_independent_build() {
         let (donor, direct, indirect) = shared_world(2);
-        let mut deep = deep_copy(&donor);
-        assert!((0..5).all(|l| !shares(&donor, &deep, l)));
-        let expected = race(&mut deep, &direct, &indirect);
+        let (mut independent, _, _) = shared_world(2);
+        assert!((0..5).all(|l| !shares(&donor, &independent, l)));
+        let expected = race(&mut independent, &direct, &indirect);
         assert_eq!(expected.len(), 2);
         let (mut a, mut b) = (donor.clone(), donor.clone());
         // Both threads start together, so their first queries of the

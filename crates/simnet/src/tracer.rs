@@ -112,8 +112,9 @@ pub fn trace_process(
     RateTrace { times, rates }
 }
 
-/// Samples a link of a network **without disturbing it**: the link's
-/// process is cloned and sampled on the side.
+/// Samples a link of a network **without disturbing it**: through the
+/// link's shared process, whose timeline the samples may extend but
+/// never change; the network's clock and flows are untouched.
 pub fn trace_link(
     net: &Network,
     link: LinkId,
@@ -121,8 +122,7 @@ pub fn trace_link(
     end: SimTime,
     step: SimDuration,
 ) -> RateTrace {
-    let mut process = net.link_process(link).clone_box();
-    trace_process(process.as_mut(), start, end, step)
+    trace_process(net.link_process(link).as_mut(), start, end, step)
 }
 
 #[cfg(test)]

@@ -79,6 +79,16 @@ impl Telemetry {
         }
     }
 
+    /// Folds `other`'s metrics and retained events into this handle
+    /// (see [`MetricsRegistry::absorb`]): how a run that keeps a private
+    /// handle of its own still reports into a shared one.
+    pub fn absorb(&self, other: &Telemetry) {
+        self.metrics.absorb(&other.metrics);
+        for event in other.tracer.snapshot() {
+            self.tracer.record(event);
+        }
+    }
+
     /// Chrome `trace_event` JSON of everything currently retained.
     pub fn chrome_trace(&self) -> String {
         export::chrome_trace(&self.tracer.snapshot())
@@ -109,6 +119,25 @@ mod tests {
         assert_eq!(tel.tracer.len(), 1);
         export::tests_support::assert_valid_json(&tel.chrome_trace());
         export::tests_support::assert_valid_json(&tel.events_json());
+    }
+
+    #[test]
+    fn absorb_sums_counters_and_histograms_and_copies_events() {
+        let (a, b) = (Telemetry::new(), Telemetry::new());
+        a.metrics.counter("c", vec![]).add(2);
+        b.metrics.counter("c", vec![]).add(3);
+        b.metrics.gauge("g", vec![]).set(1.5);
+        a.metrics.histogram("h", vec![]).record(4);
+        b.metrics.histogram("h", vec![]).record(1000);
+        b.tracer.record(Event::new(EventKind::SessionStart, 5, 0));
+        a.absorb(&b);
+        let snap = a.metrics.snapshot();
+        assert_eq!(snap.counter("c", &vec![]), Some(5));
+        let h = a.metrics.histogram("h", vec![]);
+        assert_eq!((h.count(), h.sum(), h.quantile(1.0)), (2, 1004, 1023.0));
+        assert_eq!(a.metrics.gauge("g", vec![]).get(), 1.5);
+        assert_eq!(a.tracer.len(), 1);
+        assert_eq!(b.metrics.snapshot().counter("c", &vec![]), Some(3));
     }
 
     #[test]

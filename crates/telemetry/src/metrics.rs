@@ -236,6 +236,26 @@ impl MetricsRegistry {
             .clone()
     }
 
+    /// Adds every series of `other` into this registry: counters and
+    /// histogram buckets sum, gauges take `other`'s reading.
+    pub fn absorb(&self, other: &MetricsRegistry) {
+        let theirs = other.series.lock().expect("metrics poisoned");
+        for ((name, labels), c) in &theirs.counters {
+            self.counter(name, labels.clone()).add(c.get());
+        }
+        for ((name, labels), g) in &theirs.gauges {
+            self.gauge(name, labels.clone()).set(g.get());
+        }
+        for ((name, labels), h) in &theirs.histograms {
+            let mine = self.histogram(name, labels.clone());
+            for (to, from) in mine.buckets.iter().zip(h.buckets.iter()) {
+                to.fetch_add(from.load(Ordering::Relaxed), Ordering::Relaxed);
+            }
+            mine.count.fetch_add(h.count(), Ordering::Relaxed);
+            mine.sum.fetch_add(h.sum(), Ordering::Relaxed);
+        }
+    }
+
     /// Point-in-time view of every registered series.
     pub fn snapshot(&self) -> Snapshot {
         let s = self.series.lock().expect("metrics poisoned");

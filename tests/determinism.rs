@@ -30,9 +30,10 @@ fn assert_golden(artefacts: &[(&str, &String)]) {
         .join("tests")
         .join("golden");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(&dir).unwrap();
         for (name, bytes) in artefacts {
-            std::fs::write(dir.join(name), bytes).unwrap();
+            let path = dir.join(name);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, bytes).unwrap();
         }
         return;
     }
@@ -235,6 +236,43 @@ fn reference_engine_never_moves_study_bytes() {
         "table1 CSV bytes moved under Reference"
     );
     assert_eq!(reference.2, base.2, "boundary canary moved under Reference");
+}
+
+/// Boundaries the engine steps in the traced quick sweep below, summed
+/// over every network of every study (the count `experiments sweep
+/// --scale quick --seed 2007 --metrics` reports as `simnet_boundaries`).
+/// A pure function of the seed, like [`PINNED_FIG1_BOUNDARIES`]; it
+/// moves only with the engine's boundary schedule.
+const PINNED_QUICK_SWEEP_BOUNDARIES: u64 = 1_777_117;
+
+/// Golden-artefact snapshot of the whole quick sweep: every CSV that
+/// `experiments sweep --scale quick --seed 2007` writes, byte-exact,
+/// from one cacheless traced run of `full_plan`, plus its boundary
+/// count. Regenerate deliberately with `UPDATE_GOLDEN=1 cargo test
+/// --test determinism golden` after a change that is *supposed* to move
+/// the numbers.
+#[test]
+fn golden_quick_sweep_csv_bytes_unchanged() {
+    use indirect_routing::experiments::sweep;
+    let tel = Arc::new(Telemetry::new());
+    let plan = sweep::full_plan(2007, runner::Scale::Quick, None, None, Some(tel.clone()));
+    let report = sweep::run_sweep(plan, None, None, Some(&tel)).unwrap();
+    let files: Vec<(String, String)> = report
+        .artefacts
+        .iter()
+        .flat_map(|a| a.output.files.iter())
+        .map(|(name, bytes)| {
+            (
+                format!("sweep/{name}"),
+                String::from_utf8(bytes.clone()).unwrap(),
+            )
+        })
+        .collect();
+    assert_eq!(files.len(), 18, "the quick sweep writes 18 CSVs");
+    let artefacts: Vec<(&str, &String)> = files.iter().map(|(n, b)| (n.as_str(), b)).collect();
+    assert_golden(&artefacts);
+    let boundaries = tel.metrics.snapshot().counter("simnet_boundaries", &vec![]);
+    assert_eq!(boundaries, Some(PINNED_QUICK_SWEEP_BOUNDARIES));
 }
 
 #[test]
