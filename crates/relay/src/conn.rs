@@ -261,6 +261,9 @@ pub(crate) struct StepCtx<'a> {
     /// Graceful drain in progress: finish the in-flight request, then
     /// close instead of looping for keep-alive.
     pub draining: bool,
+    /// The client's poll slot reported that the peer left
+    /// ([`crate::poller::PollFd::hung_up`]) on the wake that led here.
+    pub hangup: bool,
     pub now: Instant,
 }
 
@@ -353,9 +356,11 @@ impl Conn {
     }
 
     /// The descriptor interest derived from the blocked reason:
-    /// `(client_events, origin_fd_and_events)`.
+    /// `(client_events, origin_fd_and_events)`. A request waiting out
+    /// its latency watches its client for a hang-up; a connection parked
+    /// by the shaper does not (its next write meets a dead peer).
     pub(crate) fn interest(&self) -> (i16, Option<(&TcpStream, i16)>) {
-        use crate::poller::{POLLIN, POLLOUT};
+        use crate::poller::{POLLIN, POLLOUT, POLLRDHUP};
         let origin = match &self.state {
             State::Connecting { origin }
             | State::SendUpstream { origin }
@@ -371,6 +376,7 @@ impl Conn {
             Blocked::ClientWrite => (POLLOUT, None),
             Blocked::OriginRead => (0, origin.map(|o| (o, POLLIN))),
             Blocked::OriginWrite => (0, origin.map(|o| (o, POLLOUT))),
+            Blocked::Timer(_) if matches!(self.state, State::Latency { .. }) => (POLLRDHUP, None),
             Blocked::Timer(_) => (0, None),
         }
     }
@@ -392,6 +398,11 @@ impl Conn {
                     None => continue,
                 },
                 State::Latency { until, req } => {
+                    // Nothing would read the answer of a client that
+                    // left (or half-closed) while its request waited.
+                    if ctx.hangup {
+                        return self.close(ctx, CloseKind::Error);
+                    }
                     if ctx.now >= until {
                         self.start_response(ctx, req);
                         continue;
@@ -832,8 +843,8 @@ impl Conn {
                         self.budget = bucket.take_at(want, ctx.now);
                     }
                     if self.budget == 0 {
-                        let eta = bucket.eta_at(want, ctx.now);
-                        return Flush::Parked(Blocked::Timer(ctx.now + eta));
+                        let wait = bucket.park_at(want, ctx.now);
+                        return Flush::Parked(Blocked::Timer(ctx.now + wait));
                     }
                     self.budget.min(want)
                 }

@@ -18,7 +18,7 @@
 //! * [`shaper`] — token buckets over piecewise rate schedules.
 //! * [`origin`] — origin server: the content (Range planning,
 //!   deterministic bodies) served by the daemon in its serve role.
-//! * [`poller`] — `poll(2)`/non-blocking-connect FFI shim.
+//! * [`poller`] — `ppoll(2)`/non-blocking-connect FFI shim.
 //! * [`conn`] — per-connection state machine for the reactor; the only
 //!   code that reads a request and writes a response, for both roles.
 //! * [`relayd`] — the daemon (acceptor, worker reactor, kill/drain):

@@ -1,7 +1,7 @@
-//! Minimal poll(2) readiness layer for the event-driven relay.
+//! Minimal ppoll(2) readiness layer for the event-driven relay.
 //!
 //! The workspace vendors no `libc` crate, so the two syscalls the
-//! reactor needs — `poll` and a non-blocking `connect` — are declared
+//! reactor needs — `ppoll` and a non-blocking `connect` — are declared
 //! directly against the platform C library (which every Rust binary
 //! already links). Everything else stays on `std`: sockets are plain
 //! `TcpStream`s flipped to non-blocking mode, and every thread that
@@ -10,11 +10,12 @@
 //!
 //! Only Linux constants are used on the FFI path; non-Linux unix
 //! targets fall back to a blocking `connect` + `set_nonblocking`,
-//! which preserves semantics at a small latency cost in the dial.
+//! which preserves semantics at a small latency cost in the dial, and
+//! to `poll(2)` with the timeout rounded up to whole milliseconds.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::os::raw::{c_int, c_ulong};
+use std::os::raw::{c_int, c_long, c_ulong};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
@@ -27,6 +28,9 @@ pub const POLLOUT: i16 = 0x004;
 pub const POLLERR: i16 = 0x008;
 /// Peer hung up.
 pub const POLLHUP: i16 = 0x010;
+/// Peer closed its writing half (Linux; 0 elsewhere, where a request
+/// waiting out its latency does not watch its client).
+pub const POLLRDHUP: i16 = if cfg!(target_os = "linux") { 0x2000 } else { 0 };
 
 /// `struct pollfd` as the C library expects it.
 #[repr(C)]
@@ -65,22 +69,47 @@ impl PollFd {
     pub fn is_ready(&self) -> bool {
         self.revents != 0
     }
+
+    /// The peer left: it closed its writing half (when `POLLRDHUP` was
+    /// asked for), hung up, or the descriptor errored.
+    pub fn hung_up(&self) -> bool {
+        self.revents & (POLLRDHUP | POLLHUP | POLLERR) != 0
+    }
+}
+
+/// `struct timespec` as the C library expects it.
+#[repr(C)]
+struct Timespec {
+    tv_sec: c_long,
+    tv_nsec: c_long,
 }
 
 extern "C" {
+    #[cfg(target_os = "linux")]
+    fn ppoll(
+        fds: *mut PollFd,
+        nfds: c_ulong,
+        timeout: *const Timespec,
+        sigmask: *const u8,
+    ) -> c_int;
+    #[cfg(not(target_os = "linux"))]
     fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
 }
 
 /// Blocks until a descriptor in `fds` is ready or `timeout` elapses.
-/// Returns the number of ready descriptors (0 on timeout). `EINTR`
-/// retries transparently with the same timeout.
+/// Returns the number of ready descriptors (0 on timeout). The wait is
+/// never shorter than `timeout`, to the nanosecond; one too long for a
+/// `timespec` (such as `Duration::MAX`) has no limit. `EINTR` retries
+/// transparently with the same timeout.
 pub fn poll_fds(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
-    let ms: c_int = timeout.as_millis().min(c_int::MAX as u128) as c_int;
+    let limit = c_long::try_from(timeout.as_secs())
+        .ok()
+        .map(|tv_sec| Timespec {
+            tv_sec,
+            tv_nsec: timeout.subsec_nanos() as c_long,
+        });
     loop {
-        // SAFETY: `fds` is a valid, exclusively borrowed slice of
-        // `#[repr(C)]` pollfd-layout structs; the kernel writes only
-        // the `revents` field of the `fds.len()` entries passed.
-        let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, ms) };
+        let rc = wait(fds, limit.as_ref());
         if rc >= 0 {
             return Ok(rc as usize);
         }
@@ -90,6 +119,36 @@ pub fn poll_fds(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
         }
         return Err(err);
     }
+}
+
+#[cfg(target_os = "linux")]
+fn wait(fds: &mut [PollFd], limit: Option<&Timespec>) -> c_int {
+    let limit = limit.map_or(std::ptr::null(), |t| t as *const Timespec);
+    // SAFETY: `fds` is a valid, exclusively borrowed slice of
+    // `#[repr(C)]` pollfd-layout structs; the kernel writes only the
+    // `revents` field of the `fds.len()` entries passed. `limit` is
+    // null (no limit) or points at a live timespec the kernel only
+    // reads; a null signal mask leaves the thread's mask alone.
+    unsafe {
+        ppoll(
+            fds.as_mut_ptr(),
+            fds.len() as c_ulong,
+            limit,
+            std::ptr::null(),
+        )
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+fn wait(fds: &mut [PollFd], limit: Option<&Timespec>) -> c_int {
+    // Whole milliseconds, rounded up: never shorter than asked.
+    let ms = limit.map_or(-1, |t| {
+        let ms = (t.tv_sec as u64).saturating_mul(1000);
+        let ms = ms.saturating_add((t.tv_nsec as u64).div_ceil(1_000_000));
+        ms.min(c_int::MAX as u64) as c_int
+    });
+    // SAFETY: as for `ppoll` above.
+    unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, ms) }
 }
 
 /// Write half of a [`wake_pipe`]: makes the owner of the read half
@@ -120,9 +179,9 @@ impl WakeRx {
         while matches!((&self.0).read(&mut sink), Ok(n) if n > 0) {}
     }
 
-    /// Parks an accept loop, with no timeout, until a descriptor of
-    /// `fds` — its listener and this pipe — is ready; then drains the
-    /// pipe.
+    /// Parks an accept loop, with no timeout (a null `timespec`), until
+    /// a descriptor of `fds` — its listener and this pipe — is ready;
+    /// then drains the pipe.
     pub(crate) fn park(&self, fds: &mut [PollFd]) {
         if poll_fds(fds, Duration::MAX).is_err() {
             accept_backoff();
@@ -352,6 +411,17 @@ mod tests {
         let n = poll_fds(&mut fds, Duration::from_millis(20)).unwrap();
         assert_eq!(n, 0);
         assert!(!fds[0].is_ready());
+    }
+
+    #[test]
+    fn a_sub_millisecond_timeout_is_waited_out() {
+        let (_tx, rx) = wake_pipe().unwrap();
+        let mut fds = [rx.poll_fd()];
+        let wait = Duration::from_micros(300);
+        let t0 = std::time::Instant::now();
+        assert_eq!(poll_fds(&mut fds, wait).unwrap(), 0);
+        let waited = t0.elapsed();
+        assert!(waited >= wait, "returned after {waited:?}");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! the client→relay overlay-link bottleneck of the model).
 //!
 //! One acceptor feeds a small sharded worker pool that drives
-//! non-blocking sockets through a `poll(2)` reactor
+//! non-blocking sockets through a `ppoll(2)` reactor
 //! ([`crate::poller`], DESIGN.md §15). Each connection is a
 //! `crate::conn::Conn` state machine; splice buffers come from a
 //! shared pool; thousands of concurrent transfers cost a handful of
@@ -619,7 +619,7 @@ impl Worker {
             while i < conns.len() {
                 let due = conns[i].next_timer() <= now;
                 if due || draining {
-                    if let Step::Closed = self.step_conn(&mut conns[i], now, draining) {
+                    if let Step::Closed = self.step_conn(&mut conns[i], now, draining, false) {
                         let conn = conns.swap_remove(i);
                         self.reap(conn);
                         continue;
@@ -652,9 +652,6 @@ impl Worker {
                 Some(t) => t.saturating_duration_since(now).min(REACTOR_TICK),
                 None => REACTOR_TICK,
             };
-            // Round up so sub-millisecond shaper timers sleep ~1 ms
-            // instead of spinning on a zero-timeout poll.
-            let timeout = Duration::from_millis(timeout.as_micros().div_ceil(1000) as u64);
             if poll_fds(&mut fds, timeout).is_err() {
                 #[expect(
                     clippy::disallowed_methods,
@@ -666,10 +663,12 @@ impl Worker {
             let now = Instant::now();
             let mut i = 0;
             while i < conns.len() {
-                let ready = fds[1 + 2 * i].is_ready() || fds[2 + 2 * i].is_ready();
+                let client = fds[1 + 2 * i];
+                let ready = client.is_ready() || fds[2 + 2 * i].is_ready();
                 let due = conns[i].next_timer() <= now;
                 if ready || due {
-                    if let Step::Closed = self.step_conn(&mut conns[i], now, false) {
+                    let hangup = client.hung_up();
+                    if let Step::Closed = self.step_conn(&mut conns[i], now, false, hangup) {
                         // Keep fd indices aligned with `conns`.
                         let last = conns.len() - 1;
                         fds.swap(1 + 2 * i, 1 + 2 * last);
@@ -684,7 +683,7 @@ impl Worker {
         }
     }
 
-    fn step_conn(&self, conn: &mut Conn, now: Instant, draining: bool) -> Step {
+    fn step_conn(&self, conn: &mut Conn, now: Instant, draining: bool, hangup: bool) -> Step {
         let ctx = StepCtx {
             telemetry: &self.shared.cfg.telemetry,
             role: self.shared.role,
@@ -692,6 +691,7 @@ impl Worker {
             epoch: self.epoch,
             lifecycle: &self.shared.lifecycle,
             draining: draining || self.draining.load(Ordering::Relaxed),
+            hangup,
             now,
         };
         conn.step(&ctx, self.shared.cfg.idle_timeout)
@@ -804,6 +804,9 @@ mod tests {
             slow_dt > fast_dt * 3,
             "slow {slow_dt:?} vs fast {fast_dt:?}"
         );
+        // A token bucket delivers at most its burst plus rate × time.
+        let floor = Duration::from_secs_f64((80_000.0 - 16_384.0) / 150_000.0);
+        assert!(slow_dt >= floor, "slow {slow_dt:?} under {floor:?}");
     }
 
     #[test]

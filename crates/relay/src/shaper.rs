@@ -4,7 +4,8 @@
 //! what turns a localhost socket into a "1.2 Mbps transatlantic path".
 //! Every byte a daemon writes to a shaped client spends tokens; when
 //! the bucket runs dry the connection parks on a reactor timer until
-//! the refill covers the next chunk (`Conn::flush_out`).
+//! the refill covers the next chunk or half a burst, whichever is less
+//! ([`TokenBucket::park_at`], called by `Conn::flush_out`).
 
 use std::time::{Duration, Instant};
 
@@ -100,12 +101,22 @@ impl TokenBucket {
     }
 
     /// How long to wait, as of `now`, before ~`want` tokens will be
-    /// available at the rate scheduled at that instant. The reactor
-    /// turns this into a poll timeout.
+    /// available at the rate scheduled at that instant.
     pub fn eta_at(&self, want: usize, now: Instant) -> Duration {
         let missing = (want as f64 - self.tokens).max(0.0);
         let rate = self.schedule.rate_at(now.duration_since(self.epoch));
         Duration::from_secs_f64((missing / rate).clamp(0.0005, 0.25))
+    }
+
+    /// How long a writer that found the bucket dry parks, as of `now`,
+    /// before it retries a write of `want` bytes: until the bucket
+    /// holds `min(want, burst / 2)` tokens. A wake that comes late by
+    /// less than half a burst's refill time then finds the bucket below
+    /// its cap, so the lateness costs no tokens; parking until a whole
+    /// burst is due would discard every token of the lateness. The
+    /// reactor turns this into a poll timeout.
+    pub fn park_at(&self, want: usize, now: Instant) -> Duration {
+        self.eta_at(want.min((self.burst / 2.0) as usize), now)
     }
 }
 
@@ -161,6 +172,62 @@ mod tests {
         let eta = b.eta_at(100, t0);
         // 100 tokens at 1000/s = 100 ms (clamped window 0.5..250 ms).
         assert!(eta >= Duration::from_millis(50) && eta <= Duration::from_millis(250));
+    }
+
+    /// The daemons' burst.
+    const BURST: f64 = 16_384.0;
+
+    /// Paces 8 MiB of 16 KiB chunks through a bucket the way
+    /// `Conn::flush_out` does, on synthetic instants: write what the
+    /// bucket grants, and when it grants nothing wait `park` plus a
+    /// wake `late` by that much. Returns the bytes delivered and the
+    /// seconds it took.
+    fn pace(
+        rate: f64,
+        late: Duration,
+        park: fn(&TokenBucket, usize, Instant) -> Duration,
+    ) -> (f64, f64) {
+        use crate::conn::SPLICE_CHUNK;
+        const TOTAL: usize = 8 << 20;
+        let mut b = TokenBucket::new(RateSchedule::constant(rate), BURST);
+        let t0 = Instant::now();
+        let (mut t, mut budget, mut sent) = (t0, 0, 0);
+        while sent < TOTAL {
+            let want = SPLICE_CHUNK - sent % SPLICE_CHUNK;
+            if budget == 0 {
+                budget = b.take_at(want, t);
+            }
+            if budget == 0 {
+                t += park(&b, want, t) + late;
+                continue;
+            }
+            let n = budget.min(want);
+            sent += n;
+            budget -= n;
+        }
+        (sent as f64, (t - t0).as_secs_f64())
+    }
+
+    #[test]
+    fn late_wakes_cost_no_tokens() {
+        // A bucket that discards nothing delivers exactly the upper
+        // bound, so it gets a byte of slack for float rounding.
+        let within = |rate: f64, (bytes, secs): (f64, f64)| {
+            (rate * secs - BURST..=rate * secs + BURST + 1.0).contains(&bytes)
+        };
+        for rate in [4e6, 6e6, 8e6] {
+            for late_us in [0, 100, 500] {
+                let late = Duration::from_micros(late_us);
+                let paced = pace(rate, late, TokenBucket::park_at);
+                assert!(within(rate, paced), "{rate} B/s, {late:?} late: {paced:?}");
+                // Parking until the whole chunk is due discards every
+                // token of lateness: the model tells the two apart.
+                if late_us > 0 {
+                    let whole = pace(rate, late, TokenBucket::eta_at);
+                    assert!(!within(rate, whole), "{rate} B/s, {late:?}: {whole:?}");
+                }
+            }
+        }
     }
 
     #[test]

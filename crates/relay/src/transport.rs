@@ -394,9 +394,7 @@ impl RealTransport {
             .unzip();
         let stall = |slot: &Slot| slot.moved.max(since) + self.timeout;
         let wake = (live.iter()).fold(deadline, |t, &i| t.min(stall(&self.slots[i])));
-        // Whole milliseconds, rounded up: a shorter wait would spin.
-        let wait = wake.saturating_duration_since(Instant::now()).as_micros();
-        let polled = poll_fds(&mut fds, Duration::from_millis(wait.div_ceil(1000) as u64));
+        let polled = poll_fds(&mut fds, wake.saturating_duration_since(Instant::now()));
         let (now, at) = (Instant::now(), self.now());
         for (&i, fd) in live.iter().zip(&fds) {
             let (before, rest) = self.slots.split_at_mut(i);
