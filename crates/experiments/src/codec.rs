@@ -38,10 +38,8 @@ mod tests {
     use super::*;
     use crate::faults::FaultCell;
     use crate::headroom::Headroom;
-    use crate::megaflow::{MegaflowConfig, MegaflowResult};
     use crate::runner::{run_measurement_study, run_selection_study, PairRun, SelectionRun};
     use crate::sites::SiteResult;
-    use crate::soak::{SoakConfig, SoakResult};
     use crate::striping::StripeCell;
     use crate::tournament::TournamentCell;
     use ir_core::{PathSpec, SessionConfig, TransferRecord};
@@ -204,18 +202,6 @@ mod tests {
                 goodput_ratio: 0.93,
                 mean_improvement_pct: f64::NAN,
             }]),
-            "megaflow" => Arc::new(MegaflowResult {
-                cfg: MegaflowConfig::mini(),
-                nodes: 41,
-                flows_started: 160,
-                flows_completed: 159,
-                boundaries: 23,
-                full_solves: 5,
-                incremental_solves: 18,
-                component_solves: 170,
-                completion_batches: 16,
-                makespan_us: 123_456_789,
-            }),
             "striping" => Arc::new(vec![StripeCell {
                 scenario: "stale-brownout".into(),
                 k: 2,
@@ -239,20 +225,6 @@ mod tests {
                 probe_paths_per_transfer: 2.5,
                 multi_hop_pct: f64::NAN,
             }]),
-            "soak" => Arc::new(SoakResult {
-                cfg: SoakConfig::quick(),
-                completed: 250,
-                lost: 1,
-                accepted: 251,
-                backpressure_drops: 2,
-                p50_first_byte_us: 850,
-                p99_first_byte_us: 14_200,
-                max_first_byte_us: 22_407,
-                goodput_bps: 1_935_483,
-                wall_ms: 1_550,
-                drain_completed: true,
-                drain_monotone: false,
-            }),
             other => panic!("no sample for study {other:?}"),
         }
     }
@@ -260,8 +232,8 @@ mod tests {
     /// Every cached record's byte layout, pinned through the encoders
     /// the sweep plans actually install. These digests are the cache
     /// contract: a failure means bytes already on disk would be misread
-    /// or rejected — bump [`crate::sweep::CODEC_VERSION`] (or the soak's
-    /// layout tag) and re-pin, never just re-pin.
+    /// or rejected — bump [`crate::sweep::CODEC_VERSION`] and re-pin,
+    /// never just re-pin.
     #[test]
     fn layouts_are_pinned() {
         const PINNED: &[(&str, usize, &str)] = &[
@@ -270,14 +242,10 @@ mod tests {
             ("sites", 81, "acab65d1a209e22cef27ae1afa21b8fe"),
             ("headroom", 44, "6685cdcf5b4e743cab3f4889d6c45fd8"),
             ("faults", 80, "4b7a23d332a8dd8e233071ab13e723c8"),
-            ("megaflow", 120, "9cb83f8f46e1b00a5b173645293ac224"),
             ("striping", 87, "7cd033d9efa3eea9951e71a5e8110966"),
             ("tournament", 87, "d689d6ba2566830fdb4a3564eb0860c8"),
-            ("soak", 122, "214c9a18ead83da82cc2dbcd9e0b9c17"),
         ];
-        let mut studies =
-            crate::sweep::full_plan(2007, crate::Scale::Quick, None, None, None).studies;
-        studies.extend(crate::sweep::soak_plan(2007, crate::Scale::Quick).studies);
+        let studies = crate::sweep::full_plan(2007, crate::Scale::Quick, None, None, None).studies;
         let mut seen = Vec::new();
         for study in &studies {
             let kind = study.name.split(['(', '/']).next().expect("study kind");

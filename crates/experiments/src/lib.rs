@@ -13,16 +13,13 @@
 //! | Fig 6 (improvement vs random-set size) | [`fig6`] | selection (§4) |
 //! | Table III (utilization vs improvement) | [`table3`] | selection |
 //!
-//! Five extension experiments go beyond the paper's artefacts:
+//! Four extension experiments go beyond the paper's artefacts:
 //! [`sites`] (the abstract's per-site 33–49% range), [`headroom`]
 //! (oracle-attainable vs captured improvement — only a simulator can
 //! measure this), [`faults`] (availability/goodput under overlay
-//! outages and relay churn with session failover enabled),
+//! outages and relay churn with session failover enabled) and
 //! [`striping`] (multi-source range striping vs racing on the
-//! variability grid, including the stale-prediction penalty tail),
-//! and [`soak`] (thousands of concurrent racing downloads through one
-//! event-driven relay daemon over real loopback sockets — the only
-//! wall-clock study, kept out of the byte-replayable sweep).
+//! variability grid, including the stale-prediction penalty tail).
 //!
 //! [`runner`] drives the two studies; each artefact module turns study
 //! data into a [`report::Report`] with paper-vs-measured checks and CSV
@@ -45,13 +42,11 @@ pub mod fig5;
 pub mod fig6;
 pub mod headroom;
 pub mod inspect;
-pub mod megaflow;
 pub mod overhead;
 pub mod report;
 pub mod robustness;
 pub mod runner;
 pub mod sites;
-pub mod soak;
 pub mod striping;
 pub mod sweep;
 pub mod table1;

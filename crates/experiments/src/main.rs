@@ -24,22 +24,10 @@
 //!                         including the stale-prediction penalty-tail
 //!                         cells; stripe sets drawn from the policy
 //!                         plane's best-k, extension)
-//!            megaflow    (fair-share engine at scale: the mini fan-in
-//!                         at --scale quick, 1.01M flows over 10,401
-//!                         nodes at --scale paper; single-threaded —
-//!                         --threads does not apply)
 //!            tournament  (policy × scenario table: every path-selection
 //!                         policy on every tournament scenario, with
 //!                         improvement, penalty rate, probe overhead and
 //!                         multi-hop share per cell)
-//!            soak        (relay load study over real loopback sockets:
-//!                         N concurrent racing downloads through one
-//!                         event-driven relay daemon — 250 clients at
-//!                         --scale quick, 2000 at --scale paper — with
-//!                         goodput and p99 accept-to-first-byte from
-//!                         the relay's own spans; the only wall-clock
-//!                         artefact, cached as a record of its run and
-//!                         excluded from `sweep`/`all`)
 //!            scenario    (workload inspection, no study)
 //!            robustness  (headline numbers across seeds)
 //!            sweep       (every artefact through the dependency-aware
@@ -54,7 +42,7 @@
 //!                         then robustness; no cache)
 //! ```
 //!
-//! Only `sweep`, `soak` and `cache-gc` touch the cache; every other
+//! Only `sweep` and `cache-gc` touch the cache; every other
 //! command computes what it prints.
 //!
 //! `--threads 0` restores the default worker count (one per available
@@ -229,15 +217,12 @@ fn cache_gc(args: &Args) -> ExitCode {
     }
 }
 
-/// What the command runs: the soak's own plan, or the command's
-/// selection from the full plan plus the two artefacts no study feeds.
+/// What the command runs: its selection from the full plan, plus the
+/// two artefacts no study feeds.
 fn plan_for(args: &Args, tel: Option<Arc<Telemetry>>) -> SweepPlan {
     let command = args.artefact.as_str();
     let seed = args.seed;
     let mut plan = match command {
-        // Real sockets + wall clock: the soak never rides along with
-        // the deterministic `all`/`sweep` bundles.
-        "soak" => return sweep::soak_plan(seed, args.scale),
         "scenario" | "robustness" => SweepPlan::default(),
         _ => sweep::full_plan(seed, args.scale, args.cal, args.faults, tel)
             .select(command)
@@ -312,10 +297,10 @@ fn main() -> ExitCode {
         None
     };
     let plan = plan_for(&args, tel.clone());
-    // Only `sweep` and `soak` read and write the artefact cache; every
-    // other command computes what it prints.
+    // Only `sweep` reads and writes the artefact cache; every other
+    // command computes what it prints.
     let cache = match &args.cache_dir {
-        Some(dir) if matches!(command, "sweep" | "soak") => match ArtifactCache::open(dir) {
+        Some(dir) if command == "sweep" => match ArtifactCache::open(dir) {
             Ok(c) => Some(c),
             Err(e) => {
                 eprintln!("cannot open cache at {}: {e}", dir.display());

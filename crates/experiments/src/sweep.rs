@@ -11,16 +11,14 @@
 //! | sites (per destination site) | sites |
 //! | headroom (oracle replica) | headroom |
 //! | faults (overlay outages) | faults |
-//! | megaflow (fair-share engine at scale) | megaflow |
 //! | striping (striped vs raced sessions) | striping |
 //! | tournament/`<policy>` (one study **per policy**) | tournament |
 //!
 //! **A study's key is the value it runs on**: one declared inputs value
-//! ([`MeasurementInputs`], [`sites::SitesInputs`], …, or a `(seed,
-//! config)` tuple for megaflow and the soak) and a plain `fn` body over
-//! it, which can capture nothing else (telemetry aside, which only
-//! observes). The key hashes the study's domain, [`CODEC_VERSION`] and
-//! that value; an artefact's hashes its name, its code-version salt
+//! ([`MeasurementInputs`], [`sites::SitesInputs`], …) and a plain `fn`
+//! body over it, which can capture nothing else (telemetry aside, which
+//! only observes). The key hashes the study's domain, [`CODEC_VERSION`]
+//! and that value; an artefact's hashes its name, its code-version salt
 //! ([`SALTS`] — bump when render logic changes) and its studies' keys.
 //! Same inputs ⇒ same key ⇒ a warm cache reproduces every artefact
 //! byte-for-byte without running a single study; any changed input
@@ -28,7 +26,7 @@
 //!
 //! The plan is also the `experiments` CLI's only driver: every command
 //! is a [`SweepPlan::select`]ion from [`full_plan`] run through
-//! [`run_sweep`] (the soak has its own [`soak_plan`]).
+//! [`run_sweep`].
 
 use crate::faults::FaultsInputs;
 use crate::headroom::HeadroomInputs;
@@ -38,8 +36,8 @@ use crate::sites::SitesInputs;
 use crate::striping::StripingInputs;
 use crate::tournament::TournamentInputs;
 use crate::{
-    faults, headroom, megaflow, sites, soak, striping, tournament, Artefacts,
-    MEASUREMENT_ARTEFACTS, SELECTION_ARTEFACTS,
+    faults, headroom, sites, striping, tournament, Artefacts, MEASUREMENT_ARTEFACTS,
+    SELECTION_ARTEFACTS,
 };
 use ir_artifact::{
     execute, fingerprint_of, ArtefactOutput, ArtefactSpec, ArtifactCache, Codec, ExecReport,
@@ -78,11 +76,8 @@ pub const SALTS: &[(&str, u64)] = &[
     ("sites", 1),
     ("headroom", 1),
     ("faults", 1),
-    ("megaflow", 1),
     ("striping", 1),
     ("tournament", 1),
-    // 2: the "relay mode" row left the report with the threaded relay.
-    ("soak", 2),
 ];
 
 fn salt_of(name: &str) -> u64 {
@@ -222,39 +217,8 @@ pub fn headroom_transfers(scale: Scale) -> u64 {
     }
 }
 
-/// The soak as its own fingerprinted plan: one study (the real-socket
-/// load run) feeding one artefact. Deliberately **not** part of
-/// [`full_plan`]: soak results measure this machine's wall clock, so
-/// folding them into the sweep would break the byte-identical
-/// cold/warm/cacheless replays CI diffs. A cached soak artefact is a
-/// *record* of the run that produced it, keyed on `(seed, config,
-/// codec version)` like every other study.
-pub fn soak_plan(seed: u64, scale: Scale) -> SweepPlan {
-    /// Layout of the [`soak::SoakResult`] record. A soak-only tag:
-    /// [`CODEC_VERSION`] feeds every study fingerprint, and a change to
-    /// this one record must not cold-start the whole sweep cache.
-    /// 2: `event_mode` dropped.
-    const SOAK_LAYOUT: u32 = 2;
-    let cfg = match scale {
-        Scale::Quick => soak::SoakConfig::quick(), // 250 concurrent clients
-        Scale::Paper => soak::SoakConfig::paper(), // the 2000-client headline herd
-    };
-    let study = study(
-        format!("soak(seed={seed},{scale:?})"),
-        "study/soak",
-        (SOAK_LAYOUT, seed, cfg),
-        None,
-        |(_, _, cfg), _| soak::run(cfg),
-    );
-    let fp = study.fingerprint;
-    SweepPlan {
-        studies: vec![study],
-        artefacts: vec![artefact("soak", fp, soak::report_of)],
-    }
-}
-
-/// The full evaluation: the seven shared studies plus one tournament
-/// study per policy, feeding seventeen artefacts.
+/// The full evaluation: the six shared studies plus one tournament
+/// study per policy, feeding sixteen artefacts.
 ///
 /// `cal` and `faults` are the CLI's `--cal` / `--faults`. They shape
 /// the measurement study only, and its key: a calibration replaces the
@@ -318,19 +282,6 @@ pub fn full_plan(
         tel.clone(),
         |inputs, tel| inputs.run(tel),
     );
-    // Megaflow: the engine's scale study. Engine-mode invariant (the
-    // differential suite's guarantee), so the engine is not an input.
-    let mega_cfg = match scale {
-        Scale::Quick => megaflow::MegaflowConfig::mini(), // the seconds-scale mini fan-in
-        Scale::Paper => megaflow::MegaflowConfig::paper(), // the million-flow headline geometry
-    };
-    let megaflow_study = study(
-        format!("megaflow(seed={seed},{scale:?})"),
-        "study/megaflow",
-        (seed, mega_cfg),
-        tel.clone(),
-        |(seed, cfg), tel| megaflow::run(*seed, cfg, ir_simnet::sim::EngineMode::Incremental, tel),
-    );
     let striping_study = study(
         format!("striping(seed={seed},{scale:?})"),
         "study/striping",
@@ -350,7 +301,6 @@ pub fn full_plan(
                     headroom::report_of(r)
                 }),
                 artefact::<Vec<_>>("faults", faults_study.fingerprint, |r| faults::report_of(r)),
-                artefact("megaflow", megaflow_study.fingerprint, megaflow::report_of),
                 artefact::<Vec<_>>("striping", striping_study.fingerprint, |r| {
                     striping::report_of(r)
                 }),
@@ -364,7 +314,6 @@ pub fn full_plan(
         sites_study,
         headroom_study,
         faults_study,
-        megaflow_study,
         striping_study,
     ];
     studies.append(&mut tplan.studies);
@@ -514,11 +463,9 @@ mod tests {
     #[test]
     fn every_full_plan_artefact_has_a_salt_and_unique_fingerprint() {
         let plan = full_plan(2007, Scale::Quick, None, None, None);
-        assert_eq!(plan.studies.len(), 7 + tournament::POLICIES.len());
-        // `soak` carries a salt but lives in its own plan (wall-clock
-        // results must not enter the byte-replayable sweep), so the
-        // full plan renders every salted artefact except that one.
-        assert_eq!(plan.artefacts.len(), SALTS.len() - 1);
+        assert_eq!(plan.studies.len(), 6 + tournament::POLICIES.len());
+        // Every salted artefact is the full plan's, and each once.
+        assert_eq!(plan.artefacts.len(), SALTS.len());
         let mut fps: Vec<Fingerprint> = plan
             .artefacts
             .iter()
@@ -613,7 +560,6 @@ mod tests {
                 "sites(seed=2007,transfers=8)",
                 "headroom(seed=2007,transfers=30)",
                 "faults(seed=2007,Quick)",
-                "megaflow(seed=2007,Quick)",
                 "striping(seed=2007,Quick)",
                 "tournament/random-set(seed=2007,Quick)",
                 "tournament/utilization-weighted(seed=2007,Quick)",
@@ -640,7 +586,6 @@ mod tests {
                 "sites",
                 "headroom",
                 "faults",
-                "megaflow",
                 "striping",
                 "tournament",
             ]
@@ -665,8 +610,7 @@ mod tests {
 
     /// A pinned `full_plan` study key. Anything that moves it — a
     /// [`CODEC_VERSION`] bump, a new fingerprint input — cold-starts
-    /// every existing sweep cache, so it must be deliberate; a change
-    /// to one study's record (the soak's layout tag) must not.
+    /// every existing sweep cache, so it must be deliberate.
     #[test]
     fn full_plan_measurement_fingerprint_is_pinned() {
         let plan = full_plan(2007, Scale::Quick, None, None, None);
@@ -677,15 +621,14 @@ mod tests {
         );
     }
 
-    /// Every study key of the quick seed-2007 plans, in plan order (the
-    /// soak's last). The measurement pin above guards the shared inputs;
-    /// this table guards each study's own — the megaflow and soak
-    /// configs, the fault plans, the per-policy configs. Moving one
-    /// orphans that study's cache entries, so it must be deliberate.
+    /// Every study key of the quick seed-2007 plan, in plan order. The
+    /// measurement pin above guards the shared inputs; this table guards
+    /// each study's own — the fault plans, the per-policy configs.
+    /// Moving one orphans that study's cache entries, so it must be
+    /// deliberate.
     #[test]
     fn study_fingerprints_are_pinned() {
-        let mut studies = full_plan(2007, Scale::Quick, None, None, None).studies;
-        studies.extend(soak_plan(2007, Scale::Quick).studies);
+        let studies = full_plan(2007, Scale::Quick, None, None, None).studies;
         let got: Vec<String> = studies.iter().map(|s| s.fingerprint.to_hex()).collect();
         let pinned = [
             "c8e2c50f737590d0f1559f62775ae8fe", // measurement
@@ -693,14 +636,12 @@ mod tests {
             "dc5aacbd45642534543aa8524df4df9f", // sites
             "f9230923a6ae57241a3a3fa0050db1ac", // headroom
             "fd2dbdf3e035469d3755f84a5cc6f5c0", // faults
-            "6eac7e2668e8799f5ce26b3994708502", // megaflow
             "dabc6b7901f94047e67732ee3aa7a272", // striping
             "ac59f81ae5548cddfc9edad95cb028c1", // tournament/random-set
             "803a0682274e0843c92f60dd1f3aa0d7", // tournament/utilization-weighted
             "3ae4b19e775e4db9536a4e7cd293ef5a", // tournament/k-shortest
             "1044e443ff0a95bb5896ef7062b5bd5d", // tournament/adaptive
             "adac1271c53ec5810d99749ffdfa98cc", // tournament/backpressure
-            "192e93780839ef96a1b857deaec208ae", // soak
         ];
         assert_eq!(got, pinned);
     }
@@ -728,7 +669,12 @@ mod tests {
         };
         let tweaked = keys(Some(cal), None);
         let faulted = keys(None, Some(600));
-        let measurement_artefacts = 12..12 + MEASUREMENT_ARTEFACTS.len();
+        // Keys are studies first, then artefacts: the measurement
+        // study's artefacts lead the artefact list.
+        let first = full_plan(2007, Scale::Quick, None, None, None)
+            .studies
+            .len();
+        let measurement_artefacts = first..first + MEASUREMENT_ARTEFACTS.len();
         for (i, key) in default.iter().enumerate() {
             let moves = i == 0 || measurement_artefacts.contains(&i);
             assert_eq!(tweaked[i] != *key, moves, "--cal, key {i}");
@@ -844,32 +790,10 @@ mod tests {
             |t: &[(&str, _)]| -> Vec<String> { t.iter().map(|a| a.0.to_string()).collect() };
         assert_eq!(names("measurement"), table_names(MEASUREMENT_ARTEFACTS));
         assert_eq!(names("selection"), ["fig6", "table3"]);
-        assert_eq!(names("sweep").len(), 17);
-        assert_eq!(names("all").len(), 17);
-        for none in ["fig99", "soak", "scenario", ""] {
+        assert_eq!(names("sweep").len(), SALTS.len());
+        assert_eq!(names("all").len(), SALTS.len());
+        for none in ["fig99", "megaflow", "soak", "scenario", ""] {
             assert!(select(none).is_none(), "{none:?} selected something");
         }
-    }
-
-    /// The soak plan is fingerprinted like any other study — stable
-    /// under identical inputs, moved by seed and scale — without ever
-    /// running the (wall-clock) study itself.
-    #[test]
-    fn soak_plan_is_fingerprinted_and_separate_from_full() {
-        let a = soak_plan(2007, Scale::Quick);
-        let b = soak_plan(2007, Scale::Quick);
-        assert_eq!(a.studies.len(), 1);
-        assert_eq!(a.artefacts.len(), 1);
-        assert_eq!(a.studies[0].name, "soak(seed=2007,Quick)");
-        assert_eq!(a.studies[0].fingerprint, b.studies[0].fingerprint);
-        assert_eq!(a.artefacts[0].fingerprint, b.artefacts[0].fingerprint);
-        assert_eq!(a.artefacts[0].deps, vec![a.studies[0].fingerprint]);
-        let seed_moved = soak_plan(2008, Scale::Quick);
-        assert_ne!(a.studies[0].fingerprint, seed_moved.studies[0].fingerprint);
-        let scale_moved = soak_plan(2007, Scale::Paper);
-        assert_ne!(a.studies[0].fingerprint, scale_moved.studies[0].fingerprint);
-        // And the full plan never declares it.
-        let full = full_plan(2007, Scale::Quick, None, None, None);
-        assert!(full.artefacts.iter().all(|x| x.name != "soak"));
     }
 }

@@ -14,10 +14,14 @@ fn usage_on_no_args() {
     assert!(err.contains("usage:"), "{err}");
 }
 
+/// An unknown name is a usage error, and so are the retired
+/// `megaflow` and `soak` commands.
 #[test]
 fn unknown_artefact_is_usage_error() {
-    let out = bin().arg("fig99").output().expect("run");
-    assert_eq!(out.status.code(), Some(2));
+    for name in ["fig99", "megaflow", "soak"] {
+        let out = bin().arg(name).output().expect("run");
+        assert_eq!(out.status.code(), Some(2), "{name}");
+    }
 }
 
 #[test]
@@ -98,7 +102,6 @@ fn every_plan_artefact_is_a_command_and_in_usage() {
         assert!(stdout.contains("paper vs measured"), "{name}: {stdout}");
     }
     for command in [
-        "soak",
         "measurement",
         "selection",
         "all",

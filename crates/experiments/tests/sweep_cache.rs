@@ -1,5 +1,5 @@
 //! End-to-end acceptance for the dependency-aware sweep scheduler and
-//! the content-addressed artefact cache (ISSUE PR5):
+//! the content-addressed artefact cache:
 //!
 //! * a cold sweep followed by a warm sweep serves 100% of studies and
 //!   artefacts from cache, and the warm artefact *files on disk* are
@@ -200,7 +200,7 @@ fn growing_the_policy_roster_executes_exactly_one_warm_study() {
 
 /// `--cal` reaches `sweep`, and its key: against a cache warmed by the
 /// default plan, a tweaked calibration executes the measurement study
-/// and nothing else — its nine artefacts re-render, the other eight
+/// and nothing else — its nine artefacts re-render, the other seven
 /// are served as bundles, and their studies are never looked at.
 #[test]
 fn cal_override_reruns_only_the_measurement_study() {
@@ -208,7 +208,7 @@ fn cal_override_reruns_only_the_measurement_study() {
     let cache = ArtifactCache::open(&cache_dir).unwrap();
     let default = full_plan(SEED, Scale::Quick, None, None, None);
     let cold = run_sweep(default, Some(&cache), None, None).unwrap();
-    assert_eq!(cold.studies_executed(), 12);
+    assert_eq!(cold.studies_executed(), 11);
 
     let cal = ir_workload::Calibration {
         frac_high: 0.25,
@@ -219,8 +219,8 @@ fn cal_override_reruns_only_the_measurement_study() {
     assert_eq!(warm.studies_executed(), 1);
     assert_eq!(warm.studies.len(), 1, "a cached study was materialised");
     assert!(warm.studies[0].name.starts_with("measurement("));
-    assert_eq!(warm.artefacts.len(), 17);
-    assert_eq!(warm.artefact_hits(), 8);
+    assert_eq!(warm.artefacts.len(), 16);
+    assert_eq!(warm.artefact_hits(), 7);
     let rendered: Vec<&str> = warm
         .artefacts
         .iter()

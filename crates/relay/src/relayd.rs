@@ -887,14 +887,13 @@ mod tests {
         assert!(kinds.contains(&EventKind::RelayAccept));
         assert!(kinds.contains(&EventKind::RelaySplice));
         assert!(kinds.contains(&EventKind::RelayShutdown));
-        // The splice is a span on the daemon's wall clock.
-        let splice = tel
-            .tracer
-            .snapshot()
-            .into_iter()
-            .find(|e| e.kind == EventKind::RelaySplice)
-            .unwrap();
-        assert!(splice.dur_us.is_some());
+        // The splice and the accept-to-first-byte wait are spans on the
+        // daemon's wall clock.
+        for kind in [EventKind::RelaySplice, EventKind::RelayFirstByte] {
+            let span = tel.tracer.snapshot().into_iter().find(|e| e.kind == kind);
+            let span = span.unwrap_or_else(|| panic!("no {kind:?} span"));
+            assert!(span.dur_us.is_some(), "{kind:?} has no duration");
+        }
     }
 
     #[test]

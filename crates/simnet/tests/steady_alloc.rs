@@ -96,7 +96,7 @@ fn audit(net: &mut Network, horizon: SimTime, warmup: u32) -> (u32, u32) {
 #[test]
 fn megaflow_shaped_boundaries_allocate_only_their_completions() {
     // 8 racks × 4 hosts × 8 flows behind one Capacity uplink per rack,
-    // two arrival waves — the megaflow artefact's shape.
+    // two arrival waves — the `megaflow-200k` workload's shape.
     let mut topo = Topology::new();
     let origin = topo.add_node("origin", NodeKind::Server);
     let mut uplinks = Vec::new();

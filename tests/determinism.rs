@@ -243,7 +243,32 @@ fn reference_engine_never_moves_study_bytes() {
 /// --scale quick --seed 2007 --metrics` reports as `simnet_boundaries`).
 /// A pure function of the seed, like [`PINNED_FIG1_BOUNDARIES`]; it
 /// moves only with the engine's boundary schedule.
-const PINNED_QUICK_SWEEP_BOUNDARIES: u64 = 1_777_117;
+const PINNED_QUICK_SWEEP_BOUNDARIES: u64 = 1_777_099;
+
+/// Runs `full_plan(2007, scale)` cacheless and traced, compares its 17
+/// CSVs with `tests/golden/<subdir>/` (see [`assert_golden`]), and
+/// returns the run's `simnet_boundaries` count.
+fn assert_sweep_golden(scale: runner::Scale, subdir: &str) -> Option<u64> {
+    use indirect_routing::experiments::sweep;
+    let tel = Arc::new(Telemetry::new());
+    let plan = sweep::full_plan(2007, scale, None, None, Some(tel.clone()));
+    let report = sweep::run_sweep(plan, None, None, Some(&tel)).unwrap();
+    let files: Vec<(String, String)> = report
+        .artefacts
+        .iter()
+        .flat_map(|a| a.output.files.iter())
+        .map(|(name, bytes)| {
+            (
+                format!("{subdir}/{name}"),
+                String::from_utf8(bytes.clone()).unwrap(),
+            )
+        })
+        .collect();
+    assert_eq!(files.len(), 17, "the {scale:?} sweep writes 17 CSVs");
+    let artefacts: Vec<(&str, &String)> = files.iter().map(|(n, b)| (n.as_str(), b)).collect();
+    assert_golden(&artefacts);
+    tel.metrics.snapshot().counter("simnet_boundaries", &vec![])
+}
 
 /// Golden-artefact snapshot of the whole quick sweep: every CSV that
 /// `experiments sweep --scale quick --seed 2007` writes, byte-exact,
@@ -253,26 +278,45 @@ const PINNED_QUICK_SWEEP_BOUNDARIES: u64 = 1_777_117;
 /// the numbers.
 #[test]
 fn golden_quick_sweep_csv_bytes_unchanged() {
-    use indirect_routing::experiments::sweep;
-    let tel = Arc::new(Telemetry::new());
-    let plan = sweep::full_plan(2007, runner::Scale::Quick, None, None, Some(tel.clone()));
-    let report = sweep::run_sweep(plan, None, None, Some(&tel)).unwrap();
-    let files: Vec<(String, String)> = report
-        .artefacts
-        .iter()
-        .flat_map(|a| a.output.files.iter())
-        .map(|(name, bytes)| {
-            (
-                format!("sweep/{name}"),
-                String::from_utf8(bytes.clone()).unwrap(),
-            )
-        })
-        .collect();
-    assert_eq!(files.len(), 18, "the quick sweep writes 18 CSVs");
-    let artefacts: Vec<(&str, &String)> = files.iter().map(|(n, b)| (n.as_str(), b)).collect();
-    assert_golden(&artefacts);
-    let boundaries = tel.metrics.snapshot().counter("simnet_boundaries", &vec![]);
+    let boundaries = assert_sweep_golden(runner::Scale::Quick, "sweep");
     assert_eq!(boundaries, Some(PINNED_QUICK_SWEEP_BOUNDARIES));
+}
+
+/// Golden-artefact snapshot of the paper-scale sweep: every CSV of
+/// `experiments sweep --scale paper --seed 2007`, byte-exact, at one
+/// worker thread and then at two (the study runner's parallel map must
+/// not move a byte). Several seconds even in release, so debug builds
+/// skip it; `cargo test --release --test determinism` runs it, and
+/// `UPDATE_GOLDEN=1` with the same command regenerates
+/// `tests/golden/sweep-paper/`.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "paper scale: release only")]
+fn golden_paper_sweep_csv_bytes_unchanged() {
+    for threads in [1, 2] {
+        runner::set_worker_threads(threads);
+        assert_sweep_golden(runner::Scale::Paper, "sweep-paper");
+    }
+    runner::set_worker_threads(0);
+}
+
+/// 64-bit FNV-1a of the quick seed-2007 default measurement study's
+/// encoding followed by the selection study's: the `study_digest` the
+/// benchmark reports. It moves only when a study's output or its cache
+/// encoding does.
+const PINNED_STUDY_DIGEST: u64 = 0x4aab_7475_c887_8042;
+
+#[test]
+fn study_digest_is_pinned() {
+    use indirect_routing::experiments::{self as ex, codec};
+    let m = ex::measurement_study_default(2007, runner::Scale::Quick);
+    let s = ex::selection_study_default(2007, runner::Scale::Quick, runner::FIG6_KS);
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    for bytes in [codec::encode_measurement(&m), codec::encode_selection(&s)] {
+        for b in bytes {
+            digest = (digest ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    assert_eq!(digest, PINNED_STUDY_DIGEST, "study_digest {digest:016x}");
 }
 
 #[test]
