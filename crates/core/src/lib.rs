@@ -56,7 +56,7 @@ pub use remainder::{PathStripeStats, Remainder, StripeStats};
 pub use session::{
     run_paths_session, run_probe, run_selecting, run_session, ControlMode, EngineMode,
     FailoverConfig, ProbeDecision, ProbeMode, RebalanceConfig, Selecting, SessionConfig,
-    SessionMode,
+    SessionCounts, SessionMode,
 };
 pub use sim_transport::{SimTransport, TcpDerivation};
 pub use transport::{Handle, RaceWin, Timing, Transport};

@@ -16,8 +16,8 @@
 //!
 //! All three report a `Remainder`; the striped scheduler additionally
 //! accounts chunks per path ([`StripeStats`]). Everything before and
-//! after — control start, probe race, record, telemetry — is the
-//! runner's and is shared.
+//! after — control start, probe race, record, trace — is the runner's
+//! and is shared.
 
 use crate::path::PathSpec;
 use crate::plan::{partition, ChunkRange};
@@ -27,7 +27,7 @@ use crate::session::{FailoverConfig, RebalanceConfig, SessionConfig};
 use crate::transport::{Handle, Transport};
 use ir_simnet::time::{SimDuration, SimTime};
 use ir_telemetry::trace::{Event, EventKind};
-use ir_telemetry::Telemetry;
+use ir_telemetry::Tracer;
 use std::collections::VecDeque;
 
 /// Outcome of a remainder phase.
@@ -44,6 +44,8 @@ pub struct Remainder {
     pub failovers: u32,
     /// Milliseconds spent stalled (zero-progress windows + backoffs).
     pub stall_ms: u64,
+    /// Same-path retries after a stall (racing failover only).
+    pub stall_retries: u32,
     /// True if every retry and surviving candidate was exhausted.
     pub abandoned: bool,
 }
@@ -57,6 +59,7 @@ impl Remainder {
             rate,
             failovers: 0,
             stall_ms: 0,
+            stall_retries: 0,
             abandoned: false,
         }
     }
@@ -106,7 +109,7 @@ pub(crate) fn run_remainder_failover(
     cfg: &SessionConfig,
     fo: &FailoverConfig,
     transfer_index: u64,
-    tel: Option<&Telemetry>,
+    tracer: Option<&Tracer>,
 ) -> Remainder {
     let total = cfg.file_bytes - cfg.probe_bytes;
     let started = transport.now();
@@ -118,25 +121,23 @@ pub(crate) fn run_remainder_failover(
     let mut failovers = 0u32;
     let mut stall_ms = 0u64;
     let mut attempt = 0u32;
+    let mut stall_retries = 0u32;
     let mut backoff = fo.initial_backoff;
 
-    let abandon = |path: PathSpec, failovers: u32, stall_ms: u64, tel: Option<&Telemetry>| {
-        if let Some(tel) = tel {
-            tel.metrics.counter("session_abandoned", vec![]).inc();
-        }
-        Remainder {
-            path,
-            finished: false,
-            rate: f64::NAN,
-            failovers,
-            stall_ms,
-            abandoned: true,
-        }
+    let abandon = |path: PathSpec, failovers: u32, stall_ms: u64, stall_retries: u32| Remainder {
+        path,
+        finished: false,
+        rate: f64::NAN,
+        failovers,
+        stall_ms,
+        stall_retries,
+        abandoned: true,
     };
     let done = |path: PathSpec,
                 end: SimTime,
                 failovers: u32,
                 stall_ms: u64,
+                stall_retries: u32,
                 predictor: &mut dyn Predictor| {
         let wall = (end - started).as_secs_f64();
         let rate = if wall > 0.0 {
@@ -152,6 +153,7 @@ pub(crate) fn run_remainder_failover(
             rate,
             failovers,
             stall_ms,
+            stall_retries,
             abandoned: false,
         }
     };
@@ -165,11 +167,18 @@ pub(crate) fn run_remainder_failover(
         let now = transport.now();
         if now >= deadline {
             transport.cancel(handle);
-            return abandon(path, failovers, stall_ms, tel);
+            return abandon(path, failovers, stall_ms, stall_retries);
         }
         let window = fo.stall_timeout.min(deadline - now);
         if let Some(t) = transport.finish(handle, window) {
-            return done(path, t.finished, failovers, stall_ms, predictor);
+            return done(
+                path,
+                t.finished,
+                failovers,
+                stall_ms,
+                stall_retries,
+                predictor,
+            );
         }
         let delivered = transport.progress(handle);
         if delivered > seen && !transport.failed(handle) {
@@ -185,9 +194,9 @@ pub(crate) fn run_remainder_failover(
         attempt += 1;
         if attempt <= fo.max_retries {
             // Retry the same path on a fresh connection after backoff.
-            if let Some(tel) = tel {
-                tel.metrics.counter("session_stall_retries", vec![]).inc();
-                tel.tracer.record(
+            stall_retries += 1;
+            if let Some(tracer) = tracer {
+                tracer.record(
                     Event::new(
                         EventKind::Retry,
                         transport.now().as_micros(),
@@ -202,7 +211,7 @@ pub(crate) fn run_remainder_failover(
             stall_ms += backoff.as_micros() / 1000;
             backoff = SimDuration::from_micros(backoff.as_micros().saturating_mul(2));
             if transport.now() >= deadline {
-                return abandon(path, failovers, stall_ms, tel);
+                return abandon(path, failovers, stall_ms, stall_retries);
             }
             handle = transport.begin(&path, n - remaining, remaining);
             seen = 0;
@@ -212,9 +221,8 @@ pub(crate) fn run_remainder_failover(
         // Retries exhausted: the path is dead to this session. Fail
         // over to the best surviving candidate via a fresh probe race.
         failovers += 1;
-        if let Some(tel) = tel {
-            tel.metrics.counter("session_failovers", vec![]).inc();
-            tel.tracer.record(
+        if let Some(tracer) = tracer {
+            tracer.record(
                 Event::new(
                     EventKind::PathFailover,
                     transport.now().as_micros(),
@@ -233,11 +241,11 @@ pub(crate) fn run_remainder_failover(
             );
         }
         if survivors.is_empty() {
-            return abandon(path, failovers, stall_ms, tel);
+            return abandon(path, failovers, stall_ms, stall_retries);
         }
         let now = transport.now();
         if now >= deadline {
-            return abandon(path, failovers, stall_ms, tel);
+            return abandon(path, failovers, stall_ms, stall_retries);
         }
         let window = fo.stall_timeout.min(deadline - now);
         let chunk = remaining.min(cfg.probe_bytes);
@@ -255,7 +263,8 @@ pub(crate) fn run_remainder_failover(
                 path = survivors.remove(win.index);
                 remaining -= chunk;
                 if remaining == 0 {
-                    return done(path, win.timing.finished, failovers, stall_ms, predictor);
+                    let end = win.timing.finished;
+                    return done(path, end, failovers, stall_ms, stall_retries, predictor);
                 }
                 attempt = 0;
                 backoff = fo.initial_backoff;
@@ -270,7 +279,7 @@ pub(crate) fn run_remainder_failover(
                     transport.cancel(h);
                 }
                 stall_ms += window.as_micros() / 1000;
-                return abandon(path, failovers, stall_ms, tel);
+                return abandon(path, failovers, stall_ms, stall_retries);
             }
         }
     }
@@ -382,7 +391,7 @@ pub(crate) fn run_striped_remainder(
     rb: &RebalanceConfig,
     cfg: &SessionConfig,
     transfer_index: u64,
-    tel: Option<&Telemetry>,
+    tracer: Option<&Tracer>,
 ) -> (Remainder, StripeStats) {
     let total = cfg.file_bytes - cfg.probe_bytes;
     let started = transport.now();
@@ -447,9 +456,6 @@ pub(crate) fn run_striped_remainder(
                 chunks_done[p] += 1;
                 bytes_done[p] += f.chunk.len;
                 warm[p] = true;
-                if let Some(tel) = tel {
-                    tel.metrics.counter("stripe_chunks_completed", vec![]).inc();
-                }
                 if let Some((c, r)) = pending.pop_front() {
                     launch(transport, paths, &mut warm, &mut flights, p, c, r);
                 } else {
@@ -464,7 +470,7 @@ pub(crate) fn run_striped_remainder(
                         p,
                         rb,
                         transfer_index,
-                        tel,
+                        tracer,
                     );
                 }
                 continue;
@@ -497,12 +503,8 @@ pub(crate) fn run_striped_remainder(
             let rest = f.chunk.len - f.seen;
             if rest > 0 {
                 reassignments += 1;
-                if let Some(tel) = tel {
-                    tel.metrics.counter("stripe_path_deaths", vec![]).inc();
-                    tel.metrics
-                        .counter("stripe_chunks_reassigned", vec![])
-                        .inc();
-                    tel.tracer.record(
+                if let Some(tracer) = tracer {
+                    tracer.record(
                         Event::new(EventKind::ChunkReassigned, now.as_micros(), transfer_index)
                             .with_u64("chunk", u64::from(f.chunk.id))
                             .with_str("from", paths[p].to_string())
@@ -518,8 +520,6 @@ pub(crate) fn run_striped_remainder(
                     },
                     f.reassigns + 1,
                 ));
-            } else if let Some(tel) = tel {
-                tel.metrics.counter("stripe_path_deaths", vec![]).inc();
             }
         }
         // Hand the reassigned remainders to the survivors.
@@ -542,9 +542,6 @@ pub(crate) fn run_striped_remainder(
         for f in &flights {
             transport.cancel(f.handle);
         }
-        if let Some(tel) = tel {
-            tel.metrics.counter("session_abandoned", vec![]).inc();
-        }
         f64::NAN
     };
     let rem = Remainder {
@@ -553,6 +550,7 @@ pub(crate) fn run_striped_remainder(
         rate: agg,
         failovers: deaths,
         stall_ms,
+        stall_retries: 0,
         abandoned: !finished,
     };
     let per_path = paths
@@ -604,7 +602,7 @@ fn maybe_steal(
     p: usize,
     rb: &RebalanceConfig,
     transfer_index: u64,
-    tel: Option<&Telemetry>,
+    tracer: Option<&Tracer>,
 ) {
     if rate[p].get() <= 0.0 {
         return;
@@ -650,11 +648,8 @@ fn maybe_steal(
     bytes_done[f.path] += delivered;
     rate[f.path].observe(observed);
     *reassignments += 1;
-    if let Some(tel) = tel {
-        tel.metrics
-            .counter("stripe_chunks_reassigned", vec![])
-            .inc();
-        tel.tracer.record(
+    if let Some(tracer) = tracer {
+        tracer.record(
             Event::new(EventKind::ChunkReassigned, now.as_micros(), transfer_index)
                 .with_u64("chunk", u64::from(f.chunk.id))
                 .with_str("from", paths[f.path].to_string())

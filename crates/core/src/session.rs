@@ -33,7 +33,7 @@ pub use ir_simnet::sim::EngineMode;
 use ir_simnet::time::{SimDuration, SimTime};
 use ir_simnet::topology::NodeId;
 use ir_telemetry::trace::{Event, EventKind};
-use ir_telemetry::Telemetry;
+use ir_telemetry::Tracer;
 
 /// How the probe phase decides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -343,6 +343,31 @@ pub struct Selecting {
     pub remainder: Remainder,
     /// Chunk accounting; empty unless a striped remainder ran.
     pub stats: StripeStats,
+    /// The path that won the probe race (`None`: no race ran, or it
+    /// timed out).
+    pub probe_winner: Option<PathSpec>,
+}
+
+/// What a session did that neither its record nor its [`StripeStats`]
+/// carries: plain counts that [`run_session`] returns next to them, for
+/// a caller that keeps metrics to fold in. A session writes no metrics
+/// itself.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SessionCounts {
+    /// Indirect paths the selector emitted: the probe overhead asked of
+    /// the network.
+    pub probe_paths: u64,
+    /// Of those, paths the transport could not resolve, dropped before
+    /// the race.
+    pub unresolvable: u64,
+    /// True when a probe race ran (some candidate path resolved).
+    pub raced: bool,
+    /// True when an indirect path won the probe race.
+    pub switched: bool,
+    /// Stall-triggered retries of the selected path (racing failover).
+    pub stall_retries: u64,
+    /// Wall time of the selecting process, probe start to last byte, µs.
+    pub wall_us: u64,
 }
 
 /// Runs one session through a path selector: the selector-level entry
@@ -351,25 +376,22 @@ pub struct Selecting {
 /// Asks `selector` for the indirect paths to probe — its `best_k` under
 /// [`SessionMode::Striped`] (the stripe width), `paths` otherwise —
 /// runs [`run_paths_session`] over them, and feeds the record back to
-/// the selector. With telemetry the decision is instrumented per
-/// policy name:
+/// the selector. Returns the record, the chunk accounting and the
+/// session's [`SessionCounts`] (`probe_paths` is the selector's path
+/// count). With a tracer the decision is a
+/// [`EventKind::SelectionDecision`] span carrying the policy name and
+/// path count.
 ///
-/// * counter `policy_decisions{policy}` — decisions taken;
-/// * counter `policy_probe_paths{policy}` — indirect paths emitted,
-///   i.e. the probe overhead this policy asks the network to pay;
-/// * a [`EventKind::SelectionDecision`] span carrying the policy name
-///   and path count.
-///
-/// Telemetry is strictly observational — the returned record is
-/// identical with `Some` or `None`.
+/// Tracing is strictly observational — the result is identical with
+/// `Some` or `None`.
 pub fn run_session(
     transport: &mut dyn Transport,
     selector: &mut dyn PathSelector,
     predictor: &mut dyn Predictor,
     ctx: &PathCtx<'_>,
     cfg: &SessionConfig,
-    tel: Option<&Telemetry>,
-) -> (TransferRecord, StripeStats) {
+    tracer: Option<&Tracer>,
+) -> (TransferRecord, StripeStats, SessionCounts) {
     let t0 = transport.now();
     let paths = match cfg.mode {
         SessionMode::Racing => selector.paths(ctx),
@@ -382,15 +404,8 @@ pub fn run_session(
         selector.name()
     );
 
-    if let Some(tel) = tel {
-        let labels = vec![("policy", selector.name().to_string())];
-        tel.metrics
-            .counter("policy_decisions", labels.clone())
-            .inc();
-        tel.metrics
-            .counter("policy_probe_paths", labels)
-            .add(paths.len() as u64);
-        tel.tracer.record(
+    if let Some(tracer) = tracer {
+        tracer.record(
             Event::span(
                 EventKind::SelectionDecision,
                 t0.as_micros(),
@@ -407,14 +422,14 @@ pub fn run_session(
     }
 
     let direct = PathSpec::direct(ctx.client, ctx.server);
-    let out = run_paths_session(
+    let out = session(
         transport,
         predictor,
         direct,
         &paths,
         ctx.transfer_index,
         cfg,
-        tel,
+        tracer,
     );
     selector.observe(&out.0);
     out
@@ -431,15 +446,14 @@ pub fn run_probe(
     paths: &[PathSpec],
     transfer_index: u64,
     cfg: &SessionConfig,
-    tel: Option<&Telemetry>,
+    tracer: Option<&Tracer>,
 ) -> Option<ProbeDecision> {
     let handles: Vec<Handle> = paths
         .iter()
         .map(|p| transport.begin(p, 0, cfg.probe_bytes))
         .collect();
-    if let Some(tel) = tel {
-        tel.metrics.counter("session_probe_races", vec![]).inc();
-        tel.tracer.record(
+    if let Some(tracer) = tracer {
+        tracer.record(
             Event::new(
                 EventKind::ProbeStart,
                 transport.now().as_micros(),
@@ -527,9 +541,10 @@ pub fn run_selecting(
     candidate_paths: &[PathSpec],
     transfer_index: u64,
     cfg: &SessionConfig,
-    tel: Option<&Telemetry>,
+    tracer: Option<&Tracer>,
 ) -> Selecting {
     let mut stats = StripeStats::default();
+    let mut probe_winner = None;
     let (probe_throughput, probe_timeout, remainder) = if candidate_paths.is_empty() {
         // Direct-only: no probe phase; the whole file goes direct.
         let h = transport.begin(&direct, 0, cfg.file_bytes);
@@ -544,10 +559,11 @@ pub fn run_selecting(
         let paths: Vec<PathSpec> = std::iter::once(direct)
             .chain(candidate_paths.iter().copied())
             .collect();
-        match run_probe(transport, predictor, &paths, transfer_index, cfg, tel) {
+        match run_probe(transport, predictor, &paths, transfer_index, cfg, tracer) {
             Some(probe) => {
                 let path = paths[probe.winner];
-                if let Some(tel) = tel {
+                probe_winner = Some(path);
+                if let Some(tracer) = tracer {
                     let now_us = transport.now().as_micros();
                     let mut won = Event::new(EventKind::ProbeWon, now_us, transfer_index)
                         .with_str(
@@ -562,10 +578,9 @@ pub fn run_selecting(
                     if let Some(via) = path.via() {
                         won = won.with_u64("via", via.0 as u64);
                     }
-                    tel.tracer.record(won);
+                    tracer.record(won);
                     if let Some(via) = path.via() {
-                        tel.metrics.counter("session_path_switches", vec![]).inc();
-                        tel.tracer.record(
+                        tracer.record(
                             Event::new(EventKind::PathSwitch, now_us, transfer_index)
                                 .with_u64("via", via.0 as u64),
                         );
@@ -585,7 +600,7 @@ pub fn run_selecting(
                         cfg,
                         &fo,
                         transfer_index,
-                        tel,
+                        tracer,
                     ),
                     (
                         SessionMode::Striped {
@@ -605,7 +620,7 @@ pub fn run_selecting(
                             &rebalance,
                             cfg,
                             transfer_index,
-                            tel,
+                            tracer,
                         );
                         stats = st;
                         rem
@@ -616,12 +631,10 @@ pub fn run_selecting(
             None => {
                 // Probe race timed out entirely; fall back to a direct
                 // transfer of the whole file.
-                if let Some(tel) = tel {
+                if let Some(tracer) = tracer {
                     let now_us = transport.now().as_micros();
-                    tel.metrics.counter("session_probe_timeouts", vec![]).inc();
-                    tel.tracer
-                        .record(Event::new(EventKind::ProbeTimeout, now_us, transfer_index));
-                    tel.tracer.record(
+                    tracer.record(Event::new(EventKind::ProbeTimeout, now_us, transfer_index));
+                    tracer.record(
                         Event::new(EventKind::Retry, now_us, transfer_index)
                             .with_str("fallback", "direct"),
                     );
@@ -637,6 +650,7 @@ pub fn run_selecting(
         probe_timeout,
         remainder,
         stats,
+        probe_winner,
     }
 }
 
@@ -650,13 +664,13 @@ pub fn run_selecting(
 /// The record's `candidates` are the distinct first hops of
 /// `indirect_paths`, in probe order (the paper's "random set"
 /// bookkeeping). Paths the transport cannot resolve are dropped from
-/// the race — counted in the `path_unresolvable` metric and traced per
+/// the race — counted in [`SessionCounts::unresolvable`] and traced per
 /// path — rather than silently skipped or panicked on; under
 /// [`SessionMode::Striped`] the survivors are capped at the stripe
 /// width `k`, since the probe set *is* the stripe set.
 ///
 /// The returned [`StripeStats`] are empty unless a striped remainder
-/// ran. Telemetry is strictly observational: with `None` nothing is
+/// ran. Tracing is strictly observational: with `None` nothing is
 /// emitted and the result is identical.
 pub fn run_paths_session(
     transport: &mut dyn Transport,
@@ -665,15 +679,36 @@ pub fn run_paths_session(
     indirect_paths: &[PathSpec],
     transfer_index: u64,
     cfg: &SessionConfig,
-    tel: Option<&Telemetry>,
+    tracer: Option<&Tracer>,
 ) -> (TransferRecord, StripeStats) {
+    let (record, stats, _) = session(
+        transport,
+        predictor,
+        direct,
+        indirect_paths,
+        transfer_index,
+        cfg,
+        tracer,
+    );
+    (record, stats)
+}
+
+/// [`run_paths_session`], with the session's [`SessionCounts`].
+fn session(
+    transport: &mut dyn Transport,
+    predictor: &mut dyn Predictor,
+    direct: PathSpec,
+    indirect_paths: &[PathSpec],
+    transfer_index: u64,
+    cfg: &SessionConfig,
+    tracer: Option<&Tracer>,
+) -> (TransferRecord, StripeStats, SessionCounts) {
     cfg.validate();
     assert!(!direct.is_indirect(), "{direct} is not a direct path");
     let (client, server) = (direct.client, direct.server);
     let t0 = transport.now();
-    if let Some(tel) = tel {
-        tel.metrics.counter("session_started", vec![]).inc();
-        tel.tracer.record(
+    if let Some(tracer) = tracer {
+        tracer.record(
             Event::new(EventKind::SessionStart, t0.as_micros(), transfer_index)
                 .with_u64("client", client.0 as u64)
                 .with_u64("server", server.0 as u64)
@@ -699,9 +734,8 @@ pub fn run_paths_session(
         .filter(|p| {
             let ok = transport.resolvable(p);
             if !ok {
-                if let Some(tel) = tel {
-                    tel.metrics.counter("path_unresolvable", vec![]).inc();
-                    tel.tracer.record(
+                if let Some(tracer) = tracer {
+                    tracer.record(
                         Event::new(
                             EventKind::PathUnresolvable,
                             transport.now().as_micros(),
@@ -715,6 +749,7 @@ pub fn run_paths_session(
         })
         .copied()
         .collect();
+    let unresolvable = (indirect_paths.len() - candidate_paths.len()) as u64;
     if let SessionMode::Striped { k, .. } = cfg.mode {
         candidate_paths.truncate(k as usize);
     }
@@ -737,7 +772,7 @@ pub fn run_paths_session(
         &candidate_paths,
         transfer_index,
         cfg,
-        tel,
+        tracer,
     );
     let rem = sel.remainder;
 
@@ -778,32 +813,28 @@ pub fn run_paths_session(
         stall_ms: rem.stall_ms,
         abandoned: rem.abandoned,
     };
-    if let Some(tel) = tel {
-        let wall_us = (t_end - t0).as_micros();
-        tel.metrics.counter("session_completed", vec![]).inc();
-        tel.metrics
-            .histogram("session_wall_us", vec![])
-            .record(wall_us);
-        tel.tracer.record(
+    let counts = SessionCounts {
+        probe_paths: indirect_paths.len() as u64,
+        unresolvable,
+        raced: !candidate_paths.is_empty(),
+        switched: sel.probe_winner.is_some_and(|p| p.is_indirect()),
+        stall_retries: u64::from(rem.stall_retries),
+        wall_us: (t_end - t0).as_micros(),
+    };
+    if let Some(tracer) = tracer {
+        tracer.record(
             Event::span(
                 EventKind::SessionComplete,
                 t0.as_micros(),
-                wall_us,
+                counts.wall_us,
                 transfer_index,
             )
             .with_f64("improvement", record.improvement())
             .with_f64("direct_bps", record.direct_throughput)
             .with_f64("selected_bps", record.selected_throughput),
         );
-        for s in &sel.stats.per_path {
-            if s.chunks > 0 {
-                tel.metrics
-                    .counter("stripe_path_chunks", vec![("path", s.path.to_string())])
-                    .add(s.chunks);
-            }
-        }
     }
-    (record, sel.stats)
+    (record, sel.stats, counts)
 }
 
 #[cfg(test)]
@@ -892,8 +923,8 @@ mod tests {
         full: &[NodeId],
         index: u64,
         cfg: &SessionConfig,
-        tel: Option<&Telemetry>,
-    ) -> TransferRecord {
+        tracer: Option<&Tracer>,
+    ) -> (TransferRecord, SessionCounts) {
         let topo = tp.network().topology().clone();
         let ctx = PathCtx {
             client: ends.0,
@@ -902,7 +933,8 @@ mod tests {
             topo: &topo,
             transfer_index: index,
         };
-        run_session(tp, selector, &mut FirstPortion, &ctx, cfg, tel).0
+        let (record, _, counts) = run_session(tp, selector, &mut FirstPortion, &ctx, cfg, tracer);
+        (record, counts)
     }
 
     fn run(
@@ -913,7 +945,7 @@ mod tests {
         full: &[NodeId],
         cfg: &SessionConfig,
     ) -> TransferRecord {
-        run_at(tp, selector, (c, s), full, 0, cfg, None)
+        run_at(tp, selector, (c, s), full, 0, cfg, None).0
     }
 
     fn sel_paths() -> Vec<PathSpec> {
@@ -1072,10 +1104,18 @@ mod tests {
     fn traced_session_is_bit_identical_and_emits_events() {
         let (mut tp1, c1, v1, s1) = world(100_000.0, 800_000.0);
         let cfg = SessionConfig::paper_defaults();
-        let plain = run(&mut tp1, &mut StaticSingle(v1), c1, s1, &[v1], &cfg);
+        let plain = run_at(
+            &mut tp1,
+            &mut StaticSingle(v1),
+            (c1, s1),
+            &[v1],
+            0,
+            &cfg,
+            None,
+        );
 
         let (mut tp2, c2, v2, s2) = world(100_000.0, 800_000.0);
-        let tel = Telemetry::new();
+        let tracer = Tracer::default();
         let traced = run_at(
             &mut tp2,
             &mut StaticSingle(v2),
@@ -1083,11 +1123,11 @@ mod tests {
             &[v2],
             0,
             &cfg,
-            Some(&tel),
+            Some(&tracer),
         );
-        assert_eq!(plain, traced, "telemetry changed the record");
+        assert_eq!(plain, traced, "tracing changed the record or its counts");
 
-        let kinds: Vec<EventKind> = tel.tracer.snapshot().iter().map(|e| e.kind).collect();
+        let kinds: Vec<EventKind> = tracer.snapshot().iter().map(|e| e.kind).collect();
         assert!(kinds.contains(&EventKind::SessionStart));
         assert!(kinds.contains(&EventKind::ProbeStart));
         assert!(kinds.contains(&EventKind::ProbeWon));
@@ -1096,10 +1136,10 @@ mod tests {
             "indirect won → switch"
         );
         assert!(kinds.contains(&EventKind::SessionComplete));
-        let snap = tel.metrics.snapshot();
-        assert_eq!(snap.counter("session_started", &vec![]), Some(1));
-        assert_eq!(snap.counter("session_path_switches", &vec![]), Some(1));
-        assert_eq!(snap.counter("session_completed", &vec![]), Some(1));
+        let counts = traced.1;
+        assert!(counts.raced && counts.switched, "{counts:?}");
+        assert_eq!((counts.probe_paths, counts.unresolvable), (1, 0));
+        assert!(counts.wall_us > 0);
     }
 
     #[test]
@@ -1110,26 +1150,21 @@ mod tests {
         );
         let mut cfg = SessionConfig::paper_defaults();
         cfg.horizon = SimDuration::from_secs(5);
-        let tel = Telemetry::new();
-        let rec = run_at(
+        let tracer = Tracer::default();
+        let (rec, counts) = run_at(
             &mut tp,
             &mut StaticSingle(v),
             (c, s),
             &[v],
             3,
             &cfg,
-            Some(&tel),
+            Some(&tracer),
         );
         assert!(rec.probe_timeout);
-        let kinds: Vec<EventKind> = tel.tracer.snapshot().iter().map(|e| e.kind).collect();
+        assert!(counts.raced && !counts.switched, "{counts:?}");
+        let kinds: Vec<EventKind> = tracer.snapshot().iter().map(|e| e.kind).collect();
         assert!(kinds.contains(&EventKind::ProbeTimeout));
         assert!(kinds.contains(&EventKind::Retry));
-        assert_eq!(
-            tel.metrics
-                .snapshot()
-                .counter("session_probe_timeouts", &vec![]),
-            Some(1)
-        );
     }
 
     #[test]
@@ -1156,24 +1191,21 @@ mod tests {
         cfg.validate();
     }
 
-    /// The selector-level entry reports each decision per policy:
-    /// counters labelled with the selector's name plus one
-    /// `SelectionDecision` span per session.
+    /// The selector-level entry returns each decision's path count and
+    /// traces one `SelectionDecision` span per session.
     #[test]
     fn decision_telemetry_is_emitted_per_policy() {
         let (mut tp, c, v, s) = world(100_000.0, 400_000.0);
         let mut sel = RandomSet::new(2, 9);
-        let tel = Telemetry::new();
+        let tracer = Tracer::default();
         let cfg = SessionConfig::paper_defaults();
+        let mut probe_paths = 0;
         for k in 0..3 {
-            run_at(&mut tp, &mut sel, (c, s), &[v], k, &cfg, Some(&tel));
+            let (_, counts) = run_at(&mut tp, &mut sel, (c, s), &[v], k, &cfg, Some(&tracer));
+            probe_paths += counts.probe_paths;
         }
-        let labels = vec![("policy", "random-set".to_string())];
-        let snap = tel.metrics.snapshot();
-        assert_eq!(snap.counter("policy_decisions", &labels), Some(3));
-        assert_eq!(snap.counter("policy_probe_paths", &labels), Some(3));
-        let decisions = tel
-            .tracer
+        assert_eq!(probe_paths, 3);
+        let decisions = tracer
             .snapshot()
             .iter()
             .filter(|e| e.kind == EventKind::SelectionDecision)
@@ -1291,33 +1323,32 @@ mod tests {
         });
         let mut cfg = SessionConfig::paper_defaults();
         cfg.failover = Some(quick_failover());
-        let tel = std::sync::Arc::new(Telemetry::new());
+        let tel = std::sync::Arc::new(ir_telemetry::Telemetry::new());
         tp.network_mut().set_telemetry(Some(tel.clone()));
-        let rec = run_at(
+        let (rec, counts) = run_at(
             &mut tp,
             &mut StaticSingle(v),
             (c, s),
             &[v],
             7,
             &cfg,
-            Some(tel.as_ref()),
+            tel.tracer.as_ref(),
         );
         assert_eq!(rec.failovers, 1);
-        let kinds: Vec<EventKind> = tel.tracer.snapshot().iter().map(|e| e.kind).collect();
+        assert!(!rec.abandoned);
+        assert_eq!(counts.stall_retries, 1);
+        let events = tel.tracer.as_ref().unwrap().snapshot();
+        let kinds: Vec<EventKind> = events.iter().map(|e| e.kind).collect();
         assert!(kinds.contains(&EventKind::PathFailover));
         assert!(
             kinds.contains(&EventKind::FaultInjected),
             "simnet fault events also land in the same trace"
         );
-        let snap = tel.metrics.snapshot();
-        assert_eq!(snap.counter("session_failovers", &vec![]), Some(1));
-        assert_eq!(snap.counter("session_stall_retries", &vec![]), Some(1));
-        assert_eq!(snap.counter("session_abandoned", &vec![]), None);
     }
 
     /// An unresolvable candidate path is dropped from the race, counted
-    /// in `path_unresolvable`, and traced — never silently skipped, and
-    /// never fatal to the session.
+    /// in `SessionCounts::unresolvable`, and traced — never silently
+    /// skipped, and never fatal to the session.
     #[test]
     fn unresolvable_path_is_counted_traced_and_dropped() {
         let (mut tp, c, v, s) = world(100_000.0, 300_000.0);
@@ -1329,25 +1360,23 @@ mod tests {
             PathSpec::chain(c, s, &[v, ghost]),
             PathSpec::indirect(c, s, v),
         ];
-        let tel = Telemetry::new();
-        let (rec, _) = run_paths_session(
+        let tracer = Tracer::default();
+        let (rec, _, counts) = session(
             &mut tp,
             &mut FirstPortion,
             PathSpec::direct(c, s),
             &paths,
             0,
             &SessionConfig::paper_defaults(),
-            Some(&tel),
+            Some(&tracer),
         );
         assert_eq!(rec.candidates, vec![ghost, v], "distinct first hops");
         // The resolvable indirect path still raced (and, being 3×
         // direct, won).
         assert!(rec.chose_indirect());
         assert_eq!(rec.selected.via(), Some(v));
-        let snap = tel.metrics.snapshot();
-        assert_eq!(snap.counter("path_unresolvable", &vec![]), Some(2));
-        let unresolved: Vec<String> = tel
-            .tracer
+        assert_eq!((counts.probe_paths, counts.unresolvable), (3, 2));
+        let unresolved: Vec<String> = tracer
             .snapshot()
             .iter()
             .filter(|e| e.kind == EventKind::PathUnresolvable)

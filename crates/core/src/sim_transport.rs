@@ -9,7 +9,7 @@
 
 use crate::path::PathSpec;
 use crate::transport::{Handle, RaceWin, Timing, Transport};
-use ir_simnet::sim::{ConstCap, FlowId, Network};
+use ir_simnet::sim::{ConstCap, EngineStats, FlowId, Network};
 use ir_simnet::time::{SimDuration, SimTime};
 use ir_simnet::topology::Route;
 use ir_tcp::{TcpConfig, TcpRateCap};
@@ -49,6 +49,8 @@ pub struct SimTransport {
     net: Network,
     tcp: TcpDerivation,
     handles: Vec<FlowId>,
+    /// Engine work of the oracle replicas, dropped with their answers.
+    oracle_work: EngineStats,
 }
 
 impl SimTransport {
@@ -63,6 +65,7 @@ impl SimTransport {
             net,
             tcp,
             handles: Vec::new(),
+            oracle_work: EngineStats::default(),
         }
     }
 
@@ -77,14 +80,22 @@ impl SimTransport {
         &mut self.net
     }
 
+    /// Engine work done for this transport: its network's counters
+    /// plus those of every oracle replica it ran. A [`Transport::fork`]
+    /// replica is the caller's and is not included.
+    pub fn engine_stats(&self) -> EngineStats {
+        self.net.stats() + self.oracle_work
+    }
+
     /// Hindsight oracle: the whole-file throughput `path` would deliver
     /// for a transfer starting now, measured on an isolated replica so
     /// nothing in the real network is disturbed. The replica is a clone
     /// that shares every process (extending a timeline moves no value
     /// either network reads), so an oracle query costs the path, not
-    /// the network. `None` if it would not finish within `horizon`.
+    /// the network. `None` if it would not finish within `horizon`. The
+    /// replica's engine work is kept in [`SimTransport::engine_stats`].
     pub fn oracle_throughput(
-        &self,
+        &mut self,
         path: &PathSpec,
         bytes: u64,
         horizon: SimDuration,
@@ -96,7 +107,9 @@ impl SimTransport {
         let cfg = self.tcp.config_for(&replica, &route);
         let id = replica.start_flow(route, bytes, Box::new(TcpRateCap::new(cfg)));
         let deadline = replica.now() + horizon;
-        replica.run_flow(id, deadline).map(|c| c.throughput())
+        let rate = replica.run_flow(id, deadline).map(|c| c.throughput());
+        self.oracle_work = self.oracle_work + (replica.stats() - self.net.stats());
+        rate
     }
 
     fn flow(&self, h: Handle) -> FlowId {
@@ -182,11 +195,7 @@ impl Transport for SimTransport {
     }
 
     fn fork(&self) -> Option<Box<dyn Transport>> {
-        Some(Box::new(SimTransport {
-            net: self.net.clone(),
-            tcp: self.tcp,
-            handles: Vec::new(),
-        }))
+        Some(Box::new(SimTransport::with_tcp(self.net.clone(), self.tcp)))
     }
 }
 
@@ -256,8 +265,11 @@ mod tests {
         let (mut tp, d, i) = transport(50_000.0, 300_000.0, 10e6);
         let o1 = tp.oracle_throughput(&i, 1_000_000, SimDuration::from_secs(600));
         assert!(o1.unwrap() > 100_000.0);
-        // Network clock unchanged.
+        // Network clock and counters unchanged; the replica's work is
+        // the transport's.
         assert_eq!(tp.now(), SimTime::ZERO);
+        assert_eq!(tp.network().stats(), EngineStats::default());
+        assert_eq!(tp.engine_stats().flows_completed, 1);
         // And a real transfer still behaves.
         let h = tp.begin(&d, 0, 50_000);
         assert!(tp.finish(h, SimDuration::from_secs(600)).is_some());
@@ -265,7 +277,7 @@ mod tests {
 
     #[test]
     fn oracle_times_out_on_dead_path() {
-        let (tp, _, i) = transport(50_000.0, ir_simnet::bandwidth::MIN_RATE, 1.0);
+        let (mut tp, _, i) = transport(50_000.0, ir_simnet::bandwidth::MIN_RATE, 1.0);
         assert!(tp
             .oracle_throughput(&i, 10_000_000, SimDuration::from_secs(60))
             .is_none());

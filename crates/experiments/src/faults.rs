@@ -196,7 +196,7 @@ impl FaultsInputs {
                 let mut records = Vec::new();
                 for (ci, &client) in scenario.clients.iter().enumerate() {
                     let policy_seed = self.seed ^ ((ci as u64) << 16) ^ k as u64;
-                    records.extend(run_task(
+                    let (task, _) = run_task(
                         &scenario,
                         scenario.network.clone(),
                         client,
@@ -207,7 +207,8 @@ impl FaultsInputs {
                         &self.session,
                         0,
                         tel.as_ref(),
-                    ));
+                    );
+                    records.extend(task);
                 }
                 cells.push(cell_stats(mtbf, k, &records));
             }

@@ -13,7 +13,7 @@
 //! * the **static single relay** outcome (§2.2's configuration).
 
 use crate::report::{csv, Check, Report};
-use crate::runner::{run_task, Roster};
+use crate::runner::{fold_engine, run_task, Roster};
 use ir_core::{PathSpec, RandomSet, SessionConfig, SimTransport, StaticSingle};
 use ir_simnet::time::{SimDuration, SimTime};
 use ir_stats::Summary;
@@ -83,6 +83,7 @@ impl HeadroomInputs {
                 // Oracle: hindsight-best whole-file rate at each instant.
                 let mut oracle_net = scenario.network.clone();
                 oracle_net.set_telemetry(tel.clone());
+                let start = oracle_net.stats();
                 let mut transport = SimTransport::new(oracle_net);
                 let mut oracle_imps = Vec::new();
                 for at in schedule.instants(SimTime::ZERO) {
@@ -115,8 +116,12 @@ impl HeadroomInputs {
                     }
                 }
 
+                if let Some(tel) = &tel {
+                    fold_engine(tel, transport.engine_stats() - start);
+                }
+
                 // Policies under the real session protocol.
-                let mean_of = |records: Vec<ir_core::TransferRecord>| {
+                let mean_of = |(records, _): (Vec<ir_core::TransferRecord>, _)| {
                     let v: Vec<f64> = records
                         .iter()
                         .map(|r| r.improvement_pct())

@@ -56,8 +56,12 @@
 //! that runs it (`sweep` included: its cache key covers both).
 //!
 //! `--trace FILE` writes a Chrome `trace_event` JSON of the study to
-//! FILE (open in `chrome://tracing` or Perfetto); `--metrics` prints a
-//! telemetry counter/histogram section after the reports. Both are
+//! FILE (open in `chrome://tracing` or Perfetto); the ring keeps the
+//! newest 65,536 events, and stderr says how many older ones it
+//! dropped. `--metrics` prints a telemetry counter/histogram section
+//! after the reports: each study task folds its engine stats and
+//! session results in once, so no event is built unless `--trace` is
+//! given too, and the section is the same with or without it. Both are
 //! strictly observational: artefact numbers are bit-identical with and
 //! without them.
 
@@ -289,12 +293,13 @@ fn main() -> ExitCode {
     if command == "cache-gc" {
         return cache_gc(&args);
     }
-    // One shared handle for every study this invocation runs; None
-    // (the default) keeps every layer on its no-op path.
-    let tel: Option<Arc<Telemetry>> = if args.trace_file.is_some() || args.metrics {
-        Some(Arc::new(Telemetry::new()))
-    } else {
-        None
+    // One shared handle for every study this invocation runs, with a
+    // tracer only when a trace is written; None (the default) keeps
+    // every layer on its no-op path.
+    let tel: Option<Arc<Telemetry>> = match (&args.trace_file, args.metrics) {
+        (Some(_), _) => Some(Arc::new(Telemetry::new())),
+        (None, true) => Some(Arc::new(Telemetry::metrics_only())),
+        (None, false) => None,
     };
     let plan = plan_for(&args, tel.clone());
     // Only `sweep` reads and writes the artefact cache; every other
@@ -346,12 +351,13 @@ fn main() -> ExitCode {
     let mut ok = report.all_pass();
 
     if let Some(tel) = &tel {
-        if let Some(path) = &args.trace_file {
+        if let (Some(path), Some(tracer)) = (&args.trace_file, &tel.tracer) {
             match std::fs::write(path, tel.chrome_trace()) {
                 Ok(()) => eprintln!(
-                    "wrote {} trace events to {}",
-                    tel.tracer.len(),
-                    path.display()
+                    "wrote {} trace events to {} ({} older events dropped)",
+                    tracer.len(),
+                    path.display(),
+                    tracer.dropped()
                 ),
                 Err(e) => {
                     eprintln!("trace write failed for {}: {e}", path.display());

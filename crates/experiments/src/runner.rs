@@ -17,18 +17,24 @@
 //! scenario, so a task costs the few links it touches, not the
 //! roster's hundreds, and each link's timeline is drawn once for all
 //! the tasks that read it.
+//!
+//! Metrics are a fold over what a task returns: when it ends, a task
+//! adds its network's [`EngineStats`] delta and the `SessionTally` of
+//! its sessions' records, stripe stats and counts to the registry, one
+//! `add` per series. Nothing below the runner counts into it.
 
 use ir_artifact::Unframed;
 use ir_core::{
-    run_session, FirstPortion, PathCtx, PathSelector, RandomSet, SessionConfig, SimTransport,
-    StaticSingle, TransferRecord, Transport, UtilizationTracker,
+    run_session, FirstPortion, PathCtx, PathSelector, PathSpec, RandomSet, SessionConfig,
+    SessionCounts, SimTransport, StaticSingle, StripeStats, TransferRecord, Transport,
+    UtilizationTracker,
 };
 use ir_simnet::faults::FaultPlan;
-use ir_simnet::sim::Network;
+use ir_simnet::sim::{EngineStats, Network};
 use ir_simnet::time::SimTime;
 use ir_simnet::topology::NodeId;
 use ir_telemetry::trace::{Event, EventKind};
-use ir_telemetry::Telemetry;
+use ir_telemetry::{Counter, Telemetry};
 use ir_workload::roster::{self, ClientSite, RelaySite, ServerSite};
 use ir_workload::{Calibration, ClientProfile, Scenario, Schedule};
 use std::collections::BTreeMap;
@@ -157,8 +163,132 @@ impl MeasurementData {
     }
 }
 
+/// What a run's sessions returned beyond their records, summed: the
+/// session series it folds into the metrics registry.
+#[derive(Debug, Default)]
+pub(crate) struct SessionTally {
+    sessions: u64,
+    /// Indirect paths the selector asked to probe, over every session.
+    pub(crate) probe_paths: u64,
+    unresolvable: u64,
+    probe_races: u64,
+    probe_timeouts: u64,
+    path_switches: u64,
+    failovers: u64,
+    stall_retries: u64,
+    abandoned: u64,
+    chunks_completed: u64,
+    chunks_reassigned: u64,
+    path_deaths: u64,
+    path_chunks: BTreeMap<PathSpec, u64>,
+    wall_us: Vec<u64>,
+}
+
+impl SessionTally {
+    /// Adds what one session returned.
+    pub(crate) fn add(&mut self, rec: &TransferRecord, stripe: &StripeStats, n: &SessionCounts) {
+        self.sessions += 1;
+        self.probe_paths += n.probe_paths;
+        self.unresolvable += n.unresolvable;
+        self.probe_races += u64::from(n.raced);
+        self.probe_timeouts += u64::from(rec.probe_timeout);
+        self.path_switches += u64::from(n.switched);
+        // A striped remainder records its path deaths as failovers;
+        // they are `stripe_path_deaths` here.
+        if stripe.per_path.is_empty() {
+            self.failovers += u64::from(rec.failovers);
+        }
+        self.stall_retries += n.stall_retries;
+        self.abandoned += u64::from(rec.abandoned);
+        self.chunks_reassigned += u64::from(stripe.reassignments);
+        self.path_deaths += u64::from(stripe.deaths);
+        for p in stripe.per_path.iter().filter(|p| p.chunks > 0) {
+            self.chunks_completed += p.chunks;
+            *self.path_chunks.entry(p.path).or_default() += p.chunks;
+        }
+        self.wall_us.push(n.wall_us);
+    }
+
+    /// Folds the tally into `tel`'s registry, one `add` per series,
+    /// the decision series labelled with `policy`. A series no session
+    /// touched stays unregistered.
+    pub(crate) fn fold(&self, tel: &Telemetry, policy: &str) {
+        if self.sessions == 0 {
+            return;
+        }
+        let m = &tel.metrics;
+        let labels = vec![("policy", policy.to_string())];
+        m.counter("policy_decisions", labels.clone())
+            .add(self.sessions);
+        m.counter("policy_probe_paths", labels)
+            .add(self.probe_paths);
+        m.counter("session_started", vec![]).add(self.sessions);
+        m.counter("session_completed", vec![]).add(self.sessions);
+        let wall = m.histogram("session_wall_us", vec![]);
+        for &us in &self.wall_us {
+            wall.record(us);
+        }
+        add_nonzero(self.probe_races, || {
+            m.counter("session_probe_races", vec![])
+        });
+        add_nonzero(self.probe_timeouts, || {
+            m.counter("session_probe_timeouts", vec![])
+        });
+        add_nonzero(self.path_switches, || {
+            m.counter("session_path_switches", vec![])
+        });
+        add_nonzero(self.failovers, || m.counter("session_failovers", vec![]));
+        add_nonzero(self.stall_retries, || {
+            m.counter("session_stall_retries", vec![])
+        });
+        add_nonzero(self.abandoned, || m.counter("session_abandoned", vec![]));
+        add_nonzero(self.unresolvable, || m.counter("path_unresolvable", vec![]));
+        add_nonzero(self.chunks_completed, || {
+            m.counter("stripe_chunks_completed", vec![])
+        });
+        add_nonzero(self.chunks_reassigned, || {
+            m.counter("stripe_chunks_reassigned", vec![])
+        });
+        add_nonzero(self.path_deaths, || m.counter("stripe_path_deaths", vec![]));
+        for (path, &n) in &self.path_chunks {
+            m.counter("stripe_path_chunks", vec![("path", path.to_string())])
+                .add(n);
+        }
+    }
+}
+
+/// `counter().add(n)`, registering the series only when `n > 0`.
+fn add_nonzero(n: u64, counter: impl FnOnce() -> Counter) {
+    if n > 0 {
+        counter().add(n);
+    }
+}
+
+/// Folds the engine work of a run's networks into `tel`'s registry,
+/// one `add` per series.
+pub(crate) fn fold_engine(tel: &Telemetry, work: EngineStats) {
+    let m = &tel.metrics;
+    m.counter("simnet_boundaries", vec![]).add(work.boundaries);
+    m.counter("simnet_recomputes", vec![]).add(work.full_solves);
+    m.counter("simnet_solve_skips", vec![])
+        .add(work.incremental_solves);
+    m.counter("simnet_partition_rebuilds", vec![])
+        .add(work.partition_rebuilds);
+    m.counter("simnet_component_solves", vec![])
+        .add(work.component_solves);
+    m.counter("simnet_flows_started", vec![])
+        .add(work.flows_started);
+    m.counter("simnet_flows_completed", vec![])
+        .add(work.flows_completed);
+    m.counter("simnet_flows_cancelled", vec![])
+        .add(work.flows_cancelled);
+    m.counter("simnet_faults_injected", vec![])
+        .add(work.faults_injected);
+}
+
 /// Runs one scheduled task on `net` (the scenario network's clone): a
-/// session per schedule instant.
+/// session per schedule instant. Returns the records and their tally;
+/// with `tel`, the task folds its counts into it when it ends.
 #[expect(
     clippy::too_many_arguments,
     reason = "one argument per sweep axis; a struct would churn every call site"
@@ -174,12 +304,15 @@ pub(crate) fn run_task(
     session: &SessionConfig,
     task_id: u64,
     tel: Option<&Arc<Telemetry>>,
-) -> Vec<TransferRecord> {
+) -> (Vec<TransferRecord>, SessionTally) {
     net.set_telemetry(tel.cloned());
     net.set_engine_mode(session.engine);
+    let start = net.stats();
+    let tracer = tel.and_then(|t| t.tracer.as_ref());
     let mut transport = SimTransport::new(net);
     let mut predictor = FirstPortion;
     let mut records = Vec::with_capacity(schedule.count as usize);
+    let mut tally = SessionTally::default();
     for (i, at) in schedule.instants(SimTime::ZERO).enumerate() {
         // A session can overrun its slot (horizon > period); never move
         // the clock backwards.
@@ -192,19 +325,22 @@ pub(crate) fn run_task(
             topo: scenario.network.topology(),
             transfer_index: i as u64,
         };
-        let (rec, _) = run_session(
+        let (rec, stripe, counts) = run_session(
             &mut transport,
             policy.as_mut(),
             &mut predictor,
             &ctx,
             session,
-            tel.map(|t| t.as_ref()),
+            tracer,
         );
+        tally.add(&rec, &stripe, &counts);
         records.push(rec);
     }
     if let Some(tel) = tel {
+        fold_engine(tel, transport.engine_stats() - start);
+        tally.fold(tel, policy.name());
         tel.metrics.counter("runner_tasks", vec![]).inc();
-        tel.tracer.record(
+        tel.trace(|| {
             Event::span(
                 EventKind::RunnerTask,
                 0,
@@ -212,10 +348,10 @@ pub(crate) fn run_task(
                 task_id,
             )
             .with_u64("client", client.0 as u64)
-            .with_u64("transfers", records.len() as u64),
-        );
+            .with_u64("transfers", records.len() as u64)
+        });
     }
-    records
+    (records, tally)
 }
 
 /// Public single-task runner: a schedule of sessions for one client
@@ -242,6 +378,7 @@ pub fn run_task_with(
         0,
         None,
     )
+    .0
 }
 
 /// Worker-thread override for [`parallel_map`]-driven studies: 0 (the
@@ -333,7 +470,7 @@ pub fn run_measurement_study_traced(
 
     let pairs = parallel_map(tasks.len(), |i| {
         let (client, via) = tasks[i];
-        let records = run_task(
+        let (records, _) = run_task(
             scenario,
             scenario.network.clone(),
             client,
@@ -473,7 +610,7 @@ pub fn run_selection_study_traced(
 
     let runs = parallel_map(tasks.len(), |i| {
         let (client, k) = tasks[i];
-        let records = run_task(
+        let (records, _) = run_task(
             scenario,
             scenario.network.clone(),
             client,
@@ -792,7 +929,8 @@ mod tests {
                 &session,
                 i as u64,
                 None,
-            );
+            )
+            .0;
             assert_eq!(pair.records, deep, "measurement task {i}");
         }
 
@@ -810,7 +948,8 @@ mod tests {
                 &session,
                 0,
                 None,
-            );
+            )
+            .0;
             assert_eq!(
                 run.records, deep,
                 "selection task ({:?}, {})",
@@ -872,8 +1011,8 @@ mod tests {
             k: 2,
             rebalance: ir_core::RebalanceConfig::paper_defaults(),
         };
-        let tel = Arc::new(Telemetry::new());
-        let records = run_task(
+        let tel = Arc::new(Telemetry::metrics_only());
+        let (records, _) = run_task(
             &sc,
             sc.network.clone(),
             sc.clients[0],
@@ -939,7 +1078,7 @@ mod tests {
         );
         let sessions = plain.pairs.len() as u64 * 3;
         assert_eq!(snap.counter("session_completed", &vec![]), Some(sessions));
-        let events = tel.tracer.snapshot();
+        let events = tel.tracer.as_ref().unwrap().snapshot();
         assert!(events
             .iter()
             .any(|e| e.kind == ir_telemetry::trace::EventKind::RunnerTask));

@@ -35,13 +35,13 @@
 //! variants — cells are seed-invariant.
 
 use crate::report::{csv, Check, Report};
-use crate::runner::{parallel_map, Scale};
+use crate::runner::{fold_engine, parallel_map, Scale, SessionTally};
 use ir_artifact::Unframed;
 use ir_core::predictor::FirstPortion;
 use ir_core::sim_transport::SimTransport;
 use ir_core::{
-    run_session, FailoverConfig, PathCtx, RebalanceConfig, SessionConfig, SessionMode, StripeStats,
-    TransferRecord,
+    run_session, FailoverConfig, PathCtx, PathSelector, RebalanceConfig, SessionConfig,
+    SessionMode, StripeStats, TransferRecord,
 };
 use ir_policy::{KShortest, KShortestConfig};
 use ir_simnet::bandwidth::ConstantProcess;
@@ -301,6 +301,7 @@ fn run_world(
     tel: Option<&Arc<Telemetry>>,
 ) -> (TransferRecord, StripeStats) {
     let mut w = build_world(scenario, tel);
+    let start = w.tp.engine_stats();
     let mut selector = KShortest::new(KShortestConfig {
         k: k as usize,
         ..KShortestConfig::default()
@@ -312,8 +313,22 @@ fn run_world(
         topo: &w.topo,
         transfer_index: 0,
     };
-    let tel = tel.map(|t| t.as_ref());
-    run_session(&mut w.tp, &mut selector, &mut FirstPortion, &ctx, cfg, tel)
+    let tracer = tel.and_then(|t| t.tracer.as_ref());
+    let (rec, stats, counts) = run_session(
+        &mut w.tp,
+        &mut selector,
+        &mut FirstPortion,
+        &ctx,
+        cfg,
+        tracer,
+    );
+    if let Some(tel) = tel {
+        fold_engine(tel, w.tp.engine_stats() - start);
+        let mut tally = SessionTally::default();
+        tally.add(&rec, &stats, &counts);
+        tally.fold(tel, selector.name());
+    }
+    (rec, stats)
 }
 
 /// One (scenario, k, chunks) cell.

@@ -432,15 +432,15 @@ pub fn run_sweep(
             .counter("sweep_artefacts", vec![])
             .add(report.artefacts.len() as u64);
         for (i, s) in report.studies.iter().enumerate() {
-            tel.tracer.record(
+            tel.trace(|| {
                 Event::span(EventKind::StudyExec, 0, s.wall.as_micros() as u64, i as u64)
                     .with_str("study", s.name.clone())
                     .with_str("source", format!("{:?}", s.source))
-                    .with_str("fingerprint", s.fingerprint.to_hex()),
-            );
+                    .with_str("fingerprint", s.fingerprint.to_hex())
+            });
         }
         for (i, a) in report.artefacts.iter().enumerate() {
-            tel.tracer.record(
+            tel.trace(|| {
                 Event::span(
                     EventKind::ArtifactRender,
                     0,
@@ -449,8 +449,8 @@ pub fn run_sweep(
                 )
                 .with_str("artefact", a.name.clone())
                 .with_str("source", format!("{:?}", a.source))
-                .with_str("fingerprint", a.fingerprint.to_hex()),
-            );
+                .with_str("fingerprint", a.fingerprint.to_hex())
+            });
         }
     }
     Ok(report)

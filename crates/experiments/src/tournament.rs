@@ -205,16 +205,16 @@ impl TournamentInputs {
     /// Runs the policy through every scenario: the body of its sweep
     /// study. One selector instance per (scenario, client) task, each
     /// task on a fresh clone of the scenario network through the study
-    /// runner, which counts the probes into the cell's own telemetry;
-    /// each cell's telemetry is then folded into `tel` when given.
+    /// runner, whose tallies give the cell its probe count. Reports
+    /// into `tel` when given.
     pub fn run(&self, tel: Option<Arc<Telemetry>>) -> Vec<TournamentCell> {
         let cell = |name| {
             let sc = self.scenario(name);
-            let cell_tel = Arc::new(Telemetry::new());
             let mut records = Vec::new();
+            let mut probe_paths = 0;
             for (ci, &client) in sc.clients.iter().enumerate() {
                 let policy_seed = self.seed ^ ((ci as u64) << 16) ^ 0x70AA;
-                records.extend(run_task(
+                let (task, tally) = run_task(
                     &sc,
                     sc.network.clone(),
                     client,
@@ -224,13 +224,12 @@ impl TournamentInputs {
                     self.schedule,
                     &self.session,
                     ci as u64,
-                    Some(&cell_tel),
-                ));
+                    tel.as_ref(),
+                );
+                records.extend(task);
+                probe_paths += tally.probe_paths;
             }
-            if let Some(tel) = &tel {
-                tel.absorb(&cell_tel);
-            }
-            cell_stats(self.policy, name, &records, &cell_tel)
+            cell_stats(self.policy, name, &records, probe_paths)
         };
         self.scenarios.0.iter().map(|&name| cell(name)).collect()
     }
@@ -312,7 +311,7 @@ fn cell_stats(
     policy: &str,
     scenario: &str,
     records: &[ir_core::TransferRecord],
-    tel: &Telemetry,
+    probe_paths: u64,
 ) -> TournamentCell {
     let transfers = records.len();
     let indirect: Vec<_> = records.iter().filter(|r| r.chose_indirect()).collect();
@@ -326,9 +325,6 @@ fn cell_stats(
         .iter()
         .filter(|r| r.selected.hop_count() >= 2)
         .count();
-    let labels = vec![("policy", policy.to_string())];
-    let snap = tel.metrics.snapshot();
-    let probe_paths = snap.counter("policy_probe_paths", &labels).unwrap_or(0);
     TournamentCell {
         policy: policy.to_string(),
         scenario: scenario.to_string(),

@@ -58,6 +58,31 @@ fn fig1_passes_and_writes_csv() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The quick measurement study records more events than the trace ring
+/// keeps, and stderr says how many it dropped.
+#[test]
+fn trace_reports_its_dropped_events() {
+    let path = std::env::temp_dir().join(format!("ir_cli_trace_{}.json", std::process::id()));
+    let out = bin()
+        .args(["fig1", "--scale", "quick", "--trace"])
+        .arg(&path)
+        .output()
+        .expect("run");
+    std::fs::remove_file(&path).ok();
+    assert!(out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    let line = err
+        .lines()
+        .find(|l| l.starts_with("wrote 65536 trace events to "))
+        .unwrap_or_else(|| panic!("no trace line in {err}"));
+    let dropped: u64 = line
+        .rsplit_once(" (")
+        .and_then(|(_, tail)| tail.strip_suffix(" older events dropped)"))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no dropped count in {line:?}"));
+    assert!(dropped > 0, "{line}");
+}
+
 #[test]
 fn bad_cal_file_is_rejected_with_line_number() {
     let path = std::env::temp_dir().join(format!("ir_bad_cal_{}.txt", std::process::id()));

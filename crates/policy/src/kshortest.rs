@@ -271,7 +271,7 @@ mod tests {
         let topo = net.topology().clone();
         let mut transport = SimTransport::new(net);
         let mut sel = KShortest::new(KShortestConfig::default());
-        let (rec, _) = run_session(
+        let (rec, ..) = run_session(
             &mut transport,
             &mut sel,
             &mut FirstPortion,

@@ -913,15 +913,15 @@ impl Conn {
             tel.metrics
                 .histogram("relay_splice_us", vec![])
                 .record(dur.as_micros() as u64);
-            tel.tracer.record(
+            tel.trace(|| {
                 Event::span(
                     EventKind::RelaySplice,
                     splice_start.as_micros() as u64,
                     dur.as_micros() as u64,
                     self.id,
                 )
-                .with_u64("bytes", self.body_len),
-            );
+                .with_u64("bytes", self.body_len)
+            });
         }
     }
 
@@ -931,12 +931,14 @@ impl Conn {
             tel.metrics
                 .histogram("relay_accept_first_byte_us", vec![])
                 .record(wait.as_micros() as u64);
-            tel.tracer.record(Event::span(
-                EventKind::RelayFirstByte,
-                self.accept_at.duration_since(ctx.epoch).as_micros() as u64,
-                wait.as_micros() as u64,
-                self.id,
-            ));
+            tel.trace(|| {
+                Event::span(
+                    EventKind::RelayFirstByte,
+                    self.accept_at.duration_since(ctx.epoch).as_micros() as u64,
+                    wait.as_micros() as u64,
+                    self.id,
+                )
+            });
         }
     }
 

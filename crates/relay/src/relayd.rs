@@ -323,10 +323,10 @@ impl Relay {
         self.draining.store(true, Ordering::SeqCst);
         self.wake_all();
         if let Some(tel) = &self.shared.cfg.telemetry {
-            tel.tracer.record(
+            tel.trace(|| {
                 Event::new(EventKind::RelayDrain, 0, 0)
-                    .with_u64("active", self.shared.active.load(Ordering::SeqCst)),
-            );
+                    .with_u64("active", self.shared.active.load(Ordering::SeqCst))
+            });
         }
         let mut samples = vec![self.shared.active.load(Ordering::SeqCst)];
         while t0.elapsed() < timeout {
@@ -458,14 +458,14 @@ fn accept_loop(
         refuse(&shared, intake.stream);
     }
     if let Some(tel) = &shared.cfg.telemetry {
-        tel.tracer.record(
+        tel.trace(|| {
             Event::new(
                 EventKind::RelayShutdown,
                 epoch.elapsed().as_micros() as u64,
                 0,
             )
-            .with_u64("connections", conns),
-        );
+            .with_u64("connections", conns)
+        });
     }
     for worker in dispatch.running {
         let _ = worker.join();
@@ -502,11 +502,13 @@ fn admit(shared: &Shared, epoch: Instant, intake: Intake, dispatch: &mut Dispatc
         tel.metrics
             .gauge("relay_active", vec![])
             .set(shared.active.load(Ordering::SeqCst) as f64);
-        tel.tracer.record(Event::new(
-            EventKind::RelayAccept,
-            epoch.elapsed().as_micros() as u64,
-            intake.conn_id,
-        ));
+        tel.trace(|| {
+            Event::new(
+                EventKind::RelayAccept,
+                epoch.elapsed().as_micros() as u64,
+                intake.conn_id,
+            )
+        });
     }
     let shard = dispatch.next % dispatch.links.len();
     dispatch.next = dispatch.next.wrapping_add(1);
@@ -883,14 +885,15 @@ mod tests {
         assert_eq!(snap.counter("relay_connections", &vec![]), Some(1));
         assert_eq!(snap.counter("relay_requests", &vec![]), Some(1));
         assert_eq!(snap.counter("relay_bytes", &vec![]), Some(5_000));
-        let kinds: Vec<EventKind> = tel.tracer.snapshot().iter().map(|e| e.kind).collect();
+        let events = tel.tracer.as_ref().expect("traced").snapshot();
+        let kinds: Vec<EventKind> = events.iter().map(|e| e.kind).collect();
         assert!(kinds.contains(&EventKind::RelayAccept));
         assert!(kinds.contains(&EventKind::RelaySplice));
         assert!(kinds.contains(&EventKind::RelayShutdown));
         // The splice and the accept-to-first-byte wait are spans on the
         // daemon's wall clock.
         for kind in [EventKind::RelaySplice, EventKind::RelayFirstByte] {
-            let span = tel.tracer.snapshot().into_iter().find(|e| e.kind == kind);
+            let span = events.iter().find(|e| e.kind == kind);
             let span = span.unwrap_or_else(|| panic!("no {kind:?} span"));
             assert!(span.dur_us.is_some(), "{kind:?} has no duration");
         }

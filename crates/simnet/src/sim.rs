@@ -37,7 +37,7 @@ use crate::partition::NO_COMP;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{LinkId, Route, Sharing, Topology};
 use ir_telemetry::trace::{Event, EventKind};
-use ir_telemetry::{Counter, Histogram, Telemetry};
+use ir_telemetry::{Histogram, Telemetry, Tracer};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -150,7 +150,8 @@ struct FlowState {
     cancelled: bool,
 }
 
-/// Engine counters, for performance diagnostics and tests.
+/// Engine counters, for performance diagnostics, tests and the
+/// experiments' `simnet_*` metrics (folded in once per run).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Boundary steps processed (rate changes, cap changes,
@@ -177,6 +178,46 @@ pub struct EngineStats {
     /// `component_solves - components_resolved` is the work
     /// component-local invalidation avoided.
     pub components_resolved: u64,
+    /// Boundary steps whose solve first re-derived a congestion
+    /// component after a departure (incremental engine only).
+    pub partition_rebuilds: u64,
+    /// Fault-plan events applied.
+    pub faults_injected: u64,
+}
+
+impl EngineStats {
+    /// Applies `op` field by field.
+    fn zip(self, other: EngineStats, op: fn(u64, u64) -> u64) -> EngineStats {
+        EngineStats {
+            boundaries: op(self.boundaries, other.boundaries),
+            full_solves: op(self.full_solves, other.full_solves),
+            incremental_solves: op(self.incremental_solves, other.incremental_solves),
+            flows_started: op(self.flows_started, other.flows_started),
+            flows_completed: op(self.flows_completed, other.flows_completed),
+            flows_cancelled: op(self.flows_cancelled, other.flows_cancelled),
+            component_solves: op(self.component_solves, other.component_solves),
+            components_resolved: op(self.components_resolved, other.components_resolved),
+            partition_rebuilds: op(self.partition_rebuilds, other.partition_rebuilds),
+            faults_injected: op(self.faults_injected, other.faults_injected),
+        }
+    }
+}
+
+/// Work summed over networks (a task's and its replicas').
+impl std::ops::Add for EngineStats {
+    type Output = EngineStats;
+    fn add(self, other: EngineStats) -> EngineStats {
+        self.zip(other, |a, b| a + b)
+    }
+}
+
+/// Work done since an earlier reading of the same network (or of the
+/// donor it was cloned from: clones inherit their donor's counters).
+impl std::ops::Sub for EngineStats {
+    type Output = EngineStats;
+    fn sub(self, earlier: EngineStats) -> EngineStats {
+        self.zip(earlier, |a, b| a - b)
+    }
 }
 
 /// Which allocation engine [`Network`] runs; see the module docs.
@@ -420,41 +461,14 @@ struct FaultState {
     brownout: Vec<f64>,
 }
 
-/// The attached telemetry handle with the engine's instruments resolved
-/// once, so emitting on the hot path is an atomic add — never the
-/// registry's lock and map lookup.
+/// The attached telemetry handle with the flow-duration histogram
+/// resolved once, so a completion records without the registry's lock.
+/// The engine counts nothing else into the registry: its counters are
+/// [`EngineStats`], which callers fold in once per run.
 #[derive(Clone)]
 struct EngineTelemetry {
     tel: Arc<Telemetry>,
-    boundaries: Counter,
-    recomputes: Counter,
-    solve_skips: Counter,
-    partition_rebuilds: Counter,
-    component_solves: Counter,
-    flows_started: Counter,
-    flows_completed: Counter,
-    flows_cancelled: Counter,
-    faults_injected: Counter,
     flow_duration_us: Histogram,
-}
-
-impl EngineTelemetry {
-    fn new(tel: Arc<Telemetry>) -> Self {
-        let m = &tel.metrics;
-        EngineTelemetry {
-            boundaries: m.counter("simnet_boundaries", vec![]),
-            recomputes: m.counter("simnet_recomputes", vec![]),
-            solve_skips: m.counter("simnet_solve_skips", vec![]),
-            partition_rebuilds: m.counter("simnet_partition_rebuilds", vec![]),
-            component_solves: m.counter("simnet_component_solves", vec![]),
-            flows_started: m.counter("simnet_flows_started", vec![]),
-            flows_completed: m.counter("simnet_flows_completed", vec![]),
-            flows_cancelled: m.counter("simnet_flows_cancelled", vec![]),
-            faults_injected: m.counter("simnet_faults_injected", vec![]),
-            flow_duration_us: m.histogram("simnet_flow_duration_us", vec![]),
-            tel,
-        }
-    }
 }
 
 /// The simulated network: topology + per-link bandwidth processes +
@@ -546,17 +560,21 @@ impl Network {
         self.mode
     }
 
-    /// Attaches (or with `None`, detaches) a telemetry handle,
-    /// registering the engine's instruments in its registry. Clones
-    /// made after this call inherit the handle, so every replica of a
-    /// scenario network reports into the same registry.
+    /// Attaches (or with `None`, detaches) a telemetry handle: the
+    /// engine traces into its tracer, when it has one, and records
+    /// `simnet_flow_duration_us`. Clones made after this call inherit
+    /// the handle, so every replica of a scenario network reports into
+    /// the same one. The engine's counters stay in [`Network::stats`].
     pub fn set_telemetry(&mut self, telemetry: Option<Arc<Telemetry>>) {
-        self.telemetry = telemetry.map(EngineTelemetry::new);
+        self.telemetry = telemetry.map(|tel| EngineTelemetry {
+            flow_duration_us: tel.metrics.histogram("simnet_flow_duration_us", vec![]),
+            tel,
+        });
     }
 
-    /// The currently attached telemetry handle, if any.
-    pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
-        self.telemetry.as_ref().map(|t| &t.tel)
+    /// The attached tracer, if a trace is being kept.
+    fn tracer(&self) -> Option<&Tracer> {
+        self.telemetry.as_ref()?.tel.tracer.as_ref()
     }
 
     /// Attaches a bandwidth process to a link, replacing the previous
@@ -697,9 +715,10 @@ impl Network {
                     ("node_up", n.0 as u64, 1.0)
                 }
             };
-            if let Some(t) = &self.telemetry {
-                t.faults_injected.inc();
-                t.tel.tracer.record(
+            self.stats.faults_injected += 1;
+            let tracer = self.telemetry.as_ref().and_then(|t| t.tel.tracer.as_ref());
+            if let Some(tr) = tracer {
+                tr.record(
                     Event::new(EventKind::FaultInjected, at.as_micros(), id)
                         .with_str("fault", what)
                         .with_f64("factor", factor),
@@ -755,9 +774,8 @@ impl Network {
             self.cache.acquire(id.0 as u32, &route);
             self.active.push(id.0 as u32);
         }
-        if let Some(t) = &self.telemetry {
-            t.flows_started.inc();
-            t.tel.tracer.record(
+        if let Some(tr) = self.tracer() {
+            tr.record(
                 Event::new(EventKind::FlowStart, self.now.as_micros(), id.0)
                     .with_u64("bytes", bytes)
                     .with_u64("hops", route.links.len() as u64),
@@ -786,9 +804,8 @@ impl Network {
             let k = self.active.binary_search(&(id.0 as u32));
             self.active.remove(k.expect("live flow is listed active"));
             self.stats.flows_cancelled += 1;
-            if let Some(t) = &self.telemetry {
-                t.flows_cancelled.inc();
-                t.tel.tracer.record(
+            if let Some(tr) = self.tracer() {
+                tr.record(
                     Event::new(EventKind::FlowCancel, self.now.as_micros(), id.0)
                         .with_u64("bytes_done", self.bytes_done[id.0 as usize] as u64),
                 );
@@ -951,13 +968,12 @@ impl Network {
         };
     }
 
-    /// Records a full max–min solve in stats and telemetry (both engine
+    /// Records a full max–min solve in stats and the trace (both engine
     /// modes).
     fn note_full_solve(&mut self, active_flows: usize) {
         self.stats.full_solves += 1;
-        if let Some(t) = &self.telemetry {
-            t.recomputes.inc();
-            t.tel.tracer.record(
+        if let Some(tr) = self.tracer() {
+            tr.record(
                 Event::new(EventKind::FairShareRecompute, self.now.as_micros(), 0)
                     .with_u64("active_flows", active_flows as u64),
             );
@@ -1063,9 +1079,6 @@ impl Network {
             // link's process change that left every folded cap
             // bitwise identical): the allocation stands.
             self.stats.incremental_solves += 1;
-            if let Some(t) = &self.telemetry {
-                t.solve_skips.inc();
-            }
             return;
         }
 
@@ -1076,13 +1089,15 @@ impl Network {
             let EngineCache { comps, prob, .. } = &mut self.cache;
             comps.begin_solve(&prob.flow_off, &prob.flow_links)
         };
-        if let (Some(tel), true) = (&self.telemetry, repaired > 0) {
-            tel.partition_rebuilds.inc();
-            tel.tel.tracer.record(Event::new(
-                EventKind::PartitionRebuild,
-                t.as_micros(),
-                nf as u64,
-            ));
+        if repaired > 0 {
+            self.stats.partition_rebuilds += 1;
+            if let Some(tr) = self.tracer() {
+                tr.record(Event::new(
+                    EventKind::PartitionRebuild,
+                    t.as_micros(),
+                    nf as u64,
+                ));
+            }
         }
 
         // The kernel bypasses `max_min_rates`' input validation; keep
@@ -1164,9 +1179,6 @@ impl Network {
         self.stats.components_resolved += resolved;
         self.note_full_solve(nf);
         self.cache.have_solution = true;
-        if let Some(t) = &self.telemetry {
-            t.component_solves.add(ncomp);
-        }
     }
 
     /// Advances simulated time by **one boundary** — to the earliest of
@@ -1176,9 +1188,6 @@ impl Network {
     fn advance_one_boundary(&mut self, until: SimTime) -> Vec<CompletedFlow> {
         debug_assert!(until >= self.now);
         self.stats.boundaries += 1;
-        if let Some(t) = &self.telemetry {
-            t.boundaries.inc();
-        }
         self.apply_due_faults();
         if self.active.is_empty() {
             self.last_step.clear();
@@ -1307,12 +1316,13 @@ impl Network {
         if let Some(t) = &self.telemetry {
             for c in &done {
                 let dur = (c.finished - c.started).as_micros();
-                t.flows_completed.inc();
                 t.flow_duration_us.record(dur);
-                t.tel.tracer.record(
-                    Event::span(EventKind::FlowComplete, c.started.as_micros(), dur, c.id.0)
-                        .with_u64("bytes", c.bytes),
-                );
+                if let Some(tr) = &t.tel.tracer {
+                    tr.record(
+                        Event::span(EventKind::FlowComplete, c.started.as_micros(), dur, c.id.0)
+                            .with_u64("bytes", c.bytes),
+                    );
+                }
             }
         }
         done
@@ -1910,11 +1920,11 @@ mod tests {
         let x = traced.start_flow(direct_t, 1_000_000, Box::new(NoCap));
         traced.cancel_flow(x);
 
-        let snap = tel.metrics.snapshot();
-        assert_eq!(snap.counter("simnet_flows_started", &vec![]), Some(2));
-        assert_eq!(snap.counter("simnet_flows_completed", &vec![]), Some(1));
-        assert_eq!(snap.counter("simnet_flows_cancelled", &vec![]), Some(1));
-        let kinds: Vec<EventKind> = tel.tracer.snapshot().iter().map(|e| e.kind).collect();
+        assert_eq!(plain.stats().boundaries, traced.stats().boundaries);
+        let durations = tel.metrics.histogram("simnet_flow_duration_us", vec![]);
+        assert_eq!(durations.count(), 1);
+        let events = tel.tracer.as_ref().unwrap().snapshot();
+        let kinds: Vec<EventKind> = events.iter().map(|e| e.kind).collect();
         assert!(kinds.contains(&EventKind::FlowStart));
         assert!(kinds.contains(&EventKind::FlowComplete));
         assert!(kinds.contains(&EventKind::FlowCancel));
@@ -1927,13 +1937,18 @@ mod tests {
         let tel = Arc::new(Telemetry::new());
         net.set_telemetry(Some(tel.clone()));
         let mut replica = net.clone();
-        replica.start_flow(direct, 100, Box::new(NoCap));
+        let id = replica.start_flow(direct, 100, Box::new(NoCap));
+        replica.run_flow(id, SimTime::from_secs(100)).unwrap();
+        let durations = tel.metrics.histogram("simnet_flow_duration_us", vec![]);
         assert_eq!(
-            tel.metrics
-                .snapshot()
-                .counter("simnet_flows_started", &vec![]),
-            Some(1),
-            "replica reports into the shared registry"
+            durations.count(),
+            1,
+            "replica reports into the shared handle"
+        );
+        assert_eq!(
+            tel.tracer.as_ref().unwrap().len(),
+            3,
+            "start, solve, complete"
         );
     }
 
@@ -2030,6 +2045,8 @@ mod tests {
         net.run_flow(id, SimTime::from_secs(100));
         let faults: Vec<_> = tel
             .tracer
+            .as_ref()
+            .unwrap()
             .snapshot()
             .into_iter()
             .filter(|e| e.kind == EventKind::FaultInjected)
@@ -2037,12 +2054,7 @@ mod tests {
         assert_eq!(faults.len(), 2);
         assert_eq!(faults[0].ts_us, SimTime::from_secs(2).as_micros());
         assert_eq!(faults[1].ts_us, SimTime::from_secs(4).as_micros());
-        assert_eq!(
-            tel.metrics
-                .snapshot()
-                .counter("simnet_faults_injected", &vec![]),
-            Some(2)
-        );
+        assert_eq!(net.stats().faults_injected, 2);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 use ir_simnet::bandwidth::{ConstantProcess, PiecewiseProcess};
 use ir_simnet::faults::FaultPlan;
 use ir_simnet::prelude::*;
+use ir_simnet::sim::EngineStats;
 use ir_simnet::topology::NodeKind;
 use ir_telemetry::trace::Event;
 use ir_telemetry::Telemetry;
@@ -22,7 +23,7 @@ use std::sync::Arc;
 /// One full engine run of a fault-laden multi-flow scenario under a
 /// fresh telemetry handle; returns the event trace and the counters the
 /// engine maintains.
-fn traced_run(mode: EngineMode) -> (Vec<Event>, Vec<(&'static str, u64)>) {
+fn traced_run(mode: EngineMode) -> (Vec<Event>, EngineStats) {
     let mut topo = Topology::new();
     let n = 6;
     let nodes: Vec<NodeId> = (0..n)
@@ -93,20 +94,8 @@ fn traced_run(mode: EngineMode) -> (Vec<Event>, Vec<(&'static str, u64)>) {
     net.cancel_flow(ids[1]);
     net.advance_until(SimTime::from_secs(240));
 
-    let snap = tel.metrics.snapshot();
-    let counters = [
-        "simnet_boundaries",
-        "simnet_recomputes",
-        "simnet_solve_skips",
-        "simnet_partition_rebuilds",
-        "simnet_component_solves",
-        "simnet_flows_started",
-        "simnet_flows_completed",
-        "simnet_flows_cancelled",
-        "simnet_faults_injected",
-    ]
-    .map(|name| (name, snap.counter(name, &vec![]).unwrap_or(0)));
-    (tel.tracer.snapshot(), counters.to_vec())
+    let trace = tel.tracer.as_ref().expect("traced").snapshot();
+    (trace, net.stats())
 }
 
 #[test]
@@ -140,11 +129,7 @@ fn engine_trace_is_identical_across_independent_runs() {
 #[test]
 fn partition_rebuilds_are_observed() {
     let (trace, counters) = traced_run(EngineMode::Incremental);
-    let rebuilds = counters
-        .iter()
-        .find(|(n, _)| *n == "simnet_partition_rebuilds")
-        .map(|&(_, v)| v)
-        .unwrap_or(0);
+    let rebuilds = counters.partition_rebuilds;
     assert!(
         rebuilds > 0,
         "completions never triggered a repair: {counters:?}"

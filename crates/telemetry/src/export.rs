@@ -1,16 +1,15 @@
-//! Exporters: Chrome `trace_event` JSON (loadable in `chrome://tracing`
-//! or [Perfetto](https://ui.perfetto.dev)), a flat JSON event dump, and
-//! a flat CSV event dump.
+//! The exporter: Chrome `trace_event` JSON, loadable in
+//! `chrome://tracing` or [Perfetto](https://ui.perfetto.dev).
 //!
 //! JSON is emitted by hand — the tree has no JSON library — so every
-//! string goes through [`json_string`] and every float through
-//! [`json_f64`] (non-finite values become `null`, which strict parsers
+//! string goes through `json_string` and every float through
+//! `json_f64` (non-finite values become `null`, which strict parsers
 //! require).
 
 use crate::trace::{Attr, Event};
 
 /// Escapes and quotes `s` as a JSON string literal.
-pub fn json_string(s: &str) -> String {
+fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -29,7 +28,7 @@ pub fn json_string(s: &str) -> String {
 }
 
 /// Renders a float as a JSON value (`null` for NaN/infinity).
-pub fn json_f64(v: f64) -> String {
+fn json_f64(v: f64) -> String {
     if v.is_finite() {
         // `{v}` prints integers without a dot, which is still valid
         // JSON (a number), so no special casing needed.
@@ -96,62 +95,10 @@ pub fn chrome_trace(events: &[Event]) -> String {
     out
 }
 
-/// Renders events as a flat JSON array (one object per event, in the
-/// given order).
-pub fn events_json(events: &[Event]) -> String {
-    let mut out = String::from("[");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"ts_us\":{},\"kind\":{},\"cat\":{},\"id\":{}",
-            e.ts_us,
-            json_string(e.kind.name()),
-            json_string(e.kind.category()),
-            e.id
-        ));
-        if let Some(dur) = e.dur_us {
-            out.push_str(&format!(",\"dur_us\":{dur}"));
-        }
-        out.push_str(",\"args\":");
-        out.push_str(&json_args(e));
-        out.push('}');
-    }
-    out.push(']');
-    out
-}
-
-/// Renders events as CSV: `ts_us,kind,cat,id,dur_us,attrs` where attrs
-/// is a `k=v;k=v` list (values with `,`/`;`/`"` are quote-escaped by
-/// doubling quotes per RFC 4180).
-pub fn events_csv(events: &[Event]) -> String {
-    let mut out = String::from("ts_us,kind,cat,id,dur_us,attrs\n");
-    for e in events {
-        let attrs: Vec<String> = e.attrs.iter().map(|(k, v)| format!("{k}={v}")).collect();
-        let attrs = attrs.join(";");
-        let attrs = if attrs.contains(',') || attrs.contains('"') || attrs.contains('\n') {
-            format!("\"{}\"", attrs.replace('"', "\"\""))
-        } else {
-            attrs
-        };
-        out.push_str(&format!(
-            "{},{},{},{},{},{}\n",
-            e.ts_us,
-            e.kind.name(),
-            e.kind.category(),
-            e.id,
-            e.dur_us.map(|d| d.to_string()).unwrap_or_default(),
-            attrs
-        ));
-    }
-    out
-}
-
-/// A minimal JSON syntax checker used by tests (the tree has no JSON
-/// parser dependency). Validates structure, not semantics.
-#[doc(hidden)]
-pub mod tests_support {
+/// A minimal JSON syntax checker for this crate's tests (the tree has
+/// no JSON parser dependency). Validates structure, not semantics.
+#[cfg(test)]
+pub(crate) mod tests_support {
     /// Panics unless `s` is a syntactically valid JSON document.
     pub fn assert_valid_json(s: &str) {
         let mut p = Parser {
@@ -339,50 +286,18 @@ mod tests {
 
     #[test]
     fn chrome_trace_escapes_strings() {
-        let evs = vec![Event::new(EventKind::Custom("weird\"name"), 1, 0)
-            .with_str("note", "line\nbreak and \"quotes\"")];
+        let evs = vec![Event::new(EventKind::ProbeWon, 1, 0)
+            .with_str("note\"key", "line\nbreak and \"quotes\"")];
         let json = chrome_trace(&evs);
         assert_valid_json(&json);
-        assert!(json.contains("weird\\\"name"));
+        assert!(json.contains("note\\\"key"));
+        assert!(json.contains("line\\nbreak and \\\"quotes\\\""));
     }
 
     #[test]
-    fn events_json_round_trips_fields() {
-        let json = events_json(&sample_events());
-        assert_valid_json(&json);
-        assert!(json.contains("\"kind\":\"flow_start\""));
-        assert!(json.contains("\"dur_us\":900"));
-        assert!(json.contains("\"rate\":1234.5"));
-    }
-
-    #[test]
-    fn events_csv_has_header_and_rows() {
-        let csv = events_csv(&sample_events());
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "ts_us,kind,cat,id,dur_us,attrs");
-        assert_eq!(lines.len(), 4);
-        assert!(lines[1].starts_with("300,flow_start,simnet,1,,"));
-        assert!(
-            lines[2].ends_with("path=indirect via relay-3;rate=1234.5"),
-            "attrs flattened: {}",
-            lines[2]
-        );
-    }
-
-    #[test]
-    fn events_csv_quotes_embedded_commas() {
-        let evs = vec![Event::new(EventKind::Custom("x"), 5, 0).with_str("note", "a,b")];
-        let csv = events_csv(&evs);
-        let row = csv.lines().nth(1).unwrap();
-        assert!(row.ends_with("\"note=a,b\""), "quoted: {row}");
-    }
-
-    #[test]
-    fn empty_exports_are_valid() {
+    fn empty_export_is_valid() {
         assert_eq!(chrome_trace(&[]), "[]");
-        assert_eq!(events_json(&[]), "[]");
         assert_valid_json(&chrome_trace(&[]));
-        assert_eq!(events_csv(&[]).lines().count(), 1);
     }
 
     #[test]

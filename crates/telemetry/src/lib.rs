@@ -8,24 +8,29 @@
 //! experiments CLI:
 //!
 //! * [`metrics`] — a thread-safe registry of counters, gauges, and
-//!   log-scale histograms with lock-free hot-path updates and
-//!   point-in-time [`metrics::Snapshot`]s (aligned text + JSON).
+//!   log-scale histograms with lock-free updates and point-in-time
+//!   [`metrics::Snapshot`]s rendered as aligned text. The study runner
+//!   fills it by folding what each task returns (engine stats, records,
+//!   session counts) once per task; the simulator and the session
+//!   protocol write no counters of their own.
 //! * [`trace`] — a ring-buffered structured event recorder: typed
-//!   [`trace::EventKind`]s against simulated or wall microseconds.
+//!   [`trace::EventKind`]s against simulated or wall microseconds. It
+//!   exists only when a trace is asked for: a [`Telemetry`] without a
+//!   tracer makes every layer skip building its events.
 //! * [`export`] — Chrome `trace_event` JSON (open in
-//!   `chrome://tracing` / Perfetto), flat JSON, and CSV dumps.
+//!   `chrome://tracing` / Perfetto).
 //!
 //! # The disabled-by-default contract
 //!
 //! Instrumented layers hold an `Option` of a shared [`Telemetry`]
-//! handle (`Option<&Telemetry>` or `Option<Arc<Telemetry>>`). `None` —
-//! the default everywhere — short-circuits before any work happens:
-//! no allocation, no formatting, no locking. Telemetry is strictly
-//! observational: it never consumes randomness, never advances a
-//! clock, and never changes control flow, so an instrumented run
-//! produces bit-identical results with telemetry on or off. The
-//! `determinism` integration test and the
-//! `experiments measurement --trace` acceptance check both pin this.
+//! handle (or of its [`Tracer`]). `None` — the default everywhere —
+//! short-circuits before any work happens: no allocation, no
+//! formatting, no locking. Telemetry is strictly observational: it
+//! never consumes randomness, never advances a clock, and never
+//! changes control flow, so an instrumented run produces bit-identical
+//! results with telemetry on or off. The `determinism` integration
+//! test and the `experiments measurement --trace` acceptance check
+//! both pin this.
 //!
 //! # Example
 //!
@@ -34,17 +39,17 @@
 //! use std::sync::Arc;
 //!
 //! let tel = Arc::new(Telemetry::new());
-//! // Hot path: cache the handle once, update lock-free.
+//! // Counters: resolve the handle once, update lock-free.
 //! let flows = tel.metrics.counter("flows_started", vec![]);
-//! flows.inc();
-//! tel.tracer.record(
-//!     Event::new(EventKind::FlowStart, 0, 1).with_u64("bytes", 4096),
-//! );
+//! flows.add(2);
+//! // Events: built only when a tracer exists.
+//! tel.trace(|| Event::new(EventKind::FlowStart, 0, 1).with_u64("bytes", 4096));
 //! // Reporting.
 //! let text = tel.metrics.snapshot().render_text();
 //! assert!(text.contains("flows_started"));
 //! let chrome = tel.chrome_trace();
 //! assert!(chrome.starts_with('['));
+//! assert!(Telemetry::metrics_only().tracer.is_none());
 //! ```
 
 pub mod export;
@@ -54,54 +59,59 @@ pub mod trace;
 pub use metrics::{Counter, Gauge, Histogram, Labels, MetricsRegistry, Snapshot};
 pub use trace::{Attr, Event, EventKind, Tracer, DEFAULT_TRACE_CAPACITY};
 
-/// The combined telemetry handle: one metrics registry plus one event
-/// tracer. Shared across threads via `Arc`.
-#[derive(Debug, Default)]
+/// The combined telemetry handle: one metrics registry plus, when a
+/// trace is wanted, one event tracer. Shared across threads via `Arc`.
+#[derive(Debug)]
 pub struct Telemetry {
     /// Metric series.
     pub metrics: MetricsRegistry,
-    /// Event ring buffer.
-    pub tracer: Tracer,
+    /// Event ring buffer; `None` when only metrics were asked for, so
+    /// no layer builds an event.
+    pub tracer: Option<Tracer>,
+}
+
+impl Default for Telemetry {
+    fn default() -> Telemetry {
+        Telemetry::new()
+    }
 }
 
 impl Telemetry {
-    /// Telemetry with the default trace capacity
+    /// Metrics and a tracer with the default capacity
     /// ([`DEFAULT_TRACE_CAPACITY`]).
     pub fn new() -> Telemetry {
-        Telemetry::default()
+        Telemetry::with_trace_capacity(DEFAULT_TRACE_CAPACITY)
     }
 
-    /// Telemetry retaining at most `trace_capacity` events.
+    /// Metrics and a tracer retaining at most `trace_capacity` events.
     pub fn with_trace_capacity(trace_capacity: usize) -> Telemetry {
         Telemetry {
             metrics: MetricsRegistry::new(),
-            tracer: Tracer::with_capacity(trace_capacity),
+            tracer: Some(Tracer::with_capacity(trace_capacity)),
         }
     }
 
-    /// Folds `other`'s metrics and retained events into this handle
-    /// (see [`MetricsRegistry::absorb`]): how a run that keeps a private
-    /// handle of its own still reports into a shared one.
-    pub fn absorb(&self, other: &Telemetry) {
-        self.metrics.absorb(&other.metrics);
-        for event in other.tracer.snapshot() {
-            self.tracer.record(event);
+    /// Metrics only: no tracer, so no event is ever built or stored.
+    pub fn metrics_only() -> Telemetry {
+        Telemetry {
+            metrics: MetricsRegistry::new(),
+            tracer: None,
         }
     }
 
-    /// Chrome `trace_event` JSON of everything currently retained.
+    /// Records the event `make` builds — building it only when there
+    /// is a tracer to keep it.
+    pub fn trace(&self, make: impl FnOnce() -> Event) {
+        if let Some(tracer) = &self.tracer {
+            tracer.record(make());
+        }
+    }
+
+    /// Chrome `trace_event` JSON of everything currently retained
+    /// (`[]` without a tracer).
     pub fn chrome_trace(&self) -> String {
-        export::chrome_trace(&self.tracer.snapshot())
-    }
-
-    /// Flat JSON dump of everything currently retained.
-    pub fn events_json(&self) -> String {
-        export::events_json(&self.tracer.snapshot())
-    }
-
-    /// CSV dump of everything currently retained.
-    pub fn events_csv(&self) -> String {
-        export::events_csv(&self.tracer.snapshot())
+        let events = self.tracer.as_ref().map(Tracer::snapshot);
+        export::chrome_trace(events.as_deref().unwrap_or_default())
     }
 }
 
@@ -114,30 +124,17 @@ mod tests {
     fn combined_handle_round_trip() {
         let tel = Telemetry::with_trace_capacity(16);
         tel.metrics.counter("c", vec![]).add(2);
-        tel.tracer.record(Event::new(EventKind::SessionStart, 5, 0));
+        tel.trace(|| Event::new(EventKind::SessionStart, 5, 0));
         assert_eq!(tel.metrics.snapshot().counter("c", &vec![]), Some(2));
-        assert_eq!(tel.tracer.len(), 1);
+        assert_eq!(tel.tracer.as_ref().map(Tracer::len), Some(1));
         export::tests_support::assert_valid_json(&tel.chrome_trace());
-        export::tests_support::assert_valid_json(&tel.events_json());
     }
 
     #[test]
-    fn absorb_sums_counters_and_histograms_and_copies_events() {
-        let (a, b) = (Telemetry::new(), Telemetry::new());
-        a.metrics.counter("c", vec![]).add(2);
-        b.metrics.counter("c", vec![]).add(3);
-        b.metrics.gauge("g", vec![]).set(1.5);
-        a.metrics.histogram("h", vec![]).record(4);
-        b.metrics.histogram("h", vec![]).record(1000);
-        b.tracer.record(Event::new(EventKind::SessionStart, 5, 0));
-        a.absorb(&b);
-        let snap = a.metrics.snapshot();
-        assert_eq!(snap.counter("c", &vec![]), Some(5));
-        let h = a.metrics.histogram("h", vec![]);
-        assert_eq!((h.count(), h.sum(), h.quantile(1.0)), (2, 1004, 1023.0));
-        assert_eq!(a.metrics.gauge("g", vec![]).get(), 1.5);
-        assert_eq!(a.tracer.len(), 1);
-        assert_eq!(b.metrics.snapshot().counter("c", &vec![]), Some(3));
+    fn metrics_only_builds_no_events() {
+        let tel = Telemetry::metrics_only();
+        tel.trace(|| unreachable!("no tracer, so no event is built"));
+        assert_eq!(tel.chrome_trace(), "[]");
     }
 
     #[test]

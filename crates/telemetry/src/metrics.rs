@@ -11,8 +11,8 @@
 //!    advances any clock, so enabling metrics cannot perturb a
 //!    deterministic simulation.
 //! 3. **Point-in-time snapshots.** [`MetricsRegistry::snapshot`]
-//!    captures every registered series and renders to aligned text or
-//!    JSON without stopping writers (relaxed reads; a snapshot is a
+//!    captures every registered series and renders to aligned text
+//!    without stopping writers (relaxed reads; a snapshot is a
 //!    consistent-enough view for reporting, not a linearization).
 //!
 //! Registration takes a `Mutex` (std; the tree has no `parking_lot`)
@@ -236,26 +236,6 @@ impl MetricsRegistry {
             .clone()
     }
 
-    /// Adds every series of `other` into this registry: counters and
-    /// histogram buckets sum, gauges take `other`'s reading.
-    pub fn absorb(&self, other: &MetricsRegistry) {
-        let theirs = other.series.lock().expect("metrics poisoned");
-        for ((name, labels), c) in &theirs.counters {
-            self.counter(name, labels.clone()).add(c.get());
-        }
-        for ((name, labels), g) in &theirs.gauges {
-            self.gauge(name, labels.clone()).set(g.get());
-        }
-        for ((name, labels), h) in &theirs.histograms {
-            let mine = self.histogram(name, labels.clone());
-            for (to, from) in mine.buckets.iter().zip(h.buckets.iter()) {
-                to.fetch_add(from.load(Ordering::Relaxed), Ordering::Relaxed);
-            }
-            mine.count.fetch_add(h.count(), Ordering::Relaxed);
-            mine.sum.fetch_add(h.sum(), Ordering::Relaxed);
-        }
-    }
-
     /// Point-in-time view of every registered series.
     pub fn snapshot(&self) -> Snapshot {
         let s = self.series.lock().expect("metrics poisoned");
@@ -387,56 +367,6 @@ impl Snapshot {
         }
         out
     }
-
-    /// JSON rendering: an array of `{name, labels, type, ...}` objects.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":");
-            out.push_str(&crate::export::json_string(row.name));
-            out.push_str(",\"labels\":{");
-            for (j, (k, v)) in row.labels.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&crate::export::json_string(k));
-                out.push(':');
-                out.push_str(&crate::export::json_string(v));
-            }
-            out.push('}');
-            match &row.value {
-                MetricValue::Counter(v) => {
-                    out.push_str(&format!(",\"type\":\"counter\",\"value\":{v}"));
-                }
-                MetricValue::Gauge(v) => {
-                    out.push_str(",\"type\":\"gauge\",\"value\":");
-                    out.push_str(&crate::export::json_f64(*v));
-                }
-                MetricValue::Histogram {
-                    count,
-                    sum,
-                    mean,
-                    p50,
-                    p99,
-                } => {
-                    out.push_str(&format!(
-                        ",\"type\":\"histogram\",\"count\":{count},\"sum\":{sum},\"mean\":"
-                    ));
-                    out.push_str(&crate::export::json_f64(*mean));
-                    out.push_str(",\"p50\":");
-                    out.push_str(&crate::export::json_f64(*p50));
-                    out.push_str(",\"p99\":");
-                    out.push_str(&crate::export::json_f64(*p99));
-                }
-            }
-            out.push('}');
-        }
-        out.push(']');
-        out
-    }
 }
 
 #[cfg(test)]
@@ -557,21 +487,6 @@ mod tests {
             .map(|l| l.find("  ").expect("two-space separator"))
             .collect();
         assert!(col[0] == col[1] || lines[0].split_whitespace().count() >= 2);
-    }
-
-    #[test]
-    fn snapshot_renders_json() {
-        let reg = MetricsRegistry::new();
-        reg.counter("c", vec![]).inc();
-        reg.gauge("g", vec![]).set(f64::NAN); // must not produce bare NaN
-        reg.histogram("h", vec![]).record(3);
-        let json = reg.snapshot().render_json();
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        assert!(json.contains("\"type\":\"counter\""));
-        assert!(json.contains("\"type\":\"gauge\""));
-        assert!(json.contains("\"type\":\"histogram\""));
-        assert!(!json.contains("NaN"), "NaN must be rendered as null");
-        crate::export::tests_support::assert_valid_json(&json);
     }
 
     #[test]

@@ -81,8 +81,6 @@ pub enum EventKind {
     /// The sweep scheduler materialised an artefact (rendered it or
     /// restored its cached bundle); `dur_us` spans it.
     ArtifactRender,
-    /// Escape hatch for ad-hoc instrumentation.
-    Custom(&'static str),
 }
 
 impl EventKind {
@@ -114,7 +112,6 @@ impl EventKind {
             EventKind::SelectionDecision => "selection_decision",
             EventKind::StudyExec => "study_exec",
             EventKind::ArtifactRender => "artifact_render",
-            EventKind::Custom(name) => name,
         }
     }
 
@@ -145,7 +142,6 @@ impl EventKind {
             EventKind::RunnerTask => "runner",
             EventKind::SelectionDecision => "policy",
             EventKind::StudyExec | EventKind::ArtifactRender => "sweep",
-            EventKind::Custom(_) => "custom",
         }
     }
 }
@@ -365,7 +361,6 @@ mod tests {
         assert_eq!(EventKind::RunnerTask.category(), "runner");
         assert_eq!(EventKind::ChunkReassigned.name(), "chunk_reassigned");
         assert_eq!(EventKind::ChunkReassigned.category(), "stripe");
-        assert_eq!(EventKind::Custom("x").name(), "x");
     }
 
     #[test]

@@ -249,6 +249,11 @@ const PINNED_QUICK_SWEEP_BOUNDARIES: u64 = 1_777_099;
 /// CSVs with `tests/golden/<subdir>/` (see [`assert_golden`]), and
 /// returns the run's `simnet_boundaries` count.
 fn assert_sweep_golden(scale: runner::Scale, subdir: &str) -> Option<u64> {
+    sweep_golden(scale, subdir).counter("simnet_boundaries", &vec![])
+}
+
+/// [`assert_sweep_golden`], returning the run's whole metrics snapshot.
+fn sweep_golden(scale: runner::Scale, subdir: &str) -> Snapshot {
     use indirect_routing::experiments::sweep;
     let tel = Arc::new(Telemetry::new());
     let plan = sweep::full_plan(2007, scale, None, None, Some(tel.clone()));
@@ -267,7 +272,7 @@ fn assert_sweep_golden(scale: runner::Scale, subdir: &str) -> Option<u64> {
     assert_eq!(files.len(), 17, "the {scale:?} sweep writes 17 CSVs");
     let artefacts: Vec<(&str, &String)> = files.iter().map(|(n, b)| (n.as_str(), b)).collect();
     assert_golden(&artefacts);
-    tel.metrics.snapshot().counter("simnet_boundaries", &vec![])
+    tel.metrics.snapshot()
 }
 
 /// Golden-artefact snapshot of the whole quick sweep: every CSV that
@@ -280,6 +285,23 @@ fn assert_sweep_golden(scale: runner::Scale, subdir: &str) -> Option<u64> {
 fn golden_quick_sweep_csv_bytes_unchanged() {
     let boundaries = assert_sweep_golden(runner::Scale::Quick, "sweep");
     assert_eq!(boundaries, Some(PINNED_QUICK_SWEEP_BOUNDARIES));
+}
+
+/// Every series of the quick sweep's metrics, as `experiments sweep
+/// --scale quick --seed 2007 --metrics` prints them under `==
+/// telemetry ==`. Each study task folds its counts in once; the golden
+/// was taken while every layer still counted per event, so it holds
+/// the fold to those exact counts. It sits beside the `sweep/` CSV
+/// goldens, not in them: CI diffs that directory against the CLI's
+/// CSVs.
+#[test]
+fn golden_quick_sweep_metrics_unchanged() {
+    let snap = sweep_golden(runner::Scale::Quick, "sweep");
+    assert_eq!(
+        snap.counter("simnet_boundaries", &vec![]),
+        Some(PINNED_QUICK_SWEEP_BOUNDARIES)
+    );
+    assert_golden(&[("sweep-metrics.txt", &snap.render_text())]);
 }
 
 /// Golden-artefact snapshot of the paper-scale sweep: every CSV of

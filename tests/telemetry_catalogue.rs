@@ -63,9 +63,10 @@ fn emitted_names() -> BTreeSet<String> {
     for f in &files {
         let text = std::fs::read_to_string(f).unwrap();
         // Inline test modules sit at the end of a file by convention;
-        // everything from the first `#[cfg(test)]` down is test-only
-        // and free to use throwaway instrument names.
-        let body = match text.find("#[cfg(test)]") {
+        // everything from the first top-level `#[cfg(test)]` down is
+        // test-only and free to use throwaway instrument names. (An
+        // indented one marks a test-only item, with code after it.)
+        let body = match text.find("\n#[cfg(test)]") {
             Some(i) => &text[..i],
             None => &text[..],
         };
@@ -98,5 +99,31 @@ fn every_emitted_instrument_is_catalogued_in_design_md() {
     assert!(
         missing.is_empty(),
         "instruments emitted but missing from the DESIGN.md §8.1 catalogue: {missing:?}"
+    );
+}
+
+/// The other direction: every DESIGN.md §8.1 row names an instrument
+/// that some non-test source emits, so a series the code stops
+/// emitting — one a metrics fold forgot, say — fails here by name
+/// instead of leaving a stale row behind.
+#[test]
+fn every_catalogued_instrument_is_emitted() {
+    let design = std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join("DESIGN.md"))
+        .expect("DESIGN.md");
+    let section = &design[design.find("### 8.1").expect("DESIGN.md has §8.1")..];
+    let section = &section[..section.find("\n## ").unwrap_or(section.len())];
+    let rows: Vec<&str> = section
+        .lines()
+        .filter_map(|l| l.strip_prefix("| `")?.split('`').next())
+        .collect();
+    assert!(
+        rows.contains(&"session_started") && rows.contains(&"simnet_boundaries"),
+        "the §8.1 table was not found; rows {rows:?}"
+    );
+    let emitted = emitted_names();
+    let stale: Vec<&&str> = rows.iter().filter(|n| !emitted.contains(**n)).collect();
+    assert!(
+        stale.is_empty(),
+        "DESIGN.md §8.1 rows that no non-test source emits: {stale:?}"
     );
 }
