@@ -10,8 +10,11 @@
 //! that the clock, the per-flow rates (bitwise), and the completion
 //! records agree. Any divergence is an invalidation bug — a component
 //! left clean whose inputs moved, a cap segment outliving its value, a
-//! split or merge that lost a member — never fp noise: both engines
-//! share the same solver arithmetic (see `fairshare.rs` and `soa.rs`).
+//! split or merge that lost a member, a completion quotient not
+//! refreshed with its rate — never fp noise: both engines share the
+//! same solver arithmetic (see `fairshare.rs` and `soa.rs`), and the
+//! reference engine still divides out its horizon from scratch at every
+//! boundary.
 
 use ir_simnet::bandwidth::{
     BandwidthProcess, ConstantProcess, PiecewiseProcess, RegimeSwitchingProcess,
@@ -52,7 +55,8 @@ impl RateCap for StepCap {
 }
 
 /// One scripted mutation of the network, applied identically to both
-/// engine clones.
+/// engine clones. The `*Soonest` actions aim at the flow that attains
+/// the horizon — the earliest projected completion — when they apply.
 enum Action {
     Start {
         route: Route,
@@ -61,12 +65,37 @@ enum Action {
     },
     Cancel(FlowId),
     SetProc(LinkId, Box<dyn BandwidthProcess>),
+    CancelSoonest,
+    /// Replaces the process of the slowest link on its route.
+    ReplaceSoonestBottleneck(Box<dyn BandwidthProcess>),
+    /// Starts a flow over its route plus `extra`, merging its component
+    /// with whatever crosses `extra`.
+    MergeIntoSoonest {
+        extra: LinkId,
+        bytes: u64,
+        cap: Box<dyn RateCap>,
+    },
+}
+
+impl Action {
+    /// The size of the flow this action starts, if it starts one.
+    fn starts(&self) -> Option<u64> {
+        match self {
+            Action::Start { bytes, .. } | Action::MergeIntoSoonest { bytes, .. } => Some(*bytes),
+            _ => None,
+        }
+    }
 }
 
 struct Case {
     net: Network,
     script: Vec<(SimTime, Action)>,
     horizon: SimTime,
+}
+
+/// Every flow's size, by flow id, for a script applied in order.
+fn sizes_of(script: &[(SimTime, Action)]) -> Vec<u64> {
+    script.iter().filter_map(|(_, a)| a.starts()).collect()
 }
 
 fn arb_process(rng: &mut StdRng, horizon: SimTime) -> Box<dyn BandwidthProcess> {
@@ -242,8 +271,47 @@ fn arb_case(seed: u64) -> Case {
         let l = links[rng.gen_range(0..links.len())];
         script.push((at, Action::SetProc(l, arb_process(&mut rng, horizon))));
     }
-    // Stable order: by time, starts before cancels at equal times (the
-    // sort is stable and starts were pushed first).
+    // Batches of identical flows (same route, size, start and cap): the
+    // horizon sees exact ties, as a rack-wave of identical flows does.
+    for _ in 0..rng.gen_range(0..3u32) {
+        let at = SimTime::from_millis(rng.gen_range(0..horizon.as_micros() / 1000 / 2));
+        let route = &routes[rng.gen_range(0..routes.len())];
+        let bytes = rng.gen_range(1_000..400_000);
+        let cap = arb_cap(&mut rng);
+        for _ in 0..rng.gen_range(2..6u32) {
+            script.push((
+                at,
+                Action::Start {
+                    route: route.clone(),
+                    bytes,
+                    cap: cap.clone(),
+                },
+            ));
+        }
+    }
+    // Events aimed at the flow that attains the horizon, soon after
+    // some start, while flows are likely still running.
+    let starts: Vec<SimTime> = script
+        .iter()
+        .filter(|(_, a)| a.starts().is_some())
+        .map(|&(at, _)| at)
+        .collect();
+    for _ in 0..rng.gen_range(0..4u32) {
+        let at = starts[rng.gen_range(0..starts.len())]
+            + SimDuration::from_millis(rng.gen_range(1..3_000));
+        let action = match rng.gen_range(0..3u32) {
+            0 => Action::CancelSoonest,
+            1 => Action::ReplaceSoonestBottleneck(arb_process(&mut rng, horizon)),
+            _ => Action::MergeIntoSoonest {
+                extra: links[rng.gen_range(0..links.len())],
+                bytes: rng.gen_range(1_000..400_000),
+                cap: arb_cap(&mut rng),
+            },
+        };
+        script.push((at, action));
+    }
+    // Stable order: by time, and at equal times in the order pushed
+    // above (the first starts before any cancel).
     script.sort_by_key(|&(at, _)| at);
 
     Case {
@@ -253,7 +321,24 @@ fn arb_case(seed: u64) -> Case {
     }
 }
 
-fn apply(net: &mut Network, action: &Action) {
+/// The active flow that attains the horizon now — least `(size −
+/// progress) / rate` over the current allocation, the lowest id on a
+/// tie — and its route.
+fn soonest(net: &mut Network, sizes: &[u64]) -> Option<(FlowId, Vec<LinkId>)> {
+    let alloc = net.active_flow_allocation();
+    alloc
+        .into_iter()
+        .filter(|&(_, _, rate)| rate > 0.0)
+        .map(|(id, links, rate)| {
+            let left = sizes[id.0 as usize] - net.flow_progress(id);
+            (left as f64 / rate, id, links)
+        })
+        .min_by(|a, b| a.0.total_cmp(&b.0))
+        .map(|(_, id, links)| (id, links))
+}
+
+/// Applies `action`; `sizes` is [`sizes_of`] the script it comes from.
+fn apply(net: &mut Network, action: &Action, sizes: &[u64]) {
     match action {
         Action::Start { route, bytes, cap } => {
             net.start_flow(route.clone(), *bytes, cap.clone());
@@ -264,6 +349,30 @@ fn apply(net: &mut Network, action: &Action) {
             }
         }
         Action::SetProc(l, p) => net.set_link_process(*l, p.clone()),
+        Action::CancelSoonest => {
+            if let Some((id, _)) = soonest(net, sizes) {
+                net.cancel_flow(id);
+            }
+        }
+        Action::ReplaceSoonestBottleneck(p) => {
+            if let Some((_, links)) = soonest(net, sizes) {
+                let rates: Vec<f64> = links
+                    .iter()
+                    .map(|&l| net.effective_link_rate_now(l))
+                    .collect();
+                let k = (0..links.len())
+                    .min_by(|&a, &b| rates[a].total_cmp(&rates[b]))
+                    .expect("routes are never empty");
+                net.set_link_process(links[k], p.clone());
+            }
+        }
+        Action::MergeIntoSoonest { extra, bytes, cap } => {
+            let mut links = soonest(net, sizes).map_or_else(Vec::new, |(_, links)| links);
+            if !links.contains(extra) {
+                links.push(*extra);
+            }
+            net.start_flow(Route::from_links(links), *bytes, cap.clone());
+        }
     }
 }
 
@@ -336,6 +445,19 @@ fn lockstep(case: u64, inc: &mut Network, refc: &mut Network, until: SimTime) ->
             refc.stats().boundaries,
             "case {case}: boundary counts diverged"
         );
+        for net in [&*inc, &*refc] {
+            let s = net.stats();
+            let census = s.ended_by_completion
+                + s.ended_by_link_rate
+                + s.ended_by_cap
+                + s.ended_by_fault
+                + s.ended_by_target
+                + s.ended_idle;
+            assert_eq!(
+                census, s.boundaries,
+                "case {case}: the boundary census does not sum to the boundaries"
+            );
+        }
         let decomposes = inc.engine_mode() == EngineMode::Incremental;
         if decomposes && after.full_solves > before.full_solves {
             assert_eq!(
@@ -361,6 +483,7 @@ fn incremental_engine_is_bitwise_identical_to_reference() {
     let mut total_full = 0u64;
     let mut total_components = 0u64;
     let mut total_resolved = 0u64;
+    let mut tied_completions = 0u64;
     for case in 0..220u64 {
         let Case {
             net,
@@ -372,10 +495,11 @@ fn incremental_engine_is_bitwise_identical_to_reference() {
         inc.set_engine_mode(EngineMode::Incremental);
         refc.set_engine_mode(EngineMode::Reference);
 
+        let sizes = sizes_of(&script);
         for (at, action) in &script {
             lockstep(case, &mut inc, &mut refc, *at);
-            apply(&mut inc, action);
-            apply(&mut refc, action);
+            apply(&mut inc, action, &sizes);
+            apply(&mut refc, action, &sizes);
         }
         lockstep(case, &mut inc, &mut refc, horizon);
 
@@ -410,7 +534,17 @@ fn incremental_engine_is_bitwise_identical_to_reference() {
         total_boundaries += sa.boundaries;
         total_components += sa.component_solves;
         total_resolved += sa.components_resolved;
+        let finished: Vec<SimTime> = (0..sa.flows_started)
+            .filter_map(|k| inc.completion(FlowId(k)))
+            .map(|c| c.finished)
+            .collect();
+        tied_completions += finished
+            .iter()
+            .filter(|t| finished.iter().filter(|u| u == t).count() > 1)
+            .count() as u64;
     }
+    // Identical flows must actually tie at the horizon somewhere.
+    assert!(tied_completions > 0, "no two flows ever completed together");
     // The optimization must actually fire across the sweep, not just be
     // correct: fewer full solves than boundaries overall.
     assert!(total_skips > 0, "no boundary ever skipped the solver");
@@ -575,10 +709,11 @@ fn churn(mut racks: Racks, script: Vec<(SimTime, Action)>, horizon: SimTime) -> 
     let refc = &mut racks.net;
     refc.set_engine_mode(EngineMode::Reference);
     let mut solves = Vec::new();
+    let sizes = sizes_of(&script);
     for (at, action) in &script {
         solves.extend(lockstep(0, &mut inc, refc, *at));
-        apply(&mut inc, action);
-        apply(refc, action);
+        apply(&mut inc, action, &sizes);
+        apply(refc, action, &sizes);
     }
     solves.extend(lockstep(0, &mut inc, refc, horizon));
     assert!(inc.stats().flows_completed > 0);
@@ -720,11 +855,12 @@ fn switching_engines_mid_run_stays_bitwise_identical() {
         let mut refc = net;
         refc.set_engine_mode(EngineMode::Reference);
         let modes = [EngineMode::Incremental, EngineMode::Reference];
+        let sizes = sizes_of(&script);
         for (k, (at, action)) in script.iter().enumerate() {
             lockstep(case, &mut mixed, &mut refc, *at);
             mixed.set_engine_mode(modes[k % 2]);
-            apply(&mut mixed, action);
-            apply(&mut refc, action);
+            apply(&mut mixed, action, &sizes);
+            apply(&mut refc, action, &sizes);
         }
         mixed.set_engine_mode(EngineMode::Incremental);
         lockstep(case, &mut mixed, &mut refc, horizon);
@@ -743,12 +879,13 @@ fn switching_back_as_an_input_reverts_resolves_the_component() {
     r.net
         .set_fault_plan(&FaultPlan::none().brownout(r.uplinks[0], at(20), at(30), 0.5));
     let script = rack_population(&r);
+    let sizes = sizes_of(&script);
     let mut mixed = r.net.clone();
     let refc = &mut r.net;
     refc.set_engine_mode(EngineMode::Reference);
     for (_, action) in &script {
-        apply(&mut mixed, action);
-        apply(refc, action);
+        apply(&mut mixed, action, &sizes);
+        apply(refc, action, &sizes);
     }
     lockstep(0, &mut mixed, refc, at(15));
     mixed.set_engine_mode(EngineMode::Reference);

@@ -3,7 +3,8 @@
 //! each, in two waves 10 s apart), stepped boundary by boundary to
 //! quiescence on the default engine. Every completion `(flow, finish
 //! time)` is folded into a 64-bit FNV-1a digest in completion order;
-//! it and the engine's solve counts are pinned at seed 2007.
+//! it, the engine's solve counts and its boundary census are pinned
+//! at seed 2007.
 //!
 //! The recipe is the benchmark's (`irbench/src/sut.rs`, `mega_setup` /
 //! `mega_run`), so an engine change that moves a completion by one
@@ -120,4 +121,18 @@ fn megaflow_200k_completions_and_counts_are_pinned() {
     );
     // Σ over boundaries of the flows each one integrated.
     assert_eq!(flow_boundaries, 26_419_200);
+    // What ended each boundary (completion, link rate, cap, fault,
+    // target, idle): one completing rack-wave each, the second wave's
+    // start, and the idle jump to the horizon.
+    assert_eq!(
+        [
+            stats.ended_by_completion,
+            stats.ended_by_link_rate,
+            stats.ended_by_cap,
+            stats.ended_by_fault,
+            stats.ended_by_target,
+            stats.ended_idle,
+        ],
+        [256, 0, 0, 0, 1, 1]
+    );
 }
