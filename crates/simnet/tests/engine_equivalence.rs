@@ -926,3 +926,116 @@ fn unannounced_cap_change_is_caught_in_debug_builds() {
         net.advance_until(SimTime::from_secs(s));
     }
 }
+
+/// Flows per block of the engine's integration pass (`sim.rs`'s
+/// `BLOCK`): the big worlds below span several blocks, so holes land
+/// in the middle of the active arrays, not only at their ends.
+const BLOCK: u64 = 64;
+
+/// A world of several blocks of flows: eight racks (a `PerFlow` access
+/// link and a `Capacity` uplink each, on arbitrary processes), one
+/// wave of `blocks` × 64 flows spread over them with arbitrary sizes
+/// and caps, cancels aimed at the middle blocks and at the soonest
+/// flow, later starts behind the holes, and one mass cancel of the
+/// lower ids that leaves more holes than live flows.
+fn big_world(seed: u64, blocks: u64) -> Case {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let horizon = SimTime::from_secs(600);
+    let mut topo = Topology::new();
+    let origin = topo.add_node("origin", NodeKind::Server);
+    let (mut links, mut routes) = (Vec::new(), Vec::new());
+    for r in 0..8 {
+        let host = topo.add_node(format!("h{r}"), NodeKind::Client);
+        let tor = topo.add_node(format!("tor{r}"), NodeKind::Intermediate);
+        let ms = SimDuration::from_millis(1);
+        links.push(topo.add_link_shared(host, tor, ms, Sharing::PerFlow));
+        links.push(topo.add_link_shared(tor, origin, ms, Sharing::Capacity));
+        routes.push(topo.route(&[host, tor, origin]).unwrap());
+    }
+    let mut net = Network::new(topo, 1e4);
+    for &l in &links {
+        net.set_link_process(l, arb_process(&mut rng, horizon));
+    }
+    let start = |rng: &mut StdRng, k: u64| Action::Start {
+        route: routes[k as usize % routes.len()].clone(),
+        // Half finish early, half are still running at the mass cancel.
+        bytes: if rng.gen_bool(0.5) {
+            rng.gen_range(20_000..2_000_000)
+        } else {
+            rng.gen_range(2_000_000..20_000_000)
+        },
+        cap: arb_cap(rng),
+    };
+    let mut script = Vec::new();
+    let wave = blocks * BLOCK;
+    for k in 0..wave {
+        script.push((SimTime::ZERO, start(&mut rng, k)));
+    }
+    let ms = |rng: &mut StdRng, lo: u64, hi: u64| SimTime::from_millis(rng.gen_range(lo..hi));
+    for _ in 0..12 {
+        let id = rng.gen_range(BLOCK..wave - BLOCK);
+        script.push((ms(&mut rng, 1, 60_000), Action::Cancel(FlowId(id))));
+    }
+    for _ in 0..4 {
+        script.push((ms(&mut rng, 1, 60_000), Action::CancelSoonest));
+    }
+    for k in 0..BLOCK + 8 {
+        script.push((ms(&mut rng, 10_000, 90_000), start(&mut rng, k)));
+    }
+    let mass = ms(&mut rng, 90_000, 120_000);
+    for id in 0..wave * 3 / 4 {
+        script.push((mass, Action::Cancel(FlowId(id))));
+    }
+    // At the same instant: the next step compacts, then its solve
+    // slows the survivors the new flows join.
+    for k in 0..BLOCK / 2 {
+        script.push((mass, start(&mut rng, k)));
+    }
+    script.sort_by_key(|&(at, _)| at);
+    Case {
+        net,
+        script,
+        horizon,
+    }
+}
+
+#[test]
+fn big_worlds_with_holes_stay_bitwise_identical() {
+    for (case, blocks) in [(0u64, 3u64), (1, 4), (2, 3)] {
+        let Case {
+            net,
+            script,
+            horizon,
+        } = big_world(0xB16_0000 + case, blocks);
+        let mut inc = net.clone();
+        let mut refc = net;
+        refc.set_engine_mode(EngineMode::Reference);
+        let sizes = sizes_of(&script);
+        // Flows that left (holes, unless compacted away) against flows
+        // still live, at some instant: the compaction rule must fire.
+        let mut crossed = false;
+        for (at, action) in &script {
+            lockstep(case, &mut inc, &mut refc, *at);
+            apply(&mut inc, action, &sizes);
+            apply(&mut refc, action, &sizes);
+            let s = inc.stats();
+            let live = inc.active_flow_allocation().len() as u64;
+            crossed |= s.flows_completed + s.flows_cancelled > live && live > 0;
+        }
+        lockstep(case, &mut inc, &mut refc, horizon);
+        assert!(crossed, "case {case}: holes never outnumbered live flows");
+        let s = inc.stats();
+        assert!(s.flows_completed > BLOCK, "case {case}: {s:?}");
+        assert!(s.flows_cancelled > BLOCK, "case {case}: {s:?}");
+        for k in 0..s.flows_started {
+            let id = FlowId(k);
+            assert_eq!(
+                inc.completion(id),
+                refc.completion(id),
+                "case {case}: flow {k}"
+            );
+            assert_eq!(inc.flow_progress(id), refc.flow_progress(id));
+        }
+        assert_eq!(s.boundaries, refc.stats().boundaries, "case {case}");
+    }
+}

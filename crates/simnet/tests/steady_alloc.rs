@@ -7,7 +7,9 @@
 //! megaflow-shaped fan-in (large components, batched completions) and a
 //! two-path TCP-capped probe race (cap-change boundaries). Beside them,
 //! `Network::clone` — what every study task starts from — is pinned to
-//! a fixed allocation count whatever the link count.
+//! a fixed allocation count whatever the link count, and whatever the
+//! number of flows it has started (plus one per boxed cap that has a
+//! size), and starting flows to a count of array growths.
 //!
 //! The counting allocator only counts on the thread that armed it, so
 //! the test harness's other threads cannot leak into a window.
@@ -209,4 +211,80 @@ fn network_clone_allocations_do_not_grow_with_links() {
     let (_, at_1000) = allocs_in(|| large.clone());
     assert_eq!(at_10, at_1000, "a clone's allocations grew with its links");
     assert_eq!(at_10, 9);
+}
+
+/// `hosts` hosts behind one `Capacity` uplink, so every flow joins one
+/// congestion component, and one route per host, built before anything
+/// is counted.
+fn fan_in(hosts: u32) -> (Network, Vec<Route>) {
+    let mut topo = Topology::new();
+    let origin = topo.add_node("origin", NodeKind::Server);
+    let tor = topo.add_node("tor", NodeKind::Intermediate);
+    let ms = SimDuration::from_millis(1);
+    let uplink = topo.add_link_shared(tor, origin, ms, Sharing::Capacity);
+    let routes = (0..hosts)
+        .map(|h| {
+            let host = topo.add_node(format!("h{h}"), NodeKind::Client);
+            topo.add_link_shared(host, tor, ms, Sharing::PerFlow);
+            topo.route(&[host, tor, origin]).unwrap()
+        })
+        .collect();
+    let mut net = Network::new(topo, 1e9);
+    net.set_link_process(uplink, Box::new(ConstantProcess::new(5e7)));
+    (net, routes)
+}
+
+/// `n` routes of [`fan_in`]'s, round robin.
+fn routes_for(routes: &[Route], n: usize) -> Vec<Route> {
+    (0..n).map(|k| routes[k % routes.len()].clone()).collect()
+}
+
+#[test]
+fn starting_flows_allocates_per_array_doubling_not_per_flow() {
+    // Every per-flow quantity is a flat array that grows by doubling
+    // (sizes, starts, caps, the dense active arrays, the route and
+    // solver arenas, the component's member list): starting 16× the
+    // flows costs each at most 4 more growths, and a flow's route moves
+    // into an arena rather than staying a `Vec` of its own.
+    const PER_FLOW_ARRAYS: u64 = 32;
+    let start = |n: usize| {
+        let (mut net, routes) = fan_in(16);
+        let routes = routes_for(&routes, n);
+        let ((), allocs) = allocs_in(|| {
+            for route in routes {
+                net.start_flow(route, 2_000_000, Box::new(NoCap));
+            }
+        });
+        allocs
+    };
+    let (small, large) = (start(256), start(16 * 256));
+    assert!(
+        large <= small + 4 * PER_FLOW_ARRAYS,
+        "starting 16× the flows took {small} → {large} allocations"
+    );
+    assert!(large < 4096 / 8, "{large} allocations for 4,096 flows");
+}
+
+#[test]
+fn a_clone_allocates_once_per_sized_cap_not_per_flow() {
+    // A network that has started flows and stepped once: a clone copies
+    // every per-flow array in one allocation each, whatever the flow
+    // count, plus one box per cap that has a size (`NoCap` has none).
+    let running = |uncapped: usize, capped: usize| {
+        let (mut net, routes) = fan_in(16);
+        for route in routes_for(&routes, uncapped) {
+            net.start_flow(route, 2_000_000, Box::new(NoCap));
+        }
+        for route in routes_for(&routes, capped) {
+            net.start_flow(route, 2_000_000, Box::new(ConstCap(1e5)));
+        }
+        net.step_boundary(SimTime::from_millis(10));
+        net
+    };
+    let (few, many, capped) = (running(64, 0), running(4096, 0), running(64, 10));
+    let (_, at_few) = allocs_in(|| few.clone());
+    let (_, at_many) = allocs_in(|| many.clone());
+    let (_, at_capped) = allocs_in(|| capped.clone());
+    assert_eq!(at_few, at_many, "a clone's allocations grew with its flows");
+    assert_eq!(at_capped, at_few + 10, "one box per sized cap");
 }
