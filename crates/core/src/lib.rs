@@ -12,8 +12,6 @@
 //! * [`transport`] — the abstraction the framework drives; backed by
 //!   the fluid simulator here ([`sim_transport::SimTransport`]) and by
 //!   real loopback sockets in `ir-relay`.
-//! * [`predictor`] — the paper's first-portion predictor plus an EWMA
-//!   extension.
 //! * [`policy`] — the one selector trait ([`PathSelector`] over a
 //!   [`PathCtx`]) and the paper's policies: direct-only, the §2.2
 //!   static single relay, the §4 uniform random set, the §6
@@ -36,7 +34,6 @@ pub mod aggregate;
 pub mod path;
 pub mod plan;
 pub mod policy;
-pub mod predictor;
 mod rate;
 pub mod record;
 pub mod remainder;
@@ -50,13 +47,11 @@ pub use policy::{
     sanitize_candidates, DirectOnly, EpsilonGreedy, FullSet, PathCtx, PathSelector, RandomSet,
     StaticSingle, Ucb1, UtilizationWeighted,
 };
-pub use predictor::{EwmaBlend, FirstPortion, Predictor};
 pub use record::{improvement, TransferRecord, UtilizationTracker};
 pub use remainder::{PathStripeStats, Remainder, StripeStats};
 pub use session::{
-    run_paths_session, run_probe, run_selecting, run_session, ControlMode, EngineMode,
-    FailoverConfig, ProbeDecision, ProbeMode, RebalanceConfig, Selecting, SessionConfig,
-    SessionCounts, SessionMode,
+    run_paths_session, run_probe, run_selecting, run_session, EngineMode, FailoverConfig,
+    ProbeDecision, RebalanceConfig, Selecting, SessionConfig, SessionCounts, SessionMode,
 };
-pub use sim_transport::{SimTransport, TcpDerivation};
+pub use sim_transport::SimTransport;
 pub use transport::{Handle, RaceWin, Timing, Transport};

@@ -21,7 +21,6 @@
 
 use crate::path::PathSpec;
 use crate::plan::{partition, ChunkRange};
-use crate::predictor::Predictor;
 use crate::rate::EwmaRate;
 use crate::session::{FailoverConfig, RebalanceConfig, SessionConfig};
 use crate::transport::{Handle, Transport};
@@ -69,17 +68,12 @@ impl Remainder {
 /// connection (another Range request, §2.1), waited on once.
 pub(crate) fn run_remainder_warm(
     transport: &mut dyn Transport,
-    predictor: &mut dyn Predictor,
     path: PathSpec,
     cfg: &SessionConfig,
 ) -> Remainder {
     let rem = transport.begin_warm(&path, cfg.probe_bytes, cfg.file_bytes - cfg.probe_bytes);
     match transport.finish(rem, cfg.horizon) {
-        Some(t) => {
-            // Feed the realized remainder rate back.
-            predictor.observe(&path, t.throughput());
-            Remainder::single(path, true, t.throughput())
-        }
+        Some(t) => Remainder::single(path, true, t.throughput()),
         None => Remainder::single(path, false, f64::NAN),
     }
 }
@@ -97,13 +91,8 @@ pub(crate) fn run_remainder_warm(
 /// — takes over the rest of the file. The overall deadline is still
 /// `cfg.horizon` from the start of the remainder; when it expires (or
 /// no candidate survives) the transfer is abandoned.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "failover tail shares the session's full parameter set"
-)]
 pub(crate) fn run_remainder_failover(
     transport: &mut dyn Transport,
-    predictor: &mut dyn Predictor,
     start_path: PathSpec,
     all_paths: &[PathSpec],
     cfg: &SessionConfig,
@@ -133,20 +122,13 @@ pub(crate) fn run_remainder_failover(
         stall_retries,
         abandoned: true,
     };
-    let done = |path: PathSpec,
-                end: SimTime,
-                failovers: u32,
-                stall_ms: u64,
-                stall_retries: u32,
-                predictor: &mut dyn Predictor| {
+    let done = |path: PathSpec, end: SimTime, failovers: u32, stall_ms: u64, stall_retries: u32| {
         let wall = (end - started).as_secs_f64();
         let rate = if wall > 0.0 {
             total as f64 / wall
         } else {
             f64::INFINITY
         };
-        // Feed the realized remainder rate back.
-        predictor.observe(&path, rate);
         Remainder {
             path,
             finished: true,
@@ -171,14 +153,7 @@ pub(crate) fn run_remainder_failover(
         }
         let window = fo.stall_timeout.min(deadline - now);
         if let Some(t) = transport.finish(handle, window) {
-            return done(
-                path,
-                t.finished,
-                failovers,
-                stall_ms,
-                stall_retries,
-                predictor,
-            );
+            return done(path, t.finished, failovers, stall_ms, stall_retries);
         }
         let delivered = transport.progress(handle);
         if delivered > seen && !transport.failed(handle) {
@@ -264,7 +239,7 @@ pub(crate) fn run_remainder_failover(
                 remaining -= chunk;
                 if remaining == 0 {
                     let end = win.timing.finished;
-                    return done(path, end, failovers, stall_ms, stall_retries, predictor);
+                    return done(path, end, failovers, stall_ms, stall_retries);
                 }
                 attempt = 0;
                 backoff = fo.initial_backoff;
@@ -382,7 +357,6 @@ fn free_paths(rate: &[EwmaRate], alive: &[bool], flights: &[Flight]) -> Vec<usiz
 )]
 pub(crate) fn run_striped_remainder(
     transport: &mut dyn Transport,
-    predictor: &mut dyn Predictor,
     paths: &[PathSpec],
     winner: usize,
     init_rates: &[f64],
@@ -448,11 +422,7 @@ pub(crate) fn run_striped_remainder(
             if let Some(win) = transport.race(&handles, window) {
                 let f = flights.remove(win.index);
                 let p = f.path;
-                let observed = win.timing.throughput();
-                rate[p].observe(observed);
-                // Feed each realized chunk rate back, as the warm
-                // remainder does for its single flow.
-                predictor.observe(&paths[p], observed);
+                rate[p].observe(win.timing.throughput());
                 chunks_done[p] += 1;
                 bytes_done[p] += f.chunk.len;
                 warm[p] = true;

@@ -8,9 +8,9 @@
 //!    path (the paper's second client process).
 //! 3. The **selecting** process issues range probes for the first
 //!    `x` bytes over the direct path and every candidate indirect path.
-//! 4. The winner — first probe to finish (or best predicted rate in
-//!    measure-all mode) — is decided, and the remaining `n − x` bytes
-//!    are carried by one of the three [`crate::remainder`] phases:
+//! 4. The first probe to finish wins — its rate is the prediction —
+//!    and the remaining `n − x` bytes are carried by one of the three
+//!    [`crate::remainder`] phases:
 //!    the winner's warm connection (the paper), the same with
 //!    mid-transfer failover, or a stripe over every probed path.
 //! 5. Improvement = selected-process throughput vs control throughput.
@@ -23,45 +23,16 @@
 
 use crate::path::PathSpec;
 use crate::policy::{PathCtx, PathSelector};
-use crate::predictor::Predictor;
 use crate::record::TransferRecord;
 use crate::remainder::{
     run_remainder_failover, run_remainder_warm, run_striped_remainder, Remainder, StripeStats,
 };
-use crate::transport::{Handle, Timing, Transport};
+use crate::transport::{Handle, Transport};
 pub use ir_simnet::sim::EngineMode;
 use ir_simnet::time::{SimDuration, SimTime};
 use ir_simnet::topology::NodeId;
 use ir_telemetry::trace::{Event, EventKind};
 use ir_telemetry::Tracer;
-
-/// How the probe phase decides.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeMode {
-    /// First probe to deliver all `x` bytes wins; losers are cancelled
-    /// at the decision instant (§2.1: "If the client receives the
-    /// requested data completely through the indirect path first…").
-    FirstToFinish,
-    /// Wait for every probe, then pick the best predicted rate (§4.1:
-    /// "perform n preliminary download tests and see which produces the
-    /// best throughput").
-    MeasureAll,
-}
-ir_artifact::declare! { StableHash for enum ProbeMode { FirstToFinish = 0, MeasureAll = 1 } }
-
-/// How the control (direct-only) process runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ControlMode {
-    /// Control shares the network with the selecting process — the
-    /// §2.2 methodology ("Both client processes execute concurrently").
-    Concurrent,
-    /// Control runs on a forked replica with identical conditions — the
-    /// §4.2 ideal ("closely in time … but not so closely that they
-    /// interfere"). Falls back to `Concurrent` if the transport cannot
-    /// fork.
-    Forked,
-}
-ir_artifact::declare! { StableHash for enum ControlMode { Concurrent = 0, Forked = 1 } }
 
 /// Mid-transfer failover parameters for the remainder phase.
 ///
@@ -203,10 +174,6 @@ pub struct SessionConfig {
     pub probe_bytes: u64,
     /// File size n (bytes). The paper uses ≥ 2 MB.
     pub file_bytes: u64,
-    /// Probe decision mode.
-    pub probe_mode: ProbeMode,
-    /// Control process mode.
-    pub control: ControlMode,
     /// Per-phase timeout.
     pub horizon: SimDuration,
     /// Mid-transfer failover for the racing remainder. `None` (the
@@ -225,8 +192,6 @@ ir_artifact::declare! {
     StableHash for struct SessionConfig {
         probe_bytes,
         file_bytes,
-        probe_mode,
-        control,
         horizon,
         failover,
         engine,
@@ -235,14 +200,12 @@ ir_artifact::declare! {
 }
 
 impl SessionConfig {
-    /// The paper's defaults: x = 100 KB, n = 2 MB, first-to-finish,
-    /// concurrent control, 10-minute horizon, no failover.
+    /// The paper's defaults: x = 100 KB, n = 2 MB, 10-minute horizon,
+    /// no failover.
     pub fn paper_defaults() -> Self {
         SessionConfig {
             probe_bytes: 100 * 1024,
             file_bytes: 2 * 1024 * 1024,
-            probe_mode: ProbeMode::FirstToFinish,
-            control: ControlMode::Concurrent,
             horizon: SimDuration::from_secs(600),
             failover: None,
             engine: EngineMode::Incremental,
@@ -270,45 +233,6 @@ impl SessionConfig {
              stall-death reassignment (RebalanceConfig.stall_window)"
         );
     }
-}
-
-/// Picks the `MeasureAll` winner from per-path `(probe_rate,
-/// predicted)` outcomes (`None` = the probe never finished inside the
-/// horizon); returns its roster index and probe rate.
-///
-/// An indirect candidate whose probe rate or prediction is zero, NaN,
-/// or infinite can never win: indirection has to be a *measured*
-/// upgrade over the direct default, and a dead probe measures nothing.
-/// Among the survivors the strictly highest prediction wins; a tie
-/// keeps the earliest path, and the direct path probes first, so
-/// direct wins prediction ties.
-fn select_measure_all(paths: &[PathSpec], outcomes: &[Option<(f64, f64)>]) -> Option<(usize, f64)> {
-    // (index, score, probe_rate); a non-finite direct prediction ranks
-    // below every real measurement but still beats "nothing finished".
-    let mut best: Option<(usize, f64, f64)> = None;
-    for (i, outcome) in outcomes.iter().enumerate() {
-        let Some((rate, predicted)) = *outcome else {
-            continue;
-        };
-        if paths[i].is_indirect()
-            && !(rate.is_finite() && rate > 0.0 && predicted.is_finite() && predicted > 0.0)
-        {
-            continue;
-        }
-        let score = if predicted.is_finite() {
-            predicted
-        } else {
-            f64::NEG_INFINITY
-        };
-        let wins = match &best {
-            None => true,
-            Some((_, best_score, _)) => score > *best_score,
-        };
-        if wins {
-            best = Some((i, score, rate));
-        }
-    }
-    best.map(|(i, _, rate)| (i, rate))
 }
 
 /// What racing throws away and striping needs from the probe phase,
@@ -387,7 +311,6 @@ pub struct SessionCounts {
 pub fn run_session(
     transport: &mut dyn Transport,
     selector: &mut dyn PathSelector,
-    predictor: &mut dyn Predictor,
     ctx: &PathCtx<'_>,
     cfg: &SessionConfig,
     tracer: Option<&Tracer>,
@@ -422,27 +345,18 @@ pub fn run_session(
     }
 
     let direct = PathSpec::direct(ctx.client, ctx.server);
-    let out = session(
-        transport,
-        predictor,
-        direct,
-        &paths,
-        ctx.transfer_index,
-        cfg,
-        tracer,
-    );
+    let out = session(transport, direct, &paths, ctx.transfer_index, cfg, tracer);
     selector.observe(&out.0);
     out
 }
 
 /// The probe phase of the selecting process (§2.1): starts a
 /// `cfg.probe_bytes` probe on every one of `paths` at once (the direct
-/// path first), decides per `cfg.probe_mode` and cancels the losers.
-/// `None` means nothing finished inside the horizon; every probe has
-/// then been cancelled.
+/// path first). The first probe to finish wins, its rate is the
+/// prediction, and the losers are cancelled. `None` means nothing
+/// finished inside the horizon; every probe has then been cancelled.
 pub fn run_probe(
     transport: &mut dyn Transport,
-    predictor: &mut dyn Predictor,
     paths: &[PathSpec],
     transfer_index: u64,
     cfg: &SessionConfig,
@@ -468,60 +382,32 @@ pub fn run_probe(
         init: vec![0.0; paths.len()],
         warm: vec![false; paths.len()],
     });
-    let decided = match cfg.probe_mode {
-        ProbeMode::FirstToFinish => transport.race(&handles, cfg.horizon).map(|win| {
-            let probe_rate = win.timing.throughput();
-            if let Some(seed) = &mut stripe_seed {
-                seed.init[win.index] = probe_rate;
-                seed.warm[win.index] = true;
-            }
-            for (i, &h) in handles.iter().enumerate() {
-                if i != win.index {
-                    // A loser's partial progress seeds its estimate
-                    // (`now` and `progress` are read-only).
-                    if let Some(seed) = &mut stripe_seed {
-                        let dt = (transport.now() - seed.t_probe).as_secs_f64();
-                        if dt > 0.0 {
-                            seed.init[i] = transport.progress(h) as f64 / dt;
-                        }
-                    }
-                    transport.cancel(h);
-                }
-            }
-            (win.index, probe_rate)
-        }),
-        ProbeMode::MeasureAll => {
-            let timings: Vec<Option<Timing>> = handles
-                .iter()
-                .map(|&h| transport.finish(h, cfg.horizon))
-                .collect();
-            let outcomes: Vec<Option<(f64, f64)>> = timings
-                .iter()
-                .enumerate()
-                .map(|(i, t)| {
-                    t.as_ref().map(|t| {
-                        let rate = t.throughput();
-                        (rate, predictor.predict(&paths[i], rate))
-                    })
-                })
-                .collect();
-            if let Some(seed) = &mut stripe_seed {
-                for (i, t) in timings.iter().enumerate() {
-                    seed.init[i] = t.as_ref().map(|t| t.throughput()).unwrap_or(0.0);
-                    seed.warm[i] = t.is_some();
-                }
-            }
-            select_measure_all(paths, &outcomes)
-        }
-    };
-    let Some((winner, probe_rate)) = decided else {
+    let Some(win) = transport.race(&handles, cfg.horizon) else {
         for &h in &handles {
             transport.cancel(h);
         }
         return None;
     };
+    let probe_rate = win.timing.throughput();
+    if let Some(seed) = &mut stripe_seed {
+        seed.init[win.index] = probe_rate;
+        seed.warm[win.index] = true;
+    }
+    for (i, &h) in handles.iter().enumerate() {
+        if i != win.index {
+            // A loser's partial progress seeds its estimate (`now` and
+            // `progress` are read-only).
+            if let Some(seed) = &mut stripe_seed {
+                let dt = (transport.now() - seed.t_probe).as_secs_f64();
+                if dt > 0.0 {
+                    seed.init[i] = transport.progress(h) as f64 / dt;
+                }
+            }
+            transport.cancel(h);
+        }
+    }
     Some(ProbeDecision {
-        winner,
+        winner: win.index,
         probe_rate,
         stripe_seed,
     })
@@ -536,7 +422,6 @@ pub fn run_probe(
 /// calls it alone. `cfg` must be valid ([`SessionConfig::validate`]).
 pub fn run_selecting(
     transport: &mut dyn Transport,
-    predictor: &mut dyn Predictor,
     direct: PathSpec,
     candidate_paths: &[PathSpec],
     transfer_index: u64,
@@ -559,7 +444,7 @@ pub fn run_selecting(
         let paths: Vec<PathSpec> = std::iter::once(direct)
             .chain(candidate_paths.iter().copied())
             .collect();
-        match run_probe(transport, predictor, &paths, transfer_index, cfg, tracer) {
+        match run_probe(transport, &paths, transfer_index, cfg, tracer) {
             Some(probe) => {
                 let path = paths[probe.winner];
                 probe_winner = Some(path);
@@ -589,12 +474,9 @@ pub fn run_selecting(
                 // What varies between sessions is only how the
                 // remainder is carried.
                 let rem = match (cfg.mode, cfg.failover) {
-                    (SessionMode::Racing, None) => {
-                        run_remainder_warm(transport, predictor, path, cfg)
-                    }
+                    (SessionMode::Racing, None) => run_remainder_warm(transport, path, cfg),
                     (SessionMode::Racing, Some(fo)) => run_remainder_failover(
                         transport,
-                        predictor,
                         path,
                         &paths,
                         cfg,
@@ -611,7 +493,6 @@ pub fn run_selecting(
                         let seed = probe.stripe_seed.expect("collected under Striped");
                         let (rem, st) = run_striped_remainder(
                             transport,
-                            predictor,
                             &paths,
                             probe.winner,
                             &seed.init,
@@ -674,7 +555,6 @@ pub fn run_selecting(
 /// emitted and the result is identical.
 pub fn run_paths_session(
     transport: &mut dyn Transport,
-    predictor: &mut dyn Predictor,
     direct: PathSpec,
     indirect_paths: &[PathSpec],
     transfer_index: u64,
@@ -683,7 +563,6 @@ pub fn run_paths_session(
 ) -> (TransferRecord, StripeStats) {
     let (record, stats, _) = session(
         transport,
-        predictor,
         direct,
         indirect_paths,
         transfer_index,
@@ -696,7 +575,6 @@ pub fn run_paths_session(
 /// [`run_paths_session`], with the session's [`SessionCounts`].
 fn session(
     transport: &mut dyn Transport,
-    predictor: &mut dyn Predictor,
     direct: PathSpec,
     indirect_paths: &[PathSpec],
     transfer_index: u64,
@@ -754,20 +632,13 @@ fn session(
         candidate_paths.truncate(k as usize);
     }
 
-    // Control process: whole file on the direct path — of a forked
-    // replica when asked for and the transport has one.
-    let mut forked = match cfg.control {
-        ControlMode::Forked => transport.fork(),
-        ControlMode::Concurrent => None,
-    };
-    let control = match &mut forked {
-        Some(replica) => replica.begin(&direct, 0, cfg.file_bytes),
-        None => transport.begin(&direct, 0, cfg.file_bytes),
-    };
+    // Control process: the whole file on the direct path, sharing the
+    // network with the selecting process (§2.2: "Both client processes
+    // execute concurrently").
+    let control = transport.begin(&direct, 0, cfg.file_bytes);
 
     let sel = run_selecting(
         transport,
-        predictor,
         direct,
         &candidate_paths,
         transfer_index,
@@ -791,11 +662,10 @@ fn session(
     // Collect the control result. Give it the same total horizon the
     // selecting process had (generous: two phases).
     let control_horizon = SimDuration::from_micros(cfg.horizon.as_micros() * 2);
-    let control = match &mut forked {
-        Some(replica) => replica.finish(control, control_horizon),
-        None => transport.finish(control, control_horizon),
-    };
-    let direct_throughput = control.map(|t| t.throughput()).unwrap_or(0.0);
+    let direct_throughput = transport
+        .finish(control, control_horizon)
+        .map(|t| t.throughput())
+        .unwrap_or(0.0);
 
     let record = TransferRecord {
         client,
@@ -841,7 +711,6 @@ fn session(
 mod tests {
     use super::*;
     use crate::policy::{DirectOnly, RandomSet, StaticSingle};
-    use crate::predictor::FirstPortion;
     use crate::sim_transport::SimTransport;
     use ir_artifact::fingerprint_of;
     use ir_simnet::bandwidth::ConstantProcess;
@@ -855,15 +724,40 @@ mod tests {
             fingerprint_of(&base),
             fingerprint_of(&SessionConfig::paper_defaults())
         );
-        let mut failover = base;
-        failover.failover = Some(FailoverConfig::paper_defaults());
-        assert_ne!(fingerprint_of(&base), fingerprint_of(&failover));
-        let mut mode = base;
-        mode.probe_mode = ProbeMode::MeasureAll;
-        assert_ne!(fingerprint_of(&base), fingerprint_of(&mode));
-        let mut engine = base;
-        engine.engine = EngineMode::Reference;
-        assert_ne!(fingerprint_of(&base), fingerprint_of(&engine));
+        // One variant per field; `mode`'s own fields follow below.
+        let variants = [
+            SessionConfig {
+                probe_bytes: 50 * 1024,
+                ..base
+            },
+            SessionConfig {
+                file_bytes: 4 * 1024 * 1024,
+                ..base
+            },
+            SessionConfig {
+                horizon: SimDuration::from_secs(1200),
+                ..base
+            },
+            SessionConfig {
+                failover: Some(FailoverConfig::paper_defaults()),
+                ..base
+            },
+            SessionConfig {
+                engine: EngineMode::Reference,
+                ..base
+            },
+            SessionConfig {
+                mode: SessionMode::Striped {
+                    chunks: 8,
+                    k: 2,
+                    rebalance: RebalanceConfig::paper_defaults(),
+                },
+                ..base
+            },
+        ];
+        for (i, variant) in variants.iter().enumerate() {
+            assert_ne!(fingerprint_of(&base), fingerprint_of(variant), "field {i}");
+        }
         let striped = |chunks, k, rebalance| {
             let mut c = base;
             c.mode = SessionMode::Striped {
@@ -874,7 +768,6 @@ mod tests {
             c
         };
         let rb = RebalanceConfig::paper_defaults();
-        assert_ne!(fingerprint_of(&base), fingerprint_of(&striped(8, 2, rb)));
         assert_ne!(
             fingerprint_of(&striped(8, 2, rb)),
             fingerprint_of(&striped(4, 2, rb))
@@ -933,7 +826,7 @@ mod tests {
             topo: &topo,
             transfer_index: index,
         };
-        let (record, _, counts) = run_session(tp, selector, &mut FirstPortion, &ctx, cfg, tracer);
+        let (record, _, counts) = run_session(tp, selector, &ctx, cfg, tracer);
         (record, counts)
     }
 
@@ -946,65 +839,6 @@ mod tests {
         cfg: &SessionConfig,
     ) -> TransferRecord {
         run_at(tp, selector, (c, s), full, 0, cfg, None).0
-    }
-
-    fn sel_paths() -> Vec<PathSpec> {
-        let (c, v, s) = (NodeId(0), NodeId(1), NodeId(2));
-        vec![PathSpec::direct(c, s), PathSpec::indirect(c, s, v)]
-    }
-
-    #[test]
-    fn measure_all_tie_keeps_direct() {
-        // Identical predictions: the direct path probes first and must
-        // win the tie — indirection without a measured upgrade is all
-        // cost, no benefit.
-        let paths = sel_paths();
-        let picked = select_measure_all(&paths, &[Some((100.0, 100.0)), Some((100.0, 100.0))])
-            .expect("both probes finished");
-        assert_eq!(picked.0, 0, "tie must keep the direct path");
-        assert_eq!(picked.1, 100.0);
-    }
-
-    #[test]
-    fn measure_all_strictly_better_indirect_wins() {
-        let paths = sel_paths();
-        let picked = select_measure_all(&paths, &[Some((100.0, 100.0)), Some((101.0, 101.0))])
-            .expect("both probes finished");
-        assert!(paths[picked.0].is_indirect());
-    }
-
-    #[test]
-    fn measure_all_never_selects_indirect_on_zero_or_nan_probe() {
-        let paths = sel_paths();
-        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            // Dead indirect probe vs a modest direct: direct wins.
-            let picked = select_measure_all(&paths, &[Some((10.0, 10.0)), Some((bad, bad))])
-                .expect("direct finished");
-            assert_eq!(picked.0, 0, "indirect won on probe rate {bad}");
-            // Even when the *direct* probe also died, a dead indirect
-            // probe must not be promoted.
-            let picked = select_measure_all(&paths, &[None, Some((bad, bad))]);
-            assert!(
-                picked.is_none_or(|(i, _)| i == 0),
-                "dead indirect probe selected on rate {bad}"
-            );
-        }
-    }
-
-    #[test]
-    fn measure_all_nan_prediction_never_replaces_a_real_one() {
-        // A NaN prediction on the indirect leg (e.g. a pathological
-        // predictor) must not unseat the direct measurement, whichever
-        // side of it the direct probe sits.
-        let paths = sel_paths();
-        let picked = select_measure_all(&paths, &[Some((5.0, 5.0)), Some((50.0, f64::NAN))])
-            .expect("direct finished");
-        assert_eq!(picked.0, 0);
-        // And a NaN direct prediction still beats "nothing at all" —
-        // the session falls back to direct, never to a dead relay.
-        let picked = select_measure_all(&paths, &[Some((f64::NAN, f64::NAN)), None])
-            .expect("direct is the fallback");
-        assert_eq!(picked.0, 0);
     }
 
     #[test]
@@ -1043,38 +877,6 @@ mod tests {
         // concurrently → equal throughput → improvement ≈ 0.
         assert!(rec.improvement().abs() < 0.05, "{}", rec.improvement());
         assert!(rec.probe_throughput.is_nan());
-    }
-
-    #[test]
-    fn forked_control_removes_interference() {
-        let (mut tp, c, v, s) = world(200_000.0, 900_000.0);
-        let mut cfg = SessionConfig::paper_defaults();
-        cfg.control = ControlMode::Forked;
-        let rec = run(&mut tp, &mut StaticSingle(v), c, s, &[v], &cfg);
-        // With an isolated control, the direct throughput is the path's
-        // clean rate (no probe contention), so improvement is measured
-        // against an undisturbed baseline.
-        assert!(
-            rec.direct_throughput > 150_000.0,
-            "{}",
-            rec.direct_throughput
-        );
-        assert!(rec.chose_indirect());
-    }
-
-    #[test]
-    fn measure_all_matches_first_to_finish_on_clear_winner() {
-        let (mut tp1, c, v, s) = world(100_000.0, 700_000.0);
-        let cfg_race = SessionConfig::paper_defaults();
-        let r1 = run(&mut tp1, &mut StaticSingle(v), c, s, &[v], &cfg_race);
-
-        let (mut tp2, c2, v2, s2) = world(100_000.0, 700_000.0);
-        let mut cfg_all = SessionConfig::paper_defaults();
-        cfg_all.probe_mode = ProbeMode::MeasureAll;
-        let r2 = run(&mut tp2, &mut StaticSingle(v2), c2, s2, &[v2], &cfg_all);
-
-        assert_eq!(r1.chose_indirect(), r2.chose_indirect());
-        assert!(r1.chose_indirect());
     }
 
     #[test]
@@ -1363,7 +1165,6 @@ mod tests {
         let tracer = Tracer::default();
         let (rec, _, counts) = session(
             &mut tp,
-            &mut FirstPortion,
             PathSpec::direct(c, s),
             &paths,
             0,
@@ -1398,7 +1199,7 @@ mod tests {
     /// control `finish` the last call made.
     mod split {
         use super::*;
-        use crate::transport::RaceWin;
+        use crate::transport::{RaceWin, Timing};
         use std::cell::{Cell, RefCell};
 
         const CLIENT: NodeId = NodeId(0);
@@ -1533,11 +1334,6 @@ mod tests {
                     .push(format!("sleep {}", d.as_micros()));
                 self.now_us.set(self.now_us.get() + d.as_micros());
             }
-
-            fn fork(&self) -> Option<Box<dyn Transport>> {
-                self.log.borrow_mut().push("fork".into());
-                None
-            }
         }
 
         fn cfg() -> SessionConfig {
@@ -1561,7 +1357,6 @@ mod tests {
         ) -> Vec<String> {
             run_paths_session(
                 &mut transport,
-                &mut FirstPortion,
                 PathSpec::direct(CLIENT, SERVER),
                 candidates,
                 0,
@@ -1591,14 +1386,6 @@ mod tests {
                 },
                 ..cfg()
             };
-            let measure_all = SessionConfig {
-                probe_mode: ProbeMode::MeasureAll,
-                ..cfg()
-            };
-            let forked = SessionConfig {
-                control: ControlMode::Forked,
-                ..cfg()
-            };
             let mut one_unresolvable = Recorder::new(&fast_relay);
             one_unresolvable.unresolvable.push(NodeId(3));
 
@@ -1618,21 +1405,6 @@ mod tests {
                         "cancel 3",
                         "begin_warm via2 9000 -> 4",
                         "finish 4",
-                        "finish 0",
-                    ],
-                ),
-                (
-                    "measure-all waits on every probe, cancels none",
-                    calls(Recorder::new(&fast_relay), &[via(2)], &measure_all),
-                    &[
-                        "resolvable via2",
-                        "begin direct 10000 -> 0",
-                        "begin direct 1000 -> 1",
-                        "begin via2 1000 -> 2",
-                        "finish 1",
-                        "finish 2",
-                        "begin_warm via2 9000 -> 3",
-                        "finish 3",
                         "finish 0",
                     ],
                 ),
@@ -1689,11 +1461,10 @@ mod tests {
                     ],
                 ),
                 (
-                    "a control that cannot fork runs live, started at the same point",
-                    calls(Recorder::new(&fast_relay), &[via(2)], &forked),
+                    "the control runs alongside: begun first, collected last",
+                    calls(Recorder::new(&fast_relay), &[via(2)], &cfg()),
                     &[
                         "resolvable via2",
-                        "fork",
                         "begin direct 10000 -> 0",
                         "begin direct 1000 -> 1",
                         "begin via2 1000 -> 2",

@@ -2,10 +2,11 @@
 //!
 //! Wraps an [`ir_simnet::sim::Network`] and derives a TCP configuration
 //! per path from the topology's RTT. Cloning the underlying network
-//! yields a *fork*: an isolated replica whose links will experience the
-//! identical future bandwidth trajectory (bandwidth processes are pure
-//! functions of their seeds), which gives experiments a control process
-//! that cannot interfere with the treatment.
+//! yields an isolated replica whose links will experience the identical
+//! future bandwidth trajectory (bandwidth processes are pure functions
+//! of their seeds), which gives experiments a hindsight oracle
+//! ([`SimTransport::oracle_throughput`]) that cannot disturb the
+//! network it measures.
 
 use crate::path::PathSpec;
 use crate::transport::{Handle, RaceWin, Timing, Transport};
@@ -14,56 +15,30 @@ use ir_simnet::time::{SimDuration, SimTime};
 use ir_simnet::topology::Route;
 use ir_tcp::{TcpConfig, TcpRateCap};
 
-/// TCP parameter derivation for a path.
-#[derive(Debug, Clone, Copy)]
-pub struct TcpDerivation {
-    /// Receiver window used for all connections (default 256 KiB — the
-    /// probe/remainder connections of a mid-2000s well-tuned host).
-    pub recv_window: u32,
-    /// Steady-state loss rate applied to all paths (default 0: path
-    /// rate diversity is carried by the bandwidth processes, not loss).
-    pub loss_rate: f64,
-}
-
-impl Default for TcpDerivation {
-    fn default() -> Self {
-        TcpDerivation {
-            recv_window: 256 * 1024,
-            loss_rate: 0.0,
-        }
-    }
-}
-
-impl TcpDerivation {
-    /// Builds the [`TcpConfig`] for a resolved route.
-    pub fn config_for(&self, net: &Network, route: &Route) -> TcpConfig {
-        let rtt = net.topology().rtt(route);
-        TcpConfig::for_rtt(rtt)
-            .with_loss(self.loss_rate)
-            .with_recv_window(self.recv_window)
-    }
+/// The TCP configuration of every connection over `route`: the route's
+/// RTT, no steady-state loss (path rate diversity is carried by the
+/// bandwidth processes, not loss) and a 256 KiB receiver window (the
+/// probe/remainder connections of a mid-2000s well-tuned host).
+fn tcp_config(net: &Network, route: &Route) -> TcpConfig {
+    let rtt = net.topology().rtt(route);
+    TcpConfig::for_rtt(rtt)
+        .with_loss(0.0)
+        .with_recv_window(256 * 1024)
 }
 
 /// A [`Transport`] over the fluid network simulator.
 pub struct SimTransport {
     net: Network,
-    tcp: TcpDerivation,
     handles: Vec<FlowId>,
     /// Engine work of the oracle replicas, dropped with their answers.
     oracle_work: EngineStats,
 }
 
 impl SimTransport {
-    /// Wraps a network with the default TCP derivation.
+    /// Wraps a network.
     pub fn new(net: Network) -> Self {
-        SimTransport::with_tcp(net, TcpDerivation::default())
-    }
-
-    /// Wraps a network with an explicit TCP derivation.
-    pub fn with_tcp(net: Network, tcp: TcpDerivation) -> Self {
         SimTransport {
             net,
-            tcp,
             handles: Vec::new(),
             oracle_work: EngineStats::default(),
         }
@@ -81,8 +56,7 @@ impl SimTransport {
     }
 
     /// Engine work done for this transport: its network's counters
-    /// plus those of every oracle replica it ran. A [`Transport::fork`]
-    /// replica is the caller's and is not included.
+    /// plus those of every oracle replica it ran.
     pub fn engine_stats(&self) -> EngineStats {
         self.net.stats() + self.oracle_work
     }
@@ -104,7 +78,7 @@ impl SimTransport {
         let route = path
             .resolve(replica.topology())
             .unwrap_or_else(|| panic!("unresolvable path {path}"));
-        let cfg = self.tcp.config_for(&replica, &route);
+        let cfg = tcp_config(&replica, &route);
         let id = replica.start_flow(route, bytes, Box::new(TcpRateCap::new(cfg)));
         let deadline = replica.now() + horizon;
         let rate = replica.run_flow(id, deadline).map(|c| c.throughput());
@@ -126,7 +100,7 @@ impl Transport for SimTransport {
         let route = path
             .resolve(self.net.topology())
             .unwrap_or_else(|| panic!("unresolvable path {path}"));
-        let cfg = self.tcp.config_for(&self.net, &route);
+        let cfg = tcp_config(&self.net, &route);
         let id = self
             .net
             .start_flow(route, bytes, Box::new(TcpRateCap::new(cfg)));
@@ -143,7 +117,7 @@ impl Transport for SimTransport {
         let route = path
             .resolve(self.net.topology())
             .unwrap_or_else(|| panic!("unresolvable path {path}"));
-        let cfg = self.tcp.config_for(&self.net, &route);
+        let cfg = tcp_config(&self.net, &route);
         // Warm connection: the window is already open, so the only
         // ceiling left is the steady-state one.
         let steady = TcpRateCap::new(cfg).steady_rate();
@@ -192,10 +166,6 @@ impl Transport for SimTransport {
     fn sleep(&mut self, d: SimDuration) {
         let until = self.net.now() + d;
         self.net.advance_until(until);
-    }
-
-    fn fork(&self) -> Option<Box<dyn Transport>> {
-        Some(Box::new(SimTransport::with_tcp(self.net.clone(), self.tcp)))
     }
 }
 
@@ -246,18 +216,6 @@ mod tests {
         // in the ballpark.
         let thr = t.throughput();
         assert!(thr > 60_000.0 && thr <= 100_000.0, "thr {thr}");
-    }
-
-    #[test]
-    fn fork_is_isolated_but_identical() {
-        let (tp, d, _) = transport(80_000.0, 1.0, 1.0);
-        let mut f1 = tp.fork().unwrap();
-        let mut f2 = tp.fork().unwrap();
-        let h1 = f1.begin(&d, 0, 200_000);
-        let h2 = f2.begin(&d, 0, 200_000);
-        let t1 = f1.finish(h1, SimDuration::from_secs(600)).unwrap();
-        let t2 = f2.finish(h2, SimDuration::from_secs(600)).unwrap();
-        assert_eq!(t1.finished, t2.finished, "replicas diverged");
     }
 
     #[test]

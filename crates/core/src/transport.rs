@@ -115,14 +115,6 @@ pub trait Transport {
     fn sleep(&mut self, d: SimDuration) {
         let _ = d;
     }
-
-    /// An isolated replica experiencing identical future network
-    /// conditions, when the transport supports it (the simulator does;
-    /// real sockets do not). Used for oracle baselines and the §4.2
-    /// "closely in time but not interfering" control mode.
-    fn fork(&self) -> Option<Box<dyn Transport>> {
-        None
-    }
 }
 
 #[cfg(test)]

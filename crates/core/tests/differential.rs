@@ -6,11 +6,10 @@
 //! adds (multi-chunk fan-out, drift stealing, stall-death reassignment)
 //! must therefore be visible only on the geometries it exists for.
 
-use ir_core::predictor::FirstPortion;
 use ir_core::sim_transport::SimTransport;
 use ir_core::{
-    run_paths_session, PathSpec, ProbeMode, RebalanceConfig, SessionConfig, SessionMode,
-    StripeStats, TransferRecord,
+    run_paths_session, PathSpec, RebalanceConfig, SessionConfig, SessionMode, StripeStats,
+    TransferRecord,
 };
 use ir_simnet::bandwidth::ConstantProcess;
 use ir_simnet::faults::FaultPlan;
@@ -90,15 +89,7 @@ fn run_over(
     tracer: Option<&Tracer>,
 ) -> (TransferRecord, StripeStats) {
     let paths: Vec<PathSpec> = vias.iter().map(|&v| PathSpec::indirect(c, s, v)).collect();
-    run_paths_session(
-        tp,
-        &mut FirstPortion,
-        PathSpec::direct(c, s),
-        &paths,
-        0,
-        cfg,
-        tracer,
-    )
+    run_paths_session(tp, PathSpec::direct(c, s), &paths, 0, cfg, tracer)
 }
 
 fn run(
@@ -112,63 +103,52 @@ fn run(
 }
 
 /// The tentpole identity: one chunk, k = 1, healthy network — the
-/// striper's record is the racing record, bit for bit, in both probe
-/// modes and regardless of which path wins the probe.
+/// striper's record is the racing record, bit for bit, regardless of
+/// which path wins the probe.
 #[test]
 fn single_chunk_k1_is_bit_identical_to_racing() {
     for (direct, overlay) in [(100_000.0, 800_000.0), (800_000.0, 50_000.0)] {
-        for probe_mode in [ProbeMode::FirstToFinish, ProbeMode::MeasureAll] {
-            let mut racing_cfg = SessionConfig::paper_defaults();
-            racing_cfg.probe_mode = probe_mode;
-            let mut striped_cfg = striped(1, 1);
-            striped_cfg.probe_mode = probe_mode;
+        let (mut tp1, c1, v1, s1) = world(direct, overlay);
+        let (raced, no_stats) = run(&mut tp1, c1, v1, s1, &SessionConfig::paper_defaults());
+        assert!(no_stats.per_path.is_empty(), "racing has no stripe stats");
 
-            let (mut tp1, c1, v1, s1) = world(direct, overlay);
-            let (raced, no_stats) = run(&mut tp1, c1, v1, s1, &racing_cfg);
-            assert!(no_stats.per_path.is_empty(), "racing has no stripe stats");
+        let (mut tp2, c2, v2, s2) = world(direct, overlay);
+        let (striped_rec, stats) = run(&mut tp2, c2, v2, s2, &striped(1, 1));
 
-            let (mut tp2, c2, v2, s2) = world(direct, overlay);
-            let (striped_rec, stats) = run(&mut tp2, c2, v2, s2, &striped_cfg);
-
-            assert_eq!(
-                raced, striped_rec,
-                "striped {{1, 1}} diverged from racing (direct {direct}, overlay {overlay}, {probe_mode:?})"
-            );
-            // The whole remainder rode the probe winner, in one chunk.
-            assert_eq!(stats.per_path.iter().map(|p| p.chunks).sum::<u64>(), 1);
-            assert_eq!(stats.reassignments, 0);
-            assert_eq!(stats.deaths, 0);
-        }
+        assert_eq!(
+            raced, striped_rec,
+            "striped {{1, 1}} diverged from racing (direct {direct}, overlay {overlay})"
+        );
+        // The whole remainder rode the probe winner, in one chunk.
+        assert_eq!(stats.per_path.iter().map(|p| p.chunks).sum::<u64>(), 1);
+        assert_eq!(stats.reassignments, 0);
+        assert_eq!(stats.deaths, 0);
     }
 }
 
 /// The generalisation the shared prologue makes true by construction:
 /// at one chunk the stripe width does not matter — `Striped { chunks:
 /// 1, k: N }` over N healthy candidates is the racing record over the
-/// same N, bit for bit, in both probe modes.
+/// same N, bit for bit.
 #[test]
 fn single_chunk_kn_is_bit_identical_to_racing_over_n() {
     for n in [2usize, 3] {
-        for probe_mode in [ProbeMode::FirstToFinish, ProbeMode::MeasureAll] {
-            let mut racing_cfg = SessionConfig::paper_defaults();
-            racing_cfg.probe_mode = probe_mode;
-            let mut striped_cfg = striped(1, n as u32);
-            striped_cfg.probe_mode = probe_mode;
+        let racing_cfg = SessionConfig::paper_defaults();
+        let striped_cfg = striped(1, n as u32);
 
-            let overlays = &[500_000.0, 900_000.0, 300_000.0][..n];
-            let (mut tp1, c1, vias1, s1) = star(200_000.0, overlays);
-            let (raced, _) = run_over(&mut tp1, c1, &vias1, s1, &racing_cfg, None);
+        let overlays = &[500_000.0, 900_000.0, 300_000.0][..n];
+        let (mut tp1, c1, vias1, s1) = star(200_000.0, overlays);
+        let (raced, _) = run_over(&mut tp1, c1, &vias1, s1, &racing_cfg, None);
 
-            let (mut tp2, c2, vias2, s2) = star(200_000.0, overlays);
-            let (striped_rec, stats) = run_over(&mut tp2, c2, &vias2, s2, &striped_cfg, None);
+        let (mut tp2, c2, vias2, s2) = star(200_000.0, overlays);
+        let (striped_rec, stats) = run_over(&mut tp2, c2, &vias2, s2, &striped_cfg, None);
 
-            assert_eq!(
-                raced, striped_rec,
-                "striped {{1, {n}}} diverged from racing over {n} ({probe_mode:?})"
-            );
-            assert_eq!(stats.per_path.len(), n + 1, "direct + {n} candidates");
-            assert_eq!(stats.per_path.iter().map(|p| p.chunks).sum::<u64>(), 1);
-        }
+        assert_eq!(
+            raced, striped_rec,
+            "striped {{1, {n}}} diverged from racing over {n}"
+        );
+        assert_eq!(stats.per_path.len(), n + 1, "direct + {n} candidates");
+        assert_eq!(stats.per_path.iter().map(|p| p.chunks).sum::<u64>(), 1);
     }
 }
 

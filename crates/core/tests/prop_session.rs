@@ -6,8 +6,7 @@
 //! failure reproduces from the printed case seed).
 
 use ir_core::{
-    run_paths_session, FirstPortion, PathSpec, SessionConfig, SimTransport, TransferRecord,
-    UtilizationTracker,
+    run_paths_session, PathSpec, SessionConfig, SimTransport, TransferRecord, UtilizationTracker,
 };
 use ir_simnet::bandwidth::ConstantProcess;
 use ir_simnet::sim::Network;
@@ -45,7 +44,6 @@ fn run_one(direct: f64, overlay: f64) -> TransferRecord {
     let (mut tp, c, v, s) = world(direct, overlay);
     run_paths_session(
         &mut tp,
-        &mut FirstPortion,
         PathSpec::direct(c, s),
         &[PathSpec::indirect(c, s, v)],
         0,

@@ -25,9 +25,8 @@
 
 use ir_artifact::Unframed;
 use ir_core::{
-    run_session, FirstPortion, PathCtx, PathSelector, PathSpec, RandomSet, SessionConfig,
-    SessionCounts, SimTransport, StaticSingle, StripeStats, TransferRecord, Transport,
-    UtilizationTracker,
+    run_session, PathCtx, PathSelector, PathSpec, RandomSet, SessionConfig, SessionCounts,
+    SimTransport, StaticSingle, StripeStats, TransferRecord, Transport, UtilizationTracker,
 };
 use ir_simnet::faults::FaultPlan;
 use ir_simnet::sim::{EngineStats, Network};
@@ -310,7 +309,6 @@ pub(crate) fn run_task(
     let start = net.stats();
     let tracer = tel.and_then(|t| t.tracer.as_ref());
     let mut transport = SimTransport::new(net);
-    let mut predictor = FirstPortion;
     let mut records = Vec::with_capacity(schedule.count as usize);
     let mut tally = SessionTally::default();
     for (i, at) in schedule.instants(SimTime::ZERO).enumerate() {
@@ -325,14 +323,8 @@ pub(crate) fn run_task(
             topo: scenario.network.topology(),
             transfer_index: i as u64,
         };
-        let (rec, stripe, counts) = run_session(
-            &mut transport,
-            policy.as_mut(),
-            &mut predictor,
-            &ctx,
-            session,
-            tracer,
-        );
+        let (rec, stripe, counts) =
+            run_session(&mut transport, policy.as_mut(), &ctx, session, tracer);
         tally.add(&rec, &stripe, &counts);
         records.push(rec);
     }
@@ -572,8 +564,8 @@ fn selection_policy(seed: u64, client: NodeId, k: usize) -> RandomSet {
 }
 
 /// Runs the §4 selection study: for every client and every `k`, a
-/// schedule of transfers with the uniform random-set policy and
-/// measure-all probing.
+/// schedule of transfers with the uniform random-set policy, each
+/// session racing its probes over the whole set.
 pub fn run_selection_study(
     scenario: &Scenario,
     ks: &[usize],
@@ -596,10 +588,9 @@ pub fn run_selection_study_traced(
 ) -> SelectionData {
     // §4.1 starts a preliminary download on every node of the random
     // set; "which produces the best throughput" over the first x bytes
-    // is the first to deliver them — the default FirstToFinish race.
-    // (MeasureAll — waiting for every probe before deciding — is kept
-    // as an ablation: its probe phase is gated on the slowest relay,
-    // which inverts the Fig 6 curve.)
+    // is the first to deliver them: the session's probe race. (Waiting
+    // for every probe before deciding would gate the probe phase on
+    // the slowest relay and invert the Fig 6 curve.)
     let server = scenario.servers[0];
 
     let tasks: Vec<(NodeId, usize)> = scenario
@@ -898,11 +889,7 @@ mod tests {
     fn independent_oracle(at: SimTime, path: &PathSpec, bytes: u64) -> Option<f64> {
         let mut replica = tiny_scenario().network;
         replica.advance_until(at);
-        let route = path.resolve(replica.topology()).unwrap();
-        let cfg = ir_core::TcpDerivation::default().config_for(&replica, &route);
-        let id = replica.start_flow(route, bytes, Box::new(ir_tcp::TcpRateCap::new(cfg)));
-        let deadline = replica.now() + oracle_horizon();
-        replica.run_flow(id, deadline).map(|c| c.throughput())
+        SimTransport::new(replica).oracle_throughput(path, bytes, oracle_horizon())
     }
 
     /// Clones sharing their scenario's processes against networks built

@@ -37,7 +37,6 @@
 use crate::report::{csv, Check, Report};
 use crate::runner::{fold_engine, parallel_map, Scale, SessionTally};
 use ir_artifact::Unframed;
-use ir_core::predictor::FirstPortion;
 use ir_core::sim_transport::SimTransport;
 use ir_core::{
     run_session, FailoverConfig, PathCtx, PathSelector, RebalanceConfig, SessionConfig,
@@ -314,14 +313,7 @@ fn run_world(
         transfer_index: 0,
     };
     let tracer = tel.and_then(|t| t.tracer.as_ref());
-    let (rec, stats, counts) = run_session(
-        &mut w.tp,
-        &mut selector,
-        &mut FirstPortion,
-        &ctx,
-        cfg,
-        tracer,
-    );
+    let (rec, stats, counts) = run_session(&mut w.tp, &mut selector, &ctx, cfg, tracer);
     if let Some(tel) = tel {
         fold_engine(tel, w.tp.engine_stats() - start);
         let mut tally = SessionTally::default();

@@ -543,8 +543,8 @@ mod tests {
     }
 
     /// Pins the full plan's study and artefact *order* (the BTreeMap
-    /// conversions in core/policy and core/predictor must not have
-    /// reshuffled anything the scheduler or cache observes). The
+    /// conversions in core/policy must not have reshuffled anything the
+    /// scheduler or cache observes). The
     /// sweep's dependency scheduler walks these lists positionally, so
     /// a silent reorder would shuffle study execution and CSV emission
     /// order even with identical fingerprints.
@@ -617,7 +617,7 @@ mod tests {
         assert_eq!(plan.studies[0].name, "measurement(seed=2007,Quick)");
         assert_eq!(
             plan.studies[0].fingerprint.to_hex(),
-            "c8e2c50f737590d0f1559f62775ae8fe"
+            "80e88c217b3e2fa5c19df5b2350d54ce"
         );
     }
 
@@ -631,17 +631,17 @@ mod tests {
         let studies = full_plan(2007, Scale::Quick, None, None, None).studies;
         let got: Vec<String> = studies.iter().map(|s| s.fingerprint.to_hex()).collect();
         let pinned = [
-            "c8e2c50f737590d0f1559f62775ae8fe", // measurement
-            "6d2ab22e642685c0b5c062929f1b1539", // selection
-            "dc5aacbd45642534543aa8524df4df9f", // sites
-            "f9230923a6ae57241a3a3fa0050db1ac", // headroom
-            "fd2dbdf3e035469d3755f84a5cc6f5c0", // faults
-            "dabc6b7901f94047e67732ee3aa7a272", // striping
-            "ac59f81ae5548cddfc9edad95cb028c1", // tournament/random-set
-            "803a0682274e0843c92f60dd1f3aa0d7", // tournament/utilization-weighted
-            "3ae4b19e775e4db9536a4e7cd293ef5a", // tournament/k-shortest
-            "1044e443ff0a95bb5896ef7062b5bd5d", // tournament/adaptive
-            "adac1271c53ec5810d99749ffdfa98cc", // tournament/backpressure
+            "80e88c217b3e2fa5c19df5b2350d54ce", // measurement
+            "efdca6cf3c3a8768a8e53197a7a61da1", // selection
+            "7ee75ddf2f419352dabdb814e60b7f57", // sites
+            "fb44ee62f137981a6cfb635027f503f4", // headroom
+            "f2ab3a010fc2881a0ecce07a778dec00", // faults
+            "c50578fc0a8d233f2ec988d7d88d183a", // striping
+            "750e6bb6651e90b1f71377fe89952199", // tournament/random-set
+            "1ef9c0f4a7b0b3d44e848ee57f5b52ff", // tournament/utilization-weighted
+            "8fdb42016f727db6f95ff12d4d77f722", // tournament/k-shortest
+            "e359a763981f4acb22db1ffb67b700b5", // tournament/adaptive
+            "db0465f1223ca60d9f26a9aafe55f444", // tournament/backpressure
         ];
         assert_eq!(got, pinned);
     }

@@ -237,7 +237,7 @@ mod tests {
     /// 1-hop path.
     #[test]
     fn two_hop_chain_wins_probe_race_end_to_end() {
-        use ir_core::{run_session, FirstPortion, SessionConfig, SimTransport};
+        use ir_core::{run_session, SessionConfig, SimTransport};
         use ir_simnet::bandwidth::ConstantProcess;
         use ir_simnet::sim::Network;
 
@@ -274,7 +274,6 @@ mod tests {
         let (rec, ..) = run_session(
             &mut transport,
             &mut sel,
-            &mut FirstPortion,
             &ctx(&topo, c, s, &relays),
             &SessionConfig::paper_defaults(),
             None,

@@ -14,7 +14,7 @@
 use crate::error::RelayError;
 use crate::origin::is_body;
 use crate::transport::RealTransport;
-use ir_core::{run_probe, run_selecting, FailoverConfig, FirstPortion, PathSpec, RebalanceConfig};
+use ir_core::{run_probe, run_selecting, FailoverConfig, PathSpec, RebalanceConfig};
 use ir_core::{SessionConfig, SessionMode, StripeStats};
 use ir_simnet::time::SimDuration;
 use std::net::SocketAddr;
@@ -158,15 +158,7 @@ fn select(
     let start = Instant::now();
     let (mut engine, paths) = engine(direct, origin_for_relays, relays, cfg, cfg.total_bytes);
     let (direct, relays) = (paths[0], &paths[1..]);
-    let did = run_selecting(
-        &mut engine,
-        &mut FirstPortion,
-        direct,
-        relays,
-        0,
-        session,
-        None,
-    );
+    let did = run_selecting(&mut engine, direct, relays, 0, session, None);
     if !did.remainder.finished {
         return Err(engine.take_error());
     }
@@ -207,14 +199,7 @@ pub fn probe_race(
 ) -> Result<ProbeWin, RelayError> {
     let start = Instant::now();
     let (mut engine, paths) = engine(direct, origin_for_relays, relays, cfg, cfg.probe_bytes);
-    let probe = run_probe(
-        &mut engine,
-        &mut FirstPortion,
-        &paths,
-        0,
-        &cfg.session(),
-        None,
-    );
+    let probe = run_probe(&mut engine, &paths, 0, &cfg.session(), None);
     let winner = probe.ok_or_else(|| engine.take_error())?.winner;
     let elapsed = start.elapsed();
     Ok(ProbeWin {

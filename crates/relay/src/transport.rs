@@ -524,7 +524,7 @@ mod tests {
     use crate::harness::{HarnessSpec, MiniPlanetLab};
     use crate::origin::{body_byte, OriginConfig, OriginServer};
     use crate::shaper::RateSchedule;
-    use ir_core::{run_paths_session, FirstPortion, SessionConfig};
+    use ir_core::{run_paths_session, SessionConfig};
 
     const KB: f64 = 1000.0;
 
@@ -540,22 +540,12 @@ mod tests {
         let cfg = SessionConfig {
             probe_bytes: 50_000,
             file_bytes: 400_000,
-            probe_mode: ir_core::ProbeMode::FirstToFinish,
-            control: ir_core::ControlMode::Concurrent,
             horizon: ir_simnet::time::SimDuration::from_secs(60),
             failover: None,
             engine: ir_simnet::sim::EngineMode::Incremental,
             mode: ir_core::SessionMode::Racing,
         };
-        let (rec, _) = run_paths_session(
-            &mut transport,
-            &mut FirstPortion,
-            paths[0],
-            &paths[1..],
-            0,
-            &cfg,
-            None,
-        );
+        let (rec, _) = run_paths_session(&mut transport, paths[0], &paths[1..], 0, &cfg, None);
         assert!(rec.chose_indirect(), "fast relay not chosen: {rec:?}");
         assert!(
             rec.improvement() > 0.5,
@@ -577,26 +567,16 @@ mod tests {
         let cfg = SessionConfig {
             probe_bytes: 50_000,
             file_bytes: 300_000,
-            probe_mode: ir_core::ProbeMode::FirstToFinish,
-            control: ir_core::ControlMode::Concurrent,
             horizon: ir_simnet::time::SimDuration::from_secs(60),
             failover: None,
             engine: ir_simnet::sim::EngineMode::Incremental,
             mode: ir_core::SessionMode::Racing,
         };
-        let (rec, _) = run_paths_session(
-            &mut transport,
-            &mut FirstPortion,
-            paths[0],
-            &paths[1..],
-            0,
-            &cfg,
-            None,
-        );
+        let (rec, _) = run_paths_session(&mut transport, paths[0], &paths[1..], 0, &cfg, None);
         assert!(!rec.chose_indirect(), "slow relay chosen: {rec:?}");
     }
 
-    /// The Concurrent control's contract, held by the loop: a transfer
+    /// The concurrent control's contract, held by the loop: a transfer
     /// begun earlier moves while the caller waits on another one.
     #[test]
     fn a_begun_transfer_progresses_while_another_is_awaited() {

@@ -17,13 +17,11 @@
 //! * [`JumpMixProcess`] — decorator adding rare multiplicative level
 //!   shifts (the "small jumps" the paper observes on indirect paths in
 //!   Fig 4).
-//! * [`ScaledProcess`] — multiplies an inner process by a constant.
 //!
 //! All processes are deterministic functions of their construction seed
 //! that only extend forward. That is what lets every clone of a
-//! [`crate::sim::Network`] — each replica that runs a control process
-//! under identical conditions (the paper's two-process methodology) —
-//! share one process per link: whichever clone first needs a segment
+//! [`crate::sim::Network`] — each study task's copy of its scenario,
+//! each hindsight-oracle replica — share one process per link: whichever clone first needs a segment
 //! draws it, and every other reads the same values it would have drawn
 //! itself.
 
@@ -469,39 +467,6 @@ impl Clone for JumpMixProcess {
     }
 }
 
-/// Minimum of two processes — e.g. an overlay path clamped at the
-/// client's access capacity, where both legs vary over time.
-pub struct MinProcess {
-    a: Box<dyn BandwidthProcess>,
-    b: Box<dyn BandwidthProcess>,
-}
-
-impl MinProcess {
-    /// Creates the pointwise minimum of `a` and `b`.
-    pub fn new(a: Box<dyn BandwidthProcess>, b: Box<dyn BandwidthProcess>) -> Self {
-        MinProcess { a, b }
-    }
-}
-
-impl BandwidthProcess for MinProcess {
-    fn rate_at(&mut self, t: SimTime) -> f64 {
-        self.a.rate_at(t).min(self.b.rate_at(t)).max(MIN_RATE)
-    }
-    fn next_change_after(&mut self, t: SimTime) -> Option<SimTime> {
-        match (self.a.next_change_after(t), self.b.next_change_after(t)) {
-            (Some(x), Some(y)) => Some(x.min(y)),
-            (None, y) => y,
-            (x, None) => x,
-        }
-    }
-    fn clone_box(&self) -> Box<dyn BandwidthProcess> {
-        Box::new(MinProcess {
-            a: self.a.clone_box(),
-            b: self.b.clone_box(),
-        })
-    }
-}
-
 /// A diurnal modulation: multiplies an inner process by a day-period
 /// load curve (busy hours depress available bandwidth). The paper's
 /// studies ran 10-hour and 6-hour sessions and staggered control/
@@ -577,35 +542,6 @@ impl BandwidthProcess for DiurnalProcess {
             period: self.period,
             step: self.step,
             peak_offset: self.peak_offset,
-        })
-    }
-}
-
-/// Multiplies an inner process by a constant factor.
-pub struct ScaledProcess {
-    inner: Box<dyn BandwidthProcess>,
-    factor: f64,
-}
-
-impl ScaledProcess {
-    /// Creates a scaled view of `inner`.
-    pub fn new(inner: Box<dyn BandwidthProcess>, factor: f64) -> Self {
-        assert!(factor > 0.0 && factor.is_finite(), "bad factor {factor}");
-        ScaledProcess { inner, factor }
-    }
-}
-
-impl BandwidthProcess for ScaledProcess {
-    fn rate_at(&mut self, t: SimTime) -> f64 {
-        (self.inner.rate_at(t) * self.factor).max(MIN_RATE)
-    }
-    fn next_change_after(&mut self, t: SimTime) -> Option<SimTime> {
-        self.inner.next_change_after(t)
-    }
-    fn clone_box(&self) -> Box<dyn BandwidthProcess> {
-        Box::new(ScaledProcess {
-            inner: self.inner.clone_box(),
-            factor: self.factor,
         })
     }
 }
@@ -779,33 +715,6 @@ mod tests {
         for s in (0..7200).step_by(13) {
             assert_eq!(a.rate_at(t(s)), b.rate_at(t(s)));
         }
-    }
-
-    #[test]
-    fn scaled_process_multiplies() {
-        let mut p = ScaledProcess::new(Box::new(ConstantProcess::new(100.0)), 2.5);
-        assert_eq!(p.rate_at(SimTime::ZERO), 250.0);
-        assert_eq!(p.next_change_after(SimTime::ZERO), None);
-    }
-
-    #[test]
-    fn min_process_takes_pointwise_minimum() {
-        let a = Box::new(PiecewiseProcess::new(vec![
-            (SimTime::ZERO, 100.0),
-            (t(10), 500.0),
-        ]));
-        let b = Box::new(PiecewiseProcess::new(vec![
-            (SimTime::ZERO, 300.0),
-            (t(20), 50.0),
-        ]));
-        let mut m = MinProcess::new(a, b);
-        assert_eq!(m.rate_at(t(5)), 100.0);
-        assert_eq!(m.rate_at(t(15)), 300.0);
-        assert_eq!(m.rate_at(t(25)), 50.0);
-        // Changes of either side are boundaries.
-        assert_eq!(m.next_change_after(SimTime::ZERO), Some(t(10)));
-        assert_eq!(m.next_change_after(t(10)), Some(t(20)));
-        assert_eq!(m.next_change_after(t(20)), None);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub mod tracer;
 pub mod prelude {
     pub use crate::bandwidth::{
         Ar1LogProcess, BandwidthProcess, ConstantProcess, DiurnalProcess, JumpMixProcess,
-        MinProcess, PiecewiseProcess, RegimeSwitchingProcess, ScaledProcess, MIN_RATE,
+        PiecewiseProcess, RegimeSwitchingProcess, MIN_RATE,
     };
     pub use crate::events::EventQueue;
     pub use crate::fairshare::{max_min_rates, reference_rates, AllocFlow};

@@ -129,14 +129,6 @@ impl Components {
         &self.links[self.link_starts[c] as usize..self.link_starts[c + 1] as usize]
     }
 
-    /// Size of the largest component (flows), 0 when empty.
-    pub fn max_flows(&self) -> usize {
-        (0..self.count())
-            .map(|c| self.comp_flows(c).len())
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Builds the decomposition of a CSR problem: flow `f` crosses the
     /// links `flow_links[flow_off[f]..flow_off[f + 1]]`. `uf` is scratch
     /// (reset here). Element layout inside: links first (`0..n_links`),

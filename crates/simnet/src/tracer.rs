@@ -52,41 +52,6 @@ impl RateTrace {
         }
         out
     }
-
-    /// Parses the output of [`RateTrace::to_csv`] back into a trace.
-    ///
-    /// The header line is required; blank lines are ignored. Times are
-    /// quantised to the CSV's millisecond precision, so a round trip
-    /// preserves sample count and rates to 3 decimals, not raw micros.
-    pub fn from_csv(text: &str) -> Result<RateTrace, String> {
-        let mut lines = text.lines();
-        match lines.next() {
-            Some("time_secs,rate_bytes_per_sec") => {}
-            other => return Err(format!("bad or missing CSV header: {other:?}")),
-        }
-        let mut times = Vec::new();
-        let mut rates = Vec::new();
-        for (i, line) in lines.enumerate() {
-            if line.is_empty() {
-                continue;
-            }
-            let (t, r) = line
-                .split_once(',')
-                .ok_or_else(|| format!("line {}: expected two fields, got {line:?}", i + 2))?;
-            let t: f64 = t
-                .parse()
-                .map_err(|e| format!("line {}: bad time {t:?}: {e}", i + 2))?;
-            let r: f64 = r
-                .parse()
-                .map_err(|e| format!("line {}: bad rate {r:?}: {e}", i + 2))?;
-            if !t.is_finite() || t < 0.0 {
-                return Err(format!("line {}: time {t} out of range", i + 2));
-            }
-            times.push(SimTime::from_secs_f64(t));
-            rates.push(r);
-        }
-        Ok(RateTrace { times, rates })
-    }
 }
 
 /// Samples a process directly.
@@ -217,41 +182,5 @@ mod tests {
         assert_eq!(tr.len(), 1);
         assert_eq!(tr.times[0], SimTime::from_secs(3));
         assert_eq!(tr.mean(), 42.5);
-    }
-
-    #[test]
-    fn csv_round_trip() {
-        let mut p = PiecewiseProcess::new(vec![
-            (SimTime::ZERO, 1000.0),
-            (SimTime::from_secs(2), 2500.125),
-        ]);
-        let tr = trace_process(
-            &mut p,
-            SimTime::ZERO,
-            SimTime::from_secs(4),
-            SimDuration::from_millis(500),
-        );
-        let back = RateTrace::from_csv(&tr.to_csv()).unwrap();
-        assert_eq!(back.len(), tr.len());
-        for (a, b) in tr.times.iter().zip(&back.times) {
-            assert!((a.as_secs_f64() - b.as_secs_f64()).abs() < 1e-3);
-        }
-        for (a, b) in tr.rates.iter().zip(&back.rates) {
-            assert!((a - b).abs() < 1e-3);
-        }
-        // A second round trip is exact: quantisation is idempotent.
-        assert_eq!(RateTrace::from_csv(&back.to_csv()).unwrap(), back);
-    }
-
-    #[test]
-    fn from_csv_rejects_malformed_input() {
-        assert!(RateTrace::from_csv("").is_err());
-        assert!(RateTrace::from_csv("wrong,header\n1.0,2.0\n").is_err());
-        assert!(RateTrace::from_csv("time_secs,rate_bytes_per_sec\nnope\n").is_err());
-        assert!(RateTrace::from_csv("time_secs,rate_bytes_per_sec\nx,2.0\n").is_err());
-        assert!(RateTrace::from_csv("time_secs,rate_bytes_per_sec\n-1.0,2.0\n").is_err());
-        let ok = RateTrace::from_csv("time_secs,rate_bytes_per_sec\n\n0.5,9.0\n").unwrap();
-        assert_eq!(ok.len(), 1);
-        assert_eq!(ok.rates[0], 9.0);
     }
 }

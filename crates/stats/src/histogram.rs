@@ -115,32 +115,6 @@ impl Histogram {
         }
     }
 
-    /// Fraction of observations lying in `[a, b)`, computed from raw bins
-    /// only — `a`/`b` must align with bin edges for an exact answer.
-    pub fn mass_between(&self, a: f64, b: f64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let mut n = 0u64;
-        for i in 0..self.counts.len() {
-            let (lo, hi) = self.bin_edges(i);
-            if lo >= a && hi <= b {
-                n += self.counts[i];
-            }
-        }
-        n as f64 / self.total as f64
-    }
-
-    /// Index of the fullest in-range bin, or `None` if all are empty.
-    pub fn mode_bin(&self) -> Option<usize> {
-        let (idx, &max) = self.counts.iter().enumerate().max_by_key(|(_, &c)| c)?;
-        if max == 0 {
-            None
-        } else {
-            Some(idx)
-        }
-    }
-
     /// `(bin_center, count)` series, e.g. for CSV export.
     pub fn series(&self) -> Vec<(f64, u64)> {
         (0..self.counts.len())
@@ -228,24 +202,6 @@ mod tests {
         assert_eq!(h.bin_edges(0), (0.0, 25.0));
         assert_eq!(h.bin_edges(3), (75.0, 100.0));
         assert_eq!(h.bin_center(1), 37.5);
-    }
-
-    #[test]
-    fn mass_between_aligned_edges() {
-        let mut h = Histogram::new(-100.0, 100.0, 20);
-        h.extend(&[-50.0, 5.0, 15.0, 25.0, 95.0]);
-        // [0,100) holds 4 of the 5 points.
-        assert!((h.mass_between(0.0, 100.0) - 0.8).abs() < 1e-12);
-        assert!((h.mass_between(-100.0, 0.0) - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mode_bin_finds_peak() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.extend(&[4.5, 4.6, 4.7, 1.0]);
-        assert_eq!(h.mode_bin(), Some(4));
-        let empty = Histogram::new(0.0, 1.0, 3);
-        assert_eq!(empty.mode_bin(), None);
     }
 
     #[test]

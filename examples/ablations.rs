@@ -18,12 +18,13 @@
 //! ```
 
 use indirect_routing::core::{
-    EpsilonGreedy, EwmaBlend, FirstPortion, PathSelector, Predictor, RandomSet, SessionConfig,
-    StaticSingle, Ucb1, UtilizationWeighted,
+    EpsilonGreedy, PathSelector, PathSpec, RandomSet, SessionConfig, StaticSingle, Ucb1,
+    UtilizationWeighted,
 };
 use indirect_routing::experiments::runner::run_task_with;
 use indirect_routing::stats::Summary;
 use indirect_routing::workload::{selection_study, Scenario, Schedule};
+use std::collections::BTreeMap;
 
 /// Runs `policy` for the first client over `schedule` and scores it:
 /// (mean improvement %, penalties % of all transfers).
@@ -105,12 +106,38 @@ fn ablation_policies(sc: &Scenario) {
     }
 }
 
+/// One predictor of the quality table. With no `blend` it is the
+/// paper's first-portion rule: the probe rate is the prediction. With
+/// `blend = (w, alpha)` it predicts `w·probe + (1 − w)·ewma`, where
+/// `ewma` tracks the path's realised whole-file rates with decay
+/// `alpha` (the probe alone until the path has a history).
+struct Forecast {
+    blend: Option<(f64, f64)>,
+    history: BTreeMap<PathSpec, f64>,
+}
+
+impl Forecast {
+    fn predict(&self, path: &PathSpec, probe_rate: f64) -> f64 {
+        match (self.blend, self.history.get(path)) {
+            (Some((w, _)), Some(&h)) => w * probe_rate + (1.0 - w) * h,
+            _ => probe_rate,
+        }
+    }
+
+    fn observe(&mut self, path: &PathSpec, realised: f64) {
+        if let Some((_, alpha)) = self.blend {
+            let e = self.history.entry(*path).or_insert(realised);
+            *e = alpha * realised + (1.0 - alpha) * *e;
+        }
+    }
+}
+
 fn ablation_predictors(sc: &Scenario) {
     // Pure prediction quality, decoupled from probe overhead: at each
     // schedule instant, what a 100 KB probe would measure on each path
     // (oracle on an isolated replica) feeds the predictor; the chosen
     // path's true whole-file rate is compared with the best path's.
-    use indirect_routing::core::{PathCtx, PathSpec, SimTransport, Transport};
+    use indirect_routing::core::{PathCtx, SimTransport, Transport};
     use indirect_routing::simnet::time::{SimDuration, SimTime};
 
     let schedule = Schedule::selection_study().spread(60);
@@ -123,12 +150,16 @@ fn ablation_predictors(sc: &Scenario) {
         "{:>20} {:>14} {:>14}",
         "predictor", "optimal pick %", "efficiency %"
     );
-    let predictors: Vec<(&str, Box<dyn Predictor>)> = vec![
-        ("first-portion", Box::new(FirstPortion)),
-        ("ewma-blend 0.5/0.3", Box::new(EwmaBlend::new(0.5, 0.3))),
-        ("ewma-blend 0.2/0.3", Box::new(EwmaBlend::new(0.2, 0.3))),
+    let predictors = [
+        ("first-portion", None),
+        ("ewma-blend 0.5/0.3", Some((0.5, 0.3))),
+        ("ewma-blend 0.2/0.3", Some((0.2, 0.3))),
     ];
-    for (name, mut predictor) in predictors {
+    for (name, blend) in predictors {
+        let mut predictor = Forecast {
+            blend,
+            history: BTreeMap::new(),
+        };
         let mut transport = SimTransport::new(sc.network.clone());
         let mut policy = RandomSet::new(5, 7);
         let client = sc.clients[0];

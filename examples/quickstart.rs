@@ -9,9 +9,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use indirect_routing::core::{
-    run_paths_session, FirstPortion, PathSpec, SessionConfig, SimTransport,
-};
+use indirect_routing::core::{run_paths_session, PathSpec, SessionConfig, SimTransport};
 use indirect_routing::simnet::prelude::*;
 use indirect_routing::stats::table::fmt_rate;
 
@@ -59,7 +57,6 @@ fn main() {
     //     One a-priori indirect path (§2.2); `run_session` is the same
     //     call with a `PathSelector` choosing the candidates per transfer.
     let mut transport = SimTransport::new(net);
-    let mut predictor = FirstPortion;
     let cfg = SessionConfig::paper_defaults();
     let direct = PathSpec::direct(client, server);
     let indirect = [PathSpec::indirect(client, server, relay)];
@@ -68,15 +65,7 @@ fn main() {
     println!("indirect path: {}\n", indirect[0]);
 
     for i in 0..5 {
-        let (rec, _) = run_paths_session(
-            &mut transport,
-            &mut predictor,
-            direct,
-            &indirect,
-            i,
-            &cfg,
-            None,
-        );
+        let (rec, _) = run_paths_session(&mut transport, direct, &indirect, i, &cfg, None);
         println!(
             "transfer {}: chose {}  direct {}  selected {}  improvement {:+.1}%",
             i,

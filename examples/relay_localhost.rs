@@ -9,7 +9,7 @@
 //! cargo run --release --example relay_localhost
 //! ```
 
-use indirect_routing::core::{run_paths_session, FirstPortion, SessionConfig};
+use indirect_routing::core::{run_paths_session, SessionConfig};
 use indirect_routing::relay::{body_byte, HarnessSpec, MiniPlanetLab, RateSchedule, RealTransport};
 use indirect_routing::simnet::time::SimDuration;
 use std::time::Duration;
@@ -56,15 +56,7 @@ fn main() {
             std::thread::sleep(Duration::from_secs(2));
         }
         let (mut transport, paths) = RealTransport::for_lab(&lab);
-        let (rec, _) = run_paths_session(
-            &mut transport,
-            &mut FirstPortion,
-            paths[0],
-            &paths[1..],
-            round,
-            &cfg,
-            None,
-        );
+        let (rec, _) = run_paths_session(&mut transport, paths[0], &paths[1..], round, &cfg, None);
         let choice = match paths.iter().position(|p| *p == rec.selected) {
             Some(i) if i > 0 => format!("relay {}", i - 1),
             _ => "direct".to_string(),

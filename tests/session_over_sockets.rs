@@ -7,8 +7,7 @@
 //! TCP model and a real kernel stack.
 
 use indirect_routing::core::{
-    run_paths_session, ControlMode, FirstPortion, PathSpec, ProbeMode, SessionConfig, SimTransport,
-    TransferRecord,
+    run_paths_session, PathSpec, SessionConfig, SimTransport, TransferRecord,
 };
 use indirect_routing::relay::{body_byte, HarnessSpec, MiniPlanetLab, RateSchedule, RealTransport};
 use indirect_routing::simnet::prelude::*;
@@ -19,8 +18,6 @@ fn session_cfg(file: u64, probe: u64) -> SessionConfig {
     SessionConfig {
         probe_bytes: probe,
         file_bytes: file,
-        probe_mode: ProbeMode::FirstToFinish,
-        control: ControlMode::Concurrent,
         horizon: SimDuration::from_secs(120),
         failover: None,
         engine: EngineMode::Incremental,
@@ -44,7 +41,6 @@ fn run_sim(direct_rate: f64, overlay_rate: f64, file: u64, probe: u64) -> Transf
     let mut transport = SimTransport::new(net);
     run_paths_session(
         &mut transport,
-        &mut FirstPortion,
         PathSpec::direct(c, s),
         &[PathSpec::indirect(c, s, v)],
         0,
@@ -66,7 +62,6 @@ fn run_real(direct_rate: f64, overlay_rate: f64, file: u64, probe: u64) -> Trans
     let (mut transport, paths) = RealTransport::for_lab(&lab);
     let (record, _) = run_paths_session(
         &mut transport,
-        &mut FirstPortion,
         paths[0],
         &paths[1..],
         0,

@@ -9,9 +9,7 @@
 //! reproduces the shared-bottleneck regime when modelled explicitly
 //! with a hard-capacity access link.
 
-use indirect_routing::core::{
-    run_paths_session, FirstPortion, PathSpec, SessionConfig, SimTransport,
-};
+use indirect_routing::core::{run_paths_session, PathSpec, SessionConfig, SimTransport};
 use indirect_routing::simnet::prelude::*;
 
 /// client --access--> gateway; gateway -> server (direct tail) and
@@ -106,7 +104,6 @@ fn session_protocol_sees_no_gain_under_shared_bottleneck() {
     let mut tp = SimTransport::new(net);
     let (rec, _) = run_paths_session(
         &mut tp,
-        &mut FirstPortion,
         PathSpec::direct(c, s),
         &[PathSpec::indirect(c, s, v)],
         0,
