@@ -10,7 +10,7 @@
 //! the response itself and its splice draws on the content generator
 //! instead of a socket; every other state is shared. A connection never
 //! blocks a thread — every I/O call is non-blocking, and `Conn::step`
-//! records *why* it parked (`Blocked`) so the worker polls precisely
+//! records *why* it parked (`Blocked`) so the reactor polls precisely
 //! the descriptor or timer that can unpark it (no level-triggered busy
 //! loops).
 //!
@@ -32,12 +32,13 @@ use ir_telemetry::Telemetry;
 use std::io::{Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Transition counters for the connection lifecycle, shared by every
-/// worker. Integration tests sweep seeded scenarios and assert each
-/// transition is reachable and that nothing leaks.
+/// Transition counters for the connection lifecycle, written by the
+/// daemon's reactor and read by its owner. Integration tests sweep
+/// seeded scenarios and assert each transition is reachable and that
+/// nothing leaks.
 #[derive(Debug, Default)]
 pub struct Lifecycle {
     /// Connections accepted into the reactor.
@@ -142,41 +143,38 @@ impl Lifecycle {
 /// take effect quickly.
 pub const SPLICE_CHUNK: usize = 16 * 1024;
 
-/// Pool of splice buffers: connections borrow one 16 KiB chunk for
-/// their lifetime and return it on close, so a soak's allocation count
-/// tracks peak concurrency instead of transfer count. Every update is
-/// one push or pop, so a lock a panic poisoned still guards a whole pool.
+/// Pool of splice buffers, owned by the daemon's reactor: connections
+/// borrow one 16 KiB chunk for their lifetime and return it on close,
+/// so a soak's allocation count tracks peak concurrency instead of
+/// transfer count.
 #[derive(Debug, Default)]
 pub(crate) struct BufferPool {
-    free: Mutex<Vec<Vec<u8>>>,
+    free: Vec<Vec<u8>>,
 }
 
 impl BufferPool {
     const MAX_POOLED: usize = 256;
 
-    pub(crate) fn take(&self) -> Vec<u8> {
+    pub(crate) fn take(&mut self) -> Vec<u8> {
         self.free
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
             .pop()
             .unwrap_or_else(|| Vec::with_capacity(SPLICE_CHUNK))
     }
 
-    pub(crate) fn give(&self, mut buf: Vec<u8>) {
+    pub(crate) fn give(&mut self, mut buf: Vec<u8>) {
         buf.clear();
-        let mut free = self.free.lock().unwrap_or_else(PoisonError::into_inner);
-        if buf.capacity() >= SPLICE_CHUNK && free.len() < Self::MAX_POOLED {
-            free.push(buf);
+        if buf.capacity() >= SPLICE_CHUNK && self.free.len() < Self::MAX_POOLED {
+            self.free.push(buf);
         }
     }
 
     #[cfg(test)]
     pub(crate) fn pooled(&self) -> usize {
-        self.free.lock().expect("buffer pool").len()
+        self.free.len()
     }
 }
 
-/// Why a connection parked. The worker's poll set is derived from
+/// Why a connection parked. The reactor's poll set is derived from
 /// exactly this, so a blocked connection wakes only when the condition
 /// it is waiting on can have changed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,7 +205,7 @@ pub(crate) enum CloseKind {
 pub(crate) enum Step {
     /// Parked; see [`Conn::blocked`].
     Blocked,
-    /// Finished; the worker reaps the connection. Lifecycle counters
+    /// Finished; the reactor reaps the connection. Lifecycle counters
     /// record whether the close was clean or an error.
     Closed,
 }
@@ -251,7 +249,7 @@ enum State {
     Respond,
 }
 
-/// Everything a step needs from the worker.
+/// Everything a step needs from the reactor.
 pub(crate) struct StepCtx<'a> {
     pub telemetry: &'a Option<Arc<Telemetry>>,
     pub role: Role,
@@ -267,7 +265,7 @@ pub(crate) struct StepCtx<'a> {
     pub now: Instant,
 }
 
-/// One client connection owned by a reactor worker.
+/// One client connection, owned by its daemon's reactor.
 pub(crate) struct Conn {
     pub(crate) id: u64,
     pub(crate) client: TcpStream,
@@ -413,7 +411,7 @@ impl Conn {
                 }
                 State::Connecting { origin } => {
                     // Only a poll wakeup can resolve the handshake; the
-                    // worker re-steps us once the socket turns writable
+                    // reactor re-steps us once the socket turns writable
                     // (or errors), and `connect_errno` disambiguates.
                     match connect_errno(&origin.stream) {
                         Ok(()) if writable_now(&origin.stream) => {
@@ -1013,7 +1011,7 @@ mod tests {
 
     #[test]
     fn buffer_pool_recycles_up_to_its_cap() {
-        let pool = BufferPool::default();
+        let mut pool = BufferPool::default();
         assert_eq!(pool.pooled(), 0);
 
         // A returned full-size buffer is kept and handed back out.

@@ -21,7 +21,7 @@
 //! * [`poller`] — `ppoll(2)`/non-blocking-connect FFI shim.
 //! * [`conn`] — per-connection state machine for the reactor; the only
 //!   code that reads a request and writes a response, for both roles.
-//! * [`relayd`] — the daemon (acceptor, worker reactor, kill/drain):
+//! * [`relayd`] — the daemon (one reactor thread, kill/drain):
 //!   a relay (absolute-form in, origin-form out) or an origin.
 //! * [`transport`] — the socket fetch engine ([`RealTransport`]): the
 //!   only client-side code that dials, requests, validates, pools and

@@ -5,7 +5,7 @@
 //! verify that a probe + remainder reassembly is byte-exact.
 //!
 //! An origin is the relay's daemon ([`crate::relayd`]) started in the
-//! serve role: same acceptor, workers and connection state machine,
+//! serve role: same reactor thread and connection state machine,
 //! with `plan_response` in place of the forward and [`fill_body`] in
 //! place of the origin socket. This file holds only what the content
 //! is; no socket is touched here.

@@ -4,9 +4,9 @@
 //! reactor needs — `ppoll` and a non-blocking `connect` — are declared
 //! directly against the platform C library (which every Rust binary
 //! already links). Everything else stays on `std`: sockets are plain
-//! `TcpStream`s flipped to non-blocking mode, and every thread that
-//! parks in `poll` (a daemon's acceptor and workers) is woken through
-//! a `wake_pipe` — a `UnixStream` pair.
+//! `TcpStream`s flipped to non-blocking mode, and a daemon's reactor
+//! thread, parked in `poll`, is woken by `kill`/`drain` through a
+//! `wake_pipe` — a `UnixStream` pair.
 //!
 //! Only Linux constants are used on the FFI path; non-Linux unix
 //! targets fall back to a blocking `connect` + `set_nonblocking`,
@@ -152,8 +152,8 @@ fn wait(fds: &mut [PollFd], limit: Option<&Timespec>) -> c_int {
 }
 
 /// Write half of a [`wake_pipe`]: makes the owner of the read half
-/// return from `poll`. Callers publish what changed (a flag, a queue
-/// entry, a counter) *before* waking.
+/// return from `poll`. Callers publish what changed (a stop flag)
+/// *before* waking.
 pub(crate) struct Waker(UnixStream);
 
 impl Waker {
@@ -178,16 +178,6 @@ impl WakeRx {
         let mut sink = [0u8; 64];
         while matches!((&self.0).read(&mut sink), Ok(n) if n > 0) {}
     }
-
-    /// Parks an accept loop, with no timeout (a null `timespec`), until
-    /// a descriptor of `fds` — its listener and this pipe — is ready;
-    /// then drains the pipe.
-    pub(crate) fn park(&self, fds: &mut [PollFd]) {
-        if poll_fds(fds, Duration::MAX).is_err() {
-            accept_backoff();
-        }
-        self.drain();
-    }
 }
 
 /// A non-blocking `UnixStream` pair used as a self-pipe.
@@ -198,21 +188,10 @@ pub(crate) fn wake_pipe() -> io::Result<(Waker, WakeRx)> {
     Ok((Waker(tx), WakeRx(rx)))
 }
 
-/// What an accept loop does after a transient `accept` (or `poll`)
-/// failure: the listener stays readable, so retrying at once would
-/// spin.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "accept_backoff: after EMFILE/ENFILE/ENOBUFS/ECONNABORTED the listener stays readable, so retrying without a pause would spin; the normal accept wait is poll on listener + wake pipe"
-)]
-pub(crate) fn accept_backoff() {
-    std::thread::sleep(Duration::from_millis(10));
-}
-
 /// True for `accept` failures that say nothing about the listener:
 /// descriptor or buffer exhaustion (`EMFILE`, `ENFILE`, `ENOBUFS`,
 /// `ENOMEM`) and a peer that gave up while queued (`ECONNABORTED`).
-/// The accept loop backs off and carries on; anything else (`EBADF`,
+/// The reactor pauses accepting and carries on; anything else (`EBADF`,
 /// `EINVAL`, …) means the listener itself is gone.
 pub(crate) fn accept_error_is_transient(e: &io::Error) -> bool {
     const ENFILE: i32 = 23;

@@ -18,7 +18,7 @@ use std::time::Duration;
 const KB: f64 = 1000.0;
 
 fn event_relay(rate: f64) -> Relay {
-    Relay::start(RelayConfig::shaped(RateSchedule::constant(rate)).with_workers(2)).unwrap()
+    Relay::start(RelayConfig::shaped(RateSchedule::constant(rate))).unwrap()
 }
 
 fn client_cfg(total: u64) -> ClientConfig {
@@ -181,7 +181,7 @@ fn collapsing_relay_loses_its_straggler_chunk() {
         (Duration::ZERO, 800.0 * KB),
         (Duration::from_millis(250), 10.0 * KB),
     ]);
-    let relay = Relay::start(RelayConfig::shaped(collapse).with_workers(2)).unwrap();
+    let relay = Relay::start(RelayConfig::shaped(collapse)).unwrap();
     let out = download_striped(
         direct.addr(),
         fast_origin.addr(),
